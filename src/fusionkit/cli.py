@@ -35,8 +35,10 @@ from pathlib import Path
 import numpy as np
 
 from fusionkit.core import (
+    FormatError,
     Posteriorgram,
     ScorerWeights,
+    ValidationError,
     Vocabulary,
     read_posteriorgram,
     read_vocabulary,
@@ -129,8 +131,10 @@ def read_corpus_dir(corpus_dir: str | Path):
             raise CliError(f"missing corpus file: {p}")
     vocab = read_vocabulary(vocab_path)
     utts = []
-    for line in refs_path.read_text(encoding="utf-8").splitlines():
-        utt_id, transcript = line.split("\t", 1)
+    for lineno, line in enumerate(refs_path.read_text(encoding="utf-8").splitlines(), 1):
+        utt_id, tab, transcript = line.partition("\t")
+        if not tab:
+            raise CliError(f"{refs_path} line {lineno}: expected '<utterance id>\\t<transcript>'")
         pg_path = corpus_dir / f"{utt_id}.fkpg"
         if not pg_path.exists():
             raise CliError(f"missing posteriorgram for {utt_id}: {pg_path}")
@@ -500,7 +504,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, FormatError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

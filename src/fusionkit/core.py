@@ -130,46 +130,66 @@ class Vocabulary:
         )
 
 
+def vocabulary_flags(vocab: Vocabulary) -> list[list[str]]:
+    """Flag names per token id, in the order every vocabulary codec writes them."""
+    out = []
+    for i in range(vocab.size):
+        on = (i == vocab.blank_id, i == vocab.bos_id, i == vocab.eos_id, vocab.begins_word[i])
+        out.append([flag for flag, set_ in zip(_VOCAB_FLAGS, on) if set_])
+    return out
+
+
+def vocabulary_from_flags(entries: Iterable[Sequence], source: str) -> Vocabulary:
+    """Vocabulary from ``(token, flag names)`` pairs; the position is the id.
+
+    Raises FormatError, naming ``source``, for an unknown flag and when the
+    blank, bos or eos flag is missing.
+    """
+    tokens: list[str] = []
+    begins: list[bool] = []
+    flagged: dict[str, int] = {}
+    for i, (tok, flags) in enumerate(entries):
+        for f in flags:
+            if f not in _VOCAB_FLAGS:
+                raise FormatError(f"{source} line {i}: unknown flag {f!r}")
+            flagged[f] = i
+        tokens.append(tok)
+        begins.append("word_begin" in flags)
+    missing = [f for f in ("blank", "bos", "eos") if f not in flagged]
+    if missing:
+        raise FormatError(
+            f"{source} must flag blank, bos, and eos tokens; missing: {', '.join(missing)}"
+        )
+    return Vocabulary(
+        tuple(tokens), flagged["blank"], flagged["bos"], flagged["eos"], tuple(begins)
+    )
+
+
+def vocabulary_lines(vocab: Vocabulary) -> list[str]:
+    """One line per token: ``<token>\\t<comma-joined flags>``."""
+    flags = vocabulary_flags(vocab)
+    return [f"{tok}\t{','.join(f)}" for tok, f in zip(vocab.tokens, flags)]
+
+
+def vocabulary_from_lines(lines: Sequence[str], source: str) -> Vocabulary:
+    """Inverse of :func:`vocabulary_lines`; errors name ``source``."""
+    entries = []
+    for lineno, line in enumerate(lines):
+        if "\t" not in line:
+            raise FormatError(f"{source} line {lineno}: missing tab separator")
+        tok, flag_str = line.split("\t", 1)
+        entries.append((tok, [f for f in flag_str.split(",") if f]))
+    return vocabulary_from_flags(entries, source)
+
+
 def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     """One token per line: ``<token>\\t<flags>``; line number is the id."""
-    lines = []
-    for i, tok in enumerate(vocab.tokens):
-        flags = []
-        if i == vocab.blank_id:
-            flags.append("blank")
-        if i == vocab.bos_id:
-            flags.append("bos")
-        if i == vocab.eos_id:
-            flags.append("eos")
-        if vocab.begins_word[i]:
-            flags.append("word_begin")
-        lines.append(f"{tok}\t{','.join(flags)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text("\n".join(vocabulary_lines(vocab)) + "\n", encoding="utf-8")
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    tokens: list[str] = []
-    begins: list[bool] = []
-    blank_id = bos_id = eos_id = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines()):
-        if "\t" not in line:
-            raise FormatError(f"vocabulary line {lineno}: missing tab separator")
-        tok, flag_str = line.split("\t", 1)
-        flags = [f for f in flag_str.split(",") if f]
-        for f in flags:
-            if f not in _VOCAB_FLAGS:
-                raise FormatError(f"vocabulary line {lineno}: unknown flag {f!r}")
-        tokens.append(tok)
-        begins.append("word_begin" in flags)
-        if "blank" in flags:
-            blank_id = lineno
-        if "bos" in flags:
-            bos_id = lineno
-        if "eos" in flags:
-            eos_id = lineno
-    if blank_id is None or bos_id is None or eos_id is None:
-        raise FormatError("vocabulary file must flag blank, bos, and eos tokens")
-    return Vocabulary(tuple(tokens), blank_id, bos_id, eos_id, tuple(begins))
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    return vocabulary_from_lines(lines, f"vocabulary {path}")
 
 
 def _check_rows_normalized(log_probs: np.ndarray, tol: float = 1e-6) -> None:

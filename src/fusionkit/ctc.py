@@ -196,10 +196,28 @@ class PrefixScorerState:
     log_blank: np.ndarray
     log_prefix_prob: float
 
-    def check(self) -> None:
-        total = np.exp(self.log_nonblank) + np.exp(self.log_blank)
-        if np.any(total > 1.0 + 1e-6):
-            raise ValueError("forward variables exceed probability 1")
+
+@dataclass(frozen=True)
+class PrefixStep:
+    """What one batched :meth:`CtcPrefixScorer.step` hands to ``advance``.
+
+    ``log_blank`` and ``log_sum`` hold the parents' blank and total forward
+    variables as (T, B) columns; ``last`` their last labels (-1 for none).
+    """
+
+    states: tuple[PrefixScorerState, ...]
+    candidates: np.ndarray
+    scores: np.ndarray
+    log_blank: np.ndarray
+    log_sum: np.ndarray
+    last: np.ndarray
+
+    def phi(self, rows, labels, frames: slice = slice(None)) -> np.ndarray:
+        """Log probability that parent ``rows`` cover frames 1..t+1 such that
+        ``labels`` may start at frame t+2: a repeated label needs a blank
+        in between.  Time runs along axis 0; rows and labels broadcast."""
+        same = self.last[rows] == labels
+        return np.where(same, self.log_blank[frames, rows], self.log_sum[frames, rows])
 
 
 class CtcPrefixScorer:
@@ -227,23 +245,35 @@ class CtcPrefixScorer:
         )
 
     def step(
-        self, state: PrefixScorerState, candidates: Sequence[int]
-    ) -> tuple[np.ndarray, list[PrefixScorerState]]:
-        """Score every candidate extension of the state's prefix.
+        self, states: Sequence[PrefixScorerState], candidates: Sequence[int]
+    ) -> tuple[np.ndarray, PrefixStep]:
+        """Score every candidate extension of every state's prefix at once.
 
-        Returns the absolute log prefix probabilities and, aligned with
-        them, the successor state per candidate (EOS candidates reuse the
-        parent state since they terminate the hypothesis).
+        The B states must have prefixes of one length, as the live
+        hypotheses of a label-synchronous beam do.  Returns the (B, C)
+        absolute log prefix probabilities and the artifacts
+        :meth:`advance` builds successor states from; the forward variables
+        of the extensions are left to it, since only survivors need them.
         """
         cands = np.asarray(candidates, dtype=np.int64)
         if np.any(cands == self.blank_id):
             raise ValueError("blank cannot be a prefix-scorer candidate")
+        S = len(states[0].prefix)
+        if any(len(s.prefix) != S for s in states):
+            raise ValueError("states of one step must have prefixes of one length")
         T = self.num_frames
-        S = len(state.prefix)
-        C = cands.size
-        scores = np.full(C, NEG_INF)
-        r_n = np.full((T, C), NEG_INF)
-        r_b = np.full((T, C), NEG_INF)
+        B, C = len(states), cands.size
+        log_b = np.stack([s.log_blank for s in states], axis=1)
+        log_nb = np.stack([s.log_nonblank for s in states], axis=1)
+        step = PrefixStep(
+            states=tuple(states),
+            candidates=cands,
+            scores=np.full((B, C), NEG_INF),
+            log_blank=log_b,
+            log_sum=np.logaddexp(log_nb, log_b),
+            last=np.array([s.prefix[-1] if s.prefix else -1 for s in states]),
+        )
+        scores = step.scores
 
         nonterm = cands != self.eos_id
         if S < T and np.any(nonterm):
@@ -251,57 +281,61 @@ class CtcPrefixScorer:
             # column for it, the scores are overwritten below
             xs = self.log_probs[:, np.where(nonterm, cands, self.blank_id)]
             xs[:, ~nonterm] = NEG_INF
-            # phi[t, c]: prob of prefix over frames 1..t+1 such that a new
-            # label c may start at frame t+2
-            r_sum = np.logaddexp(state.log_nonblank, state.log_blank)
-            phi = np.repeat(r_sum[:, None], C, axis=1)
-            if S > 0:
-                same = cands == state.prefix[-1]
-                phi[:, same] = state.log_blank[:, None]
+            # the prefix probability sums, over the frame t+1 at which the
+            # new label starts, phi[t] + x[t+1]; frame 1 only when S == 0
             start = max(S, 1)
+            terms = step.phi(np.arange(B)[:, None], cands, slice(start - 1, T - 1))
+            terms += xs[start:, None, :]
             if S == 0:
-                r_n[0] = xs[0]
-            log_psi = r_n[start - 1].copy()
-            for t in range(start, T):
-                r_n[t] = np.logaddexp(r_n[t - 1], phi[t - 1]) + xs[t]
-                r_b[t] = np.logaddexp(r_n[t - 1], r_b[t - 1]) + self.log_probs[t, self.blank_id]
-                log_psi = np.logaddexp(log_psi, phi[t - 1] + xs[t])
-            scores[nonterm] = log_psi[nonterm]
+                terms = np.concatenate([np.broadcast_to(xs[0], (1, B, C)), terms])
+            # a reduction over axis 0 folds the frames in order, bit for bit
+            # the sequential log-add of the per-state recursion
+            scores[:, nonterm] = np.logaddexp.reduce(terms, axis=0)[:, nonterm]
 
         eos_mask = ~nonterm
         if np.any(eos_mask):
-            full = np.logaddexp(state.log_nonblank[T - 1], state.log_blank[T - 1])
-            scores[eos_mask] = full
+            scores[:, eos_mask] = step.log_sum[T - 1][:, None]
+        return scores, step
 
-        states = [
-            state
-            if cands[i] == self.eos_id
-            else PrefixScorerState(
-                prefix=state.prefix + (int(cands[i]),),
-                log_nonblank=r_n[:, i].copy(),
-                log_blank=r_b[:, i].copy(),
-                log_prefix_prob=float(scores[i]),
+    def advance(
+        self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]
+    ) -> list[PrefixScorerState]:
+        """Successor states for the (state row, candidate column) pairs that
+        survived pruning, aligned with them.
+
+        One (T, k) recursion over the k pairs gives their forward
+        variables.  An EOS column returns its parent state, since EOS ends
+        the hypothesis.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        labels = step.candidates[cols]
+        S = len(step.states[0].prefix)
+        phi = step.phi(rows, labels)
+        # an EOS column gets a dummy gather: its parent is returned instead
+        xs = self.log_probs[:, np.where(labels == self.eos_id, self.blank_id, labels)]
+        blank = self.log_probs[:, self.blank_id]
+        r_n = np.full(phi.shape, NEG_INF)
+        r_b = np.full(phi.shape, NEG_INF)
+        if S == 0:
+            r_n[0] = xs[0]
+        for t in range(max(S, 1), self.num_frames):
+            np.logaddexp(r_n[t - 1], r_b[t - 1], out=r_b[t])
+            r_b[t] += blank[t]
+            np.logaddexp(r_n[t - 1], phi[t - 1], out=r_n[t])
+            r_n[t] += xs[t]
+        out = []
+        for k, (b, j, label) in enumerate(zip(rows.tolist(), cols.tolist(), labels.tolist())):
+            parent = step.states[b]
+            if label == self.eos_id:
+                out.append(parent)
+                continue
+            out.append(
+                PrefixScorerState(
+                    prefix=parent.prefix + (label,),
+                    log_nonblank=r_n[:, k].copy(),
+                    log_blank=r_b[:, k].copy(),
+                    log_prefix_prob=float(step.scores[b, j]),
+                )
             )
-            for i in range(C)
-        ]
-        return scores, states
-
-
-def prefix_score_init(pg: Posteriorgram, blank_id: int) -> PrefixScorerState:
-    """State of the empty prefix (prefix probability 1)."""
-    return CtcPrefixScorer(pg, blank_id, eos_id=-1).initial_state()
-
-
-def prefix_score_step(
-    pg: Posteriorgram,
-    state: PrefixScorerState,
-    prefix: Sequence[int],
-    candidates: Sequence[int],
-    blank_id: int,
-    eos_id: int,
-) -> tuple[np.ndarray, list[PrefixScorerState]]:
-    """Functional wrapper around :class:`CtcPrefixScorer.step`."""
-    if tuple(prefix) != state.prefix:
-        raise ValueError("state does not belong to the given prefix")
-    scorer = CtcPrefixScorer(pg, blank_id, eos_id)
-    return scorer.step(state, candidates)
+        return out

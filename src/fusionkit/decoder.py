@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -464,7 +464,8 @@ def _store_attention(attn: dict, prefix: str, w: np.ndarray) -> None:
 class IncrementalState:
     """Per-layer key/value history plus the next stream position.
 
-    Cloning copies the cached arrays so sibling hypotheses never interact.
+    A step replaces each layer's arrays instead of writing into them, so
+    sibling hypotheses share their parent's arrays and never interact.
     """
 
     position: int
@@ -473,16 +474,6 @@ class IncrementalState:
     cross_k: list[np.ndarray] = field(default_factory=list)
     cross_v: list[np.ndarray] = field(default_factory=list)
     audio_len: int = 0
-
-    def clone(self) -> "IncrementalState":
-        return IncrementalState(
-            position=self.position,
-            self_k=[k.copy() for k in self.self_k],
-            self_v=[v.copy() for v in self.self_v],
-            cross_k=self.cross_k,
-            cross_v=self.cross_v,
-            audio_len=self.audio_len,
-        )
 
     @property
     def cached_len(self) -> int:
@@ -554,7 +545,7 @@ def decoder_step(
     hp = weights.hp
     if state.self_k and state.self_k[0].shape[1] != hp.dim:
         raise ValueError("incremental state does not match these weights")
-    new = state.clone()
+    new = replace(state, self_k=list(state.self_k), self_v=list(state.self_v))
     pos = np.array([float(new.position)])
     x = weights["embed"][[label]]
     for i in range(hp.layers):

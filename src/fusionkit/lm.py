@@ -22,6 +22,10 @@ from fusionkit.core import (
     ValidationError,
     Vocabulary,
     logsumexp,
+    vocabulary_flags,
+    vocabulary_from_flags,
+    vocabulary_from_lines,
+    vocabulary_lines,
 )
 
 LN10 = math.log(10.0)
@@ -266,17 +270,7 @@ def save_ngram(model: NGramModel, path: str | Path) -> None:
             raise FormatError(f"token {tok!r} contains a space; not serializable")
     lines = [NGRAM_MAGIC, f"order\t{model.order}", f"backoff\t{model.backoff_factor!r}"]
     lines.append("[vocab]")
-    for i, tok in enumerate(model.vocab.tokens):
-        flags = []
-        if i == model.vocab.blank_id:
-            flags.append("blank")
-        if i == model.vocab.bos_id:
-            flags.append("bos")
-        if i == model.vocab.eos_id:
-            flags.append("eos")
-        if model.vocab.begins_word[i]:
-            flags.append("word_begin")
-        lines.append(f"{tok}\t{','.join(flags)}")
+    lines.extend(vocabulary_lines(model.vocab))
     lines.append("[ngrams]")
     toks = model.vocab.tokens
     for k, table in enumerate(model.tables):
@@ -312,18 +306,8 @@ def load_ngram(path: str | Path) -> NGramModel:
             ngram_lines.append(line)
     if order is None or backoff is None:
         raise FormatError(f"{path}: missing order or backoff header")
-    tokens, begins = [], []
-    blank = bos = eos = None
-    for i, line in enumerate(vocab_lines):
-        tok, flag_str = line.split("\t", 1)
-        flags = [f for f in flag_str.split(",") if f]
-        tokens.append(tok)
-        begins.append("word_begin" in flags)
-        blank = i if "blank" in flags else blank
-        bos = i if "bos" in flags else bos
-        eos = i if "eos" in flags else eos
-    vocab = Vocabulary(tuple(tokens), blank, bos, eos, tuple(begins))
-    tok_id = {t: i for i, t in enumerate(tokens)}
+    vocab = vocabulary_from_lines(vocab_lines, f"{path} [vocab]")
+    tok_id = {t: i for i, t in enumerate(vocab.tokens)}
     tables: list[dict[tuple[int, ...], dict[int, float]]] = [{} for _ in range(order)]
     for lineno, line in enumerate(ngram_lines):
         try:
@@ -336,22 +320,10 @@ def load_ngram(path: str | Path) -> NGramModel:
 
 
 def save_table_lm(model: TableLM, path: str | Path) -> None:
-    vocab_spec = []
-    for i, tok in enumerate(model.vocab.tokens):
-        flags = []
-        if i == model.vocab.blank_id:
-            flags.append("blank")
-        if i == model.vocab.bos_id:
-            flags.append("bos")
-        if i == model.vocab.eos_id:
-            flags.append("eos")
-        if model.vocab.begins_word[i]:
-            flags.append("word_begin")
-        vocab_spec.append([tok, flags])
     doc = {
         "format": "fusionkit-table-lm",
         "version": 1,
-        "vocab": vocab_spec,
+        "vocab": [list(e) for e in zip(model.vocab.tokens, vocabulary_flags(model.vocab))],
         "default": model.default.tolist(),
         "entries": [
             {"context": list(ctx), "dist": dist.tolist()} for ctx, dist in model.entries
@@ -364,15 +336,7 @@ def load_table_lm(path: str | Path) -> TableLM:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
     if doc.get("format") != "fusionkit-table-lm" or doc.get("version") != 1:
         raise FormatError(f"{path}: not a fusionkit table LM file")
-    tokens, begins = [], []
-    blank = bos = eos = None
-    for i, (tok, flags) in enumerate(doc["vocab"]):
-        tokens.append(tok)
-        begins.append("word_begin" in flags)
-        blank = i if "blank" in flags else blank
-        bos = i if "bos" in flags else bos
-        eos = i if "eos" in flags else eos
-    vocab = Vocabulary(tuple(tokens), blank, bos, eos, tuple(begins))
+    vocab = vocabulary_from_flags(doc["vocab"], f"{path} vocab")
     entries = tuple(
         (tuple(e["context"]), np.array(e["dist"])) for e in doc["entries"]
     )

@@ -23,20 +23,23 @@ from fusionkit.lm import NGramModel, TableLM, lm_logprob, retokenize
 
 
 class LabelScorer(Protocol):
-    """Incremental scorer over label prefixes.
+    """Incremental scorer over label prefixes, batched over hypotheses.
 
-    ``step`` returns the incremental log-score for appending each vocab
-    label (EOS column included) plus opaque artifacts; ``advance`` commits
-    one chosen label and yields the successor state.
+    ``step`` takes the states of the B live hypotheses, all of one length,
+    and returns a B x V matrix of incremental log-scores for appending each
+    vocab label (EOS column included) plus opaque artifacts.  ``advance``
+    takes those artifacts and the beam survivors, given as parent rows and
+    appended labels, and returns one successor state per survivor; no state
+    is built for a candidate that did not survive.
     """
 
     name: str
 
     def start(self) -> Any: ...
 
-    def step(self, state: Any) -> tuple[np.ndarray, Any]: ...
+    def step(self, states: Sequence[Any]) -> tuple[np.ndarray, Any]: ...
 
-    def advance(self, artifacts: Any, label: int) -> Any: ...
+    def advance(self, artifacts: Any, rows: Sequence[int], labels: Sequence[int]) -> list[Any]: ...
 
 
 class CtcPrefixLabelScorer:
@@ -51,18 +54,21 @@ class CtcPrefixLabelScorer:
         support.discard(vocab.bos_id)
         support.discard(vocab.eos_id)
         self.candidates = np.array(sorted(support) + [vocab.eos_id])
+        self._column = np.full(vocab.size, -1)
+        self._column[self.candidates] = np.arange(self.candidates.size)
 
     def start(self):
         return self._scorer.initial_state()
 
-    def step(self, state):
-        scores, states = self._scorer.step(state, self.candidates)
-        out = np.full(self.vocab.size, NEG_INF)
-        out[self.candidates] = scores - state.log_prefix_prob
-        return out, dict(zip(self.candidates.tolist(), states))
+    def step(self, states):
+        scores, step = self._scorer.step(states, self.candidates)
+        out = np.full((len(states), self.vocab.size), NEG_INF)
+        parent = np.array([s.log_prefix_prob for s in states])
+        out[:, self.candidates] = scores - parent[:, None]
+        return out, step
 
-    def advance(self, artifacts, label):
-        return artifacts[label]
+    def advance(self, artifacts, rows, labels):
+        return self._scorer.advance(artifacts, rows, self._column[labels])
 
 
 class ContextLMScorer:
@@ -75,18 +81,19 @@ class ContextLMScorer:
     def start(self):
         return (self.model.vocab.bos_id,)
 
-    def step(self, ctx):
-        return self.model.conditionals(ctx), ctx
+    def step(self, ctxs):
+        return np.stack([self.model.conditionals(ctx) for ctx in ctxs]), ctxs
 
-    def advance(self, ctx, label):
-        return ctx + (label,)
+    def advance(self, ctxs, rows, labels):
+        return [ctxs[r] + (label,) for r, label in zip(rows, labels)]
 
 
 class DecoderLabelScorer:
     """Toy attention decoder as a scorer; audio absent means pure LM mode.
 
     Blank and BOS entries are masked to -inf without renormalizing, so step
-    scores equal the decoder's own log-softmax outputs.
+    scores equal the decoder's own log-softmax outputs.  Each survivor takes
+    its own ``decoder_step``: a batched matmul may round differently.
     """
 
     def __init__(
@@ -112,13 +119,14 @@ class DecoderLabelScorer:
         row, state = decoder_step(self.weights, self.config, state, self.vocab.bos_id)
         return (row, state)
 
-    def step(self, state):
-        row, inc = state
-        return row + self._mask, inc
+    def step(self, states):
+        return np.stack([row for row, _ in states]) + self._mask, [inc for _, inc in states]
 
-    def advance(self, inc, label):
-        row, new = decoder_step(self.weights, self.config, inc, label)
-        return (row, new)
+    def advance(self, incs, rows, labels):
+        return [
+            decoder_step(self.weights, self.config, incs[r], label)
+            for r, label in zip(rows, labels)
+        ]
 
 
 @dataclass
@@ -303,44 +311,63 @@ def labelsync_beam(
     beam_hyps: list[_Hyp] = [start]
     finished_pool: dict[tuple[int, ...], _Hyp] = {}
 
+    scales = [weights.weights[s.name] for s in active]
+    cand_labels = candidates.tolist()
+    num_cands = len(cand_labels)
     for _ in range(max_len):
-        unfinished = [h for h in beam_hyps if not h.finished]
-        if not unfinished:
+        live = [h for h in beam_hyps if not h.finished]
+        if not live:
             break
         if stats:
             stats.steps += 1
             stats.peak_live_hypotheses = max(stats.peak_live_hypotheses, len(beam_hyps))
-            stats.peak_candidate_set = max(stats.peak_candidate_set, len(candidates))
-        pool: list[tuple[_Hyp, dict | None, int | None]] = [
-            (h, None, None) for h in beam_hyps if h.finished
-        ]
-        for hyp in unfinished:
-            vectors = {}
-            artifacts = {}
-            for s in active:
-                vec, art = s.step(hyp.states[s.name])
-                vectors[s.name] = vec
-                artifacts[s.name] = art
-                if stats:
-                    stats.scorer_evaluations += len(candidates)
-            for c in candidates.tolist():
-                comps = {n: hyp.components[n] + float(vectors[n][c]) for n in vectors}
-                combined = weights.combine(comps)
-                if combined == NEG_INF or math.isnan(combined):
-                    continue
-                child = _Hyp(
-                    hyp.labels + (c,), comps, combined, {}, finished=c == vocab.eos_id
-                )
-                pool.append((child, artifacts, c))
+            stats.peak_candidate_set = max(stats.peak_candidate_set, num_cands)
+            stats.scorer_evaluations += len(live) * len(active) * num_cands
+        # one call per scorer covers every live hypothesis: all have one length
+        comps: list[np.ndarray] = []  # per scorer, live x candidates
+        artifacts = []
+        combined = 0.0
+        for s, scale in zip(active, scales):
+            matrix, art = s.step([h.states[s.name] for h in live])
+            parent = np.array([h.components[s.name] for h in live])
+            comp = parent[:, None] + matrix[:, candidates]
+            comps.append(comp)
+            artifacts.append(art)
+            # the same float operations, in the same order, as ScorerWeights.combine
+            combined = combined + scale * comp
+        key = combined / (len(live[0].labels) + 1) if weights.length_norm else combined
+        flat = np.flatnonzero((combined != NEG_INF) & ~np.isnan(combined))
+        keys = key.ravel()[flat]
+        if keys.size > beam:
+            # shortlist: only candidates tied with or above the beam-th best
+            # key can make the beam; the exact sort below settles ties
+            kth = np.partition(keys, keys.size - beam)[keys.size - beam]
+            flat = flat[keys >= kth]
+        pool: list[tuple[_Hyp, int | None]] = [(h, None) for h in beam_hyps if h.finished]
+        for i in flat.tolist():
+            row, col = divmod(i, num_cands)
+            c = cand_labels[col]
+            child = _Hyp(
+                live[row].labels + (c,),
+                {s.name: float(comp[row, col]) for s, comp in zip(active, comps)},
+                float(combined[row, col]),
+                {},
+                finished=c == vocab.eos_id,
+            )
+            pool.append((child, row))
         if not pool:
             break
         pool.sort(key=lambda item: _prune_key(item[0], weights))
+        survivors = pool[:beam]
         # scorer states are materialized for beam survivors only
-        beam_hyps = []
-        for child, artifacts, c in pool[:beam]:
-            if artifacts is not None and not child.finished:
-                child.states = {s.name: s.advance(artifacts[s.name], c) for s in active}
-            beam_hyps.append(child)
+        growing = [(h, row) for h, row in survivors if row is not None and not h.finished]
+        if growing:
+            rows = [row for _, row in growing]
+            labels = [h.labels[-1] for h, _ in growing]
+            for s, art in zip(active, artifacts):
+                for (h, _), state in zip(growing, s.advance(art, rows, labels)):
+                    h.states[s.name] = state
+        beam_hyps = [h for h, _ in survivors]
         for h in beam_hyps:
             if h.finished:
                 finished_pool.setdefault(h.labels, h)
@@ -684,8 +711,8 @@ def exhaustive_decode(
         vectors = {}
         artifacts = {}
         for s in active:
-            vec, art = s.step(states[s.name])
-            vectors[s.name] = vec
+            matrix, art = s.step([states[s.name]])
+            vectors[s.name] = matrix[0]
             artifacts[s.name] = art
             if stats:
                 stats.scorer_evaluations += len(plain) + 1
@@ -703,7 +730,7 @@ def exhaustive_decode(
             comps = {n: components[n] + float(vectors[n][c]) for n in vectors}
             if weights.combine(comps) == NEG_INF:
                 continue
-            succ = {s.name: s.advance(artifacts[s.name], c) for s in active}
+            succ = {s.name: s.advance(artifacts[s.name], [0], [c])[0] for s in active}
             visit(labels + (c,), comps, succ, depth + 1)
 
     start_states = {s.name: s.start() for s in active}

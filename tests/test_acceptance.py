@@ -158,9 +158,9 @@ class TestCriterion2PrefixScoreConsistency:
             prev_prob = 0.0
             for _ in range(int(rng.integers(1, t + 2))):
                 cands = list(range(1, v))
-                scores, states = scorer.step(state, cands)
+                (scores,), step = scorer.step([state], cands)
                 assert np.all(scores <= prev_prob + 1e-9)
-                eos_score, _ = scorer.step(state, [eos])
+                (eos_score,), _ = scorer.step([state], [eos])
                 want = ctc_forward_logprob(pg, prefix, 0)
                 if want == NEG_INF:
                     assert eos_score[0] == NEG_INF
@@ -171,7 +171,7 @@ class TestCriterion2PrefixScoreConsistency:
                     break
                 prev_prob = float(scores[pick])
                 prefix.append(cands[pick])
-                state = states[pick]
+                (state,) = scorer.advance(step, [0], [pick])
         report(2, "prefix-EOS == forward (1e-9), extensions monotone on 200 instances")
 
 

@@ -133,6 +133,21 @@ class TestSynthAndDecode:
         assert code == 1
         assert "uttZZ" in err
 
+    @pytest.mark.parametrize("bad_line", ["", "utt0000 no tab"])
+    def test_malformed_refs_line_names_file_and_line(self, corpus, tmp_path, capsys, bad_line):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for path in corpus.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        refs = broken / "refs.txt"
+        refs.write_text(refs.read_text() + bad_line + "\n")
+        line = len(refs.read_text().splitlines())
+        for command in (["decode", str(broken), str(tmp_path / "o")], ["bench", str(broken)]):
+            code, _, err = run(command, capsys)
+            assert code == 1
+            assert err.count("error:") == 1
+            assert str(refs) in err and f"line {line}" in err
+
     def test_unknown_config_key_rejected(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"strategy": "joint", "bogus": 1}))
@@ -183,6 +198,22 @@ class TestPplCommand:
         assert code == 0
         assert "token_ppl" in stdout and "word_ppl" in stdout
 
+
+    def test_lm_missing_special_flag_fails_cleanly(self, lm_file, tmp_path, capsys):
+        lines = lm_file.read_text().splitlines()
+        vocab_at = lines.index("[vocab]") + 1
+        blank_at = next(
+            i for i in range(vocab_at, len(lines)) if lines[i].split("\t")[1] == "blank"
+        )
+        tok = lines[blank_at].split("\t")[0]
+        lines[blank_at] = f"{tok}\t"
+        model = tmp_path / "noblank.fklm"
+        model.write_text("\n".join(lines) + "\n")
+        text = tmp_path / "t.txt"
+        text.write_text("the and\n")
+        code, stdout, err = run(["ppl", str(model), str(text)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "missing: blank" in err
 
 class TestBenchCommand:
     def test_grid_table(self, tmp_path, capsys):

@@ -15,8 +15,6 @@ from fusionkit.ctc import (
     greedy_decode,
     kept_labels,
     merge_indices,
-    prefix_score_init,
-    prefix_score_step,
     topk_prune,
 )
 
@@ -136,6 +134,50 @@ class TestGreedyDecode:
         assert greedy_decode(pg, BLANK) == [1]
 
 
+def step_one(sc, state, cands):
+    """One state through the batched protocol: its score row and, aligned
+    with it, the successor state per candidate."""
+    (scores,), step = sc.step([state], cands)
+    return scores, sc.advance(step, [0] * len(cands), list(range(len(cands))))
+
+
+def assert_bounded(state):
+    total = np.exp(state.log_nonblank) + np.exp(state.log_blank)
+    assert np.all(total <= 1.0 + 1e-6), "forward variables exceed probability 1"
+
+
+def reference_prefix_step(lp, state, cands, blank, eos):
+    """Single-state prefix scoring, one candidate column at a time: the
+    slow reference for the batched kernel.  Returns the scores and the
+    successor (prefix, log_nonblank, log_blank, log_prefix_prob) tuples."""
+    T = lp.shape[0]
+    prefix, log_nb, log_b, _ = state
+    S = len(prefix)
+    r_sum = np.logaddexp(log_nb, log_b)
+    scores, succ = [], []
+    for c in cands:
+        r_n = np.full(T, NEG_INF)
+        r_b = np.full(T, NEG_INF)
+        if c == eos:
+            scores.append(np.logaddexp(log_nb[T - 1], log_b[T - 1]))
+            succ.append(state)
+            continue
+        score = NEG_INF
+        if S < T:
+            phi = log_b if S > 0 and c == prefix[-1] else r_sum
+            start = max(S, 1)
+            if S == 0:
+                r_n[0] = lp[0, c]
+            score = r_n[start - 1]
+            for t in range(start, T):
+                r_n[t] = np.logaddexp(r_n[t - 1], phi[t - 1]) + lp[t, c]
+                r_b[t] = np.logaddexp(r_n[t - 1], r_b[t - 1]) + lp[t, blank]
+                score = np.logaddexp(score, phi[t - 1] + lp[t, c])
+        scores.append(score)
+        succ.append((prefix + (c,), r_n, r_b, float(score)))
+    return np.array(scores), succ
+
+
 class TestPrefixScorer:
     EOS = 99
 
@@ -146,14 +188,14 @@ class TestPrefixScorer:
         # collapsed outputs starting with "a": (a,a),(a,blank),(blank,a),(a,b)
         pg = make_pg(np.full((2, 3), 1 / 3))
         sc = self.scorer(pg)
-        scores, _ = sc.step(sc.initial_state(), [1])
+        scores, _ = step_one(sc, sc.initial_state(), [1])
         assert scores[0] == pytest.approx(math.log(4 / 9), abs=1e-12)
 
     def test_eos_equals_forward(self):
         pg = make_pg(np.full((2, 3), 1 / 3))
         sc = self.scorer(pg)
-        _, states = sc.step(sc.initial_state(), [1])
-        scores, _ = sc.step(states[0], [self.EOS])
+        _, states = step_one(sc, sc.initial_state(), [1])
+        scores, _ = step_one(sc, states[0], [self.EOS])
         assert scores[0] == pytest.approx(math.log(3 / 9), abs=1e-12)
         assert scores[0] == pytest.approx(ctc_forward_logprob(pg, [1], BLANK), abs=1e-12)
 
@@ -168,7 +210,7 @@ class TestPrefixScorer:
             parent = 0.0
             for _ in range(3):
                 cands = list(range(1, v)) + [self.EOS]
-                scores, states = sc.step(state, cands)
+                scores, states = step_one(sc, state, cands)
                 total = logsumexp(scores)
                 assert total == pytest.approx(parent, abs=1e-9)
                 pick = int(rng.integers(0, v - 1))
@@ -181,7 +223,7 @@ class TestPrefixScorer:
         pg = make_pg(np.full((2, 3), 1 / 3))
         sc = self.scorer(pg)
         with pytest.raises(ValueError):
-            sc.step(sc.initial_state(), [BLANK])
+            sc.step([sc.initial_state()], [BLANK])
 
     def test_matches_brute_force_prefix(self):
         rng = np.random.default_rng(11)
@@ -194,7 +236,7 @@ class TestPrefixScorer:
             prefix = []
             for _ in range(min(t, 3)):
                 cands = list(range(1, v))
-                scores, states = sc.step(state, cands)
+                scores, states = step_one(sc, state, cands)
                 for c, got in zip(cands, scores):
                     want = brute_force_prefix(pg, prefix + [c])
                     if want == NEG_INF:
@@ -212,14 +254,14 @@ class TestPrefixScorer:
         pg = random_pg(rng, 5, 4)
         sc = self.scorer(pg)
         state = sc.initial_state()
-        state.check()
+        assert_bounded(state)
         for _ in range(3):
-            scores, states = sc.step(state, [1, 2, 3])
+            scores, states = step_one(sc, state, [1, 2, 3])
             pick = int(np.argmax(scores))
             if scores[pick] == NEG_INF:
                 break
             state = states[pick]
-            state.check()
+            assert_bounded(state)
 
     def test_monotone_under_extension(self):
         rng = np.random.default_rng(5)
@@ -228,19 +270,56 @@ class TestPrefixScorer:
         state = sc.initial_state()
         prev = 0.0
         for _ in range(4):
-            scores, states = sc.step(state, [1, 2, 3])
+            scores, states = step_one(sc, state, [1, 2, 3])
             assert np.all(scores <= prev + 1e-12)
             best = int(np.argmax(scores))
             prev = scores[best]
             state = states[best]
 
-    def test_functional_wrappers(self):
+    def test_initial_state_and_mixed_lengths_rejected(self):
         pg = make_pg(np.full((2, 3), 1 / 3))
-        state = prefix_score_init(pg, BLANK)
-        scores, states = prefix_score_step(pg, state, [], [1, 2], BLANK, self.EOS)
+        sc = self.scorer(pg)
+        state = sc.initial_state()
+        assert state.prefix == () and state.log_prefix_prob == 0.0
+        scores, states = step_one(sc, state, [1, 2])
         assert scores[0] == pytest.approx(math.log(4 / 9), abs=1e-12)
         with pytest.raises(ValueError):
-            prefix_score_step(pg, states[0], [2], [1], BLANK, self.EOS)
+            sc.step([state, states[0]], [1])
+
+    def test_batched_kernel_equals_reference_exactly(self):
+        # B > 1 states per step, candidates equal to each state's last label,
+        # the EOS column, and prefixes as long as the posteriorgram or longer
+        rng = np.random.default_rng(31)
+        for _ in range(12):
+            t = int(rng.integers(1, 6))
+            v = int(rng.integers(3, 6))
+            pg = random_pg(rng, t, v)
+            lp = pg.log_probs
+            sc = self.scorer(pg)
+            cands = list(range(1, v)) + [self.EOS]
+            init = sc.initial_state()
+            states = [init]
+            refs = [(init.prefix, init.log_nonblank, init.log_blank, init.log_prefix_prob)]
+            for _ in range(t + 2):
+                scores, step = sc.step(states, cands)
+                assert scores.shape == (len(states), len(cands))
+                want = [reference_prefix_step(lp, r, cands, BLANK, self.EOS) for r in refs]
+                for row, (want_scores, _) in enumerate(want):
+                    assert np.array_equal(scores[row], want_scores)
+                # survivors: random (row, plain column) pairs, repeats allowed
+                k = int(rng.integers(1, 5))
+                rows = rng.integers(0, len(states), size=k).tolist()
+                cols = rng.integers(0, len(cands) - 1, size=k).tolist()
+                states = sc.advance(step, rows, cols)
+                refs = [want[r][1][c] for r, c in zip(rows, cols)]
+                for got, (prefix, log_nb, log_b, log_prefix) in zip(states, refs):
+                    assert got.prefix == prefix
+                    assert np.array_equal(got.log_nonblank, log_nb)
+                    assert np.array_equal(got.log_blank, log_b)
+                    assert got.log_prefix_prob == log_prefix
+            assert len(states[0].prefix) > t
+            _, step = sc.step(states[:1], [self.EOS])
+            assert sc.advance(step, [0], [0]) == [states[0]]
 
 
 class TestMergeIndices:

@@ -243,6 +243,25 @@ class TestIncremental:
         np.testing.assert_array_equal(row_a2, r2)
 
 
+    @pytest.mark.parametrize("kind", ["prefix", "aed"])
+    def test_sibling_steps_leave_parent_cache_unchanged(self, kind):
+        rng = np.random.default_rng(9)
+        w = toy_weights()
+        cfg = InterfaceConfig(kind)
+        _, parent = decoder_step(w, cfg, decoder_init(w, cfg, toy_audio(rng)), BOS)
+        before = [k.copy() for k in parent.self_k] + [v.copy() for v in parent.self_v]
+        position = parent.position
+        _, child_a = decoder_step(w, cfg, parent, 2)
+        _, child_b = decoder_step(w, cfg, parent, 3)
+        after = parent.self_k + parent.self_v
+        assert parent.position == position and len(after) == len(before)
+        for old, new in zip(before, after):
+            np.testing.assert_array_equal(old, new)
+        for child in (child_a, child_b):
+            assert child.position == position + 1
+            assert child.cached_len == parent.cached_len + 1
+        assert not np.array_equal(child_a.self_k[0][-1], child_b.self_k[0][-1])
+
 class TestGoldenFixture:
     """Regression pins for seed-42 weights; values frozen from the first run."""
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from fusionkit.core import NEG_INF, ValidationError, Vocabulary, logsumexp
+from fusionkit.core import NEG_INF, FormatError, ValidationError, Vocabulary, logsumexp
 from fusionkit.lm import (
     TableLM,
     lm_logprob,
@@ -198,6 +198,36 @@ class TestNGramSerialization:
         with pytest.raises(FormatError, match="bad n-gram entry"):
             load_ngram(path)
 
+
+class TestVocabularyFlags:
+    @pytest.mark.parametrize("flag", ["blank", "bos", "eos"])
+    def test_ngram_missing_flag_is_format_error(self, tmp_path, flag):
+        path = tmp_path / "m.fklm"
+        save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
+        text = path.read_text().replace(f"\t{flag}\n", "\t\n", 1)
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"missing: {flag}"):
+            load_ngram(path)
+
+    @pytest.mark.parametrize("flag", ["blank", "bos", "eos"])
+    def test_table_lm_missing_flag_is_format_error(self, tmp_path, flag):
+        import json
+
+        path = tmp_path / "t.json"
+        save_table_lm(uniform_table_lm(VOCAB), path)
+        doc = json.loads(path.read_text())
+        for entry in doc["vocab"]:
+            entry[1] = [f for f in entry[1] if f != flag]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"missing: {flag}"):
+            load_table_lm(path)
+
+    def test_unknown_flag_is_format_error(self, tmp_path):
+        path = tmp_path / "m.fklm"
+        save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
+        path.write_text(path.read_text().replace("\tblank\n", "\tblank,bogus\n", 1))
+        with pytest.raises(FormatError, match="bogus"):
+            load_ngram(path)
 
 class TestRetokenize:
     def test_longest_match(self):

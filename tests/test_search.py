@@ -238,6 +238,46 @@ class TestLabelsyncBeam:
                 assert nb.best.combined >= best - 1e-12
                 best = max(best, nb.best.combined)
 
+    @pytest.mark.parametrize("length_norm", [False, True])
+    def test_saturated_beam_equals_exhaustive_on_random_mixes(self, length_norm):
+        # every finished hypothesis of a saturated beam is one the oracle
+        # enumerates, with bit-identical components and combined score, and
+        # the beam finds every oracle sequence no longer than its last step
+        rng = np.random.default_rng(41)
+        hp = Hyperparams(layers=1, dim=16, heads=2, vocab_size=VOCAB.size, ffn_dim=32)
+        dec_w = seeded_weights(hp, 3)
+        mixes = [
+            {"ctc": 1.0, "lm": 0.5, "dec": 0.3},
+            {"ctc": 0.7, "lm": 1.2, "dec": 0.0},
+            {"ctc": 1.0, "dec": 0.8},
+            {"lm": 0.4, "dec": 1.0},
+        ]
+        for case in range(8):
+            pg = random_am_pg(rng, int(rng.integers(2, 5)))
+            corpus = [rng.choice([A, B, C], size=rng.integers(1, 4)).tolist() for _ in range(4)]
+            lm = train_ngram(VOCAB, corpus, order=2)
+            weights = ScorerWeights(mixes[case % len(mixes)], length_norm=length_norm)
+
+            def scorers():
+                return [
+                    CtcPrefixLabelScorer(pg, VOCAB),
+                    ContextLMScorer(lm, "lm"),
+                    DecoderLabelScorer(dec_w, InterfaceConfig("prefix"), VOCAB, None, "dec"),
+                ]
+
+            oracle = exhaustive_decode(scorers(), weights, VOCAB, max_len=3)
+            by_labels = {e.labels: e for e in oracle}
+            nbest = labelsync_beam(scorers(), weights, beam=10**6, vocab=VOCAB, max_len=3)
+            reached = max(len(e.labels) for e in nbest)
+            assert {e.labels for e in nbest.finished} == {
+                labels for labels in by_labels if len(labels) <= reached
+            }
+            for e in nbest.finished:
+                assert e.components == by_labels[e.labels].components
+                assert e.combined == by_labels[e.labels].combined
+            if not length_norm:
+                assert nbest.best_finished == oracle.best
+
     def test_unknown_weight_rejected(self):
         lm = self.make_table_lm()
         with pytest.raises(ValueError, match="unknown scorer"):
@@ -440,6 +480,26 @@ class TestDecodeStats:
         )
         assert s_pruned.peak_candidate_set < s_full.peak_candidate_set
         assert s_pruned.scorer_evaluations < s_full.scorer_evaluations
+
+    def test_counters_pinned_for_fixed_decode(self):
+        rng = np.random.default_rng(17)
+        pg = random_am_pg(rng, 6)
+        lm = train_ngram(VOCAB, [[A, B], [B, C, A], [C]], order=2)
+        stats = DecodeStats()
+        labelsync_beam(
+            [CtcPrefixLabelScorer(pg, VOCAB), ContextLMScorer(lm, "lm")],
+            ScorerWeights({"ctc": 1.0, "lm": 0.5}),
+            beam=3,
+            vocab=VOCAB,
+            max_len=6,
+            stats=stats,
+        )
+        # 4 steps; 3 plain labels plus EOS; 1 + 3 + 3 + 3 live hypotheses
+        # times 2 scorers times 4 candidates
+        assert stats.steps == 4
+        assert stats.peak_candidate_set == 4
+        assert stats.peak_live_hypotheses == 3
+        assert stats.scorer_evaluations == 80
 
     def test_rtf_definition(self):
         stats = DecodeStats(wall_time_s=0.5, audio_seconds=1.0)
