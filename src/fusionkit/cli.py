@@ -30,6 +30,7 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -55,6 +56,8 @@ from fusionkit.decoder import (
 )
 from fusionkit.lm import (
     NGRAM_MAGIC,
+    NGramModel,
+    TableLM,
     load_ngram,
     load_table_lm,
     perplexity,
@@ -76,6 +79,7 @@ from fusionkit.search import (
 )
 from fusionkit.synth import SynthConfig, gen_corpus
 
+STRATEGIES = ("ctc-greedy", "timesync", "delayed", "joint")
 DEFAULT_CONFIG = {
     "strategy": "ctc-greedy",
     "beam": 8,
@@ -98,9 +102,13 @@ class CliError(Exception):
     pass
 
 
-def load_lm(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8", errors="replace")
-    if text.startswith(NGRAM_MAGIC):
+def load_lm(path: str | Path) -> NGramModel | TableLM:
+    try:
+        with open(path, "rb") as f:
+            head = f.read(len(NGRAM_MAGIC))
+    except OSError as exc:
+        raise CliError(f"cannot read LM file {path}: {exc.strerror}") from exc
+    if head == NGRAM_MAGIC.encode():
         return load_ngram(path)
     return load_table_lm(path)
 
@@ -156,35 +164,76 @@ def prepare_posteriorgram(pg: Posteriorgram, cfg: dict, vocab: Vocabulary) -> Po
     return pg
 
 
-def build_joint_scorers(cfg: dict, vocab: Vocabulary, pg: Posteriorgram):
-    scorers = []
+@dataclass
+class DecodeModels:
+    """What a decode run loads once and shares across its utterances."""
+
+    lm: NGramModel | TableLM | None = None
+    scorers: list[ScorerHandle] = field(default_factory=list)  # joint strategy
+    weights: ScorerWeights | None = None  # joint strategy
+
+
+def load_models(cfg: dict, vocab: Vocabulary) -> DecodeModels:
+    """Check the strategy and load every model the config names.
+
+    A bad config fails here, before any posteriorgram is read.
+    """
+    strategy = cfg["strategy"]
+    if strategy not in STRATEGIES:
+        raise CliError(f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}")
+    lm = load_lm(cfg["lm_path"]) if cfg["lm_path"] else None
+    if strategy == "delayed" and lm is None:
+        raise CliError("delayed fusion needs lm_path")
+    if strategy != "joint":
+        return DecodeModels(lm)
+    scorers, weight_map = build_joint_scorers(cfg, vocab)
+    weights = ScorerWeights(
+        weight_map,
+        length_norm=bool(cfg["length_norm"]),
+        max_len_factor=float(cfg["max_len_factor"]),
+    )
+    return DecodeModels(lm, scorers, weights)
+
+
+def build_joint_scorers(cfg: dict, vocab: Vocabulary) -> tuple[list[ScorerHandle], dict[str, float]]:
+    """One handle per ``scorers`` entry, its model loaded, plus the weight map."""
+    handles = []
     weight_map = {}
     for spec in cfg["scorers"]:
+        if not isinstance(spec, dict) or "name" not in spec or "kind" not in spec:
+            raise CliError(f"scorer entry needs a name and a kind: {spec!r}")
         name, kind = spec["name"], spec["kind"]
-        weight_map[name] = float(spec.get("weight", 0.0))
-        if kind == "ctc_prefix":
-            handle = ScorerHandle(name, kind)
-        elif kind in ("ngram", "table"):
-            handle = ScorerHandle(name, kind, model=load_lm(spec["path"]))
-        elif kind in ("decoder_am", "decoder_lm"):
-            if "weights_path" in spec:
-                dw = load_weights(spec["weights_path"])
+        try:
+            weight_map[name] = float(spec.get("weight", 0.0))
+            if kind == "ctc_prefix":
+                handle = ScorerHandle(name, kind)
+            elif kind in ("ngram", "table"):
+                handle = ScorerHandle(name, kind, model=load_lm(spec["path"]))
+            elif kind == "decoder_lm":
+                if "weights_path" in spec:
+                    dw = load_weights(spec["weights_path"])
+                else:
+                    hp = Hyperparams(vocab_size=vocab.size)
+                    dw = seeded_weights(hp, int(spec.get("seed", cfg["seed"])))
+                interface = InterfaceConfig(
+                    kind=spec.get("interface", "prefix"),
+                    prefix_attention=spec.get("prefix_attention", "causal"),
+                    prompt=tuple(spec.get("prompt", ())),
+                )
+                handle = ScorerHandle(name, kind, decoder_weights=dw, interface=interface)
+            elif kind == "decoder_am":
+                raise CliError("decoder_am needs encoder audio; decode reads posteriorgrams only")
             else:
-                hp = Hyperparams(vocab_size=vocab.size)
-                dw = seeded_weights(hp, int(spec.get("seed", cfg["seed"])))
-            interface = InterfaceConfig(
-                kind=spec.get("interface", "prefix"),
-                prefix_attention=spec.get("prefix_attention", "causal"),
-                prompt=tuple(spec.get("prompt", ())),
-            )
-            handle = ScorerHandle(name, kind, decoder_weights=dw, interface=interface)
-        else:
-            raise CliError(f"unknown scorer kind {kind!r}")
-        scorers.append(handle.build(vocab, pg))
-    return scorers, weight_map
+                raise CliError(f"unknown scorer kind {kind!r}")
+        except (CliError, KeyError, TypeError, ValueError, OSError) as exc:
+            raise CliError(f"scorer {name!r}: {exc}") from exc
+        handles.append(handle)
+    return handles, weight_map
 
 
-def decode_utterance(pg: Posteriorgram, vocab: Vocabulary, cfg: dict, lm) -> tuple[NBestList, DecodeStats]:
+def decode_utterance(
+    pg: Posteriorgram, vocab: Vocabulary, cfg: dict, models: DecodeModels
+) -> tuple[NBestList, DecodeStats]:
     stats = DecodeStats()
     pg = prepare_posteriorgram(pg, cfg, vocab)
     strategy = cfg["strategy"]
@@ -198,29 +247,20 @@ def decode_utterance(pg: Posteriorgram, vocab: Vocabulary, cfg: dict, lm) -> tup
         nbest = NBestList([NBestEntry(labels, {"ctc": path_score}, path_score, True)])
     elif strategy == "timesync":
         nbest = timesync_ctc_beam(
-            pg, vocab, beam=int(cfg["beam"]), lm=lm, lm_weight=float(cfg["lm_weight"]),
+            pg, vocab, beam=int(cfg["beam"]), lm=models.lm, lm_weight=float(cfg["lm_weight"]),
             stats=stats,
         )
     elif strategy == "delayed":
-        if lm is None:
-            raise CliError("delayed fusion needs lm_path")
         nbest = delayed_fusion_beam(
-            pg, vocab, lm, float(cfg["lm_weight"]), int(cfg["beam"]), stats=stats
+            pg, vocab, models.lm, float(cfg["lm_weight"]), int(cfg["beam"]), stats=stats
         )
-    elif strategy == "joint":
-        scorers, weight_map = build_joint_scorers(cfg, vocab, pg)
-        weights = ScorerWeights(
-            weight_map,
-            length_norm=bool(cfg["length_norm"]),
-            max_len_factor=float(cfg["max_len_factor"]),
-        )
-        max_len = max(1, round(weights.max_len_factor * pg.num_frames))
+    else:  # joint
+        scorers = [handle.build(vocab, pg) for handle in models.scorers]
+        max_len = max(1, round(models.weights.max_len_factor * pg.num_frames))
         nbest = labelsync_beam(
-            scorers, weights, int(cfg["beam"]), vocab, max_len, stats=stats
+            scorers, models.weights, int(cfg["beam"]), vocab, max_len, stats=stats
         )
         stats.audio_seconds += pg.duration_seconds
-    else:
-        raise CliError(f"unknown strategy {strategy!r}")
     return nbest, stats
 
 
@@ -238,7 +278,7 @@ def cmd_decode(args) -> int:
         },
     )
     vocab, utts = read_corpus_dir(args.corpus)
-    lm = load_lm(cfg["lm_path"]) if cfg["lm_path"] else None
+    models = load_models(cfg, vocab)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -246,7 +286,7 @@ def cmd_decode(args) -> int:
         utt_id, pg_path, _ = item
         try:
             pg = read_posteriorgram(pg_path)
-            return utt_id, decode_utterance(pg, vocab, cfg, lm)
+            return utt_id, decode_utterance(pg, vocab, cfg, models)
         except Exception as exc:
             raise CliError(f"decoding {utt_id} ({pg_path}) failed: {exc}") from exc
 
@@ -375,8 +415,7 @@ def cmd_synth(args) -> int:
 def cmd_bench(args) -> int:
     cfg = load_config(args.config, {})
     vocab, utts = read_corpus_dir(args.corpus)
-    lm = load_lm(cfg["lm_path"]) if cfg["lm_path"] else None
-    refs = {utt_id: transcript for utt_id, _, transcript in utts}
+    models = load_models(cfg, vocab)
     ks = [None if v == "none" else int(v) for v in args.top_k.split(",")]
     taus = [None if v == "none" else float(v) for v in args.compress_threshold.split(",")]
     beams = [int(v) for v in args.beam.split(",")]
@@ -390,7 +429,7 @@ def cmd_bench(args) -> int:
                 pairs = []
                 for utt_id, pg_path, transcript in utts:
                     pg = read_posteriorgram(pg_path)
-                    nbest, stats = decode_utterance(pg, vocab, run_cfg, lm)
+                    nbest, stats = decode_utterance(pg, vocab, run_cfg, models)
                     total.merge(stats)
                     hyp = vocab.text(nbest.best.output_labels(vocab.eos_id))
                     pairs.append(

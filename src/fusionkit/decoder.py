@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -87,8 +87,33 @@ class AdapterConfig:
             raise ValueError("compression threshold must be positive")
 
 
+@dataclass(frozen=True)
+class _Layer:
+    """One layer's tensors, looked up once per ``DecoderWeights``."""
+
+    attn_norm: tuple[np.ndarray, np.ndarray]
+    wq: np.ndarray
+    wk: np.ndarray
+    wv: np.ndarray
+    wo: np.ndarray
+    cross_norm: tuple[np.ndarray, np.ndarray]
+    cross_wq: np.ndarray
+    cross_wk: np.ndarray
+    cross_wv: np.ndarray
+    cross_wo: np.ndarray
+    ffn_norm: tuple[np.ndarray, np.ndarray]
+    w1: np.ndarray
+    b1: np.ndarray
+    w2: np.ndarray
+    b2: np.ndarray
+
+
 class DecoderWeights:
-    """Named parameter tensors plus hyperparameters."""
+    """Named parameter tensors plus hyperparameters.
+
+    ``layers``, ``final_norm`` and ``rope_freqs`` are resolved once here so
+    the per-step code never formats a tensor name.
+    """
 
     def __init__(self, hp: Hyperparams, tensors: dict[str, np.ndarray]):
         self.hp = hp
@@ -101,6 +126,20 @@ class DecoderWeights:
                     f"tensor {name!r} has shape {self.tensors[name].shape}, "
                     f"expected {_tensor_shape(hp, name)}"
                 )
+        t = self.tensors
+        self.layers = [
+            _Layer(
+                attn_norm=(t[f"layer{i}.attn_norm.gamma"], t[f"layer{i}.attn_norm.beta"]),
+                **{m: t[f"layer{i}.self_attn.{m}"] for m in ("wq", "wk", "wv", "wo")},
+                cross_norm=(t[f"layer{i}.cross_norm.gamma"], t[f"layer{i}.cross_norm.beta"]),
+                **{f"cross_{m}": t[f"layer{i}.cross_attn.{m}"] for m in ("wq", "wk", "wv", "wo")},
+                ffn_norm=(t[f"layer{i}.ffn_norm.gamma"], t[f"layer{i}.ffn_norm.beta"]),
+                **{m: t[f"layer{i}.ffn.{m}"] for m in ("w1", "b1", "w2", "b2")},
+            )
+            for i in range(hp.layers)
+        ]
+        self.final_norm = (t["final_norm.gamma"], t["final_norm.beta"])
+        self.rope_freqs = ROPE_BASE ** (-np.arange(hp.head_dim // 2) * 2.0 / hp.head_dim)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
@@ -285,55 +324,67 @@ def adapter_apply(
     return out
 
 
-def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + LN_EPS) * gamma + beta
+def _layer_norm(x: np.ndarray, norm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    # the ufunc sequence of np.mean and np.var, without their Python wrappers
+    gamma, beta = norm
+    n = x.shape[-1]
+    centered = x - np.add.reduce(x, -1, keepdims=True) / n
+    var = np.add.reduce(np.square(centered), -1, keepdims=True) / n
+    return centered / np.sqrt(var + LN_EPS) * gamma + beta
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
-def _rope(x: np.ndarray, positions: np.ndarray, heads: int) -> np.ndarray:
-    """Rotary position embedding over the head dimension, shared by q and k."""
-    n, d = x.shape
-    hd = d // heads
-    half = hd // 2
-    freqs = ROPE_BASE ** (-np.arange(half) * 2.0 / hd)
-    angles = positions[:, None] * freqs[None, :]
-    cos = np.cos(angles)[:, None, :]
-    sin = np.sin(angles)[:, None, :]
-    xh = x.reshape(n, heads, hd)
+def _rotary(weights: DecoderWeights, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin tables of shape (n, 1, head_dim / 2) for n stream positions."""
+    angles = positions[:, None] * weights.rope_freqs[None, :]
+    return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
+
+
+def _rope(x: np.ndarray, rotary: tuple[np.ndarray, np.ndarray], heads: int) -> np.ndarray:
+    """Rotary position embedding over the head dimension, shared by q and k.
+
+    ``x`` is (n, d) with one table row per position, or (B, 1, d) with one
+    table row shared by the batch.
+    """
+    cos, sin = rotary
+    xh = x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads)
     even = xh[..., 0::2]
     odd = xh[..., 1::2]
     rot = np.empty_like(xh)
     rot[..., 0::2] = even * cos - odd * sin
     rot[..., 1::2] = even * sin + odd * cos
-    return rot.reshape(n, d)
+    return rot.reshape(x.shape)
 
 
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
-    n, d = x.shape
-    return x.reshape(n, heads, d // heads).transpose(1, 0, 2)
+    """(..., n, d) -> (..., heads, n, d / heads), a view."""
+    return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-2, -3)
 
 
 def _attend(
     q: np.ndarray, k: np.ndarray, v: np.ndarray, mask: np.ndarray | None, heads: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Multi-head scaled dot-product attention; returns output and weights."""
-    hd = q.shape[1] // heads
+    """Multi-head scaled dot-product attention; returns output and weights.
+
+    Leading batch axes pass through.  Each per-head (n, hd) @ (hd, L) slice
+    has the same strides with or without them, so it meets the same BLAS
+    routine and rounds the same.
+    """
+    hd = q.shape[-1] // heads
     qh = _split_heads(q, heads)
     kh = _split_heads(k, heads)
     vh = _split_heads(v, heads)
-    scores = qh @ kh.transpose(0, 2, 1) / math.sqrt(hd)
+    scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(hd)
     if mask is not None:
-        scores = np.where(mask[None, :, :], scores, NEG_INF)
+        scores = np.where(mask, scores, NEG_INF)
     scores -= scores.max(axis=-1, keepdims=True)
     weights = np.exp(scores)
     weights /= weights.sum(axis=-1, keepdims=True)
     out = weights @ vh
-    return out.transpose(1, 0, 2).reshape(q.shape[0], -1), weights
+    return out.swapaxes(-2, -3).reshape(q.shape), weights
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
@@ -382,77 +433,64 @@ def decoder_forward(
 
     if config.kind == "prefix":
         x = np.vstack([frames, text])
-        positions = np.arange(a + s, dtype=np.float64)
+        rotary = _rotary(weights, np.arange(a + s, dtype=np.float64))
         mask = build_attention_mask(config, a, s)
-        for i in range(hp.layers):
-            x = x + _self_attention_block(weights, i, x, positions, mask, attn, hp.heads)
-            x = x + _ffn_block(weights, i, x)
+        for i, layer in enumerate(weights.layers):
+            x = x + _self_attention_block(layer, i, x, rotary, mask, attn, hp.heads)
+            x = x + _ffn_block(layer, x)
         x = x[a:]
     elif config.kind == "merged":
         x = text
-        positions = np.arange(a, a + s, dtype=np.float64)
-        audio_positions = np.arange(a, dtype=np.float64)
+        rotary = _rotary(weights, np.arange(a, a + s, dtype=np.float64))
+        audio_rotary = _rotary(weights, np.arange(a, dtype=np.float64))
         mask = build_attention_mask(config, a, s)
-        for i in range(hp.layers):
-            p = f"layer{i}"
-            normed = _layer_norm(x, weights[f"{p}.attn_norm.gamma"], weights[f"{p}.attn_norm.beta"])
-            normed_audio = _layer_norm(
-                frames, weights[f"{p}.attn_norm.gamma"], weights[f"{p}.attn_norm.beta"]
-            )
-            q = _rope(normed @ weights[f"{p}.self_attn.wq"], positions, hp.heads)
-            k_text = _rope(normed @ weights[f"{p}.self_attn.wk"], positions, hp.heads)
-            k_audio = _rope(normed_audio @ weights[f"{p}.self_attn.wk"], audio_positions, hp.heads)
-            v = np.vstack([normed_audio @ weights[f"{p}.self_attn.wv"],
-                           normed @ weights[f"{p}.self_attn.wv"]])
+        for i, layer in enumerate(weights.layers):
+            normed = _layer_norm(x, layer.attn_norm)
+            normed_audio = _layer_norm(frames, layer.attn_norm)
+            q = _rope(normed @ layer.wq, rotary, hp.heads)
+            k_text = _rope(normed @ layer.wk, rotary, hp.heads)
+            k_audio = _rope(normed_audio @ layer.wk, audio_rotary, hp.heads)
+            v = np.vstack([normed_audio @ layer.wv, normed @ layer.wv])
             out, w = _attend(q, np.vstack([k_audio, k_text]), v, mask, hp.heads)
             _store_attention(attn, f"layer{i}", w)
-            x = x + out @ weights[f"{p}.self_attn.wo"]
-            x = x + _ffn_block(weights, i, x)
+            x = x + out @ layer.wo
+            x = x + _ffn_block(layer, x)
     else:  # aed
         x = text
-        positions = np.arange(s, dtype=np.float64)
+        rotary = _rotary(weights, np.arange(s, dtype=np.float64))
         mask = build_attention_mask(config, 0, s)
-        for i in range(hp.layers):
-            x = x + _self_attention_block(weights, i, x, positions, mask, attn, hp.heads)
+        for i, layer in enumerate(weights.layers):
+            x = x + _self_attention_block(layer, i, x, rotary, mask, attn, hp.heads)
             if a > 0:
-                x = x + _cross_attention_block(weights, i, x, frames, attn, hp.heads)
-            x = x + _ffn_block(weights, i, x)
+                x = x + _cross_attention_block(layer, i, x, frames, attn, hp.heads)
+            x = x + _ffn_block(layer, x)
 
     x = x[len(config.prompt) :]
-    logits = _layer_norm(x, weights["final_norm.gamma"], weights["final_norm.beta"]) @ weights["out_proj"]
-    rows = _log_softmax(logits)
+    rows = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])
     if collect_attention:
         return rows, attn
     return rows
 
 
-def _self_attention_block(weights, i, x, positions, mask, attn, heads):
-    p = f"layer{i}"
-    normed = _layer_norm(x, weights[f"{p}.attn_norm.gamma"], weights[f"{p}.attn_norm.beta"])
-    q = _rope(normed @ weights[f"{p}.self_attn.wq"], positions, heads)
-    k = _rope(normed @ weights[f"{p}.self_attn.wk"], positions, heads)
-    v = normed @ weights[f"{p}.self_attn.wv"]
-    out, w = _attend(q, k, v, mask, heads)
+def _self_attention_block(layer, i, x, rotary, mask, attn, heads):
+    normed = _layer_norm(x, layer.attn_norm)
+    q = _rope(normed @ layer.wq, rotary, heads)
+    k = _rope(normed @ layer.wk, rotary, heads)
+    out, w = _attend(q, k, normed @ layer.wv, mask, heads)
     _store_attention(attn, f"layer{i}", w)
-    return out @ weights[f"{p}.self_attn.wo"]
+    return out @ layer.wo
 
 
-def _cross_attention_block(weights, i, x, frames, attn, heads):
-    p = f"layer{i}"
-    normed = _layer_norm(x, weights[f"{p}.cross_norm.gamma"], weights[f"{p}.cross_norm.beta"])
-    q = normed @ weights[f"{p}.cross_attn.wq"]
-    k = frames @ weights[f"{p}.cross_attn.wk"]
-    v = frames @ weights[f"{p}.cross_attn.wv"]
-    out, w = _attend(q, k, v, None, heads)
+def _cross_attention_block(layer, i, x, frames, attn, heads):
+    q = _layer_norm(x, layer.cross_norm) @ layer.cross_wq
+    out, w = _attend(q, frames @ layer.cross_wk, frames @ layer.cross_wv, None, heads)
     _store_attention(attn, f"layer{i}.cross", w)
-    return out @ weights[f"{p}.cross_attn.wo"]
+    return out @ layer.cross_wo
 
 
-def _ffn_block(weights, i, x):
-    p = f"layer{i}"
-    normed = _layer_norm(x, weights[f"{p}.ffn_norm.gamma"], weights[f"{p}.ffn_norm.beta"])
-    hidden = _gelu(normed @ weights[f"{p}.ffn.w1"] + weights[f"{p}.ffn.b1"])
-    return hidden @ weights[f"{p}.ffn.w2"] + weights[f"{p}.ffn.b2"]
+def _ffn_block(layer, x):
+    hidden = _gelu(_layer_norm(x, layer.ffn_norm) @ layer.w1 + layer.b1)
+    return hidden @ layer.w2 + layer.b2
 
 
 def _store_attention(attn: dict, prefix: str, w: np.ndarray) -> None:
@@ -464,7 +502,7 @@ def _store_attention(attn: dict, prefix: str, w: np.ndarray) -> None:
 class IncrementalState:
     """Per-layer key/value history plus the next stream position.
 
-    A step replaces each layer's arrays instead of writing into them, so
+    A step builds new arrays instead of writing into the old ones, so
     sibling hypotheses share their parent's arrays and never interact.
     """
 
@@ -499,76 +537,107 @@ def decoder_init(
     if config.kind == "prefix" and a > 0:
         # run the audio block jointly so bidirectional prefix attention sees
         # the whole block, then cache its per-layer keys/values
-        positions = np.arange(a, dtype=np.float64)
+        rotary = _rotary(weights, np.arange(a, dtype=np.float64))
         block_mask = build_attention_mask(config, a, 0)
         x = frames
-        for i in range(hp.layers):
-            p = f"layer{i}"
-            normed = _layer_norm(x, weights[f"{p}.attn_norm.gamma"], weights[f"{p}.attn_norm.beta"])
-            k = _rope(normed @ weights[f"{p}.self_attn.wk"], positions, hp.heads)
-            v = normed @ weights[f"{p}.self_attn.wv"]
+        for i, layer in enumerate(weights.layers):
+            normed = _layer_norm(x, layer.attn_norm)
+            k = _rope(normed @ layer.wk, rotary, hp.heads)
+            v = normed @ layer.wv
             state.self_k[i] = k
             state.self_v[i] = v
-            q = _rope(normed @ weights[f"{p}.self_attn.wq"], positions, hp.heads)
+            q = _rope(normed @ layer.wq, rotary, hp.heads)
             out, _ = _attend(q, k, v, block_mask, hp.heads)
-            x = x + out @ weights[f"{p}.self_attn.wo"]
-            x = x + _ffn_block(weights, i, x)
+            x = x + out @ layer.wo
+            x = x + _ffn_block(layer, x)
         state.position = a
     elif config.kind == "merged" and a > 0:
-        positions = np.arange(a, dtype=np.float64)
-        for i in range(hp.layers):
-            p = f"layer{i}"
-            normed = _layer_norm(
-                frames, weights[f"{p}.attn_norm.gamma"], weights[f"{p}.attn_norm.beta"]
-            )
-            state.self_k[i] = _rope(normed @ weights[f"{p}.self_attn.wk"], positions, hp.heads)
-            state.self_v[i] = normed @ weights[f"{p}.self_attn.wv"]
+        rotary = _rotary(weights, np.arange(a, dtype=np.float64))
+        for i, layer in enumerate(weights.layers):
+            normed = _layer_norm(frames, layer.attn_norm)
+            state.self_k[i] = _rope(normed @ layer.wk, rotary, hp.heads)
+            state.self_v[i] = normed @ layer.wv
         state.position = a
     elif config.kind == "aed" and a > 0:
-        for i in range(hp.layers):
-            p = f"layer{i}"
-            state.cross_k.append(frames @ weights[f"{p}.cross_attn.wk"])
-            state.cross_v.append(frames @ weights[f"{p}.cross_attn.wv"])
+        for layer in weights.layers:
+            state.cross_k.append(frames @ layer.cross_wk)
+            state.cross_v.append(frames @ layer.cross_wv)
 
     for tok in config.prompt:
-        _, state = decoder_step(weights, config, state, tok)
+        _, (state,) = decoder_step(weights, config, [state], [tok])
     return state
+
+
+def _append_row(caches: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
+    """Stack B (n, d) caches into one (B, n + 1, d) array ending in ``rows``."""
+    n = caches[0].shape[0]
+    out = np.empty((len(caches), n + 1, rows.shape[-1]))
+    np.stack(caches, out=out[:, :n])
+    out[:, n:] = rows
+    return out
 
 
 def decoder_step(
     weights: DecoderWeights,
     config: InterfaceConfig,
-    state: IncrementalState,
-    label: int,
-) -> tuple[np.ndarray, IncrementalState]:
-    """Feed one label; returns the next-label log-distribution and a new state."""
+    states: Sequence[IncrementalState],
+    labels: Sequence[int],
+) -> tuple[np.ndarray, list[IncrementalState]]:
+    """Feed one label to each of B states; returns a B x V matrix of
+    next-label log-distributions and the B successor states.
+
+    The states must share one position and cache length, as the hypotheses
+    of one label-synchronous step do.  Every row-wise tensor keeps a
+    singleton axis, (B, 1, d), and reductions run over the last axis only:
+    numpy then runs each (1, d) @ (d, e) product of the stack as its own
+    BLAS call, the one a single state gets, so row b is bit-identical to
+    stepping state b alone.  A 2-D (B, d) @ (d, e) product would round
+    differently.
+    """
     hp = weights.hp
-    if state.self_k and state.self_k[0].shape[1] != hp.dim:
+    states = list(states)
+    if not states or len(states) != len(labels):
+        raise ValueError("decoder_step needs one label per state, and at least one state")
+    first = states[0]
+    for s in states:
+        if (s.position, s.cached_len, s.audio_len) != (
+            first.position, first.cached_len, first.audio_len
+        ):
+            raise ValueError("batched states must share one position and cache length")
+    if first.self_k and first.self_k[0].shape[1] != hp.dim:
         raise ValueError("incremental state does not match these weights")
-    new = replace(state, self_k=list(state.self_k), self_v=list(state.self_v))
-    pos = np.array([float(new.position)])
-    x = weights["embed"][[label]]
-    for i in range(hp.layers):
-        p = f"layer{i}"
-        normed = _layer_norm(x, weights[f"{p}.attn_norm.gamma"], weights[f"{p}.attn_norm.beta"])
-        q = _rope(normed @ weights[f"{p}.self_attn.wq"], pos, hp.heads)
-        k = _rope(normed @ weights[f"{p}.self_attn.wk"], pos, hp.heads)
-        v = normed @ weights[f"{p}.self_attn.wv"]
-        new.self_k[i] = np.vstack([new.self_k[i], k])
-        new.self_v[i] = np.vstack([new.self_v[i], v])
-        out, _ = _attend(q, new.self_k[i], new.self_v[i], None, hp.heads)
-        x = x + out @ weights[f"{p}.self_attn.wo"]
-        if config.kind == "aed" and new.cross_k:
-            normed_c = _layer_norm(
-                x, weights[f"{p}.cross_norm.gamma"], weights[f"{p}.cross_norm.beta"]
-            )
-            qc = normed_c @ weights[f"{p}.cross_attn.wq"]
-            out_c, _ = _attend(qc, new.cross_k[i], new.cross_v[i], None, hp.heads)
-            x = x + out_c @ weights[f"{p}.cross_attn.wo"]
-        x = x + _ffn_block(weights, i, x)
-    new.position += 1
-    logits = _layer_norm(x, weights["final_norm.gamma"], weights["final_norm.beta"]) @ weights["out_proj"]
-    return _log_softmax(logits)[0], new
+    rotary = _rotary(weights, np.array([float(first.position)]))
+    x = weights["embed"][np.asarray(labels)][:, None, :]
+    self_k: list[np.ndarray] = []
+    self_v: list[np.ndarray] = []
+    for i, layer in enumerate(weights.layers):
+        normed = _layer_norm(x, layer.attn_norm)
+        q = _rope(normed @ layer.wq, rotary, hp.heads)
+        k = _rope(normed @ layer.wk, rotary, hp.heads)
+        self_k.append(_append_row([s.self_k[i] for s in states], k))
+        self_v.append(_append_row([s.self_v[i] for s in states], normed @ layer.wv))
+        out, _ = _attend(q, self_k[i], self_v[i], None, hp.heads)
+        x = x + out @ layer.wo
+        if config.kind == "aed" and first.cross_k:
+            qc = _layer_norm(x, layer.cross_norm) @ layer.cross_wq
+            keys = np.stack([s.cross_k[i] for s in states])
+            values = np.stack([s.cross_v[i] for s in states])
+            out_c, _ = _attend(qc, keys, values, None, hp.heads)
+            x = x + out_c @ layer.cross_wo
+        x = x + _ffn_block(layer, x)
+    rows = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])[:, 0]
+    successors = [
+        IncrementalState(
+            first.position + 1,
+            [k[b] for k in self_k],
+            [v[b] for v in self_v],
+            s.cross_k,
+            s.cross_v,
+            s.audio_len,
+        )
+        for b, s in enumerate(states)
+    ]
+    return rows, successors
 
 
 def seq_cross_entropy(

@@ -55,6 +55,15 @@ class NGramModel:
     _cond_cache: dict[tuple[int, ...], np.ndarray] = field(
         default_factory=dict, compare=False, repr=False
     )
+    _support: np.ndarray = field(init=False, compare=False, repr=False)
+    _unigram: np.ndarray = field(init=False, compare=False, repr=False)  # log10, by token id
+
+    def __post_init__(self):
+        unigram = np.full(self.vocab.size, np.nan)  # load_ngram rejects a gap in the support
+        for tok, val in self.tables[0].get((), {}).items():
+            unigram[tok] = val
+        object.__setattr__(self, "_support", np.array(support_ids(self.vocab)))
+        object.__setattr__(self, "_unigram", unigram)
 
     @property
     def unk_id(self) -> int | None:
@@ -62,16 +71,6 @@ class NGramModel:
             return self.vocab.id_of(UNK_TOKEN)
         except ValueError:
             return None
-
-    def _raw_log10(self, context: tuple[int, ...], token: int) -> float:
-        discount = 0.0
-        for k in range(len(context), 0, -1):
-            ctx = context[-k:]
-            dist = self.tables[k].get(ctx)
-            if dist is not None and token in dist:
-                return discount + dist[token]
-            discount += math.log10(self.backoff_factor)
-        return discount + self.tables[0][()][token]
 
     def conditionals(self, context: Sequence[int]) -> np.ndarray:
         """Normalized natural-log distribution over the full vocab for a context.
@@ -83,10 +82,23 @@ class NGramModel:
         cached = self._cond_cache.get(ctx)
         if cached is not None:
             return cached
+        # every token's backoff walk at once: the unigram row under the full
+        # discount, then each matching level, lowest first, so the longest
+        # match wins.  Discounts are summed by repeated += from 0.0, as a
+        # walk from the longest context down adds them.
+        step = math.log10(self.backoff_factor)
+        discounts = [0.0]
+        for _ in ctx:
+            discounts.append(discounts[-1] + step)
+        log10 = discounts[-1] + self._unigram
+        for k in range(1, len(ctx) + 1):
+            dist = self.tables[k].get(ctx[-k:])
+            if dist:
+                toks = np.fromiter(dist.keys(), np.intp, len(dist))
+                log10[toks] = discounts[len(ctx) - k] + np.fromiter(dist.values(), float, len(dist))
+        raw = log10[self._support] * LN10
         out = np.full(self.vocab.size, NEG_INF)
-        ids = support_ids(self.vocab)
-        raw = np.array([self._raw_log10(ctx, i) * LN10 for i in ids])
-        out[ids] = raw - logsumexp(raw)
+        out[self._support] = raw - logsumexp(raw)
         out.setflags(write=False)
         self._cond_cache[ctx] = out
         return out
@@ -282,7 +294,10 @@ def save_ngram(model: NGramModel, path: str | Path) -> None:
 
 
 def load_ngram(path: str | Path) -> NGramModel:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines or lines[0] != NGRAM_MAGIC:
         raise FormatError(f"{path}: not a {NGRAM_MAGIC} file")
     order = backoff = None
@@ -295,17 +310,24 @@ def load_ngram(path: str | Path) -> NGramModel:
         elif line == "[ngrams]":
             section = "ngrams"
         elif section == "header":
-            key, val = line.split("\t", 1)
-            if key == "order":
-                order = int(val)
-            elif key == "backoff":
-                backoff = float(val)
+            key, tab, val = line.partition("\t")
+            if not tab:
+                raise FormatError(f"{path}: header line {line!r} is not '<key>\\t<value>'")
+            try:
+                if key == "order":
+                    order = int(val)
+                elif key == "backoff":
+                    backoff = float(val)
+            except ValueError as exc:
+                raise FormatError(f"{path}: bad {key} value {val!r}") from exc
         elif section == "vocab":
             vocab_lines.append(line)
         else:
             ngram_lines.append(line)
     if order is None or backoff is None:
         raise FormatError(f"{path}: missing order or backoff header")
+    if order < 1 or not 0.0 < backoff < math.inf:
+        raise FormatError(f"{path}: order must be >= 1 and backoff positive, got {order}, {backoff}")
     vocab = vocabulary_from_lines(vocab_lines, f"{path} [vocab]")
     tok_id = {t: i for i, t in enumerate(vocab.tokens)}
     tables: list[dict[tuple[int, ...], dict[int, float]]] = [{} for _ in range(order)]
@@ -313,9 +335,15 @@ def load_ngram(path: str | Path) -> NGramModel:
         try:
             k_str, ctx_str, tok, val = line.split("\t")
             ctx = tuple(tok_id[t] for t in ctx_str.split(" ") if t)
-            tables[int(k_str) - 1].setdefault(ctx, {})[tok_id[tok]] = float(val)
-        except (ValueError, KeyError, IndexError) as exc:
+            if not 1 <= int(k_str) <= order or len(ctx) != int(k_str) - 1:
+                raise ValueError(f"order {k_str} entry with a {len(ctx)}-token context")
+            tables[len(ctx)].setdefault(ctx, {})[tok_id[tok]] = float(val)
+        except (ValueError, KeyError) as exc:
             raise FormatError(f"{path}: bad n-gram entry on line {lineno}: {exc}") from exc
+    unigram = tables[0].get((), {})
+    missing = [vocab.tokens[i] for i in support_ids(vocab) if i not in unigram]
+    if missing:
+        raise FormatError(f"{path}: no unigram entry for {len(missing)} token(s): {missing[:5]}")
     return NGramModel(vocab, order, backoff, tuple(tables))
 
 
@@ -333,14 +361,25 @@ def save_table_lm(model: TableLM, path: str | Path) -> None:
 
 
 def load_table_lm(path: str | Path) -> TableLM:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("format") != "fusionkit-table-lm" or doc.get("version") != 1:
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise FormatError(f"{path}: not a JSON document ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("format") != "fusionkit-table-lm" or doc.get("version") != 1:
         raise FormatError(f"{path}: not a fusionkit table LM file")
-    vocab = vocabulary_from_flags(doc["vocab"], f"{path} vocab")
-    entries = tuple(
-        (tuple(e["context"]), np.array(e["dist"])) for e in doc["entries"]
-    )
-    return TableLM(vocab, entries, np.array(doc["default"]))
+    missing = [key for key in ("vocab", "default", "entries") if key not in doc]
+    if missing:
+        raise FormatError(f"{path}: missing keys {missing}")
+    try:
+        vocab = vocabulary_from_flags(doc["vocab"], f"{path} vocab")
+        entries = tuple(
+            (tuple(e["context"]), np.array(e["dist"])) for e in doc["entries"]
+        )
+        return TableLM(vocab, entries, np.array(doc["default"]))
+    except (FormatError, ValidationError):
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: malformed table LM ({exc!r})") from exc
 
 
 def uniform_table_lm(vocab: Vocabulary) -> TableLM:

@@ -92,8 +92,10 @@ class DecoderLabelScorer:
     """Toy attention decoder as a scorer; audio absent means pure LM mode.
 
     Blank and BOS entries are masked to -inf without renormalizing, so step
-    scores equal the decoder's own log-softmax outputs.  Each survivor takes
-    its own ``decoder_step``: a batched matmul may round differently.
+    scores equal the decoder's own log-softmax outputs.  ``advance`` feeds
+    all survivors of a label step to one ``decoder_step``.  It keeps a
+    singleton row axis on every tensor, so each survivor's row is
+    bit-identical to stepping that survivor alone.
     """
 
     def __init__(
@@ -116,17 +118,14 @@ class DecoderLabelScorer:
 
     def start(self):
         state = decoder_init(self.weights, self.config, self.audio)
-        row, state = decoder_step(self.weights, self.config, state, self.vocab.bos_id)
-        return (row, state)
+        return self.advance([state], [0], [self.vocab.bos_id])[0]
 
     def step(self, states):
         return np.stack([row for row, _ in states]) + self._mask, [inc for _, inc in states]
 
     def advance(self, incs, rows, labels):
-        return [
-            decoder_step(self.weights, self.config, incs[r], label)
-            for r, label in zip(rows, labels)
-        ]
+        out, successors = decoder_step(self.weights, self.config, [incs[r] for r in rows], labels)
+        return list(zip(out, successors))
 
 
 @dataclass

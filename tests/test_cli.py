@@ -148,6 +148,47 @@ class TestSynthAndDecode:
             assert err.count("error:") == 1
             assert str(refs) in err and f"line {line}" in err
 
+    @pytest.mark.parametrize(
+        "cfg,message",
+        [
+            ({"strategy": "bogus"}, "unknown strategy"),
+            ({"strategy": "delayed"}, "needs lm_path"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "bogus", "weight": 1}]},
+             "unknown scorer kind"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "weight": 1}]}, "name and a kind"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "ngram", "weight": 1}]},
+             "'path'"),
+            ({"strategy": "joint",
+              "scorers": [{"name": "x", "kind": "ngram", "path": "no.fklm", "weight": 1}]},
+             "cannot read LM file"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "decoder_am", "weight": 1}]},
+             "encoder audio"),
+            ({"strategy": "joint",
+              "scorers": [{"name": "x", "kind": "decoder_lm", "interface": "bogus", "weight": 1}]},
+             "interface kind"),
+        ],
+    )
+    def test_bad_config_fails_before_reading_posteriorgrams(
+        self, corpus, tmp_path, capsys, cfg, message
+    ):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for path in corpus.iterdir():
+            data = b"JUNK" if path.suffix == ".fkpg" else path.read_bytes()
+            (broken / path.name).write_bytes(data)
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        for command in (
+            ["decode", str(broken), str(out), "--config", str(cfg_path)],
+            ["bench", str(broken), "--config", str(cfg_path)],
+        ):
+            code, stdout, err = run(command, capsys)
+            assert code == 1 and stdout == ""
+            assert err.count("error:") == 1 and message in err
+            assert ".fkpg" not in err
+        assert not out.exists()
+
     def test_unknown_config_key_rejected(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"strategy": "joint", "bogus": 1}))
@@ -214,6 +255,32 @@ class TestPplCommand:
         code, stdout, err = run(["ppl", str(model), str(text)], capsys)
         assert code == 1 and stdout == ""
         assert err.count("error:") == 1 and "missing: blank" in err
+
+    @pytest.mark.parametrize(
+        "case", ["fklm-header-without-tab", "table-lm-without-vocab", "table-lm-truncated"]
+    )
+    def test_malformed_lm_fails_cleanly(self, lm_file, tmp_path, capsys, case):
+        from fusionkit.core import Vocabulary
+        from fusionkit.lm import save_table_lm, uniform_table_lm
+
+        model = tmp_path / "bad.lm"
+        if case == "fklm-header-without-tab":
+            model.write_text(lm_file.read_text().replace("order\t", "order ", 1))
+        else:
+            vocab = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b"])
+            save_table_lm(uniform_table_lm(vocab), model)
+            doc = model.read_text()
+            if case == "table-lm-without-vocab":
+                doc = json.dumps({k: v for k, v in json.loads(doc).items() if k != "vocab"})
+            else:
+                doc = doc[: len(doc) // 2]
+            model.write_text(doc)
+        text = tmp_path / "t.txt"
+        text.write_text("the and\n")
+        code, stdout, err = run(["ppl", str(model), str(text)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and str(model) in err
+
 
 class TestBenchCommand:
     def test_grid_table(self, tmp_path, capsys):

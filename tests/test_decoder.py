@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -199,7 +200,7 @@ class TestIncremental:
         full = decoder_forward(w, cfg, audio, labels)
         state = decoder_init(w, cfg, audio)
         for s, lab in enumerate(labels):
-            row, state = decoder_step(w, cfg, state, lab)
+            (row,), (state,) = decoder_step(w, cfg, [state], [lab])
             np.testing.assert_allclose(row, full[s], atol=1e-6)
 
     def test_bidirectional_prefix_step_matches_forward(self):
@@ -211,7 +212,7 @@ class TestIncremental:
         full = decoder_forward(w, cfg, audio, labels)
         state = decoder_init(w, cfg, audio)
         for s, lab in enumerate(labels):
-            row, state = decoder_step(w, cfg, state, lab)
+            (row,), (state,) = decoder_step(w, cfg, [state], [lab])
             np.testing.assert_allclose(row, full[s], atol=1e-6)
 
     def test_first_step_equals_forward_row_one(self):
@@ -220,7 +221,7 @@ class TestIncremental:
         audio = toy_audio(rng)
         cfg = InterfaceConfig("prefix")
         state = decoder_init(w, cfg, audio)
-        row, _ = decoder_step(w, cfg, state, BOS)
+        (row,), _ = decoder_step(w, cfg, [state], [BOS])
         np.testing.assert_allclose(
             row, decoder_forward(w, cfg, audio, [BOS])[0], atol=1e-9
         )
@@ -231,14 +232,14 @@ class TestIncremental:
         audio = toy_audio(rng)
         cfg = InterfaceConfig("merged")
         base = decoder_init(w, cfg, audio)
-        row_a1, st_a = decoder_step(w, cfg, base, BOS)
-        _, st_b = decoder_step(w, cfg, base, BOS)
-        _, st_b = decoder_step(w, cfg, st_b, 1)
-        row_a2, _ = decoder_step(w, cfg, st_a, 2)
+        (row_a1,), (st_a,) = decoder_step(w, cfg, [base], [BOS])
+        _, (st_b,) = decoder_step(w, cfg, [base], [BOS])
+        _, (st_b,) = decoder_step(w, cfg, [st_b], [1])
+        (row_a2,), _ = decoder_step(w, cfg, [st_a], [2])
         # replay branch a from scratch; interleaving must not have changed it
         st = decoder_init(w, cfg, audio)
-        r1, st = decoder_step(w, cfg, st, BOS)
-        r2, _ = decoder_step(w, cfg, st, 2)
+        (r1,), (st,) = decoder_step(w, cfg, [st], [BOS])
+        (r2,), _ = decoder_step(w, cfg, [st], [2])
         np.testing.assert_array_equal(row_a1, r1)
         np.testing.assert_array_equal(row_a2, r2)
 
@@ -248,11 +249,11 @@ class TestIncremental:
         rng = np.random.default_rng(9)
         w = toy_weights()
         cfg = InterfaceConfig(kind)
-        _, parent = decoder_step(w, cfg, decoder_init(w, cfg, toy_audio(rng)), BOS)
+        _, (parent,) = decoder_step(w, cfg, [decoder_init(w, cfg, toy_audio(rng))], [BOS])
         before = [k.copy() for k in parent.self_k] + [v.copy() for v in parent.self_v]
         position = parent.position
-        _, child_a = decoder_step(w, cfg, parent, 2)
-        _, child_b = decoder_step(w, cfg, parent, 3)
+        _, (child_a,) = decoder_step(w, cfg, [parent], [2])
+        _, (child_b,) = decoder_step(w, cfg, [parent], [3])
         after = parent.self_k + parent.self_v
         assert parent.position == position and len(after) == len(before)
         for old, new in zip(before, after):
@@ -261,6 +262,119 @@ class TestIncremental:
             assert child.position == position + 1
             assert child.cached_len == parent.cached_len + 1
         assert not np.array_equal(child_a.self_k[0][-1], child_b.self_k[0][-1])
+
+
+def stepped_alone(w, cfg, states, labels):
+    """The reference for a batched step: B separate steps with B = 1."""
+    singles = [decoder_step(w, cfg, [s], [lab]) for s, lab in zip(states, labels)]
+    return np.stack([rows[0] for rows, _ in singles]), [succ[0] for _, succ in singles]
+
+
+def assert_states_equal(got, want):
+    assert (got.position, got.cached_len, got.audio_len) == (
+        want.position, want.cached_len, want.audio_len
+    )
+    for a, b in zip(got.self_k + got.self_v + got.cross_k + got.cross_v,
+                    want.self_k + want.self_v + want.cross_k + want.cross_v):
+        assert np.array_equal(a, b)
+
+
+BATCH_CASES = [
+    ("prefix", "causal", (1,), True),
+    ("prefix", "bidirectional", (1, 2), True),
+    ("merged", "causal", (1,), True),
+    ("aed", "causal", (1,), True),
+    ("prefix", "causal", (), False),  # the decoder as a language model
+]
+
+
+class TestBatchedStep:
+    """One decoder_step over B states is bit-identical to B steps alone."""
+
+    @pytest.mark.parametrize("batch", [1, 2, 7, 16])
+    @pytest.mark.parametrize("kind,attention,prompt,with_audio", BATCH_CASES)
+    def test_batch_equals_single_steps(self, kind, attention, prompt, with_audio, batch):
+        rng = np.random.default_rng(batch)
+        w = toy_weights()
+        cfg = InterfaceConfig(kind, attention, prompt)
+        audio = toy_audio(rng, t=5) if with_audio else None
+        _, frontier = decoder_step(w, cfg, [decoder_init(w, cfg, audio)], [BOS])
+        # two batched levels, so the second stacks caches that the first built
+        for _ in range(2):
+            parents = [frontier[i] for i in rng.integers(0, len(frontier), size=batch)]
+            labels = rng.integers(0, HP.vocab_size, size=batch).tolist()
+            rows, frontier = decoder_step(w, cfg, parents, labels)
+            want_rows, want_states = stepped_alone(w, cfg, parents, labels)
+            assert rows.shape == (batch, HP.vocab_size)
+            assert np.array_equal(rows, want_rows)
+            for got, want in zip(frontier, want_states):
+                assert_states_equal(got, want)
+
+    def test_mixed_positions_rejected(self):
+        w = toy_weights()
+        cfg = InterfaceConfig("prefix")
+        start = decoder_init(w, cfg, None)
+        _, (one,) = decoder_step(w, cfg, [start], [BOS])
+        with pytest.raises(ValueError, match="one position"):
+            decoder_step(w, cfg, [start, one], [1, 2])
+        with pytest.raises(ValueError, match="one label per state"):
+            decoder_step(w, cfg, [one, one], [1])
+        with pytest.raises(ValueError, match="one label per state"):
+            decoder_step(w, cfg, [], [])
+
+    @pytest.mark.parametrize("batch", [2, 7, 16])
+    def test_stacked_rows_use_the_per_row_blas_call(self, batch):
+        """The assumption the batched step rests on, checked on this numpy/BLAS.
+
+        numpy multiplies a (B, 1, d) @ (d, e) stack as B separate (1, d) @ (d, e)
+        products, and a (B, heads, 1, hd) @ (B, heads, hd, L) attention stack,
+        with the per-head layout of a cache view, as separate per-head products.
+        If an upgrade starts fusing them into one (B, d) @ (d, e) product, which
+        rounds differently, this fails and batched decoding is no longer exact.
+        """
+        rng = np.random.default_rng(batch)
+        for d, e in [(32, 32), (32, 64), (64, 32), (48, 11), (32, 8)]:
+            x = rng.normal(size=(batch, 1, d))
+            m = rng.normal(size=(d, e))
+            assert np.array_equal(x @ m, np.stack([row @ m for row in x]))
+        heads, hd, length = 2, 16, 9
+        q = rng.normal(size=(batch, heads, 1, hd))
+        cache = rng.normal(size=(batch, length, heads * hd))
+        keys = cache.reshape(batch, length, heads, hd).transpose(0, 2, 3, 1)
+        per_row = [
+            q[b] @ cache[b].reshape(length, heads, hd).transpose(1, 2, 0) for b in range(batch)
+        ]
+        assert np.array_equal(q @ keys, np.stack(per_row))
+
+    # SHA-256 of the step rows, frozen from the one-state-per-call decoder_step
+    # that came before the batched one
+    ROW_DIGESTS = {
+        "prefix": "bbfd3e8cf904a1c5a1cdae9b06e2eb1376e63cc8f04523b78441d86592664c03",
+        "prefix-bidirectional": "3ac293fe98c19fa93e975d77fdec6c210253964bbaddd41d3f8df4b954aba0c8",
+        "merged": "faf7bb30c5cdd42e5bb1a1dc5946820cf81e861cff4edb2d7b75aefe4838ba85",
+        "aed": "a01bedf6441b33e52496457628fb42c680731e943b08dfb2a925c58b25d55d44",
+        "lm": "630cde04ceabb63cc9eafa2dddf4c8638176dd276014b743aa99e5365c882af5",
+    }
+
+    @pytest.mark.parametrize("case", sorted(ROW_DIGESTS))
+    def test_row_bits_pinned(self, case):
+        w = seeded_weights(HP, 42)
+        rng = np.random.default_rng(42)
+        audio = EncoderOutput(rng.normal(size=(3, HP.dim)).astype(np.float32).astype(np.float64))
+        cfg, audio = {
+            "prefix": (InterfaceConfig("prefix", prompt=(1,)), audio),
+            "prefix-bidirectional": (InterfaceConfig("prefix", "bidirectional", (1,)), audio),
+            "merged": (InterfaceConfig("merged", prompt=(1,)), audio),
+            "aed": (InterfaceConfig("aed", prompt=(1,)), audio),
+            "lm": (InterfaceConfig("prefix"), None),
+        }[case]
+        state = decoder_init(w, cfg, audio)
+        digest = hashlib.sha256()
+        for label in [BOS, 2, 3, 4, 5, 2]:
+            rows, (state,) = decoder_step(w, cfg, [state], [label])
+            digest.update(np.ascontiguousarray(rows[0], dtype="<f8").tobytes())
+        assert digest.hexdigest() == self.ROW_DIGESTS[case]
+
 
 class TestGoldenFixture:
     """Regression pins for seed-42 weights; values frozen from the first run."""

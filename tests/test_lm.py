@@ -5,6 +5,7 @@ import pytest
 
 from fusionkit.core import NEG_INF, FormatError, ValidationError, Vocabulary, logsumexp
 from fusionkit.lm import (
+    LN10,
     TableLM,
     lm_logprob,
     load_ngram,
@@ -134,6 +135,45 @@ class TestLogprobAndPerplexity:
         assert math.isfinite(lm_logprob(model, [5, 4, 3]))
 
 
+def raw_log10(model, context, token):
+    """Slow reference: one token's stupid-backoff walk, longest context first."""
+    discount = 0.0
+    for k in range(len(context), 0, -1):
+        dist = model.tables[k].get(context[-k:])
+        if dist is not None and token in dist:
+            return discount + dist[token]
+        discount += math.log10(model.backoff_factor)
+    return discount + model.tables[0][()][token]
+
+
+def reference_conditionals(model, context):
+    ctx = tuple(context)[max(0, len(context) - (model.order - 1)) :]
+    ids = support_ids(model.vocab)
+    raw = np.array([raw_log10(model, ctx, i) * LN10 for i in ids])
+    out = np.full(model.vocab.size, NEG_INF)
+    out[ids] = raw - logsumexp(raw)
+    return out
+
+
+class TestDenseConditionals:
+    """The dense backoff row equals the per-token walk bit for bit."""
+
+    VOCAB5 = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b", "c", "d", "e"])
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_equals_per_token_reference(self, order):
+        rng = np.random.default_rng(order)
+        corpus = [rng.choice([3, 4, 5, 6], size=rng.integers(1, 7)).tolist() for _ in range(12)]
+        model = train_ngram(self.VOCAB5, corpus, order=order, backoff_factor=0.3)
+        bos = self.VOCAB5.bos_id
+        seen = [tuple(seq[:i]) for seq in corpus for i in range(len(seq) + 1)]
+        unseen = [(7,), (7, 7), (3, 7), (7, 3), (6, 6, 6, 6)]
+        padded = [(bos,), (bos, bos), (bos, 3), (bos, bos, 4), (bos, 7)]
+        for ctx in seen + unseen + padded:
+            got = model.conditionals(ctx)
+            assert np.array_equal(got, reference_conditionals(model, ctx)), ctx
+
+
 class TestTableLM:
     def test_suffix_matching_prefers_longest(self):
         d_default = uniform_table_lm(VOCAB).default
@@ -197,6 +237,56 @@ class TestNGramSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match="bad n-gram entry"):
             load_ngram(path)
+
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("order\t2\n", "order 2\n", "header line 'order 2'"),
+            ("order\t2\n", "order\ttwo\n", "bad order value"),
+            ("order\t2\n", "order\t0\n", "order must be >= 1"),
+            ("backoff\t0.4\n", "backoff\t0.0\n", "backoff positive"),
+            ("\n1\t\ta\t", "\n0\t\ta\t", "bad n-gram entry"),
+            ("\n1\t\ta\t", "\n2\t\ta\t", "bad n-gram entry"),
+            ("\n1\t\ta\t", "\n1\tb\ta\t", "bad n-gram entry"),
+        ],
+    )
+    def test_malformed_header_or_entry_rejected(self, tmp_path, old, new, message):
+        path = tmp_path / "model.fklm"
+        save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
+        text = path.read_text()
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        with pytest.raises(FormatError, match=message) as info:
+            load_ngram(path)
+        assert str(path) in str(info.value)
+
+    def test_unigram_gap_rejected(self, tmp_path):
+        path = tmp_path / "model.fklm"
+        save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
+        lines = [line for line in path.read_text().splitlines() if not line.startswith("1\t\tb\t")]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match="no unigram entry"):
+            load_ngram(path)
+
+    @pytest.mark.parametrize("doc", ["{\"format\": \"fusionkit", "[1, 2]", "\xff"])
+    def test_table_lm_not_json_rejected(self, tmp_path, doc):
+        path = tmp_path / "t.json"
+        path.write_bytes(doc.encode("latin-1"))
+        with pytest.raises(FormatError, match="t.json"):
+            load_table_lm(path)
+
+    @pytest.mark.parametrize("key", ["vocab", "default", "entries"])
+    def test_table_lm_missing_key_rejected(self, tmp_path, key):
+        import json
+
+        path = tmp_path / "t.json"
+        save_table_lm(uniform_table_lm(VOCAB), path)
+        doc = json.loads(path.read_text())
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=f"missing keys.*{key}"):
+            load_table_lm(path)
 
 
 class TestVocabularyFlags:
