@@ -15,7 +15,7 @@ by a same-named command line flag.  Keys:
     keep_blank          bool, blank always survives pruning
     compress_threshold  float or null: CTC compression threshold
     compress_order      "compress-then-prune" (default) or "prune-then-compress"
-    lm_path             LM file (FKLM n-gram or table JSON) for fusion
+    lm_path             LM file (FKLM n-gram or table JSON) for timesync/delayed fusion
     lm_weight           float
     scorers             joint strategy: list of {name, kind, weight, ...}
     normalization       lowercase | none (applied by wer)
@@ -181,18 +181,21 @@ def load_models(cfg: dict, vocab: Vocabulary) -> DecodeModels:
     strategy = cfg["strategy"]
     if strategy not in STRATEGIES:
         raise CliError(f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}")
-    lm = load_lm(cfg["lm_path"]) if cfg["lm_path"] else None
-    if strategy == "delayed" and lm is None:
-        raise CliError("delayed fusion needs lm_path")
-    if strategy != "joint":
+    if strategy in ("timesync", "delayed"):
+        # only these two fuse the lm_path LM; joint names its LMs in scorers
+        lm = load_lm(cfg["lm_path"]) if cfg["lm_path"] else None
+        if strategy == "delayed" and lm is None:
+            raise CliError("delayed fusion needs lm_path")
         return DecodeModels(lm)
+    if strategy != "joint":
+        return DecodeModels()
     scorers, weight_map = build_joint_scorers(cfg, vocab)
     weights = ScorerWeights(
         weight_map,
         length_norm=bool(cfg["length_norm"]),
         max_len_factor=float(cfg["max_len_factor"]),
     )
-    return DecodeModels(lm, scorers, weights)
+    return DecodeModels(scorers=scorers, weights=weights)
 
 
 def build_joint_scorers(cfg: dict, vocab: Vocabulary) -> tuple[list[ScorerHandle], dict[str, float]]:
@@ -320,6 +323,7 @@ def format_stats(stats: DecodeStats) -> str:
         f"peak_live_hypotheses\t{stats.peak_live_hypotheses}\n"
         f"peak_candidate_set\t{stats.peak_candidate_set}\n"
         f"steps\t{stats.steps}\n"
+        f"ctc_exact_pairs\t{stats.ctc_exact_pairs}\n"
         f"wall_time_s\t{stats.wall_time_s:.6f}\n"
         f"audio_seconds\t{stats.audio_seconds:.6f}\n"
         f"rtf\t{rtf}\n"

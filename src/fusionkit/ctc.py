@@ -6,12 +6,16 @@ lowest label id so every result is reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from fusionkit.core import NEG_INF, EncoderOutput, Posteriorgram, logsumexp
+
+_EPS = float(np.finfo(np.float64).eps)
+_BLOCK_SIZE = 12288  # float64 terms (96 KiB) per block of CtcPrefixScorer.step's bound pass
 
 
 def collapse(frame_labels: Sequence[int], blank_id: int) -> list[int]:
@@ -181,6 +185,23 @@ def kept_labels(pg: Posteriorgram) -> np.ndarray:
     return np.flatnonzero(np.max(pg.log_probs, axis=0) > NEG_INF)
 
 
+def log_add_bounds(peak: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds on the log-add fold of n terms whose largest is ``peak``, as
+    ``np.logaddexp.reduce`` computes it along the terms' axis.
+
+    With M the largest of n terms, the float fold F satisfies
+    M <= F <= M + log n + eps.  Lower: each log-add returns its larger
+    input plus a nonnegative log1p(exp(.)), and float addition is monotone.
+    Upper: the exact log-sum is at most M + log n.  Each of the n log-adds
+    rounds once at a magnitude of at most |M| + log n and adds a few ulps
+    from log1p(exp(.)) < 1; an earlier rounding reaches F damped by
+    exp(a_k - F) <= 1.  eps is at least four times the sum of those errors.
+    Columns whose terms are all -inf are -inf in both bounds.
+    """
+    magnitude = np.where(peak > NEG_INF, np.abs(peak), 0.0) + math.log(n) + 4.0
+    return peak, peak + (math.log(n) + 4.0 * (n + 1) * _EPS * magnitude)
+
+
 @dataclass(frozen=True)
 class PrefixScorerState:
     """Forward variables of one hypothesis prefix over all frames.
@@ -199,18 +220,21 @@ class PrefixScorerState:
 
 @dataclass(frozen=True)
 class PrefixStep:
-    """What one batched :meth:`CtcPrefixScorer.step` hands to ``advance``.
+    """What one batched :meth:`CtcPrefixScorer.step` hands to ``exact`` and
+    ``advance``.
 
     ``log_blank`` and ``log_sum`` hold the parents' blank and total forward
     variables as (T, B) columns; ``last`` their last labels (-1 for none).
+    ``folded`` keeps the (B, C) exact scores computed so far, NaN elsewhere,
+    so that ``advance`` reuses the survivors' folds.
     """
 
     states: tuple[PrefixScorerState, ...]
     candidates: np.ndarray
-    scores: np.ndarray
     log_blank: np.ndarray
     log_sum: np.ndarray
     last: np.ndarray
+    folded: np.ndarray
 
     def phi(self, rows, labels, frames: slice = slice(None)) -> np.ndarray:
         """Log probability that parent ``rows`` cover frames 1..t+1 such that
@@ -225,7 +249,9 @@ class CtcPrefixScorer:
 
     For a prefix g and candidate c the step score is the log probability
     that the collapsed output begins with g.c; the EOS candidate scores the
-    probability that the output equals g exactly.
+    probability that the output equals g exactly.  For a prefix of length
+    S < T that probability folds n = T - S terms phi[t] + x[t+1] by log-add,
+    one per frame at which c may start.
     """
 
     def __init__(self, pg: Posteriorgram, blank_id: int, eos_id: int):
@@ -246,14 +272,15 @@ class CtcPrefixScorer:
 
     def step(
         self, states: Sequence[PrefixScorerState], candidates: Sequence[int]
-    ) -> tuple[np.ndarray, PrefixStep]:
-        """Score every candidate extension of every state's prefix at once.
+    ) -> tuple[np.ndarray, np.ndarray, PrefixStep]:
+        """Bound every candidate extension of every state's prefix at once.
 
         The B states must have prefixes of one length, as the live
-        hypotheses of a label-synchronous beam do.  Returns the (B, C)
-        absolute log prefix probabilities and the artifacts
-        :meth:`advance` builds successor states from; the forward variables
-        of the extensions are left to it, since only survivors need them.
+        hypotheses of a label-synchronous beam do.  Returns (B, C) lower
+        and upper bounds on the absolute log prefix probabilities that
+        :meth:`exact` folds (see :func:`log_add_bounds`), and the artifacts
+        it and :meth:`advance` work from.  The EOS column is exact; a
+        candidate whose terms are all -inf is -inf in both bounds.
         """
         cands = np.asarray(candidates, dtype=np.int64)
         if np.any(cands == self.blank_id):
@@ -268,34 +295,73 @@ class CtcPrefixScorer:
         step = PrefixStep(
             states=tuple(states),
             candidates=cands,
-            scores=np.full((B, C), NEG_INF),
             log_blank=log_b,
             log_sum=np.logaddexp(log_nb, log_b),
             last=np.array([s.prefix[-1] if s.prefix else -1 for s in states]),
+            folded=np.full((B, C), np.nan),
         )
-        scores = step.scores
+        lower = np.full((B, C), NEG_INF)
+        upper = np.full((B, C), NEG_INF)
 
-        nonterm = cands != self.eos_id
-        if S < T and np.any(nonterm):
-            # EOS may lie outside the posteriorgram columns; gather a dummy
-            # column for it, the scores are overwritten below
-            xs = self.log_probs[:, np.where(nonterm, cands, self.blank_id)]
-            xs[:, ~nonterm] = NEG_INF
-            # the prefix probability sums, over the frame t+1 at which the
-            # new label starts, phi[t] + x[t+1]; frame 1 only when S == 0
+        eos = cands == self.eos_id
+        cols = np.flatnonzero(~eos)
+        if S < T and cols.size:
+            labels = cands[cols]
             start = max(S, 1)
-            terms = step.phi(np.arange(B)[:, None], cands, slice(start - 1, T - 1))
-            terms += xs[start:, None, :]
-            if S == 0:
-                terms = np.concatenate([np.broadcast_to(xs[0], (1, B, C)), terms])
-            # a reduction over axis 0 folds the frames in order, bit for bit
-            # the sequential log-add of the per-state recursion
-            scores[:, nonterm] = np.logaddexp.reduce(terms, axis=0)[:, nonterm]
+            log_sum = step.log_sum[start - 1 : T - 1]
+            log_blank = step.log_blank[start - 1 : T - 1]
+            xs = self.log_probs[start:, labels]
+            # the largest term phi[t] + x[t+1] of every pair, from the float
+            # additions exact() makes.  Blocks of frames keep the (T', B, C)
+            # terms from ever existing whole: a whole array, or blocks above
+            # about 128 KiB, measured slower or raised peak RSS.
+            peak = np.full((B, cols.size), NEG_INF)
+            if S == 0:  # the first label may also start at frame 1
+                peak[:] = self.log_probs[0, labels]
+            frames_per_block = max(1, _BLOCK_SIZE // (B * cols.size))
+            for t in range(0, T - start, frames_per_block):
+                block = slice(t, t + frames_per_block)
+                terms = log_sum[block, :, None] + xs[block, None, :]
+                np.maximum(peak, terms.max(axis=0), out=peak)
+            # a row whose last label repeats (at most one column per row)
+            # takes log_blank, not log_sum, as phi for that column
+            rep_rows, rep_cols = np.nonzero(step.last[:, None] == labels)
+            if rep_rows.size:
+                peak[rep_rows, rep_cols] = (log_blank[:, rep_rows] + xs[:, rep_cols]).max(axis=0)
+            lower[:, cols], upper[:, cols] = log_add_bounds(peak, T - S)
 
-        eos_mask = ~nonterm
-        if np.any(eos_mask):
-            scores[:, eos_mask] = step.log_sum[T - 1][:, None]
-        return scores, step
+        if np.any(eos):
+            lower[:, eos] = upper[:, eos] = step.log_sum[T - 1][:, None]
+        return lower, upper, step
+
+    def exact(self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
+        """Exact log prefix probabilities of the (state row, candidate
+        column) pairs, aligned with them.
+
+        Each pair's terms are rebuilt from the step's columns and folded
+        frame by frame in order: bit for bit the sequential log-add of a
+        per-state recursion, whichever pairs are asked for together.
+        """
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        labels = step.candidates[cols]
+        T = self.num_frames
+        S = len(step.states[0].prefix)
+        out = np.full(rows.size, NEG_INF)
+        eos = labels == self.eos_id
+        out[eos] = step.log_sum[T - 1, rows[eos]]
+        plain = np.flatnonzero(~eos)
+        if S < T and plain.size:
+            r, lab = rows[plain], labels[plain]
+            start = max(S, 1)
+            terms = step.phi(r, lab, slice(start - 1, T - 1))
+            terms += self.log_probs[start:, lab]
+            if S == 0:
+                terms = np.concatenate([self.log_probs[:1, lab], terms])
+            # a reduction over axis 0 folds the frames in order
+            out[plain] = np.logaddexp.reduce(terms, axis=0)
+        step.folded[rows, cols] = out
+        return out
 
     def advance(
         self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]
@@ -324,8 +390,13 @@ class CtcPrefixScorer:
             r_b[t] += blank[t]
             np.logaddexp(r_n[t - 1], phi[t - 1], out=r_n[t])
             r_n[t] += xs[t]
+        scores = step.folded[rows, cols]
+        again = np.isnan(scores)
+        if np.any(again):
+            scores[again] = self.exact(step, rows[again], cols[again])
+        scores = scores.tolist()
         out = []
-        for k, (b, j, label) in enumerate(zip(rows.tolist(), cols.tolist(), labels.tolist())):
+        for k, (b, label) in enumerate(zip(rows.tolist(), labels.tolist())):
             parent = step.states[b]
             if label == self.eos_id:
                 out.append(parent)
@@ -335,7 +406,7 @@ class CtcPrefixScorer:
                     prefix=parent.prefix + (label,),
                     log_nonblank=r_n[:, k].copy(),
                     log_blank=r_b[:, k].copy(),
-                    log_prefix_prob=float(step.scores[b, j]),
+                    log_prefix_prob=scores[k],
                 )
             )
         return out

@@ -26,20 +26,38 @@ class LabelScorer(Protocol):
     """Incremental scorer over label prefixes, batched over hypotheses.
 
     ``step`` takes the states of the B live hypotheses, all of one length,
-    and returns a B x V matrix of incremental log-scores for appending each
-    vocab label (EOS column included) plus opaque artifacts.  ``advance``
-    takes those artifacts and the beam survivors, given as parent rows and
-    appended labels, and returns one successor state per survivor; no state
-    is built for a candidate that did not survive.
+    and returns lower and upper B x V bounds on the incremental log-scores
+    for appending each vocab label (EOS column included), plus opaque
+    artifacts.  A scorer whose step scores are exact returns one matrix
+    twice.  ``exact`` takes those artifacts and (parent row, label) pairs
+    and returns the pairs' exact scores, which lie within the bounds and
+    are -inf exactly where the bounds are.  ``advance`` takes the artifacts
+    and the beam survivors, given as parent rows and appended labels, and
+    returns one successor state per survivor; no state is built for a
+    candidate that did not survive.
     """
 
     name: str
 
     def start(self) -> Any: ...
 
-    def step(self, states: Sequence[Any]) -> tuple[np.ndarray, Any]: ...
+    def step(self, states: Sequence[Any]) -> tuple[np.ndarray, np.ndarray, Any]: ...
+
+    def exact(self, artifacts: Any, rows: Sequence[int], labels: Sequence[int]) -> np.ndarray: ...
 
     def advance(self, artifacts: Any, rows: Sequence[int], labels: Sequence[int]) -> list[Any]: ...
+
+
+class _ExactScorer:
+    """Base of scorers whose step scores are exact: both bounds are one
+    matrix, which the artifacts carry beside what ``advance`` needs."""
+
+    def step(self, states):
+        matrix, inner = self._scores(states)
+        return matrix, matrix, (matrix, inner)
+
+    def exact(self, artifacts, rows, labels):
+        return artifacts[0][rows, labels]
 
 
 class CtcPrefixLabelScorer:
@@ -61,17 +79,30 @@ class CtcPrefixLabelScorer:
         return self._scorer.initial_state()
 
     def step(self, states):
-        scores, step = self._scorer.step(states, self.candidates)
-        out = np.full((len(states), self.vocab.size), NEG_INF)
-        parent = np.array([s.log_prefix_prob for s in states])
-        out[:, self.candidates] = scores - parent[:, None]
-        return out, step
+        lower, upper, step = self._scorer.step(states, self.candidates)
+        parent = np.array([s.log_prefix_prob for s in states])[:, None]
+        bounds = []
+        for bound in (lower, upper):
+            out = np.full((len(states), self.vocab.size), NEG_INF)
+            out[:, self.candidates] = bound - parent
+            bounds.append(out)
+        return bounds[0], bounds[1], step
+
+    def exact(self, artifacts, rows, labels):
+        # a label outside the CTC support has prefix probability zero
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = self._column[labels]
+        known = cols >= 0
+        parent = np.array([s.log_prefix_prob for s in artifacts.states])[rows[known]]
+        out = np.full(rows.size, NEG_INF)
+        out[known] = self._scorer.exact(artifacts, rows[known], cols[known]) - parent
+        return out
 
     def advance(self, artifacts, rows, labels):
         return self._scorer.advance(artifacts, rows, self._column[labels])
 
 
-class ContextLMScorer:
+class ContextLMScorer(_ExactScorer):
     """N-gram or table LM as a label-synchronous scorer."""
 
     def __init__(self, model: NGramModel | TableLM, name: str = "lm"):
@@ -81,14 +112,15 @@ class ContextLMScorer:
     def start(self):
         return (self.model.vocab.bos_id,)
 
-    def step(self, ctxs):
+    def _scores(self, ctxs):
         return np.stack([self.model.conditionals(ctx) for ctx in ctxs]), ctxs
 
-    def advance(self, ctxs, rows, labels):
+    def advance(self, artifacts, rows, labels):
+        ctxs = artifacts[1]
         return [ctxs[r] + (label,) for r, label in zip(rows, labels)]
 
 
-class DecoderLabelScorer:
+class DecoderLabelScorer(_ExactScorer):
     """Toy attention decoder as a scorer; audio absent means pure LM mode.
 
     Blank and BOS entries are masked to -inf without renormalizing, so step
@@ -118,12 +150,14 @@ class DecoderLabelScorer:
 
     def start(self):
         state = decoder_init(self.weights, self.config, self.audio)
-        return self.advance([state], [0], [self.vocab.bos_id])[0]
+        (row,), (inc,) = decoder_step(self.weights, self.config, [state], [self.vocab.bos_id])
+        return row, inc
 
-    def step(self, states):
+    def _scores(self, states):
         return np.stack([row for row, _ in states]) + self._mask, [inc for _, inc in states]
 
-    def advance(self, incs, rows, labels):
+    def advance(self, artifacts, rows, labels):
+        incs = artifacts[1]
         out, successors = decoder_step(self.weights, self.config, [incs[r] for r in rows], labels)
         return list(zip(out, successors))
 
@@ -166,12 +200,18 @@ class ScorerHandle:
 
 @dataclass
 class DecodeStats:
-    """Counters for one decode run; the memory proxy is the candidate set."""
+    """Counters for one decode run; the memory proxy is the candidate set.
+
+    ``ctc_exact_pairs`` counts the (hypothesis, label) pairs, EOS excluded,
+    whose CTC prefix probability the label-synchronous beam folded exactly;
+    every other pair it only bounded.
+    """
 
     scorer_evaluations: int = 0
     peak_live_hypotheses: int = 0
     peak_candidate_set: int = 0
     steps: int = 0
+    ctc_exact_pairs: int = 0
     wall_time_s: float = 0.0
     audio_seconds: float = 0.0
 
@@ -186,6 +226,7 @@ class DecodeStats:
         self.peak_live_hypotheses = max(self.peak_live_hypotheses, other.peak_live_hypotheses)
         self.peak_candidate_set = max(self.peak_candidate_set, other.peak_candidate_set)
         self.steps += other.steps
+        self.ctc_exact_pairs += other.ctc_exact_pairs
         self.wall_time_s += other.wall_time_s
         self.audio_seconds += other.audio_seconds
 
@@ -273,9 +314,11 @@ def labelsync_beam(
 
     Each live hypothesis is expanded over every candidate label (the CTC
     support when a CTC scorer is present, otherwise the full non-special
-    vocabulary) plus EOS.  Finished hypotheses compete for beam slots; the
-    search stops once the beam-best hypothesis is finished or hypotheses
-    reach ``max_len`` labels.
+    vocabulary) plus EOS.  Every (hypothesis, candidate) pair is bounded,
+    and exact scores are asked for only where the bounds leave the pair a
+    chance at the beam; the result equals scoring every pair exactly.
+    Finished hypotheses compete for beam slots; the search stops once the
+    beam-best hypothesis is finished or hypotheses reach ``max_len`` labels.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
@@ -291,12 +334,10 @@ def labelsync_beam(
     if not active:
         raise ValueError("all scorers have zero weight")
 
-    candidates = None
-    for s in active:
-        if isinstance(s, CtcPrefixLabelScorer):
-            candidates = s.candidates
-            break
-    if candidates is None:
+    ctc_scorers = [s for s in active if isinstance(s, CtcPrefixLabelScorer)]
+    if ctc_scorers:
+        candidates = ctc_scorers[0].candidates
+    else:
         plain = [i for i in range(vocab.size) if not vocab.is_special(i)]
         candidates = np.array(plain + [vocab.eos_id])
 
@@ -311,8 +352,7 @@ def labelsync_beam(
     finished_pool: dict[tuple[int, ...], _Hyp] = {}
 
     scales = [weights.weights[s.name] for s in active]
-    cand_labels = candidates.tolist()
-    num_cands = len(cand_labels)
+    num_cands = candidates.size
     for _ in range(max_len):
         live = [h for h in beam_hyps if not h.finished]
         if not live:
@@ -322,34 +362,63 @@ def labelsync_beam(
             stats.peak_live_hypotheses = max(stats.peak_live_hypotheses, len(beam_hyps))
             stats.peak_candidate_set = max(stats.peak_candidate_set, num_cands)
             stats.scorer_evaluations += len(live) * len(active) * num_cands
-        # one call per scorer covers every live hypothesis: all have one length
-        comps: list[np.ndarray] = []  # per scorer, live x candidates
+        # bound: one step call per scorer covers every live hypothesis, as
+        # all have one length.  The float operations of ScorerWeights.combine,
+        # in its order, are monotone in each component, so combining the
+        # lower (upper) bounds bounds the combined score; a negative weight
+        # swaps them.
+        parents = []
         artifacts = []
-        combined = 0.0
+        lower = upper = 0.0
         for s, scale in zip(active, scales):
-            matrix, art = s.step([h.states[s.name] for h in live])
+            lo_matrix, hi_matrix, art = s.step([h.states[s.name] for h in live])
             parent = np.array([h.components[s.name] for h in live])
-            comp = parent[:, None] + matrix[:, candidates]
-            comps.append(comp)
+            lo = parent[:, None] + lo_matrix[:, candidates]
+            hi = lo if hi_matrix is lo_matrix else parent[:, None] + hi_matrix[:, candidates]
+            if scale < 0:
+                lo, hi = hi, lo
+            lower = lower + scale * lo
+            upper = upper + scale * hi
+            parents.append(parent)
             artifacts.append(art)
-            # the same float operations, in the same order, as ScorerWeights.combine
+        # length normalization divides by a positive count: order is kept
+        norm = len(live[0].labels) + 1 if weights.length_norm else 1
+        # the bounds are -inf or NaN exactly where the exact score is
+        flat = np.flatnonzero((lower != NEG_INF) & ~np.isnan(lower))
+        if flat.size > beam:
+            # cut: at least beam pairs have an exact key at or above the
+            # beam-th best lower key, so no pair whose upper key falls below
+            # it can make the beam
+            lo_keys = (lower / norm).ravel()[flat]
+            cut = np.partition(lo_keys, flat.size - beam)[flat.size - beam]
+            flat = flat[(upper / norm).ravel()[flat] >= cut]
+        # refine: exact components for that superset only
+        rows, cols = np.divmod(flat, num_cands)
+        labels = candidates[cols]
+        comps = [
+            parent[rows] + s.exact(art, rows, labels)
+            for s, parent, art in zip(active, parents, artifacts)
+        ]
+        combined = 0.0
+        for comp, scale in zip(comps, scales):
             combined = combined + scale * comp
-        key = combined / (len(live[0].labels) + 1) if weights.length_norm else combined
-        flat = np.flatnonzero((combined != NEG_INF) & ~np.isnan(combined))
-        keys = key.ravel()[flat]
+        keys = combined / norm
+        if stats:
+            folds = int(np.count_nonzero(labels != vocab.eos_id))
+            stats.ctc_exact_pairs += len(ctc_scorers) * folds
         if keys.size > beam:
             # shortlist: only candidates tied with or above the beam-th best
             # key can make the beam; the exact sort below settles ties
             kth = np.partition(keys, keys.size - beam)[keys.size - beam]
-            flat = flat[keys >= kth]
+            keep = np.flatnonzero(keys >= kth)
+            rows, labels, combined = rows[keep], labels[keep], combined[keep]
+            comps = [comp[keep] for comp in comps]
         pool: list[tuple[_Hyp, int | None]] = [(h, None) for h in beam_hyps if h.finished]
-        for i in flat.tolist():
-            row, col = divmod(i, num_cands)
-            c = cand_labels[col]
+        for i, (row, c) in enumerate(zip(rows.tolist(), labels.tolist())):
             child = _Hyp(
                 live[row].labels + (c,),
-                {s.name: float(comp[row, col]) for s, comp in zip(active, comps)},
-                float(combined[row, col]),
+                {s.name: float(comp[i]) for s, comp in zip(active, comps)},
+                float(combined[i]),
                 {},
                 finished=c == vocab.eos_id,
             )
@@ -696,7 +765,10 @@ def exhaustive_decode(
     max_len: int,
     stats: DecodeStats | None = None,
 ) -> NBestList:
-    """Score every label sequence up to ``max_len``; the beam-search oracle."""
+    """Score every label sequence up to ``max_len``; the beam-search oracle.
+
+    Every label's score is requested exactly, never bounded.
+    """
     plain = [i for i in range(vocab.size) if not vocab.is_special(i)]
     if len(plain) ** max_len > 10**6:
         raise ValueError("exhaustive enumeration budget exceeded")
@@ -706,17 +778,20 @@ def exhaustive_decode(
     t0 = time.perf_counter()
     entries: list[NBestEntry] = []
 
+    every = np.array(plain + [vocab.eos_id])
+    rows = np.zeros(every.size, dtype=np.int64)
+
     def visit(labels, components, states, depth):
         vectors = {}
         artifacts = {}
         for s in active:
-            matrix, art = s.step([states[s.name]])
-            vectors[s.name] = matrix[0]
+            _, _, art = s.step([states[s.name]])
+            vectors[s.name] = s.exact(art, rows, every)
             artifacts[s.name] = art
             if stats:
                 stats.scorer_evaluations += len(plain) + 1
         eos_comps = {
-            n: components[n] + float(vectors[n][vocab.eos_id]) for n in vectors
+            n: components[n] + float(vectors[n][-1]) for n in vectors
         }
         combined = weights.combine(eos_comps)
         if math.isfinite(combined):
@@ -725,8 +800,8 @@ def exhaustive_decode(
             )
         if depth == max_len:
             return
-        for c in plain:
-            comps = {n: components[n] + float(vectors[n][c]) for n in vectors}
+        for i, c in enumerate(plain):
+            comps = {n: components[n] + float(vectors[n][i]) for n in vectors}
             if weights.combine(comps) == NEG_INF:
                 continue
             succ = {s.name: s.advance(artifacts[s.name], [0], [c])[0] for s in active}

@@ -158,9 +158,11 @@ class TestCriterion2PrefixScoreConsistency:
             prev_prob = 0.0
             for _ in range(int(rng.integers(1, t + 2))):
                 cands = list(range(1, v))
-                (scores,), step = scorer.step([state], cands)
+                _, _, step = scorer.step([state], cands)
+                scores = scorer.exact(step, [0] * len(cands), range(len(cands)))
                 assert np.all(scores <= prev_prob + 1e-9)
-                (eos_score,), _ = scorer.step([state], [eos])
+                _, _, eos_step = scorer.step([state], [eos])
+                eos_score = scorer.exact(eos_step, [0], [0])
                 want = ctc_forward_logprob(pg, prefix, 0)
                 if want == NEG_INF:
                     assert eos_score[0] == NEG_INF

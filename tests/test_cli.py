@@ -166,6 +166,7 @@ class TestSynthAndDecode:
             ({"strategy": "joint",
               "scorers": [{"name": "x", "kind": "decoder_lm", "interface": "bogus", "weight": 1}]},
              "interface kind"),
+            ({"strategy": "timesync", "lm_path": "no.fklm"}, "cannot read LM file"),
         ],
     )
     def test_bad_config_fails_before_reading_posteriorgrams(
@@ -188,6 +189,30 @@ class TestSynthAndDecode:
             assert err.count("error:") == 1 and message in err
             assert ".fkpg" not in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            {"strategy": "ctc-greedy"},
+            {"strategy": "joint", "beam": 2,
+             "scorers": [{"name": "ctc", "kind": "ctc_prefix", "weight": 1.0}]},
+        ],
+    )
+    def test_lm_path_unread_without_lm_fusion(self, corpus, tmp_path, capsys, cfg):
+        # only timesync and delayed fuse the lm_path LM; the others never load it
+        missing = str(tmp_path / "missing.fklm")
+        plain, with_lm = tmp_path / "plain.json", tmp_path / "with_lm.json"
+        plain.write_text(json.dumps(cfg))
+        with_lm.write_text(json.dumps({**cfg, "lm_path": missing}))
+        out = tmp_path / "o"
+        for command in (
+            ["decode", str(corpus), str(out), "--config", str(plain), "--lm-path", missing],
+            ["decode", str(corpus), str(out), "--config", str(with_lm)],
+            ["bench", str(corpus), "--config", str(with_lm)],
+        ):
+            code, _, err = run(command, capsys)
+            assert code == 0 and err == ""
+        assert (out / "hyps.txt").exists()
 
     def test_unknown_config_key_rejected(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -1,9 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from fusionkit import ctc
 from fusionkit.core import NEG_INF, EncoderOutput, Posteriorgram, logsumexp
 from fusionkit.ctc import (
     CtcPrefixScorer,
@@ -14,6 +18,7 @@ from fusionkit.ctc import (
     ctc_forward_logprob,
     greedy_decode,
     kept_labels,
+    log_add_bounds,
     merge_indices,
     topk_prune,
 )
@@ -135,10 +140,23 @@ class TestGreedyDecode:
 
 
 def step_one(sc, state, cands):
-    """One state through the batched protocol: its score row and, aligned
-    with it, the successor state per candidate."""
-    (scores,), step = sc.step([state], cands)
-    return scores, sc.advance(step, [0] * len(cands), list(range(len(cands))))
+    """One state through the batched protocol: its exact score row and,
+    aligned with it, the successor state per candidate."""
+    _, _, step = sc.step([state], cands)
+    rows, cols = [0] * len(cands), list(range(len(cands)))
+    return sc.exact(step, rows, cols), sc.advance(step, rows, cols)
+
+
+def exact_matrix(sc, step, shape, rng=None):
+    """Every (row, column) pair of a step folded exactly, asked for in one
+    call, in a random order when ``rng`` is given."""
+    order = np.arange(shape[0] * shape[1])
+    if rng is not None:
+        order = rng.permutation(order)
+    rows, cols = np.divmod(order, shape[1])
+    out = np.empty(order.size)
+    out[order] = sc.exact(step, rows, cols)
+    return out.reshape(shape)
 
 
 def assert_bounded(state):
@@ -176,6 +194,30 @@ def reference_prefix_step(lp, state, cands, blank, eos):
         scores.append(score)
         succ.append((prefix + (c,), r_n, r_b, float(score)))
     return np.array(scores), succ
+
+
+class TestLogAddBounds:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 400),
+        k=st.integers(1, 4),
+        base=st.floats(-1000.0, 0.0),
+        spread=st.sampled_from([0.0, 1e-12, 1e-6, 1.0, 30.0]),
+        dropped=st.floats(0.0, 1.0),
+    )
+    def test_fold_within_bounds(self, seed, n, k, base, spread, dropped):
+        # near-equal terms push the float fold past M + log n: only the
+        # rounding margin keeps the upper bound; some columns are all -inf
+        rng = np.random.default_rng(seed)
+        terms = base - rng.uniform(0.0, spread, size=(n, k))
+        terms[rng.uniform(size=(n, k)) < dropped] = NEG_INF
+        fold = np.logaddexp.reduce(terms, axis=0)
+        lower, upper = log_add_bounds(terms.max(axis=0), n)
+        assert np.array_equal(lower, terms.max(axis=0))
+        assert np.all(lower <= fold) and np.all(fold <= upper)
+        assert np.array_equal(np.isneginf(upper), np.isneginf(fold))
 
 
 class TestPrefixScorer:
@@ -301,8 +343,9 @@ class TestPrefixScorer:
             states = [init]
             refs = [(init.prefix, init.log_nonblank, init.log_blank, init.log_prefix_prob)]
             for _ in range(t + 2):
-                scores, step = sc.step(states, cands)
-                assert scores.shape == (len(states), len(cands))
+                lower, _, step = sc.step(states, cands)
+                assert lower.shape == (len(states), len(cands))
+                scores = exact_matrix(sc, step, lower.shape, rng)
                 want = [reference_prefix_step(lp, r, cands, BLANK, self.EOS) for r in refs]
                 for row, (want_scores, _) in enumerate(want):
                     assert np.array_equal(scores[row], want_scores)
@@ -318,8 +361,61 @@ class TestPrefixScorer:
                     assert np.array_equal(got.log_blank, log_b)
                     assert got.log_prefix_prob == log_prefix
             assert len(states[0].prefix) > t
-            _, step = sc.step(states[:1], [self.EOS])
+            _, _, step = sc.step(states[:1], [self.EOS])
             assert sc.advance(step, [0], [0]) == [states[0]]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        t=st.integers(1, 9),
+        v=st.integers(3, 8),
+        shape=st.sampled_from(["dirichlet", "peaked", "uniform"]),
+        keep=st.none() | st.integers(1, 7),
+        width=st.integers(1, 5),
+        block=st.sampled_from([ctc._BLOCK_SIZE, 1, 5]),
+    )
+    def test_bounds_contain_exact(self, seed, t, v, shape, keep, width, block):
+        # lower <= exact <= upper on every pair, all three -inf together,
+        # and the EOS column exact, from the empty prefix to S >= T, with
+        # B > 1 states and survivors that repeat their parent's last label;
+        # small blocks split the bound pass over several blocks of frames
+        with mock.patch.object(ctc, "_BLOCK_SIZE", block):
+            self.check_bounds(seed, t, v, shape, keep, width)
+
+    def check_bounds(self, seed, t, v, shape, keep, width):
+        rng = np.random.default_rng(seed)
+        if shape == "uniform":  # many near-equal terms per pair
+            pg = make_pg(np.full((t, v), 1 / v))
+        else:
+            alpha = 1.0 if shape == "dirichlet" else 0.05
+            with np.errstate(divide="ignore"):  # peaked rows may hold exact zeros
+                pg = Posteriorgram(np.log(rng.dirichlet(np.full(v, alpha), size=t)))
+        if keep is not None:  # pruned labels are -inf in every frame
+            pg = topk_prune(pg, min(keep, v), True, BLANK)
+        sc = self.scorer(pg)
+        cands = list(range(1, v)) + [self.EOS]
+        states = [sc.initial_state()]
+        for _ in range(t + 2):
+            lower, upper, step = sc.step(states, cands)
+            exact = exact_matrix(sc, step, lower.shape)
+            assert not np.any(np.isnan(lower) | np.isnan(upper) | np.isnan(exact))
+            assert np.all(lower <= exact) and np.all(exact <= upper)
+            assert np.array_equal(np.isneginf(lower), np.isneginf(exact))
+            assert np.array_equal(np.isneginf(upper), np.isneginf(exact))
+            assert np.array_equal(lower[:, -1], exact[:, -1])
+            assert np.array_equal(upper[:, -1], exact[:, -1])
+            # survivors among the finite plain pairs, repeats first
+            rows, cols = np.nonzero(exact[:, :-1] > NEG_INF)
+            if rows.size == 0:
+                break
+            repeated = np.array(
+                [states[r].prefix[-1:] == (cands[c],) for r, c in zip(rows, cols)]
+            )
+            order = np.concatenate(
+                [rng.permutation(np.flatnonzero(repeated)), rng.permutation(np.flatnonzero(~repeated))]
+            )[:width]
+            states = sc.advance(step, rows[order], cols[order])
 
 
 class TestMergeIndices:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit.core import NEG_INF, Posteriorgram, ScorerWeights, Vocabulary, logsumexp
 from fusionkit.ctc import collapse, ctc_forward_logprob, topk_prune
@@ -28,6 +30,25 @@ from fusionkit.search import (
 VOCAB = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b", "c"])
 A, B, C = 3, 4, 5
 EOS = VOCAB.eos_id
+WIDE = Vocabulary.from_tokens(["<blank>", "<s>", "</s>"] + list("defghij"))
+
+
+class RefineEveryPair(CtcPrefixLabelScorer):
+    """The CTC scorer with its upper bound raised to a huge finite value
+    wherever it is finite: the beam then folds every finite pair exactly."""
+
+    def step(self, states):
+        lower, upper, step = super().step(states)
+        return lower, np.where(upper > NEG_INF, 1e300, upper), step
+
+
+def nbest_bits(nbest):
+    """Labels, components, combined score and status of each entry, in
+    order, with every float as its repr, so equal means bit-equal."""
+    return [
+        (e.labels, repr(sorted(e.components.items())), repr(e.combined), e.finished)
+        for e in nbest
+    ]
 
 
 def random_am_pg(rng, t, vocab=VOCAB):
@@ -278,6 +299,51 @@ class TestLabelsyncBeam:
             if not length_norm:
                 assert nbest.best_finished == oracle.best
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        w_ctc=st.sampled_from([1.0, 0.6, -0.3]),
+        w_lm=st.sampled_from([0.0, 0.5, 1.2, -0.2]),
+        w_dec=st.sampled_from([0.0, 0.02, 0.8, -0.5]),
+        length_norm=st.booleans(),
+        keep=st.none() | st.integers(2, 7),
+    )
+    def test_bounded_refine_equals_refining_every_pair(
+        self, seed, w_ctc, w_lm, w_dec, length_norm, keep
+    ):
+        # the cut only skips folds: components, combined scores and n-best
+        # order are bit-equal to a run that folds every finite pair, for
+        # beams from 1 to saturated
+        rng = np.random.default_rng(seed)
+        # a negative CTC weight would rank an impossible prefix (-inf) first;
+        # 2 * 4 - 1 frames keep every prefix of up to 4 labels possible
+        frames = int(rng.integers(2 if w_ctc > 0 else 7, 10))
+        pg = random_am_pg(rng, frames, WIDE)
+        if keep is not None:
+            pg = topk_prune(pg, keep, True, WIDE.blank_id)
+        plain = [i for i in range(WIDE.size) if not WIDE.is_special(i)]
+        corpus = [rng.choice(plain, size=rng.integers(1, 5)).tolist() for _ in range(6)]
+        lm = train_ngram(WIDE, corpus, order=2)
+        hp = Hyperparams(layers=1, dim=16, heads=2, vocab_size=WIDE.size, ffn_dim=32)
+        dec_w = seeded_weights(hp, seed % 7)
+        weights = ScorerWeights({"ctc": w_ctc, "lm": w_lm, "dec": w_dec}, length_norm)
+
+        def decode(ctc_kind, beam):
+            stats = DecodeStats()
+            scorers = [
+                ctc_kind(pg, WIDE),
+                ContextLMScorer(lm, "lm"),
+                DecoderLabelScorer(dec_w, InterfaceConfig("prefix"), WIDE, None, "dec"),
+            ]
+            return labelsync_beam(scorers, weights, beam, WIDE, 4, stats), stats
+
+        for beam in (1, 2, 3, 5, 8, 10**4):
+            got, got_stats = decode(CtcPrefixLabelScorer, beam)
+            want, want_stats = decode(RefineEveryPair, beam)
+            assert nbest_bits(got) == nbest_bits(want)
+            assert got_stats.steps == want_stats.steps
+            assert got_stats.ctc_exact_pairs <= want_stats.ctc_exact_pairs
+
     def test_unknown_weight_rejected(self):
         lm = self.make_table_lm()
         with pytest.raises(ValueError, match="unknown scorer"):
@@ -500,6 +566,8 @@ class TestDecodeStats:
         assert stats.peak_candidate_set == 4
         assert stats.peak_live_hypotheses == 3
         assert stats.scorer_evaluations == 80
+        # of the (1 + 3 + 3 + 3) x 3 = 30 bounded label pairs, 19 reach the cut
+        assert stats.ctc_exact_pairs == 19
 
     def test_rtf_definition(self):
         stats = DecodeStats(wall_time_s=0.5, audio_seconds=1.0)
