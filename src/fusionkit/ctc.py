@@ -377,19 +377,23 @@ class CtcPrefixScorer:
         cols = np.asarray(cols, dtype=np.int64)
         labels = step.candidates[cols]
         S = len(step.states[0].prefix)
-        phi = step.phi(rows, labels)
+        T = self.num_frames
+        # rows r_b, r_n, phi of one (T, 3, k) array: per frame, one log-add
+        # gives r_b[t] from (r_n, r_b)[t-1] and r_n[t] from (r_n, phi)[t-1],
+        # and one add puts in the (blank, label) emissions
+        fwd = np.full((T, 3, rows.size), NEG_INF)
+        fwd[:, 2] = step.phi(rows, labels)
+        emit = np.empty((T, 2, rows.size))
+        emit[:, 0] = self.log_probs[:, self.blank_id, None]
         # an EOS column gets a dummy gather: its parent is returned instead
-        xs = self.log_probs[:, np.where(labels == self.eos_id, self.blank_id, labels)]
-        blank = self.log_probs[:, self.blank_id]
-        r_n = np.full(phi.shape, NEG_INF)
-        r_b = np.full(phi.shape, NEG_INF)
+        emit[:, 1] = self.log_probs[:, np.where(labels == self.eos_id, self.blank_id, labels)]
         if S == 0:
-            r_n[0] = xs[0]
-        for t in range(max(S, 1), self.num_frames):
-            np.logaddexp(r_n[t - 1], r_b[t - 1], out=r_b[t])
-            r_b[t] += blank[t]
-            np.logaddexp(r_n[t - 1], phi[t - 1], out=r_n[t])
-            r_n[t] += xs[t]
+            fwd[0, 1] = emit[0, 1]
+        for t in range(max(S, 1), T):
+            prev = fwd[t - 1]
+            np.logaddexp(prev[1:2], prev[::2], out=fwd[t, :2])
+            fwd[t, :2] += emit[t]
+        r_b, r_n = fwd[:, 0], fwd[:, 1]
         scores = step.folded[rows, cols]
         again = np.isnan(scores)
         if np.any(again):

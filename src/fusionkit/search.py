@@ -370,11 +370,15 @@ def labelsync_beam(
         parents = []
         artifacts = []
         lower = upper = 0.0
+        possible = True
         for s, scale in zip(active, scales):
             lo_matrix, hi_matrix, art = s.step([h.states[s.name] for h in live])
             parent = np.array([h.components[s.name] for h in live])
             lo = parent[:, None] + lo_matrix[:, candidates]
             hi = lo if hi_matrix is lo_matrix else parent[:, None] + hi_matrix[:, candidates]
+            # a pair that any scorer gives probability zero is impossible,
+            # whatever the sign of its weight
+            possible = possible & (hi != NEG_INF)
             if scale < 0:
                 lo, hi = hi, lo
             lower = lower + scale * lo
@@ -383,8 +387,9 @@ def labelsync_beam(
             artifacts.append(art)
         # length normalization divides by a positive count: order is kept
         norm = len(live[0].labels) + 1 if weights.length_norm else 1
-        # the bounds are -inf or NaN exactly where the exact score is
-        flat = np.flatnonzero((lower != NEG_INF) & ~np.isnan(lower))
+        # the bounds are -inf together with the exact score, so every
+        # possible pair has finite bounds
+        flat = np.flatnonzero(possible)
         if flat.size > beam:
             # cut: at least beam pairs have an exact key at or above the
             # beam-th best lower key, so no pair whose upper key falls below
@@ -467,156 +472,196 @@ class _TimeSyncHyp:
     lm_score: float
     lm_ctx: Any
 
-    @property
-    def am(self) -> float:
-        return float(np.logaddexp(self.log_blank, self.log_nonblank))
+
+class _NoLM:
+    """The frame LM of a search without one: zero deltas, a fixed context."""
+
+    def __init__(self, vocab: Vocabulary):
+        self.size = vocab.size
+
+    def rows(self, prefixes, hyps):
+        return np.zeros((len(hyps), self.size))
+
+    def advance(self, prefix, label, hyp):
+        return hyp.lm_ctx
+
+    def final(self, prefix, hyp):
+        return 0.0
+
+
+class _LabelLM:
+    """Label-wise fusion: each appended label's LM log-prob lands at once,
+    the EOS term at finalization."""
+
+    def __init__(self, lm: NGramModel | TableLM, vocab: Vocabulary):
+        self.lm = lm
+        self.eos_id = vocab.eos_id
+
+    def rows(self, prefixes, hyps):
+        return np.stack([self.lm.conditionals(h.lm_ctx) for h in hyps])
+
+    def advance(self, prefix, label, hyp):
+        return hyp.lm_ctx + (label,)
+
+    def final(self, prefix, hyp):
+        return float(self.lm.conditionals(hyp.lm_ctx)[self.eos_id])
+
+
+class _WordLM:
+    """Delayed fusion on the LM's own vocabulary: the pending word's LM
+    score lands when a label that begins the next word is appended, and
+    the pending word plus EOS land at finalization."""
+
+    def __init__(self, lm: NGramModel | TableLM, vocab: Vocabulary):
+        self.lm = lm
+        self.vocab = vocab
+        self.begins = np.array(vocab.begins_word)
+
+    def _pending(self, prefix, hyp) -> tuple[float, tuple[int, ...]]:
+        # the word completed by any word-begin label is the pending segment,
+        # independent of which label starts the next word
+        _, pending = self.vocab.word_segments(prefix)
+        delta, ctx = 0.0, hyp.lm_ctx
+        if pending:
+            for tok in retokenize(self.lm.vocab, [self.vocab.word_text(pending)]):
+                delta += float(self.lm.conditionals(ctx)[tok])
+                ctx = ctx + (tok,)
+        return delta, ctx
+
+    def rows(self, prefixes, hyps):
+        out = np.zeros((len(hyps), self.vocab.size))
+        for row, prefix, hyp in zip(out, prefixes, hyps):
+            row[self.begins] = self._pending(prefix, hyp)[0]
+        return out
+
+    def advance(self, prefix, label, hyp):
+        if not self.vocab.begins_word[label]:
+            return hyp.lm_ctx
+        return self._pending(prefix, hyp)[1]
+
+    def final(self, prefix, hyp):
+        delta, ctx = self._pending(prefix, hyp)
+        return delta + float(self.lm.conditionals(ctx)[self.lm.vocab.eos_id])
 
 
 def _timesync_search(
     pg: Posteriorgram,
     vocab: Vocabulary,
     beam: int,
-    lm_vector,
-    lm_advance,
-    lm_final,
+    frame_lm: _NoLM | _LabelLM | _WordLM,
     lm_weight: float,
-    lm_name: str,
     stats: DecodeStats | None,
 ) -> NBestList:
     """Frame-synchronous prefix beam search with path merging.
 
-    ``lm_vector(prefix, hyp)`` returns per-label LM deltas for extending a
-    hypothesis, ``lm_advance(prefix, label, hyp)`` the LM context after
-    committing one label, and ``lm_final(prefix, hyp)`` the finalization
-    residual.  Paths collapsing to the same prefix merge by log-sum-exp;
-    distinct parents never produce the same extension, so only stay paths
-    (blank or repeated label) can merge with an extension.  Extension
-    scoring is vectorized per parent and survivors are materialized after
-    pruning.
+    ``frame_lm.rows(prefixes, hyps)`` returns the (B, V) LM deltas for
+    appending each label to each of the B live prefixes,
+    ``frame_lm.advance(prefix, label, hyp)`` the LM context after
+    appending one label, and ``frame_lm.final(prefix, hyp)`` the residual
+    that lands at finalization; the fused score is CTC plus ``lm_weight``
+    times LM.  Each frame runs one set of array operations over all live
+    prefixes: the stay paths (blank or repeated label) as B-vectors, the
+    extensions as one (B, C) block over the frame's C candidate labels.
+    Paths collapsing to one prefix merge by log-sum-exp.  Distinct parents
+    never produce the same extension, so an extension merges only when it
+    lands on a live prefix q, whose parent is q[:-1]: the collisions are
+    found from the live prefixes alone.  The LM state of a prefix follows
+    from the prefix alone, so a merged entry keeps the live prefix's own.
+    Hypothesis objects and LM contexts are built for the beam survivors
+    only.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
     t0 = time.perf_counter()
-    lp = pg.log_probs
-    beams: dict[tuple[int, ...], _TimeSyncHyp] = {
-        (): _TimeSyncHyp(0.0, NEG_INF, 0.0, (vocab.bos_id,))
-    }
-    specials = {vocab.blank_id, vocab.bos_id, vocab.eos_id}
+    blank = vocab.blank_id
+    plain = np.ones(vocab.size, dtype=bool)
+    plain[[blank, vocab.bos_id, vocab.eos_id]] = False
+    prefixes: list[tuple[int, ...]] = [()]
+    hyps = [_TimeSyncHyp(0.0, NEG_INF, 0.0, (vocab.bos_id,))]
 
-    for t in range(pg.num_frames):
-        frame = lp[t]
-        cands = np.array(
-            [c for c in np.flatnonzero(frame > NEG_INF).tolist() if c not in specials],
-            dtype=np.int64,
-        )
+    for frame in pg.log_probs:
+        cands = np.flatnonzero((frame > NEG_INF) & plain)
         if stats:
             stats.steps += 1
-            stats.peak_live_hypotheses = max(stats.peak_live_hypotheses, len(beams))
-            stats.peak_candidate_set = max(stats.peak_candidate_set, len(cands) + 1)
+            stats.peak_live_hypotheses = max(stats.peak_live_hypotheses, len(hyps))
+            stats.peak_candidate_set = max(stats.peak_candidate_set, cands.size + 1)
+            stats.scorer_evaluations += len(hyps) * cands.size
+        log_b = np.array([h.log_blank for h in hyps])
+        log_nb = np.array([h.log_nonblank for h in hyps])
+        lm = np.array([h.lm_score for h in hyps])
+        last = np.array([p[-1] if p else -1 for p in prefixes])
+        am = np.logaddexp(log_b, log_nb)
 
-        parents = list(beams.items())
-        alive = set(beams)
-        lm_vecs = [lm_vector(prefix, hyp) for prefix, hyp in parents]
-        # merged arrivals: stay paths plus extensions landing on a live prefix
-        merged: dict[tuple[int, ...], _TimeSyncHyp] = {}
-        am_blocks: list[np.ndarray] = []
-        lm_blocks: list[np.ndarray] = []
-        meta: list[tuple[int, np.ndarray]] = []
+        # stay paths (blank, or the last label repeated).  Each merged
+        # entry log-adds its arrivals from -inf, which turns -0.0 into +0.0
+        # and leaves -inf as it is.
+        stay_b = np.logaddexp(NEG_INF, am + frame[blank])
+        repeat = np.where(last >= 0, frame[last], NEG_INF)
+        stay_nb = np.logaddexp(NEG_INF, log_nb + repeat)
 
-        for idx, (prefix, hyp) in enumerate(parents):
-            total = hyp.am
-            stay = merged.get(prefix)
-            if stay is None:
-                stay = _TimeSyncHyp(NEG_INF, NEG_INF, hyp.lm_score, hyp.lm_ctx)
-                merged[prefix] = stay
-            if frame[vocab.blank_id] > NEG_INF:
-                stay.log_blank = np.logaddexp(stay.log_blank, total + frame[vocab.blank_id])
-            if prefix and frame[prefix[-1]] > NEG_INF:
-                stay.log_nonblank = np.logaddexp(
-                    stay.log_nonblank, hyp.log_nonblank + frame[prefix[-1]]
-                )
-            if cands.size == 0:
-                continue
-            base = np.full(cands.size, total)
-            if prefix:
-                base[cands == prefix[-1]] = hyp.log_blank
-            ext_am = base + frame[cands]
-            lm_deltas = lm_vecs[idx][cands]
-            if stats:
-                stats.scorer_evaluations += cands.size
-            collide = np.array(
-                [prefix + (int(c),) in alive for c in cands], dtype=bool
-            )
-            for ci in np.flatnonzero(collide):
-                c = int(cands[ci])
-                if ext_am[ci] == NEG_INF:
-                    continue
-                target = prefix + (c,)
-                arrival = merged.get(target)
-                if arrival is None:
-                    arrival = _TimeSyncHyp(
-                        NEG_INF,
-                        NEG_INF,
-                        hyp.lm_score + float(lm_deltas[ci]),
-                        lm_advance(prefix, c, hyp),
-                    )
-                    merged[target] = arrival
-                arrival.log_nonblank = np.logaddexp(arrival.log_nonblank, ext_am[ci])
-            keep = ~collide & (ext_am > NEG_INF)
-            if np.any(keep):
-                am_blocks.append(ext_am[keep])
-                lm_blocks.append(hyp.lm_score + lm_deltas[keep])
-                meta.append((idx, cands[keep]))
+        # extensions: a repeated label continues from the blank-ending paths
+        ext_am = np.where(cands == last[:, None], log_b[:, None], am[:, None]) + frame[cands]
+        ext_lm = lm[:, None] + frame_lm.rows(prefixes, hyps)[:, cands]
 
-        if am_blocks:
-            pool_am = np.concatenate(am_blocks)
-            pool_lm = np.concatenate(lm_blocks)
-            pool_scores = pool_am + lm_weight * pool_lm
-            pool_parent = np.concatenate([np.full(len(c), i) for i, c in meta])
-            pool_cand = np.concatenate([c for _, c in meta])
-        else:
-            pool_scores = np.empty(0)
+        # an extension landing on a live prefix merges into its stay entry
+        collide = np.zeros(ext_am.shape, dtype=bool)
+        column = np.full(vocab.size, -1)
+        column[cands] = np.arange(cands.size)
+        index = {p: j for j, p in enumerate(prefixes)}
+        for j, q in enumerate(prefixes):
+            i = index.get(q[:-1]) if q else None
+            if i is not None and column[q[-1]] >= 0:
+                ci = column[q[-1]]
+                collide[i, ci] = True
+                stay_nb[j] = np.logaddexp(stay_nb[j], ext_am[i, ci])
+        merged_am = np.logaddexp(stay_b, stay_nb)
+        ranked = np.flatnonzero(merged_am > NEG_INF)
 
-        ranked: list[tuple[tuple[int, ...], _TimeSyncHyp]] = [
-            (p, h) for p, h in merged.items() if h.am > NEG_INF
-        ]
-        # shortlist the pool: anything that could still make the beam
-        if pool_scores.size:
-            want = beam + len(ranked)
-            if pool_scores.size > want:
-                kth = np.partition(pool_scores, -want)[-want]
+        # new prefixes, in (parent, candidate) order; shortlist anything
+        # that could still make the beam
+        rows, cols = np.nonzero((ext_am > NEG_INF) & ~collide)
+        pool_am = ext_am[rows, cols]
+        pool_lm = ext_lm[rows, cols]
+        pool_scores = pool_am + lm_weight * pool_lm
+        want = beam + ranked.size
+        kth = np.partition(pool_scores, -want)[-want] if pool_scores.size > want else -np.inf
+        short = np.flatnonzero(pool_scores >= kth)
+        rows, labels = rows[short], cands[cols[short]]
+        pool_am, pool_lm = pool_am[short], pool_lm[short]
+
+        keys = np.concatenate([
+            -(merged_am[ranked] + lm_weight * lm[ranked]),
+            -(np.logaddexp(NEG_INF, pool_am) + lm_weight * pool_lm),
+        ]).tolist()
+        names = [prefixes[j] for j in ranked.tolist()]
+        names += [prefixes[i] + (c,) for i, c in zip(rows.tolist(), labels.tolist())]
+        order = sorted(range(len(keys)), key=lambda k: (keys[k], len(names[k]), names[k]))
+
+        survivors = []
+        for k in order[:beam]:
+            if k < ranked.size:
+                j = ranked[k]
+                h = hyps[j]
+                hyp = _TimeSyncHyp(float(stay_b[j]), float(stay_nb[j]), h.lm_score, h.lm_ctx)
             else:
-                kth = -np.inf
-            for j in np.flatnonzero(pool_scores >= kth):
-                idx = int(pool_parent[j])
-                prefix, hyp = parents[idx]
-                c = int(pool_cand[j])
-                child = _TimeSyncHyp(
-                    NEG_INF,
-                    float(pool_am[j]),
-                    float(pool_lm[j]),
-                    lm_advance(prefix, c, hyp),
-                )
-                ranked.append((prefix + (c,), child))
-        ranked.sort(
-            key=lambda kv: (
-                -(kv[1].am + lm_weight * kv[1].lm_score),
-                len(kv[0]),
-                kv[0],
-            )
-        )
-        beams = dict(ranked[:beam])
+                k -= ranked.size
+                i = rows[k]
+                ctx = frame_lm.advance(prefixes[i], int(labels[k]), hyps[i])
+                hyp = _TimeSyncHyp(NEG_INF, float(pool_am[k]), float(pool_lm[k]), ctx)
+            survivors.append(hyp)
+        prefixes = [names[k] for k in order[:beam]]
+        hyps = survivors
 
     entries = []
-    for prefix, hyp in beams.items():
-        if hyp.am == NEG_INF:
+    for prefix, hyp in zip(prefixes, hyps):
+        am = float(np.logaddexp(hyp.log_blank, hyp.log_nonblank))
+        if am == NEG_INF:
             continue
-        lm_total = hyp.lm_score + lm_final(prefix, hyp)
-        combined = hyp.am + lm_weight * lm_total
-        comps = {"ctc": hyp.am}
+        lm_total = hyp.lm_score + frame_lm.final(prefix, hyp)
+        comps = {"ctc": am}
         if lm_weight != 0.0:
-            comps[lm_name] = lm_total
-        entries.append(NBestEntry(prefix, comps, float(combined), finished=True))
+            comps["lm"] = lm_total
+        entries.append(NBestEntry(prefix, comps, float(am + lm_weight * lm_total), finished=True))
     if stats:
         stats.wall_time_s += time.perf_counter() - t0
         stats.audio_seconds += pg.duration_seconds
@@ -634,42 +679,17 @@ def timesync_ctc_beam(
     """Time-synchronous CTC beam search with optional same-vocabulary fusion.
 
     The LM score for each newly appended label lands immediately; the EOS
-    term lands once at finalization.  CTC itself has no EOS.
+    term lands once at finalization.  CTC itself has no EOS.  Without an
+    LM, or at LM weight 0, the search runs with zero LM deltas.
     """
-    if lm is not None and lm_weight != 0.0:
-        if lm.vocab.tokens != vocab.tokens:
-            raise ValueError(
-                "LM vocabulary differs from the acoustic vocabulary; "
-                "use delayed_fusion_beam instead"
-            )
-
-        def lm_vector(prefix, hyp):
-            return lm.conditionals(hyp.lm_ctx)
-
-        def lm_advance(prefix, label, hyp):
-            return hyp.lm_ctx + (label,)
-
-        def lm_final(prefix, hyp):
-            return float(lm.conditionals(hyp.lm_ctx)[vocab.eos_id])
-
-        return _timesync_search(
-            pg, vocab, beam, lm_vector, lm_advance, lm_final, lm_weight, "lm", stats
+    if lm is None or lm_weight == 0.0:
+        return _timesync_search(pg, vocab, beam, _NoLM(vocab), 0.0, stats)
+    if lm.vocab.tokens != vocab.tokens:
+        raise ValueError(
+            "LM vocabulary differs from the acoustic vocabulary; "
+            "use delayed_fusion_beam instead"
         )
-
-    zeros = np.zeros(vocab.size)
-
-    def no_vector(prefix, hyp):
-        return zeros
-
-    def no_advance(prefix, label, hyp):
-        return hyp.lm_ctx
-
-    def no_final(prefix, hyp):
-        return 0.0
-
-    return _timesync_search(
-        pg, vocab, beam, no_vector, no_advance, no_final, 0.0, "lm", stats
-    )
+    return _timesync_search(pg, vocab, beam, _LabelLM(lm, vocab), lm_weight, stats)
 
 
 def delayed_fusion_beam(
@@ -689,45 +709,7 @@ def delayed_fusion_beam(
     """
     if lm.vocab.tokens == vocab.tokens:
         raise ValueError("vocabularies match; use timesync_ctc_beam for plain fusion")
-
-    def score_word(word: str, ctx: tuple[int, ...]) -> tuple[float, tuple[int, ...]]:
-        delta = 0.0
-        for tok in retokenize(lm.vocab, [word]):
-            delta += float(lm.conditionals(ctx)[tok])
-            ctx = ctx + (tok,)
-        return delta, ctx
-
-    begins = np.array(vocab.begins_word)
-
-    def pending_word_delta(prefix, hyp):
-        # the word completed by any word-begin label is the pending segment,
-        # independent of which label starts the next word
-        _, pending = vocab.word_segments(prefix)
-        if not pending:
-            return 0.0, hyp.lm_ctx
-        return score_word(vocab.word_text(pending), hyp.lm_ctx)
-
-    def lm_vector(prefix, hyp):
-        vec = np.zeros(vocab.size)
-        if prefix:
-            delta, _ = pending_word_delta(prefix, hyp)
-            vec[begins] = delta
-        return vec
-
-    def lm_advance(prefix, label, hyp):
-        if not vocab.begins_word[label] or not prefix:
-            return hyp.lm_ctx
-        return pending_word_delta(prefix, hyp)[1]
-
-    def lm_final(prefix, hyp):
-        delta, ctx = (0.0, hyp.lm_ctx)
-        if prefix:
-            delta, ctx = pending_word_delta(prefix, hyp)
-        return delta + float(lm.conditionals(ctx)[lm.vocab.eos_id])
-
-    return _timesync_search(
-        pg, vocab, beam, lm_vector, lm_advance, lm_final, lm_weight, "lm", stats
-    )
+    return _timesync_search(pg, vocab, beam, _WordLM(lm, vocab), lm_weight, stats)
 
 
 def rescore_nbest(
@@ -790,11 +772,13 @@ def exhaustive_decode(
             artifacts[s.name] = art
             if stats:
                 stats.scorer_evaluations += len(plain) + 1
+        # an entry that any scorer gives probability zero is impossible,
+        # whatever the sign of its weight
         eos_comps = {
             n: components[n] + float(vectors[n][-1]) for n in vectors
         }
-        combined = weights.combine(eos_comps)
-        if math.isfinite(combined):
+        if NEG_INF not in eos_comps.values():
+            combined = weights.combine(eos_comps)
             entries.append(
                 NBestEntry(labels + (vocab.eos_id,), eos_comps, combined, finished=True)
             )
@@ -802,7 +786,7 @@ def exhaustive_decode(
             return
         for i, c in enumerate(plain):
             comps = {n: components[n] + float(vectors[n][i]) for n in vectors}
-            if weights.combine(comps) == NEG_INF:
+            if NEG_INF in comps.values():
                 continue
             succ = {s.name: s.advance(artifacts[s.name], [0], [c])[0] for s in active}
             visit(labels + (c,), comps, succ, depth + 1)

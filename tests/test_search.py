@@ -299,6 +299,7 @@ class TestLabelsyncBeam:
             if not length_norm:
                 assert nbest.best_finished == oracle.best
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=30, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -315,10 +316,7 @@ class TestLabelsyncBeam:
         # order are bit-equal to a run that folds every finite pair, for
         # beams from 1 to saturated
         rng = np.random.default_rng(seed)
-        # a negative CTC weight would rank an impossible prefix (-inf) first;
-        # 2 * 4 - 1 frames keep every prefix of up to 4 labels possible
-        frames = int(rng.integers(2 if w_ctc > 0 else 7, 10))
-        pg = random_am_pg(rng, frames, WIDE)
+        pg = random_am_pg(rng, int(rng.integers(2, 10)), WIDE)
         if keep is not None:
             pg = topk_prune(pg, keep, True, WIDE.blank_id)
         plain = [i for i in range(WIDE.size) if not WIDE.is_special(i)]
@@ -343,6 +341,34 @@ class TestLabelsyncBeam:
             assert nbest_bits(got) == nbest_bits(want)
             assert got_stats.steps == want_stats.steps
             assert got_stats.ctc_exact_pairs <= want_stats.ctc_exact_pairs
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_negative_weight_drops_impossible_pairs(self):
+        # with 2-6 frames some prefixes of up to 4 labels have CTC
+        # probability zero; a negative CTC weight must not turn that -inf
+        # into a winning +inf
+        rng = np.random.default_rng(43)
+        hp = Hyperparams(layers=1, dim=16, heads=2, vocab_size=VOCAB.size, ffn_dim=32)
+        dec_w = seeded_weights(hp, 5)
+        weights = ScorerWeights({"ctc": -0.3, "lm": 0.5, "dec": 0.8})
+        for frames in range(2, 7):
+            pg = random_am_pg(rng, frames)
+            corpus = [rng.choice([A, B, C], size=rng.integers(1, 4)).tolist() for _ in range(4)]
+            lm = train_ngram(VOCAB, corpus, order=2)
+
+            def scorers():
+                return [
+                    CtcPrefixLabelScorer(pg, VOCAB),
+                    ContextLMScorer(lm, "lm"),
+                    DecoderLabelScorer(dec_w, InterfaceConfig("prefix"), VOCAB, None, "dec"),
+                ]
+
+            runs = [labelsync_beam(scorers(), weights, beam, VOCAB, 4) for beam in (1, 3, 10**4)]
+            runs.append(exhaustive_decode(scorers(), weights, VOCAB, max_len=4))
+            for nbest in runs:
+                assert len(nbest) > 0
+                for e in nbest:
+                    assert all(v != NEG_INF for v in e.components.values()), e
 
     def test_unknown_weight_rejected(self):
         lm = self.make_table_lm()
@@ -568,6 +594,19 @@ class TestDecodeStats:
         assert stats.scorer_evaluations == 80
         # of the (1 + 3 + 3 + 3) x 3 = 30 bounded label pairs, 19 reach the cut
         assert stats.ctc_exact_pairs == 19
+
+    def test_timesync_counters_pinned(self):
+        rng = np.random.default_rng(17)
+        pg = random_am_pg(rng, 6)
+        lm = train_ngram(VOCAB, [[A, B], [B, C, A], [C]], order=2)
+        stats = DecodeStats()
+        timesync_ctc_beam(pg, VOCAB, beam=3, lm=lm, lm_weight=0.5, stats=stats)
+        # 6 frames, 3 plain labels each; 1 + 5 x 3 live prefixes times
+        # 3 candidates
+        assert stats.steps == 6
+        assert stats.peak_candidate_set == 4
+        assert stats.peak_live_hypotheses == 3
+        assert stats.scorer_evaluations == 48
 
     def test_rtf_definition(self):
         stats = DecodeStats(wall_time_s=0.5, audio_seconds=1.0)
