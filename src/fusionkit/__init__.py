@@ -8,7 +8,6 @@ decoding strategy in here is testable end to end without any trained model.
 from fusionkit.core import (
     EncoderOutput,
     FormatError,
-    Hypothesis,
     Posteriorgram,
     ScorerWeights,
     ValidationError,
@@ -19,7 +18,6 @@ from fusionkit.core import (
 __all__ = [
     "EncoderOutput",
     "FormatError",
-    "Hypothesis",
     "Posteriorgram",
     "ScorerWeights",
     "ValidationError",

@@ -20,7 +20,6 @@ by a same-named command line flag.  Keys:
     scorers             joint strategy: list of {name, kind, weight, ...}
     normalization       lowercase | none (applied by wer)
     seed                int, seeds any decoder scorers without weight files
-    jobs                int, utterance-level parallelism
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -94,7 +92,6 @@ DEFAULT_CONFIG = {
     "scorers": [],
     "normalization": "lowercase",
     "seed": 0,
-    "jobs": 1,
 }
 
 
@@ -267,6 +264,28 @@ def decode_utterance(
     return nbest, stats
 
 
+def read_posteriorgrams(utts):
+    """``(utt_id, Posteriorgram)`` pairs for :func:`read_corpus_dir` entries,
+    each read only when it is asked for."""
+    for utt_id, pg_path, _ in utts:
+        try:
+            pg = read_posteriorgram(pg_path)
+        except (OSError, ValueError) as exc:
+            raise CliError(f"decoding {utt_id} ({pg_path}) failed: {exc}") from exc
+        yield utt_id, pg
+
+
+def decode_corpus(vocab: Vocabulary, cfg: dict, models: DecodeModels, items):
+    """Decode ``(utt_id, Posteriorgram)`` pairs in turn, yielding
+    ``(utt_id, n-best list, stats)``; a failure names its utterance."""
+    for utt_id, pg in items:
+        try:
+            nbest, stats = decode_utterance(pg, vocab, cfg, models)
+        except Exception as exc:
+            raise CliError(f"decoding {utt_id} failed: {exc}") from exc
+        yield utt_id, nbest, stats
+
+
 def cmd_decode(args) -> int:
     cfg = load_config(
         args.config,
@@ -277,33 +296,19 @@ def cmd_decode(args) -> int:
             "compress_threshold": args.compress_threshold,
             "lm_path": args.lm_path,
             "lm_weight": args.lm_weight,
-            "jobs": args.jobs,
         },
     )
     vocab, utts = read_corpus_dir(args.corpus)
     models = load_models(cfg, vocab)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-
-    def run(item):
-        utt_id, pg_path, _ = item
-        try:
-            pg = read_posteriorgram(pg_path)
-            return utt_id, decode_utterance(pg, vocab, cfg, models)
-        except Exception as exc:
-            raise CliError(f"decoding {utt_id} ({pg_path}) failed: {exc}") from exc
-
-    jobs = max(1, int(cfg["jobs"]))
-    if jobs == 1:
-        results = [run(item) for item in utts]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, utts))
-    results.sort(key=lambda kv: kv[0])
+    results = sorted(
+        decode_corpus(vocab, cfg, models, read_posteriorgrams(utts)), key=lambda r: r[0]
+    )
 
     total = DecodeStats()
     hyp_lines = []
-    for utt_id, (nbest, stats) in results:
+    for utt_id, nbest, stats in results:
         write_nbest(nbest, vocab, out_dir / f"{utt_id}.nbest")
         hyp_lines.append(f"{utt_id}\t{vocab.text(nbest.best.output_labels(vocab.eos_id))}")
         total.merge(stats)
@@ -331,8 +336,12 @@ def format_stats(stats: DecodeStats) -> str:
 
 
 def read_keyed_lines(path: str | Path) -> dict[str, str]:
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
     out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
+    for line in lines:
         if not line:
             continue
         key, _, text = line.partition("\t")
@@ -423,6 +432,9 @@ def cmd_bench(args) -> int:
     ks = [None if v == "none" else int(v) for v in args.top_k.split(",")]
     taus = [None if v == "none" else float(v) for v in args.compress_threshold.split(",")]
     beams = [int(v) for v in args.beam.split(",")]
+    pgs = list(read_posteriorgrams(utts))
+    norm = cfg["normalization"]
+    refs = [words(transcript, norm) for _, _, transcript in utts]
     print("top_k\ttau\tbeam\twer\trtf\tpeak_candidates\tscorer_evals")
     for k in ks:
         for tau in taus:
@@ -431,14 +443,10 @@ def cmd_bench(args) -> int:
                 run_cfg.update({"top_k": k, "compress_threshold": tau, "beam": beam})
                 total = DecodeStats()
                 pairs = []
-                for utt_id, pg_path, transcript in utts:
-                    pg = read_posteriorgram(pg_path)
-                    nbest, stats = decode_utterance(pg, vocab, run_cfg, models)
+                for ref, (_, nbest, stats) in zip(refs, decode_corpus(vocab, run_cfg, models, pgs)):
                     total.merge(stats)
                     hyp = vocab.text(nbest.best.output_labels(vocab.eos_id))
-                    pairs.append(
-                        (words(transcript, cfg["normalization"]), words(hyp, cfg["normalization"]))
-                    )
+                    pairs.append((ref, words(hyp, norm)))
                 wer = corpus_wer(pairs).wer
                 rtf = f"{total.rtf:.6f}" if total.rtf is not None else "n/a"
                 print(
@@ -487,7 +495,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--compress-threshold", dest="compress_threshold", type=float, default=None)
     p.add_argument("--lm-path", dest="lm_path", default=None)
     p.add_argument("--lm-weight", dest="lm_weight", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=None)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("wer", help="pooled word error rate over keyed files")

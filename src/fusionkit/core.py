@@ -6,9 +6,8 @@ row-major little-endian float32 and are widened to float64 in memory.
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -42,6 +41,15 @@ def logsumexp(values: Sequence[float] | np.ndarray) -> float:
     if m == NEG_INF:
         return NEG_INF
     return float(m + np.log(np.sum(np.exp(arr - m))))
+
+
+def logsumexp_rows(matrix: np.ndarray) -> np.ndarray:
+    """:func:`logsumexp` of each row of a 2-D array, bit for bit; an all -inf
+    row gives -inf."""
+    m = matrix.max(axis=1)
+    shift = np.where(m == NEG_INF, 0.0, m)
+    with np.errstate(divide="ignore"):
+        return shift + np.log(np.exp(matrix - shift[:, None]).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -151,7 +159,7 @@ def vocabulary_from_flags(entries: Iterable[Sequence], source: str) -> Vocabular
     for i, (tok, flags) in enumerate(entries):
         for f in flags:
             if f not in _VOCAB_FLAGS:
-                raise FormatError(f"{source} line {i}: unknown flag {f!r}")
+                raise FormatError(f"{source} line {i + 1}: unknown flag {f!r}")
             flagged[f] = i
         tokens.append(tok)
         begins.append("word_begin" in flags)
@@ -174,7 +182,7 @@ def vocabulary_lines(vocab: Vocabulary) -> list[str]:
 def vocabulary_from_lines(lines: Sequence[str], source: str) -> Vocabulary:
     """Inverse of :func:`vocabulary_lines`; errors name ``source``."""
     entries = []
-    for lineno, line in enumerate(lines):
+    for lineno, line in enumerate(lines, 1):
         if "\t" not in line:
             raise FormatError(f"{source} line {lineno}: missing tab separator")
         tok, flag_str = line.split("\t", 1)
@@ -193,12 +201,13 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
 
 
 def _check_rows_normalized(log_probs: np.ndarray, tol: float = 1e-6) -> None:
-    for t in range(log_probs.shape[0]):
-        lse = logsumexp(log_probs[t])
-        if not abs(lse) <= tol:
-            raise ValidationError(
-                f"posteriorgram row {t} is not normalized: log-sum-exp = {lse:.3e}"
-            )
+    lse = logsumexp_rows(log_probs)
+    bad = np.flatnonzero(~(np.abs(lse) <= tol))
+    if bad.size:
+        t = bad[0]
+        raise ValidationError(
+            f"posteriorgram row {t} is not normalized: log-sum-exp = {lse[t]:.3e}"
+        )
 
 
 @dataclass(frozen=True)
@@ -215,8 +224,8 @@ class Posteriorgram:
     def __post_init__(self):
         lp = np.asarray(self.log_probs, dtype=np.float64)
         object.__setattr__(self, "log_probs", lp)
-        if lp.ndim != 2 or lp.shape[0] < 1:
-            raise ValidationError("posteriorgram must be a T x V matrix with T >= 1")
+        if lp.ndim != 2 or lp.shape[0] < 1 or lp.shape[1] < 1:
+            raise ValidationError("posteriorgram must be a T x V matrix with T, V >= 1")
         if self.frame_duration_ms <= 0:
             raise ValidationError("frame_duration_ms must be positive")
         _check_rows_normalized(lp)
@@ -329,23 +338,3 @@ class ScorerWeights:
             if w != 0.0:
                 total += w * v
         return total
-
-
-@dataclass
-class Hypothesis:
-    """Partial label sequence with per-scorer accumulated log-scores."""
-
-    labels: tuple[int, ...] = ()
-    score_components: dict[str, float] = field(default_factory=dict)
-    combined_score: float = 0.0
-    finished: bool = False
-
-    def check(self, weights: ScorerWeights, eos_id: int | None = None) -> None:
-        expected = weights.combine(self.score_components)
-        if math.isfinite(expected) and abs(self.combined_score - expected) > 1e-9:
-            raise ValidationError(
-                f"combined score {self.combined_score} != weighted components {expected}"
-            )
-        if self.finished and eos_id is not None:
-            if not self.labels or self.labels[-1] != eos_id:
-                raise ValidationError("finished hypothesis must end in EOS")

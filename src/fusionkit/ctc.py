@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, EncoderOutput, Posteriorgram, logsumexp
+from fusionkit.core import NEG_INF, EncoderOutput, Posteriorgram, logsumexp_rows
 
 _EPS = float(np.finfo(np.float64).eps)
 _BLOCK_SIZE = 12288  # float64 terms (96 KiB) per block of CtcPrefixScorer.step's bound pass
@@ -144,7 +144,7 @@ def compress_posteriors(pg: Posteriorgram, index_map: MergeIndexMap) -> Posterio
     idx = np.asarray(index_map.indices) - 1
     pooled = np.full((index_map.num_groups, pg.num_labels), NEG_INF)
     np.maximum.at(pooled, idx, pg.log_probs)
-    norms = np.array([logsumexp(row) for row in pooled])
+    norms = logsumexp_rows(pooled)
     return Posteriorgram(pooled - norms[:, None], pg.frame_duration_ms)
 
 
@@ -171,7 +171,7 @@ def topk_prune(pg: Posteriorgram, k: int, keep_blank: bool, blank_id: int) -> Po
     mask = np.zeros(v, dtype=bool)
     mask[list(kept)] = True
     pruned = np.where(mask, pg.log_probs, NEG_INF)
-    norms = np.array([logsumexp(row) for row in pruned])
+    norms = logsumexp_rows(pruned)
     empty = norms == NEG_INF
     if np.any(empty):
         pruned[empty] = NEG_INF

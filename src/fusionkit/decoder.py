@@ -199,23 +199,9 @@ def save_weights(weights: DecoderWeights, path: str | Path) -> None:
         [hp.layers, hp.dim, hp.heads, hp.head_dim, hp.vocab_size, hp.ffn_dim],
         dtype=np.float32,
     )
-    items = [(META_TENSOR, meta)] + [
-        (name, weights.tensors[name]) for name in _tensor_names(hp)
-    ]
-    with open(path, "wb") as f:
-        f.write(WEIGHTS_MAGIC)
-        f.write(struct.pack("<II", WEIGHTS_VERSION, len(items)))
-        for name, tensor in items:
-            _write_tensor(f, name, tensor)
-
-
-def _write_tensor(f, name: str, tensor: np.ndarray) -> None:
-    raw = name.encode("utf-8")
-    f.write(struct.pack("<H", len(raw)))
-    f.write(raw)
-    f.write(struct.pack("<B", tensor.ndim))
-    f.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
-    f.write(tensor.astype("<f4").tobytes(order="C"))
+    tensors = {META_TENSOR: meta}
+    tensors.update((name, weights.tensors[name]) for name in _tensor_names(hp))
+    write_tensor_container(tensors, path)
 
 
 def read_tensor_container(path: str | Path) -> dict[str, np.ndarray]:
@@ -257,7 +243,13 @@ def write_tensor_container(tensors: dict[str, np.ndarray], path: str | Path) -> 
         f.write(WEIGHTS_MAGIC)
         f.write(struct.pack("<II", WEIGHTS_VERSION, len(tensors)))
         for name, tensor in tensors.items():
-            _write_tensor(f, name, np.asarray(tensor))
+            tensor = np.asarray(tensor)
+            raw = name.encode("utf-8")
+            f.write(struct.pack("<H", len(raw)))
+            f.write(raw)
+            f.write(struct.pack("<B", tensor.ndim))
+            f.write(struct.pack(f"<{tensor.ndim}I", *tensor.shape))
+            f.write(tensor.astype("<f4").tobytes(order="C"))
 
 
 def load_weights(path: str | Path) -> DecoderWeights:
@@ -408,94 +400,39 @@ def _audio_frames(weights: DecoderWeights, config: InterfaceConfig, audio) -> np
     return frames.reshape(frames.shape[0], weights.hp.dim) if frames.size else frames.reshape(0, weights.hp.dim)
 
 
-def decoder_forward(
-    weights: DecoderWeights,
-    config: InterfaceConfig,
-    audio: EncoderOutput | np.ndarray | None,
-    labels: Sequence[int],
-    collect_attention: bool = False,
-) -> np.ndarray | tuple[np.ndarray, dict[str, np.ndarray]]:
-    """Full-sequence forward pass; one log-distribution row per label position.
+def _layer(layer: _Layer, x, rotary, heads, mask, memory, cross):
+    """One pre-norm layer over the query rows ``x``.
 
-    ``labels`` must start with BOS.  The prompt from the config sits between
-    the audio prefix and the labels; its output rows are dropped.
+    Self-attention sees the (keys, values) already in the stream,
+    ``memory``, followed by the rows' own; ``cross``, the audio's aed
+    (keys, values), adds cross-attention when given.  Returns the new rows,
+    the joined (keys, values) and the (self, cross) attention weights.
+
+    The forward pass gives (n, d) rows and (m, d) memory.  A step gives
+    (B, 1, d) rows and memory as lists of B (m, d) caches, which are stacked
+    once, straight into the joined (B, m + 1, d) arrays.
     """
-    hp = weights.hp
-    labels = list(labels)
-    if not labels:
-        raise ValueError("labels must contain at least BOS")
-    frames = _audio_frames(weights, config, audio)
-    a = frames.shape[0]
-    text_ids = list(config.prompt) + labels
-    s = len(text_ids)
-    text = weights["embed"][text_ids]
-    attn: dict[str, np.ndarray] = {}
-
-    if config.kind == "prefix":
-        x = np.vstack([frames, text])
-        rotary = _rotary(weights, np.arange(a + s, dtype=np.float64))
-        mask = build_attention_mask(config, a, s)
-        for i, layer in enumerate(weights.layers):
-            x = x + _self_attention_block(layer, i, x, rotary, mask, attn, hp.heads)
-            x = x + _ffn_block(layer, x)
-        x = x[a:]
-    elif config.kind == "merged":
-        x = text
-        rotary = _rotary(weights, np.arange(a, a + s, dtype=np.float64))
-        audio_rotary = _rotary(weights, np.arange(a, dtype=np.float64))
-        mask = build_attention_mask(config, a, s)
-        for i, layer in enumerate(weights.layers):
-            normed = _layer_norm(x, layer.attn_norm)
-            normed_audio = _layer_norm(frames, layer.attn_norm)
-            q = _rope(normed @ layer.wq, rotary, hp.heads)
-            k_text = _rope(normed @ layer.wk, rotary, hp.heads)
-            k_audio = _rope(normed_audio @ layer.wk, audio_rotary, hp.heads)
-            v = np.vstack([normed_audio @ layer.wv, normed @ layer.wv])
-            out, w = _attend(q, np.vstack([k_audio, k_text]), v, mask, hp.heads)
-            _store_attention(attn, f"layer{i}", w)
-            x = x + out @ layer.wo
-            x = x + _ffn_block(layer, x)
-    else:  # aed
-        x = text
-        rotary = _rotary(weights, np.arange(s, dtype=np.float64))
-        mask = build_attention_mask(config, 0, s)
-        for i, layer in enumerate(weights.layers):
-            x = x + _self_attention_block(layer, i, x, rotary, mask, attn, hp.heads)
-            if a > 0:
-                x = x + _cross_attention_block(layer, i, x, frames, attn, hp.heads)
-            x = x + _ffn_block(layer, x)
-
-    x = x[len(config.prompt) :]
-    rows = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])
-    if collect_attention:
-        return rows, attn
-    return rows
-
-
-def _self_attention_block(layer, i, x, rotary, mask, attn, heads):
     normed = _layer_norm(x, layer.attn_norm)
     q = _rope(normed @ layer.wq, rotary, heads)
-    k = _rope(normed @ layer.wk, rotary, heads)
-    out, w = _attend(q, k, normed @ layer.wv, mask, heads)
-    _store_attention(attn, f"layer{i}", w)
-    return out @ layer.wo
-
-
-def _cross_attention_block(layer, i, x, frames, attn, heads):
-    q = _layer_norm(x, layer.cross_norm) @ layer.cross_wq
-    out, w = _attend(q, frames @ layer.cross_wk, frames @ layer.cross_wv, None, heads)
-    _store_attention(attn, f"layer{i}.cross", w)
-    return out @ layer.cross_wo
-
-
-def _ffn_block(layer, x):
+    joined = []
+    for cache, rows in zip(memory, (_rope(normed @ layer.wk, rotary, heads), normed @ layer.wv)):
+        if x.ndim == 2:
+            joined.append(np.concatenate([cache, rows]))
+        else:
+            m = cache[0].shape[0]
+            stacked = np.empty((len(cache), m + 1, rows.shape[-1]))
+            np.stack(cache, out=stacked[:, :m])
+            stacked[:, m:] = rows
+            joined.append(stacked)
+    out, w_self = _attend(q, *joined, mask, heads)
+    x = x + out @ layer.wo
+    w_cross = None
+    if cross is not None:
+        q = _layer_norm(x, layer.cross_norm) @ layer.cross_wq
+        out, w_cross = _attend(q, *cross, None, heads)
+        x = x + out @ layer.cross_wo
     hidden = _gelu(_layer_norm(x, layer.ffn_norm) @ layer.w1 + layer.b1)
-    return hidden @ layer.w2 + layer.b2
-
-
-def _store_attention(attn: dict, prefix: str, w: np.ndarray) -> None:
-    for h in range(w.shape[0]):
-        attn[f"{prefix}.head{h}"] = w[h]
+    return x + (hidden @ layer.w2 + layer.b2), tuple(joined), (w_self, w_cross)
 
 
 @dataclass
@@ -518,63 +455,98 @@ class IncrementalState:
         return self.self_k[0].shape[0] if self.self_k else 0
 
 
+def _audio_memory(
+    weights: DecoderWeights, config: InterfaceConfig, frames: np.ndarray
+) -> IncrementalState:
+    """The state after the audio frames, before the prompt.
+
+    ``prefix`` runs the audio block through the layers under the block
+    mask, so that bidirectional prefix attention sees the whole block, and
+    keeps each layer's keys/values.  ``merged`` keeps each layer's key/value
+    projections of the frames themselves.  ``aed`` keeps each layer's cross
+    keys/values and leaves the self-attention stream empty.
+    """
+    hp = weights.hp
+    a = frames.shape[0]
+    empty = np.zeros((0, hp.dim))
+    state = IncrementalState(0, [empty] * hp.layers, [empty] * hp.layers, audio_len=a)
+    if a == 0:
+        return state
+    if config.kind == "aed":
+        state.cross_k = [frames @ layer.cross_wk for layer in weights.layers]
+        state.cross_v = [frames @ layer.cross_wv for layer in weights.layers]
+        return state
+    rotary = _rotary(weights, np.arange(a, dtype=np.float64))
+    state.position = a
+    if config.kind == "merged":
+        for i, layer in enumerate(weights.layers):
+            normed = _layer_norm(frames, layer.attn_norm)
+            state.self_k[i] = _rope(normed @ layer.wk, rotary, hp.heads)
+            state.self_v[i] = normed @ layer.wv
+        return state
+    mask = build_attention_mask(config, a, 0)
+    x = frames
+    for i, layer in enumerate(weights.layers):
+        x, (state.self_k[i], state.self_v[i]), _ = _layer(
+            layer, x, rotary, hp.heads, mask, (empty, empty), None
+        )
+    return state
+
+
+def decoder_forward(
+    weights: DecoderWeights,
+    config: InterfaceConfig,
+    audio: EncoderOutput | np.ndarray | None,
+    labels: Sequence[int],
+    collect_attention: bool = False,
+) -> np.ndarray | tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Full-sequence forward pass; one log-distribution row per label position.
+
+    ``labels`` must start with BOS.  The prompt from the config sits between
+    the audio prefix and the labels; its output rows are dropped.
+    """
+    labels = list(labels)
+    if not labels:
+        raise ValueError("labels must contain at least BOS")
+    frames = _audio_frames(weights, config, audio)
+    a = frames.shape[0]
+    text_ids = list(config.prompt) + labels
+    x = weights["embed"][text_ids]
+    if config.kind == "prefix":
+        # audio and text run as one stream under one square mask, which the
+        # attention maps keep
+        x, frames = np.vstack([frames, x]), frames[:0]
+    memory = _audio_memory(weights, config, frames)
+    start = memory.position
+    rotary = _rotary(weights, np.arange(start, start + len(x), dtype=np.float64))
+    mask = build_attention_mask(config, 0 if config.kind == "aed" else a, len(text_ids))
+    attn: dict[str, np.ndarray] = {}
+    for i, layer in enumerate(weights.layers):
+        cross = (memory.cross_k[i], memory.cross_v[i]) if memory.cross_k else None
+        x, _, maps = _layer(
+            layer, x, rotary, weights.hp.heads, mask, (memory.self_k[i], memory.self_v[i]), cross
+        )
+        for name, w in zip((f"layer{i}", f"layer{i}.cross"), maps):
+            if w is not None:
+                attn.update((f"{name}.head{h}", w[h]) for h in range(w.shape[0]))
+
+    x = x[-len(labels) :]
+    rows = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])
+    if collect_attention:
+        return rows, attn
+    return rows
+
+
 def decoder_init(
     weights: DecoderWeights,
     config: InterfaceConfig,
     audio: EncoderOutput | np.ndarray | None,
 ) -> IncrementalState:
     """Prime an incremental state with the audio prefix and the prompt."""
-    hp = weights.hp
-    frames = _audio_frames(weights, config, audio)
-    a = frames.shape[0]
-    state = IncrementalState(
-        position=0,
-        self_k=[np.zeros((0, hp.dim)) for _ in range(hp.layers)],
-        self_v=[np.zeros((0, hp.dim)) for _ in range(hp.layers)],
-        audio_len=a,
-    )
-
-    if config.kind == "prefix" and a > 0:
-        # run the audio block jointly so bidirectional prefix attention sees
-        # the whole block, then cache its per-layer keys/values
-        rotary = _rotary(weights, np.arange(a, dtype=np.float64))
-        block_mask = build_attention_mask(config, a, 0)
-        x = frames
-        for i, layer in enumerate(weights.layers):
-            normed = _layer_norm(x, layer.attn_norm)
-            k = _rope(normed @ layer.wk, rotary, hp.heads)
-            v = normed @ layer.wv
-            state.self_k[i] = k
-            state.self_v[i] = v
-            q = _rope(normed @ layer.wq, rotary, hp.heads)
-            out, _ = _attend(q, k, v, block_mask, hp.heads)
-            x = x + out @ layer.wo
-            x = x + _ffn_block(layer, x)
-        state.position = a
-    elif config.kind == "merged" and a > 0:
-        rotary = _rotary(weights, np.arange(a, dtype=np.float64))
-        for i, layer in enumerate(weights.layers):
-            normed = _layer_norm(frames, layer.attn_norm)
-            state.self_k[i] = _rope(normed @ layer.wk, rotary, hp.heads)
-            state.self_v[i] = normed @ layer.wv
-        state.position = a
-    elif config.kind == "aed" and a > 0:
-        for layer in weights.layers:
-            state.cross_k.append(frames @ layer.cross_wk)
-            state.cross_v.append(frames @ layer.cross_wv)
-
+    state = _audio_memory(weights, config, _audio_frames(weights, config, audio))
     for tok in config.prompt:
         _, (state,) = decoder_step(weights, config, [state], [tok])
     return state
-
-
-def _append_row(caches: Sequence[np.ndarray], rows: np.ndarray) -> np.ndarray:
-    """Stack B (n, d) caches into one (B, n + 1, d) array ending in ``rows``."""
-    n = caches[0].shape[0]
-    out = np.empty((len(caches), n + 1, rows.shape[-1]))
-    np.stack(caches, out=out[:, :n])
-    out[:, n:] = rows
-    return out
 
 
 def decoder_step(
@@ -611,20 +583,14 @@ def decoder_step(
     self_k: list[np.ndarray] = []
     self_v: list[np.ndarray] = []
     for i, layer in enumerate(weights.layers):
-        normed = _layer_norm(x, layer.attn_norm)
-        q = _rope(normed @ layer.wq, rotary, hp.heads)
-        k = _rope(normed @ layer.wk, rotary, hp.heads)
-        self_k.append(_append_row([s.self_k[i] for s in states], k))
-        self_v.append(_append_row([s.self_v[i] for s in states], normed @ layer.wv))
-        out, _ = _attend(q, self_k[i], self_v[i], None, hp.heads)
-        x = x + out @ layer.wo
-        if config.kind == "aed" and first.cross_k:
-            qc = _layer_norm(x, layer.cross_norm) @ layer.cross_wq
-            keys = np.stack([s.cross_k[i] for s in states])
-            values = np.stack([s.cross_v[i] for s in states])
-            out_c, _ = _attend(qc, keys, values, None, hp.heads)
-            x = x + out_c @ layer.cross_wo
-        x = x + _ffn_block(layer, x)
+        memory = ([s.self_k[i] for s in states], [s.self_v[i] for s in states])
+        cross = None
+        if first.cross_k:
+            cross = (np.stack([s.cross_k[i] for s in states]),
+                     np.stack([s.cross_v[i] for s in states]))
+        x, (k, v), _ = _layer(layer, x, rotary, hp.heads, None, memory, cross)
+        self_k.append(k)
+        self_v.append(v)
     rows = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])[:, 0]
     successors = [
         IncrementalState(

@@ -302,9 +302,9 @@ def load_ngram(path: str | Path) -> NGramModel:
         raise FormatError(f"{path}: not a {NGRAM_MAGIC} file")
     order = backoff = None
     vocab_lines: list[str] = []
-    ngram_lines: list[str] = []
+    ngram_lines: list[tuple[int, str]] = []
     section = "header"
-    for line in lines[1:]:
+    for lineno, line in enumerate(lines[1:], 2):
         if line == "[vocab]":
             section = "vocab"
         elif line == "[ngrams]":
@@ -323,7 +323,7 @@ def load_ngram(path: str | Path) -> NGramModel:
         elif section == "vocab":
             vocab_lines.append(line)
         else:
-            ngram_lines.append(line)
+            ngram_lines.append((lineno, line))
     if order is None or backoff is None:
         raise FormatError(f"{path}: missing order or backoff header")
     if order < 1 or not 0.0 < backoff < math.inf:
@@ -331,7 +331,7 @@ def load_ngram(path: str | Path) -> NGramModel:
     vocab = vocabulary_from_lines(vocab_lines, f"{path} [vocab]")
     tok_id = {t: i for i, t in enumerate(vocab.tokens)}
     tables: list[dict[tuple[int, ...], dict[int, float]]] = [{} for _ in range(order)]
-    for lineno, line in enumerate(ngram_lines):
+    for lineno, line in ngram_lines:
         try:
             k_str, ctx_str, tok, val = line.split("\t")
             ctx = tuple(tok_id[t] for t in ctx_str.split(" ") if t)

@@ -617,9 +617,10 @@ def _timesync_search(
         merged_am = np.logaddexp(stay_b, stay_nb)
         ranked = np.flatnonzero(merged_am > NEG_INF)
 
-        # new prefixes, in (parent, candidate) order; shortlist anything
-        # that could still make the beam
-        rows, cols = np.nonzero((ext_am > NEG_INF) & ~collide)
+        # new prefixes, in (parent, candidate) order, without those the LM
+        # gives probability zero; shortlist anything that could still make
+        # the beam
+        rows, cols = np.nonzero((ext_am > NEG_INF) & (ext_lm > NEG_INF) & ~collide)
         pool_am = ext_am[rows, cols]
         pool_lm = ext_lm[rows, cols]
         pool_scores = pool_am + lm_weight * pool_lm
@@ -658,6 +659,8 @@ def _timesync_search(
         if am == NEG_INF:
             continue
         lm_total = hyp.lm_score + frame_lm.final(prefix, hyp)
+        if lm_weight != 0.0 and lm_total == NEG_INF:
+            continue
         comps = {"ctc": am}
         if lm_weight != 0.0:
             comps["lm"] = lm_total

@@ -59,18 +59,14 @@ class TestSynthAndDecode:
         for name in ["hyps.txt", "utt0000.nbest", "config.json"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
-    def test_parallel_jobs_identical_outputs(self, corpus, tmp_path, capsys):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        for out, jobs in ((serial, "1"), (parallel, "3")):
-            code, _, _ = run(
-                ["decode", str(corpus), str(out), "--strategy", "timesync",
-                 "--beam", "4", "--jobs", jobs],
-                capsys,
-            )
-            assert code == 0
-        for name in ["hyps.txt", "utt0000.nbest", "utt0003.nbest"]:
-            assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+    def test_jobs_config_key_rejected(self, corpus, tmp_path, capsys):
+        cfg_path = tmp_path / "jobs.json"
+        cfg_path.write_text(json.dumps({"strategy": "timesync", "jobs": 2}))
+        out = tmp_path / "o"
+        code, stdout, err = run(["decode", str(corpus), str(out), "--config", str(cfg_path)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "jobs" in err
+        assert not out.exists()
 
     def test_decode_timesync_with_lm(self, corpus, lm_file, tmp_path, capsys):
         out = tmp_path / "fused"
@@ -239,6 +235,15 @@ class TestWerCommand:
         assert "WER\t0.0000" in stdout
         code, stdout, _ = run(["wer", str(refs), str(hyps), "--normalization", "none"], capsys)
         assert "WER\t1.0000" in stdout
+
+    @pytest.mark.parametrize("missing", ["refs", "hyps"])
+    def test_missing_file_fails_cleanly(self, tmp_path, capsys, missing):
+        present, gone = tmp_path / "present.txt", tmp_path / "gone.txt"
+        present.write_text("u1\thello\n")
+        files = [gone, present] if missing == "refs" else [present, gone]
+        code, stdout, err = run(["wer"] + [str(f) for f in files], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and str(gone) in err
 
 
 class TestPplCommand:

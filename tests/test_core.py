@@ -2,16 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit.core import (
     EncoderOutput,
     FormatError,
-    Hypothesis,
     Posteriorgram,
     ScorerWeights,
     ValidationError,
     Vocabulary,
     logsumexp,
+    logsumexp_rows,
     read_encoder_output,
     read_posteriorgram,
     read_vocabulary,
@@ -55,6 +57,25 @@ class TestLogsumexp:
             assert val >= max(xs)
             assert val <= max(xs) + math.log(len(xs)) + 1e-12
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 12),
+        v=st.integers(1, 1000),
+        holes=st.floats(0.0, 1.0),
+        empty=st.floats(0.0, 0.5),
+        scale=st.sampled_from([1e-3, 1.0, 30.0, 700.0]),
+    )
+    def test_rows_match_per_row_bits(self, seed, rows, v, holes, empty, scale):
+        # -inf holes, and whole rows of -inf
+        rng = np.random.default_rng(seed)
+        m = rng.normal(0.0, scale, size=(rows, v))
+        m[rng.uniform(size=m.shape) < holes] = -math.inf
+        m[rng.uniform(size=rows) < empty] = -math.inf
+        want = np.array([logsumexp(r) for r in m])
+        assert logsumexp_rows(m).tobytes() == want.tobytes()
+
 
 class TestVocabulary:
     def make(self):
@@ -90,14 +111,28 @@ class TestVocabulary:
     def test_unknown_flag_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
         path.write_text("a\tblank\nb\tbos\nc\teos,shiny\n")
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="line 3: unknown flag"):
+            read_vocabulary(path)
+
+    def test_missing_tab_names_line(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("a\tblank\nb bos\nc\teos\n")
+        with pytest.raises(FormatError, match="line 2: missing tab"):
             read_vocabulary(path)
 
 
 class TestPosteriorgram:
+    @pytest.mark.parametrize("shape", [(0, 3), (2, 0), (3,)])
+    def test_empty_or_flat_rejected(self, shape):
+        with pytest.raises(ValidationError, match="T x V"):
+            Posteriorgram(np.zeros(shape))
+
     def test_row_validation_names_row(self):
-        lp = np.log(np.array([[0.5, 0.5], [0.6, 0.3]]))
-        with pytest.raises(ValidationError, match="row 1"):
+        lp = np.log(np.array([[0.5, 0.5], [0.6, 0.3], [0.9, 0.9]]))
+        with pytest.raises(ValidationError, match="row 1 "):
+            Posteriorgram(lp)
+        lp[1] = np.nan
+        with pytest.raises(ValidationError, match="row 1 .* nan"):
             Posteriorgram(lp)
 
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -175,18 +210,3 @@ class TestHypothesisAndWeights:
     def test_weights_need_one_nonzero(self):
         with pytest.raises(ValidationError):
             ScorerWeights({"am": 0.0, "lm": 0.0})
-
-    def test_combined_score_invariant(self):
-        w = ScorerWeights({"am": 1.0, "lm": 0.5})
-        hyp = Hypothesis(labels=(1, 2), score_components={"am": -1.0, "lm": -2.0})
-        hyp.combined_score = -2.0
-        hyp.check(w)
-        hyp.combined_score = -1.9
-        with pytest.raises(ValidationError):
-            hyp.check(w)
-
-    def test_finished_requires_eos(self):
-        w = ScorerWeights({"am": 1.0})
-        hyp = Hypothesis(labels=(1, 2), score_components={"am": 0.0}, finished=True)
-        with pytest.raises(ValidationError):
-            hyp.check(w, eos_id=9)

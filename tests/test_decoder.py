@@ -409,6 +409,48 @@ class TestGoldenFixture:
         got = seq_cross_entropy(w, cfg, audio, [2, 3, EOS], BOS, EOS)
         assert got == pytest.approx(self.GOLDEN_CE, abs=1e-12)
 
+    # SHA-256 of the forward rows and of the attention maps (names, shapes
+    # and float64 bits, in export order), frozen from the per-interface
+    # layer loops that came before the shared layer function
+    FORWARD_DIGESTS = {
+        "prefix": (
+            "fbb00827aeed57f57173924cb65a571ced530e228fb035fcb3d9d51ab1f4ee35",
+            "e46f9b348cb3e93bb0016d5aada19ab727367b6dd77ea3f86d797728be3bd265",
+        ),
+        "prefix-bidirectional": (
+            "9842005c00b54be900f35540cd77144b26409167315799c88a0c9981dcefffd1",
+            "2bbb88b7ab507af1e079273dc5a655c047d4fc003165aef0f1791a2ac0b53012",
+        ),
+        "merged": (
+            "996b8d4b86ed914adcd9ca537579f99e110842ea760e01a008dcea3a0416db8b",
+            "c83f1327925a93454851a0f895af96c01e8fc61ca3b160d18c2b7572d287d2ff",
+        ),
+        "aed": (
+            "1d2630b53f1240900edd0514e7b27a0e9f6086bea005335ba73f2ebee522f710",
+            "f7dfcb63e3b299388373683c6279deb9004233038bac55a695cc7a2cd2bd3589",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(FORWARD_DIGESTS))
+    def test_forward_and_attention_bits_pinned(self, case):
+        w, _, audio = self.fixture_inputs()
+        cfg = {
+            "prefix": InterfaceConfig("prefix", prompt=(1,)),
+            "prefix-bidirectional": InterfaceConfig("prefix", "bidirectional", (1,)),
+            "merged": InterfaceConfig("merged", prompt=(1,)),
+            "aed": InterfaceConfig("aed", prompt=(1,)),
+        }[case]
+        labels = [BOS, 2, 3, 4, 5, 2]
+        rows = decoder_forward(w, cfg, audio, labels)
+        maps = hashlib.sha256()
+        for name, mat in export_attention(w, cfg, audio, labels).items():
+            maps.update(name.encode())
+            maps.update(str(mat.shape).encode())
+            maps.update(np.ascontiguousarray(mat, dtype="<f8").tobytes())
+        got = (hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest(),
+               maps.hexdigest())
+        assert got == self.FORWARD_DIGESTS[case]
+
 
 class TestCrossEntropy:
     def test_equals_gathered_rows(self):
@@ -478,6 +520,15 @@ class TestWeightsIO:
         assert w2.hp == HP
         for name in w.tensors:
             np.testing.assert_array_equal(w.tensors[name], w2.tensors[name])
+
+    def test_seeded_file_bytes_pinned(self, tmp_path):
+        # SHA-256 frozen from the writer that came before the shared
+        # container writer
+        path = tmp_path / "weights.fkwt"
+        save_weights(seeded_weights(Hyperparams(), 42), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "b791f2b458e6635b1d2bc4721325cf0e9fab0387ef76589d68b44e5531f4e5b5"
+        )
 
     def test_forward_identical_after_roundtrip(self, tmp_path):
         rng = np.random.default_rng(12)

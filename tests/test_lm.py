@@ -235,7 +235,7 @@ class TestNGramSerialization:
         lines = path.read_text().splitlines()
         lines[-1] = "not a valid entry"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match="bad n-gram entry"):
+        with pytest.raises(FormatError, match=f"bad n-gram entry on line {len(lines)}:"):
             load_ngram(path)
 
 

@@ -407,6 +407,36 @@ class TestBatchedFrameStep:
         )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("search", ["timesync", "delayed"])
+    def test_negative_weight_drops_zero_probability_labels(self, search):
+        # the LM gives c probability zero; at a negative weight its -inf
+        # delta must drop the prefix, not score it +inf
+        am_vocab, lm_vocab = (ABC, ABC) if search == "timesync" else cross_vocab()
+        support = [i for i, tok in enumerate(lm_vocab.tokens)
+                   if i not in (lm_vocab.blank_id, lm_vocab.bos_id) and tok != "c"]
+        dist = np.full(lm_vocab.size, NEG_INF)
+        dist[support] = -math.log(len(support))
+        lm = TableLM(lm_vocab, (), dist)
+        # each frame favours one label of "a c b", so that c-ending
+        # prefixes reach the beam
+        labels = [i for i in range(am_vocab.size) if i not in (am_vocab.bos_id, am_vocab.eos_id)]
+        marker = "" if search == "timesync" else "▁"
+        lp = np.full((3, am_vocab.size), NEG_INF)
+        for t, tok in enumerate([marker + "a", "c", marker + "b"]):
+            lp[t, labels] = np.log(0.3 / (len(labels) - 1))
+            lp[t, am_vocab.id_of(tok)] = np.log(0.7)
+        pg = Posteriorgram(lp)
+        if search == "timesync":
+            nbest = timesync_ctc_beam(pg, am_vocab, 4, lm, -0.5)
+        else:
+            nbest = delayed_fusion_beam(pg, am_vocab, lm, -0.5, 4)
+        assert len(nbest) > 0
+        for e in nbest:
+            assert all(math.isfinite(v) for v in e.components.values())
+            if search == "timesync":
+                assert ABC.id_of("c") not in e.labels
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_stay_and_extension_merge(self):
         # "a" then "a a": the stay path of the live prefix (a,) and the
         # extension of () by a land on one prefix at every frame, and with
