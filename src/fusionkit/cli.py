@@ -8,15 +8,15 @@ The decode/bench config is a flat JSON object; every key can be overridden
 by a same-named command line flag.  Keys:
 
     strategy            ctc-greedy | timesync | delayed | joint
-    beam                int
+    beam                int >= 1
     length_norm         bool (joint strategy)
     max_len_factor      float, label cap relative to the frame count
-    top_k               int or null: CTC distribution pruning
+    top_k               int >= 1 or null: CTC distribution pruning
     keep_blank          bool, blank always survives pruning
-    compress_threshold  float or null: CTC compression threshold
+    compress_threshold  float > 0 or null: CTC compression threshold (above 1: no merging)
     compress_order      "compress-then-prune" (default) or "prune-then-compress"
     lm_path             LM file (FKLM n-gram or table JSON) for timesync/delayed fusion
-    lm_weight           float
+    lm_weight           finite float
     scorers             joint strategy: list of {name, kind, weight, ...}
     normalization       lowercase | none (applied by wer)
     seed                int, seeds any decoder scorers without weight files
@@ -26,10 +26,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -70,9 +73,8 @@ from fusionkit.search import (
     NBestEntry,
     NBestList,
     ScorerHandle,
-    delayed_fusion_beam,
     labelsync_beam,
-    timesync_ctc_beam,
+    lockstep_beam,
     write_nbest,
 )
 from fusionkit.synth import SynthConfig, gen_corpus
@@ -93,6 +95,8 @@ DEFAULT_CONFIG = {
     "normalization": "lowercase",
     "seed": 0,
 }
+# utterances that one frame-synchronous lockstep search decodes together
+LOCKSTEP_UTTERANCES = 32
 
 
 class CliError(Exception):
@@ -116,7 +120,12 @@ def load_config(path: str | None, overrides: dict) -> dict:
         p = Path(path)
         if not p.exists():
             raise CliError(f"config file not found: {p}")
-        loaded = json.loads(p.read_text(encoding="utf-8"))
+        try:
+            loaded = json.loads(p.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"config file {p} is not valid JSON: {exc}") from exc
+        if not isinstance(loaded, dict):
+            raise FormatError(f"config file {p} must hold a JSON object")
         unknown = set(loaded) - set(DEFAULT_CONFIG)
         if unknown:
             raise CliError(f"unknown config keys: {sorted(unknown)}")
@@ -170,15 +179,42 @@ class DecodeModels:
     weights: ScorerWeights | None = None  # joint strategy
 
 
-def load_models(cfg: dict, vocab: Vocabulary) -> DecodeModels:
-    """Check the strategy and load every model the config names.
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
-    A bad config fails here, before any posteriorgram is read.
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_search_settings(cfg: dict) -> None:
+    """Raise ValidationError for a ``beam``, ``top_k`` or
+    ``compress_threshold`` that no decode can use."""
+    beam, top_k, tau = cfg["beam"], cfg["top_k"], cfg["compress_threshold"]
+    if not _is_int(beam) or beam < 1:
+        raise ValidationError(f"beam must be an integer >= 1, not {beam!r}")
+    if top_k is not None and (not _is_int(top_k) or top_k < 1):
+        raise ValidationError(f"top_k must be null or an integer >= 1, not {top_k!r}")
+    # a threshold above 1 merges no frames: compression off
+    if tau is not None and (not _is_real(tau) or not tau > 0):
+        raise ValidationError(f"compress_threshold must be null or > 0, not {tau!r}")
+
+
+def load_models(cfg: dict, vocab: Vocabulary) -> DecodeModels:
+    """Check the strategy and the search settings and load every model the
+    config names.
+
+    A bad config fails here, before any output is written or posteriorgram
+    read.
     """
     strategy = cfg["strategy"]
     if strategy not in STRATEGIES:
         raise CliError(f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}")
+    check_search_settings(cfg)
     if strategy in ("timesync", "delayed"):
+        weight = cfg["lm_weight"]
+        if not _is_real(weight) or not math.isfinite(weight):
+            raise ValidationError(f"lm_weight must be a finite number, not {weight!r}")
         # only these two fuse the lm_path LM; joint names its LMs in scorers
         lm = load_lm(cfg["lm_path"]) if cfg["lm_path"] else None
         if strategy == "delayed" and lm is None:
@@ -232,36 +268,49 @@ def build_joint_scorers(cfg: dict, vocab: Vocabulary) -> tuple[list[ScorerHandle
 
 
 def decode_utterance(
-    pg: Posteriorgram, vocab: Vocabulary, cfg: dict, models: DecodeModels
-) -> tuple[NBestList, DecodeStats]:
-    stats = DecodeStats()
-    pg = prepare_posteriorgram(pg, cfg, vocab)
+    pgs: Sequence[Posteriorgram], vocab: Vocabulary, cfg: dict, models: DecodeModels
+) -> list[tuple[NBestList, DecodeStats]]:
+    """Decode the utterances of one step of :func:`decode_corpus`: an
+    (n-best list, stats) pair per posteriorgram.
+
+    ``timesync`` and ``delayed`` search all of them in one lockstep, and
+    each utterance's stats carry its share of the search time; the other
+    strategies decode them one by one.
+    """
     strategy = cfg["strategy"]
-    if strategy == "ctc-greedy":
-        t0 = time.perf_counter()
-        labels = tuple(greedy_decode(pg, vocab.blank_id))
-        path_score = float(np.max(pg.log_probs, axis=1).sum())
-        stats.wall_time_s = time.perf_counter() - t0
-        stats.audio_seconds = pg.duration_seconds
-        stats.peak_live_hypotheses = 1
-        nbest = NBestList([NBestEntry(labels, {"ctc": path_score}, path_score, True)])
-    elif strategy == "timesync":
-        nbest = timesync_ctc_beam(
-            pg, vocab, beam=int(cfg["beam"]), lm=models.lm, lm_weight=float(cfg["lm_weight"]),
+    pgs = [prepare_posteriorgram(pg, cfg, vocab) for pg in pgs]
+    if strategy in ("timesync", "delayed"):
+        stats = [DecodeStats() for _ in pgs]
+        nbests = lockstep_beam(
+            pgs,
+            vocab,
+            int(cfg["beam"]),
+            models.lm,
+            float(cfg["lm_weight"]),
+            delayed=strategy == "delayed",
             stats=stats,
         )
-    elif strategy == "delayed":
-        nbest = delayed_fusion_beam(
-            pg, vocab, models.lm, float(cfg["lm_weight"]), int(cfg["beam"]), stats=stats
-        )
-    else:  # joint
-        scorers = [handle.build(vocab, pg) for handle in models.scorers]
-        max_len = max(1, round(models.weights.max_len_factor * pg.num_frames))
-        nbest = labelsync_beam(
-            scorers, models.weights, int(cfg["beam"]), vocab, max_len, stats=stats
-        )
-        stats.audio_seconds += pg.duration_seconds
-    return nbest, stats
+        return list(zip(nbests, stats))
+    results = []
+    for pg in pgs:
+        stats = DecodeStats()
+        if strategy == "ctc-greedy":
+            t0 = time.perf_counter()
+            labels = tuple(greedy_decode(pg, vocab.blank_id))
+            path_score = float(np.max(pg.log_probs, axis=1).sum())
+            stats.wall_time_s = time.perf_counter() - t0
+            stats.audio_seconds = pg.duration_seconds
+            stats.peak_live_hypotheses = 1
+            nbest = NBestList([NBestEntry(labels, {"ctc": path_score}, path_score, True)])
+        else:  # joint
+            scorers = [handle.build(vocab, pg) for handle in models.scorers]
+            max_len = max(1, round(models.weights.max_len_factor * pg.num_frames))
+            nbest = labelsync_beam(
+                scorers, models.weights, int(cfg["beam"]), vocab, max_len, stats=stats
+            )
+            stats.audio_seconds += pg.duration_seconds
+        results.append((nbest, stats))
+    return results
 
 
 def read_posteriorgrams(utts):
@@ -277,13 +326,36 @@ def read_posteriorgrams(utts):
 
 def decode_corpus(vocab: Vocabulary, cfg: dict, models: DecodeModels, items):
     """Decode ``(utt_id, Posteriorgram)`` pairs in turn, yielding
-    ``(utt_id, n-best list, stats)``; a failure names its utterance."""
-    for utt_id, pg in items:
+    ``(utt_id, n-best list, stats)``.
+
+    ``timesync`` and ``delayed`` decode up to ``LOCKSTEP_UTTERANCES`` pairs
+    at a time in one lockstep search, the other strategies one at a time.
+    A posteriorgram whose width is not the vocabulary's fails, naming its
+    utterance; so does a failed decode, rerunning a failed lockstep one
+    utterance at a time to find the one that fails.
+    """
+    lockstep = cfg["strategy"] in ("timesync", "delayed")
+    items = iter(items)
+    while chunk := list(islice(items, LOCKSTEP_UTTERANCES if lockstep else 1)):
+        for utt_id, pg in chunk:
+            if pg.num_labels != vocab.size:
+                raise ValidationError(
+                    f"posteriorgram of {utt_id} has {pg.num_labels} labels, "
+                    f"the vocabulary {vocab.size}"
+                )
         try:
-            nbest, stats = decode_utterance(pg, vocab, cfg, models)
+            results = decode_utterance([pg for _, pg in chunk], vocab, cfg, models)
         except Exception as exc:
-            raise CliError(f"decoding {utt_id} failed: {exc}") from exc
-        yield utt_id, nbest, stats
+            if len(chunk) > 1:
+                for utt_id, pg in chunk:
+                    try:
+                        decode_utterance([pg], vocab, cfg, models)
+                    except Exception as alone:
+                        raise CliError(f"decoding {utt_id} failed: {alone}") from alone
+            ids = ", ".join(utt_id for utt_id, _ in chunk)
+            raise CliError(f"decoding {ids} failed: {exc}") from exc
+        for (utt_id, _), (nbest, stats) in zip(chunk, results):
+            yield utt_id, nbest, stats
 
 
 def cmd_decode(args) -> int:
@@ -432,28 +504,28 @@ def cmd_bench(args) -> int:
     ks = [None if v == "none" else int(v) for v in args.top_k.split(",")]
     taus = [None if v == "none" else float(v) for v in args.compress_threshold.split(",")]
     beams = [int(v) for v in args.beam.split(",")]
+    grid = [(k, tau, beam) for k in ks for tau in taus for beam in beams]
+    for k, tau, beam in grid:
+        check_search_settings(dict(cfg, top_k=k, compress_threshold=tau, beam=beam))
     pgs = list(read_posteriorgrams(utts))
     norm = cfg["normalization"]
     refs = [words(transcript, norm) for _, _, transcript in utts]
     print("top_k\ttau\tbeam\twer\trtf\tpeak_candidates\tscorer_evals")
-    for k in ks:
-        for tau in taus:
-            for beam in beams:
-                run_cfg = dict(cfg)
-                run_cfg.update({"top_k": k, "compress_threshold": tau, "beam": beam})
-                total = DecodeStats()
-                pairs = []
-                for ref, (_, nbest, stats) in zip(refs, decode_corpus(vocab, run_cfg, models, pgs)):
-                    total.merge(stats)
-                    hyp = vocab.text(nbest.best.output_labels(vocab.eos_id))
-                    pairs.append((ref, words(hyp, norm)))
-                wer = corpus_wer(pairs).wer
-                rtf = f"{total.rtf:.6f}" if total.rtf is not None else "n/a"
-                print(
-                    f"{k if k is not None else 'none'}\t"
-                    f"{tau if tau is not None else 'none'}\t{beam}\t"
-                    f"{wer:.4f}\t{rtf}\t{total.peak_candidate_set}\t{total.scorer_evaluations}"
-                )
+    for k, tau, beam in grid:
+        run_cfg = dict(cfg, top_k=k, compress_threshold=tau, beam=beam)
+        total = DecodeStats()
+        pairs = []
+        for ref, (_, nbest, stats) in zip(refs, decode_corpus(vocab, run_cfg, models, pgs)):
+            total.merge(stats)
+            hyp = vocab.text(nbest.best.output_labels(vocab.eos_id))
+            pairs.append((ref, words(hyp, norm)))
+        wer = corpus_wer(pairs).wer
+        rtf = f"{total.rtf:.6f}" if total.rtf is not None else "n/a"
+        print(
+            f"{k if k is not None else 'none'}\t"
+            f"{tau if tau is not None else 'none'}\t{beam}\t"
+            f"{wer:.4f}\t{rtf}\t{total.peak_candidate_set}\t{total.scorer_evaluations}"
+        )
     return 0
 
 

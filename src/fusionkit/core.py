@@ -6,6 +6,7 @@ row-major little-endian float32 and are widened to float64 in memory.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -325,6 +326,9 @@ class ScorerWeights:
     max_len_factor: float = 1.0
 
     def __post_init__(self):
+        for name, w in self.weights.items():
+            if not math.isfinite(w):
+                raise ValidationError(f"weight of scorer {name!r} must be finite, not {w!r}")
         if not any(w != 0.0 for w in self.weights.values()):
             raise ValidationError("at least one scorer weight must be nonzero")
         if self.max_len_factor <= 0:

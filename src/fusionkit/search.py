@@ -16,7 +16,7 @@ from typing import Any, Iterable, Protocol, Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, Posteriorgram, ScorerWeights, Vocabulary
+from fusionkit.core import NEG_INF, Posteriorgram, ScorerWeights, ValidationError, Vocabulary
 from fusionkit.ctc import CtcPrefixScorer, kept_labels
 from fusionkit.decoder import DecoderWeights, InterfaceConfig, decoder_init, decoder_step
 from fusionkit.lm import NGramModel, TableLM, lm_logprob, retokenize
@@ -204,7 +204,10 @@ class DecodeStats:
 
     ``ctc_exact_pairs`` counts the (hypothesis, label) pairs, EOS excluded,
     whose CTC prefix probability the label-synchronous beam folded exactly;
-    every other pair it only bounded.
+    every other pair it only bounded.  A lockstep search over several
+    utterances splits its wall time between them by frames, so their
+    ``wall_time_s`` (and with ``audio_seconds`` their RTF) sum to the
+    search's own.
     """
 
     scorer_evaluations: int = 0
@@ -465,210 +468,429 @@ def _prune_key(h: _Hyp, weights: ScorerWeights):
     return (-score, len(h.labels), h.labels)
 
 
-@dataclass
-class _TimeSyncHyp:
-    log_blank: float
-    log_nonblank: float
-    lm_score: float
-    lm_ctx: Any
-
-
 class _NoLM:
-    """The frame LM of a search without one: zero deltas, a fixed context."""
+    """The frame LM of a search without one: zero deltas, no state; the
+    search runs it at weight 0, which never asks for a final residual."""
 
     def __init__(self, vocab: Vocabulary):
         self.size = vocab.size
 
-    def rows(self, prefixes, hyps):
-        return np.zeros((len(hyps), self.size))
+    def root(self):
+        return None
 
-    def advance(self, prefix, label, hyp):
-        return hyp.lm_ctx
+    def child(self, state, label):
+        return None
 
-    def final(self, prefix, hyp):
-        return 0.0
+    def rows(self, states):
+        return np.zeros((len(states), self.size))
 
 
 class _LabelLM:
     """Label-wise fusion: each appended label's LM log-prob lands at once,
-    the EOS term at finalization."""
+    the EOS term at finalization.  A prefix's state is its LM context."""
 
     def __init__(self, lm: NGramModel | TableLM, vocab: Vocabulary):
         self.lm = lm
+        self.bos_id = vocab.bos_id
         self.eos_id = vocab.eos_id
 
-    def rows(self, prefixes, hyps):
-        return np.stack([self.lm.conditionals(h.lm_ctx) for h in hyps])
+    def root(self):
+        return (self.bos_id,)
 
-    def advance(self, prefix, label, hyp):
-        return hyp.lm_ctx + (label,)
+    def child(self, state, label):
+        return state + (label,)
 
-    def final(self, prefix, hyp):
-        return float(self.lm.conditionals(hyp.lm_ctx)[self.eos_id])
+    def rows(self, states):
+        return np.array([self.lm.conditionals(ctx) for ctx in states])
+
+    def final(self, state):
+        return float(self.lm.conditionals(state)[self.eos_id])
 
 
 class _WordLM:
     """Delayed fusion on the LM's own vocabulary: the pending word's LM
     score lands when a label that begins the next word is appended, and
-    the pending word plus EOS land at finalization."""
+    the pending word plus EOS land at finalization.
+
+    A prefix's state is (LM context before the pending word, the pending
+    word's labels, its LM score, the LM context after it); the word
+    completed by any word-begin label is the pending one, whichever label
+    starts the next word.
+    """
 
     def __init__(self, lm: NGramModel | TableLM, vocab: Vocabulary):
         self.lm = lm
         self.vocab = vocab
         self.begins = np.array(vocab.begins_word)
 
-    def _pending(self, prefix, hyp) -> tuple[float, tuple[int, ...]]:
-        # the word completed by any word-begin label is the pending segment,
-        # independent of which label starts the next word
-        _, pending = self.vocab.word_segments(prefix)
-        delta, ctx = 0.0, hyp.lm_ctx
-        if pending:
-            for tok in retokenize(self.lm.vocab, [self.vocab.word_text(pending)]):
-                delta += float(self.lm.conditionals(ctx)[tok])
-                ctx = ctx + (tok,)
-        return delta, ctx
+    def root(self):
+        ctx = (self.lm.vocab.bos_id,)
+        return ctx, (), 0.0, ctx
 
-    def rows(self, prefixes, hyps):
-        out = np.zeros((len(hyps), self.vocab.size))
-        for row, prefix, hyp in zip(out, prefixes, hyps):
-            row[self.begins] = self._pending(prefix, hyp)[0]
+    def child(self, state, label):
+        ctx, pending, _, after = state
+        if self.vocab.begins_word[label]:
+            ctx, pending = after, (label,)
+        else:
+            pending = pending + (label,)
+        delta, after = 0.0, ctx
+        for tok in retokenize(self.lm.vocab, [self.vocab.word_text(pending)]):
+            delta += float(self.lm.conditionals(after)[tok])
+            after = after + (tok,)
+        return ctx, pending, delta, after
+
+    def rows(self, states):
+        out = np.zeros((len(states), self.vocab.size))
+        out[:, self.begins] = np.array([s[2] for s in states])[:, None]
         return out
 
-    def advance(self, prefix, label, hyp):
-        if not self.vocab.begins_word[label]:
-            return hyp.lm_ctx
-        return self._pending(prefix, hyp)[1]
+    def final(self, state):
+        return state[2] + float(self.lm.conditionals(state[3])[self.lm.vocab.eos_id])
 
-    def final(self, prefix, hyp):
-        delta, ctx = self._pending(prefix, hyp)
-        return delta + float(self.lm.conditionals(ctx)[self.lm.vocab.eos_id])
+
+_LOWEST = -np.finfo(float).max
+# a lockstep's prefix trie is cut back to the live prefixes and their
+# ancestors once it holds this many nodes more than twice what it kept
+_TRIE_SLACK = 4096
+
+
+def _cut_threshold(scores, utt, slot, counts, want):
+    """Per utterance, the ``want[u]``-th largest of its rows' ``scores``,
+    or the lowest finite float where it has no more finite entries than
+    that: the scores at or above it are the shortlist.
+
+    Row r, the ``slot[r]``-th of utterance ``utt[r]``, is laid into row
+    ``utt[r]`` of a (U, S·V) block, with -inf padding, so one
+    ``np.partition`` along the rows serves every utterance.
+    """
+    num, width = counts.size, scores.shape[1]
+    top = int(want.max())
+    # enough slots for ``top`` entries, so that a short row reads -inf
+    slots = max(int(counts.max()), -(-top // width))
+    block = np.full((num * slots, width), NEG_INF)
+    block[utt * slots + slot] = scores
+    block = block.reshape(num, slots * width)
+    if top < block.shape[1]:
+        block.partition(block.shape[1] - top, axis=1)
+    tail = block[:, -top:]
+    tail.sort(axis=1)
+    return np.maximum(tail[np.arange(num), top - want], _LOWEST)
+
+
+def _trie_closure(parent: list[int], label: list[int], live: list[int], roots: int):
+    """The prefix trie cut down to the ``live`` nodes and their ancestors.
+
+    The first ``roots`` nodes are the roots, which keep their ids; the other
+    kept nodes keep their order.  Returns the new parent and label lists,
+    the (parent, label) -> node map and the array mapping old ids to new,
+    -1 at index -1.
+    """
+    kept = set(range(roots))
+    for n in set(live):
+        while n not in kept:
+            kept.add(n)
+            n = parent[n]
+    old = sorted(kept)
+    remap = np.full(len(parent) + 1, -1)
+    remap[old] = np.arange(len(old))
+    new_parent = remap[np.array(parent)[old]].tolist()
+    new_label = [label[n] for n in old]
+    children = {(p, c): n for n, (p, c) in enumerate(zip(new_parent, new_label)) if c >= 0}
+    return new_parent, new_label, children, remap
 
 
 def _timesync_search(
-    pg: Posteriorgram,
+    pgs: Sequence[Posteriorgram],
     vocab: Vocabulary,
     beam: int,
     frame_lm: _NoLM | _LabelLM | _WordLM,
     lm_weight: float,
-    stats: DecodeStats | None,
-) -> NBestList:
-    """Frame-synchronous prefix beam search with path merging.
+    stats: Sequence[DecodeStats] | None,
+) -> list[NBestList]:
+    """Frame-synchronous prefix beam search with path merging, run in
+    lockstep over a list of posteriorgrams; one n-best list each.
 
-    ``frame_lm.rows(prefixes, hyps)`` returns the (B, V) LM deltas for
-    appending each label to each of the B live prefixes,
-    ``frame_lm.advance(prefix, label, hyp)`` the LM context after
-    appending one label, and ``frame_lm.final(prefix, hyp)`` the residual
-    that lands at finalization; the fused score is CTC plus ``lm_weight``
-    times LM.  Each frame runs one set of array operations over all live
-    prefixes: the stay paths (blank or repeated label) as B-vectors, the
-    extensions as one (B, C) block over the frame's C candidate labels.
-    Paths collapsing to one prefix merge by log-sum-exp.  Distinct parents
-    never produce the same extension, so an extension merges only when it
-    lands on a live prefix q, whose parent is q[:-1]: the collisions are
-    found from the live prefixes alone.  The LM state of a prefix follows
-    from the prefix alone, so a merged entry keeps the live prefix's own.
-    Hypothesis objects and LM contexts are built for the beam survivors
-    only.
+    Step t advances every utterance that has a frame t with one set of
+    array operations over all their B live prefixes: the stay paths (blank,
+    or the last label repeated) as B-vectors, the extensions by every label
+    as one (B, V) block, -inf where a label cannot extend.  An utterance is
+    finalized, and its rows dropped, at the step where its frames end.  The
+    fused score is CTC plus ``lm_weight`` times LM.
+
+    The live prefixes are arrays gathered by survivor index from step to
+    step; each is a node of a trie keyed by (parent node, label).  Distinct
+    parents never produce the same extension, so an extension merges (by
+    log-sum-exp) only into a live prefix whose parent node is live.  The
+    trie keeps the live prefixes and their ancestors: it is cut back to them
+    whenever it outgrows them (``_TRIE_SLACK``).
+    ``frame_lm.child(state, label)`` gives a new prefix's LM state and
+    ``frame_lm.rows(states)`` its (V,) LM deltas, for new beam survivors
+    only; ``frame_lm.final(state)`` is the residual at finalization.
+
+    Each utterance keeps its ``beam`` best by (score, length, labels).  The
+    order of the survivors affects no result, so label tuples are built only
+    for entries tied in (score, length) at the beam cut and for the output.
+    Each prefix sees the float operations of the per-utterance search in
+    ``tests/test_timesync.py``, so neither results nor counters depend on
+    which utterances share a lockstep.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
+    for pg in pgs:
+        if pg.num_labels != vocab.size:
+            raise ValidationError(
+                f"posteriorgram has {pg.num_labels} labels, the vocabulary {vocab.size}"
+            )
+    if not pgs:
+        return []
     t0 = time.perf_counter()
-    blank = vocab.blank_id
+    # longest first, so that the utterances still running form a prefix
+    by_length = sorted(range(len(pgs)), key=lambda u: -pgs[u].num_frames)
+    lengths = [pgs[u].num_frames for u in by_length]
+    log_probs = [pgs[u].log_probs for u in by_length]
+    # only plain labels extend a prefix; their count in frame t of
+    # utterance u is at start[u] + t
+    specials = [vocab.blank_id, vocab.bos_id, vocab.eos_id]
     plain = np.ones(vocab.size, dtype=bool)
-    plain[[blank, vocab.bos_id, vocab.eos_id]] = False
-    prefixes: list[tuple[int, ...]] = [()]
-    hyps = [_TimeSyncHyp(0.0, NEG_INF, 0.0, (vocab.bos_id,))]
+    plain[specials] = False
+    cands_at = np.concatenate(
+        [np.count_nonzero(lp[:, plain] > NEG_INF, axis=1) for lp in log_probs]
+    )
+    start = np.cumsum(lengths) - lengths
 
-    for frame in pg.log_probs:
-        cands = np.flatnonzero((frame > NEG_INF) & plain)
-        if stats:
-            stats.steps += 1
-            stats.peak_live_hypotheses = max(stats.peak_live_hypotheses, len(hyps))
-            stats.peak_candidate_set = max(stats.peak_candidate_set, cands.size + 1)
-            stats.scorer_evaluations += len(hyps) * cands.size
-        log_b = np.array([h.log_blank for h in hyps])
-        log_nb = np.array([h.log_nonblank for h in hyps])
-        lm = np.array([h.lm_score for h in hyps])
-        last = np.array([p[-1] if p else -1 for p in prefixes])
-        am = np.logaddexp(log_b, log_nb)
+    num = len(pgs)
+    trie_parent = [-1] * num
+    trie_label = [-1] * num
+    children: dict[tuple[int, int], int] = {}
+    row_of = np.full(num + 1, -1)  # -1 but at the live nodes during a step
+    compact_at = num + _TRIE_SLACK  # trie size that prompts cutting it back
 
-        # stay paths (blank, or the last label repeated).  Each merged
-        # entry log-adds its arrivals from -inf, which turns -0.0 into +0.0
-        # and leaves -inf as it is.
-        stay_b = np.logaddexp(NEG_INF, am + frame[blank])
-        repeat = np.where(last >= 0, frame[last], NEG_INF)
-        stay_nb = np.logaddexp(NEG_INF, log_nb + repeat)
+    def labels_of(node):
+        out = []
+        while trie_label[node] >= 0:
+            out.append(trie_label[node])
+            node = trie_parent[node]
+        return tuple(reversed(out))
 
-        # extensions: a repeated label continues from the blank-ending paths
-        ext_am = np.where(cands == last[:, None], log_b[:, None], am[:, None]) + frame[cands]
-        ext_lm = lm[:, None] + frame_lm.rows(prefixes, hyps)[:, cands]
+    utt = np.arange(num)
+    slot = np.zeros(num, dtype=np.int64)  # rank among the utterance's prefixes
+    node = np.arange(num)
+    up = np.full(num, -1)  # parent node; -1 at the root
+    depth = np.zeros(num, dtype=np.int64)
+    log_b = np.zeros(num)
+    log_nb = np.full(num, NEG_INF)
+    lm = np.zeros(num)
+    # the root's blank has -inf in every frame's extension row
+    last = np.full(num, vocab.blank_id)
+    states = [frame_lm.root()] * num  # each live prefix's LM state
+    lm_rows = frame_lm.rows(states)
+    evaluations = np.zeros(num, dtype=np.int64)
+    peak_live = np.zeros(num, dtype=np.int64)
+    results: list[NBestList | None] = [None] * num
 
-        # an extension landing on a live prefix merges into its stay entry
-        collide = np.zeros(ext_am.shape, dtype=bool)
-        column = np.full(vocab.size, -1)
-        column[cands] = np.arange(cands.size)
-        index = {p: j for j, p in enumerate(prefixes)}
-        for j, q in enumerate(prefixes):
-            i = index.get(q[:-1]) if q else None
-            if i is not None and column[q[-1]] >= 0:
-                ci = column[q[-1]]
-                collide[i, ci] = True
-                stay_nb[j] = np.logaddexp(stay_nb[j], ext_am[i, ci])
-        merged_am = np.logaddexp(stay_b, stay_nb)
-        ranked = np.flatnonzero(merged_am > NEG_INF)
+    running = num
+    for t in range(lengths[0]):
+        live = np.bincount(utt, minlength=running)
+        evaluations[:running] += live * cands_at[start[:running] + t]
+        np.maximum(peak_live[:running], live, out=peak_live[:running])
+        if utt.size:
+            # frame t of each running utterance
+            frame = np.array([lp[t] for lp in log_probs[:running]])
+            blank = frame[:, vocab.blank_id].copy()
+            frame[:, specials] = NEG_INF
+            rows = np.arange(utt.size)
+            ext = frame[utt]
+            am = np.logaddexp(log_b, log_nb)
+            repeat = ext[rows, last]
 
-        # new prefixes, in (parent, candidate) order, without those the LM
-        # gives probability zero; shortlist anything that could still make
-        # the beam
-        rows, cols = np.nonzero((ext_am > NEG_INF) & (ext_lm > NEG_INF) & ~collide)
-        pool_am = ext_am[rows, cols]
-        pool_lm = ext_lm[rows, cols]
-        pool_scores = pool_am + lm_weight * pool_lm
-        want = beam + ranked.size
-        kth = np.partition(pool_scores, -want)[-want] if pool_scores.size > want else -np.inf
-        short = np.flatnonzero(pool_scores >= kth)
-        rows, labels = rows[short], cands[cols[short]]
-        pool_am, pool_lm = pool_am[short], pool_lm[short]
+            # stay paths.  Each merged entry log-adds its arrivals from -inf,
+            # which turns -0.0 into +0.0 and leaves -inf as it is.
+            stay_b = np.logaddexp(NEG_INF, am + blank[utt])
+            stay_nb = np.logaddexp(NEG_INF, log_nb + repeat)
 
-        keys = np.concatenate([
-            -(merged_am[ranked] + lm_weight * lm[ranked]),
-            -(np.logaddexp(NEG_INF, pool_am) + lm_weight * pool_lm),
-        ]).tolist()
-        names = [prefixes[j] for j in ranked.tolist()]
-        names += [prefixes[i] + (c,) for i, c in zip(rows.tolist(), labels.tolist())]
-        order = sorted(range(len(keys)), key=lambda k: (keys[k], len(names[k]), names[k]))
+            # extensions, one (B, V) block of CTC scores: a repeated label
+            # continues from the blank-ending paths
+            ext += am[:, None]
+            ext[rows, last] = log_b + repeat
 
-        survivors = []
-        for k in order[:beam]:
-            if k < ranked.size:
-                j = ranked[k]
-                h = hyps[j]
-                hyp = _TimeSyncHyp(float(stay_b[j]), float(stay_nb[j]), h.lm_score, h.lm_ctx)
-            else:
-                k -= ranked.size
-                i = rows[k]
-                ctx = frame_lm.advance(prefixes[i], int(labels[k]), hyps[i])
-                hyp = _TimeSyncHyp(NEG_INF, float(pool_am[k]), float(pool_lm[k]), ctx)
-            survivors.append(hyp)
-        prefixes = [names[k] for k in order[:beam]]
-        hyps = survivors
+            # an extension landing on a live prefix merges into its stay
+            # entry: the prefix's parent is live too, at row i
+            if row_of.size <= len(trie_label):
+                # longer than the trie: row_of[-1], read for the roots'
+                # parent -1, is never a node's
+                row_of = np.full(2 * len(trie_label), -1)
+            row_of[node] = rows
+            parent_row = row_of[up]
+            row_of[node] = -1
+            landed = (parent_row >= 0).nonzero()[0]
+            i, c = parent_row[landed], last[landed]
+            stay_nb[landed] = np.logaddexp(stay_nb[landed], ext[i, c])
+            ext[i, c] = NEG_INF
+            merged_am = np.logaddexp(stay_b, stay_nb)
+            ranked = (merged_am > NEG_INF).nonzero()[0]
 
-    entries = []
-    for prefix, hyp in zip(prefixes, hyps):
-        am = float(np.logaddexp(hyp.log_blank, hyp.log_nonblank))
-        if am == NEG_INF:
+            # the block turns, in place, into the fused scores of the new
+            # prefixes, -inf for those the LM gives probability zero (live
+            # prefixes have finite LM scores); per utterance, shortlist
+            # anything that could still make the beam
+            fused = lm_rows + lm[:, None]
+            if lm_weight > 0.0:
+                fused *= lm_weight
+                ext += fused
+            else:  # a -inf LM delta turns NaN or +inf here: masked
+                with np.errstate(invalid="ignore"):
+                    fused *= lm_weight
+                    ext += fused
+                ext[lm_rows == NEG_INF] = NEG_INF
+            del fused
+            want = beam + np.bincount(utt[ranked], minlength=running)
+            kth = _cut_threshold(ext, utt, slot, live, want)
+            e_row, e_label = np.divmod((ext >= kth[utt][:, None]).ravel().nonzero()[0], vocab.size)
+            del ext
+            # the shortlisted extensions' CTC and LM scores, as in the block
+            e_am = np.where(e_label == last[e_row], log_b[e_row], am[e_row])
+            e_am += frame[utt[e_row], e_label]
+            e_lm = lm[e_row] + lm_rows[e_row, e_label]
+
+            # candidates: the ranked stay entries, then the shortlisted
+            # extensions, sorted by (utterance, key, length)
+            src = np.concatenate([ranked, e_row])
+            cand_utt = utt[src]
+            cand_depth = np.concatenate([depth[ranked], depth[e_row] + 1])
+            cand_key = np.concatenate([
+                -(merged_am[ranked] + lm_weight * lm[ranked]),
+                -(np.logaddexp(NEG_INF, e_am) + lm_weight * e_lm),
+            ])
+            order = np.lexsort((cand_depth, cand_key, cand_utt))
+            per_utt = np.bincount(cand_utt, minlength=running)
+            first = per_utt.cumsum() - per_utt
+            over = (per_utt > beam).nonzero()[0]
+            a, b = order[first[over] + beam - 1], order[first[over] + beam]
+            tied = over[(cand_key[a] == cand_key[b]) & (cand_depth[a] == cand_depth[b])]
+            for u in tied.tolist():
+                # the labels settle a tie at the cut
+                seg = np.arange(first[u], first[u] + per_utt[u])
+                cut = order[first[u] + beam - 1]
+                group = seg[(cand_key[order[seg]] == cand_key[cut])
+                            & (cand_depth[order[seg]] == cand_depth[cut])]
+                members = order[group]
+                names = [
+                    labels_of(node[src[k]]) if k < ranked.size
+                    else labels_of(node[src[k]]) + (int(e_label[k - ranked.size]),)
+                    for k in members.tolist()
+                ]
+                order[group] = members[sorted(range(members.size), key=names.__getitem__)]
+            rank = np.arange(order.size) - first[cand_utt[order]]
+            kept = rank < beam
+            keep, slot = order[kept], rank[kept]
+
+            # survivors; trie nodes, LM states and LM rows for the new
+            # prefixes, whose gathered entries are their parents'
+            new = (keep >= ranked.size).nonzero()[0]
+            src = src[keep]
+            utt, depth = cand_utt[keep], cand_depth[keep]
+            log_b = np.concatenate([stay_b[ranked], np.full(e_row.size, NEG_INF)])[keep]
+            log_nb = np.concatenate([stay_nb[ranked], e_am])[keep]
+            lm = np.concatenate([lm[ranked], e_lm])[keep]
+            last = np.concatenate([last[ranked], e_label])[keep]
+            up, node, lm_rows = up[src], node[src], lm_rows[src]
+            states = [states[k] for k in src.tolist()]
+            up[new] = node[new]
+            for j, parent, label in zip(new.tolist(), up[new].tolist(), last[new].tolist()):
+                # a prefix that drops out and comes back keeps its node
+                n = children.setdefault((parent, label), len(trie_label))
+                if n == len(trie_label):
+                    trie_parent.append(parent)
+                    trie_label.append(label)
+                node[j] = n
+                states[j] = frame_lm.child(states[j], label)
+            if new.size:
+                lm_rows[new] = frame_lm.rows([states[j] for j in new.tolist()])
+            if len(trie_label) > compact_at:
+                # the nodes of prefixes gone from every beam are forgotten:
+                # no live prefix can extend into them
+                trie_parent, trie_label, children, remap = _trie_closure(
+                    trie_parent, trie_label, node.tolist(), num
+                )
+                node, up = remap[node], remap[up]
+                compact_at = 2 * len(trie_label) + _TRIE_SLACK
+
+        # finalize the utterances whose frames end here
+        still = running
+        while still and lengths[still - 1] == t + 1:
+            still -= 1
+        if still == running:
             continue
-        lm_total = hyp.lm_score + frame_lm.final(prefix, hyp)
-        if lm_weight != 0.0 and lm_total == NEG_INF:
-            continue
-        comps = {"ctc": am}
-        if lm_weight != 0.0:
-            comps["lm"] = lm_total
-        entries.append(NBestEntry(prefix, comps, float(am + lm_weight * lm_total), finished=True))
-    if stats:
-        stats.wall_time_s += time.perf_counter() - t0
-        stats.audio_seconds += pg.duration_seconds
-    return NBestList(entries)
+        end = int(np.searchsorted(utt, still))
+        am_end = np.logaddexp(log_b[end:], log_nb[end:]).tolist()
+        lm_end = lm[end:].tolist()
+        entries = [[] for _ in range(still, running)]
+        ended = zip(utt[end:].tolist(), node[end:].tolist(), states[end:], am_end, lm_end)
+        for u, n, state, am_r, lm_r in ended:
+            if am_r == NEG_INF:
+                continue
+            comps = {"ctc": am_r}
+            combined = am_r
+            if lm_weight != 0.0:
+                lm_total = lm_r + frame_lm.final(state)
+                if lm_total == NEG_INF:
+                    continue
+                comps["lm"] = lm_total
+                combined = am_r + lm_weight * lm_total
+            entries[u - still].append(NBestEntry(labels_of(n), comps, combined, finished=True))
+        for u in range(still, running):
+            results[by_length[u]] = NBestList(entries[u - still])
+        utt, slot, node, up, depth = utt[:end], slot[:end], node[:end], up[:end], depth[:end]
+        log_b, log_nb, lm, last = log_b[:end], log_nb[:end], lm[:end], last[:end]
+        lm_rows, states = lm_rows[:end], states[:end]
+        running = still
+
+    if stats is not None:
+        wall = time.perf_counter() - t0
+        peak_cands = np.maximum.reduceat(cands_at, start)
+        for u, orig in enumerate(by_length):
+            s = stats[orig]
+            s.steps += lengths[u]
+            s.peak_live_hypotheses = max(s.peak_live_hypotheses, int(peak_live[u]))
+            s.peak_candidate_set = max(s.peak_candidate_set, int(peak_cands[u]) + 1)
+            s.scorer_evaluations += int(evaluations[u])
+            s.wall_time_s += wall * lengths[u] / sum(lengths)
+            s.audio_seconds += pgs[orig].duration_seconds
+    return results
+
+
+def lockstep_beam(
+    pgs: Sequence[Posteriorgram],
+    vocab: Vocabulary,
+    beam: int,
+    lm: NGramModel | TableLM | None = None,
+    lm_weight: float = 0.0,
+    delayed: bool = False,
+    stats: Sequence[DecodeStats] | None = None,
+) -> list[NBestList]:
+    """:func:`timesync_ctc_beam` (or, with ``delayed``,
+    :func:`delayed_fusion_beam`) of each posteriorgram, all run in lockstep.
+
+    ``stats``, one per posteriorgram, get that utterance's counters; the
+    search's wall time is split between the utterances by frames.
+    """
+    if not math.isfinite(lm_weight):
+        raise ValidationError(f"lm_weight must be finite, not {lm_weight!r}")
+    if delayed:
+        if lm is None or lm.vocab.tokens == vocab.tokens:
+            raise ValueError(
+                "delayed fusion needs an LM on a vocabulary of its own; "
+                "use timesync_ctc_beam for plain fusion"
+            )
+        return _timesync_search(pgs, vocab, beam, _WordLM(lm, vocab), lm_weight, stats)
+    if lm is None or lm_weight == 0.0:
+        return _timesync_search(pgs, vocab, beam, _NoLM(vocab), 0.0, stats)
+    if lm.vocab.tokens != vocab.tokens:
+        raise ValueError(
+            "LM vocabulary differs from the acoustic vocabulary; "
+            "use delayed_fusion_beam instead"
+        )
+    return _timesync_search(pgs, vocab, beam, _LabelLM(lm, vocab), lm_weight, stats)
 
 
 def timesync_ctc_beam(
@@ -685,14 +907,8 @@ def timesync_ctc_beam(
     term lands once at finalization.  CTC itself has no EOS.  Without an
     LM, or at LM weight 0, the search runs with zero LM deltas.
     """
-    if lm is None or lm_weight == 0.0:
-        return _timesync_search(pg, vocab, beam, _NoLM(vocab), 0.0, stats)
-    if lm.vocab.tokens != vocab.tokens:
-        raise ValueError(
-            "LM vocabulary differs from the acoustic vocabulary; "
-            "use delayed_fusion_beam instead"
-        )
-    return _timesync_search(pg, vocab, beam, _LabelLM(lm, vocab), lm_weight, stats)
+    per_utt = None if stats is None else [stats]
+    return lockstep_beam([pg], vocab, beam, lm, lm_weight, False, per_utt)[0]
 
 
 def delayed_fusion_beam(
@@ -709,10 +925,10 @@ def delayed_fusion_beam(
     new word, the completed word is retokenized into LM units and scored;
     the residual (pending word plus EOS) lands at finalization, making the
     final combined score equal to independent rescoring with the same LM.
+    At LM weight 0 the final score is the CTC score alone.
     """
-    if lm.vocab.tokens == vocab.tokens:
-        raise ValueError("vocabularies match; use timesync_ctc_beam for plain fusion")
-    return _timesync_search(pg, vocab, beam, _WordLM(lm, vocab), lm_weight, stats)
+    per_utt = None if stats is None else [stats]
+    return lockstep_beam([pg], vocab, beam, lm, lm_weight, True, per_utt)[0]
 
 
 def rescore_nbest(

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from fusionkit.cli import main
@@ -30,6 +31,19 @@ def lm_file(tmp_path_factory, corpus):
     code = main(["lm-train", str(text), str(corpus / "vocab.txt"), str(model), "--order", "2"])
     assert code == 0
     return model
+
+
+@pytest.fixture(scope="module")
+def word_lm_file(tmp_path_factory):
+    """An LM on the synthetic word vocabulary, for delayed fusion."""
+    from fusionkit.lm import retokenize, save_ngram, train_ngram
+    from fusionkit.synth import SynthConfig, build_lm_vocab, sample_sentences
+
+    lm_vocab = build_lm_vocab()
+    texts = sample_sentences(SynthConfig(seed=5), 100)
+    path = tmp_path_factory.mktemp("word_lm") / "words.fklm"
+    save_ngram(train_ngram(lm_vocab, [retokenize(lm_vocab, t) for t in texts], order=2), path)
+    return path
 
 
 class TestSynthAndDecode:
@@ -163,6 +177,21 @@ class TestSynthAndDecode:
               "scorers": [{"name": "x", "kind": "decoder_lm", "interface": "bogus", "weight": 1}]},
              "interface kind"),
             ({"strategy": "timesync", "lm_path": "no.fklm"}, "cannot read LM file"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "ctc_prefix",
+                                                "weight": float("nan")}]}, "must be finite"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "ctc_prefix",
+                                                "weight": float("-inf")}]}, "must be finite"),
+            ({"strategy": "timesync", "lm_weight": float("nan")}, "lm_weight must be"),
+            ({"strategy": "timesync", "lm_weight": float("inf")}, "lm_weight must be"),
+            ({"strategy": "delayed", "lm_weight": float("nan")}, "lm_weight must be"),
+            ({"strategy": "timesync", "beam": 0}, "beam must be"),
+            ({"strategy": "joint", "beam": 2.5}, "beam must be"),
+            ({"strategy": "timesync", "beam": True}, "beam must be"),
+            ({"strategy": "ctc-greedy", "top_k": 0}, "top_k must be"),
+            ({"strategy": "timesync", "top_k": 1.5}, "top_k must be"),
+            ({"strategy": "timesync", "compress_threshold": 0}, "compress_threshold must be"),
+            ({"strategy": "joint", "compress_threshold": float("nan")},
+             "compress_threshold must be"),
         ],
     )
     def test_bad_config_fails_before_reading_posteriorgrams(
@@ -209,6 +238,127 @@ class TestSynthAndDecode:
             code, _, err = run(command, capsys)
             assert code == 0 and err == ""
         assert (out / "hyps.txt").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--strategy", "timesync", "--beam", "0"], "beam must be"),
+            (["--strategy", "timesync", "--lm-weight", "nan"], "lm_weight must be"),
+            (["--strategy", "timesync", "--lm-weight", "inf"], "lm_weight must be"),
+            (["--strategy", "ctc-greedy", "--top-k", "0"], "top_k must be"),
+            (["--strategy", "ctc-greedy", "--compress-threshold", "-0.5"],
+             "compress_threshold must be"),
+        ],
+    )
+    def test_bad_flag_fails_before_output(self, corpus, lm_file, tmp_path, capsys, flags, message):
+        out = tmp_path / "o"
+        code, stdout, err = run(
+            ["decode", str(corpus), str(out), "--lm-path", str(lm_file), *flags], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["{", '{"strategy": "timesync",}', "", "[1, 2]"])
+    def test_invalid_json_config(self, corpus, tmp_path, capsys, text):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(text)
+        out = tmp_path / "o"
+        for command in (
+            ["decode", str(corpus), str(out), "--config", str(cfg_path)],
+            ["bench", str(corpus), "--config", str(cfg_path)],
+        ):
+            code, stdout, err = run(command, capsys)
+            assert code == 1 and stdout == ""
+            assert err.count("error:") == 1 and str(cfg_path) in err
+            assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("strategy", ["ctc-greedy", "timesync", "delayed", "joint"])
+    def test_posteriorgram_width_must_match_vocabulary(
+        self, corpus, lm_file, word_lm_file, tmp_path, capsys, strategy
+    ):
+        from fusionkit.core import Posteriorgram, read_posteriorgram, write_posteriorgram
+
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for path in corpus.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        # one label more than vocab.txt, the extra one never likely
+        lp = read_posteriorgram(corpus / "utt0002.fkpg").log_probs
+        wide = np.concatenate([lp, np.full((lp.shape[0], 1), -np.inf)], axis=1)
+        write_posteriorgram(Posteriorgram(wide), broken / "utt0002.fkpg")
+        cfg = {"strategy": strategy, "beam": 2, "lm_path": str(lm_file), "lm_weight": 0.3}
+        if strategy == "delayed":
+            cfg["lm_path"] = str(word_lm_file)
+        if strategy == "joint":
+            cfg["scorers"] = [{"name": "ctc", "kind": "ctc_prefix", "weight": 1.0}]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        for command in (
+            ["decode", str(broken), str(tmp_path / "o"), "--config", str(cfg_path)],
+            ["bench", str(broken), "--config", str(cfg_path)],
+        ):
+            code, _, err = run(command, capsys)
+            assert code == 1
+            assert err.count("error:") == 1
+            assert "utt0002" in err and "labels" in err
+
+    @pytest.mark.parametrize("strategy", ["timesync", "delayed"])
+    def test_lockstep_chunks_match_one_utterance_runs(
+        self, lm_file, word_lm_file, tmp_path, capsys, monkeypatch, strategy
+    ):
+        from fusionkit import cli
+
+        corpus = tmp_path / "corpus"
+        assert main(["synth", str(corpus), "--seed", "3", "--utts", "7", "--noise", "0.4",
+                     "--min-words", "1", "--max-words", "5"]) == 0
+        lm = lm_file if strategy == "timesync" else word_lm_file
+        outs = []
+        for size in (cli.LOCKSTEP_UTTERANCES, 3, 1):
+            monkeypatch.setattr(cli, "LOCKSTEP_UTTERANCES", size)
+            out = tmp_path / f"out{size}"
+            code, _, _ = run(
+                ["decode", str(corpus), str(out), "--strategy", strategy, "--beam", "4",
+                 "--lm-path", str(lm), "--lm-weight", "0.5"],
+                capsys,
+            )
+            assert code == 0
+            outs.append(out)
+        for out in outs[1:]:
+            for name in ["hyps.txt"] + [f"utt{i:04d}.nbest" for i in range(7)]:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+            # the counters; timing lines differ from run to run
+            stats = (out / "stats.txt").read_text().splitlines()[:5]
+            assert stats == (outs[0] / "stats.txt").read_text().splitlines()[:5]
+
+    @pytest.mark.parametrize("strategy", ["timesync", "delayed"])
+    def test_failed_lockstep_names_its_utterance(
+        self, corpus, lm_file, word_lm_file, tmp_path, capsys, monkeypatch, strategy
+    ):
+        from fusionkit import cli
+        from fusionkit.core import read_posteriorgram
+
+        culprit = read_posteriorgram(corpus / "utt0002.fkpg").log_probs
+        search = cli.lockstep_beam
+
+        def failing(pgs, *args, **kwargs):
+            if any(np.array_equal(pg.log_probs, culprit) for pg in pgs):
+                raise ValueError("search broke")
+            return search(pgs, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "lockstep_beam", failing)
+        lm = lm_file if strategy == "timesync" else word_lm_file
+        code, _, err = run(
+            ["decode", str(corpus), str(tmp_path / "o"), "--strategy", strategy,
+             "--lm-path", str(lm), "--lm-weight", "0.5"],
+            capsys,
+        )
+        assert code == 1
+        assert err.count("error:") == 1
+        assert "decoding utt0002 failed: search broke" in err
+        assert "utt0000" not in err
 
     def test_unknown_config_key_rejected(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

@@ -2,9 +2,10 @@
 
 ``reference_timesync_ctc_beam`` and ``reference_delayed_fusion_beam`` run
 the search as it was before it was batched over live prefixes: one Python
-loop per parent per frame, LM access through three closures.  The batched
-search must reproduce them bit for bit: labels, order, every float of the
-n-best lists and the four counters.
+loop per parent per frame, LM access through three closures, one utterance
+at a time.  The batched search, alone or in lockstep over a corpus, must
+reproduce them bit for bit: labels, order, every float of the n-best lists
+and the four counters of each utterance.
 """
 
 import math
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit.core import NEG_INF, Posteriorgram, Vocabulary
+from fusionkit.core import NEG_INF, Posteriorgram, ValidationError, Vocabulary
 from fusionkit.ctc import topk_prune
 from fusionkit.lm import NGramModel, TableLM, retokenize, train_ngram
 from fusionkit.search import (
@@ -25,6 +26,7 @@ from fusionkit.search import (
     NBestEntry,
     NBestList,
     delayed_fusion_beam,
+    lockstep_beam,
     timesync_ctc_beam,
 )
 
@@ -458,3 +460,208 @@ class TestBatchedFrameStep:
         # outputs' probabilities sum to one
         nbest = timesync_ctc_beam(pg, ABC, beam=10**4)
         assert math.fsum(math.exp(e.combined) for e in nbest) == pytest.approx(1.0, abs=1e-12)
+
+
+def mixed_corpus(rng, vocab, kind, keep, count, max_frames):
+    """``count`` posteriorgrams of 1 to ``max_frames`` frames, a third of
+    them one frame long; ``keep`` top-k prunes them."""
+    pgs = []
+    for _ in range(count):
+        frames = 1 if rng.random() < 1 / 3 else int(rng.integers(1, max_frames + 1))
+        pg = random_pg(rng, frames, vocab, kind)
+        pgs.append(pg if keep is None else topk_prune(pg, keep, True, vocab.blank_id))
+    return pgs
+
+
+def assert_lockstep_matches(pgs, vocab, search, reference, beams):
+    """One lockstep call over ``pgs`` against one reference call per
+    utterance: n-best bits and the four counters of each utterance."""
+    for beam in beams:
+        got_stats = [DecodeStats() for _ in pgs]
+        got = search(pgs, beam, got_stats)
+        assert len(got) == len(pgs)
+        for pg, nbest, stats in zip(pgs, got, got_stats):
+            want_stats = DecodeStats()
+            assert nbest_bits(nbest) == nbest_bits(reference(pg, beam, want_stats))
+            for name in COUNTERS:
+                assert getattr(stats, name) == getattr(want_stats, name), name
+            assert stats.audio_seconds == pg.duration_seconds
+
+
+class TestLockstep:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["dirichlet", "peaked", "holes", "uniform"]),
+        keep=st.none() | st.integers(1, 4),
+        lm_weight=st.sampled_from([0.0, 0.3, -0.4]),
+        with_lm=st.booleans(),
+    )
+    def test_timesync_corpus_equals_per_utterance_reference(
+        self, seed, kind, keep, lm_weight, with_lm
+    ):
+        rng = np.random.default_rng(seed)
+        pgs = mixed_corpus(rng, ABC, kind, keep, int(rng.integers(1, 7)), 60)
+        plain = [i for i in range(ABC.size) if not ABC.is_special(i)]
+        corpus = [rng.choice(plain, size=rng.integers(1, 5)).tolist() for _ in range(6)]
+        lm = train_ngram(ABC, corpus, order=2) if with_lm else None
+        assert_lockstep_matches(
+            pgs,
+            ABC,
+            lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, lm, lm_weight, stats=stats),
+            lambda pg, beam, stats: reference_timesync_ctc_beam(pg, ABC, beam, lm, lm_weight, stats),
+            beams=(1, 3, 8),
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["dirichlet", "peaked", "holes", "uniform"]),
+        keep=st.none() | st.integers(1, 5),
+        lm_weight=st.sampled_from([0.0, 0.8, -0.4]),
+    )
+    def test_delayed_corpus_equals_per_utterance_reference(self, seed, kind, keep, lm_weight):
+        rng = np.random.default_rng(seed)
+        am_vocab, lm_vocab = cross_vocab()
+        pgs = mixed_corpus(rng, am_vocab, kind, keep, int(rng.integers(1, 6)), 40)
+        words = ["ab ca", "ab ab c", "b", "ca c ab"]
+        corpus = [retokenize(lm_vocab, rng.choice(words).split()) for _ in range(3)]
+        lm = train_ngram(lm_vocab, corpus, order=2)
+        assert_lockstep_matches(
+            pgs,
+            am_vocab,
+            lambda pgs, beam, stats: lockstep_beam(
+                pgs, am_vocab, beam, lm, lm_weight, delayed=True, stats=stats
+            ),
+            lambda pg, beam, stats: reference_delayed_fusion_beam(
+                pg, am_vocab, lm, lm_weight, beam, stats
+            ),
+            beams=(1, 4),
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(6))
+    def test_saturated_beam_corpus(self, seed):
+        # a beam that keeps every prefix: merging alone shapes the search
+        rng = np.random.default_rng(seed)
+        kind = ["dirichlet", "holes", "uniform"][seed % 3]
+        pgs = mixed_corpus(rng, ABC, kind, None, 5, 6)
+        lm = train_ngram(ABC, [[3, 4], [5], [4, 4, 3]], order=2)
+        assert_lockstep_matches(
+            pgs,
+            ABC,
+            lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, lm, 0.5, stats=stats),
+            lambda pg, beam, stats: reference_timesync_ctc_beam(pg, ABC, beam, lm, 0.5, stats),
+            beams=(10**4,),
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_label_tie_break_at_the_cut(self):
+        # uniform frames over blank and every label: the extensions of a
+        # prefix tie in score and length, so the beam cut falls inside a
+        # tie that only the labels settle
+        lp = np.full((1, WIDE.size), NEG_INF)
+        plain = [i for i in range(WIDE.size) if i not in (WIDE.bos_id, WIDE.eos_id)]
+        lp[0, plain] = -math.log(len(plain))
+        pgs = [Posteriorgram(np.repeat(lp, frames, axis=0)) for frames in (1, 5, 3, 9, 2)]
+        for beam in (2, 3, 5):
+            nbest = lockstep_beam(pgs, WIDE, beam)[0]
+            # one frame: the empty prefix, then the smallest labels
+            assert [e.labels for e in nbest] == [()] + [(i,) for i in range(3, 2 + beam)]
+        assert_lockstep_matches(
+            pgs,
+            WIDE,
+            lambda pgs, beam, stats: lockstep_beam(pgs, WIDE, beam, stats=stats),
+            lambda pg, beam, stats: reference_timesync_ctc_beam(pg, WIDE, beam, stats=stats),
+            beams=(1, 2, 3, 5, 8),
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_utterance_losing_every_prefix(self):
+        # frames with mass on EOS only extend and keep nothing: those
+        # utterances run out of live prefixes while the others go on
+        rng = np.random.default_rng(1)
+        eos_only = np.full((5, ABC.size), NEG_INF)
+        eos_only[:, ABC.eos_id] = 0.0
+        late = eos_only.copy()
+        late[:2] = NEG_INF
+        late[:2, [ABC.blank_id, 3, 4, 5]] = math.log(0.25)
+        pgs = [random_pg(rng, 6, ABC, "dirichlet"), Posteriorgram(eos_only[:4]),
+               Posteriorgram(late), random_pg(rng, 3, ABC, "holes")]
+        assert_lockstep_matches(
+            pgs,
+            ABC,
+            lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, stats=stats),
+            lambda pg, beam, stats: reference_timesync_ctc_beam(pg, ABC, beam, stats=stats),
+            beams=(1, 3),
+        )
+        assert [len(n) for n in lockstep_beam(pgs, ABC, 3)] == [3, 0, 0, 3]
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trie_cut_back_mid_search(self, seed, monkeypatch):
+        # the trie is cut back to the live prefixes and their ancestors
+        # whenever it doubles: prefixes that drop out and come back get
+        # new nodes, and merging must still find every collision
+        from fusionkit import search
+
+        monkeypatch.setattr(search, "_TRIE_SLACK", 0)
+        rng = np.random.default_rng(seed)
+        kind = ["uniform", "holes", "dirichlet", "peaked"][seed]
+        pgs = [random_pg(rng, int(n), ABC, kind) for n in rng.integers(30, 61, size=4)]
+        lm = train_ngram(ABC, [[3, 4], [5], [4, 4, 3]], order=2)
+        for lm_weight in (0.0, 0.5):
+            assert_lockstep_matches(
+                pgs,
+                ABC,
+                lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, lm, lm_weight, stats=stats),
+                lambda pg, beam, stats: reference_timesync_ctc_beam(
+                    pg, ABC, beam, lm, lm_weight, stats
+                ),
+                beams=(2, 6),
+            )
+
+    def test_wall_time_split_by_frames(self):
+        rng = np.random.default_rng(3)
+        pgs = [random_pg(rng, frames, ABC, "dirichlet") for frames in (7, 1, 30, 12)]
+        stats = [DecodeStats() for _ in pgs]
+        lockstep_beam(pgs, ABC, 4, stats=stats)
+        per_frame = [s.wall_time_s / pg.num_frames for s, pg in zip(stats, pgs)]
+        assert per_frame[0] > 0
+        assert per_frame == pytest.approx([per_frame[0]] * len(pgs), rel=1e-9)
+        rtfs = [s.rtf for s in stats]
+        assert rtfs == pytest.approx([rtfs[0]] * len(pgs), rel=1e-9)
+
+    def test_empty_corpus_and_bad_width(self):
+        assert lockstep_beam([], ABC, 4) == []
+        wide = Posteriorgram(np.log(np.full((2, ABC.size + 1), 1 / (ABC.size + 1))))
+        with pytest.raises(ValidationError, match="labels"):
+            lockstep_beam([wide], ABC, 4)
+        with pytest.raises(ValidationError, match="finite"):
+            lockstep_beam([wide], ABC, 4, lm=train_ngram(ABC, [[3]], order=2), lm_weight=math.nan)
+
+
+class TestDelayedAtWeightZero:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_zero_probability_word_does_not_fail(self):
+        # the LM gives c probability zero: at weight 0 the final score is
+        # the CTC score, not am + 0 * -inf
+        am_vocab, lm_vocab = cross_vocab()
+        support = [i for i, tok in enumerate(lm_vocab.tokens)
+                   if i not in (lm_vocab.blank_id, lm_vocab.bos_id) and tok != "c"]
+        dist = np.full(lm_vocab.size, NEG_INF)
+        dist[support] = -math.log(len(support))
+        lm = TableLM(lm_vocab, (), dist)
+        labels = [i for i in range(am_vocab.size) if i not in (am_vocab.bos_id, am_vocab.eos_id)]
+        lp = np.full((3, am_vocab.size), NEG_INF)
+        for t, tok in enumerate(["▁a", "c", "▁b"]):
+            lp[t, labels] = np.log(0.3 / (len(labels) - 1))
+            lp[t, am_vocab.id_of(tok)] = np.log(0.7)
+        nbest = delayed_fusion_beam(Posteriorgram(lp), am_vocab, lm, 0.0, 4)
+        assert len(nbest) == 4
+        for e in nbest:
+            assert list(e.components) == ["ctc"]
+            assert e.combined == e.components["ctc"]
+            assert math.isfinite(e.combined)
