@@ -73,7 +73,7 @@ from fusionkit.search import (
     NBestEntry,
     NBestList,
     ScorerHandle,
-    labelsync_beam,
+    labelsync_lockstep,
     lockstep_beam,
     write_nbest,
 )
@@ -95,8 +95,11 @@ DEFAULT_CONFIG = {
     "normalization": "lowercase",
     "seed": 0,
 }
-# utterances that one frame-synchronous lockstep search decodes together
+# utterances that one lockstep search (timesync, delayed, joint) decodes
+# together; a joint lockstep takes at most LOCKSTEP_ROWS // beam of them, as
+# each live hypothesis holds the decoder's keys and values
 LOCKSTEP_UTTERANCES = 32
+LOCKSTEP_ROWS = 128
 
 
 class CliError(Exception):
@@ -273,14 +276,14 @@ def decode_utterance(
     """Decode the utterances of one step of :func:`decode_corpus`: an
     (n-best list, stats) pair per posteriorgram.
 
-    ``timesync`` and ``delayed`` search all of them in one lockstep, and
-    each utterance's stats carry its share of the search time; the other
-    strategies decode them one by one.
+    ``timesync``, ``delayed`` and ``joint`` search all of them in one
+    lockstep, and each utterance's stats carry its share of the search
+    time; ``ctc-greedy`` decodes them one by one.
     """
     strategy = cfg["strategy"]
     pgs = [prepare_posteriorgram(pg, cfg, vocab) for pg in pgs]
+    stats = [DecodeStats() for _ in pgs]
     if strategy in ("timesync", "delayed"):
-        stats = [DecodeStats() for _ in pgs]
         nbests = lockstep_beam(
             pgs,
             vocab,
@@ -290,27 +293,21 @@ def decode_utterance(
             delayed=strategy == "delayed",
             stats=stats,
         )
-        return list(zip(nbests, stats))
-    results = []
-    for pg in pgs:
-        stats = DecodeStats()
-        if strategy == "ctc-greedy":
+    elif strategy == "joint":
+        nbests = labelsync_lockstep(
+            pgs, models.scorers, models.weights, int(cfg["beam"]), vocab, stats
+        )
+    else:  # ctc-greedy
+        nbests = []
+        for pg, one in zip(pgs, stats):
             t0 = time.perf_counter()
             labels = tuple(greedy_decode(pg, vocab.blank_id))
             path_score = float(np.max(pg.log_probs, axis=1).sum())
-            stats.wall_time_s = time.perf_counter() - t0
-            stats.audio_seconds = pg.duration_seconds
-            stats.peak_live_hypotheses = 1
-            nbest = NBestList([NBestEntry(labels, {"ctc": path_score}, path_score, True)])
-        else:  # joint
-            scorers = [handle.build(vocab, pg) for handle in models.scorers]
-            max_len = max(1, round(models.weights.max_len_factor * pg.num_frames))
-            nbest = labelsync_beam(
-                scorers, models.weights, int(cfg["beam"]), vocab, max_len, stats=stats
-            )
-            stats.audio_seconds += pg.duration_seconds
-        results.append((nbest, stats))
-    return results
+            one.wall_time_s = time.perf_counter() - t0
+            one.audio_seconds = pg.duration_seconds
+            one.peak_live_hypotheses = 1
+            nbests.append(NBestList([NBestEntry(labels, {"ctc": path_score}, path_score, True)]))
+    return list(zip(nbests, stats))
 
 
 def read_posteriorgrams(utts):
@@ -328,15 +325,20 @@ def decode_corpus(vocab: Vocabulary, cfg: dict, models: DecodeModels, items):
     """Decode ``(utt_id, Posteriorgram)`` pairs in turn, yielding
     ``(utt_id, n-best list, stats)``.
 
-    ``timesync`` and ``delayed`` decode up to ``LOCKSTEP_UTTERANCES`` pairs
-    at a time in one lockstep search, the other strategies one at a time.
-    A posteriorgram whose width is not the vocabulary's fails, naming its
-    utterance; so does a failed decode, rerunning a failed lockstep one
-    utterance at a time to find the one that fails.
+    ``timesync``, ``delayed`` and ``joint`` decode up to
+    ``LOCKSTEP_UTTERANCES`` pairs at a time in one lockstep search,
+    ``ctc-greedy`` one at a time.  A posteriorgram whose width is not the
+    vocabulary's fails, naming its utterance; so does a failed decode,
+    rerunning a failed lockstep one utterance at a time to find the one
+    that fails, and a search that finds no hypothesis with a finite score.
     """
-    lockstep = cfg["strategy"] in ("timesync", "delayed")
+    size = 1
+    if cfg["strategy"] in ("timesync", "delayed"):
+        size = LOCKSTEP_UTTERANCES
+    elif cfg["strategy"] == "joint":
+        size = max(1, min(LOCKSTEP_UTTERANCES, LOCKSTEP_ROWS // cfg["beam"]))
     items = iter(items)
-    while chunk := list(islice(items, LOCKSTEP_UTTERANCES if lockstep else 1)):
+    while chunk := list(islice(items, size)):
         for utt_id, pg in chunk:
             if pg.num_labels != vocab.size:
                 raise ValidationError(
@@ -355,6 +357,8 @@ def decode_corpus(vocab: Vocabulary, cfg: dict, models: DecodeModels, items):
             ids = ", ".join(utt_id for utt_id, _ in chunk)
             raise CliError(f"decoding {ids} failed: {exc}") from exc
         for (utt_id, _), (nbest, stats) in zip(chunk, results):
+            if not len(nbest):
+                raise CliError(f"decoding {utt_id} found no hypothesis with a finite score")
             yield utt_id, nbest, stats
 
 
@@ -497,13 +501,28 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def grid_values(flag: str, text: str, parse, none_ok: bool = False) -> list:
+    """The comma-separated values of a ``bench`` grid flag; "none" is None
+    where ``none_ok``.  A value ``parse`` rejects raises ValidationError."""
+    values = []
+    for value in text.split(","):
+        if none_ok and value == "none":
+            values.append(None)
+            continue
+        try:
+            values.append(parse(value))
+        except ValueError:
+            raise ValidationError(f"{flag}: {value!r} is not a valid value") from None
+    return values
+
+
 def cmd_bench(args) -> int:
     cfg = load_config(args.config, {})
     vocab, utts = read_corpus_dir(args.corpus)
     models = load_models(cfg, vocab)
-    ks = [None if v == "none" else int(v) for v in args.top_k.split(",")]
-    taus = [None if v == "none" else float(v) for v in args.compress_threshold.split(",")]
-    beams = [int(v) for v in args.beam.split(",")]
+    ks = grid_values("--top-k", args.top_k, int, none_ok=True)
+    taus = grid_values("--compress-threshold", args.compress_threshold, float, none_ok=True)
+    beams = grid_values("--beam", args.beam, int)
     grid = [(k, tau, beam) for k in ks for tau in taus for beam in beams]
     for k, tau, beam in grid:
         check_search_settings(dict(cfg, top_k=k, compress_threshold=tau, beam=beam))

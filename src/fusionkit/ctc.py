@@ -185,7 +185,9 @@ def kept_labels(pg: Posteriorgram) -> np.ndarray:
     return np.flatnonzero(np.max(pg.log_probs, axis=0) > NEG_INF)
 
 
-def log_add_bounds(peak: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+def log_add_bounds(
+    peak: np.ndarray, n, log_n=None
+) -> tuple[np.ndarray, np.ndarray]:
     """Bounds on the log-add fold of n terms whose largest is ``peak``, as
     ``np.logaddexp.reduce`` computes it along the terms' axis.
 
@@ -197,25 +199,47 @@ def log_add_bounds(peak: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     from log1p(exp(.)) < 1; an earlier rounding reaches F damped by
     exp(a_k - F) <= 1.  eps is at least four times the sum of those errors.
     Columns whose terms are all -inf are -inf in both bounds.
+
+    ``n`` may be an integer array that broadcasts against ``peak``, with
+    ``log_n`` its ``math.log`` values (``np.log`` may round differently).
     """
-    magnitude = np.where(peak > NEG_INF, np.abs(peak), 0.0) + math.log(n) + 4.0
-    return peak, peak + (math.log(n) + 4.0 * (n + 1) * _EPS * magnitude)
+    if log_n is None:
+        log_n = math.log(n)
+    magnitude = np.where(peak > NEG_INF, np.abs(peak), 0.0) + log_n + 4.0
+    return peak, peak + (log_n + 4.0 * (n + 1) * _EPS * magnitude)
 
 
 @dataclass(frozen=True)
-class PrefixScorerState:
-    """Forward variables of one hypothesis prefix over all frames.
+class PrefixStates:
+    """Forward variables of B hypothesis prefixes of one length, a column
+    each.
 
-    ``log_nonblank[t]`` / ``log_blank[t]`` are the log probabilities that
-    frames 1..t+1 collapse exactly to the prefix with the path ending in the
-    prefix's last label / in blank.  ``log_prefix_prob`` is the log
-    probability that the full collapsed output starts with the prefix.
+    Row b extends posteriorgram ``utt[b]`` of its scorer.
+    ``log_nonblank[t, b]`` / ``log_blank[t, b]`` are the log probabilities
+    that frames 1..t+1 collapse exactly to the prefix with the path ending
+    in the prefix's last label / in blank; they are -inf past the
+    posteriorgram's last frame.  ``log_prefix_prob[b]`` is the log
+    probability that the full collapsed output starts with the prefix, and
+    ``last[b]`` its last label (-1 for the empty prefix).
     """
 
-    prefix: tuple[int, ...]
+    length: int
+    utt: np.ndarray
+    last: np.ndarray
     log_nonblank: np.ndarray
     log_blank: np.ndarray
-    log_prefix_prob: float
+    log_prefix_prob: np.ndarray
+
+    def __len__(self) -> int:
+        return self.utt.size
+
+    def take(self, rows) -> "PrefixStates":
+        """The states of ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        return PrefixStates(
+            self.length, self.utt[rows], self.last[rows], self.log_nonblank[:, rows],
+            self.log_blank[:, rows], self.log_prefix_prob[rows],
+        )
 
 
 @dataclass(frozen=True)
@@ -223,115 +247,154 @@ class PrefixStep:
     """What one batched :meth:`CtcPrefixScorer.step` hands to ``exact`` and
     ``advance``.
 
-    ``log_blank`` and ``log_sum`` hold the parents' blank and total forward
-    variables as (T, B) columns; ``last`` their last labels (-1 for none).
-    ``folded`` keeps the (B, C) exact scores computed so far, NaN elsewhere,
-    so that ``advance`` reuses the survivors' folds.
+    ``log_sum`` holds the parents' total forward variables as (T, B)
+    columns.  ``xs`` holds the plain candidates' posteriors as (T, U, C')
+    columns, and ``plain[c]`` is candidate c's column there (-1 for EOS).
+    ``folds`` keeps the exact scores computed so far, as (pair keys
+    row * C + column, scores) arrays, so that ``advance`` reuses the
+    survivors' folds.
     """
 
-    states: tuple[PrefixScorerState, ...]
+    states: PrefixStates
     candidates: np.ndarray
-    log_blank: np.ndarray
+    xs: np.ndarray
+    plain: np.ndarray
     log_sum: np.ndarray
-    last: np.ndarray
-    folded: np.ndarray
+    folds: list[tuple[np.ndarray, np.ndarray]]
 
     def phi(self, rows, labels, frames: slice = slice(None)) -> np.ndarray:
         """Log probability that parent ``rows`` cover frames 1..t+1 such that
         ``labels`` may start at frame t+2: a repeated label needs a blank
         in between.  Time runs along axis 0; rows and labels broadcast."""
-        same = self.last[rows] == labels
-        return np.where(same, self.log_blank[frames, rows], self.log_sum[frames, rows])
+        same = self.states.last[rows] == labels
+        return np.where(same, self.states.log_blank[frames, rows], self.log_sum[frames, rows])
 
 
 class CtcPrefixScorer:
-    """Incremental prefix probabilities of the CTC output distribution.
+    """Incremental prefix probabilities of the CTC output distribution, for
+    the posteriorgrams of a lockstep at once.
 
     For a prefix g and candidate c the step score is the log probability
     that the collapsed output begins with g.c; the EOS candidate scores the
     probability that the output equals g exactly.  For a prefix of length
     S < T that probability folds n = T - S terms phi[t] + x[t+1] by log-add,
     one per frame at which c may start.
+
+    The posteriorgrams' columns are gathered into (T, U, ...) arrays, time
+    first, those shorter than the longest padded with -inf frames:
+    ``logaddexp(x, -inf)`` and ``max(x, -inf)`` return x, so a row's scores
+    are those of its own posteriorgram, each with its own n.
     """
 
-    def __init__(self, pg: Posteriorgram, blank_id: int, eos_id: int):
-        self.pg = pg
-        self.log_probs = pg.log_probs
+    def __init__(self, pgs: Posteriorgram | Sequence[Posteriorgram], blank_id: int, eos_id: int):
+        pgs = [pgs] if isinstance(pgs, Posteriorgram) else list(pgs)
+        if not pgs or len({pg.num_labels for pg in pgs}) != 1:
+            raise ValueError("prefix scoring needs posteriorgrams of one width")
+        self.pgs = pgs
         self.blank_id = blank_id
         self.eos_id = eos_id
-        self.num_frames = pg.num_frames
+        self.lengths = np.array([pg.num_frames for pg in pgs])
+        self.num_frames = T = int(self.lengths.max())
+        self._blank = self._padded(np.array([blank_id]))[:, :, 0]
+        self._logs = np.array([NEG_INF] + [math.log(n) for n in range(1, T + 1)])
+        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def initial_state(self) -> PrefixScorerState:
-        blanks = np.cumsum(self.log_probs[:, self.blank_id])
-        return PrefixScorerState(
-            prefix=(),
-            log_nonblank=np.full(self.num_frames, NEG_INF),
-            log_blank=blanks,
-            log_prefix_prob=0.0,
+    def _padded(self, labels: np.ndarray) -> np.ndarray:
+        """Columns ``labels`` of every posteriorgram as one (T, U, L) array."""
+        out = np.full((self.num_frames, len(self.pgs), labels.size), NEG_INF)
+        for u, pg in enumerate(self.pgs):
+            out[: pg.num_frames, u] = pg.log_probs[:, labels]
+        return out
+
+    def initial_state(self) -> PrefixStates:
+        """The empty prefix of every posteriorgram, one row each."""
+        U = self.lengths.size
+        return PrefixStates(
+            length=0,
+            utt=np.arange(U),
+            last=np.full(U, -1),
+            log_nonblank=np.full((self.num_frames, U), NEG_INF),
+            log_blank=np.cumsum(self._blank, axis=0),
+            log_prefix_prob=np.zeros(U),
         )
 
+    def _plain_columns(self, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Each candidate's column among the plain ones (-1 for EOS) and
+        their (T, U, C') posteriors, kept while the candidates stay the
+        same."""
+        if self._columns is None or not np.array_equal(self._columns[0], cands):
+            plain = cands != self.eos_id
+            pos = np.where(plain, np.cumsum(plain) - 1, -1)
+            self._columns = (cands, pos, self._padded(cands[plain]))
+        return self._columns[1], self._columns[2]
+
     def step(
-        self, states: Sequence[PrefixScorerState], candidates: Sequence[int]
+        self, states: PrefixStates, candidates: Sequence[int]
     ) -> tuple[np.ndarray, np.ndarray, PrefixStep]:
         """Bound every candidate extension of every state's prefix at once.
 
-        The B states must have prefixes of one length, as the live
-        hypotheses of a label-synchronous beam do.  Returns (B, C) lower
-        and upper bounds on the absolute log prefix probabilities that
-        :meth:`exact` folds (see :func:`log_add_bounds`), and the artifacts
-        it and :meth:`advance` work from.  The EOS column is exact; a
-        candidate whose terms are all -inf is -inf in both bounds.
+        Returns (B, C) lower and upper bounds on the absolute log prefix
+        probabilities that :meth:`exact` folds (see :func:`log_add_bounds`),
+        and the artifacts it and :meth:`advance` work from.  The EOS column
+        is exact; a candidate whose terms are all -inf is -inf in both
+        bounds.
         """
         cands = np.asarray(candidates, dtype=np.int64)
         if np.any(cands == self.blank_id):
             raise ValueError("blank cannot be a prefix-scorer candidate")
-        S = len(states[0].prefix)
-        if any(len(s.prefix) != S for s in states):
-            raise ValueError("states of one step must have prefixes of one length")
-        T = self.num_frames
+        S = states.length
         B, C = len(states), cands.size
-        log_b = np.stack([s.log_blank for s in states], axis=1)
-        log_nb = np.stack([s.log_nonblank for s in states], axis=1)
+        plain, xs = self._plain_columns(cands)
         step = PrefixStep(
-            states=tuple(states),
+            states=states,
             candidates=cands,
-            log_blank=log_b,
-            log_sum=np.logaddexp(log_nb, log_b),
-            last=np.array([s.prefix[-1] if s.prefix else -1 for s in states]),
-            folded=np.full((B, C), np.nan),
+            xs=xs,
+            plain=plain,
+            log_sum=np.logaddexp(states.log_nonblank, states.log_blank),
+            folds=[],
         )
         lower = np.full((B, C), NEG_INF)
         upper = np.full((B, C), NEG_INF)
 
-        eos = cands == self.eos_id
-        cols = np.flatnonzero(~eos)
-        if S < T and cols.size:
-            labels = cands[cols]
+        ends = self.lengths[states.utt]
+        rows = np.flatnonzero(ends > S)  # S >= T leaves only EOS
+        cols = np.flatnonzero(plain >= 0)
+        if rows.size and cols.size:
             start = max(S, 1)
-            log_sum = step.log_sum[start - 1 : T - 1]
-            log_blank = step.log_blank[start - 1 : T - 1]
-            xs = self.log_probs[start:, labels]
+            labels = cands[cols]
             # the largest term phi[t] + x[t+1] of every pair, from the float
-            # additions exact() makes.  Blocks of frames keep the (T', B, C)
-            # terms from ever existing whole: a whole array, or blocks above
-            # about 128 KiB, measured slower or raised peak RSS.
-            peak = np.full((B, cols.size), NEG_INF)
-            if S == 0:  # the first label may also start at frame 1
-                peak[:] = self.log_probs[0, labels]
-            frames_per_block = max(1, _BLOCK_SIZE // (B * cols.size))
-            for t in range(0, T - start, frames_per_block):
-                block = slice(t, t + frames_per_block)
-                terms = log_sum[block, :, None] + xs[block, None, :]
-                np.maximum(peak, terms.max(axis=0), out=peak)
-            # a row whose last label repeats (at most one column per row)
-            # takes log_blank, not log_sum, as phi for that column
-            rep_rows, rep_cols = np.nonzero(step.last[:, None] == labels)
-            if rep_rows.size:
-                peak[rep_rows, rep_cols] = (log_blank[:, rep_rows] + xs[:, rep_cols]).max(axis=0)
-            lower[:, cols], upper[:, cols] = log_add_bounds(peak, T - S)
+            # additions exact() makes.  Blocks of rows and frames keep the
+            # (T', B, C) terms from ever existing whole: a whole array, or
+            # blocks above about 128 KiB, measured slower or raised peak RSS.
+            rows_per_block = max(1, _BLOCK_SIZE // cols.size)
+            for r0 in range(0, rows.size, rows_per_block):
+                r = rows[r0 : r0 + rows_per_block]
+                u = states.utt[r]
+                end = int(ends[r].max())
+                peak = np.full((r.size, cols.size), NEG_INF)
+                if S == 0:  # the first label may also start at frame 1
+                    peak[:] = xs[0, u]
+                # one posteriorgram's rows share its columns by broadcasting
+                x_rows = slice(u[0], u[0] + 1) if np.all(u == u[0]) else u
+                frames_per_block = max(1, _BLOCK_SIZE // (r.size * cols.size))
+                for t in range(start, end, frames_per_block):
+                    frames = slice(t, min(t + frames_per_block, end))
+                    terms = step.log_sum[t - 1 : frames.stop - 1, r, None] + xs[frames, x_rows]
+                    np.maximum(peak, terms.max(axis=0), out=peak)
+                # a row whose last label repeats (at most one column per row)
+                # takes log_blank, not log_sum, as phi for that column
+                rep_rows, rep_cols = np.nonzero(states.last[r, None] == labels)
+                if rep_rows.size:
+                    terms = states.log_blank[start - 1 : end - 1, r[rep_rows]]
+                    terms += xs[start:end, u[rep_rows], rep_cols]
+                    peak[rep_rows, rep_cols] = terms.max(axis=0)
+                n = (ends[r] - S)[:, None]
+                grid = np.ix_(r, cols)
+                lower[grid], upper[grid] = log_add_bounds(peak, n, self._logs[n])
 
+        eos = cands == self.eos_id
         if np.any(eos):
-            lower[:, eos] = upper[:, eos] = step.log_sum[T - 1][:, None]
+            lower[:, eos] = upper[:, eos] = step.log_sum[ends - 1, np.arange(B)][:, None]
         return lower, upper, step
 
     def exact(self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
@@ -345,38 +408,47 @@ class CtcPrefixScorer:
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         labels = step.candidates[cols]
-        T = self.num_frames
-        S = len(step.states[0].prefix)
+        S = step.states.length
+        ends = self.lengths[step.states.utt[rows]]
         out = np.full(rows.size, NEG_INF)
         eos = labels == self.eos_id
-        out[eos] = step.log_sum[T - 1, rows[eos]]
-        plain = np.flatnonzero(~eos)
-        if S < T and plain.size:
-            r, lab = rows[plain], labels[plain]
-            start = max(S, 1)
-            terms = step.phi(r, lab, slice(start - 1, T - 1))
-            terms += self.log_probs[start:, lab]
+        out[eos] = step.log_sum[ends[eos] - 1, rows[eos]]
+        plain = np.flatnonzero(~eos & (ends > S))
+        start = max(S, 1)
+        # blocks of pairs keep the (T', k) terms near _BLOCK_SIZE
+        pairs_per_block = max(1, _BLOCK_SIZE // max(1, self.num_frames - start + 1))
+        for p0 in range(0, plain.size, pairs_per_block):
+            block = plain[p0 : p0 + pairs_per_block]
+            r, lab, x = rows[block], labels[block], step.plain[cols[block]]
+            u = step.states.utt[r]
+            end = int(ends[block].max())
+            terms = step.phi(r, lab, slice(start - 1, end - 1))
+            terms += step.xs[start:end, u, x]
             if S == 0:
-                terms = np.concatenate([self.log_probs[:1, lab], terms])
-            # a reduction over axis 0 folds the frames in order
-            out[plain] = np.logaddexp.reduce(terms, axis=0)
-        step.folded[rows, cols] = out
+                terms = np.concatenate([step.xs[:1, u, x], terms])
+            # a reduction over axis 0 folds the frames in order; a lone term
+            # is its own fold (a padded -inf frame would turn -0.0 into 0.0)
+            fold = np.logaddexp.reduce(terms, axis=0)
+            lone = ends[block] - S == 1
+            fold[lone] = terms[0, lone]
+            out[block] = fold
+        step.folds.append((rows * step.candidates.size + cols, out))
         return out
 
-    def advance(
-        self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]
-    ) -> list[PrefixScorerState]:
+    def advance(self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]) -> PrefixStates:
         """Successor states for the (state row, candidate column) pairs that
-        survived pruning, aligned with them.
+        survived pruning, a row each, aligned with them.
 
         One (T, k) recursion over the k pairs gives their forward
-        variables.  An EOS column returns its parent state, since EOS ends
-        the hypothesis.
+        variables.  An EOS column keeps its parent's, since EOS ends the
+        hypothesis.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
         labels = step.candidates[cols]
-        S = len(step.states[0].prefix)
+        parent = step.states
+        S = parent.length
+        utt = parent.utt[rows]
         T = self.num_frames
         # rows r_b, r_n, phi of one (T, 3, k) array: per frame, one log-add
         # gives r_b[t] from (r_n, r_b)[t-1] and r_n[t] from (r_n, phi)[t-1],
@@ -384,33 +456,35 @@ class CtcPrefixScorer:
         fwd = np.full((T, 3, rows.size), NEG_INF)
         fwd[:, 2] = step.phi(rows, labels)
         emit = np.empty((T, 2, rows.size))
-        emit[:, 0] = self.log_probs[:, self.blank_id, None]
-        # an EOS column gets a dummy gather: its parent is returned instead
-        emit[:, 1] = self.log_probs[:, np.where(labels == self.eos_id, self.blank_id, labels)]
+        emit[:, 0] = emit[:, 1] = self._blank[:, utt]
+        # an EOS column keeps the dummy blank emission: its parent's columns
+        # are kept
+        eos = labels == self.eos_id
+        emit[:, 1, ~eos] = step.xs[:, utt[~eos], step.plain[cols[~eos]]]
         if S == 0:
             fwd[0, 1] = emit[0, 1]
-        for t in range(max(S, 1), T):
+        # past every row's last frame the variables stay -inf
+        for t in range(max(S, 1), int(self.lengths[utt].max(initial=0))):
             prev = fwd[t - 1]
             np.logaddexp(prev[1:2], prev[::2], out=fwd[t, :2])
             fwd[t, :2] += emit[t]
-        r_b, r_n = fwd[:, 0], fwd[:, 1]
-        scores = step.folded[rows, cols]
+        scores = np.full(rows.size, np.nan)
+        if step.folds:
+            keys, folds = (np.concatenate(parts) for parts in zip(*step.folds))
+            order = np.argsort(keys)
+            wanted = rows * step.candidates.size + cols
+            at = np.minimum(np.searchsorted(keys, wanted, sorter=order), keys.size - 1)
+            found = keys[order[at]] == wanted
+            scores[found] = folds[order[at[found]]]
         again = np.isnan(scores)
         if np.any(again):
             scores[again] = self.exact(step, rows[again], cols[again])
-        scores = scores.tolist()
-        out = []
-        for k, (b, label) in enumerate(zip(rows.tolist(), labels.tolist())):
-            parent = step.states[b]
-            if label == self.eos_id:
-                out.append(parent)
-                continue
-            out.append(
-                PrefixScorerState(
-                    prefix=parent.prefix + (label,),
-                    log_nonblank=r_n[:, k].copy(),
-                    log_blank=r_b[:, k].copy(),
-                    log_prefix_prob=scores[k],
-                )
-            )
-        return out
+        log_nb, log_b = fwd[:, 1].copy(), fwd[:, 0].copy()
+        last = labels.copy()
+        if np.any(eos):
+            kept = rows[eos]
+            log_nb[:, eos] = parent.log_nonblank[:, kept]
+            log_b[:, eos] = parent.log_blank[:, kept]
+            scores[eos] = parent.log_prefix_prob[kept]
+            last[eos] = parent.last[kept]
+        return PrefixStates(S + 1, utt, last, log_nb, log_b, scores)

@@ -400,7 +400,7 @@ def _audio_frames(weights: DecoderWeights, config: InterfaceConfig, audio) -> np
     return frames.reshape(frames.shape[0], weights.hp.dim) if frames.size else frames.reshape(0, weights.hp.dim)
 
 
-def _layer(layer: _Layer, x, rotary, heads, mask, memory, cross):
+def _layer(layer: _Layer, x, rotary, heads, mask, memory, cross, take=None):
     """One pre-norm layer over the query rows ``x``.
 
     Self-attention sees the (keys, values) already in the stream,
@@ -409,8 +409,9 @@ def _layer(layer: _Layer, x, rotary, heads, mask, memory, cross):
     the joined (keys, values) and the (self, cross) attention weights.
 
     The forward pass gives (n, d) rows and (m, d) memory.  A step gives
-    (B, 1, d) rows and memory as lists of B (m, d) caches, which are stacked
-    once, straight into the joined (B, m + 1, d) arrays.
+    (B, 1, d) rows and (B', m, d) memory, of which row ``take[b]`` (row b
+    without ``take``) is row b's history; it is gathered straight into the
+    joined (B, m + 1, d) arrays.
     """
     normed = _layer_norm(x, layer.attn_norm)
     q = _rope(normed @ layer.wq, rotary, heads)
@@ -419,9 +420,9 @@ def _layer(layer: _Layer, x, rotary, heads, mask, memory, cross):
         if x.ndim == 2:
             joined.append(np.concatenate([cache, rows]))
         else:
-            m = cache[0].shape[0]
-            stacked = np.empty((len(cache), m + 1, rows.shape[-1]))
-            np.stack(cache, out=stacked[:, :m])
+            m = cache.shape[1]
+            stacked = np.empty((rows.shape[0], m + 1, rows.shape[-1]))
+            stacked[:, :m] = cache if take is None else cache[take]
             stacked[:, m:] = rows
             joined.append(stacked)
     out, w_self = _attend(q, *joined, mask, heads)
@@ -437,10 +438,12 @@ def _layer(layer: _Layer, x, rotary, heads, mask, memory, cross):
 
 @dataclass
 class IncrementalState:
-    """Per-layer key/value history plus the next stream position.
+    """Per-layer key/value histories of B hypotheses at one stream position.
 
-    A step builds new arrays instead of writing into the old ones, so
-    sibling hypotheses share their parent's arrays and never interact.
+    ``self_k[i]`` and ``self_v[i]`` are (B, L, d) stacks, one row per
+    hypothesis; ``cross_k[i]``/``cross_v[i]`` hold the aed audio keys/values
+    as (B, A, d).  A step builds new arrays instead of writing into the old
+    ones, so a state stays valid after it was stepped from.
     """
 
     position: int
@@ -450,15 +453,28 @@ class IncrementalState:
     cross_v: list[np.ndarray] = field(default_factory=list)
     audio_len: int = 0
 
+    def __len__(self) -> int:
+        return self.self_k[0].shape[0]
+
     @property
     def cached_len(self) -> int:
-        return self.self_k[0].shape[0] if self.self_k else 0
+        return self.self_k[0].shape[1]
+
+    def take(self, rows) -> "IncrementalState":
+        """The states of ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        pick = lambda arrays: [a[rows] for a in arrays]  # noqa: E731
+        return IncrementalState(
+            self.position, pick(self.self_k), pick(self.self_v),
+            pick(self.cross_k), pick(self.cross_v), self.audio_len,
+        )
 
 
 def _audio_memory(
     weights: DecoderWeights, config: InterfaceConfig, frames: np.ndarray
 ) -> IncrementalState:
-    """The state after the audio frames, before the prompt.
+    """The state after the audio frames, before the prompt, with (m, d)
+    arrays and no batch axis.
 
     ``prefix`` runs the audio block through the layers under the block
     mask, so that bidirectional prefix attention sees the whole block, and
@@ -542,68 +558,59 @@ def decoder_init(
     config: InterfaceConfig,
     audio: EncoderOutput | np.ndarray | None,
 ) -> IncrementalState:
-    """Prime an incremental state with the audio prefix and the prompt."""
-    state = _audio_memory(weights, config, _audio_frames(weights, config, audio))
+    """Prime a one-row incremental state with the audio prefix and the prompt."""
+    memory = _audio_memory(weights, config, _audio_frames(weights, config, audio))
+    batch = lambda arrays: [a[None] for a in arrays]  # noqa: E731
+    state = IncrementalState(
+        memory.position, batch(memory.self_k), batch(memory.self_v),
+        batch(memory.cross_k), batch(memory.cross_v), memory.audio_len,
+    )
     for tok in config.prompt:
-        _, (state,) = decoder_step(weights, config, [state], [tok])
+        _, state = decoder_step(weights, config, state, [tok])
     return state
 
 
 def decoder_step(
     weights: DecoderWeights,
     config: InterfaceConfig,
-    states: Sequence[IncrementalState],
+    state: IncrementalState,
     labels: Sequence[int],
-) -> tuple[np.ndarray, list[IncrementalState]]:
-    """Feed one label to each of B states; returns a B x V matrix of
-    next-label log-distributions and the B successor states.
+    rows: Sequence[int] | None = None,
+) -> tuple[np.ndarray, IncrementalState]:
+    """Feed ``labels[b]`` to row ``rows[b]`` of ``state`` (to row b without
+    ``rows``); returns the B x V matrix of next-label log-distributions and
+    the B-row successor state.
 
-    The states must share one position and cache length, as the hypotheses
-    of one label-synchronous step do.  Every row-wise tensor keeps a
-    singleton axis, (B, 1, d), and reductions run over the last axis only:
-    numpy then runs each (1, d) @ (d, e) product of the stack as its own
-    BLAS call, the one a single state gets, so row b is bit-identical to
-    stepping state b alone.  A 2-D (B, d) @ (d, e) product would round
-    differently.
+    Every row-wise tensor keeps a singleton axis, (B, 1, d), and reductions
+    run over the last axis only: numpy then runs each (1, d) @ (d, e)
+    product of the stack as its own BLAS call, the one a single row gets,
+    so row b is bit-identical to stepping its state alone.  A 2-D
+    (B, d) @ (d, e) product would round differently.
     """
     hp = weights.hp
-    states = list(states)
-    if not states or len(states) != len(labels):
+    count = len(state) if rows is None else len(rows)
+    if not count or count != len(labels):
         raise ValueError("decoder_step needs one label per state, and at least one state")
-    first = states[0]
-    for s in states:
-        if (s.position, s.cached_len, s.audio_len) != (
-            first.position, first.cached_len, first.audio_len
-        ):
-            raise ValueError("batched states must share one position and cache length")
-    if first.self_k and first.self_k[0].shape[1] != hp.dim:
+    if state.self_k[0].shape[2] != hp.dim:
         raise ValueError("incremental state does not match these weights")
-    rotary = _rotary(weights, np.array([float(first.position)]))
+    take = None if rows is None else np.asarray(rows, dtype=np.int64)
+    rotary = _rotary(weights, np.array([float(state.position)]))
     x = weights["embed"][np.asarray(labels)][:, None, :]
     self_k: list[np.ndarray] = []
     self_v: list[np.ndarray] = []
+    cross_k, cross_v = state.cross_k, state.cross_v
+    if cross_k and take is not None:
+        cross_k, cross_v = [k[take] for k in cross_k], [v[take] for v in cross_v]
     for i, layer in enumerate(weights.layers):
-        memory = ([s.self_k[i] for s in states], [s.self_v[i] for s in states])
-        cross = None
-        if first.cross_k:
-            cross = (np.stack([s.cross_k[i] for s in states]),
-                     np.stack([s.cross_v[i] for s in states]))
-        x, (k, v), _ = _layer(layer, x, rotary, hp.heads, None, memory, cross)
+        cross = (cross_k[i], cross_v[i]) if cross_k else None
+        memory = (state.self_k[i], state.self_v[i])
+        x, (k, v), _ = _layer(layer, x, rotary, hp.heads, None, memory, cross, take)
         self_k.append(k)
         self_v.append(v)
-    rows = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])[:, 0]
-    successors = [
-        IncrementalState(
-            first.position + 1,
-            [k[b] for k in self_k],
-            [v[b] for v in self_v],
-            s.cross_k,
-            s.cross_v,
-            s.audio_len,
-        )
-        for b, s in enumerate(states)
-    ]
-    return rows, successors
+    out = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])[:, 0]
+    return out, IncrementalState(
+        state.position + 1, self_k, self_v, cross_k, cross_v, state.audio_len
+    )
 
 
 def seq_cross_entropy(

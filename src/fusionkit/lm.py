@@ -106,6 +106,11 @@ class NGramModel:
     def logprob(self, token: int, context: Sequence[int]) -> float:
         return float(self.conditionals(context)[token])
 
+    @property
+    def context_size(self) -> int:
+        """How many of a history's last tokens its conditionals depend on."""
+        return self.order - 1
+
 
 def _iter_events(seq: Sequence[int], order: int, bos: int, eos: int):
     padded = [bos] * (order - 1) + list(seq) + [eos]
@@ -166,13 +171,16 @@ class TableLM:
     """Explicit context-to-distribution map, for adversarial and exact fixtures.
 
     The longest stored key that is a suffix of the history wins; unseen
-    histories fall back to the default distribution.  Distributions span the
-    full vocab and must be normalized within 1e-9.
+    histories fall back to the default distribution.  Of two entries with
+    one key, the first wins.  Distributions span the full vocab and must be
+    normalized within 1e-9.
     """
 
     vocab: Vocabulary
     entries: tuple[tuple[tuple[int, ...], np.ndarray], ...]
     default: np.ndarray
+    _index: dict[tuple[int, ...], np.ndarray] = field(init=False, compare=False, repr=False)
+    context_size: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "default", self._checked(np.asarray(self.default)))
@@ -181,6 +189,12 @@ class TableLM:
             "entries",
             tuple((tuple(ctx), self._checked(np.asarray(d))) for ctx, d in self.entries),
         )
+        index: dict[tuple[int, ...], np.ndarray] = {}
+        for key, dist in self.entries:
+            index.setdefault(key, dist)
+        object.__setattr__(self, "_index", index)
+        # how many of a history's last tokens its conditionals depend on
+        object.__setattr__(self, "context_size", max(map(len, index), default=0))
 
     def _checked(self, dist: np.ndarray) -> np.ndarray:
         dist = dist.astype(np.float64)
@@ -193,12 +207,11 @@ class TableLM:
 
     def conditionals(self, context: Sequence[int]) -> np.ndarray:
         ctx = tuple(context)
-        best = None
-        best_len = -1
-        for key, dist in self.entries:
-            if len(key) > best_len and len(key) <= len(ctx) and ctx[len(ctx) - len(key) :] == key:
-                best, best_len = dist, len(key)
-        return best if best is not None else self.default
+        for k in range(min(len(ctx), self.context_size), -1, -1):
+            dist = self._index.get(ctx[len(ctx) - k :])
+            if dist is not None:
+                return dist
+        return self.default
 
     def logprob(self, token: int, context: Sequence[int]) -> float:
         return float(self.conditionals(context)[token])

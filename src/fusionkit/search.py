@@ -25,27 +25,28 @@ from fusionkit.lm import NGramModel, TableLM, lm_logprob, retokenize
 class LabelScorer(Protocol):
     """Incremental scorer over label prefixes, batched over hypotheses.
 
-    ``step`` takes the states of the B live hypotheses, all of one length,
-    and returns lower and upper B x V bounds on the incremental log-scores
-    for appending each vocab label (EOS column included), plus opaque
-    artifacts.  A scorer whose step scores are exact returns one matrix
-    twice.  ``exact`` takes those artifacts and (parent row, label) pairs
-    and returns the pairs' exact scores, which lie within the bounds and
-    are -inf exactly where the bounds are.  ``advance`` takes the artifacts
-    and the beam survivors, given as parent rows and appended labels, and
-    returns one successor state per survivor; no state is built for a
-    candidate that did not survive.
+    A state holds B live hypotheses, all of one length, a row each.
+    ``start(count)`` gives the empty prefix of ``count`` utterances, a row
+    each.  ``step`` takes a state and returns lower and upper B x V bounds
+    on the incremental log-scores for appending each vocab label (EOS
+    column included), plus opaque artifacts.  A scorer whose step scores are
+    exact returns one matrix twice.  ``exact`` takes those artifacts and
+    (parent row, label) pairs and returns the pairs' exact scores, which lie
+    within the bounds and are -inf exactly where the bounds are.
+    ``advance`` takes the artifacts and the beam survivors, given as parent
+    rows and appended labels, and returns their state, a row per survivor;
+    nothing is built for a candidate that did not survive.
     """
 
     name: str
 
-    def start(self) -> Any: ...
+    def start(self, count: int) -> Any: ...
 
-    def step(self, states: Sequence[Any]) -> tuple[np.ndarray, np.ndarray, Any]: ...
+    def step(self, states: Any) -> tuple[np.ndarray, np.ndarray, Any]: ...
 
     def exact(self, artifacts: Any, rows: Sequence[int], labels: Sequence[int]) -> np.ndarray: ...
 
-    def advance(self, artifacts: Any, rows: Sequence[int], labels: Sequence[int]) -> list[Any]: ...
+    def advance(self, artifacts: Any, rows: Sequence[int], labels: Sequence[int]) -> Any: ...
 
 
 class _ExactScorer:
@@ -61,39 +62,51 @@ class _ExactScorer:
 
 
 class CtcPrefixLabelScorer:
-    """Joint-decoding CTC scorer: prefix-probability deltas per candidate."""
+    """Joint-decoding CTC scorer: prefix-probability deltas per candidate.
 
-    def __init__(self, pg: Posteriorgram, vocab: Vocabulary, name: str = "ctc"):
+    Given the posteriorgrams of a lockstep, it scores each utterance's rows
+    against its own.  The candidates are every plain label that some
+    posteriorgram can emit, plus EOS; a label an utterance's posteriorgram
+    never emits scores -inf there, and ``counts`` holds each utterance's
+    own number of candidates.
+    """
+
+    def __init__(self, pg: Posteriorgram | Sequence[Posteriorgram], vocab: Vocabulary, name: str = "ctc"):
+        pgs = [pg] if isinstance(pg, Posteriorgram) else list(pg)
         self.name = name
         self.vocab = vocab
-        self._scorer = CtcPrefixScorer(pg, vocab.blank_id, vocab.eos_id)
-        support = set(kept_labels(pg).tolist())
-        support.discard(vocab.blank_id)
-        support.discard(vocab.bos_id)
-        support.discard(vocab.eos_id)
-        self.candidates = np.array(sorted(support) + [vocab.eos_id])
+        self._scorer = CtcPrefixScorer(pgs, vocab.blank_id, vocab.eos_id)
+        support = np.zeros((len(pgs), vocab.size), dtype=bool)
+        for u, one in enumerate(pgs):
+            support[u, kept_labels(one)] = True
+        support[:, [vocab.blank_id, vocab.bos_id, vocab.eos_id]] = False
+        self.candidates = np.append(np.flatnonzero(support.any(axis=0)), vocab.eos_id)
+        self.counts = np.count_nonzero(support, axis=1) + 1
         self._column = np.full(vocab.size, -1)
         self._column[self.candidates] = np.arange(self.candidates.size)
 
-    def start(self):
-        return self._scorer.initial_state()
+    def start(self, count):
+        states = self._scorer.initial_state()
+        if len(states) != count:
+            raise ValueError(f"the CTC scorer holds {len(states)} posteriorgrams, not {count}")
+        return states
 
     def step(self, states):
-        lower, upper, step = self._scorer.step(states, self.candidates)
-        parent = np.array([s.log_prefix_prob for s in states])[:, None]
-        bounds = []
-        for bound in (lower, upper):
+        bounds = list(self._scorer.step(states, self.candidates))
+        parent = states.log_prefix_prob[:, None]
+        for i in range(2):
             out = np.full((len(states), self.vocab.size), NEG_INF)
-            out[:, self.candidates] = bound - parent
-            bounds.append(out)
-        return bounds[0], bounds[1], step
+            out[:, self.candidates] = bounds[i]
+            out[:, self.candidates] -= parent
+            bounds[i] = out
+        return bounds[0], bounds[1], bounds[2]
 
     def exact(self, artifacts, rows, labels):
         # a label outside the CTC support has prefix probability zero
         rows = np.asarray(rows, dtype=np.int64)
         cols = self._column[labels]
         known = cols >= 0
-        parent = np.array([s.log_prefix_prob for s in artifacts.states])[rows[known]]
+        parent = artifacts.states.log_prefix_prob[rows[known]]
         out = np.full(rows.size, NEG_INF)
         out[known] = self._scorer.exact(artifacts, rows[known], cols[known]) - parent
         return out
@@ -103,31 +116,43 @@ class CtcPrefixLabelScorer:
 
 
 class ContextLMScorer(_ExactScorer):
-    """N-gram or table LM as a label-synchronous scorer."""
+    """N-gram or table LM as a label-synchronous scorer.
+
+    A state is the (B, w) array of each row's last w labels, BOS first,
+    with w at most the model's ``context_size``: all its conditionals
+    depend on.  A step asks the model once per distinct context.
+    """
 
     def __init__(self, model: NGramModel | TableLM, name: str = "lm"):
         self.name = name
         self.model = model
 
-    def start(self):
-        return (self.model.vocab.bos_id,)
+    def start(self, count):
+        width = min(1, self.model.context_size)
+        return np.full((count, width), self.model.vocab.bos_id)
 
     def _scores(self, ctxs):
-        return np.stack([self.model.conditionals(ctx) for ctx in ctxs]), ctxs
+        if not ctxs.shape[1]:
+            return np.tile(self.model.conditionals(()), (len(ctxs), 1)), ctxs
+        distinct, inverse = np.unique(ctxs, axis=0, return_inverse=True)
+        rows = np.stack([self.model.conditionals(tuple(ctx)) for ctx in distinct.tolist()])
+        return rows[inverse.ravel()], ctxs
 
     def advance(self, artifacts, rows, labels):
-        ctxs = artifacts[1]
-        return [ctxs[r] + (label,) for r, label in zip(rows, labels)]
+        ctxs = np.concatenate([artifacts[1][rows], np.asarray(labels)[:, None]], axis=1)
+        return ctxs[:, max(0, ctxs.shape[1] - self.model.context_size) :]
 
 
 class DecoderLabelScorer(_ExactScorer):
     """Toy attention decoder as a scorer; audio absent means pure LM mode.
 
     Blank and BOS entries are masked to -inf without renormalizing, so step
-    scores equal the decoder's own log-softmax outputs.  ``advance`` feeds
-    all survivors of a label step to one ``decoder_step``.  It keeps a
-    singleton row axis on every tensor, so each survivor's row is
-    bit-identical to stepping that survivor alone.
+    scores equal the decoder's own log-softmax outputs.  A state is the
+    (B, V) matrix of masked next-label log-distributions and the decoder's
+    incremental state, whose (B, L, d) keys/values ``advance`` gathers by
+    survivor row inside one ``decoder_step``.  Every tensor keeps a
+    singleton row axis, so each survivor's row is bit-identical to stepping
+    that survivor alone.
     """
 
     def __init__(
@@ -148,18 +173,19 @@ class DecoderLabelScorer(_ExactScorer):
         self._mask = np.zeros(vocab.size)
         self._mask[[vocab.blank_id, vocab.bos_id]] = NEG_INF
 
-    def start(self):
+    def start(self, count):
         state = decoder_init(self.weights, self.config, self.audio)
-        (row,), (inc,) = decoder_step(self.weights, self.config, [state], [self.vocab.bos_id])
-        return row, inc
+        rows, state = decoder_step(self.weights, self.config, state, [self.vocab.bos_id])
+        root = np.zeros(count, dtype=np.int64)
+        return rows[root] + self._mask, state.take(root)
 
     def _scores(self, states):
-        return np.stack([row for row, _ in states]) + self._mask, [inc for _, inc in states]
+        return states
 
     def advance(self, artifacts, rows, labels):
-        incs = artifacts[1]
-        out, successors = decoder_step(self.weights, self.config, [incs[r] for r in rows], labels)
-        return list(zip(out, successors))
+        out, state = decoder_step(self.weights, self.config, artifacts[1], labels, rows)
+        out += self._mask
+        return out, state
 
 
 @dataclass
@@ -177,7 +203,11 @@ class ScorerHandle:
     decoder_weights: DecoderWeights | None = None
     interface: InterfaceConfig | None = None
 
-    def build(self, vocab: Vocabulary, pg: Posteriorgram | None, audio=None) -> LabelScorer:
+    def build(
+        self, vocab: Vocabulary, pg: Posteriorgram | Sequence[Posteriorgram] | None, audio=None
+    ) -> LabelScorer:
+        """The runtime scorer; ``pg`` may be the posteriorgrams of a
+        lockstep, which a ``ctc_prefix`` scorer then holds together."""
         if self.kind == "ctc_prefix":
             if pg is None:
                 raise ValueError("ctc_prefix scorer needs a posteriorgram")
@@ -205,9 +235,10 @@ class DecodeStats:
     ``ctc_exact_pairs`` counts the (hypothesis, label) pairs, EOS excluded,
     whose CTC prefix probability the label-synchronous beam folded exactly;
     every other pair it only bounded.  A lockstep search over several
-    utterances splits its wall time between them by frames, so their
-    ``wall_time_s`` (and with ``audio_seconds`` their RTF) sum to the
-    search's own.
+    utterances, frame-synchronous (``lockstep_beam``) or joint
+    (``labelsync_lockstep``), splits its wall time between them by frames,
+    so their ``wall_time_s`` (and with ``audio_seconds`` their RTF) sum to
+    the search's own; the counters stay each utterance's own.
     """
 
     scorer_evaluations: int = 0
@@ -296,15 +327,6 @@ def write_nbest(nbest: NBestList, vocab: Vocabulary, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-@dataclass
-class _Hyp:
-    labels: tuple[int, ...]
-    components: dict[str, float]
-    combined: float
-    states: dict[str, Any]
-    finished: bool = False
-
-
 def labelsync_beam(
     scorers: Sequence[LabelScorer],
     weights: ScorerWeights,
@@ -322,9 +344,78 @@ def labelsync_beam(
     chance at the beam; the result equals scoring every pair exactly.
     Finished hypotheses compete for beam slots; the search stops once the
     beam-best hypothesis is finished or hypotheses reach ``max_len`` labels.
+    It runs as a lockstep of one utterance (see :func:`labelsync_lockstep`).
+    """
+    per_utt = None if stats is None else [stats]
+    return _labelsync_search(scorers, weights, beam, vocab, [max_len], [1], per_utt)[0]
+
+
+def labelsync_lockstep(
+    pgs: Sequence[Posteriorgram],
+    handles: Sequence[ScorerHandle],
+    weights: ScorerWeights,
+    beam: int,
+    vocab: Vocabulary,
+    stats: Sequence[DecodeStats] | None = None,
+) -> list[NBestList]:
+    """:func:`labelsync_beam` of each posteriorgram, all run in lockstep
+    with one scorer of each handle, built for all of them.
+
+    Utterance u may take max(1, round(``max_len_factor`` * T_u)) labels.
+    ``stats``, one per posteriorgram, get that utterance's counters and
+    audio; the search's wall time is split between the utterances by
+    frames.  ``decoder_am`` scorers, whose stream positions depend on the
+    audio's length, decode one utterance per :func:`labelsync_beam` call.
+    """
+    if not pgs:
+        return []
+    # longest first: the CTC scorer's bound pass blocks rows of like length
+    order = sorted(range(len(pgs)), key=lambda u: -pgs[u].num_frames)
+    ordered = [pgs[u] for u in order]
+    scorers = [handle.build(vocab, ordered) for handle in handles]
+    frames = [pg.num_frames for pg in ordered]
+    max_lens = [max(1, round(weights.max_len_factor * t)) for t in frames]
+    per_utt = None if stats is None else [stats[u] for u in order]
+    nbests = _labelsync_search(scorers, weights, beam, vocab, max_lens, frames, per_utt)
+    results: list[NBestList] = [None] * len(pgs)  # type: ignore[list-item]
+    for nbest, u in zip(nbests, order):
+        results[u] = nbest
+        if stats is not None:
+            stats[u].audio_seconds += pgs[u].duration_seconds
+    return results
+
+
+def _labelsync_search(
+    scorers: Sequence[LabelScorer],
+    weights: ScorerWeights,
+    beam: int,
+    vocab: Vocabulary,
+    max_lens: Sequence[int],
+    frames: Sequence[int],
+    stats: Sequence[DecodeStats] | None,
+) -> list[NBestList]:
+    """The label-synchronous beam of ``len(max_lens)`` utterances in
+    lockstep; the scorers hold a row per live hypothesis of any of them.
+
+    Label step n advances every running utterance with one ``step``,
+    ``exact`` and ``advance`` call per scorer over all their live rows,
+    which all hold n labels.  The live set is a set of arrays gathered by
+    survivor index: utterance, trie node (parent, label), the (B, scorers)
+    components and the combined score.  Each utterance cuts its own pairs
+    (one ``np.partition`` over a (U, S·C) block) and ranks its own pool,
+    the finished hypotheses in its beam and its refined pairs (one
+    ``np.lexsort`` with the utterance first).  Label tuples are built only
+    for pool entries tied at the cut or at the top, whose order the labels
+    settle, and for the output.  An utterance retires, and its rows drop
+    out, when its beam-best is finished, when it has taken ``max_lens[u]``
+    steps or when no pair can extend it; each sees the float operations of
+    a search of its own, so neither results nor counters depend on which
+    utterances share a lockstep.  The wall time is split by ``frames``.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
+    if min(max_lens) < 1:
+        raise ValueError("max_len must be >= 1")
     if not scorers:
         raise ValueError("at least one scorer is required")
     names = [s.name for s in scorers]
@@ -336,136 +427,232 @@ def labelsync_beam(
     active = [s for s in scorers if weights.weights.get(s.name, 0.0) != 0.0]
     if not active:
         raise ValueError("all scorers have zero weight")
+    active_names = [s.name for s in active]
+    scales = [weights.weights[name] for name in active_names]
 
+    num = len(max_lens)
     ctc_scorers = [s for s in active if isinstance(s, CtcPrefixLabelScorer)]
     if ctc_scorers:
-        candidates = ctc_scorers[0].candidates
+        candidates, counts = ctc_scorers[0].candidates, ctc_scorers[0].counts
     else:
         plain = [i for i in range(vocab.size) if not vocab.is_special(i)]
         candidates = np.array(plain + [vocab.eos_id])
+        counts = np.full(num, candidates.size)
+    cand_eos = candidates == vocab.eos_id
+    max_lens = np.asarray(max_lens)
 
     t0 = time.perf_counter()
-    start = _Hyp(
-        labels=(),
-        components={s.name: 0.0 for s in active},
-        combined=0.0,
-        states={s.name: s.start() for s in active},
-    )
-    beam_hyps: list[_Hyp] = [start]
-    finished_pool: dict[tuple[int, ...], _Hyp] = {}
+    states = [s.start(num) for s in active]
+    trie_parent, trie_label = [-1] * num, [-1] * num
 
-    scales = [weights.weights[s.name] for s in active]
-    num_cands = candidates.size
-    for _ in range(max_len):
-        live = [h for h in beam_hyps if not h.finished]
-        if not live:
-            break
-        if stats:
-            stats.steps += 1
-            stats.peak_live_hypotheses = max(stats.peak_live_hypotheses, len(beam_hyps))
-            stats.peak_candidate_set = max(stats.peak_candidate_set, num_cands)
-            stats.scorer_evaluations += len(live) * len(active) * num_cands
-        # bound: one step call per scorer covers every live hypothesis, as
-        # all have one length.  The float operations of ScorerWeights.combine,
-        # in its order, are monotone in each component, so combining the
-        # lower (upper) bounds bounds the combined score; a negative weight
-        # swaps them.
-        parents = []
+    def labels_of(node):
+        out = []
+        while trie_label[node] >= 0:
+            out.append(trie_label[node])
+            node = trie_parent[node]
+        return tuple(reversed(out))
+
+    # the live hypotheses, grouped by utterance: utterance, trie node,
+    # components and combined score
+    utt, node = np.arange(num), np.arange(num)
+    comps, comb = np.zeros((num, len(active))), np.zeros(num)
+    # the finished hypotheses in a beam: the same, plus length and prune key
+    f_utt, f_node = np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    f_comps, f_comb = np.zeros((0, len(active))), np.zeros(0)
+    f_depth, f_key = np.zeros(0, dtype=np.int64), np.zeros(0)
+    # every finished hypothesis that made a beam, in chunks
+    done: list[tuple[np.ndarray, ...]] = []
+    steps = np.zeros(num, dtype=np.int64)
+    peak_live = np.zeros(num, dtype=np.int64)
+    evaluations = np.zeros(num, dtype=np.int64)
+    exact_pairs = np.zeros(num, dtype=np.int64)
+    results: list[NBestList | None] = [None] * num
+
+    def finalize(u, beam_nodes, beam_comps, beam_comb):
+        """Utterance u's n-best list: the unfinished hypotheses of its last
+        beam and every finished one that made a beam."""
+        nodes, rows, combs = list(beam_nodes), list(beam_comps), list(beam_comb)
+        for d_utt, d_node, d_comps, d_comb in done:
+            mine = d_utt == u
+            nodes += d_node[mine].tolist()
+            rows += list(d_comps[mine])
+            combs += d_comb[mine].tolist()
+        entries = [
+            NBestEntry(
+                labels_of(n), dict(zip(active_names, row.tolist())), c,
+                bool(trie_label[n] == vocab.eos_id),
+            )
+            for n, row, c in zip(nodes, rows, combs)
+            if math.isfinite(c)
+        ]
+        results[u] = NBestList(entries)
+
+    running = np.ones(num, dtype=bool)
+    n = 0
+    while running.any():
+        live = np.bincount(utt, minlength=num)
+        steps += running
+        np.maximum(peak_live, live + np.bincount(f_utt, minlength=num), out=peak_live)
+        evaluations += live * len(active) * counts
+
+        # bound: one step call per scorer covers every live row.  The float
+        # operations of ScorerWeights.combine, in its order, are monotone
+        # in each component, so combining the lower (upper) bounds bounds
+        # the combined score; a negative weight swaps them.
+        # Bounds are only compared, so -0.0 and 0.0 may differ there and the
+        # sums start from the first term, in place.
         artifacts = []
-        lower = upper = 0.0
-        possible = True
-        for s, scale in zip(active, scales):
-            lo_matrix, hi_matrix, art = s.step([h.states[s.name] for h in live])
-            parent = np.array([h.components[s.name] for h in live])
-            lo = parent[:, None] + lo_matrix[:, candidates]
-            hi = lo if hi_matrix is lo_matrix else parent[:, None] + hi_matrix[:, candidates]
+        lower = upper = None
+        possible = np.ones((utt.size, candidates.size), dtype=bool)
+        for j, (s, scale) in enumerate(zip(active, scales)):
+            lo_matrix, hi_matrix, art = s.step(states[j])
+            artifacts.append(art)
+            parent = comps[:, j, None]
+            lo = lo_matrix[:, candidates]
+            lo += parent
+            hi = lo
+            if hi_matrix is not lo_matrix:
+                hi = hi_matrix[:, candidates]
+                hi += parent
+            del lo_matrix, hi_matrix
             # a pair that any scorer gives probability zero is impossible,
             # whatever the sign of its weight
-            possible = possible & (hi != NEG_INF)
+            possible &= hi != NEG_INF
             if scale < 0:
                 lo, hi = hi, lo
-            lower = lower + scale * lo
-            upper = upper + scale * hi
-            parents.append(parent)
-            artifacts.append(art)
+            lo *= scale
+            if hi is not lo:
+                hi *= scale
+            if lower is None:
+                lower, upper = lo, hi.copy() if hi is lo else hi
+            else:
+                lower += lo
+                upper += hi
+            del lo, hi
         # length normalization divides by a positive count: order is kept
-        norm = len(live[0].labels) + 1 if weights.length_norm else 1
-        # the bounds are -inf together with the exact score, so every
-        # possible pair has finite bounds
-        flat = np.flatnonzero(possible)
-        if flat.size > beam:
-            # cut: at least beam pairs have an exact key at or above the
-            # beam-th best lower key, so no pair whose upper key falls below
-            # it can make the beam
-            lo_keys = (lower / norm).ravel()[flat]
-            cut = np.partition(lo_keys, flat.size - beam)[flat.size - beam]
-            flat = flat[(upper / norm).ravel()[flat] >= cut]
-        # refine: exact components for that superset only
-        rows, cols = np.divmod(flat, num_cands)
+        norm = n + 1 if weights.length_norm else 1
+        if norm != 1:
+            lower /= norm
+            upper /= norm
+
+        # cut: per utterance, at least beam pairs have an exact key at or
+        # above the beam-th best lower key, so no pair whose upper key falls
+        # below it can make the beam; the bounds are -inf together with the
+        # exact score, so every possible pair has finite bounds
+        cut_at = np.full(num, _LOWEST)
+        pairs = np.bincount(utt, weights=np.count_nonzero(possible, axis=1), minlength=num)
+        over = pairs > beam
+        if over.any():
+            compact = np.cumsum(running) - 1
+            run = np.flatnonzero(running)
+            row_utt = compact[utt]
+            slot = np.arange(utt.size) - (np.cumsum(live[run]) - live[run])[row_utt]
+            want = np.maximum(1, np.minimum(beam, pairs[run])).astype(np.int64)
+            lower[~possible] = NEG_INF
+            cut_at[run] = _cut_threshold(lower, row_utt, slot, live[run], want)
+        del lower
+        # refine: exact components for the pairs that pass the cut only
+        possible &= upper >= cut_at[utt][:, None]
+        del upper
+        rows, cols = np.nonzero(possible)
+        del possible
         labels = candidates[cols]
-        comps = [
-            parent[rows] + s.exact(art, rows, labels)
-            for s, parent, art in zip(active, parents, artifacts)
-        ]
+        new_comps = np.empty((rows.size, len(active)))
         combined = 0.0
-        for comp, scale in zip(comps, scales):
-            combined = combined + scale * comp
+        for j, (s, scale, art) in enumerate(zip(active, scales, artifacts)):
+            new_comps[:, j] = comps[rows, j] + s.exact(art, rows, labels)
+            combined = combined + scale * new_comps[:, j]
         keys = combined / norm
-        if stats:
-            folds = int(np.count_nonzero(labels != vocab.eos_id))
-            stats.ctc_exact_pairs += len(ctc_scorers) * folds
-        if keys.size > beam:
-            # shortlist: only candidates tied with or above the beam-th best
-            # key can make the beam; the exact sort below settles ties
-            kth = np.partition(keys, keys.size - beam)[keys.size - beam]
-            keep = np.flatnonzero(keys >= kth)
-            rows, labels, combined = rows[keep], labels[keep], combined[keep]
-            comps = [comp[keep] for comp in comps]
-        pool: list[tuple[_Hyp, int | None]] = [(h, None) for h in beam_hyps if h.finished]
-        for i, (row, c) in enumerate(zip(rows.tolist(), labels.tolist())):
-            child = _Hyp(
-                live[row].labels + (c,),
-                {s.name: float(comp[i]) for s, comp in zip(active, comps)},
-                float(combined[i]),
-                {},
-                finished=c == vocab.eos_id,
-            )
-            pool.append((child, row))
-        if not pool:
+        if ctc_scorers:
+            folds = np.bincount(utt[rows], weights=~cand_eos[cols], minlength=num)
+            exact_pairs += len(ctc_scorers) * folds.astype(np.int64)
+
+        # rank each utterance's pool by (key, length); labels settle ties
+        # at the cut and at the top
+        child_eos = cand_eos[cols]
+        p_utt = np.concatenate([f_utt, utt[rows]])
+        p_key = np.concatenate([f_key, -keys])
+        p_depth = np.concatenate([f_depth, np.full(rows.size, n + 1)])
+        p_done = np.concatenate([np.ones(f_utt.size, dtype=bool), child_eos])
+        order = np.lexsort((p_depth, p_key, p_utt))
+        per_utt = np.bincount(p_utt, minlength=num)
+        first = per_utt.cumsum() - per_utt
+
+        def pool_labels(i):
+            if i < f_utt.size:
+                return labels_of(int(f_node[i]))
+            k = i - f_utt.size
+            return labels_of(int(node[rows[k]])) + (int(labels[k]),)
+
+        for at in (0, beam - 1):
+            us = np.flatnonzero(per_utt > at + 1)
+            a, b = order[first[us] + at], order[first[us] + at + 1]
+            for u in us[(p_key[a] == p_key[b]) & (p_depth[a] == p_depth[b])].tolist():
+                seg = order[first[u] : first[u] + per_utt[u]]
+                ref = seg[at]
+                group = np.flatnonzero((p_key[seg] == p_key[ref]) & (p_depth[seg] == p_depth[ref]))
+                members = seg[group]
+                names = [pool_labels(i) for i in members.tolist()]
+                seg[group] = members[sorted(range(members.size), key=names.__getitem__)]
+        rank = np.arange(order.size) - first[p_utt[order]]
+        top = order[rank < beam]
+
+        # survivors: finished ones keep their node, children get one
+        s_utt, s_done = p_utt[top], p_done[top]
+        child = top >= f_utt.size
+        k = top[child] - f_utt.size
+        s_node = np.empty(top.size, dtype=np.int64)
+        s_node[~child] = f_node[top[~child]]
+        s_node[child] = len(trie_label) + np.arange(k.size)
+        trie_parent.extend(node[rows[k]].tolist())
+        trie_label.extend(labels[k].tolist())
+        s_comps = np.concatenate([f_comps, new_comps])[top]
+        s_comb = np.concatenate([f_comb, combined])[top]
+        joined = child & s_done
+        done.append((s_utt[joined], s_node[joined], s_comps[joined], s_comb[joined]))
+
+        # an utterance retires when no pair extends it (its last beam
+        # stands), when its beam-best is finished, or at its max_len
+        stuck = running & (per_utt == 0)
+        best_done = np.zeros(num, dtype=bool)
+        best_done[per_utt > 0] = p_done[order[first[per_utt > 0]]]
+        retire = running & (stuck | best_done | (steps == max_lens))
+        for u in np.flatnonzero(retire).tolist():
+            if stuck[u]:
+                mine = utt == u
+                finalize(u, node[mine].tolist(), comps[mine], comb[mine].tolist())
+            else:
+                mine = (s_utt == u) & ~s_done
+                finalize(u, s_node[mine].tolist(), s_comps[mine], s_comb[mine].tolist())
+        running &= ~retire
+        if not running.any():
             break
-        pool.sort(key=lambda item: _prune_key(item[0], weights))
-        survivors = pool[:beam]
-        # scorer states are materialized for beam survivors only
-        growing = [(h, row) for h, row in survivors if row is not None and not h.finished]
-        if growing:
-            rows = [row for _, row in growing]
-            labels = [h.labels[-1] for h, _ in growing]
-            for s, art in zip(active, artifacts):
-                for (h, _), state in zip(growing, s.advance(art, rows, labels)):
-                    h.states[s.name] = state
-        beam_hyps = [h for h, _ in survivors]
-        for h in beam_hyps:
-            if h.finished:
-                finished_pool.setdefault(h.labels, h)
-        if beam_hyps[0].finished:
-            break
 
-    results = {h.labels: h for h in beam_hyps}
-    for labels, h in finished_pool.items():
-        results.setdefault(labels, h)
-    entries = [
-        NBestEntry(h.labels, dict(h.components), h.combined, h.finished)
-        for h in results.values()
-        if math.isfinite(h.combined)
-    ]
-    if stats:
-        stats.wall_time_s += time.perf_counter() - t0
-    return NBestList(entries)
+        # the scorer rows of the growing survivors of running utterances;
+        # each scorer's old rows and artifacts go once it has advanced
+        grow = child & ~s_done & running[s_utt]
+        g = top[grow] - f_utt.size
+        for j, s in enumerate(active):
+            states[j] = None
+            states[j], artifacts[j] = s.advance(artifacts[j], rows[g], labels[g]), None
+        utt, node, comps, comb = s_utt[grow], s_node[grow], s_comps[grow], s_comb[grow]
+        held = s_done & running[s_utt]
+        f_utt, f_node, f_comps, f_comb = s_utt[held], s_node[held], s_comps[held], s_comb[held]
+        f_depth, f_key = p_depth[top][held], p_key[top][held]
+        n += 1
 
-
-def _prune_key(h: _Hyp, weights: ScorerWeights):
-    score = h.combined / len(h.labels) if weights.length_norm and h.labels else h.combined
-    return (-score, len(h.labels), h.labels)
+    if stats is not None:
+        wall = time.perf_counter() - t0
+        total = sum(frames)
+        for u, s in enumerate(stats):
+            s.steps += int(steps[u])
+            s.peak_live_hypotheses = max(s.peak_live_hypotheses, int(peak_live[u]))
+            if steps[u]:
+                s.peak_candidate_set = max(s.peak_candidate_set, int(counts[u]))
+            s.scorer_evaluations += int(evaluations[u])
+            s.ctc_exact_pairs += int(exact_pairs[u])
+            s.wall_time_s += wall * frames[u] / total
+    return results
 
 
 class _NoLM:
@@ -986,7 +1173,7 @@ def exhaustive_decode(
         vectors = {}
         artifacts = {}
         for s in active:
-            _, _, art = s.step([states[s.name]])
+            _, _, art = s.step(states[s.name])
             vectors[s.name] = s.exact(art, rows, every)
             artifacts[s.name] = art
             if stats:
@@ -1007,10 +1194,10 @@ def exhaustive_decode(
             comps = {n: components[n] + float(vectors[n][i]) for n in vectors}
             if NEG_INF in comps.values():
                 continue
-            succ = {s.name: s.advance(artifacts[s.name], [0], [c])[0] for s in active}
+            succ = {s.name: s.advance(artifacts[s.name], [0], [c]) for s in active}
             visit(labels + (c,), comps, succ, depth + 1)
 
-    start_states = {s.name: s.start() for s in active}
+    start_states = {s.name: s.start(1) for s in active}
     visit((), {s.name: 0.0 for s in active}, start_states, 0)
     if stats:
         stats.wall_time_s += time.perf_counter() - t0

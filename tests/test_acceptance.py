@@ -158,10 +158,10 @@ class TestCriterion2PrefixScoreConsistency:
             prev_prob = 0.0
             for _ in range(int(rng.integers(1, t + 2))):
                 cands = list(range(1, v))
-                _, _, step = scorer.step([state], cands)
+                _, _, step = scorer.step(state, cands)
                 scores = scorer.exact(step, [0] * len(cands), range(len(cands)))
                 assert np.all(scores <= prev_prob + 1e-9)
-                _, _, eos_step = scorer.step([state], [eos])
+                _, _, eos_step = scorer.step(state, [eos])
                 eos_score = scorer.exact(eos_step, [0], [0])
                 want = ctc_forward_logprob(pg, prefix, 0)
                 if want == NEG_INF:
@@ -173,7 +173,7 @@ class TestCriterion2PrefixScoreConsistency:
                     break
                 prev_prob = float(scores[pick])
                 prefix.append(cands[pick])
-                (state,) = scorer.advance(step, [0], [pick])
+                state = scorer.advance(step, [0], [pick])
         report(2, "prefix-EOS == forward (1e-9), extensions monotone on 200 instances")
 
 
@@ -531,7 +531,7 @@ class TestCriterion10InterfacesAndIncremental:
             full = decoder_forward(w, cfg, audio, labels)
             state = decoder_init(w, cfg, audio)
             for pos, lab in enumerate(labels):
-                (row,), (state,) = decoder_step(w, cfg, [state], [lab])
+                (row,), state = decoder_step(w, cfg, state, [lab])
                 np.testing.assert_allclose(row, full[pos], atol=1e-6)
         report(10, "empty-prefix collapse (1e-9) and step == full (1e-6), 100 seeds")
 

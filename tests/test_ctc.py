@@ -142,7 +142,7 @@ class TestGreedyDecode:
 def step_one(sc, state, cands):
     """One state through the batched protocol: its exact score row and,
     aligned with it, the successor state per candidate."""
-    _, _, step = sc.step([state], cands)
+    _, _, step = sc.step(state, cands)
     rows, cols = [0] * len(cands), list(range(len(cands)))
     return sc.exact(step, rows, cols), sc.advance(step, rows, cols)
 
@@ -237,7 +237,7 @@ class TestPrefixScorer:
         pg = make_pg(np.full((2, 3), 1 / 3))
         sc = self.scorer(pg)
         _, states = step_one(sc, sc.initial_state(), [1])
-        scores, _ = step_one(sc, states[0], [self.EOS])
+        scores, _ = step_one(sc, states, [self.EOS])
         assert scores[0] == pytest.approx(math.log(3 / 9), abs=1e-12)
         assert scores[0] == pytest.approx(ctc_forward_logprob(pg, [1], BLANK), abs=1e-12)
 
@@ -259,13 +259,13 @@ class TestPrefixScorer:
                 if scores[pick] == NEG_INF:
                     break
                 parent = scores[pick]
-                state = states[pick]
+                state = states.take([pick])
 
     def test_blank_candidate_rejected(self):
         pg = make_pg(np.full((2, 3), 1 / 3))
         sc = self.scorer(pg)
         with pytest.raises(ValueError):
-            sc.step([sc.initial_state()], [BLANK])
+            sc.step(sc.initial_state(), [BLANK])
 
     def test_matches_brute_force_prefix(self):
         rng = np.random.default_rng(11)
@@ -289,7 +289,7 @@ class TestPrefixScorer:
                 if scores[pick] == NEG_INF:
                     break
                 prefix.append(cands[pick])
-                state = states[pick]
+                state = states.take([pick])
 
     def test_forward_variables_bounded(self):
         rng = np.random.default_rng(21)
@@ -302,7 +302,7 @@ class TestPrefixScorer:
             pick = int(np.argmax(scores))
             if scores[pick] == NEG_INF:
                 break
-            state = states[pick]
+            state = states.take([pick])
             assert_bounded(state)
 
     def test_monotone_under_extension(self):
@@ -316,17 +316,17 @@ class TestPrefixScorer:
             assert np.all(scores <= prev + 1e-12)
             best = int(np.argmax(scores))
             prev = scores[best]
-            state = states[best]
+            state = states.take([best])
 
     def test_initial_state_and_mixed_lengths_rejected(self):
         pg = make_pg(np.full((2, 3), 1 / 3))
         sc = self.scorer(pg)
         state = sc.initial_state()
-        assert state.prefix == () and state.log_prefix_prob == 0.0
+        assert (state.length, state.last.tolist(), state.log_prefix_prob.tolist()) == (0, [-1], [0.0])
         scores, states = step_one(sc, state, [1, 2])
         assert scores[0] == pytest.approx(math.log(4 / 9), abs=1e-12)
-        with pytest.raises(ValueError):
-            sc.step([state, states[0]], [1])
+        # a batch holds one prefix length for all its rows, so lengths cannot mix
+        assert (states.length, states.last.tolist()) == (1, [1, 2])
 
     def test_batched_kernel_equals_reference_exactly(self):
         # B > 1 states per step, candidates equal to each state's last label,
@@ -340,8 +340,8 @@ class TestPrefixScorer:
             sc = self.scorer(pg)
             cands = list(range(1, v)) + [self.EOS]
             init = sc.initial_state()
-            states = [init]
-            refs = [(init.prefix, init.log_nonblank, init.log_blank, init.log_prefix_prob)]
+            states = init
+            refs = [((), init.log_nonblank[:, 0], init.log_blank[:, 0], init.log_prefix_prob[0])]
             for _ in range(t + 2):
                 lower, _, step = sc.step(states, cands)
                 assert lower.shape == (len(states), len(cands))
@@ -355,14 +355,19 @@ class TestPrefixScorer:
                 cols = rng.integers(0, len(cands) - 1, size=k).tolist()
                 states = sc.advance(step, rows, cols)
                 refs = [want[r][1][c] for r, c in zip(rows, cols)]
-                for got, (prefix, log_nb, log_b, log_prefix) in zip(states, refs):
-                    assert got.prefix == prefix
-                    assert np.array_equal(got.log_nonblank, log_nb)
-                    assert np.array_equal(got.log_blank, log_b)
-                    assert got.log_prefix_prob == log_prefix
-            assert len(states[0].prefix) > t
-            _, _, step = sc.step(states[:1], [self.EOS])
-            assert sc.advance(step, [0], [0]) == [states[0]]
+                assert states.length == len(refs[0][0])
+                for b, (prefix, log_nb, log_b, log_prefix) in enumerate(refs):
+                    assert states.last[b] == prefix[-1]
+                    assert np.array_equal(states.log_nonblank[:, b], log_nb)
+                    assert np.array_equal(states.log_blank[:, b], log_b)
+                    assert states.log_prefix_prob[b] == log_prefix
+            assert states.length > t
+            first = states.take([0])
+            _, _, step = sc.step(first, [self.EOS])
+            kept = sc.advance(step, [0], [0])
+            assert np.array_equal(kept.log_nonblank, first.log_nonblank)
+            assert np.array_equal(kept.log_blank, first.log_blank)
+            assert kept.log_prefix_prob == first.log_prefix_prob and kept.last == first.last
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
@@ -395,7 +400,7 @@ class TestPrefixScorer:
             pg = topk_prune(pg, min(keep, v), True, BLANK)
         sc = self.scorer(pg)
         cands = list(range(1, v)) + [self.EOS]
-        states = [sc.initial_state()]
+        states = sc.initial_state()
         for _ in range(t + 2):
             lower, upper, step = sc.step(states, cands)
             exact = exact_matrix(sc, step, lower.shape)
@@ -409,9 +414,7 @@ class TestPrefixScorer:
             rows, cols = np.nonzero(exact[:, :-1] > NEG_INF)
             if rows.size == 0:
                 break
-            repeated = np.array(
-                [states[r].prefix[-1:] == (cands[c],) for r, c in zip(rows, cols)]
-            )
+            repeated = states.last[rows] == np.array(cands)[cols]
             order = np.concatenate(
                 [rng.permutation(np.flatnonzero(repeated)), rng.permutation(np.flatnonzero(~repeated))]
             )[:width]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit.core import NEG_INF, FormatError, ValidationError, Vocabulary, logsumexp
 from fusionkit.lm import (
@@ -174,6 +176,18 @@ class TestDenseConditionals:
             assert np.array_equal(got, reference_conditionals(model, ctx)), ctx
 
 
+def scan_conditionals(model, context):
+    """The table LM's lookup as a scan over every entry: the longest key
+    that is a suffix of the history, the first of equal ones, else the
+    default."""
+    ctx = tuple(context)
+    best, best_len = None, -1
+    for key, dist in model.entries:
+        if len(key) > best_len and len(key) <= len(ctx) and ctx[len(ctx) - len(key) :] == key:
+            best, best_len = dist, len(key)
+    return best if best is not None else model.default
+
+
 class TestTableLM:
     def test_suffix_matching_prefers_longest(self):
         d_default = uniform_table_lm(VOCAB).default
@@ -185,6 +199,23 @@ class TestTableLM:
         np.testing.assert_array_equal(model.conditionals([A, B]), d2)
         np.testing.assert_array_equal(model.conditionals([B, B]), d1)
         np.testing.assert_array_equal(model.conditionals([A]), d_default)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        keys=st.lists(st.lists(st.integers(0, 4), max_size=4).map(tuple), max_size=8),
+        contexts=st.lists(st.lists(st.integers(0, 4), max_size=5), min_size=1, max_size=6),
+    )
+    def test_index_equals_scan(self, keys, contexts):
+        # duplicate keys (the first wins), the empty key and keys longer
+        # than the history, against the scan over every entry
+        dists = []
+        for i in range(len(keys)):
+            d = np.full(VOCAB.size, NEG_INF)
+            d[[A, B, EOS][i % 3]] = 0.0
+            dists.append(d)
+        model = TableLM(VOCAB, tuple(zip(keys, dists)), uniform_table_lm(VOCAB).default)
+        for ctx in contexts:
+            assert model.conditionals(ctx) is scan_conditionals(model, ctx)
 
     def test_unnormalized_rejected(self):
         bad = np.full(VOCAB.size, math.log(0.3))
