@@ -99,7 +99,7 @@ DEFAULT_CONFIG = {
 # together; a joint lockstep takes at most LOCKSTEP_ROWS // beam of them, as
 # each live hypothesis holds the decoder's keys and values
 LOCKSTEP_UTTERANCES = 32
-LOCKSTEP_ROWS = 128
+LOCKSTEP_ROWS = 64
 
 
 class CliError(Exception):

@@ -366,9 +366,11 @@ class CtcPrefixScorer:
             # additions exact() makes.  Blocks of rows and frames keep the
             # (T', B, C) terms from ever existing whole: a whole array, or
             # blocks above about 128 KiB, measured slower or raised peak RSS.
+            log_sum = step.log_sum if rows.size == B else step.log_sum[:, rows]
             rows_per_block = max(1, _BLOCK_SIZE // cols.size)
             for r0 in range(0, rows.size, rows_per_block):
-                r = rows[r0 : r0 + rows_per_block]
+                block_rows = slice(r0, r0 + rows_per_block)
+                r = rows[block_rows]
                 u = states.utt[r]
                 end = int(ends[r].max())
                 peak = np.full((r.size, cols.size), NEG_INF)
@@ -379,7 +381,7 @@ class CtcPrefixScorer:
                 frames_per_block = max(1, _BLOCK_SIZE // (r.size * cols.size))
                 for t in range(start, end, frames_per_block):
                     frames = slice(t, min(t + frames_per_block, end))
-                    terms = step.log_sum[t - 1 : frames.stop - 1, r, None] + xs[frames, x_rows]
+                    terms = log_sum[t - 1 : frames.stop - 1, block_rows, None] + xs[frames, x_rows]
                     np.maximum(peak, terms.max(axis=0), out=peak)
                 # a row whose last label repeats (at most one column per row)
                 # takes log_blank, not log_sum, as phi for that column
@@ -415,8 +417,8 @@ class CtcPrefixScorer:
         out[eos] = step.log_sum[ends[eos] - 1, rows[eos]]
         plain = np.flatnonzero(~eos & (ends > S))
         start = max(S, 1)
-        # blocks of pairs keep the (T', k) terms near _BLOCK_SIZE
-        pairs_per_block = max(1, _BLOCK_SIZE // max(1, self.num_frames - start + 1))
+        # blocks of pairs keep the (T', k) terms near four times _BLOCK_SIZE
+        pairs_per_block = max(1, 4 * _BLOCK_SIZE // max(1, self.num_frames - start + 1))
         for p0 in range(0, plain.size, pairs_per_block):
             block = plain[p0 : p0 + pairs_per_block]
             r, lab, x = rows[block], labels[block], step.plain[cols[block]]
@@ -426,12 +428,8 @@ class CtcPrefixScorer:
             terms += step.xs[start:end, u, x]
             if S == 0:
                 terms = np.concatenate([step.xs[:1, u, x], terms])
-            # a reduction over axis 0 folds the frames in order; a lone term
-            # is its own fold (a padded -inf frame would turn -0.0 into 0.0)
-            fold = np.logaddexp.reduce(terms, axis=0)
-            lone = ends[block] - S == 1
-            fold[lone] = terms[0, lone]
-            out[block] = fold
+            # a reduction over axis 0 folds the frames in order, from -inf
+            out[block] = np.logaddexp.reduce(terms, axis=0)
         step.folds.append((rows * step.candidates.size + cols, out))
         return out
 

@@ -120,7 +120,7 @@ class ContextLMScorer(_ExactScorer):
 
     A state is the (B, w) array of each row's last w labels, BOS first,
     with w at most the model's ``context_size``: all its conditionals
-    depend on.  A step asks the model once per distinct context.
+    depend on.
     """
 
     def __init__(self, model: NGramModel | TableLM, name: str = "lm"):
@@ -132,11 +132,7 @@ class ContextLMScorer(_ExactScorer):
         return np.full((count, width), self.model.vocab.bos_id)
 
     def _scores(self, ctxs):
-        if not ctxs.shape[1]:
-            return np.tile(self.model.conditionals(()), (len(ctxs), 1)), ctxs
-        distinct, inverse = np.unique(ctxs, axis=0, return_inverse=True)
-        rows = np.stack([self.model.conditionals(tuple(ctx)) for ctx in distinct.tolist()])
-        return rows[inverse.ravel()], ctxs
+        return np.stack([self.model.conditionals(ctx) for ctx in map(tuple, ctxs.tolist())]), ctxs
 
     def advance(self, artifacts, rows, labels):
         ctxs = np.concatenate([artifacts[1][rows], np.asarray(labels)[:, None]], axis=1)
@@ -549,7 +545,7 @@ def _labelsync_search(
             slot = np.arange(utt.size) - (np.cumsum(live[run]) - live[run])[row_utt]
             want = np.maximum(1, np.minimum(beam, pairs[run])).astype(np.int64)
             lower[~possible] = NEG_INF
-            cut_at[run] = _cut_threshold(lower, row_utt, slot, live[run], want)
+            cut_at[run] = _cut_threshold(lower, row_utt, slot, live[run], want, reuse=True)
         del lower
         # refine: exact components for the pairs that pass the cut only
         possible &= upper >= cut_at[utt][:, None]
@@ -609,7 +605,8 @@ def _labelsync_search(
         s_comps = np.concatenate([f_comps, new_comps])[top]
         s_comb = np.concatenate([f_comb, combined])[top]
         joined = child & s_done
-        done.append((s_utt[joined], s_node[joined], s_comps[joined], s_comb[joined]))
+        if joined.any():
+            done.append((s_utt[joined], s_node[joined], s_comps[joined], s_comb[joined]))
 
         # an utterance retires when no pair extends it (its last beam
         # stands), when its beam-best is finished, or at its max_len
@@ -741,22 +738,26 @@ _LOWEST = -np.finfo(float).max
 _TRIE_SLACK = 4096
 
 
-def _cut_threshold(scores, utt, slot, counts, want):
+def _cut_threshold(scores, utt, slot, counts, want, reuse=False):
     """Per utterance, the ``want[u]``-th largest of its rows' ``scores``,
     or the lowest finite float where it has no more finite entries than
     that: the scores at or above it are the shortlist.
 
     Row r, the ``slot[r]``-th of utterance ``utt[r]``, is laid into row
     ``utt[r]`` of a (U, S·V) block, with -inf padding, so one
-    ``np.partition`` along the rows serves every utterance.
+    ``np.partition`` along the rows serves every utterance.  With ``reuse``
+    the rows of a lone utterance are that block as they stand, reordered.
     """
     num, width = counts.size, scores.shape[1]
     top = int(want.max())
     # enough slots for ``top`` entries, so that a short row reads -inf
     slots = max(int(counts.max()), -(-top // width))
-    block = np.full((num * slots, width), NEG_INF)
-    block[utt * slots + slot] = scores
-    block = block.reshape(num, slots * width)
+    if reuse and num == 1 and slots == len(scores):
+        block = scores.reshape(1, -1)
+    else:
+        block = np.full((num * slots, width), NEG_INF)
+        block[utt * slots + slot] = scores
+        block = block.reshape(num, slots * width)
     if top < block.shape[1]:
         block.partition(block.shape[1] - top, axis=1)
     tail = block[:, -top:]

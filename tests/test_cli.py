@@ -360,6 +360,84 @@ class TestSynthAndDecode:
         assert "decoding utt0002 failed: search broke" in err
         assert "utt0000" not in err
 
+    def test_joint_corpus_run_matches_one_utterance_runs(self, lm_file, tmp_path, capsys):
+        # one lockstep over the corpus gives each utterance the n-best file,
+        # hyps.txt line and counters of a run that decodes it alone
+        corpus = tmp_path / "corpus"
+        assert main(["synth", str(corpus), "--seed", "3", "--utts", "7", "--noise", "0.4",
+                     "--min-words", "1", "--max-words", "5"]) == 0
+        cfg = {
+            "strategy": "joint",
+            "beam": 4,
+            "length_norm": True,
+            "scorers": [
+                {"name": "ctc", "kind": "ctc_prefix", "weight": 1.0},
+                {"name": "lm", "kind": "ngram", "weight": 0.5, "path": str(lm_file)},
+                {"name": "dec", "kind": "decoder_lm", "weight": 0.05},
+            ],
+        }
+        cfg_path = tmp_path / "joint.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, _, _ = run(["decode", str(corpus), str(tmp_path / "all"), "--config", str(cfg_path)], capsys)
+        assert code == 0
+        hyps = (tmp_path / "all" / "hyps.txt").read_text().splitlines()
+        refs = (corpus / "refs.txt").read_text().splitlines()
+        totals = [0, 0, 0, 0, 0]
+        for i, ref in enumerate(refs):
+            utt_id = ref.split("\t", 1)[0]
+            alone = tmp_path / f"alone{i}"
+            alone.mkdir()
+            (alone / "vocab.txt").write_bytes((corpus / "vocab.txt").read_bytes())
+            (alone / "refs.txt").write_text(ref + "\n")
+            (alone / f"{utt_id}.fkpg").write_bytes((corpus / f"{utt_id}.fkpg").read_bytes())
+            out = tmp_path / f"out{i}"
+            code, _, _ = run(["decode", str(alone), str(out), "--config", str(cfg_path)], capsys)
+            assert code == 0
+            nbest = f"{utt_id}.nbest"
+            assert (out / nbest).read_bytes() == (tmp_path / "all" / nbest).read_bytes()
+            assert (out / "hyps.txt").read_text() == hyps[i] + "\n"
+            counters = [int(line.split("\t")[1]) for line in (out / "stats.txt").read_text().splitlines()[:5]]
+            for k, value in enumerate(counters):  # peaks are maxima, the rest sums
+                totals[k] = max(totals[k], value) if k in (1, 2) else totals[k] + value
+        stats = (tmp_path / "all" / "stats.txt").read_text().splitlines()[:5]
+        assert [int(line.split("\t")[1]) for line in stats] == totals
+
+    @pytest.mark.parametrize("command", ["decode", "bench"])
+    def test_no_finite_hypothesis_names_its_utterance(self, corpus, tmp_path, capsys, command):
+        # a posteriorgram with all mass on </s>: no frame-synchronous prefix
+        # ends with a finite score, while joint decoding ends with the empty
+        # hypothesis
+        from fusionkit.core import Posteriorgram, read_vocabulary, write_posteriorgram
+
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for path in corpus.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        vocab = read_vocabulary(corpus / "vocab.txt")
+        lp = np.full((3, vocab.size), -np.inf)
+        lp[:, vocab.eos_id] = 0.0
+        write_posteriorgram(Posteriorgram(lp), broken / "utt0002.fkpg")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"strategy": "timesync", "beam": 2}))
+        if command == "decode":
+            argv = ["decode", str(broken), str(tmp_path / "o"), "--config", str(cfg_path)]
+        else:
+            argv = ["bench", str(broken), "--config", str(cfg_path)]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert "utt0002" in err and "finite score" in err
+
+        cfg_path.write_text(json.dumps({
+            "strategy": "joint", "beam": 2,
+            "scorers": [{"name": "ctc", "kind": "ctc_prefix", "weight": 1.0}],
+        }))
+        out = tmp_path / "joint"
+        code, _, _ = run(["decode", str(broken), str(out), "--config", str(cfg_path)], capsys)
+        assert code == 0
+        assert "utt0002\t\n" in (out / "hyps.txt").read_text()
+        assert (out / "utt0002.nbest").read_text() == "1\t0.0\tctc=0.0\t\n"
+
     def test_unknown_config_key_rejected(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"strategy": "joint", "bogus": 1}))
@@ -491,6 +569,27 @@ class TestBenchCommand:
         # with the full support live, pruning shrinks the candidate counter
         assert int(pruned[5]) < int(full[5])
         assert int(pruned[6]) < int(full[6])
+
+
+    @pytest.mark.parametrize(
+        "flag, value, bad",
+        [("--top-k", "abc", "abc"), ("--beam", "2,x", "x"), ("--compress-threshold", "0.9,y", "y")],
+    )
+    def test_bad_grid_value_fails_before_reading(
+        self, corpus, tmp_path, capsys, monkeypatch, flag, value, bad
+    ):
+        from fusionkit import cli
+
+        def unread(path):
+            raise AssertionError(f"read {path}")
+
+        monkeypatch.setattr(cli, "read_posteriorgram", unread)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"strategy": "timesync", "beam": 2}))
+        code, stdout, err = run(["bench", str(corpus), "--config", str(cfg_path), flag, value], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert flag in err and repr(bad) in err
 
 
 class TestExportAttnCommand:
