@@ -250,9 +250,8 @@ class PrefixStep:
     ``log_sum`` holds the parents' total forward variables as (T, B)
     columns.  ``xs`` holds the plain candidates' posteriors as (T, U, C')
     columns, and ``plain[c]`` is candidate c's column there (-1 for EOS).
-    ``folds`` keeps the exact scores computed so far, as (pair keys
-    row * C + column, scores) arrays, so that ``advance`` reuses the
-    survivors' folds.
+    ``folded`` keeps the (B, C) exact scores computed so far, NaN
+    elsewhere, so that ``advance`` reuses the survivors' folds.
     """
 
     states: PrefixStates
@@ -260,7 +259,7 @@ class PrefixStep:
     xs: np.ndarray
     plain: np.ndarray
     log_sum: np.ndarray
-    folds: list[tuple[np.ndarray, np.ndarray]]
+    folded: np.ndarray
 
     def phi(self, rows, labels, frames: slice = slice(None)) -> np.ndarray:
         """Log probability that parent ``rows`` cover frames 1..t+1 such that
@@ -351,7 +350,7 @@ class CtcPrefixScorer:
             xs=xs,
             plain=plain,
             log_sum=np.logaddexp(states.log_nonblank, states.log_blank),
-            folds=[],
+            folded=np.full((B, C), np.nan),
         )
         lower = np.full((B, C), NEG_INF)
         upper = np.full((B, C), NEG_INF)
@@ -430,7 +429,7 @@ class CtcPrefixScorer:
                 terms = np.concatenate([step.xs[:1, u, x], terms])
             # a reduction over axis 0 folds the frames in order, from -inf
             out[block] = np.logaddexp.reduce(terms, axis=0)
-        step.folds.append((rows * step.candidates.size + cols, out))
+        step.folded[rows, cols] = out
         return out
 
     def advance(self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]) -> PrefixStates:
@@ -466,14 +465,7 @@ class CtcPrefixScorer:
             prev = fwd[t - 1]
             np.logaddexp(prev[1:2], prev[::2], out=fwd[t, :2])
             fwd[t, :2] += emit[t]
-        scores = np.full(rows.size, np.nan)
-        if step.folds:
-            keys, folds = (np.concatenate(parts) for parts in zip(*step.folds))
-            order = np.argsort(keys)
-            wanted = rows * step.candidates.size + cols
-            at = np.minimum(np.searchsorted(keys, wanted, sorter=order), keys.size - 1)
-            found = keys[order[at]] == wanted
-            scores[found] = folds[order[at[found]]]
+        scores = step.folded[rows, cols]
         again = np.isnan(scores)
         if np.any(again):
             scores[again] = self.exact(step, rows[again], cols[again])

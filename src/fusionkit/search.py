@@ -95,9 +95,9 @@ class CtcPrefixLabelScorer:
         bounds = list(self._scorer.step(states, self.candidates))
         parent = states.log_prefix_prob[:, None]
         for i in range(2):
+            bounds[i] -= parent
             out = np.full((len(states), self.vocab.size), NEG_INF)
             out[:, self.candidates] = bounds[i]
-            out[:, self.candidates] -= parent
             bounds[i] = out
         return bounds[0], bounds[1], bounds[2]
 
@@ -132,6 +132,7 @@ class ContextLMScorer(_ExactScorer):
         return np.full((count, width), self.model.vocab.bos_id)
 
     def _scores(self, ctxs):
+        # the model caches its rows by context: one lookup per live row
         return np.stack([self.model.conditionals(ctx) for ctx in map(tuple, ctxs.tolist())]), ctxs
 
     def advance(self, artifacts, rows, labels):
@@ -580,16 +581,18 @@ def _labelsync_search(
             k = i - f_utt.size
             return labels_of(int(node[rows[k]])) + (int(labels[k]),)
 
-        for at in (0, beam - 1):
-            us = np.flatnonzero(per_utt > at + 1)
-            a, b = order[first[us] + at], order[first[us] + at + 1]
-            for u in us[(p_key[a] == p_key[b]) & (p_depth[a] == p_depth[b])].tolist():
-                seg = order[first[u] : first[u] + per_utt[u]]
-                ref = seg[at]
-                group = np.flatnonzero((p_key[seg] == p_key[ref]) & (p_depth[seg] == p_depth[ref]))
-                members = seg[group]
-                names = [pool_labels(i) for i in members.tolist()]
-                seg[group] = members[sorted(range(members.size), key=names.__getitem__)]
+        # the order matters at the top (rank 0 against 1) and at the cut
+        # (rank beam - 1 against beam)
+        at = np.concatenate([first[per_utt > 1], (first + beam - 1)[per_utt > beam]])
+        a, b = order[at], order[at + 1]
+        for pos in at[(p_key[a] == p_key[b]) & (p_depth[a] == p_depth[b])].tolist():
+            u = p_utt[order[pos]]
+            seg = order[first[u] : first[u] + per_utt[u]]
+            ref = order[pos]
+            group = np.flatnonzero((p_key[seg] == p_key[ref]) & (p_depth[seg] == p_depth[ref]))
+            members = seg[group]
+            names = [pool_labels(i) for i in members.tolist()]
+            seg[group] = members[sorted(range(members.size), key=names.__getitem__)]
         rank = np.arange(order.size) - first[p_utt[order]]
         top = order[rank < beam]
 
