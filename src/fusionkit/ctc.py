@@ -233,14 +233,6 @@ class PrefixStates:
     def __len__(self) -> int:
         return self.utt.size
 
-    def take(self, rows) -> "PrefixStates":
-        """The states of ``rows``, in that order."""
-        rows = np.asarray(rows, dtype=np.int64)
-        return PrefixStates(
-            self.length, self.utt[rows], self.last[rows], self.log_nonblank[:, rows],
-            self.log_blank[:, rows], self.log_prefix_prob[rows],
-        )
-
 
 @dataclass(frozen=True)
 class PrefixStep:

@@ -463,11 +463,14 @@ class IncrementalState:
     def take(self, rows) -> "IncrementalState":
         """The states of ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.int64)
-        pick = lambda arrays: [a[rows] for a in arrays]  # noqa: E731
-        return IncrementalState(
-            self.position, pick(self.self_k), pick(self.self_v),
-            pick(self.cross_k), pick(self.cross_v), self.audio_len,
+        return self.map(lambda a: a[rows])
+
+    def map(self, fn) -> "IncrementalState":
+        """This state with ``fn`` applied to each key/value array."""
+        k, v, ck, cv = (
+            [fn(a) for a in arrays] for arrays in (self.self_k, self.self_v, self.cross_k, self.cross_v)
         )
+        return IncrementalState(self.position, k, v, ck, cv, self.audio_len)
 
 
 def _audio_memory(
@@ -559,12 +562,8 @@ def decoder_init(
     audio: EncoderOutput | np.ndarray | None,
 ) -> IncrementalState:
     """Prime a one-row incremental state with the audio prefix and the prompt."""
-    memory = _audio_memory(weights, config, _audio_frames(weights, config, audio))
-    batch = lambda arrays: [a[None] for a in arrays]  # noqa: E731
-    state = IncrementalState(
-        memory.position, batch(memory.self_k), batch(memory.self_v),
-        batch(memory.cross_k), batch(memory.cross_v), memory.audio_len,
-    )
+    state = _audio_memory(weights, config, _audio_frames(weights, config, audio))
+    state = state.map(lambda a: a[None])
     for tok in config.prompt:
         _, state = decoder_step(weights, config, state, [tok])
     return state

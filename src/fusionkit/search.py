@@ -443,11 +443,7 @@ def _labelsync_search(
     trie_parent, trie_label = [-1] * num, [-1] * num
 
     def labels_of(node):
-        out = []
-        while trie_label[node] >= 0:
-            out.append(trie_label[node])
-            node = trie_parent[node]
-        return tuple(reversed(out))
+        return _trie_labels(trie_parent, trie_label, node)
 
     # the live hypotheses, grouped by utterance: utterance, trie node,
     # components and combined score
@@ -564,16 +560,12 @@ def _labelsync_search(
             folds = np.bincount(utt[rows], weights=~cand_eos[cols], minlength=num)
             exact_pairs += len(ctc_scorers) * folds.astype(np.int64)
 
-        # rank each utterance's pool by (key, length); labels settle ties
-        # at the cut and at the top
-        child_eos = cand_eos[cols]
+        # rank each utterance's pool, the finished hypotheses in its beam
+        # and its refined pairs; whether the best is finished matters too
         p_utt = np.concatenate([f_utt, utt[rows]])
         p_key = np.concatenate([f_key, -keys])
         p_depth = np.concatenate([f_depth, np.full(rows.size, n + 1)])
-        p_done = np.concatenate([np.ones(f_utt.size, dtype=bool), child_eos])
-        order = np.lexsort((p_depth, p_key, p_utt))
-        per_utt = np.bincount(p_utt, minlength=num)
-        first = per_utt.cumsum() - per_utt
+        p_done = np.concatenate([np.ones(f_utt.size, dtype=bool), cand_eos[cols]])
 
         def pool_labels(i):
             if i < f_utt.size:
@@ -581,19 +573,7 @@ def _labelsync_search(
             k = i - f_utt.size
             return labels_of(int(node[rows[k]])) + (int(labels[k]),)
 
-        # the order matters at the top (rank 0 against 1) and at the cut
-        # (rank beam - 1 against beam)
-        at = np.concatenate([first[per_utt > 1], (first + beam - 1)[per_utt > beam]])
-        a, b = order[at], order[at + 1]
-        for pos in at[(p_key[a] == p_key[b]) & (p_depth[a] == p_depth[b])].tolist():
-            u = p_utt[order[pos]]
-            seg = order[first[u] : first[u] + per_utt[u]]
-            ref = order[pos]
-            group = np.flatnonzero((p_key[seg] == p_key[ref]) & (p_depth[seg] == p_depth[ref]))
-            members = seg[group]
-            names = [pool_labels(i) for i in members.tolist()]
-            seg[group] = members[sorted(range(members.size), key=names.__getitem__)]
-        rank = np.arange(order.size) - first[p_utt[order]]
+        order, rank, first, per_utt = _rank(p_utt, p_key, p_depth, num, beam, pool_labels, True)
         top = order[rank < beam]
 
         # survivors: finished ones keep their node, children get one
@@ -768,6 +748,43 @@ def _cut_threshold(scores, utt, slot, counts, want, reuse=False):
     return np.maximum(tail[np.arange(num), top - want], _LOWEST)
 
 
+def _trie_labels(parent: list[int], label: list[int], node: int) -> tuple[int, ...]:
+    """The labels on the path from a trie root to ``node``."""
+    out = []
+    while label[node] >= 0:
+        out.append(label[node])
+        node = parent[node]
+    return tuple(reversed(out))
+
+
+def _rank(utt, key, depth, num, beam, labels, top=False):
+    """Each of ``num`` utterances' entries in beam order, by (key, length,
+    labels): one ``np.lexsort`` by (utterance, key, length), then the
+    labels, ``labels(i)`` for entry i, settle ties where the order
+    matters, at the beam cut (rank beam - 1 against beam) and with ``top``
+    at the top (rank 0 against 1).
+
+    Returns the order, each ordered entry's rank within its utterance, and
+    each utterance's first position and number of entries.
+    """
+    order = np.lexsort((depth, key, utt))
+    per_utt = np.bincount(utt, minlength=num)
+    first = per_utt.cumsum() - per_utt
+    at = (first + beam - 1)[per_utt > beam]
+    if top:
+        at = np.concatenate([first[per_utt > 1], at])
+    a, b = order[at], order[at + 1]
+    for pos in at[(key[a] == key[b]) & (depth[a] == depth[b])].tolist():
+        u = utt[order[pos]]
+        seg = order[first[u] : first[u] + per_utt[u]]
+        ref = order[pos]
+        group = np.flatnonzero((key[seg] == key[ref]) & (depth[seg] == depth[ref]))
+        members = seg[group]
+        names = [labels(i) for i in members.tolist()]
+        seg[group] = members[sorted(range(members.size), key=names.__getitem__)]
+    return order, np.arange(order.size) - first[utt[order]], first, per_utt
+
+
 def _trie_closure(parent: list[int], label: list[int], live: list[int], roots: int):
     """The prefix trie cut down to the ``live`` nodes and their ancestors.
 
@@ -857,11 +874,7 @@ def _timesync_search(
     compact_at = num + _TRIE_SLACK  # trie size that prompts cutting it back
 
     def labels_of(node):
-        out = []
-        while trie_label[node] >= 0:
-            out.append(trie_label[node])
-            node = trie_parent[node]
-        return tuple(reversed(out))
+        return _trie_labels(trie_parent, trie_label, node)
 
     utt = np.arange(num)
     slot = np.zeros(num, dtype=np.int64)  # rank among the utterance's prefixes
@@ -952,26 +965,12 @@ def _timesync_search(
                 -(merged_am[ranked] + lm_weight * lm[ranked]),
                 -(np.logaddexp(NEG_INF, e_am) + lm_weight * e_lm),
             ])
-            order = np.lexsort((cand_depth, cand_key, cand_utt))
-            per_utt = np.bincount(cand_utt, minlength=running)
-            first = per_utt.cumsum() - per_utt
-            over = (per_utt > beam).nonzero()[0]
-            a, b = order[first[over] + beam - 1], order[first[over] + beam]
-            tied = over[(cand_key[a] == cand_key[b]) & (cand_depth[a] == cand_depth[b])]
-            for u in tied.tolist():
-                # the labels settle a tie at the cut
-                seg = np.arange(first[u], first[u] + per_utt[u])
-                cut = order[first[u] + beam - 1]
-                group = seg[(cand_key[order[seg]] == cand_key[cut])
-                            & (cand_depth[order[seg]] == cand_depth[cut])]
-                members = order[group]
-                names = [
-                    labels_of(node[src[k]]) if k < ranked.size
-                    else labels_of(node[src[k]]) + (int(e_label[k - ranked.size]),)
-                    for k in members.tolist()
-                ]
-                order[group] = members[sorted(range(members.size), key=names.__getitem__)]
-            rank = np.arange(order.size) - first[cand_utt[order]]
+            def cand_labels(k):
+                if k < ranked.size:
+                    return labels_of(node[src[k]])
+                return labels_of(node[src[k]]) + (int(e_label[k - ranked.size]),)
+
+            order, rank, _, _ = _rank(cand_utt, cand_key, cand_depth, running, beam, cand_labels)
             kept = rank < beam
             keep, slot = order[kept], rank[kept]
 

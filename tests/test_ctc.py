@@ -12,6 +12,7 @@ from fusionkit.core import NEG_INF, EncoderOutput, Posteriorgram, logsumexp
 from fusionkit.ctc import (
     CtcPrefixScorer,
     MergeIndexMap,
+    PrefixStates,
     collapse,
     compress_encoder,
     compress_posteriors,
@@ -139,6 +140,14 @@ class TestGreedyDecode:
         assert greedy_decode(pg, BLANK) == [1]
 
 
+def rows_of(states, rows):
+    """The prefix states of ``rows``, in that order."""
+    return PrefixStates(
+        states.length, states.utt[rows], states.last[rows], states.log_nonblank[:, rows],
+        states.log_blank[:, rows], states.log_prefix_prob[rows],
+    )
+
+
 def step_one(sc, state, cands):
     """One state through the batched protocol: its exact score row and,
     aligned with it, the successor state per candidate."""
@@ -259,7 +268,7 @@ class TestPrefixScorer:
                 if scores[pick] == NEG_INF:
                     break
                 parent = scores[pick]
-                state = states.take([pick])
+                state = rows_of(states, [pick])
 
     def test_blank_candidate_rejected(self):
         pg = make_pg(np.full((2, 3), 1 / 3))
@@ -289,7 +298,7 @@ class TestPrefixScorer:
                 if scores[pick] == NEG_INF:
                     break
                 prefix.append(cands[pick])
-                state = states.take([pick])
+                state = rows_of(states, [pick])
 
     def test_forward_variables_bounded(self):
         rng = np.random.default_rng(21)
@@ -302,7 +311,7 @@ class TestPrefixScorer:
             pick = int(np.argmax(scores))
             if scores[pick] == NEG_INF:
                 break
-            state = states.take([pick])
+            state = rows_of(states, [pick])
             assert_bounded(state)
 
     def test_monotone_under_extension(self):
@@ -316,7 +325,7 @@ class TestPrefixScorer:
             assert np.all(scores <= prev + 1e-12)
             best = int(np.argmax(scores))
             prev = scores[best]
-            state = states.take([best])
+            state = rows_of(states, [best])
 
     def test_initial_state_and_mixed_lengths_rejected(self):
         pg = make_pg(np.full((2, 3), 1 / 3))
@@ -362,7 +371,7 @@ class TestPrefixScorer:
                     assert np.array_equal(states.log_blank[:, b], log_b)
                     assert states.log_prefix_prob[b] == log_prefix
             assert states.length > t
-            first = states.take([0])
+            first = rows_of(states, [0])
             _, _, step = sc.step(first, [self.EOS])
             kept = sc.advance(step, [0], [0])
             assert np.array_equal(kept.log_nonblank, first.log_nonblank)
