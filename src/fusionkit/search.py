@@ -351,7 +351,7 @@ def _labelsync_search(
             slot = np.arange(utt.size) - (np.cumsum(live[run]) - live[run])[row_utt]
             want = np.maximum(1, np.minimum(beam, pairs[run])).astype(np.int64)
             lower[~possible] = NEG_INF
-            cut_at[run] = _cut_threshold(lower, row_utt, slot, live[run], want, reuse=True)
+            cut_at[run] = _cut_threshold(lower, row_utt, slot, live[run], want)
         del lower
         # refine: exact components for the pairs that pass the cut only
         possible &= upper >= cut_at[utt][:, None]
@@ -530,26 +530,22 @@ _LOWEST = -np.finfo(float).max
 _TRIE_SLACK = 4096
 
 
-def _cut_threshold(scores, utt, slot, counts, want, reuse=False):
+def _cut_threshold(scores, utt, slot, counts, want):
     """Per utterance, the ``want[u]``-th largest of its rows' ``scores``,
     or the lowest finite float where it has no more finite entries than
     that: the scores at or above it are the shortlist.
 
     Row r, the ``slot[r]``-th of utterance ``utt[r]``, is laid into row
     ``utt[r]`` of a (U, S·V) block, with -inf padding, so one
-    ``np.partition`` along the rows serves every utterance.  With ``reuse``
-    the rows of a lone utterance are that block as they stand, reordered.
+    ``np.partition`` along the rows serves every utterance.
     """
     num, width = counts.size, scores.shape[1]
     top = int(want.max())
     # enough slots for ``top`` entries, so that a short row reads -inf
     slots = max(int(counts.max()), -(-top // width))
-    if reuse and num == 1 and slots == len(scores):
-        block = scores.reshape(1, -1)
-    else:
-        block = np.full((num * slots, width), NEG_INF)
-        block[utt * slots + slot] = scores
-        block = block.reshape(num, slots * width)
+    block = np.full((num * slots, width), NEG_INF)
+    block[utt * slots + slot] = scores
+    block = block.reshape(num, slots * width)
     if top < block.shape[1]:
         block.partition(block.shape[1] - top, axis=1)
     tail = block[:, -top:]
