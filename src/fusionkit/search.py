@@ -244,7 +244,10 @@ def _labelsync_search(
         plain = [i for i in range(vocab.size) if not vocab.is_special(i)]
         candidates = np.array(plain + [vocab.eos_id])
         counts = np.full(num, candidates.size)
-    cand_eos = candidates == vocab.eos_id
+    # the bounds are combined over the whole vocabulary, the labels that
+    # are no candidates masked as impossible
+    allowed = np.zeros(vocab.size, dtype=bool)
+    allowed[candidates] = True
     max_lens = np.asarray(max_lens)
 
     t0 = time.perf_counter()
@@ -305,31 +308,29 @@ def _labelsync_search(
         # sums start from the first term, in place.
         artifacts = []
         lower = upper = None
-        possible = np.ones((utt.size, candidates.size), dtype=bool)
+        possible = np.repeat(allowed[None], utt.size, axis=0)
         for j, (s, scale) in enumerate(zip(active, scales)):
             lo_matrix, hi_matrix, art = s.step(states[j])
             artifacts.append(art)
-            parent = comps[:, j, None]
-            lo = lo_matrix[:, candidates]
-            lo += parent
-            hi = lo
-            if hi_matrix is not lo_matrix:
-                hi = hi_matrix[:, candidates]
-                hi += parent
-            del lo_matrix, hi_matrix
             # a pair that any scorer gives probability zero is impossible,
-            # whatever the sign of its weight
-            possible &= hi != NEG_INF
-            if scale < 0:
-                lo, hi = hi, lo
-            lo *= scale
-            if hi is not lo:
-                hi *= scale
-            if lower is None:
-                lower, upper = lo, hi.copy() if hi is lo else hi
-            else:
-                lower += lo
-                upper += hi
+            # whatever the sign of its weight; its bounds, inf - inf at
+            # times, are masked
+            possible &= hi_matrix != NEG_INF
+            with np.errstate(invalid="ignore"):
+                parent = comps[:, j, None]
+                lo = lo_matrix + parent
+                hi = lo if hi_matrix is lo_matrix else hi_matrix + parent
+                del lo_matrix, hi_matrix
+                if scale < 0:
+                    lo, hi = hi, lo
+                lo *= scale
+                if hi is not lo:
+                    hi *= scale
+                if lower is None:
+                    lower, upper = lo, hi.copy() if hi is lo else hi
+                else:
+                    lower += lo
+                    upper += hi
             del lo, hi
         # length normalization divides by a positive count: order is kept
         norm = n + 1 if weights.length_norm else 1
@@ -356,9 +357,9 @@ def _labelsync_search(
         # refine: exact components for the pairs that pass the cut only
         possible &= upper >= cut_at[utt][:, None]
         del upper
-        rows, cols = np.nonzero(possible)
+        rows, labels = np.nonzero(possible)
         del possible
-        labels = candidates[cols]
+        ends = labels == vocab.eos_id
         new_comps = np.empty((rows.size, len(active)))
         combined = 0.0
         for j, (s, scale, art) in enumerate(zip(active, scales, artifacts)):
@@ -366,7 +367,7 @@ def _labelsync_search(
             combined = combined + scale * new_comps[:, j]
         keys = combined / norm
         if ctc_scorers:
-            folds = np.bincount(utt[rows], weights=~cand_eos[cols], minlength=num)
+            folds = np.bincount(utt[rows], weights=~ends, minlength=num)
             exact_pairs += len(ctc_scorers) * folds.astype(np.int64)
 
         # rank each utterance's pool, the finished hypotheses in its beam
@@ -374,7 +375,7 @@ def _labelsync_search(
         p_utt = np.concatenate([f_utt, utt[rows]])
         p_key = np.concatenate([f_key, -keys])
         p_depth = np.concatenate([f_depth, np.full(rows.size, n + 1)])
-        p_done = np.concatenate([np.ones(f_utt.size, dtype=bool), cand_eos[cols]])
+        p_done = np.concatenate([np.ones(f_utt.size, dtype=bool), ends])
 
         def pool_labels(i):
             if i < f_utt.size:
