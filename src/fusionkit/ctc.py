@@ -185,9 +185,7 @@ def kept_labels(pg: Posteriorgram) -> np.ndarray:
     return np.flatnonzero(np.max(pg.log_probs, axis=0) > NEG_INF)
 
 
-def log_add_bounds(
-    peak: np.ndarray, n, log_n=None
-) -> tuple[np.ndarray, np.ndarray]:
+def log_add_bounds(peak: np.ndarray, n, log_n=None) -> tuple[np.ndarray, np.ndarray]:
     """Bounds on the log-add fold of n terms whose largest is ``peak``, as
     ``np.logaddexp.reduce`` computes it along the terms' axis.
 
