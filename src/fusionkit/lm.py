@@ -7,6 +7,8 @@ at query time so that save/load round-trips are byte-identical.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,6 +24,7 @@ from fusionkit.core import (
     ValidationError,
     Vocabulary,
     logsumexp,
+    logsumexp_rows,
     vocabulary_flags,
     vocabulary_from_flags,
     vocabulary_from_lines,
@@ -31,6 +34,7 @@ from fusionkit.core import (
 LN10 = math.log(10.0)
 NGRAM_MAGIC = "FKLM v1"
 UNK_TOKEN = "<unk>"
+ROW_CACHE_ROWS = 1 << 14  # bound of an n-gram model's row cache
 
 
 def support_ids(vocab: Vocabulary) -> list[int]:
@@ -57,20 +61,25 @@ class NGramModel:
     )
     _support: np.ndarray = field(init=False, compare=False, repr=False)
     _unigram: np.ndarray = field(init=False, compare=False, repr=False)  # log10, by token id
+    # per context length k >= 1: context -> (start, stop) into flat token and log10 arrays
+    _levels: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         unigram = np.full(self.vocab.size, np.nan)  # load_ngram rejects a gap in the support
         for tok, val in self.tables[0].get((), {}).items():
             unigram[tok] = val
+        levels = []  # up to the deepest level that holds an entry
+        deepest = max((k for k, table in enumerate(self.tables) if table), default=0)
+        for table in self.tables[1 : deepest + 1]:
+            index, toks, vals = {}, [], []
+            for ctx, dist in table.items():
+                index[ctx] = (len(toks), len(toks) + len(dist))
+                toks.extend(dist)
+                vals.extend(dist.values())
+            levels.append((index, np.array(toks, dtype=np.intp), np.array(vals, dtype=float)))
         object.__setattr__(self, "_support", np.array(support_ids(self.vocab)))
         object.__setattr__(self, "_unigram", unigram)
-
-    @property
-    def unk_id(self) -> int | None:
-        try:
-            return self.vocab.id_of(UNK_TOKEN)
-        except ValueError:
-            return None
+        object.__setattr__(self, "_levels", tuple(levels))
 
     def conditionals(self, context: Sequence[int]) -> np.ndarray:
         """Normalized natural-log distribution over the full vocab for a context.
@@ -78,29 +87,46 @@ class NGramModel:
         Blank and BOS always score -inf.  The context is truncated to the
         model order internally.
         """
-        ctx = tuple(context)[max(0, len(context) - (self.order - 1)) :]
-        cached = self._cond_cache.get(ctx)
-        if cached is not None:
-            return cached
-        # every token's backoff walk at once: the unigram row under the full
-        # discount, then each matching level, lowest first, so the longest
-        # match wins.  Discounts are summed by repeated += from 0.0, as a
-        # walk from the longest context down adds them.
+        return self.rows([context])[0]
+
+    def rows(self, contexts: Iterable[Sequence[int]]) -> np.ndarray:
+        """:meth:`conditionals` of each context as an (R, V) array.  Missing
+        rows are built together; the row cache holds at most
+        ``ROW_CACHE_ROWS``, and a batch that would overflow it clears it."""
+        keep = self.order - 1
+        ctxs = [tuple(c)[max(0, len(c) - keep) :] for c in contexts]
+        cache = self._cond_cache
+        rows = {ctx: cache.get(ctx) for ctx in ctxs}
+        new = [ctx for ctx, row in rows.items() if row is None]
+        if new:
+            rows.update(zip(new, self._block(new)))
+            if len(cache) + len(new) > ROW_CACHE_ROWS:
+                cache.clear()
+            cache.update((ctx, rows[ctx]) for ctx in new[:ROW_CACHE_ROWS])
+        return np.array([rows[c] for c in ctxs]).reshape(len(ctxs), self.vocab.size)
+
+    def _block(self, ctxs: list[tuple[int, ...]]) -> np.ndarray:
+        """Read-only rows of distinct truncated contexts: the unigram row
+        under each context's full discount, then each matching level, lowest
+        first, so the longest match wins.  Discounts are summed by repeated
+        += from 0.0, as a walk from the longest context down adds them."""
+        lens = np.array([len(ctx) for ctx in ctxs])
         step = math.log10(self.backoff_factor)
-        discounts = [0.0]
-        for _ in ctx:
-            discounts.append(discounts[-1] + step)
-        log10 = discounts[-1] + self._unigram
-        for k in range(1, len(ctx) + 1):
-            dist = self.tables[k].get(ctx[-k:])
-            if dist:
-                toks = np.fromiter(dist.keys(), np.intp, len(dist))
-                log10[toks] = discounts[len(ctx) - k] + np.fromiter(dist.values(), float, len(dist))
-        raw = log10[self._support] * LN10
-        out = np.full(self.vocab.size, NEG_INF)
-        out[self._support] = raw - logsumexp(raw)
+        discounts = np.array(list(itertools.accumulate([0.0] + [step] * lens.max())))
+        block = discounts[lens][:, None] + self._unigram
+        for k, (index, toks, vals) in enumerate(self._levels[: lens.max()], 1):
+            hits = [(i, span) for i, ctx in enumerate(ctxs) if len(ctx) >= k and (span := index.get(ctx[-k:]))]
+            if hits:
+                rows, spans = zip(*hits)
+                rows = np.repeat(rows, [b - a for a, b in spans])
+                cols = np.concatenate([toks[a:b] for a, b in spans])
+                block[rows, cols] = discounts[lens[rows] - k] + np.concatenate([vals[a:b] for a, b in spans])
+        # a C-ordered copy: the row sums of the F-ordered gather round
+        # differently from the 1-D logsumexp
+        raw = np.ascontiguousarray(block[:, self._support]) * LN10
+        out = np.full_like(block, NEG_INF)
+        out[:, self._support] = raw - logsumexp_rows(raw)[:, None]
         out.setflags(write=False)
-        self._cond_cache[ctx] = out
         return out
 
     def logprob(self, token: int, context: Sequence[int]) -> float:
@@ -213,6 +239,10 @@ class TableLM:
                 return dist
         return self.default
 
+    def rows(self, contexts: Iterable[Sequence[int]]) -> np.ndarray:
+        """:meth:`conditionals` of each context, stacked into an (R, V) array."""
+        return np.array([self.conditionals(c) for c in contexts]).reshape(-1, self.vocab.size)
+
     def logprob(self, token: int, context: Sequence[int]) -> float:
         return float(self.conditionals(context)[token])
 
@@ -258,21 +288,20 @@ def retokenize(vocab: Vocabulary, text: str | Sequence[str], allow_unk: bool = T
     characters map to the reserved UNK token when the vocabulary has one.
     """
     words = text.split() if isinstance(text, str) else [w for w in text if w]
-    uses_marker = any(t.startswith(WORD_MARKER) for t in vocab.tokens)
-    by_length = sorted(range(vocab.size), key=lambda i: -len(vocab.tokens[i]))
-    unk = None
-    if allow_unk and UNK_TOKEN in vocab.tokens:
-        unk = vocab.id_of(UNK_TOKEN)
+    uses_marker, ids, lengths, unk = _token_index(vocab)
+    if not allow_unk:
+        unk = None
     out: list[int] = []
     for word in words:
         target = WORD_MARKER + word if uses_marker else word
         pos = 0
         while pos < len(target):
-            for tid in by_length:
-                tok = vocab.tokens[tid]
-                if tok and target.startswith(tok, pos) and not vocab.is_special(tid):
+            # a slice cut short by the word's end matches only the longest match
+            for n in lengths:
+                tid = ids.get(target[pos : pos + n])
+                if tid is not None:
                     out.append(tid)
-                    pos += len(tok)
+                    pos += n
                     break
             else:
                 if unk is None:
@@ -282,6 +311,19 @@ def retokenize(vocab: Vocabulary, text: str | Sequence[str], allow_unk: bool = T
                 out.append(unk)
                 pos += 1
     return out
+
+
+@functools.lru_cache(maxsize=16)
+def _token_index(vocab: Vocabulary) -> tuple[bool, dict[str, int], list[int], int | None]:
+    """Whether ``vocab`` marks word starts, {token: lowest id} of its plain
+    non-empty tokens, their lengths, longest first, and its UNK id."""
+    ids: dict[str, int] = {}
+    for tid, tok in enumerate(vocab.tokens):
+        if tok and not vocab.is_special(tid):
+            ids.setdefault(tok, tid)
+    uses_marker = any(t.startswith(WORD_MARKER) for t in vocab.tokens)
+    unk = vocab.id_of(UNK_TOKEN) if UNK_TOKEN in vocab.tokens else None
+    return uses_marker, ids, sorted({len(t) for t in ids}, reverse=True), unk
 
 
 def save_ngram(model: NGramModel, path: str | Path) -> None:
@@ -313,44 +355,42 @@ def load_ngram(path: str | Path) -> NGramModel:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines or lines[0] != NGRAM_MAGIC:
         raise FormatError(f"{path}: not a {NGRAM_MAGIC} file")
+    vocab_at, ngrams_at = (lines.index(s) if s in lines else len(lines) for s in ("[vocab]", "[ngrams]"))
     order = backoff = None
-    vocab_lines: list[str] = []
-    ngram_lines: list[tuple[int, str]] = []
-    section = "header"
-    for lineno, line in enumerate(lines[1:], 2):
-        if line == "[vocab]":
-            section = "vocab"
-        elif line == "[ngrams]":
-            section = "ngrams"
-        elif section == "header":
-            key, tab, val = line.partition("\t")
-            if not tab:
-                raise FormatError(f"{path}: header line {line!r} is not '<key>\\t<value>'")
-            try:
-                if key == "order":
-                    order = int(val)
-                elif key == "backoff":
-                    backoff = float(val)
-            except ValueError as exc:
-                raise FormatError(f"{path}: bad {key} value {val!r}") from exc
-        elif section == "vocab":
-            vocab_lines.append(line)
-        else:
-            ngram_lines.append((lineno, line))
+    for line in lines[1:vocab_at]:
+        key, tab, val = line.partition("\t")
+        if not tab:
+            raise FormatError(f"{path}: header line {line!r} is not '<key>\\t<value>'")
+        try:
+            if key == "order":
+                order = int(val)
+            elif key == "backoff":
+                backoff = float(val)
+        except ValueError as exc:
+            raise FormatError(f"{path}: bad {key} value {val!r}") from exc
     if order is None or backoff is None:
         raise FormatError(f"{path}: missing order or backoff header")
     if order < 1 or not 0.0 < backoff < math.inf:
         raise FormatError(f"{path}: order must be >= 1 and backoff positive, got {order}, {backoff}")
-    vocab = vocabulary_from_lines(vocab_lines, f"{path} [vocab]")
+    vocab = vocabulary_from_lines(lines[vocab_at + 1 : ngrams_at], f"{path} [vocab]")
     tok_id = {t: i for i, t in enumerate(vocab.tokens)}
     tables: list[dict[tuple[int, ...], dict[int, float]]] = [{} for _ in range(order)]
-    for lineno, line in ngram_lines:
+    # save_ngram writes the entries sorted by (order, context): a group's
+    # context is parsed once, at its first line
+    group = None
+    for lineno, line in enumerate(lines[ngrams_at + 1 :], ngrams_at + 2):
         try:
             k_str, ctx_str, tok, val = line.split("\t")
-            ctx = tuple(tok_id[t] for t in ctx_str.split(" ") if t)
-            if not 1 <= int(k_str) <= order or len(ctx) != int(k_str) - 1:
-                raise ValueError(f"order {k_str} entry with a {len(ctx)}-token context")
-            tables[len(ctx)].setdefault(ctx, {})[tok_id[tok]] = float(val)
+            if (k_str, ctx_str) != group:
+                ctx = tuple(tok_id[t] for t in ctx_str.split(" ") if t)
+                if not 1 <= int(k_str) <= order or len(ctx) != int(k_str) - 1:
+                    raise ValueError(f"order {k_str} entry with a {len(ctx)}-token context")
+                dist = tables[len(ctx)].setdefault(ctx, {})
+                group = (k_str, ctx_str)
+            value = float(val)
+            if not math.isfinite(value):
+                raise ValueError(f"log10 value {val!r} is not finite")
+            dist[tok_id[tok]] = value
         except (ValueError, KeyError) as exc:
             raise FormatError(f"{path}: bad n-gram entry on line {lineno}: {exc}") from exc
     unigram = tables[0].get((), {})

@@ -126,8 +126,7 @@ class ContextLMScorer(_ExactScorer):
         return np.full((count, width), self.model.vocab.bos_id)
 
     def _scores(self, ctxs):
-        # the model caches its rows by context: one lookup per live row
-        return np.stack([self.model.conditionals(ctx) for ctx in map(tuple, ctxs.tolist())]), ctxs
+        return self.model.rows(ctxs.tolist()), ctxs
 
     def advance(self, artifacts, rows, labels):
         ctxs = np.concatenate([artifacts[1][rows], np.asarray(labels)[:, None]], axis=1)

@@ -478,10 +478,10 @@ class _LabelLM:
         return state + (label,)
 
     def rows(self, states):
-        return np.array([self.lm.conditionals(ctx) for ctx in states])
+        return self.lm.rows(states)
 
-    def final(self, state):
-        return float(self.lm.conditionals(state)[self.eos_id])
+    def finals(self, states):
+        return self.lm.rows(states)[:, self.eos_id]
 
 
 class _WordLM:
@@ -521,8 +521,9 @@ class _WordLM:
         out[:, self.begins] = np.array([s[2] for s in states])[:, None]
         return out
 
-    def final(self, state):
-        return state[2] + float(self.lm.conditionals(state[3])[self.lm.vocab.eos_id])
+    def finals(self, states):
+        eos = self.lm.rows([s[3] for s in states])[:, self.lm.vocab.eos_id]
+        return np.array([s[2] for s in states]) + eos
 
 
 _LOWEST = -np.finfo(float).max
@@ -639,7 +640,7 @@ def _timesync_search(
     whenever it outgrows them (``_TRIE_SLACK``).
     ``frame_lm.child(state, label)`` gives a new prefix's LM state and
     ``frame_lm.rows(states)`` its (V,) LM deltas, for new beam survivors
-    only; ``frame_lm.final(state)`` is the residual at finalization.
+    only; ``frame_lm.finals(states)`` gives their residuals at finalization.
 
     Each utterance keeps its ``beam`` best by (score, length, labels).  The
     order of the survivors affects no result, so label tuples are built only
@@ -819,16 +820,17 @@ def _timesync_search(
             continue
         end = int(np.searchsorted(utt, still))
         am_end = np.logaddexp(log_b[end:], log_nb[end:]).tolist()
-        lm_end = lm[end:].tolist()
+        lm_end = lm[end:]
+        if lm_weight != 0.0:
+            lm_end = lm_end + frame_lm.finals(states[end:])
         entries = [[] for _ in range(still, running)]
-        ended = zip(utt[end:].tolist(), node[end:].tolist(), states[end:], am_end, lm_end)
-        for u, n, state, am_r, lm_r in ended:
+        ended = zip(utt[end:].tolist(), node[end:].tolist(), am_end, lm_end.tolist())
+        for u, n, am_r, lm_total in ended:
             if am_r == NEG_INF:
                 continue
             comps = {"ctc": am_r}
             combined = am_r
             if lm_weight != 0.0:
-                lm_total = lm_r + frame_lm.final(state)
                 if lm_total == NEG_INF:
                     continue
                 comps["lm"] = lm_total

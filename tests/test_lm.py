@@ -1,11 +1,15 @@
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit.core import NEG_INF, FormatError, ValidationError, Vocabulary, logsumexp
+from fusionkit import lm
+from fusionkit.core import NEG_INF, WORD_MARKER, FormatError, ValidationError, Vocabulary, logsumexp
 from fusionkit.lm import (
     LN10,
     TableLM,
@@ -29,6 +33,16 @@ EOS = VOCAB.eos_id
 
 def aab_corpus():
     return [[A, A, B]]
+
+
+def _fklm_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.fklm"
+        save_ngram(model, path)
+        return path.read_bytes()
+
+
+FUZZ_BASE = _fklm_bytes(train_ngram(VOCAB, [[A, A, B], [B, A], [A]], order=3))
 
 
 class TestTrainUnigram:
@@ -175,6 +189,41 @@ class TestDenseConditionals:
             got = model.conditionals(ctx)
             assert np.array_equal(got, reference_conditionals(model, ctx)), ctx
 
+    # wide enough that a row's log-sum-exp sums in numpy's unrolled blocks,
+    # which round by memory layout
+    VOCAB20 = Vocabulary.from_tokens(["<blank>", "<s>", "</s>"] + [f"t{i}" for i in range(17)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        corpus=st.lists(st.lists(st.integers(3, 18), min_size=1, max_size=8), min_size=1, max_size=12),
+        # BOS padding, the unseen token 19, lengths 0-6 (beyond every order)
+        contexts=st.lists(
+            st.lists(st.sampled_from([1, 3, 4, 5, 6, 19]) | st.integers(3, 19), max_size=6), max_size=12
+        ),
+        warm=st.integers(0, 12),
+    )
+    def test_rows_equal_stacked_reference(self, order, corpus, contexts, warm):
+        model = train_ngram(self.VOCAB20, corpus, order=order, backoff_factor=0.3)
+        batch = contexts + contexts[:2]  # duplicates, within the batch and of cached rows
+        model.rows(contexts[:warm])
+        got = model.rows(batch)
+        want = np.array([reference_conditionals(model, c) for c in batch]).reshape(-1, self.VOCAB20.size)
+        assert got.shape == want.shape == (len(batch), self.VOCAB20.size)
+        assert got.tobytes() == want.tobytes()
+
+    def test_row_cache_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(lm, "ROW_CACHE_ROWS", 4)
+        corpus = [[3, 4, 5], [4, 4, 6, 3], [5, 3]]
+        model = train_ngram(self.VOCAB5, corpus, order=3, backoff_factor=0.3)
+        contexts = [(a, b) for a in (1, 3, 4, 5) for b in (3, 4, 5, 6)]
+        batches = [contexts[:3], contexts[3:6], contexts[6:7], contexts[7:], contexts[::-1]]
+        for batch in batches:
+            got = model.rows(batch)
+            assert len(model._cond_cache) <= 4
+            want = np.array([reference_conditionals(model, c) for c in batch])
+            assert got.tobytes() == want.tobytes()
+
 
 def scan_conditionals(model, context):
     """The table LM's lookup as a scan over every entry: the longest key
@@ -216,6 +265,9 @@ class TestTableLM:
         model = TableLM(VOCAB, tuple(zip(keys, dists)), uniform_table_lm(VOCAB).default)
         for ctx in contexts:
             assert model.conditionals(ctx) is scan_conditionals(model, ctx)
+        want = np.array([scan_conditionals(model, ctx) for ctx in contexts])
+        assert model.rows(contexts).tobytes() == want.tobytes()
+        assert model.rows([]).shape == (0, VOCAB.size)
 
     def test_unnormalized_rejected(self):
         bad = np.full(VOCAB.size, math.log(0.3))
@@ -268,6 +320,53 @@ class TestNGramSerialization:
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(FormatError, match=f"bad n-gram entry on line {len(lines)}:"):
             load_ngram(path)
+
+    def test_order_above_its_entries(self, tmp_path):
+        # levels with no entries match nothing, however many there are
+        path = tmp_path / "model.fklm"
+        save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
+        path.write_text(path.read_text().replace("order\t2\n", "order\t9\n", 1))
+        model = load_ngram(path)
+        contexts = [(), (A,), (VOCAB.bos_id, A), (B, A, A, B, A, A, B, A, B, A)]
+        want = np.array([reference_conditionals(model, c) for c in contexts])
+        assert model.rows(contexts).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_rejected(self, tmp_path, value):
+        model = train_ngram(VOCAB, aab_corpus(), order=2)
+        path = tmp_path / "model.fklm"
+        save_ngram(model, path)
+        lines = path.read_text().splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("2\t"))
+        lines[at] = lines[at].rsplit("\t", 1)[0] + "\t" + value
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError, match=f"on line {at + 1}: .*not finite"):
+            load_ngram(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        edit=st.sampled_from(["truncate", "flip", "insert"]),
+        where=st.floats(0, 1),
+        flip=st.integers(1, 255),
+        insert=st.sampled_from(["\t", "\n", "nan", "inf", "\t1\t", "[ngrams]\n"]),
+    )
+    def test_fuzzed_file_raises_only_format_errors(self, edit, where, flip, insert):
+        data = bytearray(FUZZ_BASE)
+        at = int(where * (len(data) - 1))
+        if edit == "truncate":
+            data = data[:at]
+        elif edit == "flip":
+            data[at] ^= flip
+        else:
+            data[at:at] = insert.encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "fuzzed.fklm"
+            path.write_bytes(bytes(data))
+            try:
+                model = load_ngram(path)
+            except (FormatError, ValidationError):
+                return
+            model.rows([(), (model.vocab.bos_id,), (3, 4)])
 
 
     @pytest.mark.parametrize(
@@ -388,3 +487,61 @@ class TestRetokenize:
     def test_deterministic(self):
         vocab = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "ab", "a", "b", "ba"])
         assert retokenize(vocab, "bab") == retokenize(vocab, "bab")
+
+
+def scan_retokenize(vocab, text, allow_unk=True):
+    """The segmentation as a scan over every token, longest first (lowest id
+    first among equal lengths), at every position of every word."""
+    words = text.split() if isinstance(text, str) else [w for w in text if w]
+    uses_marker = any(t.startswith(WORD_MARKER) for t in vocab.tokens)
+    by_length = sorted(range(vocab.size), key=lambda i: -len(vocab.tokens[i]))
+    unk = vocab.id_of("<unk>") if allow_unk and "<unk>" in vocab.tokens else None
+    out = []
+    for word in words:
+        target = WORD_MARKER + word if uses_marker else word
+        pos = 0
+        while pos < len(target):
+            for tid in by_length:
+                tok = vocab.tokens[tid]
+                if tok and target.startswith(tok, pos) and not vocab.is_special(tid):
+                    out.append(tid)
+                    pos += len(tok)
+                    break
+            else:
+                if unk is None:
+                    raise ValueError(f"cannot segment {word!r} at position {pos} and no UNK token")
+                out.append(unk)
+                pos += 1
+    return out
+
+
+class TestRetokenizeIndex:
+    """The per-vocabulary token index segments exactly as the scan does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pieces=st.lists(st.text("abc", min_size=0, max_size=3), min_size=3, max_size=10, unique=True),
+        marked=st.lists(st.booleans(), min_size=10, max_size=10),
+        specials=st.permutations(range(3)),
+        with_unk=st.booleans(),
+        allow_unk=st.booleans(),
+        words=st.lists(st.text("abcx", min_size=1, max_size=6), max_size=4),
+    )
+    def test_equals_scan(self, pieces, marked, specials, with_unk, allow_unk, words):
+        # marker and plain vocabularies, overlapping lengths, the empty token,
+        # and special tokens that would otherwise match
+        tokens = [WORD_MARKER + p if m and p else p for p, m in zip(pieces, marked)]
+        tokens = list(dict.fromkeys(tokens + (["<unk>"] if with_unk else [])))
+        vocab = Vocabulary(
+            tuple(tokens), *specials, tuple(t.startswith(WORD_MARKER) for t in tokens)
+        )
+        text = " ".join(words)
+        try:
+            want = scan_retokenize(vocab, text, allow_unk)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                retokenize(vocab, text, allow_unk)
+        else:
+            assert retokenize(vocab, text, allow_unk) == want
+            assert retokenize(vocab, words, allow_unk) == want
+
