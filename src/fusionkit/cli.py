@@ -411,23 +411,29 @@ def format_stats(stats: DecodeStats) -> str:
     )
 
 
-def read_keyed_lines(path: str | Path) -> dict[str, str]:
+def read_lines(path: str | Path) -> list[str]:
+    """The non-empty lines of a UTF-8 text file."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}") from exc
-    out = {}
-    for line in lines:
-        if not line:
-            continue
-        key, _, text = line.partition("\t")
-        out[key] = text
-    return out
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    return [line for line in text.splitlines() if line]
+
+
+def read_sentences(path: str | Path, normalization: str) -> list[str]:
+    """A text file's non-empty lines, normalized unless ``normalization``
+    is "none"; a file without any is an error."""
+    lines = read_lines(path)
+    if not lines:
+        raise ValidationError(f"{path} holds no text")
+    if normalization != "none":
+        lines = [" ".join(words(line, normalization)) for line in lines]
+    return lines
 
 
 def cmd_wer(args) -> int:
-    refs = read_keyed_lines(args.refs)
-    hyps = read_keyed_lines(args.hyps)
+    refs = dict(line.partition("\t")[::2] for line in read_lines(args.refs))
+    hyps = dict(line.partition("\t")[::2] for line in read_lines(args.hyps))
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise CliError(f"hypotheses missing for ids: {missing[:5]}")
@@ -445,11 +451,7 @@ def cmd_wer(args) -> int:
 
 def cmd_ppl(args) -> int:
     model = load_lm(args.model)
-    lines = [
-        line for line in Path(args.text).read_text(encoding="utf-8").splitlines() if line
-    ]
-    if args.normalization != "none":
-        lines = [" ".join(words(line, args.normalization)) for line in lines]
+    lines = read_sentences(args.text, args.normalization)
     seqs = [retokenize(model.vocab, line) for line in lines]
     token_ppl = perplexity(model, seqs)
     n_words = sum(len(line.split()) for line in lines)
@@ -460,12 +462,8 @@ def cmd_ppl(args) -> int:
 
 
 def cmd_lm_train(args) -> int:
+    lines = read_sentences(args.text, args.normalization)
     vocab = read_vocabulary(args.vocab)
-    lines = [
-        line for line in Path(args.text).read_text(encoding="utf-8").splitlines() if line
-    ]
-    if args.normalization != "none":
-        lines = [" ".join(words(line, args.normalization)) for line in lines]
     corpus = [retokenize(vocab, line) for line in lines]
     model = train_ngram(vocab, corpus, order=args.order, backoff_factor=args.backoff)
     save_ngram(model, args.out)
@@ -479,11 +477,12 @@ def cmd_synth(args) -> int:
         noise=args.noise,
         words_per_utt=(args.min_words, args.max_words),
     )
+    utterances = gen_corpus(cfg, args.utts)  # checks the arguments before any output
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_vocabulary(cfg.vocab, out_dir / "vocab.txt")
     ref_lines = []
-    for i, (pg, transcript) in enumerate(gen_corpus(cfg, args.utts)):
+    for i, (pg, transcript) in enumerate(utterances):
         utt_id = f"utt{i:04d}"
         write_posteriorgram(pg, out_dir / f"{utt_id}.fkpg")
         ref_lines.append(f"{utt_id}\t{transcript}")
@@ -645,7 +644,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, FormatError, ValidationError) as exc:
+    except (CliError, FormatError, ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

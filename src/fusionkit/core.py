@@ -197,7 +197,10 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"vocabulary {path}: not UTF-8 text ({exc})") from exc
     return vocabulary_from_lines(lines, f"vocabulary {path}")
 
 

@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -35,6 +36,7 @@ LN10 = math.log(10.0)
 NGRAM_MAGIC = "FKLM v1"
 UNK_TOKEN = "<unk>"
 ROW_CACHE_ROWS = 1 << 14  # bound of an n-gram model's row cache
+LOGPROB_ROWS = 1 << 10  # rows a sequence's log probability asks for at once
 
 
 def support_ids(vocab: Vocabulary) -> list[int]:
@@ -46,7 +48,9 @@ def support_ids(vocab: Vocabulary) -> list[int]:
 class NGramModel:
     """Maximum-likelihood n-gram with stupid backoff and an add-one unigram floor.
 
-    ``tables[k]`` maps a length-k context tuple to {token: log10 ML prob}.
+    ``tables[k]`` maps a length-k context tuple to {token: log10 ML prob};
+    levels above the deepest that holds an entry are dropped, so ``order``
+    may exceed ``len(tables)``.
     The unigram table (k=0 context) is already add-one smoothed over the
     support, so no query can ever score -inf.  Conditional distributions are
     renormalized over the support after backoff mixing.
@@ -68,9 +72,11 @@ class NGramModel:
         unigram = np.full(self.vocab.size, np.nan)  # load_ngram rejects a gap in the support
         for tok, val in self.tables[0].get((), {}).items():
             unigram[tok] = val
-        levels = []  # up to the deepest level that holds an entry
+        # levels above the deepest that holds an entry are absent, as if empty
         deepest = max((k for k, table in enumerate(self.tables) if table), default=0)
-        for table in self.tables[1 : deepest + 1]:
+        object.__setattr__(self, "tables", tuple(self.tables[: deepest + 1]))
+        levels = []
+        for table in self.tables[1:]:
             index, toks, vals = {}, [], []
             for ctx, dist in table.items():
                 index[ctx] = (len(toks), len(toks) + len(dist))
@@ -129,19 +135,10 @@ class NGramModel:
         out.setflags(write=False)
         return out
 
-    def logprob(self, token: int, context: Sequence[int]) -> float:
-        return float(self.conditionals(context)[token])
-
     @property
     def context_size(self) -> int:
         """How many of a history's last tokens its conditionals depend on."""
         return self.order - 1
-
-
-def _iter_events(seq: Sequence[int], order: int, bos: int, eos: int):
-    padded = [bos] * (order - 1) + list(seq) + [eos]
-    for pos in range(order - 1, len(padded)):
-        yield tuple(padded[max(0, pos - order + 1) : pos]), padded[pos]
 
 
 def train_ngram(
@@ -154,41 +151,39 @@ def train_ngram(
 
     The unigram level counts only the corpus tokens themselves (EOS enters
     through higher-order events and the add-one floor), matching the hand
-    count (c + 1) / (N + |support|).
+    count (c + 1) / (N + |support|).  An event of order k >= 2 is a token
+    and the k - 1 before it, BOS-padded.
     """
     corpus = [list(seq) for seq in corpus]
     if not corpus:
-        raise ValueError("training corpus is empty")
+        raise ValidationError("training corpus is empty")
     if order < 1:
-        raise ValueError("order must be >= 1")
+        raise ValidationError(f"order must be >= 1, not {order}")
+    if not 0.0 < backoff_factor < math.inf:
+        raise ValidationError(f"backoff factor must be finite and > 0, not {backoff_factor!r}")
     support = support_ids(vocab)
-    uni_counts: dict[int, int] = {}
-    ctx_counts: list[dict[tuple[int, ...], dict[int, int]]] = [
-        {} for _ in range(order + 1)
-    ]
-    n_tokens = 0
+    plain = {i for i in range(vocab.size) if not vocab.is_special(i)}
+    unigrams: Counter[int] = Counter()
+    events: Counter[tuple[int, ...]] = Counter()  # n-grams of orders 2..order
+    pad = [vocab.bos_id] * (order - 1)
     for seq in corpus:
-        for tok in seq:
-            if not 0 <= tok < vocab.size or vocab.is_special(tok):
-                raise ValidationError(f"corpus token id {tok} invalid for training")
-            uni_counts[tok] = uni_counts.get(tok, 0) + 1
-            n_tokens += 1
+        if not plain.issuperset(seq):
+            tok = next(t for t in seq if t not in plain)
+            raise ValidationError(f"corpus token id {tok} invalid for training")
+        unigrams.update(seq)
+        padded = pad + seq + [vocab.eos_id]
         for k in range(2, order + 1):
-            for ctx, tok in _iter_events(seq, k, vocab.bos_id, vocab.eos_id):
-                bucket = ctx_counts[k - 1].setdefault(ctx, {})
-                bucket[tok] = bucket.get(tok, 0) + 1
+            events.update(zip(*(padded[order - k + j :] for j in range(k))))
 
     tables: list[dict[tuple[int, ...], dict[int, float]]] = [{} for _ in range(order)]
-    denom = n_tokens + len(support)
-    tables[0][()] = {
-        tok: math.log10((uni_counts.get(tok, 0) + 1) / denom) for tok in support
-    }
-    for k in range(2, order + 1):
-        for ctx, bucket in ctx_counts[k - 1].items():
+    denom = sum(map(len, corpus)) + len(support)
+    tables[0][()] = {tok: math.log10((unigrams[tok] + 1) / denom) for tok in support}
+    for gram, cnt in events.items():  # counts first, then log10 ML probabilities
+        tables[len(gram) - 1].setdefault(gram[:-1], {})[gram[-1]] = cnt
+    for table in tables[1:]:
+        for ctx, bucket in table.items():
             total = sum(bucket.values())
-            tables[k - 1][ctx] = {
-                tok: math.log10(cnt / total) for tok, cnt in bucket.items()
-            }
+            table[ctx] = {tok: math.log10(cnt / total) for tok, cnt in bucket.items()}
     return NGramModel(vocab, order, backoff_factor, tuple(tables))
 
 
@@ -243,17 +238,18 @@ class TableLM:
         """:meth:`conditionals` of each context, stacked into an (R, V) array."""
         return np.array([self.conditionals(c) for c in contexts]).reshape(-1, self.vocab.size)
 
-    def logprob(self, token: int, context: Sequence[int]) -> float:
-        return float(self.conditionals(context)[token])
-
 
 def lm_logprob(model: NGramModel | TableLM, seq: Sequence[int]) -> float:
     """Log probability of a sequence, BOS-conditioned and EOS-terminated."""
+    tokens = list(seq) + [model.vocab.eos_id]
+    history = [model.vocab.bos_id] + tokens
+    keep = model.context_size
     total = 0.0
-    history: list[int] = [model.vocab.bos_id]
-    for tok in list(seq) + [model.vocab.eos_id]:
-        total += model.logprob(tok, history)
-        history.append(tok)
+    for start in range(0, len(tokens), LOGPROB_ROWS):
+        part = range(start, min(start + LOGPROB_ROWS, len(tokens)))
+        rows = model.rows(history[max(0, i + 1 - keep) : i + 1] for i in part)
+        for row, i in zip(rows, part):
+            total += float(row[tokens[i]])  # summed in sequence order
     return total
 
 
@@ -266,7 +262,7 @@ def perplexity(model: NGramModel | TableLM, corpus: Iterable[Sequence[int]]) -> 
         total += lm_logprob(model, seq)
         count += len(seq) + 1
     if count == 0:
-        raise ValueError("perplexity of an empty corpus")
+        raise ValidationError("perplexity of an empty corpus")
     return math.exp(-total / count)
 
 
@@ -374,7 +370,9 @@ def load_ngram(path: str | Path) -> NGramModel:
         raise FormatError(f"{path}: order must be >= 1 and backoff positive, got {order}, {backoff}")
     vocab = vocabulary_from_lines(lines[vocab_at + 1 : ngrams_at], f"{path} [vocab]")
     tok_id = {t: i for i, t in enumerate(vocab.tokens)}
-    tables: list[dict[tuple[int, ...], dict[int, float]]] = [{} for _ in range(order)]
+    # levels up to the deepest that holds an entry: the order header alone
+    # allocates nothing
+    tables: list[dict[tuple[int, ...], dict[int, float]]] = [{}]
     # save_ngram writes the entries sorted by (order, context): a group's
     # context is parsed once, at its first line
     group = None
@@ -385,6 +383,7 @@ def load_ngram(path: str | Path) -> NGramModel:
                 ctx = tuple(tok_id[t] for t in ctx_str.split(" ") if t)
                 if not 1 <= int(k_str) <= order or len(ctx) != int(k_str) - 1:
                     raise ValueError(f"order {k_str} entry with a {len(ctx)}-token context")
+                tables += [{} for _ in range(len(tables), len(ctx) + 1)]
                 dist = tables[len(ctx)].setdefault(ctx, {})
                 group = (k_str, ctx_str)
             value = float(val)

@@ -510,11 +510,11 @@ class _WordLM:
             ctx, pending = after, (label,)
         else:
             pending = pending + (label,)
-        delta, after = 0.0, ctx
-        for tok in retokenize(self.lm.vocab, [self.vocab.word_text(pending)]):
-            delta += float(self.lm.conditionals(after)[tok])
-            after = after + (tok,)
-        return ctx, pending, delta, after
+        toks = tuple(retokenize(self.lm.vocab, [self.vocab.word_text(pending)]))
+        delta = 0.0
+        for row, tok in zip(self.lm.rows(ctx + toks[:i] for i in range(len(toks))), toks):
+            delta += float(row[tok])
+        return ctx, pending, delta, ctx + toks
 
     def rows(self, states):
         out = np.zeros((len(states), self.vocab.size))

@@ -15,13 +15,14 @@ so generation could run in parallel.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, Posteriorgram, Vocabulary, WORD_MARKER
+from fusionkit.core import NEG_INF, WORD_MARKER, Posteriorgram, ValidationError, Vocabulary
 from fusionkit.lm import TableLM, retokenize
 
 WORD_LIST = (
@@ -84,79 +85,92 @@ class SynthConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.noise < 1.0:
-            raise ValueError("noise must lie in [0, 1)")
+            raise ValidationError(f"noise must lie in [0, 1), not {self.noise!r}")
         for lo, hi in (self.words_per_utt, self.frames_per_label, self.blank_gap):
             if lo > hi or lo < 0:
-                raise ValueError("ranges must be nonempty and nonnegative")
+                raise ValidationError(f"ranges must be nonempty and nonnegative, not ({lo}, {hi})")
         if self.words_per_utt[0] < 1 or self.frames_per_label[0] < 1:
-            raise ValueError("at least one word and one frame per label")
+            raise ValidationError("at least one word and one frame per label")
 
 
 BLANK_LEAK = 0.15  # share of eps resting on blank per frame
 FLOOR_LEAK = 0.01  # share of eps spread uniformly so the support stays full
 
 
-def _emission_row(vocab: Vocabulary, label: int, eps: float, rng) -> np.ndarray:
-    """One frame distribution; peaked like a trained CTC output.
-
-    The noise knob eps does two things: every frame leaks a little mass to
-    blank and a tiny uniform floor (so spurious labels exist but stay
-    acoustically expensive, as in real CTC posteriors), and with probability
-    eps the frame is ambiguous, splitting its peak between a random wrong
-    label (slightly ahead) and the true one.  Greedy decoding errs on every
-    ambiguous frame; fusion with a language model recovers.
-    """
-    support = [i for i in range(vocab.size) if i not in (vocab.bos_id, vocab.eos_id)]
-    row = np.full(vocab.size, NEG_INF)
-    if eps == 0.0:
-        row[label] = 0.0
-        return row
-    masses = np.full(vocab.size, FLOOR_LEAK * eps / len(support))
-    masses[vocab.bos_id] = 0.0
-    masses[vocab.eos_id] = 0.0
-    masses[vocab.blank_id] += BLANK_LEAK * eps
-    peak = 1.0 - (BLANK_LEAK + FLOOR_LEAK) * eps
-    if rng.random() < eps:
-        others = [i for i in support if i != label]
-        wrong = int(others[rng.integers(0, len(others))])
-        masses[wrong] += peak * AMBIG_WRONG
-        masses[label] += peak * AMBIG_TRUE
-    else:
-        masses[label] += peak
-    row[support] = np.log(masses[support])
-    return row
-
-
 def _utterance_rows(cfg: SynthConfig, tokens: Sequence[int], rng) -> np.ndarray:
-    rows = []
+    """The (T, V) posteriorgram of a token sequence, peaked like a trained
+    CTC output: per token a blank gap (at least one frame before a repeated
+    token), then the token's own frames.
+
+    At noise eps every frame leaks a little mass to blank and a tiny uniform
+    floor over the support (all but BOS and EOS), so spurious labels exist
+    but stay acoustically expensive, as in real CTC posteriors.  With
+    probability eps a frame is ambiguous: its peak splits between a random
+    wrong label (slightly ahead) and the true one.  Greedy decoding errs on
+    every ambiguous frame; fusion with a language model recovers.
+
+    Only the draws run frame by frame: per token the gap and the duration,
+    per frame (if eps > 0) a uniform and, for an ambiguous frame, the wrong
+    label's index in the support less the true label.  The masses of all
+    frames are then built at once.
+    """
+    vocab, eps = cfg.vocab, cfg.noise
+    support = [i for i in range(vocab.size) if i not in (vocab.bos_id, vocab.eos_id)]
+    column = {label: j for j, label in enumerate(support)}
+    labels: list[int] = []
+    ambiguous: list[int] = []  # the ambiguous frames and their wrong labels' columns
+    wrong: list[int] = []
+
+    def emit(label: int, frames: int) -> None:
+        for _ in range(frames):
+            if eps > 0.0 and rng.random() < eps:
+                k = int(rng.integers(0, len(support) - 1))
+                ambiguous.append(len(labels))
+                wrong.append(k if support[k] < label else k + 1)
+            labels.append(label)
+
     prev = None
     for tok in tokens:
         gap = int(rng.integers(cfg.blank_gap[0], cfg.blank_gap[1] + 1))
         if prev == tok:
             gap = max(gap, 1)  # repeated labels need a separating blank
-        for _ in range(gap):
-            rows.append(_emission_row(cfg.vocab, cfg.vocab.blank_id, cfg.noise, rng))
-        dur = int(rng.integers(cfg.frames_per_label[0], cfg.frames_per_label[1] + 1))
-        for _ in range(dur):
-            rows.append(_emission_row(cfg.vocab, tok, cfg.noise, rng))
+        emit(vocab.blank_id, gap)
+        emit(tok, int(rng.integers(cfg.frames_per_label[0], cfg.frames_per_label[1] + 1)))
         prev = tok
-    return np.array(rows)
+
+    frames = np.arange(len(labels))
+    rows = np.full((len(labels), vocab.size), NEG_INF)
+    if eps == 0.0:
+        rows[frames, labels] = 0.0
+        return rows
+    base = np.full(len(support), FLOOR_LEAK * eps / len(support))
+    base[column[vocab.blank_id]] += BLANK_LEAK * eps
+    masses = np.tile(base, (len(labels), 1))
+    peak = 1.0 - (BLANK_LEAK + FLOOR_LEAK) * eps
+    gain = np.full(len(labels), peak)
+    gain[ambiguous] = peak * AMBIG_TRUE
+    masses[frames, [column[label] for label in labels]] += gain
+    masses[ambiguous, wrong] += peak * AMBIG_WRONG
+    rows[:, support] = np.log(masses)
+    return rows
+
+
+def _transcript(cfg: SynthConfig, rng) -> str:
+    n_words = int(rng.integers(cfg.words_per_utt[0], cfg.words_per_utt[1] + 1))
+    return " ".join(cfg.word_list[int(rng.integers(0, len(cfg.word_list)))] for _ in range(n_words))
 
 
 def gen_utterance(cfg: SynthConfig, index: int) -> tuple[Posteriorgram, str]:
     """One utterance; determined entirely by (config seed, index)."""
     rng = np.random.default_rng([cfg.seed, index])
-    n_words = int(rng.integers(cfg.words_per_utt[0], cfg.words_per_utt[1] + 1))
-    words = [cfg.word_list[int(rng.integers(0, len(cfg.word_list)))] for _ in range(n_words)]
-    transcript = " ".join(words)
-    tokens = retokenize(cfg.vocab, transcript, allow_unk=False)
-    rows = _utterance_rows(cfg, tokens, rng)
+    transcript = _transcript(cfg, rng)
+    rows = _utterance_rows(cfg, retokenize(cfg.vocab, transcript, allow_unk=False), rng)
     return Posteriorgram(rows), transcript
 
 
 def gen_corpus(cfg: SynthConfig, n_utts: int) -> list[tuple[Posteriorgram, str]]:
     if n_utts < 1:
-        raise ValueError("need at least one utterance")
+        raise ValidationError(f"need at least one utterance, not {n_utts}")
     return [gen_utterance(cfg, i) for i in range(n_utts)]
 
 
@@ -165,13 +179,7 @@ def sample_sentences(cfg: SynthConfig, n: int, stream: int = 10**6) -> list[str]
 
     Uses a disjoint index stream so the text never equals test utterances.
     """
-    return [gen_text_only(cfg, stream + i) for i in range(n)]
-
-
-def gen_text_only(cfg: SynthConfig, index: int) -> str:
-    rng = np.random.default_rng([cfg.seed, index])
-    n_words = int(rng.integers(cfg.words_per_utt[0], cfg.words_per_utt[1] + 1))
-    return " ".join(cfg.word_list[int(rng.integers(0, len(cfg.word_list)))] for _ in range(n_words))
+    return [_transcript(cfg, np.random.default_rng([cfg.seed, stream + i])) for i in range(n)]
 
 
 @dataclass(frozen=True)
@@ -201,16 +209,7 @@ def gen_oscillation_scenario(cfg: SynthConfig, index: int = 0) -> OscillationSce
     transcript = " ".join(words)
     tokens = tuple(retokenize(vocab, transcript, allow_unk=False))
 
-    clean = SynthConfig(
-        seed=cfg.seed,
-        vocab=vocab,
-        words_per_utt=cfg.words_per_utt,
-        frames_per_label=cfg.frames_per_label,
-        blank_gap=cfg.blank_gap,
-        noise=0.0,
-        word_list=cfg.word_list,
-    )
-    rows = _utterance_rows(clean, tokens, rng)
+    rows = _utterance_rows(dataclasses.replace(cfg, noise=0.0), tokens, rng)
     pg = Posteriorgram(rows)
 
     # two word-initial loop labels that do not occur in the reference

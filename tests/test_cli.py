@@ -540,6 +540,67 @@ class TestPplCommand:
         assert err.count("error:") == 1 and str(model) in err
 
 
+class TestCorpusToolsFailCleanly:
+    """A bad argument or input ends in one error line and exit 1, with
+    nothing written."""
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--noise", "1.5"], "noise must lie in [0, 1)"),
+            (["--utts", "0"], "at least one utterance"),
+            (["--min-words", "5", "--max-words", "2"], "ranges must be nonempty"),
+        ],
+    )
+    def test_synth(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "out"
+        code, stdout, err = run(["synth", str(out), *flags], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ("the and\n", ["--order", "0"], "order must be >= 1"),
+            ("", [], "holds no text"),
+            ("\n\n", [], "holds no text"),
+            (None, [], "train.txt"),
+            ("the and\n", ["--backoff", "0"], "backoff factor must be finite and > 0"),
+            ("the and\n", ["--backoff", "-1"], "backoff factor must be finite and > 0"),
+        ],
+    )
+    def test_lm_train(self, corpus, tmp_path, capsys, text, flags, message):
+        path = tmp_path / "train.txt"
+        if text is not None:
+            path.write_text(text)
+        out = tmp_path / "lm.fklm"
+        code, stdout, err = run(["lm-train", str(path), str(corpus / "vocab.txt"), str(out), *flags], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and message in err
+        assert not out.exists()
+
+    def test_lm_train_binary_vocabulary(self, tmp_path, capsys):
+        (tmp_path / "train.txt").write_text("the and\n")
+        (tmp_path / "vocab.txt").write_bytes(b"\xff\xfe\x00bad\n")
+        out = tmp_path / "lm.fklm"
+        code, stdout, err = run(
+            ["lm-train", str(tmp_path / "train.txt"), str(tmp_path / "vocab.txt"), str(out)], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "not UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, message", [("", "holds no text"), (None, "text.txt")])
+    def test_ppl(self, lm_file, tmp_path, capsys, text, message):
+        path = tmp_path / "text.txt"
+        if text is not None:
+            path.write_text(text)
+        code, stdout, err = run(["ppl", str(lm_file), str(path)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and message in err
+
+
 class TestBenchCommand:
     def test_grid_table(self, tmp_path, capsys):
         noisy = tmp_path / "noisy"

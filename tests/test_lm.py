@@ -12,6 +12,7 @@ from fusionkit import lm
 from fusionkit.core import NEG_INF, WORD_MARKER, FormatError, ValidationError, Vocabulary, logsumexp
 from fusionkit.lm import (
     LN10,
+    NGramModel,
     TableLM,
     lm_logprob,
     load_ngram,
@@ -71,12 +72,64 @@ class TestTrainUnigram:
                 assert logsumexp(model.conditionals(ctx)) == pytest.approx(0.0, abs=1e-9)
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             train_ngram(VOCAB, [], order=2)
 
     def test_special_tokens_rejected_in_corpus(self):
         with pytest.raises(ValidationError):
             train_ngram(VOCAB, [[A, EOS]], order=1)
+
+
+def reference_train_ngram(vocab, corpus, order, backoff_factor=0.4):
+    """Slow reference: counts kept level by level, event by event."""
+    corpus = [list(seq) for seq in corpus]
+    support = support_ids(vocab)
+    uni_counts = {}
+    ctx_counts = [{} for _ in range(order + 1)]
+    n_tokens = 0
+    for seq in corpus:
+        for tok in seq:
+            uni_counts[tok] = uni_counts.get(tok, 0) + 1
+            n_tokens += 1
+        for k in range(2, order + 1):
+            padded = [vocab.bos_id] * (k - 1) + seq + [vocab.eos_id]
+            for pos in range(k - 1, len(padded)):
+                bucket = ctx_counts[k - 1].setdefault(tuple(padded[pos - k + 1 : pos]), {})
+                bucket[padded[pos]] = bucket.get(padded[pos], 0) + 1
+    tables = [{} for _ in range(order)]
+    denom = n_tokens + len(support)
+    tables[0][()] = {tok: math.log10((uni_counts.get(tok, 0) + 1) / denom) for tok in support}
+    for k in range(2, order + 1):
+        for ctx, bucket in ctx_counts[k - 1].items():
+            total = sum(bucket.values())
+            tables[k - 1][ctx] = {tok: math.log10(cnt / total) for tok, cnt in bucket.items()}
+    return NGramModel(vocab, order, backoff_factor, tuple(tables))
+
+
+class TestTrainEqualsReference:
+    VOCAB20 = Vocabulary.from_tokens(["<blank>", "<s>", "</s>"] + [f"t{i}" for i in range(17)])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        order=st.integers(1, 5),
+        corpus=st.lists(st.lists(st.integers(3, 19), max_size=10), min_size=1, max_size=12),
+        backoff=st.sampled_from([0.4, 0.3, 1.0, 2.5]),
+    )
+    def test_save_bytes_equal(self, order, corpus, backoff):
+        got = train_ngram(self.VOCAB20, corpus, order=order, backoff_factor=backoff)
+        want = reference_train_ngram(self.VOCAB20, corpus, order, backoff)
+        assert got == want
+        assert _fklm_bytes(got) == _fklm_bytes(want)
+
+    @pytest.mark.parametrize("order", [0, -1])
+    def test_order_rejected(self, order):
+        with pytest.raises(ValidationError, match="order must be >= 1"):
+            train_ngram(VOCAB, aab_corpus(), order=order)
+
+    @pytest.mark.parametrize("backoff", [0.0, -1.0, math.inf, math.nan])
+    def test_backoff_rejected(self, backoff):
+        with pytest.raises(ValidationError, match="backoff factor must be finite and > 0"):
+            train_ngram(VOCAB, aab_corpus(), order=2, backoff_factor=backoff)
 
 
 def bigram_aab_oracle():
@@ -106,7 +159,7 @@ class TestLogprobAndPerplexity:
     def test_empty_sequence_scores_eos_given_bos(self):
         model = train_ngram(VOCAB, aab_corpus(), order=2)
         assert lm_logprob(model, []) == pytest.approx(
-            model.logprob(EOS, [VOCAB.bos_id]), abs=1e-12
+            model.conditionals([VOCAB.bos_id])[EOS], abs=1e-12
         )
 
     def test_bigram_hand_oracle(self):
@@ -151,11 +204,46 @@ class TestLogprobAndPerplexity:
         assert math.isfinite(lm_logprob(model, [5, 4, 3]))
 
 
+def reference_lm_logprob(model, seq):
+    """Slow reference: one conditional row per token, summed in order."""
+    total = 0.0
+    history = [model.vocab.bos_id]
+    for tok in list(seq) + [model.vocab.eos_id]:
+        total += float(model.conditionals(history)[tok])
+        history.append(tok)
+    return total
+
+
+class TestLogprobEqualsPerTokenLoop:
+    VOCAB6 = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b", "c", "d"])
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        order=st.integers(1, 4),
+        corpus=st.lists(st.lists(st.integers(3, 6), max_size=6), min_size=1, max_size=6),
+        seqs=st.lists(st.lists(st.integers(3, 6), max_size=12), min_size=1, max_size=4),
+        chunk=st.sampled_from([1, 2, 5, 1024]),
+        table=st.booleans(),
+    )
+    def test_bit_identical(self, order, corpus, seqs, chunk, table):
+        model = train_ngram(self.VOCAB6, corpus, order=order, backoff_factor=0.3)
+        if table:
+            # a table LM built from the n-gram's rows: keys of every length up to order - 1
+            keys = {tuple(seq[:i])[-k:] for seq in corpus for i in range(len(seq) + 1)
+                    for k in range(1, order)}
+            entries = tuple((key, model.conditionals(key)) for key in sorted(keys) if key)
+            model = TableLM(self.VOCAB6, entries, model.conditionals(()))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lm, "LOGPROB_ROWS", chunk)
+            for seq in seqs:
+                assert lm_logprob(model, seq) == reference_lm_logprob(model, seq)
+
+
 def raw_log10(model, context, token):
     """Slow reference: one token's stupid-backoff walk, longest context first."""
     discount = 0.0
     for k in range(len(context), 0, -1):
-        dist = model.tables[k].get(context[-k:])
+        dist = model.tables[k].get(context[-k:]) if k < len(model.tables) else None
         if dist is not None and token in dist:
             return discount + dist[token]
         discount += math.log10(model.backoff_factor)
@@ -322,14 +410,19 @@ class TestNGramSerialization:
             load_ngram(path)
 
     def test_order_above_its_entries(self, tmp_path):
-        # levels with no entries match nothing, however many there are
+        # levels with no entries match nothing and are not built, however
+        # many the header names
         path = tmp_path / "model.fklm"
         save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
-        path.write_text(path.read_text().replace("order\t2\n", "order\t9\n", 1))
-        model = load_ngram(path)
-        contexts = [(), (A,), (VOCAB.bos_id, A), (B, A, A, B, A, A, B, A, B, A)]
-        want = np.array([reference_conditionals(model, c) for c in contexts])
-        assert model.rows(contexts).tobytes() == want.tobytes()
+        saved = path.read_text()
+        for order in (9, 100_000):
+            path.write_text(saved.replace("order\t2\n", f"order\t{order}\n", 1))
+            model = load_ngram(path)
+            assert model.order == order
+            assert len(model.tables) == 2
+            contexts = [(), (A,), (VOCAB.bos_id, A), (B, A, A, B, A, A, B, A, B, A)]
+            want = np.array([reference_conditionals(model, c) for c in contexts])
+            assert model.rows(contexts).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_value_rejected(self, tmp_path, value):

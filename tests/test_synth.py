@@ -1,13 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fusionkit.core import ScorerWeights, logsumexp
+from fusionkit.core import NEG_INF, ScorerWeights, logsumexp
 from fusionkit.ctc import greedy_decode
 from fusionkit.lm import retokenize
 from fusionkit.metrics import align
 from fusionkit.search import ContextLMScorer, CtcPrefixLabelScorer, labelsync_beam
 from fusionkit.synth import (
+    AMBIG_TRUE,
+    AMBIG_WRONG,
+    BLANK_LEAK,
+    FLOOR_LEAK,
+    WORD_LIST,
     SynthConfig,
+    _utterance_rows,
     build_am_vocab,
     build_lm_vocab,
     gen_corpus,
@@ -31,6 +39,91 @@ class TestVocabBuilders:
         assert lm_vocab.tokens != AM_VOCAB.tokens
         ids = retokenize(lm_vocab, "the quick zebra", allow_unk=False)
         assert lm_vocab.text(ids) == "the quick zebra"
+
+
+def reference_emission_row(vocab, label, eps, rng):
+    """Slow reference: one frame's distribution, built and drawn alone."""
+    support = [i for i in range(vocab.size) if i not in (vocab.bos_id, vocab.eos_id)]
+    row = np.full(vocab.size, NEG_INF)
+    if eps == 0.0:
+        row[label] = 0.0
+        return row
+    masses = np.full(vocab.size, FLOOR_LEAK * eps / len(support))
+    masses[vocab.bos_id] = 0.0
+    masses[vocab.eos_id] = 0.0
+    masses[vocab.blank_id] += BLANK_LEAK * eps
+    peak = 1.0 - (BLANK_LEAK + FLOOR_LEAK) * eps
+    if rng.random() < eps:
+        others = [i for i in support if i != label]
+        wrong = int(others[rng.integers(0, len(others))])
+        masses[wrong] += peak * AMBIG_WRONG
+        masses[label] += peak * AMBIG_TRUE
+    else:
+        masses[label] += peak
+    row[support] = np.log(masses[support])
+    return row
+
+
+def reference_utterance_rows(cfg, tokens, rng):
+    """Slow reference: the posteriorgram stacked frame by frame."""
+    rows = []
+    prev = None
+    for tok in tokens:
+        gap = int(rng.integers(cfg.blank_gap[0], cfg.blank_gap[1] + 1))
+        if prev == tok:
+            gap = max(gap, 1)
+        for _ in range(gap):
+            rows.append(reference_emission_row(cfg.vocab, cfg.vocab.blank_id, cfg.noise, rng))
+        dur = int(rng.integers(cfg.frames_per_label[0], cfg.frames_per_label[1] + 1))
+        for _ in range(dur):
+            rows.append(reference_emission_row(cfg.vocab, tok, cfg.noise, rng))
+        prev = tok
+    return np.array(rows)
+
+
+def draw_tokens(cfg, index):
+    """The draws :func:`gen_utterance` makes before the frames: the
+    generator, the transcript and its tokens."""
+    rng = np.random.default_rng([cfg.seed, index])
+    n_words = int(rng.integers(cfg.words_per_utt[0], cfg.words_per_utt[1] + 1))
+    words = [cfg.word_list[int(rng.integers(0, len(cfg.word_list)))] for _ in range(n_words)]
+    transcript = " ".join(words)
+    return rng, transcript, retokenize(cfg.vocab, transcript, allow_unk=False)
+
+
+def ranges(lo, hi):
+    return st.tuples(st.integers(lo, hi), st.integers(0, 2)).map(lambda r: (r[0], r[0] + r[1]))
+
+
+class TestUtteranceRows:
+    """The per-utterance builder equals the per-frame reference bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        index=st.integers(0, 10**7),
+        noise=st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.95, 1.0 - 2**-52]) | st.floats(0.0, 0.999),
+        words=ranges(1, 6) | st.just((20, 24)),
+        frames=ranges(1, 3),
+        gap=ranges(0, 2),
+        # one- and two-letter words repeat tokens back to back
+        word_list=st.sampled_from([("aaa", "a", "tt", "the"), WORD_LIST]),
+    )
+    def test_equals_per_frame_reference(self, seed, index, noise, words, frames, gap, word_list):
+        cfg = SynthConfig(
+            seed=seed, noise=noise, words_per_utt=words, frames_per_label=frames,
+            blank_gap=gap, word_list=word_list,
+        )
+        want_rng, want_text, tokens = draw_tokens(cfg, index)
+        want = reference_utterance_rows(cfg, tokens, want_rng)
+        rng, _, _ = draw_tokens(cfg, index)
+        got = _utterance_rows(cfg, tokens, rng)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == want_rng.random()  # the generator is left where it was
+        pg, transcript = gen_utterance(cfg, index)
+        assert transcript == want_text
+        assert pg.log_probs.tobytes() == want.tobytes()
 
 
 class TestGenCorpus:

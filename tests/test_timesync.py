@@ -28,6 +28,7 @@ from fusionkit.search import (
     delayed_fusion_beam,
     lockstep_beam,
     timesync_ctc_beam,
+    _WordLM,
 )
 
 
@@ -665,3 +666,27 @@ class TestDelayedAtWeightZero:
             assert list(e.components) == ["ctc"]
             assert e.combined == e.components["ctc"]
             assert math.isfinite(e.combined)
+
+
+class TestWordLMChild:
+    """A prefix's pending-word delta is the per-token loop's sum."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        labels=st.lists(st.integers(3, 8), min_size=1, max_size=12),
+        order=st.integers(1, 4),
+    )
+    def test_delta_equals_per_token_loop(self, labels, order):
+        am_vocab, lm_vocab = cross_vocab()
+        text = ["ab ca", "abc a", "cab b ca", "a b c"]
+        lm = train_ngram(lm_vocab, [retokenize(lm_vocab, t.split()) for t in text], order=order)
+        frame_lm = _WordLM(lm, am_vocab)
+        state = frame_lm.root()
+        for label in labels:
+            state = frame_lm.child(state, label)
+            ctx, pending, delta, after = state
+            want, want_after = 0.0, ctx
+            for tok in retokenize(lm_vocab, [am_vocab.word_text(pending)]):
+                want += float(lm.conditionals(want_after)[tok])
+                want_after = want_after + (tok,)
+            assert (delta, after) == (want, want_after)
