@@ -42,6 +42,7 @@ from fusionkit.core import (
     ScorerWeights,
     ValidationError,
     Vocabulary,
+    read_encoder_output,
     read_posteriorgram,
     read_vocabulary,
     write_posteriorgram,
@@ -560,8 +561,6 @@ def cmd_export_attn(args) -> int:
     )
     audio = None
     if args.audio:
-        from fusionkit.core import read_encoder_output
-
         audio = read_encoder_output(args.audio)
     labels = [vocab.bos_id] + retokenize(vocab, args.text)
     export_attention(weights, config, audio, labels, args.out)

@@ -15,7 +15,8 @@ import numpy as np
 from fusionkit.core import NEG_INF, EncoderOutput, Posteriorgram, logsumexp_rows
 
 _EPS = float(np.finfo(np.float64).eps)
-_BLOCK_SIZE = 12288  # float64 terms (96 KiB) per block of CtcPrefixScorer.step's bound pass
+_BLOCK_SIZE = 12288  # a quarter of the float64 terms per block of CtcPrefixScorer's folds
+_UNDERFLOW = 2.0**-900  # a dot product below this may have lost terms to underflow
 
 
 def collapse(frame_labels: Sequence[int], blank_id: int) -> list[int]:
@@ -106,16 +107,9 @@ def merge_indices(pg: Posteriorgram, threshold: float) -> MergeIndexMap:
         raise ValueError("threshold must be positive")
     lp = pg.log_probs
     best = np.argmax(lp, axis=1)
-    best_prob = np.exp(lp[np.arange(lp.shape[0]), best])
-    indices = [1]
-    for t in range(1, lp.shape[0]):
-        merge = (
-            best[t] == best[t - 1]
-            and best_prob[t] >= threshold
-            and best_prob[t - 1] >= threshold
-        )
-        indices.append(indices[-1] if merge else indices[-1] + 1)
-    return MergeIndexMap(tuple(indices), threshold)
+    sure = np.exp(lp[np.arange(lp.shape[0]), best]) >= threshold
+    opens = (best[1:] != best[:-1]) | ~sure[1:] | ~sure[:-1]  # a frame starting a group
+    return MergeIndexMap(tuple(np.cumsum(np.append(1, opens)).tolist()), threshold)
 
 
 def compress_encoder(enc: EncoderOutput, index_map: MergeIndexMap) -> EncoderOutput:
@@ -164,12 +158,11 @@ def topk_prune(pg: Posteriorgram, k: int, keep_blank: bool, blank_id: int) -> Po
     s_max = np.max(pg.log_probs, axis=0)
     # sort by (-score, id) so ties go to the lower id
     order = np.lexsort((np.arange(v), -s_max))
-    kept = set(order[:k].tolist())
+    kept = order[:k].copy()
     if keep_blank and blank_id not in kept:
-        kept.discard(int(order[k - 1]))
-        kept.add(blank_id)
+        kept[-1] = blank_id
     mask = np.zeros(v, dtype=bool)
-    mask[list(kept)] = True
+    mask[kept] = True
     pruned = np.where(mask, pg.log_probs, NEG_INF)
     norms = logsumexp_rows(pruned)
     empty = norms == NEG_INF
@@ -286,7 +279,7 @@ class CtcPrefixScorer:
         self.num_frames = T = int(self.lengths.max())
         self._blank = self._padded(np.array([blank_id]))[:, :, 0]
         self._logs = np.array([NEG_INF] + [math.log(n) for n in range(1, T + 1)])
-        self._columns: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._columns: tuple | None = None
 
     def _padded(self, labels: np.ndarray) -> np.ndarray:
         """Columns ``labels`` of every posteriorgram as one (T, U, L) array."""
@@ -307,15 +300,22 @@ class CtcPrefixScorer:
             log_prefix_prob=np.zeros(U),
         )
 
-    def _plain_columns(self, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each candidate's column among the plain ones (-1 for EOS) and
-        their (T, U, C') posteriors, kept while the candidates stay the
-        same."""
+    def _plain_columns(self, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+        """Each candidate's column among the plain ones (-1 for EOS), their
+        (T, U, C') posteriors and per posteriorgram its frames, support
+        columns, their peaks m_col and exp(x - m_col), kept while the
+        candidates stay the same."""
         if self._columns is None or not np.array_equal(self._columns[0], cands):
             plain = cands != self.eos_id
             pos = np.where(plain, np.cumsum(plain) - 1, -1)
-            self._columns = (cands, pos, self._padded(cands[plain]))
-        return self._columns[1], self._columns[2]
+            xs = self._padded(cands[plain])
+            scaled = []
+            for u, end in enumerate(self.lengths.tolist()):
+                support = np.flatnonzero(xs[:end, u].max(axis=0) > NEG_INF)
+                m_col = xs[:end, u, support].max(axis=0)
+                scaled.append((end, support, m_col, np.exp(xs[:end, u, support] - m_col)))
+            self._columns = (cands, pos, xs, scaled)
+        return self._columns[1:]
 
     def step(
         self, states: PrefixStates, candidates: Sequence[int]
@@ -323,17 +323,21 @@ class CtcPrefixScorer:
         """Bound every candidate extension of every state's prefix at once.
 
         Returns (B, C) lower and upper bounds on the absolute log prefix
-        probabilities that :meth:`exact` folds (see :func:`log_add_bounds`),
-        and the artifacts it and :meth:`advance` work from.  The EOS column
-        is exact; a candidate whose terms are all -inf is -inf in both
-        bounds.
-        """
+        probabilities that :meth:`exact` folds, and the artifacts it and
+        :meth:`advance` work from.  A pair's terms phi[t] + x[t+1] sum to
+        exp(m_row + m_col) G, m_row and m_col the row's and column's peaks
+        and G the dot product of exp(phi - m_row) and exp(x - m_col): one
+        (1, K) @ (K, c_u) BLAS call per row, as a scorer of its own makes
+        it.  The bounds are m_row + m_col + log G -+ delta, a margin for the
+        rounding of exp, log, the dot product and the fold; where G may have
+        underflowed, and for a repeated label (its phi is log_blank), those
+        of the largest term (:func:`log_add_bounds`).  EOS is exact."""
         cands = np.asarray(candidates, dtype=np.int64)
         if np.any(cands == self.blank_id):
             raise ValueError("blank cannot be a prefix-scorer candidate")
         S = states.length
         B, C = len(states), cands.size
-        plain, xs = self._plain_columns(cands)
+        plain, xs, scaled = self._plain_columns(cands)
         step = PrefixStep(
             states=states,
             candidates=cands,
@@ -345,48 +349,62 @@ class CtcPrefixScorer:
         lower = np.full((B, C), NEG_INF)
         upper = np.full((B, C), NEG_INF)
 
-        ends = self.lengths[states.utt]
-        rows = np.flatnonzero(ends > S)  # S >= T leaves only EOS
         cols = np.flatnonzero(plain >= 0)
-        if rows.size and cols.size:
-            start = max(S, 1)
-            labels = cands[cols]
-            # the largest term phi[t] + x[t+1] of every pair, from the float
-            # additions exact() makes.  Blocks of rows and frames keep the
-            # (T', B, C) terms from ever existing whole: a whole array, or
-            # blocks above about 128 KiB, measured slower or raised peak RSS.
-            log_sum = step.log_sum if rows.size == B else step.log_sum[:, rows]
-            rows_per_block = max(1, _BLOCK_SIZE // cols.size)
-            for r0 in range(0, rows.size, rows_per_block):
-                block_rows = slice(r0, r0 + rows_per_block)
-                r = rows[block_rows]
-                u = states.utt[r]
-                end = int(ends[r].max())
-                peak = np.full((r.size, cols.size), NEG_INF)
-                if S == 0:  # the first label may also start at frame 1
-                    peak[:] = xs[0, u]
-                # one posteriorgram's rows share its columns by broadcasting
-                x_rows = slice(u[0], u[0] + 1) if np.all(u == u[0]) else u
-                frames_per_block = max(1, _BLOCK_SIZE // (r.size * cols.size))
-                for t in range(start, end, frames_per_block):
-                    frames = slice(t, min(t + frames_per_block, end))
-                    terms = log_sum[t - 1 : frames.stop - 1, block_rows, None] + xs[frames, x_rows]
-                    np.maximum(peak, terms.max(axis=0), out=peak)
-                # a row whose last label repeats (at most one column per row)
-                # takes log_blank, not log_sum, as phi for that column
-                rep_rows, rep_cols = np.nonzero(states.last[r, None] == labels)
-                if rep_rows.size:
-                    terms = states.log_blank[start - 1 : end - 1, r[rep_rows]]
-                    terms += xs[start:end, u[rep_rows], rep_cols]
-                    peak[rep_rows, rep_cols] = terms.max(axis=0)
-                n = (ends[r] - S)[:, None]
-                grid = np.ix_(r, cols)
-                lower[grid], upper[grid] = log_add_bounds(peak, n, self._logs[n])
+        by_peak = np.zeros((B, C), dtype=bool)  # pairs bounded by their largest term
+        for u, (end, support, m_col, x) in enumerate(scaled):
+            r = np.flatnonzero(states.utt == u)
+            if end <= S or not r.size or not support.size:
+                continue
+            # phi[t - 1] at the frames t in [S, end) at which a label may
+            # start, the leading term 0 at S = 0; a row each
+            phi = step.log_sum[max(S - 1, 0) : end - 1, r]
+            a = (np.vstack([np.zeros(r.size), phi]) if S == 0 else phi).T.copy()
+            m_row = a.max(axis=1, keepdims=True)
+            m_row[m_row == NEG_INF] = 0.0  # no finite phi: G = 0 and a peak of -inf
+            a -= m_row
+            g = (np.exp(a, out=a)[:, None, :] @ x[S:end])[:, 0]
+            ok = g > _UNDERFLOW
+            log_g = np.log(np.where(ok, g, 1.0))
+            center = m_row + m_col + log_g
+            magnitude = np.abs(m_row) + np.abs(m_col) + np.abs(log_g) + self._logs[end - S] + 8.0
+            delta = 64.0 * (end - S + 1024) * _EPS * magnitude
+            mine = cols[support]
+            grid = np.ix_(r, mine)
+            lower[grid], upper[grid] = center - delta, center + delta
+            by_peak[grid] = ~ok | (states.last[r, None] == cands[mine])
+        r, c = np.nonzero(by_peak)
+        if r.size:
+            n = self.lengths[states.utt[r]] - S
+            peak = self._reduce_terms(step, r, c, np.max)
+            lower[r, c], upper[r, c] = log_add_bounds(peak, n, self._logs[n])
 
+        ends = self.lengths[states.utt]
         eos = cands == self.eos_id
         if np.any(eos):
             lower[:, eos] = upper[:, eos] = step.log_sum[ends - 1, np.arange(B)][:, None]
         return lower, upper, step
+
+    def _reduce_terms(self, step: PrefixStep, rows, cols, reduce) -> np.ndarray:
+        """``reduce`` over the frames, in order, of the terms phi[t] + x[t+1]
+        of plain pairs whose posteriorgram runs past the prefix."""
+        S = step.states.length
+        ends = self.lengths[step.states.utt[rows]]
+        labels = step.candidates[cols]
+        out = np.empty(rows.size)
+        start = max(S, 1)
+        # blocks of pairs keep the (T', k) terms near four times _BLOCK_SIZE
+        pairs_per_block = max(1, 4 * _BLOCK_SIZE // max(1, self.num_frames - start + 1))
+        for p0 in range(0, rows.size, pairs_per_block):
+            block = slice(p0, p0 + pairs_per_block)
+            r, lab, x = rows[block], labels[block], step.plain[cols[block]]
+            u = step.states.utt[r]
+            end = int(ends[block].max())
+            terms = step.phi(r, lab, slice(start - 1, end - 1))
+            terms += step.xs[start:end, u, x]
+            if S == 0:
+                terms = np.concatenate([step.xs[:1, u, x], terms])
+            out[block] = reduce(terms, axis=0)
+        return out
 
     def exact(self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Exact log prefix probabilities of the (state row, candidate
@@ -398,27 +416,13 @@ class CtcPrefixScorer:
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
-        labels = step.candidates[cols]
-        S = step.states.length
         ends = self.lengths[step.states.utt[rows]]
         out = np.full(rows.size, NEG_INF)
-        eos = labels == self.eos_id
+        eos = step.candidates[cols] == self.eos_id
         out[eos] = step.log_sum[ends[eos] - 1, rows[eos]]
-        plain = np.flatnonzero(~eos & (ends > S))
-        start = max(S, 1)
-        # blocks of pairs keep the (T', k) terms near four times _BLOCK_SIZE
-        pairs_per_block = max(1, 4 * _BLOCK_SIZE // max(1, self.num_frames - start + 1))
-        for p0 in range(0, plain.size, pairs_per_block):
-            block = plain[p0 : p0 + pairs_per_block]
-            r, lab, x = rows[block], labels[block], step.plain[cols[block]]
-            u = step.states.utt[r]
-            end = int(ends[block].max())
-            terms = step.phi(r, lab, slice(start - 1, end - 1))
-            terms += step.xs[start:end, u, x]
-            if S == 0:
-                terms = np.concatenate([step.xs[:1, u, x], terms])
-            # a reduction over axis 0 folds the frames in order, from -inf
-            out[block] = np.logaddexp.reduce(terms, axis=0)
+        plain = np.flatnonzero(~eos & (ends > step.states.length))
+        # a reduction over axis 0 folds the frames in order, from -inf
+        out[plain] = self._reduce_terms(step, rows[plain], cols[plain], np.logaddexp.reduce)
         step.folded[rows, cols] = out
         return out
 

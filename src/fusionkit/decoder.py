@@ -205,6 +205,7 @@ def save_weights(weights: DecoderWeights, path: str | Path) -> None:
 
 
 def read_tensor_container(path: str | Path) -> dict[str, np.ndarray]:
+    """An FKWT container's tensors; FormatError names a malformed file and tensor."""
     data = Path(path).read_bytes()
     if data[:4] != WEIGHTS_MAGIC:
         raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {WEIGHTS_MAGIC!r}")
@@ -225,14 +226,20 @@ def read_tensor_container(path: str | Path) -> dict[str, np.ndarray]:
             pos += 1
             dims = struct.unpack_from(f"<{rank}I", data, pos)
             pos += 4 * rank
-            size = int(np.prod(dims)) if rank else 1
+            size = math.prod(dims)
             if pos + 4 * size > len(data):
                 raise FormatError(f"{path}: tensor {name!r} payload truncated")
-            arr = np.frombuffer(data, dtype="<f4", count=size, offset=pos).reshape(dims)
+            arr = np.frombuffer(data, dtype="<f4", count=size, offset=pos)
+            if not np.all(np.isfinite(arr)):  # before the cast, which a signalling NaN trips
+                raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
+            if rank > 32:  # numpy may hold no more
+                raise FormatError(f"{path}: tensor {name!r} has {rank} axes")
             pos += 4 * size
-            out[name] = arr.astype(np.float64)
+            out[name] = arr.reshape(dims).astype(np.float64)
     except struct.error as exc:
         raise FormatError(f"{path}: truncated tensor table ({exc})") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: a tensor name is not UTF-8 ({exc})") from exc
     if pos != len(data):
         raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
     return out
@@ -253,12 +260,20 @@ def write_tensor_container(tensors: dict[str, np.ndarray], path: str | Path) -> 
 
 
 def load_weights(path: str | Path) -> DecoderWeights:
+    """Decoder weights from an FKWT file; FormatError names a malformed file."""
     tensors = read_tensor_container(path)
-    if META_TENSOR not in tensors:
+    meta = tensors.pop(META_TENSOR, None)
+    if meta is None:
         raise FormatError(f"{path}: missing {META_TENSOR} tensor")
-    layers, dim, heads, _, vocab, ffn = (int(x) for x in tensors.pop(META_TENSOR))
-    hp = Hyperparams(layers=layers, dim=dim, heads=heads, vocab_size=vocab, ffn_dim=ffn)
-    return DecoderWeights(hp, tensors)
+    ok = meta.shape == (6,) and np.all((meta >= 1) & (meta == np.round(meta)))
+    if not ok or meta[0] > len(tensors):  # every layer has tensors of its own
+        raise FormatError(f"{path}: {META_TENSOR} needs six positive integers, layers <= tensors")
+    layers, dim, heads, _, vocab, ffn = (int(x) for x in meta)
+    try:
+        hp = Hyperparams(layers=layers, dim=dim, heads=heads, vocab_size=vocab, ffn_dim=ffn)
+        return DecoderWeights(hp, tensors)
+    except ValueError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def build_attention_mask(config: InterfaceConfig, prefix_len: int, text_len: int) -> np.ndarray:

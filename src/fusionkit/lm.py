@@ -37,6 +37,7 @@ NGRAM_MAGIC = "FKLM v1"
 UNK_TOKEN = "<unk>"
 ROW_CACHE_ROWS = 1 << 14  # bound of an n-gram model's row cache
 LOGPROB_ROWS = 1 << 10  # rows a sequence's log probability asks for at once
+MAX_ORDER = 16  # train_ngram's cap: its time and the FKLM size grow with order^2
 
 
 def support_ids(vocab: Vocabulary) -> list[int]:
@@ -157,8 +158,8 @@ def train_ngram(
     corpus = [list(seq) for seq in corpus]
     if not corpus:
         raise ValidationError("training corpus is empty")
-    if order < 1:
-        raise ValidationError(f"order must be >= 1, not {order}")
+    if not 1 <= order <= MAX_ORDER:
+        raise ValidationError(f"order must be >= 1 and at most {MAX_ORDER}, not {order}")
     if not 0.0 < backoff_factor < math.inf:
         raise ValidationError(f"backoff factor must be finite and > 0, not {backoff_factor!r}")
     support = support_ids(vocab)

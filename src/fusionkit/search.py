@@ -175,7 +175,7 @@ def labelsync_lockstep(
     """
     if not pgs:
         return []
-    # longest first: the CTC scorer's bound pass blocks rows of like length
+    # longest first: the CTC scorer's folds run each block of pairs to its longest
     order = sorted(range(len(pgs)), key=lambda u: -pgs[u].num_frames)
     ordered = [pgs[u] for u in order]
     scorers = [handle.build(vocab, ordered) for handle in handles]

@@ -151,7 +151,8 @@ def _utterance_rows(cfg: SynthConfig, tokens: Sequence[int], rng) -> np.ndarray:
     gain[ambiguous] = peak * AMBIG_TRUE
     masses[frames, [column[label] for label in labels]] += gain
     masses[ambiguous, wrong] += peak * AMBIG_WRONG
-    rows[:, support] = np.log(masses)
+    with np.errstate(divide="ignore"):  # a subnormal eps's floor mass underflows to 0
+        rows[:, support] = np.log(masses)
     return rows
 
 

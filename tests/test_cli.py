@@ -568,6 +568,7 @@ class TestCorpusToolsFailCleanly:
             (None, [], "train.txt"),
             ("the and\n", ["--backoff", "0"], "backoff factor must be finite and > 0"),
             ("the and\n", ["--backoff", "-1"], "backoff factor must be finite and > 0"),
+            ("the and\n", ["--order", "400"], "at most 16"),
         ],
     )
     def test_lm_train(self, corpus, tmp_path, capsys, text, flags, message):
@@ -663,3 +664,30 @@ class TestExportAttnCommand:
         assert code == 0
         maps = read_tensor_container(out)
         assert any(name.startswith("layer0.head") for name in maps)
+
+    @pytest.mark.parametrize("case", ["missing-tensor", "name-not-utf8"])
+    def test_malformed_weights_fail_cleanly(self, corpus, tmp_path, capsys, case):
+        from fusionkit.decoder import Hyperparams, save_weights, seeded_weights, write_tensor_container
+
+        vocab = corpus / "vocab.txt"
+        bad = tmp_path / "BAD.fkwt"
+        hp = Hyperparams(layers=1, dim=8, heads=2, vocab_size=len(vocab.read_text().splitlines()))
+        save_weights(seeded_weights(hp, 0), bad)
+        if case == "missing-tensor":
+            tensors = read_tensor_container(bad)
+            del tensors["layer0.cross_attn.wk"]
+            write_tensor_container(tensors, bad)
+            message = "missing tensor 'layer0.cross_attn.wk'"
+        else:
+            data = bad.read_bytes()
+            at = data.index(b"embed")
+            bad.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+            message = "not UTF-8"
+        out = tmp_path / "attn.fkwt"
+        code, stdout, err = run(
+            ["export-attn", str(vocab), "the and", str(out), "--weights", str(bad)], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+        assert str(bad) in err and message in err
+        assert not out.exists()

@@ -430,6 +430,83 @@ class TestPrefixScorer:
             states = sc.advance(step, rows[order], cols[order])
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 9), min_size=1, max_size=3),
+        v=st.integers(3, 7),
+        scale=st.sampled_from([0.0, 1.0, 30.0, 1500.0]),
+        keep=st.none() | st.integers(1, 6),
+        certain=st.booleans(),
+        width=st.integers(1, 6),
+    )
+    def test_log_sum_exp_bounds_tight(self, seed, lengths, v, scale, keep, certain, width):
+        # lower <= exact <= upper and all three -inf together, on U >= 1
+        # padded posteriorgrams with -0.0 frames and pruned supports; at
+        # scale 1500 the forward variables fall to about -1e4, so the
+        # scaled sum G underflows.  Only those pairs and repeated labels
+        # may take the loose bound of their largest term: every other
+        # pair's bounds are within 1e-6 relative of each other.
+        rng = np.random.default_rng(seed)
+        pgs = []
+        for t in lengths:
+            lp = scale * rng.standard_normal((t, v))
+            lp -= np.array([logsumexp(row) for row in lp])[:, None]
+            if certain:  # a certain frame stored as -0.0
+                frame = rng.integers(t)
+                lp[frame] = NEG_INF
+                lp[frame, rng.integers(v)] = -0.0
+            pg = Posteriorgram(lp)
+            pgs.append(pg if keep is None else topk_prune(pg, min(keep, v), True, BLANK))
+        sc = CtcPrefixScorer(pgs, BLANK, self.EOS)
+        cands = list(range(1, v)) + [self.EOS]
+        labels = np.array(cands[:-1])
+        peaks = [pg.log_probs[:, labels].max(axis=0) for pg in pgs]  # m_col
+        states = sc.initial_state()
+        for _ in range(max(lengths) + 2):
+            lower, upper, step = sc.step(states, cands)
+            exact = exact_matrix(sc, step, lower.shape)
+            assert np.all(lower <= exact) and np.all(exact <= upper)
+            assert np.array_equal(np.isneginf(lower), np.isneginf(exact))
+            assert np.array_equal(np.isneginf(upper), np.isneginf(exact))
+            S = states.length
+            log_sum = np.logaddexp(states.log_nonblank, states.log_blank)
+            for b, u in enumerate(states.utt.tolist()):
+                end = pgs[u].num_frames
+                if end <= S:
+                    continue
+                # phi[t - 1] at the frames t in [S, end), 0 first at S = 0
+                phi = log_sum[S - 1 : end - 1, b] if S else np.append(0.0, log_sum[: end - 1, b])
+                row = exact[b, :-1]
+                sure = (row > NEG_INF) & (states.last[b] != labels)
+                # m_row + m_col + log G = row, and G > 2**-900 with a margin
+                sure[sure] = row[sure] - phi.max() - peaks[u][sure] > -600.0
+                gap = upper[b, :-1][sure] - lower[b, :-1][sure]
+                assert np.all(gap <= 1e-6 * (1.0 + np.abs(row[sure])))
+            rows, cols = np.nonzero(exact[:, :-1] > NEG_INF)
+            if rows.size == 0:
+                break
+            repeated = states.last[rows] == labels[cols]
+            order = np.concatenate(
+                [rng.permutation(np.flatnonzero(repeated)), rng.permutation(np.flatnonzero(~repeated))]
+            )[:width]
+            states = sc.advance(step, rows[order], cols[order])
+
+    def test_underflowing_sum_takes_peak_bound(self):
+        # the label's mass and the prefix's sit 3000 nats apart in every
+        # frame: G = exp(-3000) underflows, and the pair's bounds are those
+        # of its largest term
+        lp = np.full((3, 3), -3000.0)
+        lp[[0, 1, 2], [1, BLANK, 2]] = 0.0
+        sc = self.scorer(Posteriorgram(lp))
+        with mock.patch.object(ctc, "log_add_bounds", wraps=ctc.log_add_bounds) as spy:
+            lower, upper, step = sc.step(sc.initial_state(), [2])
+        assert spy.called
+        exact = sc.exact(step, [0], [0])
+        peak = max(lp[0, 2], lp[0, BLANK] + lp[1, 2], lp[0, BLANK] + lp[1, BLANK] + lp[2, 2])
+        assert lower[0, 0] == peak <= exact[0] <= upper[0, 0] < peak + 2.0
+
+
 class TestMergeIndices:
     def test_spec_pattern(self):
         # argmax runs [a,a,blank,b,b] with probs [.95,.96,.99,.80,.97]

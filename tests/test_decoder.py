@@ -1,8 +1,13 @@
 import hashlib
 import math
+import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit.core import EncoderOutput, FormatError, Posteriorgram, logsumexp
 from fusionkit.decoder import (
@@ -21,6 +26,7 @@ from fusionkit.decoder import (
     save_weights,
     seeded_weights,
     seq_cross_entropy,
+    write_tensor_container,
 )
 
 HP = Hyperparams(layers=2, dim=32, heads=2, vocab_size=8, ffn_dim=64)
@@ -556,6 +562,69 @@ class TestWeightsIO:
         path.write_bytes(path.read_bytes()[:-10])
         with pytest.raises(FormatError, match="truncated"):
             load_weights(path)
+
+    @pytest.mark.parametrize(
+        "case,message",
+        [
+            ("name-not-utf8", "a tensor name is not UTF-8"),
+            ("missing-tensor", "missing tensor 'out_proj'"),
+            ("wrong-shape", "tensor 'embed' has shape"),
+            ("non-finite", "tensor 'final_norm.beta' holds non-finite values"),
+            ("bad-meta", "needs six positive integers"),
+            ("too-many-layers", "layers <= tensors"),
+            ("too-many-axes", "tensor 'deep' has 65 axes"),
+        ],
+    )
+    def test_malformed_file_raises_format_error(self, tmp_path, case, message):
+        path = tmp_path / "weights.fkwt"
+        hp = Hyperparams(layers=1, dim=8, heads=2, vocab_size=4, ffn_dim=8)
+        save_weights(seeded_weights(hp, 0), path)
+        tensors = read_tensor_container(path)
+        if case == "name-not-utf8":
+            data = path.read_bytes()
+            at = data.index(b"embed")
+            path.write_bytes(data[:at] + b"\xff" + data[at + 1 :])
+        else:
+            if case == "missing-tensor":
+                del tensors["out_proj"]
+            elif case == "wrong-shape":
+                tensors["embed"] = tensors["embed"][:, :4]
+            elif case == "non-finite":
+                tensors["final_norm.beta"][2] = np.nan
+            elif case == "bad-meta":
+                tensors["meta.hyperparams"][1] = 0.5
+            elif case == "too-many-layers":
+                tensors["meta.hyperparams"][0] = 1e6
+            write_tensor_container(tensors, path)
+            if case == "too-many-axes":  # numpy cannot build it, so append it
+                data = bytearray(path.read_bytes())
+                data[8:12] = struct.pack("<I", len(tensors) + 1)
+                data += struct.pack("<H4sB65If", 4, b"deep", 65, *[1] * 65, 0.0)
+                path.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match=message) as info:
+            load_weights(path)
+        assert str(path) in str(info.value)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_file_raises_only_format_errors(self, data):
+        # truncations and byte flips load or raise FormatError, silently
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "weights.fkwt"
+            hp = Hyperparams(layers=1, dim=8, heads=2, vocab_size=4, ffn_dim=8)
+            save_weights(seeded_weights(hp, 0), path)
+            blob = bytearray(path.read_bytes())
+            if data.draw(st.booleans()):
+                blob = blob[: data.draw(st.integers(0, len(blob) - 1))]
+            else:
+                for _ in range(3):
+                    blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(st.integers(0, 255))
+            path.write_bytes(bytes(blob))
+            try:
+                load_weights(path)
+            except FormatError:
+                pass
 
     def test_odd_head_dim_rejected(self):
         with pytest.raises(ValueError, match="even"):

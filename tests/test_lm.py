@@ -12,6 +12,7 @@ from fusionkit import lm
 from fusionkit.core import NEG_INF, WORD_MARKER, FormatError, ValidationError, Vocabulary, logsumexp
 from fusionkit.lm import (
     LN10,
+    MAX_ORDER,
     NGramModel,
     TableLM,
     lm_logprob,
@@ -121,10 +122,13 @@ class TestTrainEqualsReference:
         assert got == want
         assert _fklm_bytes(got) == _fklm_bytes(want)
 
-    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize("order", [0, -1, MAX_ORDER + 1, 400])
     def test_order_rejected(self, order):
-        with pytest.raises(ValidationError, match="order must be >= 1"):
+        with pytest.raises(ValidationError, match=f"order must be >= 1 and at most {MAX_ORDER}"):
             train_ngram(VOCAB, aab_corpus(), order=order)
+
+    def test_max_order_trains(self):
+        assert train_ngram(VOCAB, aab_corpus(), order=MAX_ORDER).order == MAX_ORDER
 
     @pytest.mark.parametrize("backoff", [0.0, -1.0, math.inf, math.nan])
     def test_backoff_rejected(self, backoff):
