@@ -4,22 +4,11 @@ Every command is deterministic given its config and seed; primary outputs
 are byte-stable across reruns.  Timing lives in a separate stats file so
 golden-file comparisons stay meaningful.
 
-The decode/bench config is a flat JSON object; every key can be overridden
-by a same-named command line flag.  Keys:
-
-    strategy            ctc-greedy | timesync | delayed | joint
-    beam                int >= 1
-    length_norm         bool (joint strategy)
-    max_len_factor      float, label cap relative to the frame count
-    top_k               int >= 1 or null: CTC distribution pruning
-    keep_blank          bool, blank always survives pruning
-    compress_threshold  float > 0 or null: CTC compression threshold (above 1: no merging)
-    compress_order      "compress-then-prune" (default) or "prune-then-compress"
-    lm_path             LM file (FKLM n-gram or table JSON) for timesync/delayed fusion
-    lm_weight           finite float
-    scorers             joint strategy: list of {name, kind, weight, ...}
-    normalization       lowercase | none (applied by wer)
-    seed                int, seeds any decoder scorers without weight files
+``decode`` and ``bench`` read a flat JSON object whose one schema is
+:class:`DecodeConfig`, a field per key with its type, default and range
+(scorer entries: ``_SCORER_KEYS``); a ``decode`` flag overrides the key of
+its name.  All of it is checked, and each model it names loaded
+(:class:`Session`), before any posteriorgram is read or output written.
 """
 
 from __future__ import annotations
@@ -29,7 +18,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from itertools import islice
 from pathlib import Path
 from typing import Sequence
@@ -80,27 +69,14 @@ from fusionkit.search import (
 )
 from fusionkit.synth import SynthConfig, gen_corpus
 
-STRATEGIES = ("ctc-greedy", "timesync", "delayed", "joint")
-DEFAULT_CONFIG = {
-    "strategy": "ctc-greedy",
-    "beam": 8,
-    "length_norm": False,
-    "max_len_factor": 1.0,
-    "top_k": None,
-    "keep_blank": True,
-    "compress_threshold": None,
-    "compress_order": "compress-then-prune",
-    "lm_path": None,
-    "lm_weight": 0.0,
-    "scorers": [],
-    "normalization": "lowercase",
-    "seed": 0,
-}
 # utterances that one lockstep search (timesync, delayed, joint) decodes
 # together; a joint lockstep takes at most LOCKSTEP_ROWS // beam of them, as
 # each live hypothesis holds the decoder's keys and values
 LOCKSTEP_UTTERANCES = 32
 LOCKSTEP_ROWS = 64
+# the config keys that a decode flag of the same name overrides, and their types
+DECODE_FLAGS = {"strategy": str, "beam": int, "top_k": int, "compress_threshold": float,
+                "lm_path": str, "lm_weight": float}
 
 
 class CliError(Exception):
@@ -116,28 +92,6 @@ def load_lm(path: str | Path) -> NGramModel | TableLM:
     if head == NGRAM_MAGIC.encode():
         return load_ngram(path)
     return load_table_lm(path)
-
-
-def load_config(path: str | None, overrides: dict) -> dict:
-    cfg = dict(DEFAULT_CONFIG)
-    if path:
-        p = Path(path)
-        if not p.exists():
-            raise CliError(f"config file not found: {p}")
-        try:
-            loaded = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"config file {p} is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise FormatError(f"config file {p} must hold a JSON object")
-        unknown = set(loaded) - set(DEFAULT_CONFIG)
-        if unknown:
-            raise CliError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key, val in overrides.items():
-        if val is not None:
-            cfg[key] = val
-    return cfg
 
 
 def read_corpus_dir(corpus_dir: str | Path):
@@ -160,145 +114,199 @@ def read_corpus_dir(corpus_dir: str | Path):
     return vocab, utts
 
 
-def prepare_posteriorgram(pg: Posteriorgram, cfg: dict, vocab: Vocabulary) -> Posteriorgram:
-    steps = (
-        ("compress", "prune")
-        if cfg["compress_order"] == "compress-then-prune"
-        else ("prune", "compress")
+def _integer(v, low=1) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and v >= low
+
+
+def _finite(v, low=-math.inf) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and low < v < math.inf
+
+
+def _path(v) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+def _check(key: str, value, rule: tuple, where: str = "") -> None:
+    """Raise ValidationError unless ``value`` passes the rule of ``key``."""
+    if isinstance(rule[0], str):
+        if value not in rule:
+            raise ValidationError(f"{where}unknown {key} {value!r}; expected {', '.join(rule)}")
+    elif not rule[0](value):
+        raise ValidationError(f"{where}{key} must be {rule[1]}, not {value!r}")
+
+
+def _key(default, *rule):
+    """A config key: its default, then its rule: the values it takes, or a
+    test and what a value must be."""
+    return field(default=default, metadata={"rule": rule})
+
+
+# A scorer entry: a unique name, a kind, a weight and its kind's keys, with
+# their defaults (None: none).  decoder_lm is the toy decoder without audio,
+# its weights read from weights_path or seeded with seed (the config's).
+_SCORER_KEYS = {
+    "ctc_prefix": {},
+    "ngram": {"path": None},
+    "table": {"path": None},
+    "decoder_lm": {"weights_path": None, "seed": None, "interface": "prefix",
+                   "prefix_attention": "causal", "prompt": ()},
+}
+_SCORER_RULES = {
+    "name": (lambda v: _path(v) and not set(v) & set("=, \t\n\r"),
+             "a string without whitespace, '=' or ','"),
+    "weight": (_finite, "finite"),
+    "path": (_path, "a file path"),
+    "weights_path": (_path, "a file path"),
+    "seed": (lambda v: _integer(v, 0), "an integer >= 0"),
+    "interface": (lambda v: v in ("prefix", "merged"),
+                  "an interface kind without audio: prefix or merged"),
+    "prefix_attention": ("causal", "bidirectional"),
+    # ids past the vocabulary fail when the session loads the decoder
+    "prompt": (lambda v: isinstance(v, (list, tuple)) and all(_integer(i, 0) for i in v),
+               "a list of label ids"),
+}
+
+
+def _scorer_entry(spec) -> dict:
+    """A checked copy of a scorer entry, with its kind's defaults."""
+    if not isinstance(spec, dict) or "name" not in spec or "kind" not in spec:
+        raise ValidationError(f"scorer entry needs a name and a kind: {spec!r}")
+    where, kind = f"scorer {spec['name']!r}: ", spec["kind"]
+    if kind == "decoder_am":
+        raise ValidationError(f"{where}decoder_am needs encoder audio, which decode does not read")
+    if not isinstance(kind, str) or kind not in _SCORER_KEYS:
+        raise ValidationError(f"{where}unknown scorer kind {kind!r}")
+    keys = _SCORER_KEYS[kind]
+    unknown = set(spec) - {"name", "kind", "weight", *keys}
+    if unknown:
+        raise ValidationError(f"{where}unknown keys {sorted(unknown)} for kind {kind}")
+    if "path" in keys and "path" not in spec:
+        raise ValidationError(f"{where}kind {kind} needs 'path'")
+    entry = {"weight": 0.0, **{k: v for k, v in keys.items() if v is not None}, **spec}
+    for key, value in entry.items():
+        if key != "kind":
+            _check(key, value, _SCORER_RULES[key], where)
+    if "prompt" in entry:
+        entry["prompt"] = tuple(entry["prompt"])
+    return entry
+
+
+@dataclass(frozen=True)
+class DecodeConfig:
+    """The one decode config schema: a field per key, with its type, default
+    and rule.  Each construction, ``dataclasses.replace`` too, checks every
+    key and scorer entry; scorer entries get their kind's defaults."""
+
+    strategy: str = _key("ctc-greedy", "ctc-greedy", "timesync", "delayed", "joint")
+    beam: int = _key(8, _integer, "an integer >= 1")
+    # joint only: scores divided by length, and labels capped per frame
+    length_norm: bool = _key(False, lambda v: isinstance(v, bool), "true or false")
+    max_len_factor: float = _key(1.0, lambda v: _finite(v, 0), "a finite number > 0")
+    # CTC pruning to the top k labels, blank kept if keep_blank
+    top_k: int | None = _key(None, lambda v: v is None or _integer(v), "null or an integer >= 1")
+    keep_blank: bool = _key(True, lambda v: isinstance(v, bool), "true or false")
+    # CTC frame compression; a threshold above 1 merges nothing
+    compress_threshold: float | None = _key(
+        None, lambda v: v is None or _finite(v, 0), "null or a finite number > 0"
     )
-    for step in steps:
-        if step == "compress" and cfg["compress_threshold"] is not None:
-            pg = compress_posteriors(pg, merge_indices(pg, float(cfg["compress_threshold"])))
-        if step == "prune" and cfg["top_k"] is not None:
-            pg = topk_prune(pg, int(cfg["top_k"]), bool(cfg["keep_blank"]), vocab.blank_id)
-    return pg
+    compress_order: str = _key("compress-then-prune", "compress-then-prune", "prune-then-compress")
+    # an FKLM or table JSON LM, fused by timesync and delayed, which needs one
+    lm_path: str | None = _key(None, lambda v: v is None or _path(v), "null or a file path")
+    lm_weight: float = _key(0.0, _finite, "a finite number")
+    scorers: tuple[dict, ...] = _key((), lambda v: isinstance(v, (list, tuple)), "a list")  # joint
+    normalization: str = _key("lowercase", "lowercase", "none")  # of bench's WER text
+    seed: int = _key(0, lambda v: _integer(v, 0), "an integer >= 0")  # seeds decoder_lm weights
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check(f.name, getattr(self, f.name), f.metadata["rule"])
+        object.__setattr__(self, "scorers", tuple(_scorer_entry(s) for s in self.scorers))
+        names = [s["name"] for s in self.scorers]
+        if len(set(names)) < len(names):
+            raise ValidationError(f"scorer names must be unique: {names}")
+        if self.strategy == "delayed" and self.lm_path is None:
+            raise ValidationError("delayed fusion needs lm_path")
+
+    @classmethod
+    def from_json(cls, path: str | Path | None = None, **overrides) -> DecodeConfig:
+        """The config in JSON file ``path`` (the defaults without one), with
+        each override that is not None in place of its key."""
+        loaded = {}
+        if path:
+            try:
+                loaded = json.loads(Path(path).read_text(encoding="utf-8"))
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
+            if not isinstance(loaded, dict):
+                raise FormatError(f"config file {path} must hold a JSON object")
+            unknown = set(loaded) - {f.name for f in fields(cls)}
+            if unknown:
+                raise ValidationError(f"unknown config keys: {sorted(unknown)}")
+        return cls(**{**loaded, **{k: v for k, v in overrides.items() if v is not None}})
+
+    @property
+    def prune_first(self) -> bool:
+        return self.compress_order == "prune-then-compress"
 
 
-@dataclass
-class DecodeModels:
-    """What a decode run loads once and shares across its utterances."""
+@dataclass(frozen=True)
+class Session:
+    """A checked config, its vocabulary and its models, loaded once per run."""
 
-    lm: NGramModel | TableLM | None = None
-    scorers: list[ScorerHandle] = field(default_factory=list)  # joint strategy
-    weights: ScorerWeights | None = None  # joint strategy
+    cfg: DecodeConfig
+    vocab: Vocabulary
+    lm: NGramModel | TableLM | None = None  # fused by timesync and delayed
+    scorers: tuple[ScorerHandle, ...] = ()  # joint
+    weights: ScorerWeights | None = None  # joint
 
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def check_search_settings(cfg: dict) -> None:
-    """Raise ValidationError for a ``beam``, ``top_k`` or
-    ``compress_threshold`` that no decode can use."""
-    beam, top_k, tau = cfg["beam"], cfg["top_k"], cfg["compress_threshold"]
-    if not _is_int(beam) or beam < 1:
-        raise ValidationError(f"beam must be an integer >= 1, not {beam!r}")
-    if top_k is not None and (not _is_int(top_k) or top_k < 1):
-        raise ValidationError(f"top_k must be null or an integer >= 1, not {top_k!r}")
-    # a threshold above 1 merges no frames: compression off
-    if tau is not None and (not _is_real(tau) or not tau > 0):
-        raise ValidationError(f"compress_threshold must be null or > 0, not {tau!r}")
-
-
-def load_models(cfg: dict, vocab: Vocabulary) -> DecodeModels:
-    """Check the strategy and the search settings and load every model the
-    config names.
-
-    A bad config fails here, before any output is written or posteriorgram
-    read.
-    """
-    strategy = cfg["strategy"]
-    if strategy not in STRATEGIES:
-        raise CliError(f"unknown strategy {strategy!r}; expected one of {', '.join(STRATEGIES)}")
-    check_search_settings(cfg)
-    if strategy in ("timesync", "delayed"):
-        weight = cfg["lm_weight"]
-        if not _is_real(weight) or not math.isfinite(weight):
-            raise ValidationError(f"lm_weight must be a finite number, not {weight!r}")
-        # only these two fuse the lm_path LM; joint names its LMs in scorers
-        lm = load_lm(cfg["lm_path"]) if cfg["lm_path"] else None
-        if strategy == "delayed" and lm is None:
-            raise CliError("delayed fusion needs lm_path")
-        return DecodeModels(lm)
-    if strategy != "joint":
-        return DecodeModels()
-    scorers, weight_map = build_joint_scorers(cfg, vocab)
-    weights = ScorerWeights(
-        weight_map,
-        length_norm=bool(cfg["length_norm"]),
-        max_len_factor=float(cfg["max_len_factor"]),
-    )
-    return DecodeModels(scorers=scorers, weights=weights)
-
-
-def build_joint_scorers(cfg: dict, vocab: Vocabulary) -> tuple[list[ScorerHandle], dict[str, float]]:
-    """One handle per ``scorers`` entry, its model loaded, plus the weight map."""
-    handles = []
-    weight_map = {}
-    for spec in cfg["scorers"]:
-        if not isinstance(spec, dict) or "name" not in spec or "kind" not in spec:
-            raise CliError(f"scorer entry needs a name and a kind: {spec!r}")
-        name, kind = spec["name"], spec["kind"]
-        try:
-            weight_map[name] = float(spec.get("weight", 0.0))
-            if kind == "ctc_prefix":
-                handle = ScorerHandle(name, kind)
-            elif kind in ("ngram", "table"):
-                handle = ScorerHandle(name, kind, model=load_lm(spec["path"]))
-            elif kind == "decoder_lm":
+    @classmethod
+    def from_config(cls, cfg: DecodeConfig, vocab: Vocabulary) -> Session:
+        """Load the models ``cfg`` names.  One that cannot be read, or does
+        not fit ``vocab``, fails naming its scorer, before any output."""
+        if cfg.strategy in ("timesync", "delayed"):  # joint names its LMs in scorers
+            return cls(cfg, vocab, lm=load_lm(cfg.lm_path) if cfg.lm_path else None)
+        if cfg.strategy != "joint":
+            return cls(cfg, vocab)
+        handles = []
+        for spec in cfg.scorers:
+            name, kind = spec["name"], spec["kind"]
+            try:
+                if kind != "decoder_lm":  # a ctc_prefix scorer has no model
+                    model = load_lm(spec["path"]) if "path" in spec else None
+                    handles.append(ScorerHandle(name, kind, model))
+                    continue
                 if "weights_path" in spec:
                     dw = load_weights(spec["weights_path"])
                 else:
-                    hp = Hyperparams(vocab_size=vocab.size)
-                    dw = seeded_weights(hp, int(spec.get("seed", cfg["seed"])))
-                interface = InterfaceConfig(
-                    kind=spec.get("interface", "prefix"),
-                    prefix_attention=spec.get("prefix_attention", "causal"),
-                    prompt=tuple(spec.get("prompt", ())),
-                )
-                handle = ScorerHandle(name, kind, decoder_weights=dw, interface=interface)
-            elif kind == "decoder_am":
-                raise CliError("decoder_am needs encoder audio; decode reads posteriorgrams only")
-            else:
-                raise CliError(f"unknown scorer kind {kind!r}")
-        except (CliError, KeyError, TypeError, ValueError, OSError) as exc:
-            raise CliError(f"scorer {name!r}: {exc}") from exc
-        handles.append(handle)
-    return handles, weight_map
-
-
-def decode_utterance(
-    pgs: Sequence[Posteriorgram], vocab: Vocabulary, cfg: dict, models: DecodeModels
-) -> list[tuple[NBestList, DecodeStats]]:
-    """Decode the utterances of one step of :func:`decode_corpus`: an
-    (n-best list, stats) pair per posteriorgram.
-
-    ``timesync``, ``delayed`` and ``joint`` search all of them in one
-    lockstep, and each utterance's stats carry its share of the search
-    time; ``ctc-greedy`` decodes them one by one.
-    """
-    strategy = cfg["strategy"]
-    pgs = [prepare_posteriorgram(pg, cfg, vocab) for pg in pgs]
-    stats = [DecodeStats() for _ in pgs]
-    if strategy in ("timesync", "delayed"):
-        nbests = lockstep_beam(
-            pgs,
-            vocab,
-            int(cfg["beam"]),
-            models.lm,
-            float(cfg["lm_weight"]),
-            delayed=strategy == "delayed",
-            stats=stats,
+                    dw = seeded_weights(Hyperparams(vocab_size=vocab.size), spec.get("seed", cfg.seed))
+                if dw.hp.vocab_size != vocab.size:
+                    raise ValidationError(f"weights of {dw.hp.vocab_size} labels, not {vocab.size}")
+                if max(spec["prompt"], default=-1) >= vocab.size:
+                    raise ValidationError(f"prompt ids must be < {vocab.size}: {list(spec['prompt'])}")
+                interface = InterfaceConfig(spec["interface"], spec["prefix_attention"], spec["prompt"])
+                handles.append(ScorerHandle(name, kind, None, dw, interface))
+            except (CliError, ValueError, OSError) as exc:
+                raise CliError(f"scorer {name!r}: {exc}") from exc
+        weights = ScorerWeights(
+            {s["name"]: s["weight"] for s in cfg.scorers}, cfg.length_norm, cfg.max_len_factor
         )
-    elif strategy == "joint":
-        nbests = labelsync_lockstep(
-            pgs, models.scorers, models.weights, int(cfg["beam"]), vocab, stats
-        )
-    else:  # ctc-greedy
+        return cls(cfg, vocab, scorers=tuple(handles), weights=weights)
+
+    @property
+    def lockstep_size(self) -> int:  # utterances per search
+        if self.cfg.strategy == "joint":
+            return max(1, min(LOCKSTEP_UTTERANCES, LOCKSTEP_ROWS // self.cfg.beam))
+        return 1 if self.cfg.strategy == "ctc-greedy" else LOCKSTEP_UTTERANCES
+
+    def search(self, pgs: Sequence[Posteriorgram], stats: Sequence[DecodeStats]) -> list[NBestList]:
+        """The n-best lists of prepared posteriorgrams, their counters in
+        ``stats``, one per posteriorgram."""
+        cfg, vocab = self.cfg, self.vocab
+        if cfg.strategy == "joint":
+            return labelsync_lockstep(pgs, self.scorers, self.weights, cfg.beam, vocab, stats)
+        if cfg.strategy != "ctc-greedy":
+            delayed = cfg.strategy == "delayed"
+            return lockstep_beam(pgs, vocab, cfg.beam, self.lm, cfg.lm_weight, delayed, stats)
         nbests = []
         for pg, one in zip(pgs, stats):
             t0 = time.perf_counter()
@@ -308,7 +316,27 @@ def decode_utterance(
             one.audio_seconds = pg.duration_seconds
             one.peak_live_hypotheses = 1
             nbests.append(NBestList([NBestEntry(labels, {"ctc": path_score}, path_score, True)]))
-    return list(zip(nbests, stats))
+        return nbests
+
+
+def prepare_posteriorgram(pg: Posteriorgram, cfg: DecodeConfig, vocab: Vocabulary) -> Posteriorgram:
+    """``pg`` compressed and top-k pruned as ``cfg`` says, in its compress_order."""
+    for prune in (cfg.prune_first, not cfg.prune_first):
+        if prune and cfg.top_k is not None:
+            pg = topk_prune(pg, cfg.top_k, cfg.keep_blank, vocab.blank_id)
+        if not prune and cfg.compress_threshold is not None:
+            pg = compress_posteriors(pg, merge_indices(pg, cfg.compress_threshold))
+    return pg
+
+
+def decode_utterance(
+    pgs: Sequence[Posteriorgram], session: Session
+) -> list[tuple[NBestList, DecodeStats]]:
+    """An (n-best list, stats) pair per posteriorgram of one step of
+    :func:`decode_corpus`, prepared and searched together."""
+    pgs = [prepare_posteriorgram(pg, session.cfg, session.vocab) for pg in pgs]
+    stats = [DecodeStats() for _ in pgs]
+    return list(zip(session.search(pgs, stats), stats))
 
 
 def read_posteriorgrams(utts):
@@ -322,24 +350,18 @@ def read_posteriorgrams(utts):
         yield utt_id, pg
 
 
-def decode_corpus(vocab: Vocabulary, cfg: dict, models: DecodeModels, items):
-    """Decode ``(utt_id, Posteriorgram)`` pairs in turn, yielding
-    ``(utt_id, n-best list, stats)``.
+def decode_corpus(session: Session, items):
+    """Decode ``(utt_id, Posteriorgram)`` pairs, ``session.lockstep_size``
+    at a time, yielding ``(utt_id, n-best list, stats)``.
 
-    ``timesync``, ``delayed`` and ``joint`` decode up to
-    ``LOCKSTEP_UTTERANCES`` pairs at a time in one lockstep search,
-    ``ctc-greedy`` one at a time.  A posteriorgram whose width is not the
-    vocabulary's fails, naming its utterance; so does a failed decode,
-    rerunning a failed lockstep one utterance at a time to find the one
-    that fails, and a search that finds no hypothesis with a finite score.
+    A posteriorgram whose width is not the vocabulary's fails, naming its
+    utterance; so does a failed decode, rerunning a failed lockstep one
+    utterance at a time to find the one that fails, and a search that finds
+    no hypothesis with a finite score.
     """
-    size = 1
-    if cfg["strategy"] in ("timesync", "delayed"):
-        size = LOCKSTEP_UTTERANCES
-    elif cfg["strategy"] == "joint":
-        size = max(1, min(LOCKSTEP_UTTERANCES, LOCKSTEP_ROWS // cfg["beam"]))
+    vocab = session.vocab
     items = iter(items)
-    while chunk := list(islice(items, size)):
+    while chunk := list(islice(items, session.lockstep_size)):
         for utt_id, pg in chunk:
             if pg.num_labels != vocab.size:
                 raise ValidationError(
@@ -347,12 +369,12 @@ def decode_corpus(vocab: Vocabulary, cfg: dict, models: DecodeModels, items):
                     f"the vocabulary {vocab.size}"
                 )
         try:
-            results = decode_utterance([pg for _, pg in chunk], vocab, cfg, models)
+            results = decode_utterance([pg for _, pg in chunk], session)
         except Exception as exc:
             if len(chunk) > 1:
                 for utt_id, pg in chunk:
                     try:
-                        decode_utterance([pg], vocab, cfg, models)
+                        decode_utterance([pg], session)
                     except Exception as alone:
                         raise CliError(f"decoding {utt_id} failed: {alone}") from alone
             ids = ", ".join(utt_id for utt_id, _ in chunk)
@@ -364,24 +386,12 @@ def decode_corpus(vocab: Vocabulary, cfg: dict, models: DecodeModels, items):
 
 
 def cmd_decode(args) -> int:
-    cfg = load_config(
-        args.config,
-        {
-            "strategy": args.strategy,
-            "beam": args.beam,
-            "top_k": args.top_k,
-            "compress_threshold": args.compress_threshold,
-            "lm_path": args.lm_path,
-            "lm_weight": args.lm_weight,
-        },
-    )
+    cfg = DecodeConfig.from_json(args.config, **{key: getattr(args, key) for key in DECODE_FLAGS})
     vocab, utts = read_corpus_dir(args.corpus)
-    models = load_models(cfg, vocab)
+    session = Session.from_config(cfg, vocab)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = sorted(
-        decode_corpus(vocab, cfg, models, read_posteriorgrams(utts)), key=lambda r: r[0]
-    )
+    results = sorted(decode_corpus(session, read_posteriorgrams(utts)), key=lambda r: r[0])
 
     total = DecodeStats()
     hyp_lines = []
@@ -391,7 +401,7 @@ def cmd_decode(args) -> int:
         total.merge(stats)
     (out_dir / "hyps.txt").write_text("\n".join(hyp_lines) + "\n", encoding="utf-8")
     (out_dir / "config.json").write_text(
-        json.dumps(cfg, sort_keys=True, indent=1) + "\n", encoding="utf-8"
+        json.dumps(asdict(cfg), sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )
     (out_dir / "stats.txt").write_text(format_stats(total), encoding="utf-8")
     print(f"decoded {len(results)} utterances -> {out_dir}")
@@ -506,43 +516,39 @@ def grid_values(flag: str, text: str, parse, none_ok: bool = False) -> list:
     where ``none_ok``.  A value ``parse`` rejects raises ValidationError."""
     values = []
     for value in text.split(","):
-        if none_ok and value == "none":
-            values.append(None)
-            continue
         try:
-            values.append(parse(value))
+            values.append(None if none_ok and value == "none" else parse(value))
         except ValueError:
             raise ValidationError(f"{flag}: {value!r} is not a valid value") from None
     return values
 
 
 def cmd_bench(args) -> int:
-    cfg = load_config(args.config, {})
+    cfg = DecodeConfig.from_json(args.config)
     vocab, utts = read_corpus_dir(args.corpus)
-    models = load_models(cfg, vocab)
+    session = Session.from_config(cfg, vocab)
     ks = grid_values("--top-k", args.top_k, int, none_ok=True)
     taus = grid_values("--compress-threshold", args.compress_threshold, float, none_ok=True)
     beams = grid_values("--beam", args.beam, int)
-    grid = [(k, tau, beam) for k in ks for tau in taus for beam in beams]
-    for k, tau, beam in grid:
-        check_search_settings(dict(cfg, top_k=k, compress_threshold=tau, beam=beam))
+    # each point a checked config: a bad grid value fails before any read
+    grid = [replace(cfg, top_k=k, compress_threshold=tau, beam=beam)
+            for k in ks for tau in taus for beam in beams]
     pgs = list(read_posteriorgrams(utts))
-    norm = cfg["normalization"]
-    refs = [words(transcript, norm) for _, _, transcript in utts]
+    refs = [words(transcript, cfg.normalization) for _, _, transcript in utts]
     print("top_k\ttau\tbeam\twer\trtf\tpeak_candidates\tscorer_evals")
-    for k, tau, beam in grid:
-        run_cfg = dict(cfg, top_k=k, compress_threshold=tau, beam=beam)
+    for point in grid:
         total = DecodeStats()
         pairs = []
-        for ref, (_, nbest, stats) in zip(refs, decode_corpus(vocab, run_cfg, models, pgs)):
+        for ref, (_, nbest, stats) in zip(refs, decode_corpus(replace(session, cfg=point), pgs)):
             total.merge(stats)
             hyp = vocab.text(nbest.best.output_labels(vocab.eos_id))
-            pairs.append((ref, words(hyp, norm)))
+            pairs.append((ref, words(hyp, cfg.normalization)))
         wer = corpus_wer(pairs).wer
         rtf = f"{total.rtf:.6f}" if total.rtf is not None else "n/a"
+        k, tau = point.top_k, point.compress_threshold
         print(
             f"{k if k is not None else 'none'}\t"
-            f"{tau if tau is not None else 'none'}\t{beam}\t"
+            f"{tau if tau is not None else 'none'}\t{point.beam}\t"
             f"{wer:.4f}\t{rtf}\t{total.peak_candidate_set}\t{total.scorer_evaluations}"
         )
     return 0
@@ -559,9 +565,7 @@ def cmd_export_attn(args) -> int:
         prefix_attention=args.prefix_attention,
         prompt=tuple(retokenize(vocab, args.prompt)) if args.prompt else (),
     )
-    audio = None
-    if args.audio:
-        audio = read_encoder_output(args.audio)
+    audio = read_encoder_output(args.audio) if args.audio else None
     labels = [vocab.bos_id] + retokenize(vocab, args.text)
     export_attention(weights, config, audio, labels, args.out)
     print(f"attention maps -> {args.out}")
@@ -578,12 +582,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("corpus")
     p.add_argument("out")
     p.add_argument("--config", default=None)
-    p.add_argument("--strategy", default=None)
-    p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--top-k", dest="top_k", type=int, default=None)
-    p.add_argument("--compress-threshold", dest="compress_threshold", type=float, default=None)
-    p.add_argument("--lm-path", dest="lm_path", default=None)
-    p.add_argument("--lm-weight", dest="lm_weight", type=float, default=None)
+    for key, kind in DECODE_FLAGS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("wer", help="pooled word error rate over keyed files")

@@ -248,30 +248,44 @@ class Posteriorgram:
         return self.num_frames * self.frame_duration_ms / 1000.0
 
 
-def write_posteriorgram(pg: Posteriorgram, path: str | Path) -> None:
-    t, v = pg.log_probs.shape
-    dur_us = int(round(pg.frame_duration_ms * 1000.0))
+def _write_matrix(path: str | Path, magic: bytes, matrix: np.ndarray, *fields: int) -> None:
+    """Inverse of :func:`_read_matrix`."""
     with open(path, "wb") as f:
-        f.write(POSTERIORGRAM_MAGIC)
-        f.write(struct.pack("<IIII", FORMAT_VERSION, t, v, dur_us))
-        f.write(pg.log_probs.astype("<f4").tobytes(order="C"))
+        f.write(magic + struct.pack(f"<{3 + len(fields)}I", FORMAT_VERSION, *matrix.shape, *fields))
+        f.write(matrix.astype("<f4").tobytes(order="C"))
+
+
+def write_posteriorgram(pg: Posteriorgram, path: str | Path) -> None:
+    dur_us = int(round(pg.frame_duration_ms * 1000.0))
+    _write_matrix(path, POSTERIORGRAM_MAGIC, pg.log_probs, dur_us)
+
+
+def _read_matrix(path: str | Path, magic: bytes, header: str, log_domain: bool):
+    """The header fields past version and shape, and the float64 payload,
+    of an FKPG (``log_domain``: -inf allowed) or FKEO file."""
+    data = Path(path).read_bytes()
+    if data[:4] != magic:
+        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {magic!r}")
+    end = 4 + struct.calcsize("<III" + header)
+    if len(data) < end:
+        raise FormatError(f"{path}: truncated header")
+    version, rows, cols, *fields = struct.unpack("<III" + header, data[4:end])
+    if version != FORMAT_VERSION:
+        raise FormatError(f"{path}: unsupported format version {version}")
+    if len(data) - end != rows * cols * 4:
+        raise FormatError(f"{path}: payload has {len(data) - end} bytes, expected {rows * cols * 4}")
+    # NaN and inf set every exponent bit; a float test would warn on a signaling NaN
+    bits = np.frombuffer(data, dtype="<u4", offset=end)
+    bad = ((bits & 0x7F800000) == 0x7F800000) & ~(log_domain & (bits == 0xFF800000))
+    if bad.any():
+        sign = "+" if log_domain else ""
+        raise FormatError(f"{path}: row {int(np.argmax(bad)) // cols} holds a NaN or {sign}inf")
+    return fields, np.frombuffer(data, dtype="<f4", offset=end).reshape(rows, cols).astype(np.float64)
 
 
 def read_posteriorgram(path: str | Path) -> Posteriorgram:
-    data = Path(path).read_bytes()
-    if data[:4] != POSTERIORGRAM_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {POSTERIORGRAM_MAGIC!r}")
-    if len(data) < 20:
-        raise FormatError(f"{path}: truncated header")
-    version, t, v, dur_us = struct.unpack("<IIII", data[4:20])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
-    payload = data[20:]
-    expected = t * v * 4
-    if len(payload) != expected:
-        raise FormatError(f"{path}: payload has {len(payload)} bytes, expected {expected}")
-    mat = np.frombuffer(payload, dtype="<f4").reshape(t, v)
-    return Posteriorgram(log_probs=mat.astype(np.float64), frame_duration_ms=dur_us / 1000.0)
+    (dur_us,), mat = _read_matrix(path, POSTERIORGRAM_MAGIC, "I", log_domain=True)
+    return Posteriorgram(log_probs=mat, frame_duration_ms=dur_us / 1000.0)
 
 
 @dataclass(frozen=True)
@@ -297,27 +311,11 @@ class EncoderOutput:
 
 
 def write_encoder_output(enc: EncoderOutput, path: str | Path) -> None:
-    t, d = enc.frames.shape
-    with open(path, "wb") as f:
-        f.write(ENCODER_OUTPUT_MAGIC)
-        f.write(struct.pack("<III", FORMAT_VERSION, t, d))
-        f.write(enc.frames.astype("<f4").tobytes(order="C"))
+    _write_matrix(path, ENCODER_OUTPUT_MAGIC, enc.frames)
 
 
 def read_encoder_output(path: str | Path) -> EncoderOutput:
-    data = Path(path).read_bytes()
-    if data[:4] != ENCODER_OUTPUT_MAGIC:
-        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {ENCODER_OUTPUT_MAGIC!r}")
-    if len(data) < 16:
-        raise FormatError(f"{path}: truncated header")
-    version, t, d = struct.unpack("<III", data[4:16])
-    if version != FORMAT_VERSION:
-        raise FormatError(f"{path}: unsupported format version {version}")
-    payload = data[16:]
-    if len(payload) != t * d * 4:
-        raise FormatError(f"{path}: payload has {len(payload)} bytes, expected {t * d * 4}")
-    mat = np.frombuffer(payload, dtype="<f4").reshape(t, d)
-    return EncoderOutput(frames=mat.astype(np.float64))
+    return EncoderOutput(frames=_read_matrix(path, ENCODER_OUTPUT_MAGIC, "", log_domain=False)[1])
 
 
 @dataclass

@@ -580,13 +580,12 @@ def decoder_init(
     state = _audio_memory(weights, config, _audio_frames(weights, config, audio))
     state = state.map(lambda a: a[None])
     for tok in config.prompt:
-        _, state = decoder_step(weights, config, state, [tok])
+        _, state = decoder_step(weights, state, [tok])
     return state
 
 
 def decoder_step(
     weights: DecoderWeights,
-    config: InterfaceConfig,
     state: IncrementalState,
     labels: Sequence[int],
     rows: Sequence[int] | None = None,

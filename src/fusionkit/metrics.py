@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from fusionkit.core import ValidationError
+
 
 @dataclass(frozen=True)
 class AlignmentCounts:
@@ -80,7 +82,7 @@ def normalize_text(s: str, mode: str = "lowercase") -> str:
         return s
     if mode == "lowercase":
         return " ".join(s.casefold().split())
-    raise ValueError(f"unknown normalization mode {mode!r}")
+    raise ValidationError(f"unknown normalization mode {mode!r}; expected lowercase or none")
 
 
 def words(s: str, mode: str = "lowercase") -> list[str]:

@@ -165,7 +165,7 @@ class DecoderLabelScorer(_ExactScorer):
 
     def start(self, count):
         state = decoder_init(self.weights, self.config, self.audio)
-        rows, state = decoder_step(self.weights, self.config, state, [self.vocab.bos_id])
+        rows, state = decoder_step(self.weights, state, [self.vocab.bos_id])
         root = np.zeros(count, dtype=np.int64)
         return rows[root] + self._mask, state.take(root)
 
@@ -173,7 +173,7 @@ class DecoderLabelScorer(_ExactScorer):
         return states
 
     def advance(self, artifacts, rows, labels):
-        out, state = decoder_step(self.weights, self.config, artifacts[1], labels, rows)
+        out, state = decoder_step(self.weights, artifacts[1], labels, rows)
         out += self._mask
         return out, state
 

@@ -531,7 +531,7 @@ class TestCriterion10InterfacesAndIncremental:
             full = decoder_forward(w, cfg, audio, labels)
             state = decoder_init(w, cfg, audio)
             for pos, lab in enumerate(labels):
-                (row,), state = decoder_step(w, cfg, state, [lab])
+                (row,), state = decoder_step(w, state, [lab])
                 np.testing.assert_allclose(row, full[pos], atol=1e-6)
         report(10, "empty-prefix collapse (1e-9) and step == full (1e-6), 100 seeds")
 

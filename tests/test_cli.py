@@ -192,6 +192,26 @@ class TestSynthAndDecode:
             ({"strategy": "timesync", "compress_threshold": 0}, "compress_threshold must be"),
             ({"strategy": "joint", "compress_threshold": float("nan")},
              "compress_threshold must be"),
+            ({"strategy": "joint", "length_norm": "no"}, "length_norm must be"),
+            ({"keep_blank": "no"}, "keep_blank must be"),
+            ({"compress_order": "bogus"}, "unknown compress_order"),
+            ({"normalization": "bogus"}, "unknown normalization"),
+            ({"seed": 1.5}, "seed must be"),
+            ({"strategy": "joint", "max_len_factor": "abc"}, "max_len_factor must be"),
+            ({"max_len_factor": None}, "max_len_factor must be"),
+            ({"strategy": "timesync", "lm_path": 5}, "lm_path must be"),
+            ({"strategy": "joint", "scorers": "junk"}, "scorers must be"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "ctc_prefix", "weight": 1},
+                                               {"name": "x", "kind": "ctc_prefix", "weight": 1}]},
+             "names must be unique"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "ctc_prefix", "weight": 1,
+                                                "bogus": 1}]}, "unknown keys"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "decoder_lm", "weight": 1,
+                                                "prompt": [9999]}]}, "prompt ids"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "decoder_lm", "weight": 1,
+                                                "prompt": [-1]}]}, "prompt must be"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "decoder_lm", "weight": 1,
+                                                "prompt": "ab"}]}, "prompt must be"),
         ],
     )
     def test_bad_config_fails_before_reading_posteriorgrams(
@@ -438,6 +458,31 @@ class TestSynthAndDecode:
         assert "utt0002\t\n" in (out / "hyps.txt").read_text()
         assert (out / "utt0002.nbest").read_text() == "1\t0.0\tctc=0.0\t\n"
 
+    def test_config_json_round_trips(self, corpus, tmp_path, capsys):
+        # config.json holds the checked config, flags and defaults filled in,
+        # and reads back to an equal one
+        from fusionkit.cli import DecodeConfig
+
+        cfg = {
+            "strategy": "joint",
+            "beam": 2,
+            "max_len_factor": 1,
+            "scorers": [
+                {"name": "ctc", "kind": "ctc_prefix", "weight": 1},
+                {"name": "dec", "kind": "decoder_lm", "weight": 0.05, "seed": 2, "prompt": [3, 4]},
+            ],
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        outs = [tmp_path / "a", tmp_path / "b"]
+        for out in outs:
+            argv = ["decode", str(corpus), str(out), "--config", str(cfg_path), "--beam", "3"]
+            assert run(argv, capsys)[0] == 0
+        assert (outs[0] / "config.json").read_bytes() == (outs[1] / "config.json").read_bytes()
+        expected = DecodeConfig.from_json(cfg_path, beam=3)
+        assert DecodeConfig.from_json(outs[0] / "config.json") == expected
+        assert expected.beam == 3 and expected.scorers[1]["interface"] == "prefix"
+
     def test_unknown_config_key_rejected(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
         cfg_path.write_text(json.dumps({"strategy": "joint", "bogus": 1}))
@@ -590,6 +635,21 @@ class TestCorpusToolsFailCleanly:
         )
         assert code == 1 and stdout == ""
         assert err.count("error:") == 1 and "not UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["wer", "ppl", "lm-train"])
+    def test_unknown_normalization(self, corpus, lm_file, tmp_path, capsys, command):
+        text = tmp_path / "text.txt"
+        text.write_text("u1\tthe and\n")
+        out = tmp_path / "lm.fklm"
+        argv = {
+            "wer": ["wer", str(text), str(text)],
+            "ppl": ["ppl", str(lm_file), str(text)],
+            "lm-train": ["lm-train", str(text), str(corpus / "vocab.txt"), str(out)],
+        }[command]
+        code, stdout, err = run(argv + ["--normalization", "bogus"], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "unknown normalization mode 'bogus'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("text, message", [("", "holds no text"), (None, "text.txt")])

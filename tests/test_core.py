@@ -206,6 +206,47 @@ class TestEncoderOutput:
             EncoderOutput(np.zeros((0, 3)))
 
 
+SIGNALING_NAN = 0x7FA00000  # float32 bits: exponent all ones, quiet bit clear
+
+
+class TestNonFinitePayload:
+    """A NaN or infinity in a payload raises FormatError naming the file,
+    before the float64 cast, where a signaling NaN would warn; a
+    posteriorgram may hold -inf, log 0."""
+
+    @pytest.mark.parametrize(
+        "fmt, bits",
+        [
+            ("fkpg", SIGNALING_NAN),
+            ("fkpg", 0xFFC00000),  # a negative quiet NaN
+            ("fkpg", 0x7F800000),  # +inf
+            ("fkeo", SIGNALING_NAN),
+            ("fkeo", 0xFF800000),  # -inf
+        ],
+    )
+    def test_rejected(self, tmp_path, fmt, bits):
+        path = tmp_path / f"x.{fmt}"
+        if fmt == "fkpg":
+            write_posteriorgram(uniform_pg(2, 3), path)
+            read, header = read_posteriorgram, 20
+        else:
+            write_encoder_output(EncoderOutput(np.zeros((2, 3))), path)
+            read, header = read_encoder_output, 16
+        raw = bytearray(path.read_bytes())
+        raw[header + 16 : header + 20] = np.uint32(bits).astype("<u4").tobytes()  # row 1
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="row 1") as info:
+            read(path)
+        assert str(path) in str(info.value)
+
+    def test_posteriorgram_keeps_minus_inf(self, tmp_path):
+        lp = np.full((2, 3), -np.inf)
+        lp[:, 1] = 0.0
+        path = tmp_path / "x.fkpg"
+        write_posteriorgram(Posteriorgram(lp), path)
+        np.testing.assert_array_equal(read_posteriorgram(path).log_probs, lp)
+
+
 class TestHypothesisAndWeights:
     def test_weights_need_one_nonzero(self):
         with pytest.raises(ValidationError):

@@ -393,7 +393,8 @@ class TestPrefixScorer:
         # lower <= exact <= upper on every pair, all three -inf together,
         # and the EOS column exact, from the empty prefix to S >= T, with
         # B > 1 states and survivors that repeat their parent's last label;
-        # small blocks split the bound pass over several blocks of frames
+        # small blocks split the exact folds and the repeated-label peak pass
+        # over several blocks of pairs
         with mock.patch.object(ctc, "_BLOCK_SIZE", block):
             self.check_bounds(seed, t, v, shape, keep, width)
 

@@ -206,7 +206,7 @@ class TestIncremental:
         full = decoder_forward(w, cfg, audio, labels)
         state = decoder_init(w, cfg, audio)
         for s, lab in enumerate(labels):
-            (row,), state = decoder_step(w, cfg, state, [lab])
+            (row,), state = decoder_step(w, state, [lab])
             np.testing.assert_allclose(row, full[s], atol=1e-6)
 
     def test_bidirectional_prefix_step_matches_forward(self):
@@ -218,7 +218,7 @@ class TestIncremental:
         full = decoder_forward(w, cfg, audio, labels)
         state = decoder_init(w, cfg, audio)
         for s, lab in enumerate(labels):
-            (row,), state = decoder_step(w, cfg, state, [lab])
+            (row,), state = decoder_step(w, state, [lab])
             np.testing.assert_allclose(row, full[s], atol=1e-6)
 
     def test_first_step_equals_forward_row_one(self):
@@ -227,7 +227,7 @@ class TestIncremental:
         audio = toy_audio(rng)
         cfg = InterfaceConfig("prefix")
         state = decoder_init(w, cfg, audio)
-        (row,), _ = decoder_step(w, cfg, state, [BOS])
+        (row,), _ = decoder_step(w, state, [BOS])
         np.testing.assert_allclose(
             row, decoder_forward(w, cfg, audio, [BOS])[0], atol=1e-9
         )
@@ -238,14 +238,14 @@ class TestIncremental:
         audio = toy_audio(rng)
         cfg = InterfaceConfig("merged")
         base = decoder_init(w, cfg, audio)
-        (row_a1,), st_a = decoder_step(w, cfg, base, [BOS])
-        _, st_b = decoder_step(w, cfg, base, [BOS])
-        _, st_b = decoder_step(w, cfg, st_b, [1])
-        (row_a2,), _ = decoder_step(w, cfg, st_a, [2])
+        (row_a1,), st_a = decoder_step(w, base, [BOS])
+        _, st_b = decoder_step(w, base, [BOS])
+        _, st_b = decoder_step(w, st_b, [1])
+        (row_a2,), _ = decoder_step(w, st_a, [2])
         # replay branch a from scratch; interleaving must not have changed it
         st = decoder_init(w, cfg, audio)
-        (r1,), st = decoder_step(w, cfg, st, [BOS])
-        (r2,), _ = decoder_step(w, cfg, st, [2])
+        (r1,), st = decoder_step(w, st, [BOS])
+        (r2,), _ = decoder_step(w, st, [2])
         np.testing.assert_array_equal(row_a1, r1)
         np.testing.assert_array_equal(row_a2, r2)
 
@@ -255,11 +255,11 @@ class TestIncremental:
         rng = np.random.default_rng(9)
         w = toy_weights()
         cfg = InterfaceConfig(kind)
-        _, parent = decoder_step(w, cfg, decoder_init(w, cfg, toy_audio(rng)), [BOS])
+        _, parent = decoder_step(w, decoder_init(w, cfg, toy_audio(rng)), [BOS])
         before = [k.copy() for k in parent.self_k] + [v.copy() for v in parent.self_v]
         position = parent.position
-        _, child_a = decoder_step(w, cfg, parent, [2])
-        _, child_b = decoder_step(w, cfg, parent, [3])
+        _, child_a = decoder_step(w, parent, [2])
+        _, child_b = decoder_step(w, parent, [3])
         after = parent.self_k + parent.self_v
         assert parent.position == position and len(after) == len(before)
         for old, new in zip(before, after):
@@ -272,7 +272,7 @@ class TestIncremental:
 
 def stepped_alone(w, cfg, states, labels):
     """The reference for a batched step: B separate steps with B = 1."""
-    singles = [decoder_step(w, cfg, s, [lab]) for s, lab in zip(states, labels)]
+    singles = [decoder_step(w, s, [lab]) for s, lab in zip(states, labels)]
     return np.stack([rows[0] for rows, _ in singles]), [succ for _, succ in singles]
 
 
@@ -304,13 +304,13 @@ class TestBatchedStep:
         w = toy_weights()
         cfg = InterfaceConfig(kind, attention, prompt)
         audio = toy_audio(rng, t=5) if with_audio else None
-        _, frontier = decoder_step(w, cfg, decoder_init(w, cfg, audio), [BOS])
+        _, frontier = decoder_step(w, decoder_init(w, cfg, audio), [BOS])
         # two batched levels, so the second gathers caches that the first built
         for _ in range(2):
             parents = rng.integers(0, len(frontier), size=batch)
             labels = rng.integers(0, HP.vocab_size, size=batch).tolist()
             alone = [frontier.take([p]) for p in parents]
-            rows, frontier = decoder_step(w, cfg, frontier, labels, parents)
+            rows, frontier = decoder_step(w, frontier, labels, parents)
             want_rows, want_states = stepped_alone(w, cfg, alone, labels)
             assert rows.shape == (batch, HP.vocab_size)
             assert np.array_equal(rows, want_rows)
@@ -321,15 +321,15 @@ class TestBatchedStep:
         w = toy_weights()
         cfg = InterfaceConfig("prefix")
         start = decoder_init(w, cfg, None)
-        _, one = decoder_step(w, cfg, start, [BOS])
+        _, one = decoder_step(w, start, [BOS])
         # a state holds one position for all its rows, so positions cannot mix
         assert one.position == start.position + 1
         with pytest.raises(ValueError, match="one label per state"):
-            decoder_step(w, cfg, one, [1], [0, 0])
+            decoder_step(w, one, [1], [0, 0])
         with pytest.raises(ValueError, match="one label per state"):
-            decoder_step(w, cfg, one, [1, 2])
+            decoder_step(w, one, [1, 2])
         with pytest.raises(ValueError, match="one label per state"):
-            decoder_step(w, cfg, one, [], [])
+            decoder_step(w, one, [], [])
 
     @pytest.mark.parametrize("batch", [2, 7, 16])
     def test_stacked_rows_use_the_per_row_blas_call(self, batch):
@@ -380,7 +380,7 @@ class TestBatchedStep:
         state = decoder_init(w, cfg, audio)
         digest = hashlib.sha256()
         for label in [BOS, 2, 3, 4, 5, 2]:
-            rows, state = decoder_step(w, cfg, state, [label])
+            rows, state = decoder_step(w, state, [label])
             digest.update(np.ascontiguousarray(rows[0], dtype="<f8").tobytes())
         assert digest.hexdigest() == self.ROW_DIGESTS[case]
 
