@@ -205,9 +205,9 @@ class DecodeConfig:
     # CTC pruning to the top k labels, blank kept if keep_blank
     top_k: int | None = _key(None, lambda v: v is None or _integer(v), "null or an integer >= 1")
     keep_blank: bool = _key(True, lambda v: isinstance(v, bool), "true or false")
-    # CTC frame compression; a threshold above 1 merges nothing
+    # CTC frame compression; a threshold above 1 (inf too) merges nothing
     compress_threshold: float | None = _key(
-        None, lambda v: v is None or _finite(v, 0), "null or a finite number > 0"
+        None, lambda v: v is None or _finite(v, 0) or v == math.inf, "null or a number > 0"
     )
     compress_order: str = _key("compress-then-prune", "compress-then-prune", "prune-then-compress")
     # an FKLM or table JSON LM, fused by timesync and delayed, which needs one
@@ -267,30 +267,8 @@ class Session:
             return cls(cfg, vocab, lm=load_lm(cfg.lm_path) if cfg.lm_path else None)
         if cfg.strategy != "joint":
             return cls(cfg, vocab)
-        handles = []
-        for spec in cfg.scorers:
-            name, kind = spec["name"], spec["kind"]
-            try:
-                if kind != "decoder_lm":  # a ctc_prefix scorer has no model
-                    model = load_lm(spec["path"]) if "path" in spec else None
-                    handles.append(ScorerHandle(name, kind, model))
-                    continue
-                if "weights_path" in spec:
-                    dw = load_weights(spec["weights_path"])
-                else:
-                    dw = seeded_weights(Hyperparams(vocab_size=vocab.size), spec.get("seed", cfg.seed))
-                if dw.hp.vocab_size != vocab.size:
-                    raise ValidationError(f"weights of {dw.hp.vocab_size} labels, not {vocab.size}")
-                if max(spec["prompt"], default=-1) >= vocab.size:
-                    raise ValidationError(f"prompt ids must be < {vocab.size}: {list(spec['prompt'])}")
-                interface = InterfaceConfig(spec["interface"], spec["prefix_attention"], spec["prompt"])
-                handles.append(ScorerHandle(name, kind, None, dw, interface))
-            except (CliError, ValueError, OSError) as exc:
-                raise CliError(f"scorer {name!r}: {exc}") from exc
-        weights = ScorerWeights(
-            {s["name"]: s["weight"] for s in cfg.scorers}, cfg.length_norm, cfg.max_len_factor
-        )
-        return cls(cfg, vocab, scorers=tuple(handles), weights=weights)
+        scorers, weights = build_joint_scorers(cfg, vocab)
+        return cls(cfg, vocab, scorers=scorers, weights=weights)
 
     @property
     def lockstep_size(self) -> int:  # utterances per search
@@ -317,6 +295,36 @@ class Session:
             one.peak_live_hypotheses = 1
             nbests.append(NBestList([NBestEntry(labels, {"ctc": path_score}, path_score, True)]))
         return nbests
+
+
+def build_joint_scorers(
+    cfg: DecodeConfig, vocab: Vocabulary
+) -> tuple[tuple[ScorerHandle, ...], ScorerWeights]:
+    """A handle per ``cfg.scorers`` entry, its model loaded, and their weights."""
+    handles = []
+    for spec in cfg.scorers:
+        name, kind = spec["name"], spec["kind"]
+        try:
+            if kind != "decoder_lm":  # a ctc_prefix scorer has no model
+                model = load_lm(spec["path"]) if "path" in spec else None
+                handles.append(ScorerHandle(name, kind, model))
+                continue
+            if "weights_path" in spec:
+                dw = load_weights(spec["weights_path"])
+            else:
+                dw = seeded_weights(Hyperparams(vocab_size=vocab.size), spec.get("seed", cfg.seed))
+            if dw.hp.vocab_size != vocab.size:
+                raise ValidationError(f"weights of {dw.hp.vocab_size} labels, not {vocab.size}")
+            if max(spec["prompt"], default=-1) >= vocab.size:
+                raise ValidationError(f"prompt ids must be < {vocab.size}: {list(spec['prompt'])}")
+            interface = InterfaceConfig(spec["interface"], spec["prefix_attention"], spec["prompt"])
+            handles.append(ScorerHandle(name, kind, None, dw, interface))
+        except (CliError, ValueError, OSError) as exc:
+            raise CliError(f"scorer {name!r}: {exc}") from exc
+    weights = ScorerWeights(
+        {s["name"]: s["weight"] for s in cfg.scorers}, cfg.length_norm, cfg.max_len_factor
+    )
+    return tuple(handles), weights
 
 
 def prepare_posteriorgram(pg: Posteriorgram, cfg: DecodeConfig, vocab: Vocabulary) -> Posteriorgram:
@@ -516,8 +524,11 @@ def grid_values(flag: str, text: str, parse, none_ok: bool = False) -> list:
     where ``none_ok``.  A value ``parse`` rejects raises ValidationError."""
     values = []
     for value in text.split(","):
+        if none_ok and value == "none":
+            values.append(None)
+            continue
         try:
-            values.append(None if none_ok and value == "none" else parse(value))
+            values.append(parse(value))
         except ValueError:
             raise ValidationError(f"{flag}: {value!r} is not a valid value") from None
     return values
@@ -565,7 +576,9 @@ def cmd_export_attn(args) -> int:
         prefix_attention=args.prefix_attention,
         prompt=tuple(retokenize(vocab, args.prompt)) if args.prompt else (),
     )
-    audio = read_encoder_output(args.audio) if args.audio else None
+    audio = None
+    if args.audio:
+        audio = read_encoder_output(args.audio)
     labels = [vocab.bos_id] + retokenize(vocab, args.text)
     export_attention(weights, config, audio, labels, args.out)
     print(f"attention maps -> {args.out}")

@@ -467,6 +467,7 @@ class TestSynthAndDecode:
             "strategy": "joint",
             "beam": 2,
             "max_len_factor": 1,
+            "compress_threshold": float("inf"),  # merges nothing
             "scorers": [
                 {"name": "ctc", "kind": "ctc_prefix", "weight": 1},
                 {"name": "dec", "kind": "decoder_lm", "weight": 0.05, "seed": 2, "prompt": [3, 4]},
@@ -474,13 +475,11 @@ class TestSynthAndDecode:
         }
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
-        outs = [tmp_path / "a", tmp_path / "b"]
-        for out in outs:
-            argv = ["decode", str(corpus), str(out), "--config", str(cfg_path), "--beam", "3"]
-            assert run(argv, capsys)[0] == 0
-        assert (outs[0] / "config.json").read_bytes() == (outs[1] / "config.json").read_bytes()
+        out = tmp_path / "o"
+        argv = ["decode", str(corpus), str(out), "--config", str(cfg_path), "--beam", "3"]
+        assert run(argv, capsys)[0] == 0
         expected = DecodeConfig.from_json(cfg_path, beam=3)
-        assert DecodeConfig.from_json(outs[0] / "config.json") == expected
+        assert DecodeConfig.from_json(out / "config.json") == expected
         assert expected.beam == 3 and expected.scorers[1]["interface"] == "prefix"
 
     def test_unknown_config_key_rejected(self, corpus, tmp_path, capsys):
