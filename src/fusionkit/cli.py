@@ -103,7 +103,7 @@ def read_corpus_dir(corpus_dir: str | Path):
             raise CliError(f"missing corpus file: {p}")
     vocab = read_vocabulary(vocab_path)
     utts = []
-    for lineno, line in enumerate(refs_path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(read_text(refs_path).splitlines(), 1):
         utt_id, tab, transcript = line.partition("\t")
         if not tab:
             raise CliError(f"{refs_path} line {lineno}: expected '<utterance id>\\t<transcript>'")
@@ -264,7 +264,13 @@ class Session:
         """Load the models ``cfg`` names.  One that cannot be read, or does
         not fit ``vocab``, fails naming its scorer, before any output."""
         if cfg.strategy in ("timesync", "delayed"):  # joint names its LMs in scorers
-            return cls(cfg, vocab, lm=load_lm(cfg.lm_path) if cfg.lm_path else None)
+            lm = load_lm(cfg.lm_path) if cfg.lm_path else None
+            same = lm is None or lm.vocab.tokens == vocab.tokens
+            if cfg.strategy == "delayed" and same:
+                raise ValidationError(f"delayed needs an LM on a vocabulary of its own: {cfg.lm_path}")
+            if cfg.strategy == "timesync" and not same and cfg.lm_weight != 0.0:
+                raise ValidationError(f"timesync needs an LM on the acoustic vocabulary: {cfg.lm_path}")
+            return cls(cfg, vocab, lm=lm)
         if cfg.strategy != "joint":
             return cls(cfg, vocab)
         scorers, weights = build_joint_scorers(cfg, vocab)
@@ -430,13 +436,17 @@ def format_stats(stats: DecodeStats) -> str:
     )
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The non-empty lines of a UTF-8 text file."""
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; other bytes raise FormatError."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    return [line for line in text.splitlines() if line]
+
+
+def read_lines(path: str | Path) -> list[str]:
+    """The non-empty lines of a UTF-8 text file."""
+    return [line for line in read_text(path).splitlines() if line]
 
 
 def read_sentences(path: str | Path, normalization: str) -> list[str]:

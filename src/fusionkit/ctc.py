@@ -219,6 +219,7 @@ class PrefixStates:
     last: np.ndarray
     log_nonblank: np.ndarray
     log_blank: np.ndarray
+    log_sum: np.ndarray  # np.logaddexp(log_nonblank, log_blank), bit for bit
     log_prefix_prob: np.ndarray
 
     def __len__(self) -> int:
@@ -230,9 +231,8 @@ class PrefixStep:
     """What one batched :meth:`CtcPrefixScorer.step` hands to ``exact`` and
     ``advance``.
 
-    ``log_sum`` holds the parents' total forward variables as (T, B)
-    columns.  ``xs`` holds the plain candidates' posteriors as (T, U, C')
-    columns, and ``plain[c]`` is candidate c's column there (-1 for EOS).
+    ``xs`` holds the plain candidates' posteriors as (T, U, C') columns,
+    and ``plain[c]`` is candidate c's column there (-1 for EOS).
     ``folded`` keeps the (B, C) exact scores computed so far, NaN
     elsewhere, so that ``advance`` reuses the survivors' folds.
     """
@@ -241,7 +241,6 @@ class PrefixStep:
     candidates: np.ndarray
     xs: np.ndarray
     plain: np.ndarray
-    log_sum: np.ndarray
     folded: np.ndarray
 
     def phi(self, rows, labels, frames: slice = slice(None)) -> np.ndarray:
@@ -249,7 +248,7 @@ class PrefixStep:
         ``labels`` may start at frame t+2: a repeated label needs a blank
         in between.  Time runs along axis 0; rows and labels broadcast."""
         same = self.states.last[rows] == labels
-        return np.where(same, self.states.log_blank[frames, rows], self.log_sum[frames, rows])
+        return np.where(same, self.states.log_blank[frames, rows], self.states.log_sum[frames, rows])
 
 
 class CtcPrefixScorer:
@@ -291,14 +290,9 @@ class CtcPrefixScorer:
     def initial_state(self) -> PrefixStates:
         """The empty prefix of every posteriorgram, one row each."""
         U = self.lengths.size
-        return PrefixStates(
-            length=0,
-            utt=np.arange(U),
-            last=np.full(U, -1),
-            log_nonblank=np.full((self.num_frames, U), NEG_INF),
-            log_blank=np.cumsum(self._blank, axis=0),
-            log_prefix_prob=np.zeros(U),
-        )
+        log_nb, log_b = np.full((self.num_frames, U), NEG_INF), np.cumsum(self._blank, axis=0)
+        log_sum = np.logaddexp(log_nb, log_b)
+        return PrefixStates(0, np.arange(U), np.full(U, -1), log_nb, log_b, log_sum, np.zeros(U))
 
     def _plain_columns(self, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
         """Each candidate's column among the plain ones (-1 for EOS), their
@@ -329,50 +323,43 @@ class CtcPrefixScorer:
         and G the dot product of exp(phi - m_row) and exp(x - m_col): one
         (1, K) @ (K, c_u) BLAS call per row, as a scorer of its own makes
         it.  The bounds are m_row + m_col + log G -+ delta, a margin for the
-        rounding of exp, log, the dot product and the fold; where G may have
-        underflowed, and for a repeated label (its phi is log_blank), those
-        of the largest term (:func:`log_add_bounds`).  EOS is exact."""
+        rounding of exp, log, the dot product and the fold.  A repeated
+        label's phi is log_blank: its pair gets a dot product of its own.
+        Where G may have underflowed, the bounds are those of the largest
+        term (:func:`log_add_bounds`).  EOS is exact."""
         cands = np.asarray(candidates, dtype=np.int64)
         if np.any(cands == self.blank_id):
             raise ValueError("blank cannot be a prefix-scorer candidate")
         S = states.length
         B, C = len(states), cands.size
         plain, xs, scaled = self._plain_columns(cands)
-        step = PrefixStep(
-            states=states,
-            candidates=cands,
-            xs=xs,
-            plain=plain,
-            log_sum=np.logaddexp(states.log_nonblank, states.log_blank),
-            folded=np.full((B, C), np.nan),
-        )
+        step = PrefixStep(states, cands, xs, plain, folded=np.full((B, C), np.nan))
         lower = np.full((B, C), NEG_INF)
         upper = np.full((B, C), NEG_INF)
 
         cols = np.flatnonzero(plain >= 0)
-        by_peak = np.zeros((B, C), dtype=bool)  # pairs bounded by their largest term
         for u, (end, support, m_col, x) in enumerate(scaled):
             r = np.flatnonzero(states.utt == u)
             if end <= S or not r.size or not support.size:
                 continue
             # phi[t - 1] at the frames t in [S, end) at which a label may
             # start, the leading term 0 at S = 0; a row each
-            phi = step.log_sum[max(S - 1, 0) : end - 1, r]
+            phi = states.log_sum[max(S - 1, 0) : end - 1, r]
             a = (np.vstack([np.zeros(r.size), phi]) if S == 0 else phi).T.copy()
-            m_row = a.max(axis=1, keepdims=True)
-            m_row[m_row == NEG_INF] = 0.0  # no finite phi: G = 0 and a peak of -inf
-            a -= m_row
-            g = (np.exp(a, out=a)[:, None, :] @ x[S:end])[:, 0]
-            ok = g > _UNDERFLOW
-            log_g = np.log(np.where(ok, g, 1.0))
-            center = m_row + m_col + log_g
-            magnitude = np.abs(m_row) + np.abs(m_col) + np.abs(log_g) + self._logs[end - S] + 8.0
-            delta = 64.0 * (end - S + 1024) * _EPS * magnitude
+            m_row = self._scale_rows(a)
+            g = (a[:, None, :] @ x[S:end])[:, 0]
             mine = cols[support]
             grid = np.ix_(r, mine)
-            lower[grid], upper[grid] = center - delta, center + delta
-            by_peak[grid] = ~ok | (states.last[r, None] == cands[mine])
-        r, c = np.nonzero(by_peak)
+            lower[grid], upper[grid] = self._dot_bounds(m_row, m_col, g, end - S)
+            # the empty prefix has no last label to repeat
+            rep, j = np.nonzero(states.last[r, None] == cands[mine])
+            if rep.size:
+                a = states.log_blank[S - 1 : end - 1, r[rep]].T.copy()
+                m_row = self._scale_rows(a)[:, 0]
+                g = np.multiply(a, x[S:end, j].T, out=a).sum(axis=1)
+                pairs = r[rep], mine[j]
+                lower[pairs], upper[pairs] = self._dot_bounds(m_row, m_col[j], g, end - S)
+        r, c = np.nonzero(np.isnan(lower))
         if r.size:
             n = self.lengths[states.utt[r]] - S
             peak = self._reduce_terms(step, r, c, np.max)
@@ -381,8 +368,26 @@ class CtcPrefixScorer:
         ends = self.lengths[states.utt]
         eos = cands == self.eos_id
         if np.any(eos):
-            lower[:, eos] = upper[:, eos] = step.log_sum[ends - 1, np.arange(B)][:, None]
+            lower[:, eos] = upper[:, eos] = states.log_sum[ends - 1, np.arange(B)][:, None]
         return lower, upper, step
+
+    @staticmethod
+    def _scale_rows(a: np.ndarray) -> np.ndarray:
+        """exp(a - m_row) in place; returns the (k, 1) row peaks m_row, 0 for
+        a row with no finite entry (G = 0 and a peak of -inf)."""
+        m_row = a.max(axis=1, keepdims=True)
+        m_row[m_row == NEG_INF] = 0.0
+        np.exp(np.subtract(a, m_row, out=a), out=a)
+        return m_row
+
+    def _dot_bounds(self, m_row, m_col, g, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds m_row + m_col + log G -+ delta on a fold of n terms, NaN
+        where G may have underflowed."""
+        log_g = np.log(np.where(g > _UNDERFLOW, g, np.nan))
+        center = m_row + m_col + log_g
+        magnitude = np.abs(m_row) + np.abs(m_col) + np.abs(log_g) + self._logs[n] + 8.0
+        delta = 64.0 * (n + 1024) * _EPS * magnitude
+        return center - delta, center + delta
 
     def _reduce_terms(self, step: PrefixStep, rows, cols, reduce) -> np.ndarray:
         """``reduce`` over the frames, in order, of the terms phi[t] + x[t+1]
@@ -419,7 +424,7 @@ class CtcPrefixScorer:
         ends = self.lengths[step.states.utt[rows]]
         out = np.full(rows.size, NEG_INF)
         eos = step.candidates[cols] == self.eos_id
-        out[eos] = step.log_sum[ends[eos] - 1, rows[eos]]
+        out[eos] = step.states.log_sum[ends[eos] - 1, rows[eos]]
         plain = np.flatnonzero(~eos & (ends > step.states.length))
         # a reduction over axis 0 folds the frames in order, from -inf
         out[plain] = self._reduce_terms(step, rows[plain], cols[plain], np.logaddexp.reduce)
@@ -431,8 +436,8 @@ class CtcPrefixScorer:
         survived pruning, a row each, aligned with them.
 
         One (T, k) recursion over the k pairs gives their forward
-        variables.  An EOS column keeps its parent's, since EOS ends the
-        hypothesis.
+        variables and, on the way, their log-sums.  An EOS column keeps its
+        parent's, since EOS ends the hypothesis.
         """
         rows = np.asarray(rows, dtype=np.int64)
         cols = np.asarray(cols, dtype=np.int64)
@@ -441,34 +446,38 @@ class CtcPrefixScorer:
         S = parent.length
         utt = parent.utt[rows]
         T = self.num_frames
-        # rows r_b, r_n, phi of one (T, 3, k) array: per frame, one log-add
-        # gives r_b[t] from (r_n, r_b)[t-1] and r_n[t] from (r_n, phi)[t-1],
-        # and one add puts in the (blank, label) emissions
+        # rows phi, r_n, r_b of one (T, 3, k) array: per frame, one log-add of
+        # the windows (r_n, r_b) and (phi, r_n) at t-1 gives sums[t], r_n[t]
+        # and r_b[t] before the one add of the (label, blank) emissions.
+        # np.logaddexp is symmetric bit for bit, so sums[t, 1] is log_sum[t-1]
         fwd = np.full((T, 3, rows.size), NEG_INF)
-        fwd[:, 2] = step.phi(rows, labels)
+        fwd[:, 0] = step.phi(rows, labels)
+        sums = np.full((T + 1, 2, rows.size), NEG_INF)
         emit = np.empty((T, 2, rows.size))
         emit[:, 0] = emit[:, 1] = self._blank[:, utt]
-        # an EOS column keeps the dummy blank emission: its parent's columns
-        # are kept
+        # an EOS column keeps the dummy blank emission; its parent's replace it
         eos = labels == self.eos_id
-        emit[:, 1, ~eos] = step.xs[:, utt[~eos], step.plain[cols[~eos]]]
+        emit[:, 0, ~eos] = step.xs[:, utt[~eos], step.plain[cols[~eos]]]
         if S == 0:
-            fwd[0, 1] = emit[0, 1]
+            fwd[0, 1] = emit[0, 0]
         # past every row's last frame the variables stay -inf
-        for t in range(max(S, 1), int(self.lengths[utt].max(initial=0))):
-            prev = fwd[t - 1]
-            np.logaddexp(prev[1:2], prev[::2], out=fwd[t, :2])
-            fwd[t, :2] += emit[t]
+        lo, hi = max(S, 1), int(self.lengths[utt].max(initial=0))
+        prev, cur = fwd[lo - 1 : hi - 1], fwd[lo:hi, 1:]
+        for n_b, phi_n, pre, new, e in zip(prev[:, 1:], prev[:, :2], sums[lo:hi], cur, emit[lo:hi]):
+            np.logaddexp(n_b, phi_n, pre)
+            np.add(pre, e, new)
+        np.logaddexp(fwd[hi - 1, 1:], fwd[hi - 1, :2], sums[hi])  # k = 0 writes nothing
         scores = step.folded[rows, cols]
         again = np.isnan(scores)
         if np.any(again):
             scores[again] = self.exact(step, rows[again], cols[again])
-        log_nb, log_b = fwd[:, 1].copy(), fwd[:, 0].copy()
+        log_nb, log_b, log_sum = fwd[:, 1].copy(), fwd[:, 2].copy(), sums[1:, 1].copy()
         last = labels.copy()
         if np.any(eos):
             kept = rows[eos]
             log_nb[:, eos] = parent.log_nonblank[:, kept]
             log_b[:, eos] = parent.log_blank[:, kept]
+            log_sum[:, eos] = parent.log_sum[:, kept]
             scores[eos] = parent.log_prefix_prob[kept]
             last[eos] = parent.last[kept]
-        return PrefixStates(S + 1, utt, last, log_nb, log_b, scores)
+        return PrefixStates(S + 1, utt, last, log_nb, log_b, log_sum, scores)

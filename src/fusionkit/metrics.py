@@ -72,7 +72,7 @@ def corpus_wer(pairs: Iterable[tuple[Sequence[str], Sequence[str]]]) -> Alignmen
     for ref, hyp in pairs:
         total = total + align(ref, hyp)
     if total.ref_length < 1:
-        raise ValueError("corpus WER needs at least one reference word")
+        raise ValidationError("corpus WER needs at least one reference word")
     return total
 
 

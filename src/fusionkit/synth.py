@@ -86,6 +86,8 @@ class SynthConfig:
     def __post_init__(self):
         if not 0.0 <= self.noise < 1.0:
             raise ValidationError(f"noise must lie in [0, 1), not {self.noise!r}")
+        if self.noise and FLOOR_LEAK * self.noise / (self.vocab.size - 2) == 0.0:  # all but BOS, EOS
+            raise ValidationError(f"noise {self.noise!r} is so small that its floor mass underflows to 0")
         for lo, hi in (self.words_per_utt, self.frames_per_label, self.blank_gap):
             if lo > hi or lo < 0:
                 raise ValidationError(f"ranges must be nonempty and nonnegative, not ({lo}, {hi})")
@@ -151,8 +153,7 @@ def _utterance_rows(cfg: SynthConfig, tokens: Sequence[int], rng) -> np.ndarray:
     gain[ambiguous] = peak * AMBIG_TRUE
     masses[frames, [column[label] for label in labels]] += gain
     masses[ambiguous, wrong] += peak * AMBIG_WRONG
-    with np.errstate(divide="ignore"):  # a subnormal eps's floor mass underflows to 0
-        rows[:, support] = np.log(masses)
+    rows[:, support] = np.log(masses)
     return rows
 
 

@@ -295,6 +295,41 @@ class TestSynthAndDecode:
             assert "Traceback" not in err
         assert not out.exists()
 
+    def test_refs_not_utf8_fails_cleanly(self, corpus, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for path in corpus.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        refs = broken / "refs.txt"
+        refs.write_bytes(refs.read_bytes() + b"utt0000\t\xff\xfe\n")
+        out = tmp_path / "o"
+        for command in (["decode", str(broken), str(out)], ["bench", str(broken)]):
+            code, stdout, err = run(command, capsys)
+            assert code == 1 and stdout == ""
+            assert err.count("error:") == 1 and str(refs) in err and "not UTF-8" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "strategy, lm, message",
+        [
+            ("timesync", "word_lm_file", "timesync needs an LM on the acoustic vocabulary"),
+            ("delayed", "lm_file", "delayed needs an LM on a vocabulary of its own"),
+        ],
+    )
+    def test_lm_vocabulary_checked_at_load(self, corpus, tmp_path, capsys, request, strategy, lm, message):
+        path = str(request.getfixturevalue(lm))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"strategy": strategy, "lm_path": path, "lm_weight": 0.5}))
+        out = tmp_path / "o"
+        for command in (
+            ["decode", str(corpus), str(out), "--config", str(cfg_path)],
+            ["bench", str(corpus), "--config", str(cfg_path)],
+        ):
+            code, stdout, err = run(command, capsys)
+            assert code == 1 and stdout == ""
+            assert err.count("error:") == 1 and message in err and path in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["ctc-greedy", "timesync", "delayed", "joint"])
     def test_posteriorgram_width_must_match_vocabulary(
         self, corpus, lm_file, word_lm_file, tmp_path, capsys, strategy
@@ -508,6 +543,14 @@ class TestWerCommand:
         code, stdout, _ = run(["wer", str(refs), str(hyps), "--normalization", "none"], capsys)
         assert "WER\t1.0000" in stdout
 
+    @pytest.mark.parametrize("text", ["", "u1\t\n"], ids=["empty", "no-words"])
+    def test_no_reference_words_fails_cleanly(self, tmp_path, capsys, text):
+        refs = tmp_path / "refs.txt"
+        refs.write_text(text)
+        code, stdout, err = run(["wer", str(refs), str(refs)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "needs at least one reference word" in err
+
     @pytest.mark.parametrize("missing", ["refs", "hyps"])
     def test_missing_file_fails_cleanly(self, tmp_path, capsys, missing):
         present, gone = tmp_path / "present.txt", tmp_path / "gone.txt"
@@ -594,6 +637,7 @@ class TestCorpusToolsFailCleanly:
             (["--noise", "1.5"], "noise must lie in [0, 1)"),
             (["--utts", "0"], "at least one utterance"),
             (["--min-words", "5", "--max-words", "2"], "ranges must be nonempty"),
+            (["--noise", "5e-324"], "floor mass underflows to 0"),
         ],
     )
     def test_synth(self, tmp_path, capsys, flags, message):

@@ -144,7 +144,7 @@ def rows_of(states, rows):
     """The prefix states of ``rows``, in that order."""
     return PrefixStates(
         states.length, states.utt[rows], states.last[rows], states.log_nonblank[:, rows],
-        states.log_blank[:, rows], states.log_prefix_prob[rows],
+        states.log_blank[:, rows], states.log_sum[:, rows], states.log_prefix_prob[rows],
     )
 
 
@@ -378,13 +378,37 @@ class TestPrefixScorer:
             assert np.array_equal(kept.log_blank, first.log_blank)
             assert kept.log_prefix_prob == first.log_prefix_prob and kept.last == first.last
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_sum_is_log_add_of_forward_variables(self, seed):
+        # along a lockstep over posteriorgrams of different lengths, one
+        # with pruned labels, every state's log_sum is
+        # np.logaddexp(log_nonblank, log_blank) bit for bit: the empty
+        # prefix's, each advance's from S = 0 on, and EOS-kept rows'
+        rng = np.random.default_rng(seed)
+        v = 5
+        pgs = [random_pg(rng, 3, v), topk_prune(random_pg(rng, 6, v), 3, True, BLANK), random_pg(rng, 9, v)]
+        sc = CtcPrefixScorer(pgs, BLANK, self.EOS)
+        cands = list(range(1, v)) + [self.EOS]
+        states = sc.initial_state()
+        kept = 0
+        for _ in range(11):
+            want = np.logaddexp(states.log_nonblank, states.log_blank)
+            assert states.log_sum.tobytes() == want.tobytes()
+            _, _, step = sc.step(states, cands)
+            k = min(2 * len(states), 12)
+            rows = rng.integers(0, len(states), size=k)
+            cols = rng.integers(0, len(cands), size=k)
+            kept += np.count_nonzero(cols == len(cands) - 1)
+            states = sc.advance(step, rows, cols)
+        assert states.length > max(pg.num_frames for pg in pgs) and kept > 0
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
         t=st.integers(1, 9),
         v=st.integers(3, 8),
-        shape=st.sampled_from(["dirichlet", "peaked", "uniform"]),
+        shape=st.sampled_from(["dirichlet", "peaked", "uniform", "repeats"]),
         keep=st.none() | st.integers(1, 7),
         width=st.integers(1, 5),
         block=st.sampled_from([ctc._BLOCK_SIZE, 1, 5]),
@@ -393,15 +417,26 @@ class TestPrefixScorer:
         # lower <= exact <= upper on every pair, all three -inf together,
         # and the EOS column exact, from the empty prefix to S >= T, with
         # B > 1 states and survivors that repeat their parent's last label;
-        # small blocks split the exact folds and the repeated-label peak pass
-        # over several blocks of pairs
+        # small blocks split the exact folds and the peak pass over several
+        # blocks of pairs.  With only label 1 and blank to emit, every
+        # survivor past the first repeats label 1, and from 3 frames on some
+        # such pair has a finite fold
         with mock.patch.object(ctc, "_BLOCK_SIZE", block):
-            self.check_bounds(seed, t, v, shape, keep, width)
+            repeats = self.check_bounds(seed, t, v, shape, keep, width)
+        if shape == "repeats" and t >= 3 and (keep is None or keep >= 2):
+            assert repeats > 0
 
     def check_bounds(self, seed, t, v, shape, keep, width):
         rng = np.random.default_rng(seed)
         if shape == "uniform":  # many near-equal terms per pair
             pg = make_pg(np.full((t, v), 1 / v))
+        elif shape == "repeats":  # label 1 and blank take turns as the likelier
+            one = rng.uniform(0.5, 0.95, size=t)
+            one[1::2] = 1.0 - one[1::2]
+            probs = np.zeros((t, v))
+            probs[:, 1], probs[:, BLANK] = one, 1.0 - one
+            with np.errstate(divide="ignore"):
+                pg = make_pg(probs)
         else:
             alpha = 1.0 if shape == "dirichlet" else 0.05
             with np.errstate(divide="ignore"):  # peaked rows may hold exact zeros
@@ -411,9 +446,11 @@ class TestPrefixScorer:
         sc = self.scorer(pg)
         cands = list(range(1, v)) + [self.EOS]
         states = sc.initial_state()
+        repeats = 0  # finite pairs that repeat their row's last label
         for _ in range(t + 2):
             lower, upper, step = sc.step(states, cands)
             exact = exact_matrix(sc, step, lower.shape)
+            repeats += np.count_nonzero((states.last[:, None] == cands[:-1]) & (exact[:, :-1] > NEG_INF))
             assert not np.any(np.isnan(lower) | np.isnan(upper) | np.isnan(exact))
             assert np.all(lower <= exact) and np.all(exact <= upper)
             assert np.array_equal(np.isneginf(lower), np.isneginf(exact))
@@ -429,7 +466,7 @@ class TestPrefixScorer:
                 [rng.permutation(np.flatnonzero(repeated)), rng.permutation(np.flatnonzero(~repeated))]
             )[:width]
             states = sc.advance(step, rows[order], cols[order])
-
+        return repeats
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -445,9 +482,10 @@ class TestPrefixScorer:
         # lower <= exact <= upper and all three -inf together, on U >= 1
         # padded posteriorgrams with -0.0 frames and pruned supports; at
         # scale 1500 the forward variables fall to about -1e4, so the
-        # scaled sum G underflows.  Only those pairs and repeated labels
-        # may take the loose bound of their largest term: every other
-        # pair's bounds are within 1e-6 relative of each other.
+        # scaled sum G underflows.  Only those pairs may take the loose
+        # bound of their largest term: every other pair's bounds are within
+        # 1e-6 relative of each other, and a repeated label's (its phi is
+        # log_blank) within 1e-6 nats.
         rng = np.random.default_rng(seed)
         pgs = []
         for t in lengths:
@@ -478,12 +516,15 @@ class TestPrefixScorer:
                     continue
                 # phi[t - 1] at the frames t in [S, end), 0 first at S = 0
                 phi = log_sum[S - 1 : end - 1, b] if S else np.append(0.0, log_sum[: end - 1, b])
+                repeated = states.last[b] == labels
+                m_row = np.where(repeated, states.log_blank[S - 1 : end - 1, b].max() if S else 0.0, phi.max())
                 row = exact[b, :-1]
-                sure = (row > NEG_INF) & (states.last[b] != labels)
+                sure = row > NEG_INF
                 # m_row + m_col + log G = row, and G > 2**-900 with a margin
-                sure[sure] = row[sure] - phi.max() - peaks[u][sure] > -600.0
+                sure[sure] = row[sure] - m_row[sure] - peaks[u][sure] > -600.0
                 gap = upper[b, :-1][sure] - lower[b, :-1][sure]
                 assert np.all(gap <= 1e-6 * (1.0 + np.abs(row[sure])))
+                assert np.all(gap[repeated[sure]] <= 1e-6)
             rows, cols = np.nonzero(exact[:, :-1] > NEG_INF)
             if rows.size == 0:
                 break

@@ -592,10 +592,10 @@ class TestDecodeStats:
         assert stats.peak_candidate_set == 4
         assert stats.peak_live_hypotheses == 3
         assert stats.scorer_evaluations == 80
-        # of the (1 + 3 + 3 + 3) x 3 = 30 bounded label pairs, 11 reach the
-        # cut: the log-sum-exp bounds are tight, so few pairs besides the
-        # beams' own need an exact fold
-        assert stats.ctc_exact_pairs == 11
+        # of the (1 + 3 + 3 + 3) x 3 = 30 bounded label pairs, 10 reach the
+        # cut: the log-sum-exp bounds are tight, repeated labels included,
+        # so few pairs besides the beams' own need an exact fold
+        assert stats.ctc_exact_pairs == 10
 
     def test_timesync_counters_pinned(self):
         rng = np.random.default_rng(17)
