@@ -31,6 +31,7 @@ from fusionkit.core import (
     ScorerWeights,
     ValidationError,
     Vocabulary,
+    check_width,
     read_encoder_output,
     read_posteriorgram,
     read_vocabulary,
@@ -63,6 +64,7 @@ from fusionkit.search import (
     NBestEntry,
     NBestList,
     ScorerHandle,
+    frame_lm,
     labelsync_lockstep,
     lockstep_beam,
     write_nbest,
@@ -143,13 +145,11 @@ def _key(default, *rule):
 
 # A scorer entry: a unique name, a kind, a weight and its kind's keys, with
 # their defaults (None: none).  decoder_lm is the toy decoder without audio,
-# its weights read from weights_path or seeded with seed (the config's).
+# its weights read from weights_path or else seeded with seed.
 _SCORER_KEYS = {
     "ctc_prefix": {},
     "ngram": {"path": None},
-    "table": {"path": None},
-    "decoder_lm": {"weights_path": None, "seed": None, "interface": "prefix",
-                   "prefix_attention": "causal", "prompt": ()},
+    "decoder_lm": {"weights_path": None, "seed": 0, "prompt": ()},
 }
 _SCORER_RULES = {
     "name": (lambda v: _path(v) and not set(v) & set("=, \t\n\r"),
@@ -158,9 +158,6 @@ _SCORER_RULES = {
     "path": (_path, "a file path"),
     "weights_path": (_path, "a file path"),
     "seed": (lambda v: _integer(v, 0), "an integer >= 0"),
-    "interface": (lambda v: v in ("prefix", "merged"),
-                  "an interface kind without audio: prefix or merged"),
-    "prefix_attention": ("causal", "bidirectional"),
     # ids past the vocabulary fail when the session loads the decoder
     "prompt": (lambda v: isinstance(v, (list, tuple)) and all(_integer(i, 0) for i in v),
                "a list of label ids"),
@@ -202,20 +199,17 @@ class DecodeConfig:
     # joint only: scores divided by length, and labels capped per frame
     length_norm: bool = _key(False, lambda v: isinstance(v, bool), "true or false")
     max_len_factor: float = _key(1.0, lambda v: _finite(v, 0), "a finite number > 0")
-    # CTC pruning to the top k labels, blank kept if keep_blank
+    # CTC pruning to the top k labels, blank kept, after compression
     top_k: int | None = _key(None, lambda v: v is None or _integer(v), "null or an integer >= 1")
-    keep_blank: bool = _key(True, lambda v: isinstance(v, bool), "true or false")
     # CTC frame compression; a threshold above 1 (inf too) merges nothing
     compress_threshold: float | None = _key(
         None, lambda v: v is None or _finite(v, 0) or v == math.inf, "null or a number > 0"
     )
-    compress_order: str = _key("compress-then-prune", "compress-then-prune", "prune-then-compress")
     # an FKLM or table JSON LM, fused by timesync and delayed, which needs one
     lm_path: str | None = _key(None, lambda v: v is None or _path(v), "null or a file path")
     lm_weight: float = _key(0.0, _finite, "a finite number")
     scorers: tuple[dict, ...] = _key((), lambda v: isinstance(v, (list, tuple)), "a list")  # joint
     normalization: str = _key("lowercase", "lowercase", "none")  # of bench's WER text
-    seed: int = _key(0, lambda v: _integer(v, 0), "an integer >= 0")  # seeds decoder_lm weights
 
     def __post_init__(self):
         for f in fields(self):
@@ -244,10 +238,6 @@ class DecodeConfig:
                 raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         return cls(**{**loaded, **{k: v for k, v in overrides.items() if v is not None}})
 
-    @property
-    def prune_first(self) -> bool:
-        return self.compress_order == "prune-then-compress"
-
 
 @dataclass(frozen=True)
 class Session:
@@ -265,11 +255,10 @@ class Session:
         not fit ``vocab``, fails naming its scorer, before any output."""
         if cfg.strategy in ("timesync", "delayed"):  # joint names its LMs in scorers
             lm = load_lm(cfg.lm_path) if cfg.lm_path else None
-            same = lm is None or lm.vocab.tokens == vocab.tokens
-            if cfg.strategy == "delayed" and same:
-                raise ValidationError(f"delayed needs an LM on a vocabulary of its own: {cfg.lm_path}")
-            if cfg.strategy == "timesync" and not same and cfg.lm_weight != 0.0:
-                raise ValidationError(f"timesync needs an LM on the acoustic vocabulary: {cfg.lm_path}")
+            try:
+                frame_lm(vocab, lm, cfg.lm_weight, cfg.strategy == "delayed")
+            except ValidationError as exc:
+                raise ValidationError(f"{exc}: {cfg.lm_path}") from exc
             return cls(cfg, vocab, lm=lm)
         if cfg.strategy != "joint":
             return cls(cfg, vocab)
@@ -318,12 +307,12 @@ def build_joint_scorers(
             if "weights_path" in spec:
                 dw = load_weights(spec["weights_path"])
             else:
-                dw = seeded_weights(Hyperparams(vocab_size=vocab.size), spec.get("seed", cfg.seed))
+                dw = seeded_weights(Hyperparams(vocab_size=vocab.size), spec["seed"])
             if dw.hp.vocab_size != vocab.size:
                 raise ValidationError(f"weights of {dw.hp.vocab_size} labels, not {vocab.size}")
             if max(spec["prompt"], default=-1) >= vocab.size:
                 raise ValidationError(f"prompt ids must be < {vocab.size}: {list(spec['prompt'])}")
-            interface = InterfaceConfig(spec["interface"], spec["prefix_attention"], spec["prompt"])
+            interface = InterfaceConfig("prefix", prompt=spec["prompt"])  # no audio: any kind
             handles.append(ScorerHandle(name, kind, None, dw, interface))
         except (CliError, ValueError, OSError) as exc:
             raise CliError(f"scorer {name!r}: {exc}") from exc
@@ -334,12 +323,11 @@ def build_joint_scorers(
 
 
 def prepare_posteriorgram(pg: Posteriorgram, cfg: DecodeConfig, vocab: Vocabulary) -> Posteriorgram:
-    """``pg`` compressed and top-k pruned as ``cfg`` says, in its compress_order."""
-    for prune in (cfg.prune_first, not cfg.prune_first):
-        if prune and cfg.top_k is not None:
-            pg = topk_prune(pg, cfg.top_k, cfg.keep_blank, vocab.blank_id)
-        if not prune and cfg.compress_threshold is not None:
-            pg = compress_posteriors(pg, merge_indices(pg, cfg.compress_threshold))
+    """``pg`` compressed, then top-k pruned with blank kept, as ``cfg`` says."""
+    if cfg.compress_threshold is not None:
+        pg = compress_posteriors(pg, merge_indices(pg, cfg.compress_threshold))
+    if cfg.top_k is not None:
+        pg = topk_prune(pg, cfg.top_k, True, vocab.blank_id)
     return pg
 
 
@@ -373,15 +361,10 @@ def decode_corpus(session: Session, items):
     utterance at a time to find the one that fails, and a search that finds
     no hypothesis with a finite score.
     """
-    vocab = session.vocab
     items = iter(items)
     while chunk := list(islice(items, session.lockstep_size)):
         for utt_id, pg in chunk:
-            if pg.num_labels != vocab.size:
-                raise ValidationError(
-                    f"posteriorgram of {utt_id} has {pg.num_labels} labels, "
-                    f"the vocabulary {vocab.size}"
-                )
+            check_width(pg, session.vocab, f"posteriorgram of {utt_id}")
         try:
             results = decode_utterance([pg for _, pg in chunk], session)
         except Exception as exc:

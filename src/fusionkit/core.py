@@ -248,6 +248,12 @@ class Posteriorgram:
         return self.num_frames * self.frame_duration_ms / 1000.0
 
 
+def check_width(pg: Posteriorgram, vocab: Vocabulary, what: str = "posteriorgram") -> None:
+    """Raise ValidationError unless ``pg`` has a column per label of ``vocab``."""
+    if pg.num_labels != vocab.size:
+        raise ValidationError(f"{what} has {pg.num_labels} labels, the vocabulary {vocab.size}")
+
+
 def _write_matrix(path: str | Path, magic: bytes, matrix: np.ndarray, *fields: int) -> None:
     """Inverse of :func:`_read_matrix`."""
     with open(path, "wb") as f:

@@ -10,7 +10,7 @@ from typing import Any, Protocol, Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, Posteriorgram, Vocabulary
+from fusionkit.core import NEG_INF, Posteriorgram, Vocabulary, check_width
 from fusionkit.ctc import CtcPrefixScorer, kept_labels
 from fusionkit.decoder import DecoderWeights, InterfaceConfig, decoder_init, decoder_step
 from fusionkit.lm import NGramModel, TableLM
@@ -62,11 +62,14 @@ class CtcPrefixLabelScorer:
     against its own.  The candidates are every plain label that some
     posteriorgram can emit, plus EOS; a label an utterance's posteriorgram
     never emits scores -inf there, and ``counts`` holds each utterance's
-    own number of candidates.
+    own number of candidates.  A posteriorgram whose width is not the
+    vocabulary's raises ValidationError.
     """
 
     def __init__(self, pg: Posteriorgram | Sequence[Posteriorgram], vocab: Vocabulary, name: str = "ctc"):
         pgs = [pg] if isinstance(pg, Posteriorgram) else list(pg)
+        for one in pgs:
+            check_width(one, vocab)
         self.name = name
         self.vocab = vocab
         self._scorer = CtcPrefixScorer(pgs, vocab.blank_id, vocab.eos_id)
@@ -182,9 +185,9 @@ class DecoderLabelScorer(_ExactScorer):
 class ScorerHandle:
     """Declarative scorer description; ``build`` makes the runtime scorer.
 
-    Kinds: ``ctc_prefix`` (needs the decode's posteriorgram), ``ngram`` and
-    ``table`` (need a model), ``decoder_am``/``decoder_lm`` (need weights and
-    an interface config; the lm variant runs the same decoder without audio).
+    Kinds: ``ctc_prefix`` (needs the decode's posteriorgram), ``ngram`` (an
+    n-gram or table LM), ``decoder_am``/``decoder_lm`` (need weights and an
+    interface config; the lm variant runs the same decoder without audio).
     """
 
     name: str
@@ -202,9 +205,9 @@ class ScorerHandle:
             if pg is None:
                 raise ValueError("ctc_prefix scorer needs a posteriorgram")
             return CtcPrefixLabelScorer(pg, vocab, self.name)
-        if self.kind in ("ngram", "table"):
+        if self.kind == "ngram":
             if self.model is None:
-                raise ValueError(f"{self.kind} scorer needs a model")
+                raise ValueError("ngram scorer needs a model")
             return ContextLMScorer(self.model, self.name)
         if self.kind in ("decoder_am", "decoder_lm"):
             if self.decoder_weights is None or self.interface is None:

@@ -16,7 +16,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, Posteriorgram, ScorerWeights, ValidationError, Vocabulary
+from fusionkit.core import (
+    NEG_INF, Posteriorgram, ScorerWeights, ValidationError, Vocabulary, check_width,
+)
 from fusionkit.lm import NGramModel, TableLM, lm_logprob, retokenize
 from fusionkit.scorers import (  # the scorer kinds are part of the search API
     ContextLMScorer,
@@ -29,8 +31,8 @@ from fusionkit.scorers import (  # the scorer kinds are part of the search API
 __all__ = [
     "ContextLMScorer", "CtcPrefixLabelScorer", "DecodeStats", "DecoderLabelScorer",
     "LabelScorer", "NBestEntry", "NBestList", "ScorerHandle", "delayed_fusion_beam",
-    "exhaustive_decode", "labelsync_beam", "labelsync_lockstep", "lockstep_beam",
-    "rescore_nbest", "timesync_ctc_beam", "write_nbest",
+    "frame_lm", "labelsync_beam", "labelsync_lockstep", "lockstep_beam", "rescore_nbest",
+    "timesync_ctc_beam", "write_nbest",
 ]
 
 
@@ -652,10 +654,7 @@ def _timesync_search(
     if beam < 1:
         raise ValueError("beam must be >= 1")
     for pg in pgs:
-        if pg.num_labels != vocab.size:
-            raise ValidationError(
-                f"posteriorgram has {pg.num_labels} labels, the vocabulary {vocab.size}"
-            )
+        check_width(pg, vocab)
     if not pgs:
         return []
     t0 = time.perf_counter()
@@ -872,23 +871,32 @@ def lockstep_beam(
     ``stats``, one per posteriorgram, get that utterance's counters; the
     search's wall time is split between the utterances by frames.
     """
+    fusion = frame_lm(vocab, lm, lm_weight, delayed)
+    weight = 0.0 if isinstance(fusion, _NoLM) else lm_weight
+    return _timesync_search(pgs, vocab, beam, fusion, weight, stats)
+
+
+def frame_lm(
+    vocab: Vocabulary, lm: NGramModel | TableLM | None, lm_weight: float, delayed: bool
+) -> _NoLM | _LabelLM | _WordLM:
+    """The frame LM that fuses ``lm`` at ``lm_weight`` into a search over
+    ``vocab``: word by word with ``delayed``, else label by label, or not at
+    all without an LM or at weight 0.  An LM that does not fit the strategy,
+    or a weight that is not finite, raises ValidationError."""
     if not math.isfinite(lm_weight):
         raise ValidationError(f"lm_weight must be finite, not {lm_weight!r}")
+    same = lm is not None and lm.vocab.tokens == vocab.tokens
     if delayed:
-        if lm is None or lm.vocab.tokens == vocab.tokens:
-            raise ValueError(
-                "delayed fusion needs an LM on a vocabulary of its own; "
-                "use timesync_ctc_beam for plain fusion"
-            )
-        return _timesync_search(pgs, vocab, beam, _WordLM(lm, vocab), lm_weight, stats)
+        if lm is None or same:
+            raise ValidationError("delayed needs an LM on a vocabulary of its own, unlike timesync")
+        return _WordLM(lm, vocab)
     if lm is None or lm_weight == 0.0:
-        return _timesync_search(pgs, vocab, beam, _NoLM(vocab), 0.0, stats)
-    if lm.vocab.tokens != vocab.tokens:
-        raise ValueError(
-            "LM vocabulary differs from the acoustic vocabulary; "
-            "use delayed_fusion_beam instead"
+        return _NoLM(vocab)
+    if not same:
+        raise ValidationError(
+            "timesync needs an LM on the acoustic vocabulary, unlike delayed_fusion_beam"
         )
-    return _timesync_search(pgs, vocab, beam, _LabelLM(lm, vocab), lm_weight, stats)
+    return _LabelLM(lm, vocab)
 
 
 def timesync_ctc_beam(
@@ -955,61 +963,3 @@ def rescore_nbest(
         comps["rescore_lm"] = llp
         rescored.append(NBestEntry(e.labels, comps, float(combined), e.finished))
     return NBestList(sorted(rescored, key=lambda e: -e.combined), presorted=True)
-
-
-def exhaustive_decode(
-    scorers: Sequence[LabelScorer],
-    weights: ScorerWeights,
-    vocab: Vocabulary,
-    max_len: int,
-    stats: DecodeStats | None = None,
-) -> NBestList:
-    """Score every label sequence up to ``max_len``; the beam-search oracle.
-
-    Every label's score is requested exactly, never bounded.
-    """
-    plain = [i for i in range(vocab.size) if not vocab.is_special(i)]
-    if len(plain) ** max_len > 10**6:
-        raise ValueError("exhaustive enumeration budget exceeded")
-    active = [s for s in scorers if weights.weights.get(s.name, 0.0) != 0.0]
-    if not active:
-        raise ValueError("all scorers have zero weight")
-    t0 = time.perf_counter()
-    entries: list[NBestEntry] = []
-
-    every = np.array(plain + [vocab.eos_id])
-    rows = np.zeros(every.size, dtype=np.int64)
-
-    def visit(labels, components, states, depth):
-        vectors = {}
-        artifacts = {}
-        for s in active:
-            _, _, art = s.step(states[s.name])
-            vectors[s.name] = s.exact(art, rows, every)
-            artifacts[s.name] = art
-            if stats:
-                stats.scorer_evaluations += len(plain) + 1
-        # an entry that any scorer gives probability zero is impossible,
-        # whatever the sign of its weight
-        eos_comps = {
-            n: components[n] + float(vectors[n][-1]) for n in vectors
-        }
-        if NEG_INF not in eos_comps.values():
-            combined = weights.combine(eos_comps)
-            entries.append(
-                NBestEntry(labels + (vocab.eos_id,), eos_comps, combined, finished=True)
-            )
-        if depth == max_len:
-            return
-        for i, c in enumerate(plain):
-            comps = {n: components[n] + float(vectors[n][i]) for n in vectors}
-            if NEG_INF in comps.values():
-                continue
-            succ = {s.name: s.advance(artifacts[s.name], [0], [c]) for s in active}
-            visit(labels + (c,), comps, succ, depth + 1)
-
-    start_states = {s.name: s.start(1) for s in active}
-    visit((), {s.name: 0.0 for s in active}, start_states, 0)
-    if stats:
-        stats.wall_time_s += time.perf_counter() - t0
-    return NBestList(entries)

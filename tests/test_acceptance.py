@@ -55,7 +55,6 @@ from fusionkit.search import (
     DecodeStats,
     DecoderLabelScorer,
     delayed_fusion_beam,
-    exhaustive_decode,
     labelsync_beam,
     timesync_ctc_beam,
 )
@@ -67,6 +66,8 @@ from fusionkit.synth import (
     gen_oscillation_scenario,
     sample_sentences,
 )
+
+from oracle import exhaustive_decode
 
 SEEDS = list(range(20))
 UTTS_PER_SEED = 25

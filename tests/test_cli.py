@@ -175,7 +175,7 @@ class TestSynthAndDecode:
              "encoder audio"),
             ({"strategy": "joint",
               "scorers": [{"name": "x", "kind": "decoder_lm", "interface": "bogus", "weight": 1}]},
-             "interface kind"),
+             "unknown keys"),
             ({"strategy": "timesync", "lm_path": "no.fklm"}, "cannot read LM file"),
             ({"strategy": "joint", "scorers": [{"name": "x", "kind": "ctc_prefix",
                                                 "weight": float("nan")}]}, "must be finite"),
@@ -193,10 +193,10 @@ class TestSynthAndDecode:
             ({"strategy": "joint", "compress_threshold": float("nan")},
              "compress_threshold must be"),
             ({"strategy": "joint", "length_norm": "no"}, "length_norm must be"),
-            ({"keep_blank": "no"}, "keep_blank must be"),
-            ({"compress_order": "bogus"}, "unknown compress_order"),
+            ({"keep_blank": "no"}, "unknown config keys"),
+            ({"compress_order": "bogus"}, "unknown config keys"),
             ({"normalization": "bogus"}, "unknown normalization"),
-            ({"seed": 1.5}, "seed must be"),
+            ({"seed": 1.5}, "unknown config keys"),
             ({"strategy": "joint", "max_len_factor": "abc"}, "max_len_factor must be"),
             ({"max_len_factor": None}, "max_len_factor must be"),
             ({"strategy": "timesync", "lm_path": 5}, "lm_path must be"),
@@ -212,6 +212,12 @@ class TestSynthAndDecode:
                                                 "prompt": [-1]}]}, "prompt must be"),
             ({"strategy": "joint", "scorers": [{"name": "x", "kind": "decoder_lm", "weight": 1,
                                                 "prompt": "ab"}]}, "prompt must be"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "decoder_lm", "weight": 1,
+                                                "seed": 1.5}]}, "seed must be"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "decoder_lm", "weight": 1,
+                                                "prefix_attention": "causal"}]}, "unknown keys"),
+            ({"strategy": "joint", "scorers": [{"name": "x", "kind": "table", "path": "lm.json",
+                                                "weight": 1}]}, "unknown scorer kind"),
         ],
     )
     def test_bad_config_fails_before_reading_posteriorgrams(
@@ -515,7 +521,58 @@ class TestSynthAndDecode:
         assert run(argv, capsys)[0] == 0
         expected = DecodeConfig.from_json(cfg_path, beam=3)
         assert DecodeConfig.from_json(out / "config.json") == expected
-        assert expected.beam == 3 and expected.scorers[1]["interface"] == "prefix"
+        assert expected.beam == 3
+
+    def test_decoder_weights_from_file(self, corpus, tmp_path, capsys):
+        # a decoder_lm reads its weights_path: the seed-4 weights saved as
+        # an FKWT file decode byte-identically to "seed": 4
+        from fusionkit.core import read_vocabulary
+        from fusionkit.decoder import Hyperparams, save_weights, seeded_weights
+
+        size = read_vocabulary(corpus / "vocab.txt").size
+        weights = tmp_path / "dec.fkwt"
+        save_weights(seeded_weights(Hyperparams(vocab_size=size), 4), weights)
+        outs = []
+        for name, source in [("seed", {"seed": 4}), ("file", {"weights_path": str(weights)})]:
+            cfg = {"strategy": "joint", "beam": 3, "scorers": [
+                {"name": "ctc", "kind": "ctc_prefix", "weight": 1.0},
+                {"name": "dec", "kind": "decoder_lm", "weight": 0.5, **source},
+            ]}
+            cfg_path = tmp_path / f"{name}.json"
+            cfg_path.write_text(json.dumps(cfg))
+            outs.append(tmp_path / name)
+            assert run(["decode", str(corpus), str(outs[-1]), "--config", str(cfg_path)], capsys)[0] == 0
+        for name in ["hyps.txt"] + [f"utt{i:04d}.nbest" for i in range(4)]:
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+    def test_decoder_weights_for_another_vocabulary_fail_cleanly(self, corpus, tmp_path, capsys):
+        from fusionkit.decoder import Hyperparams, save_weights, seeded_weights
+
+        weights = tmp_path / "dec.fkwt"
+        save_weights(seeded_weights(Hyperparams(vocab_size=5), 4), weights)
+        cfg = {"strategy": "joint", "scorers": [
+            {"name": "dec", "kind": "decoder_lm", "weight": 1.0, "weights_path": str(weights)},
+        ]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        code, stdout, err = run(["decode", str(corpus), str(out), "--config", str(cfg_path)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "scorer 'dec'" in err and "5 labels" in err
+        assert not out.exists()
+
+    def test_corrupt_posteriorgram_names_utterance_and_file(self, corpus, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for path in corpus.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        bad = broken / "utt0001.fkpg"
+        bad.write_bytes(bad.read_bytes()[:-7])
+        out = tmp_path / "o"
+        code, stdout, err = run(["decode", str(broken), str(out)], capsys)
+        assert code == 1
+        assert err.count("error:") == 1 and "utt0001" in err and str(bad) in err
+        assert not list(out.glob("*.nbest"))
 
     def test_unknown_config_key_rejected(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"

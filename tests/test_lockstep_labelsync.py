@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit.core import NEG_INF, Posteriorgram, ScorerWeights, Vocabulary, logsumexp
+from fusionkit.core import (
+    NEG_INF, Posteriorgram, ScorerWeights, ValidationError, Vocabulary, logsumexp,
+)
 from fusionkit.ctc import CtcPrefixScorer, topk_prune
 from fusionkit.decoder import Hyperparams, InterfaceConfig, seeded_weights
 from fusionkit.lm import TableLM, train_ngram
@@ -186,7 +188,7 @@ def handles(rng, kinds, seed):
             skewed[PLAIN[0]] = NEG_INF  # a label this context forbids
             skewed[PLAIN[1:] + [WIDE.eos_id]] = -math.log(len(PLAIN))
             entries = (((PLAIN[2],), skewed), ((WIDE.bos_id, PLAIN[3]), skewed))
-            out.append(ScorerHandle("table", "table", model=TableLM(WIDE, entries, dist)))
+            out.append(ScorerHandle("table", "ngram", model=TableLM(WIDE, entries, dist)))
         else:
             interface = InterfaceConfig("prefix", prompt=(PLAIN[0],))
             out.append(ScorerHandle(
@@ -291,6 +293,21 @@ class TestLockstepEqualsReference:
                 [random_pg(rng, 3), random_pg(rng, 2)], [handle],
                 ScorerWeights({"dec": 1.0}), 2, WIDE,
             )
+
+    @pytest.mark.parametrize("extra", [-3, 3])
+    def test_posteriorgram_width_must_match_vocabulary(self, extra):
+        # a CTC scorer reads column i as label i: a posteriorgram narrower
+        # or wider than the vocabulary is rejected, not decoded
+        rng = np.random.default_rng(6)
+        other = Vocabulary.from_tokens(["<blank>", "<s>", "</s>"] + list("defghijklm")[: 7 + extra])
+        bad = random_pg(rng, 4, other)
+        weights = ScorerWeights({"ctc": 1.0})
+        with pytest.raises(ValidationError, match="labels"):
+            labelsync_lockstep(
+                [random_pg(rng, 3), bad], [ScorerHandle("ctc", "ctc_prefix")], weights, 2, WIDE
+            )
+        with pytest.raises(ValidationError, match="labels"):
+            labelsync_beam([CtcPrefixLabelScorer(bad, WIDE)], weights, 2, WIDE, max_len=4)
 
 
 class TestChunkPrefixScorer:

@@ -19,12 +19,13 @@ from fusionkit.search import (
     NBestList,
     ScorerHandle,
     delayed_fusion_beam,
-    exhaustive_decode,
     labelsync_beam,
     rescore_nbest,
     timesync_ctc_beam,
     write_nbest,
 )
+
+from oracle import exhaustive_decode
 
 # vocab: blank, bos, eos, then plain labels a b c
 VOCAB = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b", "c"])
@@ -518,6 +519,31 @@ class TestRescoreNBest:
         assert rescored.best.labels == oracle.best.labels
         assert rescored.best.combined == pytest.approx(oracle.best.combined, abs=1e-9)
 
+    def test_cross_vocabulary_retokenized_word_by_word(self):
+        # an LM on a vocabulary of its own scores each hypothesis's words in
+        # its own units: "ab ca" is the two word tokens there
+        am_vocab, lm_vocab = build_cross_vocab()
+        corpus = [retokenize(lm_vocab, "ab ca"), retokenize(lm_vocab, "c ab")]
+        lm = train_ngram(lm_vocab, corpus, order=2)
+        eos = am_vocab.eos_id
+        labels = [am_vocab.id_of(t) for t in ("▁a", "b", "▁c", "a")]
+        base = NBestList(
+            [
+                NBestEntry((*labels, eos), {"am": -2.0}, -2.0, True),
+                NBestEntry((am_vocab.id_of("▁c"), eos), {"am": -1.0}, -1.0, True),
+            ]
+        )
+        want = {
+            "ab ca": lm_logprob(lm, [lm_vocab.id_of("▁ab"), lm_vocab.id_of("▁ca")]),
+            "c": lm_logprob(lm, [lm_vocab.id_of("▁c")]),
+        }
+        out = rescore_nbest(base, am_vocab, lm, lm_weight=0.5)
+        assert len(out) == 2
+        for e in out:
+            llp = want[am_vocab.text(e.output_labels(eos))]
+            assert e.components == {"am": e.components["am"], "rescore_lm": llp}
+            assert e.combined == e.components["am"] + 0.5 * llp
+
 
 class TestExhaustiveDecode:
     def test_singleton_vocab(self):
@@ -634,7 +660,7 @@ class TestScorerHandle:
         cfg = InterfaceConfig("prefix")
         handles = [
             ScorerHandle("ctc", "ctc_prefix"),
-            ScorerHandle("lm", "table", model=lm),
+            ScorerHandle("lm", "ngram", model=lm),
             ScorerHandle("dec", "decoder_lm", decoder_weights=w, interface=cfg),
         ]
         scorers = [h.build(VOCAB, pg) for h in handles]
