@@ -19,7 +19,6 @@ import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -72,10 +71,14 @@ from fusionkit.search import (
 from fusionkit.synth import SynthConfig, gen_corpus
 
 # utterances that one lockstep search (timesync, delayed, joint) decodes
-# together; a joint lockstep takes at most LOCKSTEP_ROWS // beam of them, as
-# each live hypothesis holds the decoder's keys and values
+# together, taken longest first (read_corpus_dir's order).  A joint lockstep
+# takes at least LOCKSTEP_ROWS // beam of them, then more while beam times
+# their frames stays within LOCKSTEP_ROW_FRAMES (64 rows of 48 frames), as
+# each live hypothesis holds the decoder's keys and values: short
+# utterances share fewer, fuller label steps
 LOCKSTEP_UTTERANCES = 32
 LOCKSTEP_ROWS = 64
+LOCKSTEP_ROW_FRAMES = 3072
 # the config keys that a decode flag of the same name overrides, and their types
 DECODE_FLAGS = {"strategy": str, "beam": int, "top_k": int, "compress_threshold": float,
                 "lm_path": str, "lm_weight": float}
@@ -97,6 +100,10 @@ def load_lm(path: str | Path) -> NGramModel | TableLM:
 
 
 def read_corpus_dir(corpus_dir: str | Path):
+    """The vocabulary and ``(utt_id, FKPG path, transcript)`` per utterance,
+    longest first: by FKPG size, which grows with frames at a fixed width,
+    ties in ``refs.txt`` order.  An id must name one file in ``corpus_dir``,
+    once."""
     corpus_dir = Path(corpus_dir)
     vocab_path = corpus_dir / "vocab.txt"
     refs_path = corpus_dir / "refs.txt"
@@ -104,15 +111,24 @@ def read_corpus_dir(corpus_dir: str | Path):
         if not p.exists():
             raise CliError(f"missing corpus file: {p}")
     vocab = read_vocabulary(vocab_path)
-    utts = []
+    utts, lines, sizes = [], {}, {}
     for lineno, line in enumerate(read_text(refs_path).splitlines(), 1):
         utt_id, tab, transcript = line.partition("\t")
         if not tab:
             raise CliError(f"{refs_path} line {lineno}: expected '<utterance id>\\t<transcript>'")
+        if utt_id in ("", ".", "..") or "/" in utt_id or "\\" in utt_id:
+            raise CliError(f"{refs_path} line {lineno}: bad utterance id {utt_id!r}")
+        if utt_id in lines:
+            raise CliError(f"{refs_path} line {lineno}: utterance id {utt_id!r} "
+                           f"repeats line {lines[utt_id]}")
+        lines[utt_id] = lineno
         pg_path = corpus_dir / f"{utt_id}.fkpg"
-        if not pg_path.exists():
-            raise CliError(f"missing posteriorgram for {utt_id}: {pg_path}")
+        try:
+            sizes[utt_id] = pg_path.stat().st_size
+        except (OSError, ValueError):
+            raise CliError(f"missing posteriorgram for {utt_id}: {pg_path}") from None
         utts.append((utt_id, pg_path, transcript))
+    utts.sort(key=lambda u: -sizes[u[0]])  # stable: ties keep refs.txt order
     return vocab, utts
 
 
@@ -205,7 +221,8 @@ class DecodeConfig:
     compress_threshold: float | None = _key(
         None, lambda v: v is None or _finite(v, 0) or v == math.inf, "null or a number > 0"
     )
-    # an FKLM or table JSON LM, fused by timesync and delayed, which needs one
+    # an FKLM or table JSON LM, fused by timesync (unless lm_weight is 0) and
+    # delayed, which needs one (search.frame_lm)
     lm_path: str | None = _key(None, lambda v: v is None or _path(v), "null or a file path")
     lm_weight: float = _key(0.0, _finite, "a finite number")
     scorers: tuple[dict, ...] = _key((), lambda v: isinstance(v, (list, tuple)), "a list")  # joint
@@ -218,8 +235,6 @@ class DecodeConfig:
         names = [s["name"] for s in self.scorers]
         if len(set(names)) < len(names):
             raise ValidationError(f"scorer names must be unique: {names}")
-        if self.strategy == "delayed" and self.lm_path is None:
-            raise ValidationError("delayed fusion needs lm_path")
 
     @classmethod
     def from_json(cls, path: str | Path | None = None, **overrides) -> DecodeConfig:
@@ -254,22 +269,38 @@ class Session:
         """Load the models ``cfg`` names.  One that cannot be read, or does
         not fit ``vocab``, fails naming its scorer, before any output."""
         if cfg.strategy in ("timesync", "delayed"):  # joint names its LMs in scorers
-            lm = load_lm(cfg.lm_path) if cfg.lm_path else None
+            delayed = cfg.strategy == "delayed"
+            fused = cfg.lm_path and (delayed or cfg.lm_weight != 0)  # else none is fused
+            lm = load_lm(cfg.lm_path) if fused else None
             try:
-                frame_lm(vocab, lm, cfg.lm_weight, cfg.strategy == "delayed")
+                frame_lm(vocab, lm, cfg.lm_weight, delayed)
             except ValidationError as exc:
-                raise ValidationError(f"{exc}: {cfg.lm_path}") from exc
+                raise ValidationError(f"{exc}: {cfg.lm_path}" if lm else str(exc)) from exc
             return cls(cfg, vocab, lm=lm)
         if cfg.strategy != "joint":
             return cls(cfg, vocab)
         scorers, weights = build_joint_scorers(cfg, vocab)
         return cls(cfg, vocab, scorers=scorers, weights=weights)
 
-    @property
-    def lockstep_size(self) -> int:  # utterances per search
-        if self.cfg.strategy == "joint":
-            return max(1, min(LOCKSTEP_UTTERANCES, LOCKSTEP_ROWS // self.cfg.beam))
-        return 1 if self.cfg.strategy == "ctc-greedy" else LOCKSTEP_UTTERANCES
+    def locksteps(self, items):
+        """``(utt_id, Posteriorgram)`` pairs in the lists that one search
+        decodes together, in order: see LOCKSTEP_UTTERANCES."""
+        cfg = self.cfg
+        least = most = 1 if cfg.strategy == "ctc-greedy" else LOCKSTEP_UTTERANCES
+        budget = 0  # the frames a lockstep past its floor may hold
+        if cfg.strategy == "joint":  # each utterance holds beam rows
+            least = max(1, min(most, LOCKSTEP_ROWS // cfg.beam))
+            budget = LOCKSTEP_ROW_FRAMES // cfg.beam
+        chunk, frames = [], 0
+        for item in items:
+            n = item[1].num_frames
+            if len(chunk) == most or len(chunk) >= least and frames + n > budget:
+                yield chunk
+                chunk, frames = [], 0
+            chunk.append(item)
+            frames += n
+        if chunk:
+            yield chunk
 
     def search(self, pgs: Sequence[Posteriorgram], stats: Sequence[DecodeStats]) -> list[NBestList]:
         """The n-best lists of prepared posteriorgrams, their counters in
@@ -353,16 +384,16 @@ def read_posteriorgrams(utts):
 
 
 def decode_corpus(session: Session, items):
-    """Decode ``(utt_id, Posteriorgram)`` pairs, ``session.lockstep_size``
-    at a time, yielding ``(utt_id, n-best list, stats)``.
+    """Decode ``(utt_id, Posteriorgram)`` pairs, a lockstep of
+    :meth:`Session.locksteps` at a time, yielding ``(utt_id, n-best list,
+    stats)`` in their order.
 
     A posteriorgram whose width is not the vocabulary's fails, naming its
     utterance; so does a failed decode, rerunning a failed lockstep one
     utterance at a time to find the one that fails, and a search that finds
     no hypothesis with a finite score.
     """
-    items = iter(items)
-    while chunk := list(islice(items, session.lockstep_size)):
+    for chunk in session.locksteps(items):
         for utt_id, pg in chunk:
             check_width(pg, session.vocab, f"posteriorgram of {utt_id}")
         try:

@@ -159,10 +159,40 @@ class TestSynthAndDecode:
             assert str(refs) in err and f"line {line}" in err
 
     @pytest.mark.parametrize(
+        "utt_id,message",
+        [
+            ("", "bad utterance id ''"),
+            (".", "bad utterance id '.'"),
+            ("..", "bad utterance id '..'"),
+            ("../broken/utt0001", "bad utterance id '../broken/utt0001'"),  # names a file
+            ("sub\\utt0001", "bad utterance id 'sub\\\\utt0001'"),  # so does this, on Windows
+            ("utt0001", "utterance id 'utt0001' repeats line 2"),
+        ],
+        ids=["empty", "dot", "dotdot", "slash", "backslash", "repeated"],
+    )
+    def test_bad_utterance_id_names_refs_line(self, corpus, tmp_path, capsys, utt_id, message):
+        # an id names one posteriorgram of the corpus dir, and one output, once
+        broken = tmp_path / "broken"
+        broken.mkdir()
+        for path in corpus.iterdir():
+            (broken / path.name).write_bytes(path.read_bytes())
+        (broken / "sub\\utt0001.fkpg").write_bytes((corpus / "utt0001.fkpg").read_bytes())
+        refs = broken / "refs.txt"
+        refs.write_text(refs.read_text() + utt_id + "\tsome words\n")
+        lineno = len(refs.read_text().splitlines())
+        out = tmp_path / "o"
+        for command in (["decode", str(broken), str(out)], ["bench", str(broken)]):
+            code, stdout, err = run(command, capsys)
+            assert code == 1 and stdout == ""
+            assert err.count("error:") == 1 and f"{refs} line {lineno}: {message}" in err
+        assert not out.exists()
+        assert not list(tmp_path.rglob("*.nbest"))
+
+    @pytest.mark.parametrize(
         "cfg,message",
         [
             ({"strategy": "bogus"}, "unknown strategy"),
-            ({"strategy": "delayed"}, "needs lm_path"),
+            ({"strategy": "delayed"}, "delayed needs an LM"),
             ({"strategy": "joint", "scorers": [{"name": "x", "kind": "bogus", "weight": 1}]},
              "unknown scorer kind"),
             ({"strategy": "joint", "scorers": [{"name": "x", "weight": 1}]}, "name and a kind"),
@@ -176,7 +206,7 @@ class TestSynthAndDecode:
             ({"strategy": "joint",
               "scorers": [{"name": "x", "kind": "decoder_lm", "interface": "bogus", "weight": 1}]},
              "unknown keys"),
-            ({"strategy": "timesync", "lm_path": "no.fklm"}, "cannot read LM file"),
+            ({"strategy": "timesync", "lm_path": "no.fklm", "lm_weight": 0.3}, "cannot read LM file"),
             ({"strategy": "joint", "scorers": [{"name": "x", "kind": "ctc_prefix",
                                                 "weight": float("nan")}]}, "must be finite"),
             ({"strategy": "joint", "scorers": [{"name": "x", "kind": "ctc_prefix",
@@ -238,7 +268,7 @@ class TestSynthAndDecode:
             code, stdout, err = run(command, capsys)
             assert code == 1 and stdout == ""
             assert err.count("error:") == 1 and message in err
-            assert ".fkpg" not in err
+            assert ".fkpg" not in err and ": None" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -264,6 +294,28 @@ class TestSynthAndDecode:
             code, _, err = run(command, capsys)
             assert code == 0 and err == ""
         assert (out / "hyps.txt").exists()
+
+    def test_timesync_at_weight_zero_loads_no_lm(self, corpus, tmp_path, capsys):
+        # timesync fuses no LM at weight 0, so lm_path is never read; delayed
+        # still needs its LM
+        missing = str(tmp_path / "missing.fklm")
+        flags = ["--strategy", "timesync", "--beam", "3", "--lm-weight", "0"]
+        plain, with_lm = tmp_path / "plain", tmp_path / "with_lm"
+        assert run(["decode", str(corpus), str(plain), *flags], capsys)[0] == 0
+        code, _, err = run(["decode", str(corpus), str(with_lm), *flags, "--lm-path", missing], capsys)
+        assert code == 0 and err == ""
+        for name in ["hyps.txt"] + [f"utt{i:04d}.nbest" for i in range(4)]:
+            assert (with_lm / name).read_bytes() == (plain / name).read_bytes()
+        counters = (plain / "stats.txt").read_text().splitlines()[:5]
+        assert (with_lm / "stats.txt").read_text().splitlines()[:5] == counters
+        out = tmp_path / "delayed"
+        code, stdout, err = run(
+            ["decode", str(corpus), str(out), "--strategy", "delayed", "--lm-weight", "0",
+             "--lm-path", missing], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "cannot read LM file" in err and missing in err
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize(
@@ -580,6 +632,111 @@ class TestSynthAndDecode:
         code, _, err = run(["decode", str(corpus), str(tmp_path / "o"), "--config", str(cfg_path)], capsys)
         assert code == 1
         assert "bogus" in err
+
+
+class TestLockstepSchedule:
+    """Utterances go to the searches longest first: a joint lockstep takes
+    at least LOCKSTEP_ROWS // beam of them, then more within the row-frame
+    budget.  Which utterances share a lockstep changes no output."""
+
+    @staticmethod
+    def joint_config(tmp_path, *scorers):
+        cfg_path = tmp_path / "joint.json"
+        scorers = [{"name": "ctc", "kind": "ctc_prefix", "weight": 1.0}, *scorers]
+        cfg_path.write_text(json.dumps({"strategy": "joint", "beam": 16, "scorers": scorers}))
+        return str(cfg_path)
+
+    @staticmethod
+    def record_locksteps(monkeypatch):
+        from fusionkit import cli
+
+        frames, search = [], cli.labelsync_lockstep
+
+        def recording(pgs, *args):
+            frames.append([pg.num_frames for pg in pgs])
+            return search(pgs, *args)
+
+        monkeypatch.setattr(cli, "labelsync_lockstep", recording)
+        return frames
+
+    def test_corpus_listed_longest_first_ties_in_refs_order(self, corpus, tmp_path):
+        from fusionkit.cli import read_corpus_dir
+        from fusionkit.core import read_posteriorgram
+
+        copy = tmp_path / "corpus"
+        copy.mkdir()
+        for path in corpus.iterdir():
+            (copy / path.name).write_bytes(path.read_bytes())
+        for name in ("b", "a"):  # ties with utt0002
+            (copy / f"{name}.fkpg").write_bytes((corpus / "utt0002.fkpg").read_bytes())
+        ids = ["b", "utt0003", "utt0002", "utt0000", "a", "utt0001"]
+        (copy / "refs.txt").write_text("".join(f"{u}\tw\n" for u in ids))
+        _, utts = read_corpus_dir(copy)
+        listed = [u for u, _, _ in utts]
+        frames = [read_posteriorgram(path).num_frames for _, path, _ in utts]
+        assert sorted(listed) == sorted(ids)
+        assert frames == sorted(frames, reverse=True) and frames[0] > frames[-1]
+        ties = [u for u in listed if u in ("a", "b", "utt0002")]
+        assert ties == ["b", "utt0002", "a"]
+
+    @pytest.mark.parametrize("strategy", ["joint", "timesync"])
+    def test_shuffled_refs_decode_identically(self, lm_file, tmp_path, capsys, strategy):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", str(corpus), "--seed", "3", "--utts", "7", "--noise", "0.4",
+                     "--min-words", "1", "--max-words", "5"]) == 0
+        shuffled = tmp_path / "shuffled"
+        shuffled.mkdir()
+        for path in corpus.iterdir():
+            (shuffled / path.name).write_bytes(path.read_bytes())
+        lines = (corpus / "refs.txt").read_text().splitlines()
+        (shuffled / "refs.txt").write_text("\n".join(lines[i] for i in (4, 1, 6, 0, 3, 5, 2)) + "\n")
+        if strategy == "joint":
+            flags = ["--config", self.joint_config(
+                tmp_path, {"name": "lm", "kind": "ngram", "weight": 0.5, "path": str(lm_file)},
+                {"name": "dec", "kind": "decoder_lm", "weight": 0.05})]
+        else:
+            flags = ["--strategy", "timesync", "--beam", "4", "--lm-path", str(lm_file),
+                     "--lm-weight", "0.5"]
+        outs = [tmp_path / "out", tmp_path / "out_shuffled"]
+        for source, out in zip((corpus, shuffled), outs):
+            assert run(["decode", str(source), str(out), *flags], capsys)[0] == 0
+        for name in ["hyps.txt"] + [f"utt{i:04d}.nbest" for i in range(7)]:
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+        counters = (outs[0] / "stats.txt").read_text().splitlines()[:5]
+        assert (outs[1] / "stats.txt").read_text().splitlines()[:5] == counters
+
+    def test_short_utterances_fill_the_row_frame_budget(self, tmp_path, capsys, monkeypatch):
+        from fusionkit import cli
+
+        corpus = tmp_path / "corpus"
+        assert main(["synth", str(corpus), "--seed", "0", "--utts", "17", "--noise", "0.3"]) == 0
+        frames = self.record_locksteps(monkeypatch)
+        cfg, least, outs = self.joint_config(tmp_path), cli.LOCKSTEP_ROWS // 16, []
+        for cap in (cli.LOCKSTEP_UTTERANCES, 5):
+            monkeypatch.setattr(cli, "LOCKSTEP_UTTERANCES", cap)
+            frames.clear()
+            outs.append(tmp_path / f"out{cap}")
+            assert run(["decode", str(corpus), str(outs[-1]), "--config", cfg], capsys)[0] == 0
+            assert sum(map(len, frames)) == 17
+            assert all(least <= len(f) <= cap for f in frames[:-1]) and len(frames[-1]) <= cap
+            for lockstep, after in zip(frames, frames[1:]):
+                if len(lockstep) > least:  # each one past the floor within the budget
+                    assert 16 * sum(lockstep) <= cli.LOCKSTEP_ROW_FRAMES
+                if len(lockstep) < cap:  # and the next one would not have fit
+                    assert 16 * (sum(lockstep) + after[0]) > cli.LOCKSTEP_ROW_FRAMES
+            assert least < max(map(len, frames)) <= cap
+        for name in ["hyps.txt"] + [f"utt{i:04d}.nbest" for i in range(17)]:
+            assert (outs[1] / name).read_bytes() == (outs[0] / name).read_bytes()
+
+    def test_long_utterances_keep_the_floor(self, tmp_path, capsys, monkeypatch):
+        corpus = tmp_path / "corpus"
+        assert main(["synth", str(corpus), "--seed", "1", "--utts", "5", "--noise", "0.3",
+                     "--min-words", "20", "--max-words", "24"]) == 0
+        frames = self.record_locksteps(monkeypatch)
+        cfg = self.joint_config(tmp_path)
+        assert run(["decode", str(corpus), str(tmp_path / "o"), "--config", cfg], capsys)[0] == 0
+        assert [len(f) for f in frames] == [4, 1]
+        assert min(map(min, frames)) > 160
 
 
 class TestWerCommand:

@@ -573,6 +573,11 @@ class TestWeightsIO:
             ("bad-meta", "needs six positive integers"),
             ("too-many-layers", "layers <= tensors"),
             ("too-many-axes", "tensor 'deep' has 65 axes"),
+            ("truncated-header", "truncated header"),
+            ("bad-version", "unsupported version 2"),
+            ("truncated-table", "truncated tensor table"),
+            ("trailing-bytes", "1 trailing bytes"),
+            ("dim-not-divisible", "model dim must divide evenly into heads"),
         ],
     )
     def test_malformed_file_raises_format_error(self, tmp_path, case, message):
@@ -595,7 +600,17 @@ class TestWeightsIO:
                 tensors["meta.hyperparams"][1] = 0.5
             elif case == "too-many-layers":
                 tensors["meta.hyperparams"][0] = 1e6
+            elif case == "dim-not-divisible":
+                tensors["meta.hyperparams"][2] = 3  # heads
             write_tensor_container(tensors, path)
+            edits = {  # of the file's bytes
+                "truncated-header": lambda data: data[:11],
+                "bad-version": lambda data: data[:4] + struct.pack("<I", 2) + data[8:],
+                "truncated-table": lambda data: data[:13],
+                "trailing-bytes": lambda data: data + b"\0",
+            }
+            if case in edits:
+                path.write_bytes(edits[case](path.read_bytes()))
             if case == "too-many-axes":  # numpy cannot build it, so append it
                 data = bytearray(path.read_bytes())
                 data[8:12] = struct.pack("<I", len(tensors) + 1)
