@@ -99,11 +99,30 @@ def load_lm(path: str | Path) -> NGramModel | TableLM:
     return load_table_lm(path)
 
 
+def read_id_lines(path: Path) -> dict[str, tuple[int, str]]:
+    """The ``<id>\\t<text>`` lines of a UTF-8 file as id -> (line number,
+    text), in file order.  Every line needs its tab, and an id names one
+    file in a corpus dir, once: it is nonempty, not ``.`` or ``..``, holds
+    no ``/`` or ``\\`` and repeats no earlier line's.  CliError names the
+    file and line of the first that breaks this."""
+    ids: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(read_text(path).splitlines(), 1):
+        utt_id, tab, text = line.partition("\t")
+        if not tab:
+            raise CliError(f"{path} line {lineno}: expected '<utterance id>\\t<transcript>'")
+        if utt_id in ("", ".", "..") or "/" in utt_id or "\\" in utt_id:
+            raise CliError(f"{path} line {lineno}: bad utterance id {utt_id!r}")
+        if utt_id in ids:
+            raise CliError(f"{path} line {lineno}: utterance id {utt_id!r} repeats line {ids[utt_id][0]}")
+        ids[utt_id] = lineno, text
+    return ids
+
+
 def read_corpus_dir(corpus_dir: str | Path):
     """The vocabulary and ``(utt_id, FKPG path, transcript)`` per utterance,
     longest first: by FKPG size, which grows with frames at a fixed width,
-    ties in ``refs.txt`` order.  An id must name one file in ``corpus_dir``,
-    once."""
+    ties in ``refs.txt`` order.  ``refs.txt`` ids follow
+    :func:`read_id_lines`."""
     corpus_dir = Path(corpus_dir)
     vocab_path = corpus_dir / "vocab.txt"
     refs_path = corpus_dir / "refs.txt"
@@ -111,17 +130,8 @@ def read_corpus_dir(corpus_dir: str | Path):
         if not p.exists():
             raise CliError(f"missing corpus file: {p}")
     vocab = read_vocabulary(vocab_path)
-    utts, lines, sizes = [], {}, {}
-    for lineno, line in enumerate(read_text(refs_path).splitlines(), 1):
-        utt_id, tab, transcript = line.partition("\t")
-        if not tab:
-            raise CliError(f"{refs_path} line {lineno}: expected '<utterance id>\\t<transcript>'")
-        if utt_id in ("", ".", "..") or "/" in utt_id or "\\" in utt_id:
-            raise CliError(f"{refs_path} line {lineno}: bad utterance id {utt_id!r}")
-        if utt_id in lines:
-            raise CliError(f"{refs_path} line {lineno}: utterance id {utt_id!r} "
-                           f"repeats line {lines[utt_id]}")
-        lines[utt_id] = lineno
+    utts, sizes = [], {}
+    for utt_id, (_, transcript) in read_id_lines(refs_path).items():
         pg_path = corpus_dir / f"{utt_id}.fkpg"
         try:
             sizes[utt_id] = pg_path.stat().st_size
@@ -232,6 +242,8 @@ class DecodeConfig:
         for f in fields(self):
             _check(f.name, getattr(self, f.name), f.metadata["rule"])
         object.__setattr__(self, "scorers", tuple(_scorer_entry(s) for s in self.scorers))
+        if self.strategy == "joint" and not self.scorers:
+            raise ValidationError("joint decoding needs at least one scorer")
         names = [s["name"] for s in self.scorers]
         if len(set(names)) < len(names):
             raise ValidationError(f"scorer names must be unique: {names}")
@@ -458,15 +470,10 @@ def read_text(path: str | Path) -> str:
         raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
-def read_lines(path: str | Path) -> list[str]:
-    """The non-empty lines of a UTF-8 text file."""
-    return [line for line in read_text(path).splitlines() if line]
-
-
 def read_sentences(path: str | Path, normalization: str) -> list[str]:
     """A text file's non-empty lines, normalized unless ``normalization``
     is "none"; a file without any is an error."""
-    lines = read_lines(path)
+    lines = [line for line in read_text(path).splitlines() if line]
     if not lines:
         raise ValidationError(f"{path} holds no text")
     if normalization != "none":
@@ -475,13 +482,15 @@ def read_sentences(path: str | Path, normalization: str) -> list[str]:
 
 
 def cmd_wer(args) -> int:
-    refs = dict(line.partition("\t")[::2] for line in read_lines(args.refs))
-    hyps = dict(line.partition("\t")[::2] for line in read_lines(args.hyps))
+    refs, hyps = read_id_lines(args.refs), read_id_lines(args.hyps)
+    for utt_id, (lineno, _) in hyps.items():
+        if utt_id not in refs:
+            raise CliError(f"{args.hyps} line {lineno}: hypothesis id {utt_id!r} has no reference")
     missing = sorted(set(refs) - set(hyps))
     if missing:
         raise CliError(f"hypotheses missing for ids: {missing[:5]}")
     pairs = [
-        (words(refs[k], args.normalization), words(hyps[k], args.normalization))
+        (words(refs[k][1], args.normalization), words(hyps[k][1], args.normalization))
         for k in sorted(refs)
     ]
     counts = corpus_wer(pairs)

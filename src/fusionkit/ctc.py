@@ -17,6 +17,7 @@ from fusionkit.core import NEG_INF, EncoderOutput, Posteriorgram, logsumexp_rows
 _EPS = float(np.finfo(np.float64).eps)
 _BLOCK_SIZE = 12288  # a quarter of the float64 terms per block of CtcPrefixScorer's folds
 _UNDERFLOW = 2.0**-900  # a dot product below this may have lost terms to underflow
+_NO_PEAK = -float(np.finfo(np.float64).max)  # the peak of a row with no finite term
 
 
 def collapse(frame_labels: Sequence[int], blank_id: int) -> list[int]:
@@ -277,6 +278,7 @@ class CtcPrefixScorer:
         self.lengths = np.array([pg.num_frames for pg in pgs])
         self.num_frames = T = int(self.lengths.max())
         self._blank = self._padded(np.array([blank_id]))[:, :, 0]
+        self._ends = self.lengths.tolist()
         self._logs = np.array([NEG_INF] + [math.log(n) for n in range(1, T + 1)])
         self._columns: tuple | None = None
 
@@ -294,21 +296,29 @@ class CtcPrefixScorer:
         log_sum = np.logaddexp(log_nb, log_b)
         return PrefixStates(0, np.arange(U), np.full(U, -1), log_nb, log_b, log_sum, np.zeros(U))
 
-    def _plain_columns(self, cands: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
-        """Each candidate's column among the plain ones (-1 for EOS), their
-        (T, U, C') posteriors and per posteriorgram its frames, support
-        columns, their peaks m_col and exp(x - m_col), kept while the
+    def _columns_of(self, cands: np.ndarray) -> tuple:
+        """Each candidate's column among the plain ones (-1 for EOS), EOS's
+        columns, the plain ones' (T, U, C') posteriors, and per
+        posteriorgram and candidate the peak m_col (0 where it never emits
+        the label, and for EOS) and whether it emits the label; the
+        (T, U, C) exp(x - m_col), 1 in EOS's columns and 0 in the others
+        past a posteriorgram's last frame; then a plain label's candidate
+        column, -1 for any other label and at index -1.  Kept while the
         candidates stay the same."""
         if self._columns is None or not np.array_equal(self._columns[0], cands):
             plain = cands != self.eos_id
-            pos = np.where(plain, np.cumsum(plain) - 1, -1)
             xs = self._padded(cands[plain])
-            scaled = []
-            for u, end in enumerate(self.lengths.tolist()):
-                support = np.flatnonzero(xs[:end, u].max(axis=0) > NEG_INF)
-                m_col = xs[:end, u, support].max(axis=0)
-                scaled.append((end, support, m_col, np.exp(xs[:end, u, support] - m_col)))
-            self._columns = (cands, pos, xs, scaled)
+            peak, shape = xs.max(axis=0), (len(self.pgs), cands.size)
+            m_col, emits = np.zeros(shape), np.zeros(shape, dtype=bool)
+            emits[:, plain] = peak > NEG_INF
+            m_col[:, plain] = np.where(emits[:, plain], peak, 0.0)
+            scaled = np.zeros((self.num_frames, len(self.pgs), cands.size))
+            scaled[:, :, plain] = xs
+            np.exp(np.subtract(scaled, m_col, out=scaled), out=scaled)
+            column = np.full(self.pgs[0].num_labels + 1, -1)
+            column[cands[plain]] = np.flatnonzero(plain)
+            pos = np.where(plain, np.cumsum(plain) - 1, -1)
+            self._columns = (cands, pos, np.flatnonzero(~plain), xs, m_col, emits, scaled, column)
         return self._columns[1:]
 
     def step(
@@ -319,75 +329,89 @@ class CtcPrefixScorer:
         Returns (B, C) lower and upper bounds on the absolute log prefix
         probabilities that :meth:`exact` folds, and the artifacts it and
         :meth:`advance` work from.  A pair's terms phi[t] + x[t+1] sum to
-        exp(m_row + m_col) G, m_row and m_col the row's and column's peaks
-        and G the dot product of exp(phi - m_row) and exp(x - m_col): one
-        (1, K) @ (K, c_u) BLAS call per row, as a scorer of its own makes
-        it.  The bounds are m_row + m_col + log G -+ delta, a margin for the
-        rounding of exp, log, the dot product and the fold.  A repeated
-        label's phi is log_blank: its pair gets a dot product of its own.
-        Where G may have underflowed, the bounds are those of the largest
-        term (:func:`log_add_bounds`).  EOS is exact."""
+        exp(m_row + m_col) G, m_row the row's peak over its own frames,
+        m_col the column's over its posteriorgram and G the dot product of
+        exp(phi - m_row) and exp(x - m_col).  Each utterance's G is one
+        stacked (R_u, 1, K) @ (K, C) product of its rows and its scaled
+        columns, zero in the columns it never emits (and one in EOS's,
+        whose bounds are replaced): a (1, K) @ (K, C) BLAS call per row,
+        the one a scorer of its own makes.  (A 2-D (R_u, K) product has
+        OpenBLAS touch its gemm buffers, about 0.5 MB of resident memory.)
+        One pass over the (B, C) pairs then turns G into the bounds
+        (:meth:`_dot_bounds`).  A repeated label's phi is log_blank: those
+        pairs, at most one per row, get one multiply and sum in frame order
+        together, each row's frames past its end zero.  A G of exactly 0 on
+        a row with no finite phi or in a column the utterance never emits
+        is -inf in both bounds; a live pair whose G may have underflowed
+        takes the bounds of its largest term (:func:`log_add_bounds`).  EOS
+        is exact."""
         cands = np.asarray(candidates, dtype=np.int64)
         if np.any(cands == self.blank_id):
             raise ValueError("blank cannot be a prefix-scorer candidate")
-        S = states.length
+        S, utt, ends = states.length, states.utt, self.lengths[states.utt]
         B, C = len(states), cands.size
-        plain, xs, scaled = self._plain_columns(cands)
+        plain, eos, xs, m_col, emits, scaled, column = self._columns_of(cands)
         step = PrefixStep(states, cands, xs, plain, folded=np.full((B, C), np.nan))
-        lower = np.full((B, C), NEG_INF)
-        upper = np.full((B, C), NEG_INF)
 
-        cols = np.flatnonzero(plain >= 0)
-        for u, (end, support, m_col, x) in enumerate(scaled):
-            r = np.flatnonzero(states.utt == u)
-            if end <= S or not r.size or not support.size:
-                continue
-            # phi[t - 1] at the frames t in [S, end) at which a label may
-            # start, the leading term 0 at S = 0; a row each
-            phi = states.log_sum[max(S - 1, 0) : end - 1, r]
-            a = (np.vstack([np.zeros(r.size), phi]) if S == 0 else phi).T.copy()
-            m_row = self._scale_rows(a)
-            g = (a[:, None, :] @ x[S:end])[:, 0]
-            mine = cols[support]
-            grid = np.ix_(r, mine)
-            lower[grid], upper[grid] = self._dot_bounds(m_row, m_col, g, end - S)
-            # the empty prefix has no last label to repeat
-            rep, j = np.nonzero(states.last[r, None] == cands[mine])
-            if rep.size:
-                a = states.log_blank[S - 1 : end - 1, r[rep]].T.copy()
-                m_row = self._scale_rows(a)[:, 0]
-                g = np.multiply(a, x[S:end, j].T, out=a).sum(axis=1)
-                pairs = r[rep], mine[j]
-                lower[pairs], upper[pairs] = self._dot_bounds(m_row, m_col[j], g, end - S)
-        r, c = np.nonzero(np.isnan(lower))
+        g, m_row = np.zeros((B, C)), np.full(B, _NO_PEAK)
+        order = np.argsort(utt, kind="stable")
+        hi = np.cumsum(np.bincount(utt, minlength=len(self.pgs))).tolist()
+        for u, (lo, end) in enumerate(zip([0] + hi, self._ends)):
+            r = order[lo : hi[u]]
+            if end > S and r.size:
+                # phi[t - 1] at the frames t in [S, end) at which a label
+                # may start, the leading term 0 at S = 0; a row each
+                a = states.log_sum[max(S - 1, 0) : end - 1, r].T
+                a = np.hstack([np.zeros((r.size, 1)), a]) if S == 0 else a.copy()
+                m_row[r] = m = a.max(axis=1, initial=_NO_PEAK)
+                np.exp(np.subtract(a, m[:, None], out=a), out=a)
+                g[r] = (a[:, None, :] @ scaled[S:end, u])[:, 0]
+        rep = column[states.last]  # the empty prefix has no last label to repeat
+        r = c = np.zeros(0, dtype=np.int64)
+        low = g <= _UNDERFLOW  # EOS's too, but only on a row with no finite phi
+        if low.any():
+            r, c = np.nonzero(low)
+            live = (m_row[r] > _NO_PEAK) & emits[utt[r], c] & (rep[r] != c)
+            r, c = r[live], c[live]
+        lower, upper = self._dot_bounds(g, m_row[:, None], m_col[utt], np.maximum(ends - S, 1)[:, None])
+
+        k = np.flatnonzero((rep >= 0) & (ends > S))
+        if k.size:
+            j, u, end = rep[k], utt[k], ends[k]
+            a = states.log_blank[S - 1 : end.max() - 1, k]
+            a[np.arange(a.shape[0])[:, None] >= end - S] = NEG_INF
+            m = a.max(axis=0, initial=_NO_PEAK)
+            np.exp(np.subtract(a, m, out=a), out=a)
+            a *= scaled[S : end.max(), u, j]
+            g = np.cumsum(a, axis=0, out=a)[-1]  # in frame order: the zeros past an end change no bit
+            if np.any(g <= _UNDERFLOW):
+                live = (g <= _UNDERFLOW) & (m > _NO_PEAK) & emits[u, j]
+                r, c = np.append(r, k[live]), np.append(c, j[live])
+            lower[k, j], upper[k, j] = self._dot_bounds(g, m, m_col[u, j], end - S)
         if r.size:
-            n = self.lengths[states.utt[r]] - S
+            n = self.lengths[utt[r]] - S
             peak = self._reduce_terms(step, r, c, np.max)
             lower[r, c], upper[r, c] = log_add_bounds(peak, n, self._logs[n])
-
-        ends = self.lengths[states.utt]
-        eos = cands == self.eos_id
-        if np.any(eos):
-            lower[:, eos] = upper[:, eos] = states.log_sum[ends - 1, np.arange(B)][:, None]
+        lower[:, eos] = upper[:, eos] = states.log_sum[ends - 1, np.arange(B)][:, None]
         return lower, upper, step
 
-    @staticmethod
-    def _scale_rows(a: np.ndarray) -> np.ndarray:
-        """exp(a - m_row) in place; returns the (k, 1) row peaks m_row, 0 for
-        a row with no finite entry (G = 0 and a peak of -inf)."""
-        m_row = a.max(axis=1, keepdims=True)
-        m_row[m_row == NEG_INF] = 0.0
-        np.exp(np.subtract(a, m_row, out=a), out=a)
-        return m_row
-
-    def _dot_bounds(self, m_row, m_col, g, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """Bounds m_row + m_col + log G -+ delta on a fold of n terms, NaN
-        where G may have underflowed."""
-        log_g = np.log(np.where(g > _UNDERFLOW, g, np.nan))
-        center = m_row + m_col + log_g
-        magnitude = np.abs(m_row) + np.abs(m_col) + np.abs(log_g) + self._logs[n] + 8.0
-        delta = 64.0 * (n + 1024) * _EPS * magnitude
-        return center - delta, center + delta
+    def _dot_bounds(self, g, m_row, m_col, n) -> tuple[np.ndarray, np.ndarray]:
+        """Bounds m_row + m_col + log G -+ delta on folds of n terms, made in
+        place over g and m_col (a copy of the caller's), where
+        delta = 64 (n + 1024) eps (|m_row| + |m_col| + 900 ln 2 + log n + 8)
+        covers the rounding of exp, log, the dot product and the fold.
+        900 ln 2 + log n bounds |log G| for 2**-900 < G <= n, so delta
+        is a row term plus a row times |m_col|, with no log per pair.  A G
+        of 0 gives -inf in both bounds; one in (0, 2**-900] needs other
+        bounds."""
+        with np.errstate(divide="ignore"):
+            center = np.log(g, out=g)
+        center += m_row
+        center += m_col
+        delta = np.abs(m_col, out=m_col)
+        delta += np.abs(m_row) + (self._logs[n] - math.log(_UNDERFLOW) + 8.0)
+        delta *= 64.0 * (n + 1024) * _EPS
+        return center - delta, np.add(center, delta, out=center)
 
     def _reduce_terms(self, step: PrefixStep, rows, cols, reduce) -> np.ndarray:
         """``reduce`` over the frames, in order, of the terms phi[t] + x[t+1]

@@ -82,6 +82,14 @@ class TestSynthAndDecode:
         assert err.count("error:") == 1 and "jobs" in err
         assert not out.exists()
 
+    def test_joint_without_scorers_fails_before_output(self, corpus, tmp_path, capsys):
+        out = tmp_path / "o"
+        code, stdout, err = run(["decode", str(corpus), str(out), "--strategy", "joint"], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1
+        assert "error: joint decoding needs at least one scorer" in err
+        assert not out.exists()
+
     def test_decode_timesync_with_lm(self, corpus, lm_file, tmp_path, capsys):
         out = tmp_path / "fused"
         code, _, _ = run(
@@ -773,6 +781,23 @@ class TestWerCommand:
         code, stdout, err = run(["wer"] + [str(f) for f in files], capsys)
         assert code == 1 and stdout == ""
         assert err.count("error:") == 1 and str(gone) in err
+
+    @pytest.mark.parametrize(
+        "refs, hyps, bad, line",
+        [
+            ("a\tone two\na\tthree four\nb\tfive\n", "a\tone two\nb\tfive\nc\textra words\n", "refs", 2),
+            ("a\tone two\nb\tfive\n", "a\tone two\nb\tfive\na\tone\n", "hyps", 3),
+            ("a\tone two\nb\tfive\n", "a\tone two\nb\tfive\nc\textra words\n", "hyps", 3),
+        ],
+        ids=["repeated-ref", "repeated-hyp", "hyp-without-ref"],
+    )
+    def test_bad_ids_name_file_and_line(self, tmp_path, capsys, refs, hyps, bad, line):
+        files = {"refs": tmp_path / "refs.txt", "hyps": tmp_path / "hyps.txt"}
+        files["refs"].write_text(refs)
+        files["hyps"].write_text(hyps)
+        code, stdout, err = run(["wer", str(files["refs"]), str(files["hyps"])], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and f"{files[bad]} line {line}:" in err
 
 
 class TestPplCommand:

@@ -1,4 +1,6 @@
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -245,6 +247,53 @@ class TestNonFinitePayload:
         path = tmp_path / "x.fkpg"
         write_posteriorgram(Posteriorgram(lp), path)
         np.testing.assert_array_equal(read_posteriorgram(path).log_probs, lp)
+
+
+def matrix_file_bytes(fmt):
+    """A small FKPG (with pruned -inf entries) or FKEO file's bytes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"base.{fmt}"
+        if fmt == "fkpg":
+            with np.errstate(divide="ignore"):  # pruned labels are log 0
+                lp = np.log(np.array([[0.5, 0.25, 0.25, 0.0], [0.1, 0.0, 0.6, 0.3], [1.0, 0.0, 0.0, 0.0]]))
+            write_posteriorgram(Posteriorgram(lp, 40.0), path)
+        else:
+            write_encoder_output(EncoderOutput(np.linspace(-2.0, 2.0, 12).reshape(3, 4)), path)
+        return path.read_bytes()
+
+
+FUZZ_BASES = {fmt: matrix_file_bytes(fmt) for fmt in ("fkpg", "fkeo")}
+
+
+class TestFuzzedMatrixFiles:
+    @pytest.mark.filterwarnings("error")
+    @settings(max_examples=400, deadline=None)
+    @given(
+        fmt=st.sampled_from(["fkpg", "fkeo"]),
+        edit=st.sampled_from(["truncate", "flip", "insert"]),
+        where=st.floats(0, 1),
+        flip=st.integers(1, 255),
+        insert=st.binary(min_size=1, max_size=12),
+    )
+    def test_raise_only_format_or_validation_errors(self, fmt, edit, where, flip, insert):
+        # a truncated, flipped or grown FKPG/FKEO file reads or raises
+        # FormatError or ValidationError, with no warning
+        data = bytearray(FUZZ_BASES[fmt])
+        at = int(where * (len(data) - 1))
+        if edit == "truncate":
+            data = data[:at]
+        elif edit == "flip":
+            data[at] ^= flip
+        else:
+            data[at:at] = insert
+        read = read_posteriorgram if fmt == "fkpg" else read_encoder_output
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / f"fuzzed.{fmt}"
+            path.write_bytes(bytes(data))
+            try:
+                read(path)
+            except (FormatError, ValidationError):
+                pass
 
 
 class TestHypothesisAndWeights:

@@ -549,6 +549,93 @@ class TestPrefixScorer:
         assert lower[0, 0] == peak <= exact[0] <= upper[0, 0] < peak + 2.0
 
 
+def late_pg(t, v, label, other):
+    """A (t, v) posteriorgram that emits ``label`` almost surely in its last
+    frame and with probability e^-700 before it, where ``other`` and blank
+    share the mass: the prefix (label,) has a log_sum[t - 1] some 700 nats
+    above its earlier frames'."""
+    lp = np.full((t, v), NEG_INF)
+    lp[:, [label, BLANK, other]] = -700.0
+    lp[:-1, [BLANK, other]] = math.log(0.5)
+    lp[-1, label] = 0.0
+    return Posteriorgram(lp)
+
+
+class TestLockstepBounds:
+    EOS = 99
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        lengths=st.lists(st.integers(1, 10), min_size=1, max_size=3),
+        late=st.integers(2, 6),
+        keep=st.none() | st.integers(1, 3),
+        width=st.integers(2, 12),
+    )
+    def test_shuffled_lockstep_rows(self, seed, lengths, late, keep, width):
+        # 2-4 posteriorgrams of different lengths with disjoint label
+        # supports, one a late_pg that a longer one pads, rows shuffled out
+        # of utterance order: lower <= exact <= upper, all three -inf
+        # together, EOS exact, every pair whose G does not underflow within
+        # the 1e-6 of test_log_sum_exp_bounds_tight (a peak taken over the
+        # late_pg's padded frames breaks that), and each utterance's rows
+        # bit for bit those of a scorer over its posteriorgram alone
+        rng = np.random.default_rng(seed)
+        U = len(lengths) + 1
+        v = 2 * U + 2
+        lengths[0] = max(lengths[0], late + 1)
+        pgs = []
+        for u, t in enumerate(lengths):
+            support = [BLANK, 1 + u, 1 + u + U]  # labels of its own
+            lp = np.full((t, v), NEG_INF)
+            lp[:, support] = np.log(rng.dirichlet(np.ones(3), size=t))
+            pg = Posteriorgram(lp)
+            pgs.append(pg if keep is None else topk_prune(pg, keep + 1, True, BLANK))
+        late_label = v - 2
+        pgs.insert(int(rng.integers(U)), late_pg(late, v, late_label, v - 1))
+        sc = CtcPrefixScorer(pgs, BLANK, self.EOS)
+        alone = [CtcPrefixScorer(pg, BLANK, self.EOS) for pg in pgs]
+        cands = np.array(list(range(1, v)) + [self.EOS])
+        m_col = [pg.log_probs[:, cands[:-1]].max(axis=0) for pg in pgs]
+        states = sc.initial_state()
+        for _ in range(max(lengths) + 1):
+            S = states.length
+            lower, upper, step = sc.step(states, cands)
+            exact = exact_matrix(sc, step, lower.shape)
+            assert np.all(lower <= exact) and np.all(exact <= upper)
+            assert np.array_equal(np.isneginf(lower), np.isneginf(exact))
+            assert np.array_equal(np.isneginf(upper), np.isneginf(exact))
+            assert lower[:, -1].tobytes() == exact[:, -1].tobytes() == upper[:, -1].tobytes()
+            for u, pg in enumerate(pgs):
+                mine = np.flatnonzero(states.utt == u)
+                end = pg.num_frames
+                own = [a[:end, mine] for a in (states.log_nonblank, states.log_blank, states.log_sum)]
+                one = PrefixStates(S, 0 * mine, states.last[mine], *own, states.log_prefix_prob[mine])
+                lo1, hi1, _ = alone[u].step(one, cands)
+                assert lo1.tobytes() == lower[mine].tobytes() and hi1.tobytes() == upper[mine].tobytes()
+                for b in mine.tolist() if end > S else []:
+                    # m_row + m_col + log G is the exact score, m_row the
+                    # peak over the row's own frames; G > 2**-900 with a margin
+                    phi = states.log_sum[max(S - 1, 0) : end - 1, b]
+                    phi = np.append(0.0, phi) if S == 0 else phi  # the leading term 0
+                    blank = states.log_blank[S - 1 : end - 1, b].max() if S else 0.0
+                    m_row = np.where(states.last[b] == cands[:-1], blank, phi.max())
+                    row = exact[b, :-1]
+                    sure = row > NEG_INF
+                    sure[sure] = row[sure] - m_row[sure] - m_col[u][sure] > -600.0
+                    gap = upper[b, :-1][sure] - lower[b, :-1][sure]
+                    assert np.all(gap <= 1e-6 * (1.0 + np.abs(row[sure])))
+            rows, cols = np.nonzero(exact[:, :-1] > NEG_INF)
+            if rows.size == 0:
+                break
+            # survivors in a random order; the late_pg's (late_label,) is one
+            first = np.flatnonzero((S == 0) & (cands[cols] == late_label))
+            order = np.concatenate([first, rng.permutation(np.setdiff1d(np.arange(rows.size), first))])
+            order = rng.permutation(order[: max(width, first.size)])
+            states = sc.advance(step, rows[order], cols[order])
+
+
 class TestMergeIndices:
     def test_spec_pattern(self):
         # argmax runs [a,a,blank,b,b] with probs [.95,.96,.99,.80,.97]
