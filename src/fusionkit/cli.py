@@ -32,7 +32,9 @@ from fusionkit.core import (
     Vocabulary,
     check_width,
     read_encoder_output,
+    read_json,
     read_posteriorgram,
+    read_text,
     read_vocabulary,
     write_posteriorgram,
     write_vocabulary,
@@ -254,10 +256,7 @@ class DecodeConfig:
         each override that is not None in place of its key."""
         loaded = {}
         if path:
-            try:
-                loaded = json.loads(Path(path).read_text(encoding="utf-8"))
-            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-                raise FormatError(f"config file {path} is not valid JSON: {exc}") from exc
+            loaded = read_json(path)
             if not isinstance(loaded, dict):
                 raise FormatError(f"config file {path} must hold a JSON object")
             unknown = set(loaded) - {f.name for f in fields(cls)}
@@ -460,14 +459,6 @@ def format_stats(stats: DecodeStats) -> str:
         f"audio_seconds\t{stats.audio_seconds:.6f}\n"
         f"rtf\t{rtf}\n"
     )
-
-
-def read_text(path: str | Path) -> str:
-    """A UTF-8 text file's contents; other bytes raise FormatError."""
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
 
 
 def read_sentences(path: str | Path, normalization: str) -> list[str]:

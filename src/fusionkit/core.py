@@ -1,4 +1,5 @@
-"""Shared domain types, log-domain arithmetic, and binary file formats.
+"""Shared domain types, log-domain arithmetic, binary file formats, and the
+checked UTF-8 text and JSON readers.
 
 Scores are natural-log probabilities throughout; matrices live on disk as
 row-major little-endian float32 and are widened to float64 in memory.
@@ -6,6 +7,7 @@ row-major little-endian float32 and are widened to float64 in memory.
 
 from __future__ import annotations
 
+import json
 import math
 import struct
 from dataclasses import dataclass
@@ -197,11 +199,25 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
+    return vocabulary_from_lines(read_text(path).splitlines(), f"vocabulary {path}")
+
+
+def read_text(path: str | Path) -> str:
+    """A UTF-8 text file's contents; other bytes raise FormatError."""
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise FormatError(f"vocabulary {path}: not UTF-8 text ({exc})") from exc
-    return vocabulary_from_lines(lines, f"vocabulary {path}")
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def read_json(path: str | Path):
+    """The JSON document in a UTF-8 file.  Malformed JSON, and JSON nested
+    deeper than the parser's recursion limit, raise FormatError."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise FormatError(f"{path}: not a JSON document ({exc})") from exc
 
 
 def _check_rows_normalized(log_probs: np.ndarray, tol: float = 1e-6) -> None:
@@ -306,14 +322,6 @@ class EncoderOutput:
         if fr.ndim != 2 or fr.shape[0] < 1 or fr.shape[1] < 1:
             raise ValidationError("encoder output must be a T x D matrix with T, D >= 1")
         fr.setflags(write=False)
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.frames.shape[1]
 
 
 def write_encoder_output(enc: EncoderOutput, path: str | Path) -> None:

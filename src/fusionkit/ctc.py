@@ -1,4 +1,4 @@
-"""CTC probabilities, collapsing, prefix scoring, compression, and pruning.
+"""CTC collapsing, prefix scoring, compression, and pruning.
 
 All functions are pure over immutable inputs.  Argmax ties break toward the
 lowest label id so every result is reproducible.
@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, EncoderOutput, Posteriorgram, logsumexp_rows
+from fusionkit.core import NEG_INF, Posteriorgram, logsumexp_rows
 
 _EPS = float(np.finfo(np.float64).eps)
 _BLOCK_SIZE = 12288  # a quarter of the float64 terms per block of CtcPrefixScorer's folds
@@ -35,43 +35,6 @@ def greedy_decode(pg: Posteriorgram, blank_id: int) -> list[int]:
     """Collapse the per-frame argmax path (ties go to the lowest id)."""
     best = np.argmax(pg.log_probs, axis=1)
     return collapse(best.tolist(), blank_id)
-
-
-def ctc_forward_logprob(pg: Posteriorgram, target: Sequence[int], blank_id: int) -> float:
-    """Log probability that the collapsed frame labels equal ``target``.
-
-    Sums over every alignment path; infeasible targets give -inf.
-    """
-    target = list(target)
-    if blank_id in target:
-        raise ValueError("target must not contain the blank label")
-    lp = pg.log_probs
-    T = lp.shape[0]
-    S = len(target)
-    if S == 0:
-        return float(np.sum(lp[:, blank_id]))
-
-    # interleave blanks: extended target of length 2S+1
-    ext = np.empty(2 * S + 1, dtype=np.int64)
-    ext[0::2] = blank_id
-    ext[1::2] = target
-    n = ext.size
-
-    alpha = np.full(n, NEG_INF)
-    alpha[0] = lp[0, ext[0]]
-    alpha[1] = lp[0, ext[1]]
-    for t in range(1, T):
-        prev = alpha
-        stay = prev
-        from_prev = np.concatenate(([NEG_INF], prev[:-1]))
-        # skip transition is allowed into a non-blank that differs from the
-        # non-blank two positions back
-        from_skip = np.full(n, NEG_INF)
-        can_skip = np.zeros(n, dtype=bool)
-        can_skip[3::2] = ext[3::2] != ext[1:-2:2]
-        from_skip[can_skip] = prev[:-2][can_skip[2:]]
-        alpha = np.logaddexp(np.logaddexp(stay, from_prev), from_skip) + lp[t, ext]
-    return float(np.logaddexp(alpha[-1], alpha[-2]))
 
 
 @dataclass(frozen=True)
@@ -111,21 +74,6 @@ def merge_indices(pg: Posteriorgram, threshold: float) -> MergeIndexMap:
     sure = np.exp(lp[np.arange(lp.shape[0]), best]) >= threshold
     opens = (best[1:] != best[:-1]) | ~sure[1:] | ~sure[:-1]  # a frame starting a group
     return MergeIndexMap(tuple(np.cumsum(np.append(1, opens)).tolist()), threshold)
-
-
-def compress_encoder(enc: EncoderOutput, index_map: MergeIndexMap) -> EncoderOutput:
-    """Mean-pool encoder frames that share a merge group."""
-    if len(index_map.indices) != enc.num_frames:
-        raise ValueError(
-            f"merge map covers {len(index_map.indices)} frames, encoder has {enc.num_frames}"
-        )
-    if index_map.is_identity:
-        return enc
-    idx = np.asarray(index_map.indices) - 1
-    out = np.zeros((index_map.num_groups, enc.dim))
-    counts = np.bincount(idx, minlength=index_map.num_groups)
-    np.add.at(out, idx, enc.frames)
-    return EncoderOutput(out / counts[:, None])
 
 
 def compress_posteriors(pg: Posteriorgram, index_map: MergeIndexMap) -> Posteriorgram:

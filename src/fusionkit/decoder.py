@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, EncoderOutput, FormatError, Posteriorgram
-from fusionkit.ctc import compress_encoder, merge_indices
+from fusionkit.core import NEG_INF, EncoderOutput, FormatError
 
 WEIGHTS_MAGIC = b"FKWT"
 WEIGHTS_VERSION = 1
@@ -66,25 +65,6 @@ class InterfaceConfig:
         if self.prefix_attention == "bidirectional" and self.kind != "prefix":
             raise ValueError("bidirectional prefix attention requires the prefix kind")
         object.__setattr__(self, "prompt", tuple(self.prompt))
-
-
-@dataclass(frozen=True)
-class AdapterConfig:
-    """Audio downsampling before the decoder: fixed concat or CTC-driven."""
-
-    mode: str = "concat"
-    factor: int = 1
-    threshold: float = 0.9
-    projection: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("concat", "ctc_compress"):
-            raise ValueError(f"unknown adapter mode {self.mode!r}")
-        if self.mode == "concat" and (self.factor < 1 or self.factor != int(self.factor)):
-            raise ValueError("concat factor must be a positive integer")
-        if self.mode == "ctc_compress" and self.threshold <= 0:
-            # thresholds above 1 are unreachable and give the identity map
-            raise ValueError("compression threshold must be positive")
 
 
 @dataclass(frozen=True)
@@ -232,8 +212,9 @@ def read_tensor_container(path: str | Path) -> dict[str, np.ndarray]:
             arr = np.frombuffer(data, dtype="<f4", count=size, offset=pos)
             if not np.all(np.isfinite(arr)):  # before the cast, which a signalling NaN trips
                 raise FormatError(f"{path}: tensor {name!r} holds non-finite values")
-            if rank > 32:  # numpy may hold no more
-                raise FormatError(f"{path}: tensor {name!r} has {rank} axes")
+            # numpy holds 32 axes, whose nonzero sizes stay under 2**63 float64 bytes even if empty
+            if rank > 32 or math.prod(filter(None, dims)) >= 2**60:
+                raise FormatError(f"{path}: tensor {name!r} has {rank} axes, sizes {dims}")
             pos += 4 * size
             out[name] = arr.reshape(dims).astype(np.float64)
     except struct.error as exc:
@@ -301,34 +282,6 @@ def build_attention_mask(config: InterfaceConfig, prefix_len: int, text_len: int
     if p != 0:
         raise ValueError("aed masks cover the text stream only; audio uses cross-attention")
     return np.tril(np.ones((s, s), dtype=bool))
-
-
-def adapter_apply(
-    enc: EncoderOutput, cfg: AdapterConfig, pg: Posteriorgram | None = None
-) -> EncoderOutput:
-    """Downsample encoder frames, then optionally project to the decoder dim."""
-    if cfg.mode == "concat":
-        if cfg.factor == 1:
-            out = enc
-        else:
-            t, d = enc.frames.shape
-            groups = math.ceil(t / cfg.factor)
-            padded = np.zeros((groups * cfg.factor, d))
-            padded[:t] = enc.frames
-            out = EncoderOutput(padded.reshape(groups, cfg.factor * d))
-    else:
-        if pg is None:
-            raise ValueError("ctc_compress downsampling needs a posteriorgram")
-        if pg.num_frames != enc.num_frames:
-            raise ValueError("posteriorgram and encoder output disagree on frame count")
-        out = compress_encoder(enc, merge_indices(pg, cfg.threshold))
-    if cfg.projection is not None:
-        if out.frames.shape[1] != cfg.projection.shape[0]:
-            raise ValueError(
-                f"projection expects dim {cfg.projection.shape[0]}, got {out.frames.shape[1]}"
-            )
-        out = EncoderOutput(out.frames @ cfg.projection)
-    return out
 
 
 def _layer_norm(x: np.ndarray, norm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -624,22 +577,6 @@ def decoder_step(
     return out, IncrementalState(
         state.position + 1, self_k, self_v, cross_k, cross_v, state.audio_len
     )
-
-
-def seq_cross_entropy(
-    weights: DecoderWeights,
-    config: InterfaceConfig,
-    audio: EncoderOutput | np.ndarray | None,
-    labels: Sequence[int],
-    bos_id: int,
-    eos_id: int,
-) -> float:
-    """Negative log-likelihood of a label sequence that must end in EOS."""
-    labels = list(labels)
-    if not labels or labels[-1] != eos_id:
-        raise ValueError("labels must end with EOS")
-    rows = decoder_forward(weights, config, audio, [bos_id] + labels[:-1])
-    return float(-sum(rows[s, lab] for s, lab in enumerate(labels)))
 
 
 def export_attention(

@@ -26,6 +26,8 @@ from fusionkit.core import (
     Vocabulary,
     logsumexp,
     logsumexp_rows,
+    read_json,
+    read_text,
     vocabulary_flags,
     vocabulary_from_flags,
     vocabulary_from_lines,
@@ -346,10 +348,7 @@ def save_ngram(model: NGramModel, path: str | Path) -> None:
 
 
 def load_ngram(path: str | Path) -> NGramModel:
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    lines = read_text(path).splitlines()
     if not lines or lines[0] != NGRAM_MAGIC:
         raise FormatError(f"{path}: not a {NGRAM_MAGIC} file")
     vocab_at, ngrams_at = (lines.index(s) if s in lines else len(lines) for s in ("[vocab]", "[ngrams]"))
@@ -414,10 +413,7 @@ def save_table_lm(model: TableLM, path: str | Path) -> None:
 
 
 def load_table_lm(path: str | Path) -> TableLM:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # undecodable bytes or malformed JSON
-        raise FormatError(f"{path}: not a JSON document ({exc})") from exc
+    doc = read_json(path)
     if not isinstance(doc, dict) or doc.get("format") != "fusionkit-table-lm" or doc.get("version") != 1:
         raise FormatError(f"{path}: not a fusionkit table LM file")
     missing = [key for key in ("vocab", "default", "entries") if key not in doc]
@@ -433,11 +429,3 @@ def load_table_lm(path: str | Path) -> TableLM:
         raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: malformed table LM ({exc!r})") from exc
-
-
-def uniform_table_lm(vocab: Vocabulary) -> TableLM:
-    """Uniform distribution over the support; handy PPL and search fixture."""
-    ids = support_ids(vocab)
-    dist = np.full(vocab.size, NEG_INF)
-    dist[ids] = -math.log(len(ids))
-    return TableLM(vocab, (), dist)

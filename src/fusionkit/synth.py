@@ -1,4 +1,4 @@
-"""Synthetic posteriorgram corpora and adversarial oscillation scenarios.
+"""Synthetic posteriorgram corpora and the text to train their language models.
 
 The generator emits a few peaked frames per token with blank-dominant gaps.
 Noise epsilon plays two roles per frame: clean frames put 1 - epsilon on the
@@ -15,15 +15,13 @@ so generation could run in parallel.
 
 from __future__ import annotations
 
-import dataclasses
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from fusionkit.core import NEG_INF, WORD_MARKER, Posteriorgram, ValidationError, Vocabulary
-from fusionkit.lm import TableLM, retokenize
+from fusionkit.lm import retokenize
 
 WORD_LIST = (
     "the", "and", "for", "are", "but", "not", "you", "all", "can", "her",
@@ -60,16 +58,6 @@ def build_am_vocab() -> Vocabulary:
         tokens.append(WORD_MARKER + u)
     for u in units:
         tokens.append(u)
-    return Vocabulary.from_tokens(tokens)
-
-
-def build_lm_vocab(word_list: Sequence[str] = WORD_LIST) -> Vocabulary:
-    """Word-level units with single-character fallback; a different token
-    inventory than the acoustic vocabulary, for delayed fusion."""
-    tokens = ["<blank>", "<s>", "</s>"]
-    tokens += [WORD_MARKER + w for w in word_list]
-    tokens += [WORD_MARKER + chr(c) for c in range(ord("a"), ord("z") + 1)]
-    tokens += [chr(c) for c in range(ord("a"), ord("z") + 1)]
     return Vocabulary.from_tokens(tokens)
 
 
@@ -182,80 +170,3 @@ def sample_sentences(cfg: SynthConfig, n: int, stream: int = 10**6) -> list[str]
     Uses a disjoint index stream so the text never equals test utterances.
     """
     return [_transcript(cfg, np.random.default_rng([cfg.seed, stream + i])) for i in range(n)]
-
-
-@dataclass(frozen=True)
-class OscillationScenario:
-    pg: Posteriorgram
-    table_lm: TableLM
-    transcript: str
-    reference_tokens: tuple[int, ...]
-    loop_tokens: tuple[int, int]
-
-
-def gen_oscillation_scenario(cfg: SynthConfig, index: int = 0) -> OscillationScenario:
-    """A benign posteriorgram paired with a language model that oscillates.
-
-    The table LM follows the reference, then after the final reference token
-    it pushes a repeating two-word loop with a tiny EOS probability.  The
-    loop words never occur in the reference, so any positive joint CTC
-    weight kills the loop while a standalone decode inserts words until the
-    length cap.
-    """
-    rng = np.random.default_rng([cfg.seed, 7_000_000 + index])
-    vocab = cfg.vocab
-    # at least three words so the frame-derived length cap leaves room for
-    # five or more inserted loop words
-    n_words = int(rng.integers(3, 5))
-    words = [cfg.word_list[int(rng.integers(0, len(cfg.word_list)))] for _ in range(n_words)]
-    transcript = " ".join(words)
-    tokens = tuple(retokenize(vocab, transcript, allow_unk=False))
-
-    rows = _utterance_rows(dataclasses.replace(cfg, noise=0.0), tokens, rng)
-    pg = Posteriorgram(rows)
-
-    # two word-initial loop labels that do not occur in the reference
-    loop_pool = [
-        i
-        for i in range(vocab.size)
-        if vocab.begins_word[i] and i not in tokens and not vocab.is_special(i)
-    ]
-    l1, l2 = (int(loop_pool[k]) for k in rng.choice(len(loop_pool), size=2, replace=False))
-
-    support = [i for i in range(vocab.size) if i not in (vocab.blank_id, vocab.bos_id)]
-    rest = math.log(0.05 / (len(support) - 1))
-
-    def dist(strong: int, strong_p: float = 0.93, eos_p: float = 0.02) -> np.ndarray:
-        d = np.full(vocab.size, rest)
-        d[vocab.blank_id] = NEG_INF
-        d[vocab.bos_id] = NEG_INF
-        d[vocab.eos_id] = math.log(eos_p)
-        d[strong] = math.log(strong_p)
-        norm = np.log(np.sum(np.exp(d[support])))
-        d[support] -= norm
-        return d
-
-    entries: list[tuple[tuple[int, ...], np.ndarray]] = []
-    used: set[tuple[int, ...]] = set()
-
-    def add_context(upto: int, d: np.ndarray) -> None:
-        # shortest unique suffix of the reference prefix, BOS-anchored if needed
-        for k in range(3, upto + 1):
-            key = tokens[upto - k : upto]
-            if key not in used:
-                break
-        else:
-            key = (vocab.bos_id,) + tokens[:upto]
-        used.add(key)
-        entries.append((key, d))
-
-    entries.append(((vocab.bos_id,), dist(tokens[0])))
-    used.add((vocab.bos_id,))
-    for s in range(1, len(tokens)):
-        add_context(s, dist(tokens[s]))
-    # after the full reference: enter the loop; inside the loop: alternate
-    add_context(len(tokens), dist(l1))
-    entries.append(((l1,), dist(l2)))
-    entries.append(((l2,), dist(l1)))
-    table = TableLM(vocab, tuple(entries), dist(tokens[0]))
-    return OscillationScenario(pg, table, transcript, tokens, (l1, l2))

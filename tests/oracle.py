@@ -1,6 +1,7 @@
-"""The label-synchronous beam's oracle: exhaustive search over the scorer
-protocol of ``fusionkit.scorers``, imported by the tests that compare the
-beam against it.
+"""Slow references that the tests compare the fast paths against: the CTC
+forward probability summed over every alignment, and the label-synchronous
+beam's oracle, exhaustive search over the scorer protocol of
+``fusionkit.scorers``.
 """
 
 from __future__ import annotations
@@ -10,8 +11,45 @@ from typing import Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, ScorerWeights, Vocabulary
+from fusionkit.core import NEG_INF, Posteriorgram, ScorerWeights, Vocabulary
 from fusionkit.search import DecodeStats, LabelScorer, NBestEntry, NBestList
+
+
+def ctc_forward_logprob(pg: Posteriorgram, target: Sequence[int], blank_id: int) -> float:
+    """Log probability that the collapsed frame labels equal ``target``.
+
+    Sums over every alignment path; infeasible targets give -inf.
+    """
+    target = list(target)
+    if blank_id in target:
+        raise ValueError("target must not contain the blank label")
+    lp = pg.log_probs
+    T = lp.shape[0]
+    S = len(target)
+    if S == 0:
+        return float(np.sum(lp[:, blank_id]))
+
+    # interleave blanks: extended target of length 2S+1
+    ext = np.empty(2 * S + 1, dtype=np.int64)
+    ext[0::2] = blank_id
+    ext[1::2] = target
+    n = ext.size
+
+    alpha = np.full(n, NEG_INF)
+    alpha[0] = lp[0, ext[0]]
+    alpha[1] = lp[0, ext[1]]
+    for t in range(1, T):
+        prev = alpha
+        stay = prev
+        from_prev = np.concatenate(([NEG_INF], prev[:-1]))
+        # skip transition is allowed into a non-blank that differs from the
+        # non-blank two positions back
+        from_skip = np.full(n, NEG_INF)
+        can_skip = np.zeros(n, dtype=bool)
+        can_skip[3::2] = ext[3::2] != ext[1:-2:2]
+        from_skip[can_skip] = prev[:-2][can_skip[2:]]
+        alpha = np.logaddexp(np.logaddexp(stay, from_prev), from_skip) + lp[t, ext]
+    return float(np.logaddexp(alpha[-1], alpha[-2]))
 
 
 def exhaustive_decode(

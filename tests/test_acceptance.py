@@ -28,7 +28,6 @@ from fusionkit.core import (
 from fusionkit.ctc import (
     CtcPrefixScorer,
     collapse,
-    ctc_forward_logprob,
     greedy_decode,
     topk_prune,
 )
@@ -46,7 +45,6 @@ from fusionkit.lm import (
     retokenize,
     save_ngram,
     train_ngram,
-    uniform_table_lm,
 )
 from fusionkit.metrics import AlignmentCounts, align, corpus_wer, words
 from fusionkit.search import (
@@ -61,13 +59,12 @@ from fusionkit.search import (
 from fusionkit.synth import (
     SynthConfig,
     build_am_vocab,
-    build_lm_vocab,
     gen_corpus,
-    gen_oscillation_scenario,
     sample_sentences,
 )
 
-from oracle import exhaustive_decode
+from fixtures import build_lm_vocab, gen_oscillation_scenario, uniform_table_lm
+from oracle import ctc_forward_logprob, exhaustive_decode
 
 SEEDS = list(range(20))
 UTTS_PER_SEED = 25

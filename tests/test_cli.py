@@ -37,7 +37,9 @@ def lm_file(tmp_path_factory, corpus):
 def word_lm_file(tmp_path_factory):
     """An LM on the synthetic word vocabulary, for delayed fusion."""
     from fusionkit.lm import retokenize, save_ngram, train_ngram
-    from fusionkit.synth import SynthConfig, build_lm_vocab, sample_sentences
+    from fusionkit.synth import SynthConfig, sample_sentences
+
+    from fixtures import build_lm_vocab
 
     lm_vocab = build_lm_vocab()
     texts = sample_sentences(SynthConfig(seed=5), 100)
@@ -105,7 +107,9 @@ class TestSynthAndDecode:
 
     def test_delayed_fusion_decode(self, corpus, tmp_path, capsys):
         from fusionkit.lm import retokenize, save_ngram, train_ngram
-        from fusionkit.synth import SynthConfig, build_lm_vocab, sample_sentences
+        from fusionkit.synth import SynthConfig, sample_sentences
+
+        from fixtures import build_lm_vocab
 
         lm_vocab = build_lm_vocab()
         cfg = SynthConfig(seed=5)
@@ -359,6 +363,28 @@ class TestSynthAndDecode:
             assert code == 1 and stdout == ""
             assert err.count("error:") == 1 and str(cfg_path) in err
             assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["decode-config", "decode-lm-path", "ppl"])
+    def test_deeply_nested_json_fails_cleanly(self, corpus, tmp_path, capsys, command):
+        # well-formed, but nested past the parser's recursion limit, where
+        # json.loads raises RecursionError
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000 + "]" * 100_000)
+        text = tmp_path / "t.txt"
+        text.write_text("the and\n")
+        out = tmp_path / "o"
+        argv = {
+            "decode-config": ["decode", str(corpus), str(out), "--config", str(deep)],
+            "decode-lm-path": [
+                "decode", str(corpus), str(out),
+                "--strategy", "timesync", "--lm-weight", "0.3", "--lm-path", str(deep),
+            ],
+            "ppl": ["ppl", str(deep), str(text)],
+        }[command]
+        code, stdout, err = run(argv, capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and str(deep) in err and "Traceback" not in err
         assert not out.exists()
 
     def test_refs_not_utf8_fails_cleanly(self, corpus, tmp_path, capsys):
@@ -802,8 +828,10 @@ class TestWerCommand:
 
 class TestPplCommand:
     def test_uniform_table_lm_reports_outcome_count(self, tmp_path, capsys):
-        from fusionkit.lm import save_table_lm, uniform_table_lm
+        from fusionkit.lm import save_table_lm
         from fusionkit.core import Vocabulary
+
+        from fixtures import uniform_table_lm
 
         vocab = Vocabulary.from_tokens(
             ["<blank>", "<s>", "</s>"] + [chr(ord("a") + i) for i in range(9)]
@@ -845,7 +873,9 @@ class TestPplCommand:
     )
     def test_malformed_lm_fails_cleanly(self, lm_file, tmp_path, capsys, case):
         from fusionkit.core import Vocabulary
-        from fusionkit.lm import save_table_lm, uniform_table_lm
+        from fusionkit.lm import save_table_lm
+
+        from fixtures import uniform_table_lm
 
         model = tmp_path / "bad.lm"
         if case == "fklm-header-without-tab":

@@ -1,3 +1,4 @@
+import json
 import math
 import tempfile
 from pathlib import Path
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionkit.cli import DecodeConfig
 from fusionkit.core import (
     EncoderOutput,
     FormatError,
@@ -23,6 +25,7 @@ from fusionkit.core import (
     write_posteriorgram,
     write_vocabulary,
 )
+from fusionkit.lm import TableLM, load_table_lm, save_table_lm
 
 
 def uniform_pg(t, v, frame_ms=60.0):
@@ -249,35 +252,62 @@ class TestNonFinitePayload:
         np.testing.assert_array_equal(read_posteriorgram(path).log_probs, lp)
 
 
-def matrix_file_bytes(fmt):
-    """A small FKPG (with pruned -inf entries) or FKEO file's bytes."""
+def reader_file_bytes(fmt):
+    """A small valid file's bytes: an FKPG (with pruned -inf entries), an
+    FKEO, a vocabulary, a table LM with one context entry, or a joint
+    decode config with a scorer of each kind."""
+    vocab = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "▁a", "b"])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / f"base.{fmt}"
         if fmt == "fkpg":
             with np.errstate(divide="ignore"):  # pruned labels are log 0
                 lp = np.log(np.array([[0.5, 0.25, 0.25, 0.0], [0.1, 0.0, 0.6, 0.3], [1.0, 0.0, 0.0, 0.0]]))
             write_posteriorgram(Posteriorgram(lp, 40.0), path)
-        else:
+        elif fmt == "fkeo":
             write_encoder_output(EncoderOutput(np.linspace(-2.0, 2.0, 12).reshape(3, 4)), path)
+        elif fmt == "vocab":
+            write_vocabulary(vocab, path)
+        elif fmt == "table-lm":
+            with np.errstate(divide="ignore"):  # blank and BOS are log 0
+                uniform, peaked = np.log([[0, 0, 1 / 3, 1 / 3, 1 / 3], [0, 0, 0.25, 0.25, 0.5]])
+            save_table_lm(TableLM(vocab, (((3,), peaked),), uniform), path)
+        else:
+            scorers = [
+                {"name": "ctc", "kind": "ctc_prefix", "weight": 1.0},
+                {"name": "lm", "kind": "ngram", "weight": 0.5, "path": "lm.fklm"},
+                {"name": "dec", "kind": "decoder_lm", "weight": 0.02, "prompt": [1]},
+            ]
+            cfg = {"strategy": "joint", "beam": 4, "top_k": 3, "compress_threshold": 0.9,
+                   "scorers": scorers}
+            path.write_text(json.dumps(cfg, sort_keys=True, indent=1) + "\n")
         return path.read_bytes()
 
 
-FUZZ_BASES = {fmt: matrix_file_bytes(fmt) for fmt in ("fkpg", "fkeo")}
+# the readers fuzzed here, by format (FKLM and FKWT have fuzz tests of their own)
+FUZZ_READERS = {
+    "fkpg": read_posteriorgram,
+    "fkeo": read_encoder_output,
+    "vocab": read_vocabulary,
+    "table-lm": load_table_lm,
+    "config": DecodeConfig.from_json,
+}
+FUZZ_BASES = {fmt: reader_file_bytes(fmt) for fmt in FUZZ_READERS}
 
 
 class TestFuzzedMatrixFiles:
     @pytest.mark.filterwarnings("error")
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(
-        fmt=st.sampled_from(["fkpg", "fkeo"]),
+        fmt=st.sampled_from(sorted(FUZZ_READERS)),
         edit=st.sampled_from(["truncate", "flip", "insert"]),
         where=st.floats(0, 1),
         flip=st.integers(1, 255),
         insert=st.binary(min_size=1, max_size=12),
     )
     def test_raise_only_format_or_validation_errors(self, fmt, edit, where, flip, insert):
-        # a truncated, flipped or grown FKPG/FKEO file reads or raises
-        # FormatError or ValidationError, with no warning
+        # a truncated, flipped or grown FKPG, FKEO, vocabulary, table-LM or
+        # config file reads or raises FormatError or ValidationError, with
+        # no warning
         data = bytearray(FUZZ_BASES[fmt])
         at = int(where * (len(data) - 1))
         if edit == "truncate":
@@ -286,12 +316,11 @@ class TestFuzzedMatrixFiles:
             data[at] ^= flip
         else:
             data[at:at] = insert
-        read = read_posteriorgram if fmt == "fkpg" else read_encoder_output
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"fuzzed.{fmt}"
             path.write_bytes(bytes(data))
             try:
-                read(path)
+                FUZZ_READERS[fmt](path)
             except (FormatError, ValidationError):
                 pass
 

@@ -8,21 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import ctc
-from fusionkit.core import NEG_INF, EncoderOutput, Posteriorgram, logsumexp
+from fusionkit.core import NEG_INF, Posteriorgram, logsumexp
 from fusionkit.ctc import (
     CtcPrefixScorer,
     MergeIndexMap,
     PrefixStates,
     collapse,
-    compress_encoder,
     compress_posteriors,
-    ctc_forward_logprob,
     greedy_decode,
     kept_labels,
     log_add_bounds,
     merge_indices,
     topk_prune,
 )
+
+from oracle import ctc_forward_logprob
 
 BLANK = 0
 
@@ -664,28 +664,6 @@ class TestMergeIndices:
             MergeIndexMap((1, 3), 0.9)
         with pytest.raises(ValueError):
             MergeIndexMap((2, 2), 0.9)
-
-
-class TestCompressEncoder:
-    def test_identity_map(self):
-        enc = EncoderOutput(np.arange(6.0).reshape(3, 2))
-        m = MergeIndexMap((1, 2, 3), 1.5)
-        assert compress_encoder(enc, m) is enc
-
-    def test_mean_pooling(self):
-        enc = EncoderOutput(np.array([[1.0, 1.0], [3.0, 5.0]]))
-        m = MergeIndexMap((1, 1), 0.9)
-        np.testing.assert_allclose(compress_encoder(enc, m).frames, [[2.0, 3.0]])
-
-    def test_group_count_from_merge_example(self):
-        enc = EncoderOutput(np.ones((5, 2)))
-        m = MergeIndexMap((1, 1, 2, 3, 4), 0.9)
-        assert compress_encoder(enc, m).num_frames == 4
-
-    def test_length_mismatch(self):
-        enc = EncoderOutput(np.ones((3, 2)))
-        with pytest.raises(ValueError):
-            compress_encoder(enc, MergeIndexMap((1, 2), 0.9))
 
 
 class TestCompressPosteriors:

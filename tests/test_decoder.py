@@ -1,5 +1,4 @@
 import hashlib
-import math
 import struct
 import tempfile
 from pathlib import Path
@@ -9,13 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionkit.core import EncoderOutput, FormatError, Posteriorgram, logsumexp
+from fusionkit.core import EncoderOutput, FormatError, logsumexp
 from fusionkit.decoder import (
-    AdapterConfig,
-    DecoderWeights,
     Hyperparams,
     InterfaceConfig,
-    adapter_apply,
     build_attention_mask,
     decoder_forward,
     decoder_init,
@@ -25,7 +21,6 @@ from fusionkit.decoder import (
     read_tensor_container,
     save_weights,
     seeded_weights,
-    seq_cross_entropy,
     write_tensor_container,
 )
 
@@ -86,49 +81,6 @@ class TestAttentionMask:
             InterfaceConfig("merged", prefix_attention="bidirectional")
         with pytest.raises(ValueError):
             build_attention_mask(InterfaceConfig("aed"), 2, 3)
-
-
-class TestAdapter:
-    def test_factor_one_identity(self):
-        enc = EncoderOutput(np.arange(6.0).reshape(2, 3))
-        assert adapter_apply(enc, AdapterConfig("concat", factor=1)) is enc
-
-    def test_concat_with_padding(self):
-        enc = EncoderOutput(np.arange(15.0).reshape(5, 3))
-        out = adapter_apply(enc, AdapterConfig("concat", factor=2))
-        assert out.frames.shape == (3, 6)
-        np.testing.assert_array_equal(out.frames[-1], [12, 13, 14, 0, 0, 0])
-
-    def test_ctc_compress_identity_threshold(self):
-        rng = np.random.default_rng(0)
-        enc = EncoderOutput(rng.normal(size=(4, 3)))
-        rows = rng.dirichlet(np.ones(3), size=4)
-        lp = np.log(rows)
-        lp -= np.array([logsumexp(r) for r in lp])[:, None]
-        pg = Posteriorgram(lp)
-        out = adapter_apply(enc, AdapterConfig("ctc_compress", threshold=1.5), pg=pg)
-        assert out.num_frames == enc.num_frames
-        np.testing.assert_array_equal(out.frames, enc.frames)
-
-    def test_ctc_compress_merges_confident_runs(self):
-        enc = EncoderOutput(np.array([[2.0, 0.0], [4.0, 2.0], [0.0, 1.0]]))
-        lp = np.log(np.array([[0.95, 0.04, 0.01], [0.97, 0.02, 0.01], [0.05, 0.9, 0.05]]))
-        lp -= np.array([logsumexp(r) for r in lp])[:, None]
-        pg = Posteriorgram(lp)
-        out = adapter_apply(enc, AdapterConfig("ctc_compress", threshold=0.9), pg=pg)
-        np.testing.assert_allclose(out.frames, [[3.0, 1.0], [0.0, 1.0]])
-
-    def test_ctc_compress_requires_pg(self):
-        enc = EncoderOutput(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            adapter_apply(enc, AdapterConfig("ctc_compress"), pg=None)
-
-    def test_projection(self):
-        enc = EncoderOutput(np.ones((2, 3)))
-        proj = np.ones((3, 5))
-        out = adapter_apply(enc, AdapterConfig("concat", factor=1, projection=proj))
-        assert out.frames.shape == (2, 5)
-        np.testing.assert_allclose(out.frames, 3.0)
 
 
 class TestDecoderForward:
@@ -400,7 +352,6 @@ class TestGoldenFixture:
             -4.063364138312779,
         ]
     )
-    GOLDEN_CE = 8.407846510309163
 
     def fixture_inputs(self):
         w = seeded_weights(HP, 42)
@@ -412,11 +363,6 @@ class TestGoldenFixture:
         w, cfg, audio = self.fixture_inputs()
         rows = decoder_forward(w, cfg, audio, [BOS, 2, 3])
         np.testing.assert_allclose(rows[-1], self.GOLDEN_LAST_ROW, atol=1e-12)
-
-    def test_cross_entropy(self):
-        w, cfg, audio = self.fixture_inputs()
-        got = seq_cross_entropy(w, cfg, audio, [2, 3, EOS], BOS, EOS)
-        assert got == pytest.approx(self.GOLDEN_CE, abs=1e-12)
 
     # SHA-256 of the forward rows and of the attention maps (names, shapes
     # and float64 bits, in export order), frozen from the per-interface
@@ -459,33 +405,6 @@ class TestGoldenFixture:
         got = (hashlib.sha256(np.ascontiguousarray(rows, dtype="<f8").tobytes()).hexdigest(),
                maps.hexdigest())
         assert got == self.FORWARD_DIGESTS[case]
-
-
-class TestCrossEntropy:
-    def test_equals_gathered_rows(self):
-        rng = np.random.default_rng(9)
-        w = toy_weights()
-        audio = toy_audio(rng)
-        cfg = InterfaceConfig("prefix")
-        labels = [1, 2, 3, EOS]
-        rows = decoder_forward(w, cfg, audio, [BOS] + labels[:-1])
-        want = -sum(rows[s, lab] for s, lab in enumerate(labels))
-        got = seq_cross_entropy(w, cfg, audio, labels, BOS, EOS)
-        assert got == pytest.approx(want, abs=1e-12)
-
-    def test_zeroed_projection_gives_uniform(self):
-        w = toy_weights()
-        tensors = dict(w.tensors)
-        tensors["out_proj"] = np.zeros_like(tensors["out_proj"])
-        wz = DecoderWeights(HP, tensors)
-        labels = [1, 2, EOS]
-        got = seq_cross_entropy(wz, InterfaceConfig("prefix"), None, labels, BOS, EOS)
-        assert got == pytest.approx(len(labels) * math.log(HP.vocab_size), abs=1e-9)
-
-    def test_requires_eos(self):
-        w = toy_weights()
-        with pytest.raises(ValueError):
-            seq_cross_entropy(w, InterfaceConfig("prefix"), None, [1, 2], BOS, EOS)
 
 
 class TestExportAttention:
@@ -568,11 +487,13 @@ class TestWeightsIO:
         [
             ("name-not-utf8", "a tensor name is not UTF-8"),
             ("missing-tensor", "missing tensor 'out_proj'"),
+            ("missing-meta", "missing meta.hyperparams tensor"),
             ("wrong-shape", "tensor 'embed' has shape"),
             ("non-finite", "tensor 'final_norm.beta' holds non-finite values"),
             ("bad-meta", "needs six positive integers"),
             ("too-many-layers", "layers <= tensors"),
             ("too-many-axes", "tensor 'deep' has 65 axes"),
+            ("empty-oversized", "tensor 'huge' has 3 axes"),
             ("truncated-header", "truncated header"),
             ("bad-version", "unsupported version 2"),
             ("truncated-table", "truncated tensor table"),
@@ -592,6 +513,8 @@ class TestWeightsIO:
         else:
             if case == "missing-tensor":
                 del tensors["out_proj"]
+            elif case == "missing-meta":
+                del tensors["meta.hyperparams"]
             elif case == "wrong-shape":
                 tensors["embed"] = tensors["embed"][:, :4]
             elif case == "non-finite":
@@ -611,11 +534,15 @@ class TestWeightsIO:
             }
             if case in edits:
                 path.write_bytes(edits[case](path.read_bytes()))
-            if case == "too-many-axes":  # numpy cannot build it, so append it
+            appended = {  # numpy cannot build these, so append them
+                "too-many-axes": struct.pack("<H4sB65If", 4, b"deep", 65, *[1] * 65, 0.0),
+                # no elements, but the other axes' product overflows numpy's sizes
+                "empty-oversized": struct.pack("<H4sB3I", 4, b"huge", 3, 2**31, 2**31, 0),
+            }
+            if case in appended:
                 data = bytearray(path.read_bytes())
                 data[8:12] = struct.pack("<I", len(tensors) + 1)
-                data += struct.pack("<H4sB65If", 4, b"deep", 65, *[1] * 65, 0.0)
-                path.write_bytes(bytes(data))
+                path.write_bytes(bytes(data + appended[case]))
         with pytest.raises(FormatError, match=message) as info:
             load_weights(path)
         assert str(path) in str(info.value)

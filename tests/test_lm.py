@@ -24,9 +24,10 @@ from fusionkit.lm import (
     save_table_lm,
     support_ids,
     train_ngram,
-    uniform_table_lm,
     word_perplexity,
 )
+
+from fixtures import uniform_table_lm
 
 VOCAB = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b"])
 A, B = 3, 4
@@ -472,6 +473,7 @@ class TestNGramSerialization:
             ("order\t2\n", "order 2\n", "header line 'order 2'"),
             ("order\t2\n", "order\ttwo\n", "bad order value"),
             ("order\t2\n", "order\t0\n", "order must be >= 1"),
+            ("order\t2\n", "", "missing order or backoff header"),
             ("backoff\t0.4\n", "backoff\t0.0\n", "backoff positive"),
             ("\n1\t\ta\t", "\n0\t\ta\t", "bad n-gram entry"),
             ("\n1\t\ta\t", "\n2\t\ta\t", "bad n-gram entry"),

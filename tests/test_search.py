@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit.core import NEG_INF, Posteriorgram, ScorerWeights, Vocabulary, logsumexp
-from fusionkit.ctc import collapse, ctc_forward_logprob, topk_prune
+from fusionkit.ctc import collapse, topk_prune
 from fusionkit.decoder import Hyperparams, InterfaceConfig, seeded_weights
-from fusionkit.lm import TableLM, lm_logprob, retokenize, train_ngram, uniform_table_lm
+from fusionkit.lm import TableLM, lm_logprob, retokenize, train_ngram
 from fusionkit.search import (
     ContextLMScorer,
     CtcPrefixLabelScorer,
@@ -25,7 +25,8 @@ from fusionkit.search import (
     write_nbest,
 )
 
-from oracle import exhaustive_decode
+from fixtures import uniform_table_lm
+from oracle import ctc_forward_logprob, exhaustive_decode
 
 # vocab: blank, bos, eos, then plain labels a b c
 VOCAB = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b", "c"])

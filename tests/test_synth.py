@@ -17,12 +17,12 @@ from fusionkit.synth import (
     SynthConfig,
     _utterance_rows,
     build_am_vocab,
-    build_lm_vocab,
     gen_corpus,
-    gen_oscillation_scenario,
     gen_utterance,
     sample_sentences,
 )
+
+from fixtures import build_lm_vocab, gen_oscillation_scenario
 
 AM_VOCAB = build_am_vocab()
 
