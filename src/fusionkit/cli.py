@@ -39,8 +39,9 @@ from fusionkit.core import (
     write_posteriorgram,
     write_vocabulary,
 )
-from fusionkit.ctc import compress_posteriors, greedy_decode, merge_indices, topk_prune
+from fusionkit.ctc import compress_posteriors, greedy_decode, topk_prune
 from fusionkit.decoder import (
+    DecoderWeights,
     Hyperparams,
     InterfaceConfig,
     export_attention,
@@ -227,7 +228,8 @@ class DecodeConfig:
     # joint only: scores divided by length, and labels capped per frame
     length_norm: bool = _key(False, lambda v: isinstance(v, bool), "true or false")
     max_len_factor: float = _key(1.0, lambda v: _finite(v, 0), "a finite number > 0")
-    # CTC pruning to the top k labels, blank kept, after compression
+    # CTC pruning to the top k labels, blank kept, after compression; Session
+    # checks k against the vocabulary
     top_k: int | None = _key(None, lambda v: v is None or _integer(v), "null or an integer >= 1")
     # CTC frame compression; a threshold above 1 (inf too) merges nothing
     compress_threshold: float | None = _key(
@@ -267,13 +269,20 @@ class DecodeConfig:
 
 @dataclass(frozen=True)
 class Session:
-    """A checked config, its vocabulary and its models, loaded once per run."""
+    """A checked config, its vocabulary and its models, loaded once per run.
+    Each construction, ``dataclasses.replace`` too, checks that ``top_k``
+    fits the vocabulary."""
 
     cfg: DecodeConfig
     vocab: Vocabulary
     lm: NGramModel | TableLM | None = None  # fused by timesync and delayed
     scorers: tuple[ScorerHandle, ...] = ()  # joint
     weights: ScorerWeights | None = None  # joint
+
+    def __post_init__(self):
+        k, v = self.cfg.top_k, self.vocab.size
+        if k is not None and k > v:
+            raise ValidationError(f"top_k must be at most the {v} labels of the vocabulary, not {k}")
 
     @classmethod
     def from_config(cls, cfg: DecodeConfig, vocab: Vocabulary) -> Session:
@@ -346,12 +355,7 @@ def build_joint_scorers(
                 model = load_lm(spec["path"]) if "path" in spec else None
                 handles.append(ScorerHandle(name, kind, model))
                 continue
-            if "weights_path" in spec:
-                dw = load_weights(spec["weights_path"])
-            else:
-                dw = seeded_weights(Hyperparams(vocab_size=vocab.size), spec["seed"])
-            if dw.hp.vocab_size != vocab.size:
-                raise ValidationError(f"weights of {dw.hp.vocab_size} labels, not {vocab.size}")
+            dw = decoder_weights(vocab, spec.get("weights_path"), spec["seed"])
             if max(spec["prompt"], default=-1) >= vocab.size:
                 raise ValidationError(f"prompt ids must be < {vocab.size}: {list(spec['prompt'])}")
             interface = InterfaceConfig("prefix", prompt=spec["prompt"])  # no audio: any kind
@@ -364,12 +368,23 @@ def build_joint_scorers(
     return tuple(handles), weights
 
 
+def decoder_weights(vocab: Vocabulary, path: str | None, seed: int) -> DecoderWeights:
+    """The toy decoder's weights for ``vocab``: read from FKWT file ``path``,
+    else seeded with ``seed``.  Weights of another vocabulary size fail."""
+    if path is None:
+        return seeded_weights(Hyperparams(vocab_size=vocab.size), seed)
+    dw = load_weights(path)
+    if dw.hp.vocab_size != vocab.size:
+        raise ValidationError(f"{path}: weights of {dw.hp.vocab_size} labels, not {vocab.size}")
+    return dw
+
+
 def prepare_posteriorgram(pg: Posteriorgram, cfg: DecodeConfig, vocab: Vocabulary) -> Posteriorgram:
     """``pg`` compressed, then top-k pruned with blank kept, as ``cfg`` says."""
     if cfg.compress_threshold is not None:
-        pg = compress_posteriors(pg, merge_indices(pg, cfg.compress_threshold))
+        pg = compress_posteriors(pg, cfg.compress_threshold)
     if cfg.top_k is not None:
-        pg = topk_prune(pg, cfg.top_k, True, vocab.blank_id)
+        pg = topk_prune(pg, cfg.top_k, vocab.blank_id)
     return pg
 
 
@@ -492,10 +507,19 @@ def cmd_wer(args) -> int:
     return 0
 
 
+def segment_lines(vocab: Vocabulary, lines: Sequence[str], path: str | Path) -> list[list[int]]:
+    """:func:`retokenize` of each line read from ``path``; a word that
+    ``vocab`` cannot segment fails, naming the file."""
+    try:
+        return [retokenize(vocab, line) for line in lines]
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def cmd_ppl(args) -> int:
     model = load_lm(args.model)
     lines = read_sentences(args.text, args.normalization)
-    seqs = [retokenize(model.vocab, line) for line in lines]
+    seqs = segment_lines(model.vocab, lines, args.text)
     token_ppl = perplexity(model, seqs)
     n_words = sum(len(line.split()) for line in lines)
     print(f"token_ppl\t{token_ppl:.4f}")
@@ -507,7 +531,7 @@ def cmd_ppl(args) -> int:
 def cmd_lm_train(args) -> int:
     lines = read_sentences(args.text, args.normalization)
     vocab = read_vocabulary(args.vocab)
-    corpus = [retokenize(vocab, line) for line in lines]
+    corpus = segment_lines(vocab, lines, args.text)
     model = train_ngram(vocab, corpus, order=args.order, backoff_factor=args.backoff)
     save_ngram(model, args.out)
     print(f"trained order-{args.order} model on {len(corpus)} sequences -> {args.out}")
@@ -565,25 +589,27 @@ def cmd_bench(args) -> int:
     ks = grid_values("--top-k", args.top_k, int, none_ok=True)
     taus = grid_values("--compress-threshold", args.compress_threshold, float, none_ok=True)
     beams = grid_values("--beam", args.beam, int)
-    # each point a checked config: a bad grid value fails before any read
-    grid = [replace(cfg, top_k=k, compress_threshold=tau, beam=beam)
+    # each point a checked session: a bad grid value fails before any read
+    grid = [replace(session, cfg=replace(cfg, top_k=k, compress_threshold=tau, beam=beam))
             for k in ks for tau in taus for beam in beams]
-    pgs = list(read_posteriorgrams(utts))
     refs = [words(transcript, cfg.normalization) for _, _, transcript in utts]
+    if not any(refs):  # WER needs a reference word
+        raise ValidationError(f"{Path(args.corpus) / 'refs.txt'} holds no reference words")
+    pgs = list(read_posteriorgrams(utts))
     print("top_k\ttau\tbeam\twer\trtf\tpeak_candidates\tscorer_evals")
     for point in grid:
         total = DecodeStats()
         pairs = []
-        for ref, (_, nbest, stats) in zip(refs, decode_corpus(replace(session, cfg=point), pgs)):
+        for ref, (_, nbest, stats) in zip(refs, decode_corpus(point, pgs)):
             total.merge(stats)
             hyp = vocab.text(nbest.best.output_labels(vocab.eos_id))
             pairs.append((ref, words(hyp, cfg.normalization)))
         wer = corpus_wer(pairs).wer
         rtf = f"{total.rtf:.6f}" if total.rtf is not None else "n/a"
-        k, tau = point.top_k, point.compress_threshold
+        k, tau = point.cfg.top_k, point.cfg.compress_threshold
         print(
             f"{k if k is not None else 'none'}\t"
-            f"{tau if tau is not None else 'none'}\t{point.beam}\t"
+            f"{tau if tau is not None else 'none'}\t{point.cfg.beam}\t"
             f"{wer:.4f}\t{rtf}\t{total.peak_candidate_set}\t{total.scorer_evaluations}"
         )
     return 0
@@ -591,18 +617,14 @@ def cmd_bench(args) -> int:
 
 def cmd_export_attn(args) -> int:
     vocab = read_vocabulary(args.vocab)
-    if args.weights:
-        weights = load_weights(args.weights)
-    else:
-        weights = seeded_weights(Hyperparams(vocab_size=vocab.size), args.seed)
+    _check("seed", args.seed, _SCORER_RULES["seed"], "--")
+    weights = decoder_weights(vocab, args.weights, args.seed)
     config = InterfaceConfig(
         kind=args.interface,
         prefix_attention=args.prefix_attention,
         prompt=tuple(retokenize(vocab, args.prompt)) if args.prompt else (),
     )
-    audio = None
-    if args.audio:
-        audio = read_encoder_output(args.audio)
+    audio = read_encoder_output(args.audio) if args.audio else None
     labels = [vocab.bos_id] + retokenize(vocab, args.text)
     export_attention(weights, config, audio, labels, args.out)
     print(f"attention maps -> {args.out}")

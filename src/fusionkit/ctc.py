@@ -37,35 +37,13 @@ def greedy_decode(pg: Posteriorgram, blank_id: int) -> list[int]:
     return collapse(best.tolist(), blank_id)
 
 
-@dataclass(frozen=True)
-class MergeIndexMap:
-    """Frame-to-group assignment for confident-argmax run merging."""
-
-    indices: tuple[int, ...]
-    threshold: float
-
-    def __post_init__(self):
-        idx = self.indices
-        if not idx or idx[0] != 1:
-            raise ValueError("merge indices must start at 1")
-        for a, b in zip(idx, idx[1:]):
-            if b - a not in (0, 1):
-                raise ValueError("merge indices must be nondecreasing with unit steps")
-
-    @property
-    def num_groups(self) -> int:
-        return self.indices[-1]
-
-    @property
-    def is_identity(self) -> bool:
-        return self.num_groups == len(self.indices)
-
-
-def merge_indices(pg: Posteriorgram, threshold: float) -> MergeIndexMap:
-    """Assign consecutive frames to one group when they share a confident argmax.
+def compress_posteriors(pg: Posteriorgram, threshold: float) -> Posteriorgram:
+    """Merge each run of neighbouring frames that share a confident argmax:
+    max-pool its label probabilities, then renormalize.
 
     Two neighbours merge iff their argmax labels agree and both argmax
-    probabilities reach the threshold.
+    probabilities reach the threshold.  With no merge (a threshold above 1,
+    or one frame) ``pg`` itself is returned.
     """
     if threshold <= 0:
         raise ValueError("threshold must be positive")
@@ -73,29 +51,20 @@ def merge_indices(pg: Posteriorgram, threshold: float) -> MergeIndexMap:
     best = np.argmax(lp, axis=1)
     sure = np.exp(lp[np.arange(lp.shape[0]), best]) >= threshold
     opens = (best[1:] != best[:-1]) | ~sure[1:] | ~sure[:-1]  # a frame starting a group
-    return MergeIndexMap(tuple(np.cumsum(np.append(1, opens)).tolist()), threshold)
-
-
-def compress_posteriors(pg: Posteriorgram, index_map: MergeIndexMap) -> Posteriorgram:
-    """Max-pool label probabilities over each merge group, then renormalize."""
-    if len(index_map.indices) != pg.num_frames:
-        raise ValueError(
-            f"merge map covers {len(index_map.indices)} frames, posteriorgram has {pg.num_frames}"
-        )
-    if index_map.is_identity:
+    if opens.all():
         return pg
-    idx = np.asarray(index_map.indices) - 1
-    pooled = np.full((index_map.num_groups, pg.num_labels), NEG_INF)
-    np.maximum.at(pooled, idx, pg.log_probs)
+    group = np.cumsum(np.append(0, opens))
+    pooled = np.full((group[-1] + 1, pg.num_labels), NEG_INF)
+    np.maximum.at(pooled, group, lp)
     norms = logsumexp_rows(pooled)
     return Posteriorgram(pooled - norms[:, None], pg.frame_duration_ms)
 
 
-def topk_prune(pg: Posteriorgram, k: int, keep_blank: bool, blank_id: int) -> Posteriorgram:
+def topk_prune(pg: Posteriorgram, k: int, blank_id: int) -> Posteriorgram:
     """Keep the k labels with the highest max-over-time probability.
 
     Dropped labels get zero probability everywhere and rows are renormalized.
-    With keep_blank the blank label always survives, counted within k.
+    The blank label always survives, counted within k.
     k = V is an exact no-op.  A frame whose entire mass sat on pruned labels
     becomes a pure blank frame (a pruned label's frames carry no output).
     """
@@ -108,7 +77,7 @@ def topk_prune(pg: Posteriorgram, k: int, keep_blank: bool, blank_id: int) -> Po
     # sort by (-score, id) so ties go to the lower id
     order = np.lexsort((np.arange(v), -s_max))
     kept = order[:k].copy()
-    if keep_blank and blank_id not in kept:
+    if blank_id not in kept:
         kept[-1] = blank_id
     mask = np.zeros(v, dtype=bool)
     mask[kept] = True

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, EncoderOutput, FormatError
+from fusionkit.core import NEG_INF, EncoderOutput, FormatError, ValidationError
 
 WEIGHTS_MAGIC = b"FKWT"
 WEIGHTS_VERSION = 1
@@ -59,11 +59,11 @@ class InterfaceConfig:
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ValueError(f"unknown interface kind {self.kind!r}")
+            raise ValidationError(f"unknown interface kind {self.kind!r}")
         if self.prefix_attention not in ("causal", "bidirectional"):
-            raise ValueError(f"unknown prefix attention {self.prefix_attention!r}")
+            raise ValidationError(f"unknown prefix attention {self.prefix_attention!r}")
         if self.prefix_attention == "bidirectional" and self.kind != "prefix":
-            raise ValueError("bidirectional prefix attention requires the prefix kind")
+            raise ValidationError("bidirectional prefix attention requires the prefix kind")
         object.__setattr__(self, "prompt", tuple(self.prompt))
 
 
@@ -355,16 +355,14 @@ def _log_softmax(x: np.ndarray) -> np.ndarray:
 def _audio_frames(weights: DecoderWeights, config: InterfaceConfig, audio) -> np.ndarray:
     if audio is None:
         if config.kind == "aed":
-            raise ValueError("aed decoding requires audio; pass a zero-length prefix "
-                             "to run the decoder as a language model")
+            raise ValidationError("aed decoding requires audio; pass a zero-length prefix "
+                                  "to run the decoder as a language model")
         return np.zeros((0, weights.hp.dim))
     frames = audio.frames if isinstance(audio, EncoderOutput) else np.asarray(audio, dtype=np.float64)
     if frames.ndim != 2:
-        raise ValueError("audio must be a T x D matrix")
+        raise ValidationError("audio must be a T x D matrix")
     if frames.shape[0] > 0 and frames.shape[1] != weights.hp.dim:
-        raise ValueError(
-            f"audio dim {frames.shape[1]} does not match decoder dim {weights.hp.dim}"
-        )
+        raise ValidationError(f"audio dim {frames.shape[1]} does not match decoder dim {weights.hp.dim}")
     return frames.reshape(frames.shape[0], weights.hp.dim) if frames.size else frames.reshape(0, weights.hp.dim)
 
 

@@ -304,9 +304,7 @@ def retokenize(vocab: Vocabulary, text: str | Sequence[str], allow_unk: bool = T
                     break
             else:
                 if unk is None:
-                    raise ValueError(
-                        f"cannot segment {word!r} at position {pos} and no UNK token"
-                    )
+                    raise ValidationError(f"cannot segment {word!r} at position {pos} and no UNK token")
                 out.append(unk)
                 pos += 1
     return out

@@ -172,8 +172,8 @@ def labelsync_lockstep(
     Utterance u may take max(1, round(``max_len_factor`` * T_u)) labels.
     ``stats``, one per posteriorgram, get that utterance's counters and
     audio; the search's wall time is split between the utterances by
-    frames.  ``decoder_am`` scorers, whose stream positions depend on the
-    audio's length, decode one utterance per :func:`labelsync_beam` call.
+    frames.  A ``decoder_am`` handle fails here: it needs audio, which a
+    lockstep does not take.
     """
     if not pgs:
         return []

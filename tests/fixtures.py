@@ -1,7 +1,8 @@
 """Test fixtures built from the library: a word-level LM vocabulary for
-delayed fusion, a uniform table LM, and the adversarial oscillation scenario
+delayed fusion, a uniform table LM, the adversarial oscillation scenario
 (a benign posteriorgram paired with a table LM that loops), which exercises
-joint decoding's length cap and its CTC weight.
+joint decoding's length cap and its CTC weight, and the byte edits of the
+fuzz tests.
 """
 
 from __future__ import annotations
@@ -16,6 +17,21 @@ import numpy as np
 from fusionkit.core import NEG_INF, WORD_MARKER, Posteriorgram, Vocabulary
 from fusionkit.lm import TableLM, retokenize, support_ids
 from fusionkit.synth import WORD_LIST, SynthConfig, _utterance_rows
+
+
+def fuzzed(data: bytes, edit: str, where: float, flip: int, insert: bytes) -> bytes:
+    """``data`` truncated at, its byte xor-ed with ``flip`` at, or ``insert``
+    put in at the fraction ``where`` of its length; ``edit`` is "truncate",
+    "flip" or "insert"."""
+    out = bytearray(data)
+    at = int(where * (len(out) - 1))
+    if edit == "truncate":
+        return bytes(out[:at])
+    if edit == "flip":
+        out[at] ^= flip
+    else:
+        out[at:at] = insert
+    return bytes(out)
 
 
 def build_lm_vocab(word_list: Sequence[str] = WORD_LIST) -> Vocabulary:

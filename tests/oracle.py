@@ -1,7 +1,7 @@
 """Slow references that the tests compare the fast paths against: the CTC
-forward probability summed over every alignment, and the label-synchronous
-beam's oracle, exhaustive search over the scorer protocol of
-``fusionkit.scorers``.
+forward probability summed over every alignment, posteriorgram compression
+grouped frame by frame, and the label-synchronous beam's oracle, exhaustive
+search over the scorer protocol of ``fusionkit.scorers``.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, Posteriorgram, ScorerWeights, Vocabulary
+from fusionkit.core import NEG_INF, Posteriorgram, ScorerWeights, Vocabulary, logsumexp
 from fusionkit.search import DecodeStats, LabelScorer, NBestEntry, NBestList
 
 
@@ -50,6 +50,27 @@ def ctc_forward_logprob(pg: Posteriorgram, target: Sequence[int], blank_id: int)
         from_skip[can_skip] = prev[:-2][can_skip[2:]]
         alpha = np.logaddexp(np.logaddexp(stay, from_prev), from_skip) + lp[t, ext]
     return float(np.logaddexp(alpha[-1], alpha[-2]))
+
+
+def compressed_log_probs(pg: Posteriorgram, threshold: float) -> np.ndarray:
+    """The rows of ``ctc.compress_posteriors(pg, threshold)``, one frame at a
+    time: a frame joins the group before it when both have the same argmax
+    (the lowest id on ties) with a probability of at least ``threshold``;
+    each group's rows are max-pooled, then renormalized.  With every group
+    one frame, the rows are ``pg``'s as they are."""
+    groups: list[np.ndarray] = []
+    before = None
+    for row in pg.log_probs:
+        best = int(np.argmax(row))
+        now = (best, bool(np.exp(row[best]) >= threshold))
+        if now[1] and now == before:
+            groups[-1] = np.maximum(groups[-1], row)
+        else:
+            groups.append(row.copy())
+        before = now
+    if len(groups) == pg.num_frames:
+        return pg.log_probs
+    return np.array([g - logsumexp(g) for g in groups])
 
 
 def exhaustive_decode(

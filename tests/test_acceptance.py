@@ -281,7 +281,7 @@ class TestCriterion4PruningIdentitiesAndSavings:
 
         def joint(pg, lm, prune):
             stats = DecodeStats()
-            p = topk_prune(pg, TOPK_SMALL, True, AM_VOCAB.blank_id) if prune else pg
+            p = topk_prune(pg, TOPK_SMALL, AM_VOCAB.blank_id) if prune else pg
             scorers = [CtcPrefixLabelScorer(p, AM_VOCAB), ContextLMScorer(lm, "lm")]
             nb = labelsync_beam(
                 scorers,

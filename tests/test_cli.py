@@ -1,10 +1,19 @@
+import contextlib
+import io
 import json
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fusionkit.cli import main
 from fusionkit.decoder import read_tensor_container
+
+from fixtures import fuzzed
 
 
 def run(argv, capsys):
@@ -339,6 +348,7 @@ class TestSynthAndDecode:
             (["--strategy", "ctc-greedy", "--top-k", "0"], "top_k must be"),
             (["--strategy", "ctc-greedy", "--compress-threshold", "-0.5"],
              "compress_threshold must be"),
+            (["--strategy", "ctc-greedy", "--top-k", "500"], "top_k must be at most the 179 labels"),
         ],
     )
     def test_bad_flag_fails_before_output(self, corpus, lm_file, tmp_path, capsys, flags, message):
@@ -926,6 +936,7 @@ class TestCorpusToolsFailCleanly:
             ("the and\n", ["--backoff", "0"], "backoff factor must be finite and > 0"),
             ("the and\n", ["--backoff", "-1"], "backoff factor must be finite and > 0"),
             ("the and\n", ["--order", "400"], "at most 16"),
+            ("hello w\u00f6rld\n", [], "train.txt: cannot segment 'w\u00f6rld'"),
         ],
     )
     def test_lm_train(self, corpus, tmp_path, capsys, text, flags, message):
@@ -964,7 +975,11 @@ class TestCorpusToolsFailCleanly:
         assert err.count("error:") == 1 and "unknown normalization mode 'bogus'" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("text, message", [("", "holds no text"), (None, "text.txt")])
+    @pytest.mark.parametrize(
+        "text, message",
+        [("", "holds no text"), (None, "text.txt"),
+         ("hello w\u00f6rld\n", "text.txt: cannot segment 'w\u00f6rld'")],
+    )
     def test_ppl(self, lm_file, tmp_path, capsys, text, message):
         path = tmp_path / "text.txt"
         if text is not None:
@@ -1025,6 +1040,21 @@ class TestBenchCommand:
         assert err.count("error:") == 1 and "Traceback" not in err
         assert flag in err and repr(bad) in err
 
+    def test_refs_without_words_fail_before_header(self, corpus, tmp_path, capsys):
+        bare = tmp_path / "bare"
+        shutil.copytree(corpus, bare)
+        (bare / "refs.txt").write_text("utt0000\t \n")
+        code, stdout, err = run(["bench", str(bare)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "holds no reference words" in err
+
+    def test_top_k_above_vocabulary_fails_before_header(self, corpus, capsys):
+        # the corpus vocabulary has 179 labels: the grid point k = 500 fails
+        # before the table's header or its first row
+        code, stdout, err = run(["bench", str(corpus), "--top-k", "3,500"], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "top_k must be at most the 179 labels" in err
+
 
 class TestExportAttnCommand:
     def test_writes_container(self, corpus, tmp_path, capsys):
@@ -1063,3 +1093,63 @@ class TestExportAttnCommand:
         assert err.count("error:") == 1 and "Traceback" not in err
         assert str(bad) in err and message in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "case, flags, message",
+        [
+            ("interface", ["--interface", "bogus"], "unknown interface kind 'bogus'"),
+            ("prefix-attention", ["--prefix-attention", "both"], "unknown prefix attention 'both'"),
+            ("merged-bidirectional", ["--interface", "merged", "--prefix-attention", "bidirectional"],
+             "requires the prefix kind"),
+            ("aed-without-audio", ["--interface", "aed"], "aed decoding requires audio"),
+            ("negative-seed", ["--seed", "-1"], "--seed must be an integer >= 0"),
+            ("audio-width", [], "audio dim 5 does not match decoder dim 32"),
+            ("weights-vocabulary", [], "weights of 7 labels, not 179"),
+        ],
+    )
+    def test_bad_argument_fails_cleanly(self, corpus, tmp_path, capsys, case, flags, message):
+        from fusionkit.core import EncoderOutput, write_encoder_output
+        from fusionkit.decoder import Hyperparams, save_weights, seeded_weights
+
+        if case == "audio-width":
+            audio = tmp_path / "audio.fkeo"
+            write_encoder_output(EncoderOutput(np.zeros((3, 5))), audio)
+            flags = ["--audio", str(audio)]
+        elif case == "weights-vocabulary":
+            weights = tmp_path / "other.fkwt"
+            save_weights(seeded_weights(Hyperparams(layers=1, dim=8, heads=2, vocab_size=7), 0), weights)
+            flags = ["--weights", str(weights)]
+        out = tmp_path / "attn.fkwt"
+        code, stdout, err = run(["export-attn", str(corpus / "vocab.txt"), "the and", str(out), *flags], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "Traceback" not in err and message in err
+        assert not out.exists()
+
+
+class TestFuzzedRefs:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edit=st.sampled_from(["truncate", "flip", "insert"]),
+        where=st.floats(0, 1),
+        flip=st.integers(1, 255),
+        insert=st.binary(min_size=1, max_size=12),
+    )
+    def test_decode_and_bench_exit_cleanly(self, corpus, edit, where, flip, insert):
+        # a truncated, flipped or grown refs.txt decodes and benches, or ends
+        # in one error line and exit 1; no exception leaves main
+        refs = fuzzed((corpus / "refs.txt").read_bytes(), edit, where, flip, insert)
+        with tempfile.TemporaryDirectory() as tmp:
+            fuzz = Path(tmp) / "corpus"
+            shutil.copytree(corpus, fuzz)
+            (fuzz / "refs.txt").write_bytes(refs)
+            for argv in (["decode", str(fuzz), str(Path(tmp) / "out")], ["bench", str(fuzz), "--beam", "1"]):
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                err = stderr.getvalue()
+                if code == 0:
+                    assert err == ""
+                else:
+                    assert code == 1 and stdout.getvalue() == ""
+                    assert err.startswith("error: ") and err.count("\n") == 1

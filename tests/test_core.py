@@ -27,6 +27,8 @@ from fusionkit.core import (
 )
 from fusionkit.lm import TableLM, load_table_lm, save_table_lm
 
+from fixtures import fuzzed
+
 
 def uniform_pg(t, v, frame_ms=60.0):
     return Posteriorgram(np.full((t, v), -math.log(v)), frame_ms)
@@ -308,17 +310,9 @@ class TestFuzzedMatrixFiles:
         # a truncated, flipped or grown FKPG, FKEO, vocabulary, table-LM or
         # config file reads or raises FormatError or ValidationError, with
         # no warning
-        data = bytearray(FUZZ_BASES[fmt])
-        at = int(where * (len(data) - 1))
-        if edit == "truncate":
-            data = data[:at]
-        elif edit == "flip":
-            data[at] ^= flip
-        else:
-            data[at:at] = insert
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / f"fuzzed.{fmt}"
-            path.write_bytes(bytes(data))
+            path.write_bytes(fuzzed(FUZZ_BASES[fmt], edit, where, flip, insert))
             try:
                 FUZZ_READERS[fmt](path)
             except (FormatError, ValidationError):

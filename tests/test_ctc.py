@@ -8,21 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import ctc
-from fusionkit.core import NEG_INF, Posteriorgram, logsumexp
+from fusionkit.core import NEG_INF, Posteriorgram, logsumexp, logsumexp_rows
 from fusionkit.ctc import (
     CtcPrefixScorer,
-    MergeIndexMap,
     PrefixStates,
     collapse,
     compress_posteriors,
     greedy_decode,
     kept_labels,
     log_add_bounds,
-    merge_indices,
     topk_prune,
 )
 
-from oracle import ctc_forward_logprob
+from oracle import compressed_log_probs, ctc_forward_logprob
 
 BLANK = 0
 
@@ -386,7 +384,7 @@ class TestPrefixScorer:
         # prefix's, each advance's from S = 0 on, and EOS-kept rows'
         rng = np.random.default_rng(seed)
         v = 5
-        pgs = [random_pg(rng, 3, v), topk_prune(random_pg(rng, 6, v), 3, True, BLANK), random_pg(rng, 9, v)]
+        pgs = [random_pg(rng, 3, v), topk_prune(random_pg(rng, 6, v), 3, BLANK), random_pg(rng, 9, v)]
         sc = CtcPrefixScorer(pgs, BLANK, self.EOS)
         cands = list(range(1, v)) + [self.EOS]
         states = sc.initial_state()
@@ -442,7 +440,7 @@ class TestPrefixScorer:
             with np.errstate(divide="ignore"):  # peaked rows may hold exact zeros
                 pg = Posteriorgram(np.log(rng.dirichlet(np.full(v, alpha), size=t)))
         if keep is not None:  # pruned labels are -inf in every frame
-            pg = topk_prune(pg, min(keep, v), True, BLANK)
+            pg = topk_prune(pg, min(keep, v), BLANK)
         sc = self.scorer(pg)
         cands = list(range(1, v)) + [self.EOS]
         states = sc.initial_state()
@@ -496,7 +494,7 @@ class TestPrefixScorer:
                 lp[frame] = NEG_INF
                 lp[frame, rng.integers(v)] = -0.0
             pg = Posteriorgram(lp)
-            pgs.append(pg if keep is None else topk_prune(pg, min(keep, v), True, BLANK))
+            pgs.append(pg if keep is None else topk_prune(pg, min(keep, v), BLANK))
         sc = CtcPrefixScorer(pgs, BLANK, self.EOS)
         cands = list(range(1, v)) + [self.EOS]
         labels = np.array(cands[:-1])
@@ -591,7 +589,7 @@ class TestLockstepBounds:
             lp = np.full((t, v), NEG_INF)
             lp[:, support] = np.log(rng.dirichlet(np.ones(3), size=t))
             pg = Posteriorgram(lp)
-            pgs.append(pg if keep is None else topk_prune(pg, keep + 1, True, BLANK))
+            pgs.append(pg if keep is None else topk_prune(pg, keep + 1, BLANK))
         late_label = v - 2
         pgs.insert(int(rng.integers(U)), late_pg(late, v, late_label, v - 1))
         sc = CtcPrefixScorer(pgs, BLANK, self.EOS)
@@ -637,6 +635,8 @@ class TestLockstepBounds:
 
 
 class TestMergeIndices:
+    """The confident-argmax runs that compress_posteriors merges."""
+
     def test_spec_pattern(self):
         # argmax runs [a,a,blank,b,b] with probs [.95,.96,.99,.80,.97]
         pg = make_pg([
@@ -646,34 +646,36 @@ class TestMergeIndices:
             [0.10, 0.10, 0.80],
             [0.01, 0.02, 0.97],
         ])
-        assert merge_indices(pg, 0.9).indices == (1, 1, 2, 3, 4)
+        out = compress_posteriors(pg, 0.9)
+        assert out.num_frames == 4
+        pooled = np.maximum(pg.log_probs[0], pg.log_probs[1])
+        np.testing.assert_allclose(out.log_probs[0], pooled - logsumexp(pooled), atol=1e-12)
+        np.testing.assert_allclose(out.log_probs[1:], pg.log_probs[2:], atol=1e-12)
 
     def test_unreachable_threshold_is_identity(self):
         rng = np.random.default_rng(2)
         pg = random_pg(rng, 6, 3)
-        m = merge_indices(pg, 1.5)
-        assert m.indices == tuple(range(1, 7))
-        assert m.is_identity
+        assert compress_posteriors(pg, 1.5) is pg
+        assert compress_posteriors(pg, math.inf) is pg
 
     def test_full_merge(self):
         pg = make_pg([[0.05, 0.95, 0.0 + 1e-12], [0.04, 0.95, 0.01], [0.03, 0.96, 0.01]])
-        assert merge_indices(pg, 0.9).indices == (1, 1, 1)
-
-    def test_invalid_map_rejected(self):
-        with pytest.raises(ValueError):
-            MergeIndexMap((1, 3), 0.9)
-        with pytest.raises(ValueError):
-            MergeIndexMap((2, 2), 0.9)
+        out = compress_posteriors(pg, 0.9)
+        assert out.num_frames == 1
+        np.testing.assert_allclose(
+            np.exp(out.log_probs), [np.array([0.05, 0.96, 0.01]) / 1.02], atol=1e-12
+        )
 
 
 class TestCompressPosteriors:
     def test_identity_map(self):
+        # one frame has no neighbour to merge with, however confident
         pg = make_pg([[0.5, 0.3, 0.2]])
-        assert compress_posteriors(pg, MergeIndexMap((1,), 1.5)) is pg
+        assert compress_posteriors(pg, 0.4) is pg
 
     def test_max_pool_then_renormalize(self):
         pg = make_pg([[0.7, 0.2, 0.1], [0.6, 0.3, 0.1]])
-        out = compress_posteriors(pg, MergeIndexMap((1, 1), 0.9))
+        out = compress_posteriors(pg, 0.5)
         np.testing.assert_allclose(
             np.exp(out.log_probs), [[0.7 / 1.1, 0.3 / 1.1, 0.1 / 1.1]], atol=1e-12
         )
@@ -681,7 +683,7 @@ class TestCompressPosteriors:
     def test_rows_normalized(self):
         rng = np.random.default_rng(4)
         pg = random_pg(rng, 6, 4)
-        out = compress_posteriors(pg, merge_indices(pg, 0.2))
+        out = compress_posteriors(pg, 0.2)
         for row in out.log_probs:
             assert logsumexp(row) == pytest.approx(0.0, abs=1e-12)
 
@@ -690,19 +692,19 @@ class TestTopkPrune:
     def test_k_equals_v_is_noop(self):
         rng = np.random.default_rng(6)
         pg = random_pg(rng, 4, 5)
-        assert topk_prune(pg, 5, True, BLANK) is pg
+        assert topk_prune(pg, 5, BLANK) is pg
 
     def test_spec_example(self):
         pg = make_pg([[0.7, 0.2, 0.1], [0.1, 0.3, 0.6]])
         # labels: 0=a, 1=b, 2=blank; s_max = (0.7, 0.3, 0.6) keeps {a, blank}
-        out = topk_prune(pg, 2, True, blank_id=2)
+        out = topk_prune(pg, 2, blank_id=2)
         np.testing.assert_allclose(
             np.exp(out.log_probs), [[0.875, 0.0, 0.125], [0.1 / 0.7, 0.0, 0.6 / 0.7]], atol=1e-12
         )
 
     def test_k1_keep_blank_forces_blank_only(self):
         pg = make_pg([[0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
-        out = topk_prune(pg, 1, True, BLANK)
+        out = topk_prune(pg, 1, BLANK)
         assert greedy_decode(out, BLANK) == []
         np.testing.assert_allclose(np.exp(out.log_probs[:, BLANK]), 1.0)
 
@@ -710,12 +712,12 @@ class TestTopkPrune:
         pg = make_pg([[0.5, 0.5, 0.0 + 1e-12]])
         for k in (0, 4):
             with pytest.raises(ValueError):
-                topk_prune(pg, k, True, BLANK)
+                topk_prune(pg, k, BLANK)
 
     def test_renormalized_rows(self):
         rng = np.random.default_rng(8)
         pg = random_pg(rng, 5, 6)
-        out = topk_prune(pg, 3, True, BLANK)
+        out = topk_prune(pg, 3, BLANK)
         for row in out.log_probs:
             assert logsumexp(row) == pytest.approx(0.0, abs=1e-12)
         assert len(kept_labels(out)) == 3
@@ -724,15 +726,16 @@ class TestTopkPrune:
         rng = np.random.default_rng(9)
         for _ in range(10):
             pg = random_pg(rng, 5, 5)
-            out = topk_prune(pg, 4, True, BLANK)
+            out = topk_prune(pg, 4, BLANK)
             argmaxes = set(np.argmax(pg.log_probs, axis=1).tolist())
             if argmaxes <= set(kept_labels(out).tolist()):
                 assert greedy_decode(out, BLANK) == greedy_decode(pg, BLANK)
 
     def test_tie_prefers_lower_id(self):
+        # labels 1 and 2 tie; 1 takes the slot that blank does not
         pg = make_pg([[0.2, 0.4, 0.4]])
-        out = topk_prune(pg, 1, False, BLANK)
-        assert kept_labels(out).tolist() == [1]
+        out = topk_prune(pg, 2, BLANK)
+        assert kept_labels(out).tolist() == [0, 1]
 
     def test_fully_pruned_frame_becomes_blank(self):
         # one-hot rows: frame 1's label is dropped at k=2, its mass moves to blank
@@ -741,7 +744,57 @@ class TestTopkPrune:
         lp[1, 2] = 0.0
         lp[2, 1] = 0.0
         pg = Posteriorgram(lp)
-        out = topk_prune(pg, 2, True, BLANK)
+        out = topk_prune(pg, 2, BLANK)
         assert kept_labels(out).tolist() == [0, 1]
         np.testing.assert_array_equal(out.log_probs[1, BLANK], 0.0)
         assert greedy_decode(out, BLANK) == [1, 1]
+
+
+@st.composite
+def pruned_posteriorgrams(draw):
+    """A random posteriorgram whose runs of repeated rows may merge, with
+    pruned (-inf) entries; every row and every label keeps a finite one."""
+    t, v = draw(st.integers(1, 9)), draw(st.integers(2, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    logits = rng.normal(size=(t, v)) * draw(st.sampled_from([0.5, 3.0, 12.0]))
+    for i in range(1, t):
+        if rng.random() < draw(st.sampled_from([0.0, 0.5, 0.9])):
+            logits[i] = logits[i - 1] + rng.normal(size=v) * 0.1
+    dropped = rng.random((t, v)) < draw(st.sampled_from([0.0, 0.3, 0.6]))
+    dropped[np.arange(t), rng.integers(0, v, t)] = False
+    dropped[rng.integers(0, t, v), np.arange(v)] = False
+    logits[dropped] = NEG_INF
+    return Posteriorgram(logits - logsumexp_rows(logits)[:, None])
+
+
+class TestPreparationProperties:
+    """Compression and top-k pruning on random posteriorgrams with pruned
+    entries, warnings as errors."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        pg=pruned_posteriorgrams(),
+        above=st.floats(1.0, math.inf, exclude_min=True),
+        blank=st.integers(0, 5),
+    )
+    def test_no_op_returns_input(self, pg, above, blank):
+        assert compress_posteriors(pg, above) is pg
+        assert topk_prune(pg, pg.num_labels, blank % pg.num_labels) is pg
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(pg=pruned_posteriorgrams(), threshold=st.floats(0.05, 1.0))
+    def test_compression_equals_frame_by_frame_reference(self, pg, threshold):
+        out = compress_posteriors(pg, threshold)
+        np.testing.assert_array_equal(out.log_probs, compressed_log_probs(pg, threshold))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(pg=pruned_posteriorgrams(), k=st.integers(1, 6), blank=st.integers(0, 5))
+    def test_topk_keeps_k_labels_with_blank(self, pg, k, blank):
+        k, blank = min(k, pg.num_labels), blank % pg.num_labels
+        out = topk_prune(pg, k, blank)
+        kept = kept_labels(out).tolist()
+        assert len(kept) == k and blank in kept
+        np.testing.assert_allclose(logsumexp_rows(out.log_probs), 0.0, atol=1e-12)

@@ -27,7 +27,7 @@ from fusionkit.lm import (
     word_perplexity,
 )
 
-from fixtures import uniform_table_lm
+from fixtures import fuzzed, uniform_table_lm
 
 VOCAB = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b"])
 A, B = 3, 4
@@ -449,17 +449,9 @@ class TestNGramSerialization:
         insert=st.sampled_from(["\t", "\n", "nan", "inf", "\t1\t", "[ngrams]\n"]),
     )
     def test_fuzzed_file_raises_only_format_errors(self, edit, where, flip, insert):
-        data = bytearray(FUZZ_BASE)
-        at = int(where * (len(data) - 1))
-        if edit == "truncate":
-            data = data[:at]
-        elif edit == "flip":
-            data[at] ^= flip
-        else:
-            data[at:at] = insert.encode()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzzed.fklm"
-            path.write_bytes(bytes(data))
+            path.write_bytes(fuzzed(FUZZ_BASE, edit, where, flip, insert.encode()))
             try:
                 model = load_ngram(path)
             except (FormatError, ValidationError):

@@ -168,7 +168,7 @@ def random_pg(rng, frames, vocab=WIDE, keep=None):
     lp[:, cols] -= np.array([logsumexp(r) for r in lp[:, cols]])[:, None]
     pg = Posteriorgram(lp)
     if keep is not None:  # a pruned utterance has a support of its own
-        pg = topk_prune(pg, keep, True, vocab.blank_id)
+        pg = topk_prune(pg, keep, vocab.blank_id)
     return pg
 
 

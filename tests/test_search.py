@@ -320,7 +320,7 @@ class TestLabelsyncBeam:
         rng = np.random.default_rng(seed)
         pg = random_am_pg(rng, int(rng.integers(2, 10)), WIDE)
         if keep is not None:
-            pg = topk_prune(pg, keep, True, WIDE.blank_id)
+            pg = topk_prune(pg, keep, WIDE.blank_id)
         plain = [i for i in range(WIDE.size) if not WIDE.is_special(i)]
         corpus = [rng.choice(plain, size=rng.integers(1, 5)).tolist() for _ in range(6)]
         lm = train_ngram(WIDE, corpus, order=2)
@@ -587,7 +587,7 @@ class TestDecodeStats:
             ["<blank>", "<s>", "</s>"] + [f"t{i}" for i in range(12)]
         )
         pg = random_am_pg(rng, 5, big_vocab)
-        pruned = topk_prune(pg, 4, True, big_vocab.blank_id)
+        pruned = topk_prune(pg, 4, big_vocab.blank_id)
         s_full = DecodeStats()
         s_pruned = DecodeStats()
         w = ScorerWeights({"ctc": 1.0})

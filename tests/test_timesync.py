@@ -374,7 +374,7 @@ class TestBatchedFrameStep:
         # a saturated beam keeps every prefix: at most 7^4 or 3^7 of them
         pg = random_pg(rng, int(rng.integers(1, 5 if wide else 8)), vocab, kind)
         if keep is not None:
-            pg = topk_prune(pg, keep, True, vocab.blank_id)
+            pg = topk_prune(pg, keep, vocab.blank_id)
         plain = [i for i in range(vocab.size) if not vocab.is_special(i)]
         corpus = [rng.choice(plain, size=rng.integers(1, 5)).tolist() for _ in range(6)]
         lm = train_ngram(vocab, corpus, order=2) if with_lm else None
@@ -398,7 +398,7 @@ class TestBatchedFrameStep:
         am_vocab, lm_vocab = cross_vocab()
         pg = random_pg(rng, int(rng.integers(1, 5)), am_vocab, kind)
         if keep is not None:
-            pg = topk_prune(pg, keep, True, am_vocab.blank_id)
+            pg = topk_prune(pg, keep, am_vocab.blank_id)
         words = ["ab ca", "ab ab c", "b", "ca c ab"]
         corpus = [retokenize(lm_vocab, rng.choice(words).split()) for _ in range(3)]
         lm = train_ngram(lm_vocab, corpus, order=2)
@@ -470,7 +470,7 @@ def mixed_corpus(rng, vocab, kind, keep, count, max_frames):
     for _ in range(count):
         frames = 1 if rng.random() < 1 / 3 else int(rng.integers(1, max_frames + 1))
         pg = random_pg(rng, frames, vocab, kind)
-        pgs.append(pg if keep is None else topk_prune(pg, keep, True, vocab.blank_id))
+        pgs.append(pg if keep is None else topk_prune(pg, keep, vocab.blank_id))
     return pgs
 
 
