@@ -453,7 +453,7 @@ def cmd_decode(args) -> int:
         write_nbest(nbest, vocab, out_dir / f"{utt_id}.nbest")
         hyp_lines.append(f"{utt_id}\t{vocab.text(nbest.best.output_labels(vocab.eos_id))}")
         total.merge(stats)
-    (out_dir / "hyps.txt").write_text("\n".join(hyp_lines) + "\n", encoding="utf-8")
+    (out_dir / "hyps.txt").write_text("".join(line + "\n" for line in hyp_lines), encoding="utf-8")
     (out_dir / "config.json").write_text(
         json.dumps(asdict(cfg), sort_keys=True, indent=1) + "\n", encoding="utf-8"
     )

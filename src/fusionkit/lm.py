@@ -1,8 +1,10 @@
 """Backoff n-gram and table-driven language models, perplexity, retokenization.
 
-Models are immutable after training or loading; scoring is reentrant.  The
-n-gram keeps its tables in log10 (as serialized) and converts to natural log
-at query time so that save/load round-trips are byte-identical.
+Models are immutable after training or loading, but an n-gram model fills
+its row store as it is queried, so one model must not be queried from two
+threads at once.  The n-gram keeps its tables in log10 (as serialized) and
+converts to natural log at query time so that save/load round-trips are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from fusionkit.core import (
 LN10 = math.log(10.0)
 NGRAM_MAGIC = "FKLM v1"
 UNK_TOKEN = "<unk>"
-ROW_CACHE_ROWS = 1 << 14  # bound of an n-gram model's row cache
+ROW_CACHE_ROWS = 1 << 14  # bound of the contexts an n-gram model's row store holds
+STORE_STEP = 32  # rows an n-gram model's row store grows by beyond what it must hold
 LOGPROB_ROWS = 1 << 10  # rows a sequence's log probability asks for at once
 MAX_ORDER = 16  # train_ngram's cap: its time and the FKLM size grow with order^2
 
@@ -63,32 +66,48 @@ class NGramModel:
     order: int
     backoff_factor: float
     tables: tuple[dict[tuple[int, ...], dict[int, float]], ...]
-    _cond_cache: dict[tuple[int, ...], np.ndarray] = field(
-        default_factory=dict, compare=False, repr=False
-    )
     _support: np.ndarray = field(init=False, compare=False, repr=False)
-    _unigram: np.ndarray = field(init=False, compare=False, repr=False)  # log10, by token id
-    # per context length k >= 1: context -> (start, stop) into flat token and log10 arrays
+    _unigram: np.ndarray = field(init=False, compare=False, repr=False)  # log10, by support column
+    # per context length k >= 1: context -> (start, stop) into flat lists of
+    # support columns and log10 values; entries off the support are never read
     _levels: tuple = field(init=False, compare=False, repr=False)
+    _discounts: list = field(init=False, compare=False, repr=False)  # of j backoff steps, by j
+    # the row store: rows, the first ones held, and the store row of each
+    # held truncated context and backoff state (see _state)
+    _store: np.ndarray = field(init=False, compare=False, repr=False)
+    _row_of: dict = field(init=False, compare=False, repr=False)
+    _row_of_state: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        unigram = np.full(self.vocab.size, np.nan)  # load_ngram rejects a gap in the support
-        for tok, val in self.tables[0].get((), {}).items():
-            unigram[tok] = val
+        support = np.array(support_ids(self.vocab))
+        column = np.full(self.vocab.size, -1)
+        column[support] = np.arange(len(support))
         # levels above the deepest that holds an entry are absent, as if empty
         deepest = max((k for k, table in enumerate(self.tables) if table), default=0)
         object.__setattr__(self, "tables", tuple(self.tables[: deepest + 1]))
         levels = []
-        for table in self.tables[1:]:
-            index, toks, vals = {}, [], []
-            for ctx, dist in table.items():
-                index[ctx] = (len(toks), len(toks) + len(dist))
-                toks.extend(dist)
-                vals.extend(dist.values())
-            levels.append((index, np.array(toks, dtype=np.intp), np.array(vals, dtype=float)))
-        object.__setattr__(self, "_support", np.array(support_ids(self.vocab)))
+        for table in self.tables:
+            dists = table.values()
+            cols = column[np.fromiter(itertools.chain.from_iterable(dists), np.intp)]
+            vals = np.fromiter(itertools.chain.from_iterable(d.values() for d in dists), float)
+            on = cols >= 0
+            # a context's entries, before and after those off the support are dropped
+            ends = np.concatenate([[0], np.fromiter(map(len, dists), np.intp).cumsum()])
+            bounds = np.concatenate([[0], on.cumsum()])[ends].tolist()
+            levels.append((dict(zip(table, zip(bounds, bounds[1:]))), cols[on].tolist(), vals[on].tolist()))
+        _, unigram_cols, unigram_vals = levels.pop(0)
+        unigram = np.full(len(support), np.nan)  # load_ngram rejects a gap in the support
+        unigram[unigram_cols] = unigram_vals
+        object.__setattr__(self, "_support", support)
         object.__setattr__(self, "_unigram", unigram)
         object.__setattr__(self, "_levels", tuple(levels))
+        object.__setattr__(self, "_discounts", [0.0])
+        self._clear()
+
+    def _clear(self) -> None:
+        object.__setattr__(self, "_store", np.empty((0, self.vocab.size)))
+        object.__setattr__(self, "_row_of", {})
+        object.__setattr__(self, "_row_of_state", {})
 
     def conditionals(self, context: Sequence[int]) -> np.ndarray:
         """Normalized natural-log distribution over the full vocab for a context.
@@ -99,44 +118,84 @@ class NGramModel:
         return self.rows([context])[0]
 
     def rows(self, contexts: Iterable[Sequence[int]]) -> np.ndarray:
-        """:meth:`conditionals` of each context as an (R, V) array.  Missing
-        rows are built together; the row cache holds at most
-        ``ROW_CACHE_ROWS``, and a batch that would overflow it clears it."""
+        """:meth:`conditionals` of each context as an (R, V) array, gathered
+        from the row store at once; see :meth:`_fill` for a batch with
+        contexts it does not hold."""
         keep = self.order - 1
-        ctxs = [tuple(c)[max(0, len(c) - keep) :] for c in contexts]
-        cache = self._cond_cache
-        rows = {ctx: cache.get(ctx) for ctx in ctxs}
-        new = [ctx for ctx, row in rows.items() if row is None]
-        if new:
-            rows.update(zip(new, self._block(new)))
-            if len(cache) + len(new) > ROW_CACHE_ROWS:
-                cache.clear()
-            cache.update((ctx, rows[ctx]) for ctx in new[:ROW_CACHE_ROWS])
-        return np.array([rows[c] for c in ctxs]).reshape(len(ctxs), self.vocab.size)
+        ctxs = [tuple(c)[-keep:] for c in contexts] if keep else [() for _ in contexts]
+        row_of = self._row_of
+        try:
+            return self._store.take([row_of[c] for c in ctxs], axis=0)
+        except KeyError:
+            return self._fill(ctxs)
 
-    def _block(self, ctxs: list[tuple[int, ...]]) -> np.ndarray:
-        """Read-only rows of distinct truncated contexts: the unigram row
-        under each context's full discount, then each matching level, lowest
-        first, so the longest match wins.  Discounts are summed by repeated
-        += from 0.0, as a walk from the longest context down adds them."""
-        lens = np.array([len(ctx) for ctx in ctxs])
-        step = math.log10(self.backoff_factor)
-        discounts = np.array(list(itertools.accumulate([0.0] + [step] * lens.max())))
-        block = discounts[lens][:, None] + self._unigram
-        for k, (index, toks, vals) in enumerate(self._levels[: lens.max()], 1):
-            hits = [(i, span) for i, ctx in enumerate(ctxs) if len(ctx) >= k and (span := index.get(ctx[-k:]))]
-            if hits:
-                rows, spans = zip(*hits)
-                rows = np.repeat(rows, [b - a for a, b in spans])
-                cols = np.concatenate([toks[a:b] for a, b in spans])
-                block[rows, cols] = discounts[lens[rows] - k] + np.concatenate([vals[a:b] for a, b in spans])
-        # a C-ordered copy: the row sums of the F-ordered gather round
-        # differently from the 1-D logsumexp
-        raw = np.ascontiguousarray(block[:, self._support]) * LN10
-        out = np.full_like(block, NEG_INF)
-        out[:, self._support] = raw - logsumexp_rows(raw)[:, None]
-        out.setflags(write=False)
+    def _fill(self, ctxs: list[tuple[int, ...]]) -> np.ndarray:
+        """:meth:`rows` of truncated contexts, some not held.  A new context
+        gets the store row of its backoff state; the rows of states not held
+        are built onto the store, which grows by ``STORE_STEP`` rows beyond
+        what it must hold.  At most ``ROW_CACHE_ROWS`` contexts are held: a
+        batch that would overflow them clears the store first, and one
+        larger than that is not kept."""
+        new = [c for c in dict.fromkeys(ctxs) if c not in self._row_of]
+        if len(self._row_of) + len(new) > ROW_CACHE_ROWS:
+            self._clear()
+            new = list(dict.fromkeys(ctxs))
+        row_of, row_of_state = self._row_of, self._row_of_state
+        states = [self._state(c) for c in new]
+        fresh = [s for s in dict.fromkeys(states) if s not in row_of_state]
+        if fresh:
+            held, need = len(row_of_state), len(row_of_state) + len(fresh)
+            if need > len(self._store):
+                # STORE_STEP spare rows, within ROW_CACHE_ROWS unless this
+                # batch alone needs more; rows not yet built stay -inf off
+                # the support
+                store = np.full((min(need + STORE_STEP, max(need, ROW_CACHE_ROWS)), self.vocab.size), NEG_INF)
+                store[:held] = self._store[:held]
+                object.__setattr__(self, "_store", store)
+            self._store[held:need, self._support] = self._block(fresh)
+            row_of_state.update(zip(fresh, range(held, need)))
+        row_of.update(zip(new, map(row_of_state.__getitem__, states)))
+        out = self._store.take([row_of[c] for c in ctxs], axis=0)
+        if len(row_of) > ROW_CACHE_ROWS:
+            self._clear()
         return out
+
+    def _state(self, ctx: tuple[int, ...]) -> tuple:
+        """A truncated context's backoff state, all that its row depends on:
+        its length and, lowest first, each level whose suffix of the context
+        it holds with that suffix's entry span.  The tables need not nest, so
+        a shorter suffix may be missing where a longer one is held."""
+        n = len(ctx)
+        spans = []
+        for k, (index, _, _) in enumerate(self._levels[:n], 1):
+            span = index.get(ctx[n - k :])
+            if span is not None:
+                spans.append((k, *span))
+        return n, tuple(spans)
+
+    def _block(self, states: list[tuple]) -> np.ndarray:
+        """Support columns of the rows of distinct backoff states: the
+        unigram under the state's full discount, then each matching level,
+        lowest first, so the longest match wins, then a row-wise
+        log-sum-exp.  Discounts are summed by repeated += from 0.0, as a
+        walk from the longest context down adds them."""
+        discounts = self._discounts
+        top = max(n for n, _ in states)
+        while len(discounts) <= top:
+            discounts.append(discounts[-1] + math.log10(self.backoff_factor))
+        block = np.array([discounts[n] for n, _ in states])[:, None] + self._unigram
+        entries = {}  # flat block index -> log10 value; a higher level's replaces a lower one's
+        for i, (n, spans) in enumerate(states):
+            at = i * block.shape[1]
+            for k, start, stop in spans:
+                _, cols, vals = self._levels[k - 1]
+                base = discounts[n - k]
+                entries.update(zip(map(at.__add__, cols[start:stop]), map(base.__add__, vals[start:stop])))
+        np.put(block, list(entries), list(entries.values()))
+        # C-ordered: the row sums of another layout round differently from
+        # the 1-D logsumexp
+        raw = block * LN10
+        return raw - logsumexp_rows(raw)[:, None]
 
     @property
     def context_size(self) -> int:

@@ -72,6 +72,8 @@ class SynthConfig:
     word_list: tuple[str, ...] = WORD_LIST
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, not {self.seed}")
         if not 0.0 <= self.noise < 1.0:
             raise ValidationError(f"noise must lie in [0, 1), not {self.noise!r}")
         if self.noise and FLOOR_LEAK * self.noise / (self.vocab.size - 2) == 0.0:  # all but BOS, EOS

@@ -84,6 +84,19 @@ class TestSynthAndDecode:
         for name in ["hyps.txt", "utt0000.nbest", "config.json"]:
             assert (a / name).read_bytes() == (b / name).read_bytes()
 
+    def test_empty_corpus_writes_empty_hyps(self, corpus, tmp_path, capsys):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        (empty / "vocab.txt").write_bytes((corpus / "vocab.txt").read_bytes())
+        (empty / "refs.txt").write_text("")
+        out = tmp_path / "out"
+        code, _, _ = run(["decode", str(empty), str(out), "--strategy", "timesync"], capsys)
+        assert code == 0
+        assert (out / "hyps.txt").read_bytes() == b""
+        code, stdout, err = run(["wer", str(empty / "refs.txt"), str(out / "hyps.txt")], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "reference word" in err
+
     def test_jobs_config_key_rejected(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "jobs.json"
         cfg_path.write_text(json.dumps({"strategy": "timesync", "jobs": 2}))
@@ -917,6 +930,7 @@ class TestCorpusToolsFailCleanly:
             (["--utts", "0"], "at least one utterance"),
             (["--min-words", "5", "--max-words", "2"], "ranges must be nonempty"),
             (["--noise", "5e-324"], "floor mass underflows to 0"),
+            (["--seed", "-1"], "seed must be >= 0"),
         ],
     )
     def test_synth(self, tmp_path, capsys, flags, message):

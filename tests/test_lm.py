@@ -313,9 +313,65 @@ class TestDenseConditionals:
         batches = [contexts[:3], contexts[3:6], contexts[6:7], contexts[7:], contexts[::-1]]
         for batch in batches:
             got = model.rows(batch)
-            assert len(model._cond_cache) <= 4
+            assert len(model._row_of) <= 4 and len(model._store) <= 4
             want = np.array([reference_conditionals(model, c) for c in batch])
             assert got.tobytes() == want.tobytes()
+
+
+# blank and BOS split the support into two runs, so its columns are not one slice
+VOCAB_SPLIT = Vocabulary.from_tokens(["a", "b", "<blank>", "c", "</s>", "d", "<s>", "e"])
+
+
+@st.composite
+def direct_models(draw):
+    """An n-gram model straight from ``tables``: levels that need not nest
+    (a context whose suffix is held by no lower level), entries on blank or
+    BOS, which no row reads, empty distributions, and an order that may lie
+    above the deepest level."""
+    vocab = draw(st.sampled_from([TestDenseConditionals.VOCAB5, VOCAB_SPLIT]))
+    support = support_ids(vocab)
+    value = st.floats(-6.0, 0.5)
+    unigram = {(): {tok: draw(value) for tok in support}}
+    deepest = draw(st.integers(0, 3))
+    tokens = st.integers(0, vocab.size - 1)
+    levels = [
+        draw(st.dictionaries(
+            st.lists(tokens, min_size=k, max_size=k).map(tuple),
+            st.dictionaries(tokens, value, max_size=4),
+            max_size=6,
+        ))
+        for k in range(1, deepest + 1)
+    ]
+    order = draw(st.integers(1, deepest + 3))
+    return NGramModel(vocab, order, draw(st.sampled_from([0.3, 1.0, 2.5])), tuple([unigram] + levels))
+
+
+class TestRowStore:
+    """Every ``rows`` call, in any sequence and whatever the store held
+    before, equals the per-token reference bit for bit, and the store never
+    holds more than ``ROW_CACHE_ROWS`` contexts or rows."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(
+        model=direct_models(),
+        pool=st.lists(st.lists(st.integers(0, 7), max_size=8), min_size=1, max_size=10),
+        calls=st.lists(st.lists(st.tuples(st.integers(0, 9), st.booleans()), max_size=12), max_size=8),
+        cap=st.integers(1, 8),
+    )
+    def test_call_sequences_equal_reference(self, model, pool, calls, cap):
+        pool = [[t % model.vocab.size for t in ctx] for ctx in pool]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lm, "ROW_CACHE_ROWS", cap)
+            for call in calls:
+                # repeated contexts, as lists and as tuples
+                batch = [pool[i % len(pool)] for i, _ in call]
+                batch = [tuple(ctx) if as_tuple else ctx for ctx, (_, as_tuple) in zip(batch, call)]
+                got = model.rows(batch)
+                want = np.array([reference_conditionals(model, c) for c in batch]).reshape(-1, model.vocab.size)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert len(model._row_of) <= cap and len(model._row_of_state) <= cap
+                assert len(model._store) <= cap
 
 
 def scan_conditionals(model, context):
