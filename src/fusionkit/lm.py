@@ -40,7 +40,6 @@ LN10 = math.log(10.0)
 NGRAM_MAGIC = "FKLM v1"
 UNK_TOKEN = "<unk>"
 ROW_CACHE_ROWS = 1 << 14  # bound of the contexts an n-gram model's row store holds
-STORE_STEP = 32  # rows an n-gram model's row store grows by beyond what it must hold
 LOGPROB_ROWS = 1 << 10  # rows a sequence's log probability asks for at once
 MAX_ORDER = 16  # train_ngram's cap: its time and the FKLM size grow with order^2
 
@@ -68,12 +67,13 @@ class NGramModel:
     tables: tuple[dict[tuple[int, ...], dict[int, float]], ...]
     _support: np.ndarray = field(init=False, compare=False, repr=False)
     _unigram: np.ndarray = field(init=False, compare=False, repr=False)  # log10, by support column
-    # per context length k >= 1: context -> (start, stop) into flat lists of
-    # support columns and log10 values; entries off the support are never read
+    # per context length k >= 1: context -> (start, stop) into flat support
+    # columns and log10 values, as memoryviews, which iterate to Python
+    # numbers; entries off the support are never read
     _levels: tuple = field(init=False, compare=False, repr=False)
     _discounts: list = field(init=False, compare=False, repr=False)  # of j backoff steps, by j
-    # the row store: rows, the first ones held, and the store row of each
-    # held truncated context and backoff state (see _state)
+    # the row store: one row per backoff state held, and the store row of
+    # each held truncated context and backoff state (see _state)
     _store: np.ndarray = field(init=False, compare=False, repr=False)
     _row_of: dict = field(init=False, compare=False, repr=False)
     _row_of_state: dict = field(init=False, compare=False, repr=False)
@@ -94,7 +94,7 @@ class NGramModel:
             # a context's entries, before and after those off the support are dropped
             ends = np.concatenate([[0], np.fromiter(map(len, dists), np.intp).cumsum()])
             bounds = np.concatenate([[0], on.cumsum()])[ends].tolist()
-            levels.append((dict(zip(table, zip(bounds, bounds[1:]))), cols[on].tolist(), vals[on].tolist()))
+            levels.append((dict(zip(table, zip(bounds, bounds[1:]))), memoryview(cols[on]), memoryview(vals[on])))
         _, unigram_cols, unigram_vals = levels.pop(0)
         unigram = np.full(len(support), np.nan)  # load_ngram rejects a gap in the support
         unigram[unigram_cols] = unigram_vals
@@ -132,10 +132,9 @@ class NGramModel:
     def _fill(self, ctxs: list[tuple[int, ...]]) -> np.ndarray:
         """:meth:`rows` of truncated contexts, some not held.  A new context
         gets the store row of its backoff state; the rows of states not held
-        are built onto the store, which grows by ``STORE_STEP`` rows beyond
-        what it must hold.  At most ``ROW_CACHE_ROWS`` contexts are held: a
-        batch that would overflow them clears the store first, and one
-        larger than that is not kept."""
+        are built onto the store, which grows to fit them exactly.  At most
+        ``ROW_CACHE_ROWS`` contexts are held: a batch that would overflow
+        them clears the store first, and one larger than that is not kept."""
         new = [c for c in dict.fromkeys(ctxs) if c not in self._row_of]
         if len(self._row_of) + len(new) > ROW_CACHE_ROWS:
             self._clear()
@@ -144,16 +143,13 @@ class NGramModel:
         states = [self._state(c) for c in new]
         fresh = [s for s in dict.fromkeys(states) if s not in row_of_state]
         if fresh:
-            held, need = len(row_of_state), len(row_of_state) + len(fresh)
-            if need > len(self._store):
-                # STORE_STEP spare rows, within ROW_CACHE_ROWS unless this
-                # batch alone needs more; rows not yet built stay -inf off
-                # the support
-                store = np.full((min(need + STORE_STEP, max(need, ROW_CACHE_ROWS)), self.vocab.size), NEG_INF)
-                store[:held] = self._store[:held]
-                object.__setattr__(self, "_store", store)
-            self._store[held:need, self._support] = self._block(fresh)
-            row_of_state.update(zip(fresh, range(held, need)))
+            held = len(self._store)
+            # in place, so the store is never held twice (no view of it
+            # outlives a call); new rows are -inf off the support
+            self._store.resize((held + len(fresh), self.vocab.size), refcheck=False)
+            self._store[held:] = NEG_INF
+            self._store[held:, self._support] = self._block(fresh)
+            row_of_state.update(zip(fresh, range(held, len(self._store))))
         row_of.update(zip(new, map(row_of_state.__getitem__, states)))
         out = self._store.take([row_of[c] for c in ctxs], axis=0)
         if len(row_of) > ROW_CACHE_ROWS:
