@@ -144,8 +144,9 @@ class NGramModel:
         fresh = [s for s in dict.fromkeys(states) if s not in row_of_state]
         if fresh:
             held = len(self._store)
-            # in place, so the store is never held twice (no view of it
-            # outlives a call); new rows are -inf off the support
+            # grown in place, never held twice; refcheck may be skipped as
+            # no view of the store outlives a call.  New rows are -inf off
+            # the support
             self._store.resize((held + len(fresh), self.vocab.size), refcheck=False)
             self._store[held:] = NEG_INF
             self._store[held:, self._support] = self._block(fresh)

@@ -318,7 +318,7 @@ class TestDenseConditionals:
             assert got.tobytes() == want.tobytes()
 
 
-# blank and BOS split the support into two runs, so its columns are not one slice
+# blank and BOS split the support into two runs
 VOCAB_SPLIT = Vocabulary.from_tokens(["a", "b", "<blank>", "c", "</s>", "d", "<s>", "e"])
 
 
