@@ -20,7 +20,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,10 +62,13 @@ from fusionkit.lm import (
 )
 from fusionkit.metrics import corpus_wer, words
 from fusionkit.search import (
+    ContextLMScorer,
+    CtcPrefixLabelScorer,
     DecodeStats,
+    DecoderLabelScorer,
+    LabelScorer,
     NBestEntry,
     NBestList,
-    ScorerHandle,
     frame_lm,
     labelsync_lockstep,
     lockstep_beam,
@@ -269,14 +272,15 @@ class DecodeConfig:
 
 @dataclass(frozen=True)
 class Session:
-    """A checked config, its vocabulary and its models, loaded once per run.
+    """A checked config, its vocabulary and its fusion, built once per run.
     Each construction, ``dataclasses.replace`` too, checks that ``top_k``
     fits the vocabulary."""
 
     cfg: DecodeConfig
     vocab: Vocabulary
-    lm: NGramModel | TableLM | None = None  # fused by timesync and delayed
-    scorers: tuple[ScorerHandle, ...] = ()  # joint
+    fusion: object = None  # frame_lm's, for timesync and delayed
+    # joint: its scorers as a function of a lockstep's posteriorgrams
+    scorers: Callable[[Sequence[Posteriorgram]], list[LabelScorer]] | None = None
     weights: ScorerWeights | None = None  # joint
 
     def __post_init__(self):
@@ -293,10 +297,10 @@ class Session:
             fused = cfg.lm_path and (delayed or cfg.lm_weight != 0)  # else none is fused
             lm = load_lm(cfg.lm_path) if fused else None
             try:
-                frame_lm(vocab, lm, cfg.lm_weight, delayed)
+                fusion = frame_lm(vocab, lm, cfg.lm_weight, delayed)
             except ValidationError as exc:
                 raise ValidationError(f"{exc}: {cfg.lm_path}" if lm else str(exc)) from exc
-            return cls(cfg, vocab, lm=lm)
+            return cls(cfg, vocab, fusion=fusion)
         if cfg.strategy != "joint":
             return cls(cfg, vocab)
         scorers, weights = build_joint_scorers(cfg, vocab)
@@ -327,10 +331,9 @@ class Session:
         ``stats``, one per posteriorgram."""
         cfg, vocab = self.cfg, self.vocab
         if cfg.strategy == "joint":
-            return labelsync_lockstep(pgs, self.scorers, self.weights, cfg.beam, vocab, stats)
+            return labelsync_lockstep(pgs, self.scorers(pgs), self.weights, cfg.beam, vocab, stats)
         if cfg.strategy != "ctc-greedy":
-            delayed = cfg.strategy == "delayed"
-            return lockstep_beam(pgs, vocab, cfg.beam, self.lm, cfg.lm_weight, delayed, stats)
+            return lockstep_beam(pgs, vocab, cfg.beam, self.fusion, stats)
         nbests = []
         for pg, one in zip(pgs, stats):
             t0 = time.perf_counter()
@@ -345,27 +348,39 @@ class Session:
 
 def build_joint_scorers(
     cfg: DecodeConfig, vocab: Vocabulary
-) -> tuple[tuple[ScorerHandle, ...], ScorerWeights]:
-    """A handle per ``cfg.scorers`` entry, its model loaded, and their weights."""
-    handles = []
+) -> tuple[Callable[[Sequence[Posteriorgram]], list[LabelScorer]], ScorerWeights]:
+    """The scorers of ``cfg.scorers`` as a function of a lockstep's
+    posteriorgrams, in config order, and their weights.  Each ``ngram`` and
+    ``decoder_lm`` scorer is built here, once; the function adds a CTC
+    prefix scorer over the posteriorgrams for each ``ctc_prefix`` entry.
+    An LM not on ``vocab`` fails, naming its scorer and file."""
+    built: dict[str, LabelScorer] = {}  # ctc_prefix scorers are built per lockstep
     for spec in cfg.scorers:
         name, kind = spec["name"], spec["kind"]
         try:
-            if kind != "decoder_lm":  # a ctc_prefix scorer has no model
-                model = load_lm(spec["path"]) if "path" in spec else None
-                handles.append(ScorerHandle(name, kind, model))
-                continue
-            dw = decoder_weights(vocab, spec.get("weights_path"), spec["seed"])
-            if max(spec["prompt"], default=-1) >= vocab.size:
-                raise ValidationError(f"prompt ids must be < {vocab.size}: {list(spec['prompt'])}")
-            interface = InterfaceConfig("prefix", prompt=spec["prompt"])  # no audio: any kind
-            handles.append(ScorerHandle(name, kind, None, dw, interface))
+            if kind == "ngram":
+                model = load_lm(spec["path"])
+                if model.vocab.tokens != vocab.tokens:
+                    raise ValidationError(f"{spec['path']}: the LM is not on the corpus vocabulary")
+                built[name] = ContextLMScorer(model, name)
+            elif kind == "decoder_lm":
+                dw = decoder_weights(vocab, spec.get("weights_path"), spec["seed"])
+                prompt = spec["prompt"]
+                if max(prompt, default=-1) >= vocab.size:
+                    raise ValidationError(f"prompt ids must be < {vocab.size}: {list(prompt)}")
+                interface = InterfaceConfig("prefix", prompt=prompt)  # no audio: any kind
+                built[name] = DecoderLabelScorer(dw, interface, vocab, name=name)
         except (CliError, ValueError, OSError) as exc:
             raise CliError(f"scorer {name!r}: {exc}") from exc
     weights = ScorerWeights(
         {s["name"]: s["weight"] for s in cfg.scorers}, cfg.length_norm, cfg.max_len_factor
     )
-    return tuple(handles), weights
+    names = [spec["name"] for spec in cfg.scorers]
+
+    def scorers(pgs: Sequence[Posteriorgram]) -> list[LabelScorer]:
+        return [built.get(name) or CtcPrefixLabelScorer(pgs, vocab, name) for name in names]
+
+    return scorers, weights
 
 
 def decoder_weights(vocab: Vocabulary, path: str | None, seed: int) -> DecoderWeights:

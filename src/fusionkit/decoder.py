@@ -417,14 +417,9 @@ class IncrementalState:
     self_v: list[np.ndarray]
     cross_k: list[np.ndarray] = field(default_factory=list)
     cross_v: list[np.ndarray] = field(default_factory=list)
-    audio_len: int = 0
 
     def __len__(self) -> int:
         return self.self_k[0].shape[0]
-
-    @property
-    def cached_len(self) -> int:
-        return self.self_k[0].shape[1]
 
     def take(self, rows) -> "IncrementalState":
         """The states of ``rows``, in that order."""
@@ -436,7 +431,7 @@ class IncrementalState:
         k, v, ck, cv = (
             [fn(a) for a in arrays] for arrays in (self.self_k, self.self_v, self.cross_k, self.cross_v)
         )
-        return IncrementalState(self.position, k, v, ck, cv, self.audio_len)
+        return IncrementalState(self.position, k, v, ck, cv)
 
 
 def _audio_memory(
@@ -454,7 +449,7 @@ def _audio_memory(
     hp = weights.hp
     a = frames.shape[0]
     empty = np.zeros((0, hp.dim))
-    state = IncrementalState(0, [empty] * hp.layers, [empty] * hp.layers, audio_len=a)
+    state = IncrementalState(0, [empty] * hp.layers, [empty] * hp.layers)
     if a == 0:
         return state
     if config.kind == "aed":
@@ -572,9 +567,7 @@ def decoder_step(
         self_k.append(k)
         self_v.append(v)
     out = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])[:, 0]
-    return out, IncrementalState(
-        state.position + 1, self_k, self_v, cross_k, cross_v, state.audio_len
-    )
+    return out, IncrementalState(state.position + 1, self_k, self_v, cross_k, cross_v)
 
 
 def export_attention(

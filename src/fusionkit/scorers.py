@@ -1,11 +1,9 @@
-"""Label-synchronous scorers: the batched scorer protocol, its CTC prefix,
-n-gram/table and toy-decoder kinds, and the declarative handle that builds
-them for a decode.
+"""Label-synchronous scorers: the batched scorer protocol and its CTC
+prefix, n-gram/table and toy-decoder kinds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Protocol, Sequence
 
 import numpy as np
@@ -180,42 +178,3 @@ class DecoderLabelScorer(_ExactScorer):
         out += self._mask
         return out, state
 
-
-@dataclass
-class ScorerHandle:
-    """Declarative scorer description; ``build`` makes the runtime scorer.
-
-    Kinds: ``ctc_prefix`` (needs the decode's posteriorgram), ``ngram`` (an
-    n-gram or table LM), ``decoder_am``/``decoder_lm`` (need weights and an
-    interface config; the lm variant runs the same decoder without audio).
-    """
-
-    name: str
-    kind: str
-    model: NGramModel | TableLM | None = None
-    decoder_weights: DecoderWeights | None = None
-    interface: InterfaceConfig | None = None
-
-    def build(
-        self, vocab: Vocabulary, pg: Posteriorgram | Sequence[Posteriorgram] | None, audio=None
-    ) -> LabelScorer:
-        """The runtime scorer; ``pg`` may be the posteriorgrams of a
-        lockstep, which a ``ctc_prefix`` scorer then holds together."""
-        if self.kind == "ctc_prefix":
-            if pg is None:
-                raise ValueError("ctc_prefix scorer needs a posteriorgram")
-            return CtcPrefixLabelScorer(pg, vocab, self.name)
-        if self.kind == "ngram":
-            if self.model is None:
-                raise ValueError("ngram scorer needs a model")
-            return ContextLMScorer(self.model, self.name)
-        if self.kind in ("decoder_am", "decoder_lm"):
-            if self.decoder_weights is None or self.interface is None:
-                raise ValueError("decoder scorer needs weights and an interface config")
-            use_audio = audio if self.kind == "decoder_am" else None
-            if self.kind == "decoder_am" and audio is None:
-                raise ValueError("decoder_am scorer needs audio")
-            return DecoderLabelScorer(
-                self.decoder_weights, self.interface, vocab, use_audio, self.name
-            )
-        raise ValueError(f"unknown scorer kind {self.kind!r}")

@@ -25,12 +25,11 @@ from fusionkit.scorers import (  # the scorer kinds are part of the search API
     CtcPrefixLabelScorer,
     DecoderLabelScorer,
     LabelScorer,
-    ScorerHandle,
 )
 
 __all__ = [
     "ContextLMScorer", "CtcPrefixLabelScorer", "DecodeStats", "DecoderLabelScorer",
-    "LabelScorer", "NBestEntry", "NBestList", "ScorerHandle", "delayed_fusion_beam",
+    "LabelScorer", "NBestEntry", "NBestList", "delayed_fusion_beam",
     "frame_lm", "labelsync_beam", "labelsync_lockstep", "lockstep_beam", "rescore_nbest",
     "timesync_ctc_beam", "write_nbest",
 ]
@@ -160,37 +159,33 @@ def labelsync_beam(
 
 def labelsync_lockstep(
     pgs: Sequence[Posteriorgram],
-    handles: Sequence[ScorerHandle],
+    scorers: Sequence[LabelScorer],
     weights: ScorerWeights,
     beam: int,
     vocab: Vocabulary,
     stats: Sequence[DecodeStats] | None = None,
 ) -> list[NBestList]:
     """:func:`labelsync_beam` of each posteriorgram, all run in lockstep
-    with one scorer of each handle, built for all of them.
+    with ``scorers``, built for ``pgs`` in that order: a CTC scorer holds
+    all of them, the others are shared.  Longest first is fastest, as the
+    CTC scorer's folds run each block of pairs to its longest.
 
     Utterance u may take max(1, round(``max_len_factor`` * T_u)) labels.
     ``stats``, one per posteriorgram, get that utterance's counters and
     audio; the search's wall time is split between the utterances by
-    frames.  A ``decoder_am`` handle fails here: it needs audio, which a
-    lockstep does not take.
+    frames.  A scorer that holds audio, a decoder scorer with audio, holds
+    one utterance's: given more than one posteriorgram it raises ValueError.
     """
     if not pgs:
         return []
-    # longest first: the CTC scorer's folds run each block of pairs to its longest
-    order = sorted(range(len(pgs)), key=lambda u: -pgs[u].num_frames)
-    ordered = [pgs[u] for u in order]
-    scorers = [handle.build(vocab, ordered) for handle in handles]
-    frames = [pg.num_frames for pg in ordered]
+    if len(pgs) > 1 and any(getattr(s, "audio", None) is not None for s in scorers):
+        raise ValueError("a decoder scorer with audio decodes one utterance per call")
+    frames = [pg.num_frames for pg in pgs]
     max_lens = [max(1, round(weights.max_len_factor * t)) for t in frames]
-    per_utt = None if stats is None else [stats[u] for u in order]
-    nbests = _labelsync_search(scorers, weights, beam, vocab, max_lens, frames, per_utt)
-    results: list[NBestList] = [None] * len(pgs)  # type: ignore[list-item]
-    for nbest, u in zip(nbests, order):
-        results[u] = nbest
-        if stats is not None:
-            stats[u].audio_seconds += pgs[u].duration_seconds
-    return results
+    nbests = _labelsync_search(scorers, weights, beam, vocab, max_lens, frames, stats)
+    for pg, one in zip(pgs, stats or ()):
+        one.audio_seconds += pg.duration_seconds
+    return nbests
 
 
 def _labelsync_search(
@@ -448,8 +443,10 @@ def _labelsync_search(
 
 
 class _NoLM:
-    """The frame LM of a search without one: zero deltas, no state; the
-    search runs it at weight 0, which never asks for a final residual."""
+    """The frame LM of a search without one: zero deltas, no state, at
+    weight 0, which never asks for a final residual."""
+
+    weight = 0.0
 
     def __init__(self, vocab: Vocabulary):
         self.size = vocab.size
@@ -468,8 +465,9 @@ class _LabelLM:
     """Label-wise fusion: each appended label's LM log-prob lands at once,
     the EOS term at finalization.  A prefix's state is its LM context."""
 
-    def __init__(self, lm: NGramModel | TableLM, vocab: Vocabulary):
+    def __init__(self, lm: NGramModel | TableLM, vocab: Vocabulary, weight: float):
         self.lm = lm
+        self.weight = weight
         self.bos_id = vocab.bos_id
         self.eos_id = vocab.eos_id
 
@@ -497,9 +495,10 @@ class _WordLM:
     starts the next word.
     """
 
-    def __init__(self, lm: NGramModel | TableLM, vocab: Vocabulary):
+    def __init__(self, lm: NGramModel | TableLM, vocab: Vocabulary, weight: float):
         self.lm = lm
         self.vocab = vocab
+        self.weight = weight
         self.begins = np.array(vocab.begins_word)
 
     def root(self):
@@ -616,23 +615,23 @@ def _trie_closure(parent: list[int], label: list[int], live: list[int], roots: i
     return new_parent, new_label, children, remap
 
 
-def _timesync_search(
+def lockstep_beam(
     pgs: Sequence[Posteriorgram],
     vocab: Vocabulary,
     beam: int,
     frame_lm: _NoLM | _LabelLM | _WordLM,
-    lm_weight: float,
-    stats: Sequence[DecodeStats] | None,
+    stats: Sequence[DecodeStats] | None = None,
 ) -> list[NBestList]:
     """Frame-synchronous prefix beam search with path merging, run in
-    lockstep over a list of posteriorgrams; one n-best list each.
+    lockstep over a list of posteriorgrams; one n-best list each, fused
+    by ``frame_lm``, :func:`frame_lm`'s.
 
     Step t advances every utterance that has a frame t with one set of
     array operations over all their B live prefixes: the stay paths (blank,
     or the last label repeated) as B-vectors, the extensions by every label
     as one (B, V) block, -inf where a label cannot extend.  An utterance is
     finalized, and its rows dropped, at the step where its frames end.  The
-    fused score is CTC plus ``lm_weight`` times LM.
+    fused score is CTC plus ``frame_lm.weight`` times LM.
 
     The live prefixes are arrays gathered by survivor index from step to
     step; each is a node of a trie keyed by (parent node, label).  Distinct
@@ -649,7 +648,9 @@ def _timesync_search(
     for entries tied in (score, length) at the beam cut and for the output.
     Each prefix sees the float operations of the per-utterance search in
     ``tests/test_timesync.py``, so neither results nor counters depend on
-    which utterances share a lockstep.
+    which utterances share a lockstep.  ``stats``, one per posteriorgram,
+    get that utterance's counters; the search's wall time is split between
+    the utterances by frames.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
@@ -658,6 +659,7 @@ def _timesync_search(
     if not pgs:
         return []
     t0 = time.perf_counter()
+    lm_weight = frame_lm.weight
     # longest first, so that the utterances still running form a prefix
     by_length = sorted(range(len(pgs)), key=lambda u: -pgs[u].num_frames)
     lengths = [pgs[u].num_frames for u in by_length]
@@ -856,26 +858,6 @@ def _timesync_search(
     return results
 
 
-def lockstep_beam(
-    pgs: Sequence[Posteriorgram],
-    vocab: Vocabulary,
-    beam: int,
-    lm: NGramModel | TableLM | None = None,
-    lm_weight: float = 0.0,
-    delayed: bool = False,
-    stats: Sequence[DecodeStats] | None = None,
-) -> list[NBestList]:
-    """:func:`timesync_ctc_beam` (or, with ``delayed``,
-    :func:`delayed_fusion_beam`) of each posteriorgram, all run in lockstep.
-
-    ``stats``, one per posteriorgram, get that utterance's counters; the
-    search's wall time is split between the utterances by frames.
-    """
-    fusion = frame_lm(vocab, lm, lm_weight, delayed)
-    weight = 0.0 if isinstance(fusion, _NoLM) else lm_weight
-    return _timesync_search(pgs, vocab, beam, fusion, weight, stats)
-
-
 def frame_lm(
     vocab: Vocabulary, lm: NGramModel | TableLM | None, lm_weight: float, delayed: bool
 ) -> _NoLM | _LabelLM | _WordLM:
@@ -889,14 +871,14 @@ def frame_lm(
     if delayed:
         if lm is None or same:
             raise ValidationError("delayed needs an LM on a vocabulary of its own, unlike timesync")
-        return _WordLM(lm, vocab)
+        return _WordLM(lm, vocab, lm_weight)
     if lm is None or lm_weight == 0.0:
         return _NoLM(vocab)
     if not same:
         raise ValidationError(
             "timesync needs an LM on the acoustic vocabulary, unlike delayed_fusion_beam"
         )
-    return _LabelLM(lm, vocab)
+    return _LabelLM(lm, vocab, lm_weight)
 
 
 def timesync_ctc_beam(
@@ -914,7 +896,7 @@ def timesync_ctc_beam(
     LM, or at LM weight 0, the search runs with zero LM deltas.
     """
     per_utt = None if stats is None else [stats]
-    return lockstep_beam([pg], vocab, beam, lm, lm_weight, False, per_utt)[0]
+    return lockstep_beam([pg], vocab, beam, frame_lm(vocab, lm, lm_weight, False), per_utt)[0]
 
 
 def delayed_fusion_beam(
@@ -934,7 +916,7 @@ def delayed_fusion_beam(
     At LM weight 0 the final score is the CTC score alone.
     """
     per_utt = None if stats is None else [stats]
-    return lockstep_beam([pg], vocab, beam, lm, lm_weight, True, per_utt)[0]
+    return lockstep_beam([pg], vocab, beam, frame_lm(vocab, lm, lm_weight, True), per_utt)[0]
 
 
 def rescore_nbest(

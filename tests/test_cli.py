@@ -445,6 +445,40 @@ class TestSynthAndDecode:
             assert err.count("error:") == 1 and message in err and path in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lm", ["reversed", "words"])
+    def test_joint_ngram_vocabulary_checked_at_load(self, corpus, word_lm_file, tmp_path, capsys, lm):
+        # an LM on the corpus tokens in another order, or on a vocabulary of
+        # another size, fails before any output, naming its scorer and file
+        from fusionkit.core import Vocabulary, read_vocabulary
+        from fusionkit.lm import save_ngram, train_ngram
+
+        path = word_lm_file
+        if lm == "reversed":
+            vocab = read_vocabulary(corpus / "vocab.txt")
+            plain = [i for i in range(vocab.size) if not vocab.is_special(i)]
+            tokens = list(vocab.tokens)
+            for i, j in zip(plain, reversed(plain)):
+                tokens[i] = vocab.tokens[j]
+            reversed_vocab = Vocabulary.from_tokens(tokens)
+            path = tmp_path / "reversed.fklm"
+            save_ngram(train_ngram(reversed_vocab, [plain[:3], plain[2:4]], order=2), path)
+        cfg = {"strategy": "joint", "scorers": [
+            {"name": "ctc", "kind": "ctc_prefix", "weight": 1.0},
+            {"name": "lm", "kind": "ngram", "weight": 0.5, "path": str(path)},
+        ]}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "o"
+        for command in (
+            ["decode", str(corpus), str(out), "--config", str(cfg_path)],
+            ["bench", str(corpus), "--config", str(cfg_path)],
+        ):
+            code, stdout, err = run(command, capsys)
+            assert code == 1 and stdout == ""
+            assert err.count("error:") == 1 and "scorer 'lm'" in err and str(path) in err
+            assert "not on the corpus vocabulary" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("strategy", ["ctc-greedy", "timesync", "delayed", "joint"])
     def test_posteriorgram_width_must_match_vocabulary(
         self, corpus, lm_file, word_lm_file, tmp_path, capsys, strategy

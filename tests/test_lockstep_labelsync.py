@@ -20,11 +20,12 @@ from fusionkit.ctc import CtcPrefixScorer, topk_prune
 from fusionkit.decoder import Hyperparams, InterfaceConfig, seeded_weights
 from fusionkit.lm import TableLM, train_ngram
 from fusionkit.search import (
+    ContextLMScorer,
     CtcPrefixLabelScorer,
     DecodeStats,
+    DecoderLabelScorer,
     NBestEntry,
     NBestList,
-    ScorerHandle,
     labelsync_beam,
     labelsync_lockstep,
 )
@@ -172,39 +173,41 @@ def random_pg(rng, frames, vocab=WIDE, keep=None):
     return pg
 
 
-def handles(rng, kinds, seed):
+def scorers_for(rng, kinds, seed):
+    """A function of posteriorgrams that builds the scorers ``kinds`` names,
+    in that order, the CTC scorer over the posteriorgrams."""
     corpus = [rng.choice(PLAIN, size=rng.integers(1, 5)).tolist() for _ in range(6)]
     hp = Hyperparams(layers=1, dim=16, heads=2, vocab_size=WIDE.size, ffn_dim=32)
-    out = []
-    for name in kinds:
-        if name == "ctc":
-            out.append(ScorerHandle("ctc", "ctc_prefix"))
-        elif name == "lm":
-            out.append(ScorerHandle("lm", "ngram", model=train_ngram(WIDE, corpus, order=3)))
-        elif name == "table":
-            dist = np.full(WIDE.size, NEG_INF)
-            dist[PLAIN + [WIDE.eos_id]] = -math.log(len(PLAIN) + 1)
-            skewed = dist.copy()
-            skewed[PLAIN[0]] = NEG_INF  # a label this context forbids
-            skewed[PLAIN[1:] + [WIDE.eos_id]] = -math.log(len(PLAIN))
-            entries = (((PLAIN[2],), skewed), ((WIDE.bos_id, PLAIN[3]), skewed))
-            out.append(ScorerHandle("table", "ngram", model=TableLM(WIDE, entries, dist)))
-        else:
-            interface = InterfaceConfig("prefix", prompt=(PLAIN[0],))
-            out.append(ScorerHandle(
-                "dec", "decoder_lm", decoder_weights=seeded_weights(hp, seed), interface=interface
-            ))
-    return out
+    lm = train_ngram(WIDE, corpus, order=3)
+    dist = np.full(WIDE.size, NEG_INF)
+    dist[PLAIN + [WIDE.eos_id]] = -math.log(len(PLAIN) + 1)
+    skewed = dist.copy()
+    skewed[PLAIN[0]] = NEG_INF  # a label this context forbids
+    skewed[PLAIN[1:] + [WIDE.eos_id]] = -math.log(len(PLAIN))
+    entries = (((PLAIN[2],), skewed), ((WIDE.bos_id, PLAIN[3]), skewed))
+    table = TableLM(WIDE, entries, dist)
+    dec_w = seeded_weights(hp, seed)
+    interface = InterfaceConfig("prefix", prompt=(PLAIN[0],))
+
+    def build(pgs):
+        every = {
+            "ctc": CtcPrefixLabelScorer(pgs, WIDE, "ctc"),
+            "lm": ContextLMScorer(lm, "lm"),
+            "table": ContextLMScorer(table, "table"),
+            "dec": DecoderLabelScorer(dec_w, interface, WIDE, name="dec"),
+        }
+        return [every[name] for name in kinds]
+
+    return build
 
 
-def check_against_reference(pgs, scorer_handles, weights, beam):
+def check_against_reference(pgs, build, weights, beam):
     stats = [DecodeStats() for _ in pgs]
-    got = labelsync_lockstep(pgs, scorer_handles, weights, beam, WIDE, stats)
+    got = labelsync_lockstep(pgs, build(pgs), weights, beam, WIDE, stats)
     for pg, nbest, got_stats in zip(pgs, got, stats):
         want_stats = DecodeStats()
         max_len = max(1, round(weights.max_len_factor * pg.num_frames))
-        scorers = [h.build(WIDE, pg) for h in scorer_handles]
-        want = reference_labelsync_beam(scorers, weights, beam, WIDE, max_len, want_stats)
+        want = reference_labelsync_beam(build([pg]), weights, beam, WIDE, max_len, want_stats)
         assert nbest_bits(nbest) == nbest_bits(want)
         assert counters(got_stats) == counters(want_stats)
         assert got_stats.audio_seconds == pg.duration_seconds
@@ -231,7 +234,7 @@ class TestLockstepEqualsReference:
         for case, mix in enumerate(mixes):
             kinds = ["ctc", "lm", "table", "dec"]
             weights = ScorerWeights(mix, length_norm=length_norm, max_len_factor=1.6)
-            check_against_reference(pgs, handles(rng, kinds, case), weights, beam)
+            check_against_reference(pgs, scorers_for(rng, kinds, case), weights, beam)
 
     @pytest.mark.parametrize("length_norm", [False, True])
     def test_saturated_beam(self, length_norm):
@@ -240,7 +243,7 @@ class TestLockstepEqualsReference:
         weights = ScorerWeights(
             {"ctc": 1.0, "lm": 0.5, "dec": 0.2}, length_norm=length_norm, max_len_factor=1.4
         )
-        check_against_reference(pgs, handles(rng, ["ctc", "lm", "dec"], 1), weights, 10**4)
+        check_against_reference(pgs, scorers_for(rng, ["ctc", "lm", "dec"], 1), weights, 10**4)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=25, deadline=None)
@@ -265,34 +268,33 @@ class TestLockstepEqualsReference:
         weights = ScorerWeights(
             {"ctc": w_ctc, "lm": w_lm, "dec": w_dec}, length_norm=length_norm, max_len_factor=factor
         )
-        check_against_reference(pgs, handles(rng, ["ctc", "lm", "dec"], seed % 5), weights, beam)
+        build = scorers_for(rng, ["ctc", "lm", "dec"], seed % 5)
+        check_against_reference(pgs, build, weights, beam)
 
     def test_one_utterance_call_equals_a_lockstep_of_one(self):
         rng = np.random.default_rng(3)
         pg = random_pg(rng, 6)
-        scorer_handles = handles(rng, ["ctc", "lm", "dec"], 2)
+        build = scorers_for(rng, ["ctc", "lm", "dec"], 2)
         weights = ScorerWeights({"ctc": 1.0, "lm": 0.4, "dec": 0.1})
         alone = DecodeStats()
-        want = labelsync_beam(
-            [h.build(WIDE, pg) for h in scorer_handles], weights, 4, WIDE, 6, alone
-        )
+        want = labelsync_beam(build([pg]), weights, 4, WIDE, 6, alone)
         stats = [DecodeStats()]
-        (got,) = labelsync_lockstep([pg], scorer_handles, weights, 4, WIDE, stats)
+        (got,) = labelsync_lockstep([pg], build([pg]), weights, 4, WIDE, stats)
         assert nbest_bits(got) == nbest_bits(want)
         assert counters(stats[0]) == counters(alone)
 
     def test_decoder_am_is_one_utterance_per_call(self):
+        # a decoder scorer with audio holds one utterance's encoder output
         hp = Hyperparams(layers=1, dim=16, heads=2, vocab_size=WIDE.size, ffn_dim=32)
-        handle = ScorerHandle(
-            "dec", "decoder_am", decoder_weights=seeded_weights(hp, 0),
-            interface=InterfaceConfig("prefix"),
-        )
         rng = np.random.default_rng(4)
+        audio = rng.standard_normal((3, hp.dim))
+        dec = DecoderLabelScorer(seeded_weights(hp, 0), InterfaceConfig("prefix"), WIDE, audio, "dec")
+        weights = ScorerWeights({"dec": 1.0})
+        pgs = [random_pg(rng, 3), random_pg(rng, 2)]
         with pytest.raises(ValueError, match="audio"):
-            labelsync_lockstep(
-                [random_pg(rng, 3), random_pg(rng, 2)], [handle],
-                ScorerWeights({"dec": 1.0}), 2, WIDE,
-            )
+            labelsync_lockstep(pgs, [dec], weights, 2, WIDE)
+        (alone,) = labelsync_lockstep(pgs[:1], [dec], weights, 2, WIDE)
+        assert nbest_bits(alone) == nbest_bits(labelsync_beam([dec], weights, 2, WIDE, 3))
 
     @pytest.mark.parametrize("extra", [-3, 3])
     def test_posteriorgram_width_must_match_vocabulary(self, extra):
@@ -303,9 +305,7 @@ class TestLockstepEqualsReference:
         bad = random_pg(rng, 4, other)
         weights = ScorerWeights({"ctc": 1.0})
         with pytest.raises(ValidationError, match="labels"):
-            labelsync_lockstep(
-                [random_pg(rng, 3), bad], [ScorerHandle("ctc", "ctc_prefix")], weights, 2, WIDE
-            )
+            CtcPrefixLabelScorer([random_pg(rng, 3), bad], WIDE)
         with pytest.raises(ValidationError, match="labels"):
             labelsync_beam([CtcPrefixLabelScorer(bad, WIDE)], weights, 2, WIDE, max_len=4)
 

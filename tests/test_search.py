@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fusionkit.search import (
     DecoderLabelScorer,
     NBestEntry,
     NBestList,
-    ScorerHandle,
     delayed_fusion_beam,
     labelsync_beam,
     rescore_nbest,
@@ -300,6 +300,58 @@ class TestLabelsyncBeam:
                 assert e.combined == by_labels[e.labels].combined
             if not length_norm:
                 assert nbest.best_finished == oracle.best
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        frames=st.integers(2, 4),
+        mix=st.dictionaries(
+            st.sampled_from(["ctc", "lm", "table", "dec"]),
+            st.sampled_from([0.0, 0.3, 1.0, -0.4]),
+            min_size=1,
+        ).filter(lambda mix: any(mix.values())),
+        length_norm=st.booleans(),
+    )
+    def test_saturated_beam_equals_exhaustive_property(self, seed, frames, mix, length_norm):
+        # any mix of CTC, n-gram, table LM and decoder, zero and negative
+        # weights too: a saturated beam keeps every oracle sequence up to
+        # its last step, with bit-identical components and combined score
+        rng = np.random.default_rng(seed)
+        pg = random_am_pg(rng, frames)
+        corpus = [rng.choice([A, B, C], size=rng.integers(1, 4)).tolist() for _ in range(4)]
+        lm = train_ngram(VOCAB, corpus, order=2)
+        table = table_lm_from_probs(
+            VOCAB, {A: 0.4, B: 0.3, C: 0.2, EOS: 0.1}, [((A,), {B: 0.5, C: 0.3, EOS: 0.2})]
+        )
+        hp = Hyperparams(layers=1, dim=16, heads=2, vocab_size=VOCAB.size, ffn_dim=32)
+        dec_w = seeded_weights(hp, seed % 5)
+        weights = ScorerWeights(mix, length_norm=length_norm)
+
+        def scorers():
+            every = {
+                "ctc": CtcPrefixLabelScorer(pg, VOCAB),
+                "lm": ContextLMScorer(lm, "lm"),
+                "table": ContextLMScorer(table, "table"),
+                "dec": DecoderLabelScorer(dec_w, InterfaceConfig("prefix"), VOCAB, None, "dec"),
+            }
+            return [every[name] for name in mix]
+
+        with warnings.catch_warnings():  # every warning of the searches fails
+            warnings.simplefilter("error")
+            oracle = exhaustive_decode(scorers(), weights, VOCAB, max_len=3)
+            nbest = labelsync_beam(scorers(), weights, beam=10**6, vocab=VOCAB, max_len=3)
+        by_labels = {e.labels: e for e in oracle}
+        reached = max((len(e.labels) for e in nbest), default=0)
+        assert {e.labels for e in nbest.finished} == {
+            labels for labels in by_labels if len(labels) <= reached
+        }
+        for e in nbest.finished:
+            assert e.components == by_labels[e.labels].components
+            assert e.combined == by_labels[e.labels].combined
+        if not length_norm and min(mix.values()) >= 0:
+            # every score only falls as a hypothesis grows: the search
+            # stops at the best
+            assert nbest.best_finished == oracle.best
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=30, deadline=None)
@@ -649,43 +701,6 @@ class TestDecodeStats:
         timesync_ctc_beam(pg, VOCAB, beam=2, stats=stats)
         assert stats.audio_seconds == pytest.approx(pg.duration_seconds)
         assert stats.wall_time_s > 0
-
-
-class TestScorerHandle:
-    def test_build_all_kinds(self):
-        rng = np.random.default_rng(14)
-        pg = random_am_pg(rng, 3)
-        lm = uniform_table_lm(VOCAB)
-        hp = Hyperparams(layers=1, dim=16, heads=2, vocab_size=VOCAB.size, ffn_dim=32)
-        w = seeded_weights(hp, 1)
-        cfg = InterfaceConfig("prefix")
-        handles = [
-            ScorerHandle("ctc", "ctc_prefix"),
-            ScorerHandle("lm", "ngram", model=lm),
-            ScorerHandle("dec", "decoder_lm", decoder_weights=w, interface=cfg),
-        ]
-        scorers = [h.build(VOCAB, pg) for h in handles]
-        nbest = labelsync_beam(
-            scorers,
-            ScorerWeights({"ctc": 1.0, "lm": 0.3, "dec": 0.1}),
-            beam=2,
-            vocab=VOCAB,
-            max_len=3,
-        )
-        assert len(nbest) >= 1
-
-    def test_decoder_am_requires_audio(self):
-        hp = Hyperparams(layers=1, dim=16, heads=2, vocab_size=VOCAB.size, ffn_dim=32)
-        handle = ScorerHandle(
-            "dec", "decoder_am", decoder_weights=seeded_weights(hp, 1),
-            interface=InterfaceConfig("prefix"),
-        )
-        with pytest.raises(ValueError, match="audio"):
-            handle.build(VOCAB, None, audio=None)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            ScorerHandle("x", "magic").build(VOCAB, None)
 
 
 class TestNBestOutput:

@@ -26,6 +26,7 @@ from fusionkit.search import (
     NBestEntry,
     NBestList,
     delayed_fusion_beam,
+    frame_lm,
     lockstep_beam,
     timesync_ctc_beam,
     _WordLM,
@@ -507,10 +508,11 @@ class TestLockstep:
         plain = [i for i in range(ABC.size) if not ABC.is_special(i)]
         corpus = [rng.choice(plain, size=rng.integers(1, 5)).tolist() for _ in range(6)]
         lm = train_ngram(ABC, corpus, order=2) if with_lm else None
+        fusion = frame_lm(ABC, lm, lm_weight, False)
         assert_lockstep_matches(
             pgs,
             ABC,
-            lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, lm, lm_weight, stats=stats),
+            lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, fusion, stats),
             lambda pg, beam, stats: reference_timesync_ctc_beam(pg, ABC, beam, lm, lm_weight, stats),
             beams=(1, 3, 8),
         )
@@ -530,12 +532,11 @@ class TestLockstep:
         words = ["ab ca", "ab ab c", "b", "ca c ab"]
         corpus = [retokenize(lm_vocab, rng.choice(words).split()) for _ in range(3)]
         lm = train_ngram(lm_vocab, corpus, order=2)
+        fusion = frame_lm(am_vocab, lm, lm_weight, True)
         assert_lockstep_matches(
             pgs,
             am_vocab,
-            lambda pgs, beam, stats: lockstep_beam(
-                pgs, am_vocab, beam, lm, lm_weight, delayed=True, stats=stats
-            ),
+            lambda pgs, beam, stats: lockstep_beam(pgs, am_vocab, beam, fusion, stats),
             lambda pg, beam, stats: reference_delayed_fusion_beam(
                 pg, am_vocab, lm, lm_weight, beam, stats
             ),
@@ -550,10 +551,11 @@ class TestLockstep:
         kind = ["dirichlet", "holes", "uniform"][seed % 3]
         pgs = mixed_corpus(rng, ABC, kind, None, 5, 6)
         lm = train_ngram(ABC, [[3, 4], [5], [4, 4, 3]], order=2)
+        fusion = frame_lm(ABC, lm, 0.5, False)
         assert_lockstep_matches(
             pgs,
             ABC,
-            lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, lm, 0.5, stats=stats),
+            lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, fusion, stats),
             lambda pg, beam, stats: reference_timesync_ctc_beam(pg, ABC, beam, lm, 0.5, stats),
             beams=(10**4,),
         )
@@ -567,14 +569,15 @@ class TestLockstep:
         plain = [i for i in range(WIDE.size) if i not in (WIDE.bos_id, WIDE.eos_id)]
         lp[0, plain] = -math.log(len(plain))
         pgs = [Posteriorgram(np.repeat(lp, frames, axis=0)) for frames in (1, 5, 3, 9, 2)]
+        no_lm = frame_lm(WIDE, None, 0.0, False)
         for beam in (2, 3, 5):
-            nbest = lockstep_beam(pgs, WIDE, beam)[0]
+            nbest = lockstep_beam(pgs, WIDE, beam, no_lm)[0]
             # one frame: the empty prefix, then the smallest labels
             assert [e.labels for e in nbest] == [()] + [(i,) for i in range(3, 2 + beam)]
         assert_lockstep_matches(
             pgs,
             WIDE,
-            lambda pgs, beam, stats: lockstep_beam(pgs, WIDE, beam, stats=stats),
+            lambda pgs, beam, stats: lockstep_beam(pgs, WIDE, beam, no_lm, stats),
             lambda pg, beam, stats: reference_timesync_ctc_beam(pg, WIDE, beam, stats=stats),
             beams=(1, 2, 3, 5, 8),
         )
@@ -591,14 +594,15 @@ class TestLockstep:
         late[:2, [ABC.blank_id, 3, 4, 5]] = math.log(0.25)
         pgs = [random_pg(rng, 6, ABC, "dirichlet"), Posteriorgram(eos_only[:4]),
                Posteriorgram(late), random_pg(rng, 3, ABC, "holes")]
+        no_lm = frame_lm(ABC, None, 0.0, False)
         assert_lockstep_matches(
             pgs,
             ABC,
-            lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, stats=stats),
+            lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, no_lm, stats),
             lambda pg, beam, stats: reference_timesync_ctc_beam(pg, ABC, beam, stats=stats),
             beams=(1, 3),
         )
-        assert [len(n) for n in lockstep_beam(pgs, ABC, 3)] == [3, 0, 0, 3]
+        assert [len(n) for n in lockstep_beam(pgs, ABC, 3, no_lm)] == [3, 0, 0, 3]
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("seed", range(4))
@@ -614,10 +618,11 @@ class TestLockstep:
         pgs = [random_pg(rng, int(n), ABC, kind) for n in rng.integers(30, 61, size=4)]
         lm = train_ngram(ABC, [[3, 4], [5], [4, 4, 3]], order=2)
         for lm_weight in (0.0, 0.5):
+            fusion = frame_lm(ABC, lm, lm_weight, False)
             assert_lockstep_matches(
                 pgs,
                 ABC,
-                lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, lm, lm_weight, stats=stats),
+                lambda pgs, beam, stats: lockstep_beam(pgs, ABC, beam, fusion, stats),
                 lambda pg, beam, stats: reference_timesync_ctc_beam(
                     pg, ABC, beam, lm, lm_weight, stats
                 ),
@@ -628,7 +633,7 @@ class TestLockstep:
         rng = np.random.default_rng(3)
         pgs = [random_pg(rng, frames, ABC, "dirichlet") for frames in (7, 1, 30, 12)]
         stats = [DecodeStats() for _ in pgs]
-        lockstep_beam(pgs, ABC, 4, stats=stats)
+        lockstep_beam(pgs, ABC, 4, frame_lm(ABC, None, 0.0, False), stats)
         per_frame = [s.wall_time_s / pg.num_frames for s, pg in zip(stats, pgs)]
         assert per_frame[0] > 0
         assert per_frame == pytest.approx([per_frame[0]] * len(pgs), rel=1e-9)
@@ -636,12 +641,13 @@ class TestLockstep:
         assert rtfs == pytest.approx([rtfs[0]] * len(pgs), rel=1e-9)
 
     def test_empty_corpus_and_bad_width(self):
-        assert lockstep_beam([], ABC, 4) == []
+        no_lm = frame_lm(ABC, None, 0.0, False)
+        assert lockstep_beam([], ABC, 4, no_lm) == []
         wide = Posteriorgram(np.log(np.full((2, ABC.size + 1), 1 / (ABC.size + 1))))
         with pytest.raises(ValidationError, match="labels"):
-            lockstep_beam([wide], ABC, 4)
+            lockstep_beam([wide], ABC, 4, no_lm)
         with pytest.raises(ValidationError, match="finite"):
-            lockstep_beam([wide], ABC, 4, lm=train_ngram(ABC, [[3]], order=2), lm_weight=math.nan)
+            frame_lm(ABC, train_ngram(ABC, [[3]], order=2), math.nan, False)
 
 
 class TestDelayedAtWeightZero:
@@ -680,10 +686,10 @@ class TestWordLMChild:
         am_vocab, lm_vocab = cross_vocab()
         text = ["ab ca", "abc a", "cab b ca", "a b c"]
         lm = train_ngram(lm_vocab, [retokenize(lm_vocab, t.split()) for t in text], order=order)
-        frame_lm = _WordLM(lm, am_vocab)
-        state = frame_lm.root()
+        word_lm = _WordLM(lm, am_vocab, 1.0)
+        state = word_lm.root()
         for label in labels:
-            state = frame_lm.child(state, label)
+            state = word_lm.child(state, label)
             ctx, pending, delta, after = state
             want, want_after = 0.0, ctx
             for tok in retokenize(lm_vocab, [am_vocab.word_text(pending)]):
