@@ -177,4 +177,3 @@ class DecoderLabelScorer(_ExactScorer):
         out, state = decoder_step(self.weights, artifacts[1], labels, rows)
         out += self._mask
         return out, state
-
