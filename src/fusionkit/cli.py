@@ -52,13 +52,12 @@ from fusionkit.lm import (
     NGRAM_MAGIC,
     NGramModel,
     TableLM,
+    lm_logprob,
     load_ngram,
     load_table_lm,
-    perplexity,
     retokenize,
     save_ngram,
     train_ngram,
-    word_perplexity,
 )
 from fusionkit.metrics import corpus_wer, words
 from fusionkit.search import (
@@ -70,18 +69,18 @@ from fusionkit.search import (
     NBestEntry,
     NBestList,
     frame_lm,
-    labelsync_lockstep,
-    lockstep_beam,
+    labelsync_beam,
+    timesync_ctc_beam,
     write_nbest,
 )
 from fusionkit.synth import SynthConfig, gen_corpus
 
-# utterances that one lockstep search (timesync, delayed, joint) decodes
-# together, taken longest first (read_corpus_dir's order).  A joint lockstep
-# takes at least LOCKSTEP_ROWS // beam of them, then more while beam times
-# their frames stays within LOCKSTEP_ROW_FRAMES (64 rows of 48 frames), as
-# each live hypothesis holds the decoder's keys and values: short
-# utterances share fewer, fuller label steps
+# utterances that one Session.search call decodes together, taken longest
+# first (read_corpus_dir's order).  A joint lockstep takes at least
+# LOCKSTEP_ROWS // beam of them, then more while beam times their frames
+# stays within LOCKSTEP_ROW_FRAMES (64 rows of 48 frames), as each live
+# hypothesis holds the decoder's keys and values: short utterances share
+# fewer, fuller label steps
 LOCKSTEP_UTTERANCES = 32
 LOCKSTEP_ROWS = 64
 LOCKSTEP_ROW_FRAMES = 3072
@@ -310,7 +309,7 @@ class Session:
         """``(utt_id, Posteriorgram)`` pairs in the lists that one search
         decodes together, in order: see LOCKSTEP_UTTERANCES."""
         cfg = self.cfg
-        least = most = 1 if cfg.strategy == "ctc-greedy" else LOCKSTEP_UTTERANCES
+        least = most = LOCKSTEP_UTTERANCES
         budget = 0  # the frames a lockstep past its floor may hold
         if cfg.strategy == "joint":  # each utterance holds beam rows
             least = max(1, min(most, LOCKSTEP_ROWS // cfg.beam))
@@ -328,21 +327,28 @@ class Session:
 
     def search(self, pgs: Sequence[Posteriorgram], stats: Sequence[DecodeStats]) -> list[NBestList]:
         """The n-best lists of prepared posteriorgrams, their counters in
-        ``stats``, one per posteriorgram."""
+        ``stats``, one per posteriorgram.  Each also gets its audio and its
+        frames' share of the call's wall time."""
         cfg, vocab = self.cfg, self.vocab
+        t0 = time.perf_counter()
         if cfg.strategy == "joint":
-            return labelsync_lockstep(pgs, self.scorers(pgs), self.weights, cfg.beam, vocab, stats)
-        if cfg.strategy != "ctc-greedy":
-            return lockstep_beam(pgs, vocab, cfg.beam, self.fusion, stats)
-        nbests = []
+            max_lens = [max(1, round(cfg.max_len_factor * pg.num_frames)) for pg in pgs]
+            scorers = self.scorers(pgs)
+            nbests = labelsync_beam(scorers, self.weights, cfg.beam, vocab, max_lens, stats)
+        elif cfg.strategy != "ctc-greedy":
+            nbests = timesync_ctc_beam(pgs, vocab, cfg.beam, self.fusion, stats)
+        else:  # ctc-greedy: one path per utterance
+            nbests = []
+            for pg, one in zip(pgs, stats):
+                labels = tuple(greedy_decode(pg, vocab.blank_id))
+                score = float(np.max(pg.log_probs, axis=1).sum())
+                nbests.append(NBestList([NBestEntry(labels, {"ctc": score}, score, True)]))
+                one.peak_live_hypotheses = 1
+        wall = time.perf_counter() - t0
+        frames = sum(pg.num_frames for pg in pgs)
         for pg, one in zip(pgs, stats):
-            t0 = time.perf_counter()
-            labels = tuple(greedy_decode(pg, vocab.blank_id))
-            path_score = float(np.max(pg.log_probs, axis=1).sum())
-            one.wall_time_s = time.perf_counter() - t0
-            one.audio_seconds = pg.duration_seconds
-            one.peak_live_hypotheses = 1
-            nbests.append(NBestList([NBestEntry(labels, {"ctc": path_score}, path_score, True)]))
+            one.wall_time_s += wall * pg.num_frames / frames
+            one.audio_seconds += pg.duration_seconds
         return nbests
 
 
@@ -535,11 +541,14 @@ def cmd_ppl(args) -> int:
     model = load_lm(args.model)
     lines = read_sentences(args.text, args.normalization)
     seqs = segment_lines(model.vocab, lines, args.text)
-    token_ppl = perplexity(model, seqs)
+    # one pass for both figures: lm.perplexity's and lm.word_perplexity's
+    # sum, in sequence order from 0
+    total = sum(lm_logprob(model, seq) for seq in seqs)
+    n_tokens = sum(len(seq) + 1 for seq in seqs)  # EOS once per sequence
     n_words = sum(len(line.split()) for line in lines)
-    print(f"token_ppl\t{token_ppl:.4f}")
+    print(f"token_ppl\t{math.exp(-total / n_tokens):.4f}")
     if n_words:
-        print(f"word_ppl\t{word_perplexity(model, seqs, n_words):.4f}")
+        print(f"word_ppl\t{math.exp(-total / n_words):.4f}")
     return 0
 
 

@@ -9,7 +9,6 @@ components stay un-normalized so final scores are comparable across flags.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -29,8 +28,7 @@ from fusionkit.scorers import (  # the scorer kinds are part of the search API
 
 __all__ = [
     "ContextLMScorer", "CtcPrefixLabelScorer", "DecodeStats", "DecoderLabelScorer",
-    "LabelScorer", "NBestEntry", "NBestList", "delayed_fusion_beam",
-    "frame_lm", "labelsync_beam", "labelsync_lockstep", "lockstep_beam", "rescore_nbest",
+    "LabelScorer", "NBestEntry", "NBestList", "frame_lm", "labelsync_beam", "rescore_nbest",
     "timesync_ctc_beam", "write_nbest",
 ]
 
@@ -41,11 +39,11 @@ class DecodeStats:
 
     ``ctc_exact_pairs`` counts the (hypothesis, label) pairs, EOS excluded,
     whose CTC prefix probability the label-synchronous beam folded exactly;
-    every other pair it only bounded.  A lockstep search over several
-    utterances, frame-synchronous (``lockstep_beam``) or joint
-    (``labelsync_lockstep``), splits its wall time between them by frames,
-    so their ``wall_time_s`` (and with ``audio_seconds`` their RTF) sum to
-    the search's own; the counters stay each utterance's own.
+    every other pair it only bounded.  The searches only count, each
+    utterance's own counters even in a lockstep.  The caller that times a
+    search (``cli.Session.search``) sets ``audio_seconds`` and splits its
+    wall time between the utterances by frames, so their ``wall_time_s``
+    (and with ``audio_seconds`` their RTF) sum to the search's own.
     """
 
     scorer_evaluations: int = 0
@@ -139,66 +137,21 @@ def labelsync_beam(
     weights: ScorerWeights,
     beam: int,
     vocab: Vocabulary,
-    max_len: int,
-    stats: DecodeStats | None = None,
-) -> NBestList:
-    """Label-synchronous beam search with log-linear score fusion.
+    max_lens: Sequence[int],
+    stats: Sequence[DecodeStats] | None = None,
+) -> list[NBestList]:
+    """Label-synchronous beam search with log-linear score fusion, run in
+    lockstep over ``len(max_lens)`` utterances; one n-best list each.
 
-    Each live hypothesis is expanded over every candidate label (the CTC
+    The scorers are built for the utterances in that order: a CTC scorer
+    holds all of them, the others are shared.  Longest first is fastest, as
+    the CTC scorer's folds run each block of pairs to its longest.  Each live
+    hypothesis is expanded over every candidate label (its utterance's CTC
     support when a CTC scorer is present, otherwise the full non-special
     vocabulary) plus EOS.  Every (hypothesis, candidate) pair is bounded,
     and exact scores are asked for only where the bounds leave the pair a
     chance at the beam; the result equals scoring every pair exactly.
-    Finished hypotheses compete for beam slots; the search stops once the
-    beam-best hypothesis is finished or hypotheses reach ``max_len`` labels.
-    It runs as a lockstep of one utterance (see :func:`labelsync_lockstep`).
-    """
-    per_utt = None if stats is None else [stats]
-    return _labelsync_search(scorers, weights, beam, vocab, [max_len], [1], per_utt)[0]
-
-
-def labelsync_lockstep(
-    pgs: Sequence[Posteriorgram],
-    scorers: Sequence[LabelScorer],
-    weights: ScorerWeights,
-    beam: int,
-    vocab: Vocabulary,
-    stats: Sequence[DecodeStats] | None = None,
-) -> list[NBestList]:
-    """:func:`labelsync_beam` of each posteriorgram, all run in lockstep
-    with ``scorers``, built for ``pgs`` in that order: a CTC scorer holds
-    all of them, the others are shared.  Longest first is fastest, as the
-    CTC scorer's folds run each block of pairs to its longest.
-
-    Utterance u may take max(1, round(``max_len_factor`` * T_u)) labels.
-    ``stats``, one per posteriorgram, get that utterance's counters and
-    audio; the search's wall time is split between the utterances by
-    frames.  A scorer that holds audio, a decoder scorer with audio, holds
-    one utterance's: given more than one posteriorgram it raises ValueError.
-    """
-    if not pgs:
-        return []
-    if len(pgs) > 1 and any(getattr(s, "audio", None) is not None for s in scorers):
-        raise ValueError("a decoder scorer with audio decodes one utterance per call")
-    frames = [pg.num_frames for pg in pgs]
-    max_lens = [max(1, round(weights.max_len_factor * t)) for t in frames]
-    nbests = _labelsync_search(scorers, weights, beam, vocab, max_lens, frames, stats)
-    for pg, one in zip(pgs, stats or ()):
-        one.audio_seconds += pg.duration_seconds
-    return nbests
-
-
-def _labelsync_search(
-    scorers: Sequence[LabelScorer],
-    weights: ScorerWeights,
-    beam: int,
-    vocab: Vocabulary,
-    max_lens: Sequence[int],
-    frames: Sequence[int],
-    stats: Sequence[DecodeStats] | None,
-) -> list[NBestList]:
-    """The label-synchronous beam of ``len(max_lens)`` utterances in
-    lockstep; the scorers hold a row per live hypothesis of any of them.
+    Finished hypotheses compete for beam slots.
 
     Label step n advances every running utterance with one ``step``,
     ``exact`` and ``advance`` call per scorer over all their live rows,
@@ -213,8 +166,14 @@ def _labelsync_search(
     out, when its beam-best is finished, when it has taken ``max_lens[u]``
     steps or when no pair can extend it; each sees the float operations of
     a search of its own, so neither results nor counters depend on which
-    utterances share a lockstep.  The wall time is split by ``frames``.
+    utterances share a lockstep.  ``stats``, one per utterance, get its
+    counters.  A scorer that holds audio, a decoder scorer with audio, holds
+    one utterance's: given more than one utterance it raises ValueError.
     """
+    if not max_lens:
+        return []
+    if len(max_lens) > 1 and any(getattr(s, "audio", None) is not None for s in scorers):
+        raise ValueError("a decoder scorer with audio decodes one utterance per call")
     if beam < 1:
         raise ValueError("beam must be >= 1")
     if min(max_lens) < 1:
@@ -247,7 +206,6 @@ def _labelsync_search(
     allowed[candidates] = True
     max_lens = np.asarray(max_lens)
 
-    t0 = time.perf_counter()
     states = [s.start(num) for s in active]
     trie_parent, trie_label = [-1] * num, [-1] * num
 
@@ -428,17 +386,13 @@ def _labelsync_search(
         f_depth, f_key = p_depth[top][held], p_key[top][held]
         n += 1
 
-    if stats is not None:
-        wall = time.perf_counter() - t0
-        total = sum(frames)
-        for u, s in enumerate(stats):
-            s.steps += int(steps[u])
-            s.peak_live_hypotheses = max(s.peak_live_hypotheses, int(peak_live[u]))
-            if steps[u]:
-                s.peak_candidate_set = max(s.peak_candidate_set, int(counts[u]))
-            s.scorer_evaluations += int(evaluations[u])
-            s.ctc_exact_pairs += int(exact_pairs[u])
-            s.wall_time_s += wall * frames[u] / total
+    for u, s in enumerate(stats or ()):
+        s.steps += int(steps[u])
+        s.peak_live_hypotheses = max(s.peak_live_hypotheses, int(peak_live[u]))
+        if steps[u]:
+            s.peak_candidate_set = max(s.peak_candidate_set, int(counts[u]))
+        s.scorer_evaluations += int(evaluations[u])
+        s.ctc_exact_pairs += int(exact_pairs[u])
     return results
 
 
@@ -615,7 +569,7 @@ def _trie_closure(parent: list[int], label: list[int], live: list[int], roots: i
     return new_parent, new_label, children, remap
 
 
-def lockstep_beam(
+def timesync_ctc_beam(
     pgs: Sequence[Posteriorgram],
     vocab: Vocabulary,
     beam: int,
@@ -649,8 +603,7 @@ def lockstep_beam(
     Each prefix sees the float operations of the per-utterance search in
     ``tests/test_timesync.py``, so neither results nor counters depend on
     which utterances share a lockstep.  ``stats``, one per posteriorgram,
-    get that utterance's counters; the search's wall time is split between
-    the utterances by frames.
+    get that utterance's counters.
     """
     if beam < 1:
         raise ValueError("beam must be >= 1")
@@ -658,7 +611,6 @@ def lockstep_beam(
         check_width(pg, vocab)
     if not pgs:
         return []
-    t0 = time.perf_counter()
     lm_weight = frame_lm.weight
     # longest first, so that the utterances still running form a prefix
     by_length = sorted(range(len(pgs)), key=lambda u: -pgs[u].num_frames)
@@ -845,7 +797,6 @@ def lockstep_beam(
         running = still
 
     if stats is not None:
-        wall = time.perf_counter() - t0
         peak_cands = np.maximum.reduceat(cands_at, start)
         for u, orig in enumerate(by_length):
             s = stats[orig]
@@ -853,8 +804,6 @@ def lockstep_beam(
             s.peak_live_hypotheses = max(s.peak_live_hypotheses, int(peak_live[u]))
             s.peak_candidate_set = max(s.peak_candidate_set, int(peak_cands[u]) + 1)
             s.scorer_evaluations += int(evaluations[u])
-            s.wall_time_s += wall * lengths[u] / sum(lengths)
-            s.audio_seconds += pgs[orig].duration_seconds
     return results
 
 
@@ -875,48 +824,8 @@ def frame_lm(
     if lm is None or lm_weight == 0.0:
         return _NoLM(vocab)
     if not same:
-        raise ValidationError(
-            "timesync needs an LM on the acoustic vocabulary, unlike delayed_fusion_beam"
-        )
+        raise ValidationError("timesync needs an LM on the acoustic vocabulary, unlike delayed")
     return _LabelLM(lm, vocab, lm_weight)
-
-
-def timesync_ctc_beam(
-    pg: Posteriorgram,
-    vocab: Vocabulary,
-    beam: int,
-    lm: NGramModel | TableLM | None = None,
-    lm_weight: float = 0.0,
-    stats: DecodeStats | None = None,
-) -> NBestList:
-    """Time-synchronous CTC beam search with optional same-vocabulary fusion.
-
-    The LM score for each newly appended label lands immediately; the EOS
-    term lands once at finalization.  CTC itself has no EOS.  Without an
-    LM, or at LM weight 0, the search runs with zero LM deltas.
-    """
-    per_utt = None if stats is None else [stats]
-    return lockstep_beam([pg], vocab, beam, frame_lm(vocab, lm, lm_weight, False), per_utt)[0]
-
-
-def delayed_fusion_beam(
-    pg: Posteriorgram,
-    vocab: Vocabulary,
-    lm: NGramModel | TableLM,
-    lm_weight: float,
-    beam: int,
-    stats: DecodeStats | None = None,
-) -> NBestList:
-    """Time-synchronous search with LM deltas added at word boundaries.
-
-    The LM lives on its own vocabulary.  Whenever an appended label starts a
-    new word, the completed word is retokenized into LM units and scored;
-    the residual (pending word plus EOS) lands at finalization, making the
-    final combined score equal to independent rescoring with the same LM.
-    At LM weight 0 the final score is the CTC score alone.
-    """
-    per_utt = None if stats is None else [stats]
-    return lockstep_beam([pg], vocab, beam, frame_lm(vocab, lm, lm_weight, True), per_utt)[0]
 
 
 def rescore_nbest(

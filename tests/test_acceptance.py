@@ -52,7 +52,7 @@ from fusionkit.search import (
     CtcPrefixLabelScorer,
     DecodeStats,
     DecoderLabelScorer,
-    delayed_fusion_beam,
+    frame_lm,
     labelsync_beam,
     timesync_ctc_beam,
 )
@@ -207,16 +207,16 @@ class TestCriterion3SaturatedBeamEqualsExhaustive:
             }
             # label-synchronous search
             nbest = labelsync_beam(
-                scorer_fn(), weights, beam=10**4, vocab=vocab, max_len=max_len
-            )
+                scorer_fn(), weights, beam=10**4, vocab=vocab, max_lens=[max_len]
+            )[0]
             assert nbest.best_finished.output_labels(vocab.eos_id) == oracle.best.output_labels(vocab.eos_id)
             assert abs(nbest.best_finished.combined - oracle.best.combined) < 1e-9
             for e in nbest.finished:
                 assert abs(e.combined - oracle_scores[e.output_labels(vocab.eos_id)]) < 1e-9
             # time-synchronous search (max_len = t covers every feasible output)
             ts = timesync_ctc_beam(
-                pg, vocab, beam=10**4, lm=lm if lam else None, lm_weight=lam
-            )
+                [pg], vocab, 10**4, frame_lm(vocab, lm if lam else None, lam, False)
+            )[0]
             ts_scores = {e.labels: e.combined for e in ts}
             assert set(ts_scores) == set(oracle_scores)
             for labels, score in oracle_scores.items():
@@ -288,9 +288,9 @@ class TestCriterion4PruningIdentitiesAndSavings:
                 ScorerWeights({"ctc": 1.0, "lm": JOINT_LM_WEIGHT}),
                 beam=JOINT_BEAM,
                 vocab=AM_VOCAB,
-                max_len=pg.num_frames,
-                stats=stats,
-            )
+                max_lens=[pg.num_frames],
+                stats=[stats],
+            )[0]
             best = nb.best_finished or nb.best
             return best, stats
 
@@ -337,7 +337,7 @@ class TestCriterion5DelayedFusionEqualsRescoring:
             lp[:, cols] = np.log(rows)
             lp[:, cols] -= np.array([logsumexp(r) for r in lp[:, cols]])[:, None]
             pg = Posteriorgram(lp)
-            nbest = delayed_fusion_beam(pg, AM_VOCAB, lm, lm_weight=lam, beam=6)
+            nbest = timesync_ctc_beam([pg], AM_VOCAB, 6, frame_lm(AM_VOCAB, lm, lam, True))[0]
             for e in nbest:
                 toks = retokenize(lm_vocab, AM_VOCAB.text(e.labels).split())
                 want = e.components["ctc"] + lam * lm_logprob(lm, toks)
@@ -359,8 +359,8 @@ class TestCriterion6FusionImprovesWer:
                 refw = words(ref)
                 pg_g.append((refw, words(AM_VOCAB.text(greedy_decode(pg, AM_VOCAB.blank_id)))))
                 nb = timesync_ctc_beam(
-                    pg, AM_VOCAB, beam=TSYNC_BEAM, lm=lm, lm_weight=TSYNC_LM_WEIGHT
-                )
+                    [pg], AM_VOCAB, TSYNC_BEAM, frame_lm(AM_VOCAB, lm, TSYNC_LM_WEIGHT, False)
+                )[0]
                 pg_t.append((refw, words(AM_VOCAB.text(nb.best.output_labels(AM_VOCAB.eos_id)))))
                 scorers = [
                     CtcPrefixLabelScorer(pg, AM_VOCAB),
@@ -371,8 +371,8 @@ class TestCriterion6FusionImprovesWer:
                     {"ctc": 1.0, "lm": JOINT_LM_WEIGHT, "dec": JOINT_DEC_WEIGHT}
                 )
                 nbj = labelsync_beam(
-                    scorers, w, beam=JOINT_BEAM, vocab=AM_VOCAB, max_len=pg.num_frames
-                )
+                    scorers, w, beam=JOINT_BEAM, vocab=AM_VOCAB, max_lens=[pg.num_frames]
+                )[0]
                 best = nbj.best_finished or nbj.best
                 pg_j.append((refw, words(AM_VOCAB.text(best.output_labels(AM_VOCAB.eos_id)))))
             greedy_w.append(corpus_wer(pg_g).wer)
@@ -410,22 +410,22 @@ class TestCriterion7OscillationMitigation:
                 ScorerWeights({"table": 1.0}),
                 beam=4,
                 vocab=AM_VOCAB,
-                max_len=max_len,
-            )
+                max_lens=[max_len],
+            )[0]
             joint = labelsync_beam(
                 [CtcPrefixLabelScorer(scn.pg, AM_VOCAB), ContextLMScorer(scn.table_lm, "table")],
                 ScorerWeights({"ctc": 1.0, "table": 0.5}),
                 beam=4,
                 vocab=AM_VOCAB,
-                max_len=max_len,
-            )
+                max_lens=[max_len],
+            )[0]
             ctc_only = labelsync_beam(
                 [CtcPrefixLabelScorer(scn.pg, AM_VOCAB)],
                 ScorerWeights({"ctc": 1.0}),
                 beam=4,
                 vocab=AM_VOCAB,
-                max_len=max_len,
-            )
+                max_lens=[max_len],
+            )[0]
             i_sa, i_jt, i_co = insertions(standalone), insertions(joint), insertions(ctc_only)
             assert i_sa >= 5
             assert i_sa > i_jt
@@ -445,16 +445,16 @@ class TestCriterion8BeamSizeBehavior:
                 prev = -math.inf
                 for beam in (1, 2, 4, 8, 16):
                     nb = timesync_ctc_beam(
-                        pg, AM_VOCAB, beam=beam, lm=lm, lm_weight=TSYNC_LM_WEIGHT
-                    )
+                        [pg], AM_VOCAB, beam, frame_lm(AM_VOCAB, lm, TSYNC_LM_WEIGHT, False)
+                    )[0]
                     # tolerance covers log-sum-exp association noise between runs
                     assert nb.best.combined >= prev - 1e-4
                     prev = max(prev, nb.best.combined)
                     if beam == 8:
                         best8 = nb.best
                 nb64 = timesync_ctc_beam(
-                    pg, AM_VOCAB, beam=64, lm=lm, lm_weight=TSYNC_LM_WEIGHT
-                )
+                    [pg], AM_VOCAB, 64, frame_lm(AM_VOCAB, lm, TSYNC_LM_WEIGHT, False)
+                )[0]
                 refw = words(ref)
                 pairs8.append((refw, words(AM_VOCAB.text(best8.output_labels(AM_VOCAB.eos_id)))))
                 pairs64.append((refw, words(AM_VOCAB.text(nb64.best.output_labels(AM_VOCAB.eos_id)))))
@@ -499,8 +499,8 @@ class TestCriterion9LengthNormBeamOneInvariance:
                     ScorerWeights(dict(weights), length_norm=length_norm),
                     beam=1,
                     vocab=vocab,
-                    max_len=t,
-                )
+                    max_lens=[t],
+                )[0]
                 return nb.best.labels
 
             assert decode(False) == decode(True)

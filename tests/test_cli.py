@@ -545,14 +545,14 @@ class TestSynthAndDecode:
         from fusionkit.core import read_posteriorgram
 
         culprit = read_posteriorgram(corpus / "utt0002.fkpg").log_probs
-        search = cli.lockstep_beam
+        search = cli.timesync_ctc_beam
 
         def failing(pgs, *args, **kwargs):
             if any(np.array_equal(pg.log_probs, culprit) for pg in pgs):
                 raise ValueError("search broke")
             return search(pgs, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "lockstep_beam", failing)
+        monkeypatch.setattr(cli, "timesync_ctc_beam", failing)
         lm = lm_file if strategy == "timesync" else word_lm_file
         code, _, err = run(
             ["decode", str(corpus), str(tmp_path / "o"), "--strategy", strategy,
@@ -741,13 +741,13 @@ class TestLockstepSchedule:
     def record_locksteps(monkeypatch):
         from fusionkit import cli
 
-        frames, search = [], cli.labelsync_lockstep
+        frames, search = [], cli.Session.search
 
-        def recording(pgs, *args):
+        def recording(session, pgs, stats):
             frames.append([pg.num_frames for pg in pgs])
-            return search(pgs, *args)
+            return search(session, pgs, stats)
 
-        monkeypatch.setattr(cli, "labelsync_lockstep", recording)
+        monkeypatch.setattr(cli.Session, "search", recording)
         return frames
 
     def test_corpus_listed_longest_first_ties_in_refs_order(self, corpus, tmp_path):
@@ -830,6 +830,30 @@ class TestLockstepSchedule:
         assert min(map(min, frames)) > 160
 
 
+class TestSearchAccounting:
+    def test_audio_and_wall_time_split_by_frames(self, corpus):
+        # each utterance of a lockstep gets its own audio and its frames'
+        # share of the search's wall time: one time per frame, one RTF
+        from fusionkit.cli import DecodeConfig, Session, read_corpus_dir, read_posteriorgrams
+        from fusionkit.search import DecodeStats
+
+        vocab, utts = read_corpus_dir(corpus)
+        pgs = [pg for _, pg in read_posteriorgrams(utts)]
+        assert len({pg.num_frames for pg in pgs}) > 1
+        ctc = {"name": "ctc", "kind": "ctc_prefix", "weight": 1.0}
+        for strategy in ("ctc-greedy", "timesync", "joint"):
+            scorers = [ctc] if strategy == "joint" else []
+            cfg = DecodeConfig(strategy=strategy, beam=4, scorers=scorers)
+            stats = [DecodeStats() for _ in pgs]
+            Session.from_config(cfg, vocab).search(pgs, stats)
+            assert [s.audio_seconds for s in stats] == [pg.duration_seconds for pg in pgs]
+            per_frame = [s.wall_time_s / pg.num_frames for s, pg in zip(stats, pgs)]
+            assert per_frame[0] > 0
+            assert per_frame == pytest.approx([per_frame[0]] * len(pgs), rel=1e-9)
+            rtfs = [s.rtf for s in stats]
+            assert rtfs == pytest.approx([rtfs[0]] * len(pgs), rel=1e-9)
+
+
 class TestWerCommand:
     def test_identical_files(self, tmp_path, capsys):
         refs = tmp_path / "refs.txt"
@@ -908,6 +932,28 @@ class TestPplCommand:
         assert code == 0
         assert "token_ppl" in stdout and "word_ppl" in stdout
 
+    def test_text_scored_once(self, lm_file, tmp_path, capsys, monkeypatch):
+        # token and word perplexity come from one pass over the text
+        from fusionkit import cli, lm
+
+        calls, score = [], lm.lm_logprob
+
+        def counting(model, seq):
+            calls.append(seq)
+            return score(model, seq)
+
+        for module in (lm, cli):  # wherever the command looks it up
+            monkeypatch.setattr(module, "lm_logprob", counting, raising=False)
+        text = tmp_path / "t.txt"
+        text.write_text("the and\n" * 50)
+        code, stdout, _ = run(["ppl", str(lm_file), str(text)], capsys)
+        assert code == 0
+        assert len(calls) == 50
+        # the figures of the library's one-figure functions, to the digit
+        model = cli.load_lm(lm_file)
+        seqs = [lm.retokenize(model.vocab, "the and")] * 50
+        assert stdout == (f"token_ppl\t{lm.perplexity(model, seqs):.4f}\n"
+                          f"word_ppl\t{lm.word_perplexity(model, seqs, 100):.4f}\n")
 
     def test_lm_missing_special_flag_fails_cleanly(self, lm_file, tmp_path, capsys):
         lines = lm_file.read_text().splitlines()

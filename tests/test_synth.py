@@ -188,8 +188,8 @@ def run_standalone(scn, vocab, max_len):
         ScorerWeights({"table": 1.0}),
         beam=4,
         vocab=vocab,
-        max_len=max_len,
-    )
+        max_lens=[max_len],
+    )[0]
 
 
 def run_joint(scn, vocab, max_len):
@@ -198,8 +198,8 @@ def run_joint(scn, vocab, max_len):
         ScorerWeights({"ctc": 1.0, "table": 0.5}),
         beam=4,
         vocab=vocab,
-        max_len=max_len,
-    )
+        max_lens=[max_len],
+    )[0]
 
 
 def insertions_vs_reference(scn, vocab, labels):
