@@ -690,6 +690,18 @@ class TestDecodeStats:
         assert stats.peak_live_hypotheses == 3
         assert stats.scorer_evaluations == 48
 
+    def test_timesync_collects_audio_seconds(self):
+        # the run's session, not the search, books audio and wall time
+        from fusionkit.cli import DecodeConfig, Session
+
+        rng = np.random.default_rng(13)
+        pg = random_am_pg(rng, 4)
+        stats = DecodeStats()
+        session = Session.from_config(DecodeConfig(strategy="timesync", beam=2), VOCAB)
+        session.search([pg], [stats])
+        assert stats.audio_seconds == pytest.approx(pg.duration_seconds)
+        assert stats.wall_time_s > 0
+
     def test_rtf_definition(self):
         stats = DecodeStats(wall_time_s=0.5, audio_seconds=1.0)
         assert stats.rtf == pytest.approx(0.5)

@@ -627,6 +627,20 @@ class TestLockstep:
                 beams=(2, 6),
             )
 
+    def test_wall_time_split_by_frames(self):
+        # the run's session splits a lockstep's wall time by frames
+        from fusionkit.cli import DecodeConfig, Session
+
+        rng = np.random.default_rng(3)
+        pgs = [random_pg(rng, frames, ABC, "dirichlet") for frames in (7, 1, 30, 12)]
+        stats = [DecodeStats() for _ in pgs]
+        Session.from_config(DecodeConfig(strategy="timesync", beam=4), ABC).search(pgs, stats)
+        per_frame = [s.wall_time_s / pg.num_frames for s, pg in zip(stats, pgs)]
+        assert per_frame[0] > 0
+        assert per_frame == pytest.approx([per_frame[0]] * len(pgs), rel=1e-9)
+        rtfs = [s.rtf for s in stats]
+        assert rtfs == pytest.approx([rtfs[0]] * len(pgs), rel=1e-9)
+
     def test_empty_corpus_and_bad_width(self):
         no_lm = frame_lm(ABC, None, 0.0, False)
         assert timesync_ctc_beam([], ABC, 4, no_lm) == []
