@@ -52,9 +52,9 @@ from fusionkit.lm import (
     NGRAM_MAGIC,
     NGramModel,
     TableLM,
-    lm_logprob,
     load_ngram,
     load_table_lm,
+    perplexities,
     retokenize,
     save_ngram,
     train_ngram,
@@ -330,10 +330,11 @@ class Session:
         ``stats``, one per posteriorgram.  Each also gets its audio and its
         frames' share of the call's wall time."""
         cfg, vocab = self.cfg, self.vocab
-        t0 = time.perf_counter()
-        if cfg.strategy == "joint":
+        if cfg.strategy == "joint":  # caps and scorers, built before the timer starts
             max_lens = [max(1, round(cfg.max_len_factor * pg.num_frames)) for pg in pgs]
             scorers = self.scorers(pgs)
+        t0 = time.perf_counter()
+        if cfg.strategy == "joint":
             nbests = labelsync_beam(scorers, self.weights, cfg.beam, vocab, max_lens, stats)
         elif cfg.strategy != "ctc-greedy":
             nbests = timesync_ctc_beam(pgs, vocab, cfg.beam, self.fusion, stats)
@@ -378,9 +379,7 @@ def build_joint_scorers(
                 built[name] = DecoderLabelScorer(dw, interface, vocab, name=name)
         except (CliError, ValueError, OSError) as exc:
             raise CliError(f"scorer {name!r}: {exc}") from exc
-    weights = ScorerWeights(
-        {s["name"]: s["weight"] for s in cfg.scorers}, cfg.length_norm, cfg.max_len_factor
-    )
+    weights = ScorerWeights({s["name"]: s["weight"] for s in cfg.scorers}, cfg.length_norm)
     names = [spec["name"] for spec in cfg.scorers]
 
     def scorers(pgs: Sequence[Posteriorgram]) -> list[LabelScorer]:
@@ -541,14 +540,11 @@ def cmd_ppl(args) -> int:
     model = load_lm(args.model)
     lines = read_sentences(args.text, args.normalization)
     seqs = segment_lines(model.vocab, lines, args.text)
-    # one pass for both figures: lm.perplexity's and lm.word_perplexity's
-    # sum, in sequence order from 0
-    total = sum(lm_logprob(model, seq) for seq in seqs)
-    n_tokens = sum(len(seq) + 1 for seq in seqs)  # EOS once per sequence
     n_words = sum(len(line.split()) for line in lines)
-    print(f"token_ppl\t{math.exp(-total / n_tokens):.4f}")
-    if n_words:
-        print(f"word_ppl\t{math.exp(-total / n_words):.4f}")
+    token_ppl, word_ppl = perplexities(model, seqs, n_words)
+    print(f"token_ppl\t{token_ppl:.4f}")
+    if word_ppl is not None:
+        print(f"word_ppl\t{word_ppl:.4f}")
     return 0
 
 

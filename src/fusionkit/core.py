@@ -334,11 +334,10 @@ def read_encoder_output(path: str | Path) -> EncoderOutput:
 
 @dataclass
 class ScorerWeights:
-    """Log-linear combination weights plus length handling for beam search."""
+    """Log-linear combination weights and length normalisation for beam search."""
 
     weights: dict[str, float]
     length_norm: bool = False
-    max_len_factor: float = 1.0
 
     def __post_init__(self):
         for name, w in self.weights.items():
@@ -346,8 +345,6 @@ class ScorerWeights:
                 raise ValidationError(f"weight of scorer {name!r} must be finite, not {w!r}")
         if not any(w != 0.0 for w in self.weights.values()):
             raise ValidationError("at least one scorer weight must be nonzero")
-        if self.max_len_factor <= 0:
-            raise ValidationError("max_len_factor must be positive")
 
     def combine(self, components: dict[str, float]) -> float:
         # zero-weight scorers are inert even when their component is -inf

@@ -312,8 +312,14 @@ def lm_logprob(model: NGramModel | TableLM, seq: Sequence[int]) -> float:
     return total
 
 
-def perplexity(model: NGramModel | TableLM, corpus: Iterable[Sequence[int]]) -> float:
-    """exp(-mean token log prob), EOS counted once per sequence."""
+def perplexities(
+    model: NGramModel | TableLM, corpus: Iterable[Sequence[int]], num_words: int
+) -> tuple[float, float | None]:
+    """Token and word perplexity from one pass over ``corpus``: exp(-total
+    log prob / count), the token count taking EOS once per sequence and the
+    word count ``num_words``.  The word figure is None when it is 0."""
+    if num_words < 0:
+        raise ValueError("word count must not be negative")
     total = 0.0
     count = 0
     for seq in corpus:
@@ -322,17 +328,7 @@ def perplexity(model: NGramModel | TableLM, corpus: Iterable[Sequence[int]]) -> 
         count += len(seq) + 1
     if count == 0:
         raise ValidationError("perplexity of an empty corpus")
-    return math.exp(-total / count)
-
-
-def word_perplexity(
-    model: NGramModel | TableLM, corpus: Iterable[Sequence[int]], num_words: int
-) -> float:
-    """Total corpus log prob renormalized per word instead of per token."""
-    if num_words < 1:
-        raise ValueError("word count must be positive")
-    total = sum(lm_logprob(model, seq) for seq in corpus)
-    return math.exp(-total / num_words)
+    return math.exp(-total / count), math.exp(-total / num_words) if num_words else None
 
 
 def retokenize(vocab: Vocabulary, text: str | Sequence[str], allow_unk: bool = True) -> list[int]:

@@ -41,7 +41,7 @@ from fusionkit.decoder import (
 )
 from fusionkit.lm import (
     lm_logprob,
-    perplexity,
+    perplexities,
     retokenize,
     save_ngram,
     train_ngram,
@@ -540,7 +540,7 @@ class TestCriterion11Perplexity:
             ["<blank>", "<s>", "</s>"] + [f"t{i}" for i in range(9)]
         )
         uniform = uniform_table_lm(vocab)
-        ppl = perplexity(uniform, [[3, 4, 5], [6], [7, 8]])
+        ppl, _ = perplexities(uniform, [[3, 4, 5], [6], [7, 8]], 0)
         assert abs(ppl - 10.0) < 1e-9
 
         # hand-count oracle for a bigram on a three-sentence corpus over {a, b}
@@ -580,7 +580,7 @@ class TestCriterion11Perplexity:
                 prev = tok
                 count += 1
         want = math.exp(-total / count)
-        got = perplexity(model, corpus)
+        got, _ = perplexities(model, corpus, 0)
         assert abs(got - want) < 1e-9
         report(11, f"uniform PPL == 10, bigram PPL == hand oracle ({got:.6f})")
 

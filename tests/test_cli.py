@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -949,11 +950,12 @@ class TestPplCommand:
         code, stdout, _ = run(["ppl", str(lm_file), str(text)], capsys)
         assert code == 0
         assert len(calls) == 50
-        # the figures of the library's one-figure functions, to the digit
+        # the figures of one sum over the lines, to the digit
         model = cli.load_lm(lm_file)
-        seqs = [lm.retokenize(model.vocab, "the and")] * 50
-        assert stdout == (f"token_ppl\t{lm.perplexity(model, seqs):.4f}\n"
-                          f"word_ppl\t{lm.word_perplexity(model, seqs, 100):.4f}\n")
+        seq = lm.retokenize(model.vocab, "the and")
+        total = sum(score(model, seq) for _ in range(50))
+        token_ppl = math.exp(-total / (50 * (len(seq) + 1)))
+        assert stdout == f"token_ppl\t{token_ppl:.4f}\nword_ppl\t{math.exp(-total / 100):.4f}\n"
 
     def test_lm_missing_special_flag_fails_cleanly(self, lm_file, tmp_path, capsys):
         lines = lm_file.read_text().splitlines()

@@ -18,13 +18,12 @@ from fusionkit.lm import (
     lm_logprob,
     load_ngram,
     load_table_lm,
-    perplexity,
+    perplexities,
     retokenize,
     save_ngram,
     save_table_lm,
     support_ids,
     train_ngram,
-    word_perplexity,
 )
 
 from fixtures import fuzzed, uniform_table_lm
@@ -179,7 +178,7 @@ class TestLogprobAndPerplexity:
         )
         model = uniform_table_lm(vocab)
         corpus = [[3, 4], [5], [6, 7, 8]]
-        assert perplexity(model, corpus) == pytest.approx(10.0, abs=1e-12)
+        assert perplexities(model, corpus, 0) == (pytest.approx(10.0, abs=1e-12), None)
 
     def test_deterministic_model_ppl_one(self):
         # a table LM that puts probability ~1 on the observed continuation
@@ -188,20 +187,27 @@ class TestLogprobAndPerplexity:
         dist_eos = np.full(VOCAB.size, NEG_INF)
         dist_eos[EOS] = 0.0
         model = TableLM(VOCAB, (((A,), dist_eos),), dist_a)
-        assert perplexity(model, [[A]]) == pytest.approx(1.0, abs=1e-12)
+        assert perplexities(model, [[A]], 1)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_bigram_ppl_hand_oracle(self):
         model = train_ngram(VOCAB, aab_corpus(), order=2)
         p_a_bos, p_a_a, p_b_a, p_eos_b = bigram_aab_oracle()
         expected = math.exp(-math.log(p_a_bos * p_a_a * p_b_a * p_eos_b) / 4)
-        assert perplexity(model, aab_corpus()) == pytest.approx(expected, abs=1e-9)
+        assert perplexities(model, aab_corpus(), 2)[0] == pytest.approx(expected, abs=1e-9)
 
     def test_word_perplexity(self):
         model = train_ngram(VOCAB, aab_corpus(), order=2)
         total = lm_logprob(model, [A, A, B])
-        assert word_perplexity(model, aab_corpus(), num_words=2) == pytest.approx(
+        assert perplexities(model, aab_corpus(), num_words=2)[1] == pytest.approx(
             math.exp(-total / 2), abs=1e-12
         )
+
+    def test_perplexity_of_no_text_fails(self):
+        model = train_ngram(VOCAB, aab_corpus(), order=2)
+        with pytest.raises(ValidationError, match="empty corpus"):
+            perplexities(model, [], 0)
+        with pytest.raises(ValueError, match="word count"):
+            perplexities(model, aab_corpus(), -1)
 
     def test_unseen_token_never_neg_inf(self):
         vocab = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b", "c"])

@@ -200,9 +200,9 @@ def scorers_for(rng, kinds, seed):
     return build
 
 
-def check_against_reference(pgs, build, weights, beam):
+def check_against_reference(pgs, build, weights, beam, factor):
     stats = [DecodeStats() for _ in pgs]
-    max_lens = [max(1, round(weights.max_len_factor * pg.num_frames)) for pg in pgs]
+    max_lens = [max(1, round(factor * pg.num_frames)) for pg in pgs]
     got = labelsync_beam(build(pgs), weights, beam, WIDE, max_lens, stats)
     for pg, max_len, nbest, got_stats in zip(pgs, max_lens, got, stats):
         want_stats = DecodeStats()
@@ -231,17 +231,17 @@ class TestLockstepEqualsReference:
         ]
         for case, mix in enumerate(mixes):
             kinds = ["ctc", "lm", "table", "dec"]
-            weights = ScorerWeights(mix, length_norm=length_norm, max_len_factor=1.6)
-            check_against_reference(pgs, scorers_for(rng, kinds, case), weights, beam)
+            weights = ScorerWeights(mix, length_norm=length_norm)
+            check_against_reference(pgs, scorers_for(rng, kinds, case), weights, beam, 1.6)
 
     @pytest.mark.parametrize("length_norm", [False, True])
     def test_saturated_beam(self, length_norm):
         rng = np.random.default_rng(7 + length_norm)
         pgs = [random_pg(rng, t) for t in (3, 1, 2, 3)]
-        weights = ScorerWeights(
-            {"ctc": 1.0, "lm": 0.5, "dec": 0.2}, length_norm=length_norm, max_len_factor=1.4
+        weights = ScorerWeights({"ctc": 1.0, "lm": 0.5, "dec": 0.2}, length_norm=length_norm)
+        check_against_reference(
+            pgs, scorers_for(rng, ["ctc", "lm", "dec"], 1), weights, 10**4, 1.4
         )
-        check_against_reference(pgs, scorers_for(rng, ["ctc", "lm", "dec"], 1), weights, 10**4)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=25, deadline=None)
@@ -263,11 +263,9 @@ class TestLockstepEqualsReference:
             frames = [min(t, 4) for t in frames]  # no CTC bound on the depth
         rng = np.random.default_rng(seed)
         pgs = [random_pg(rng, t, keep=keep if i % 2 else None) for i, t in enumerate(frames)]
-        weights = ScorerWeights(
-            {"ctc": w_ctc, "lm": w_lm, "dec": w_dec}, length_norm=length_norm, max_len_factor=factor
-        )
+        weights = ScorerWeights({"ctc": w_ctc, "lm": w_lm, "dec": w_dec}, length_norm=length_norm)
         build = scorers_for(rng, ["ctc", "lm", "dec"], seed % 5)
-        check_against_reference(pgs, build, weights, beam)
+        check_against_reference(pgs, build, weights, beam, factor)
 
     def test_one_utterance_call_equals_a_lockstep_of_one(self):
         # an utterance decoded alone is its row of a lockstep with another
