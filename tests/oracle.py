@@ -1,11 +1,13 @@
 """Slow references that the tests compare the fast paths against: the CTC
 forward probability summed over every alignment, posteriorgram compression
-grouped frame by frame, and the label-synchronous beam's oracle, exhaustive
-search over the scorer protocol of ``fusionkit.scorers``.
+grouped frame by frame, the toy decoder's GELU as one numpy expression, and
+the label-synchronous beam's oracle, exhaustive search over the scorer
+protocol of ``fusionkit.scorers``.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from typing import Sequence
 
@@ -71,6 +73,12 @@ def compressed_log_probs(pg: Posteriorgram, threshold: float) -> np.ndarray:
     if len(groups) == pg.num_frames:
         return pg.log_probs
     return np.array([g - logsumexp(g) for g in groups])
+
+
+def gelu_reference(x: np.ndarray) -> np.ndarray:
+    """The tanh-approximated GELU as one expression, numpy's x**3 over every
+    element; ``decoder._gelu`` must equal it bit for bit."""
+    return 0.5 * x * (1.0 + np.tanh(math.sqrt(2.0 / math.pi) * (x + 0.044715 * x**3)))
 
 
 def exhaustive_decode(

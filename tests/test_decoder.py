@@ -1,6 +1,8 @@
 import hashlib
+import math
 import struct
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 
 from fusionkit.core import EncoderOutput, FormatError, logsumexp
 from fusionkit.decoder import (
+    _gelu,
     Hyperparams,
     InterfaceConfig,
     build_attention_mask,
@@ -23,6 +26,7 @@ from fusionkit.decoder import (
     seeded_weights,
     write_tensor_container,
 )
+from oracle import gelu_reference
 
 HP = Hyperparams(layers=2, dim=32, heads=2, vocab_size=8, ffn_dim=64)
 BOS, EOS = 6, 7
@@ -34,6 +38,52 @@ def toy_weights(seed=0):
 
 def toy_audio(rng, t=3):
     return EncoderOutput(rng.normal(size=(t, HP.dim)))
+
+
+def _signed(magnitudes):
+    return st.tuples(magnitudes, st.booleans()).map(lambda p: -p[0] if p[1] else p[0])
+
+
+# the values that break a fast cube: zeros, subnormals, powers of two, the
+# floats next to the cube roots of powers of two (where x**3 crosses a
+# binade edge), and any finite float with |x| <= 1e100
+GELU_SPECIALS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.floats(-2.0**-1022, 2.0**-1022),
+    _signed(st.integers(-1074, 332).map(lambda k: math.ldexp(1.0, k))),
+    _signed(
+        st.tuples(st.integers(-3216, 996), st.integers(-2, 2)).map(  # j ulps from 2**(k/3)
+            lambda p: float((np.float64(2.0 ** (p[0] / 3)).view(np.int64) + p[1]).view(np.float64))
+        )
+    ),
+    st.floats(-1e100, 1e100),
+)
+
+
+@st.composite
+def gelu_inputs(draw):
+    """A contiguous (B, 1, ffn) or (n, ffn) array, as the decoder's FFN
+    feeds ``_gelu``: normal draws at a drawn scale, with special values at
+    drawn positions."""
+    batch, width = draw(st.integers(1, 48)), draw(st.integers(1, 96))
+    shape = draw(st.sampled_from([(batch, 1, width), (batch, width)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.standard_normal(shape) * draw(st.sampled_from([0.3, 1.0, 3.0, 30.0]))
+    flat = x.reshape(-1)
+    for i, value in draw(st.lists(st.tuples(st.integers(0, flat.size - 1), GELU_SPECIALS), max_size=40)):
+        flat[i] = value
+    return x
+
+
+class TestGelu:
+    @settings(max_examples=300, deadline=None)
+    @given(x=gelu_inputs())
+    def test_equals_reference_bit_for_bit(self, x):
+        with warnings.catch_warnings():  # every warning of either side fails
+            warnings.simplefilter("error")
+            got, want = _gelu(x), gelu_reference(x)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestAttentionMask:

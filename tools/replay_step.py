@@ -1,17 +1,25 @@
-"""Time one decode's CTC bound passes through two versions of ``ctc.py``.
+"""Time one decode's calls of a layer through two versions of its module.
 
-    python3 tools/replay_step.py CORPUS CONFIG OTHER_SRC [--repeats N]
+    python3 tools/replay_step.py CORPUS CONFIG OTHER_SRC \\
+        [--layer {ctc_step,decoder_step}] [--repeats N]
 
 Decodes CORPUS once with ``fusionkit decode --config CONFIG`` and records
-every ``CtcPrefixScorer.step`` call: the scorer's posteriorgrams, blank and
-EOS ids, the states and the candidates.  It then replays the recorded calls,
-one decode's worth at a time, alternately through this checkout's
-``src/fusionkit/ctc.py`` and through ``OTHER_SRC/fusionkit/ctc.py``, which
-is loaded beside it in the same process (both import this checkout's
-``fusionkit.core``).  Each replay builds fresh scorers before its clock
-starts, so the per-scorer column caches are rebuilt inside ``step`` as in a
-decode.  Prints the min and median milliseconds per decode of each side.
-Standard library and numpy only.
+every call of the layer with its inputs:
+
+- ``ctc_step`` (the default): ``CtcPrefixScorer.step``, with the scorer's
+  posteriorgrams, blank and EOS ids, the states and the candidates;
+- ``decoder_step``: ``decoder.decoder_step``, with the weights, the state,
+  the labels and the rows.
+
+It then replays the recorded calls, one decode's worth at a time,
+alternately through this checkout's ``src/fusionkit/ctc.py`` (or
+``decoder.py``) and through ``OTHER_SRC``'s, which is loaded beside it in
+the same process (both import this checkout's ``fusionkit.core``).  A CTC
+replay builds fresh scorers before its clock starts, so the per-scorer
+column caches are rebuilt inside ``step`` as in a decode; a decoder replay
+hands each side the weights and states as its own classes.  Prints the min
+and median milliseconds per decode of each side.  Standard library and
+numpy only.
 """
 
 from __future__ import annotations
@@ -28,13 +36,14 @@ import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MODULES = {"ctc_step": "ctc", "decoder_step": "decoder"}
 
 
-def load_ctc(src: Path, name: str):
-    """``src/fusionkit/ctc.py`` as a module of its own called ``name``."""
-    path = src / "fusionkit" / "ctc.py"
+def load_module(src: Path, module: str, name: str):
+    """``src/fusionkit/<module>.py`` as a module of its own called ``name``."""
+    path = src / "fusionkit" / f"{module}.py"
     if not path.is_file():
-        raise SystemExit(f"no fusionkit/ctc.py under {src}")
+        raise SystemExit(f"no fusionkit/{module}.py under {src}")
     spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module  # dataclasses look their module up there
@@ -42,42 +51,84 @@ def load_ctc(src: Path, name: str):
     return module
 
 
-def record(corpus: Path, config: Path) -> list[tuple]:
-    """One decode's step calls as (scorer key, pgs, blank, eos, states,
-    candidates), in call order."""
-    from fusionkit import ctc
+def decode(corpus: Path, config: Path) -> None:
     from fusionkit.cli import main
 
-    calls = []
-    step = ctc.CtcPrefixScorer.step
-
-    def recording(self, states, candidates):
-        calls.append((id(self), self.pgs, self.blank_id, self.eos_id, states, candidates))
-        return step(self, states, candidates)
-
-    ctc.CtcPrefixScorer.step = recording
-    try:
-        with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
-            code = main(["decode", str(corpus), str(Path(out) / "out"), "--config", str(config)])
-    finally:
-        ctc.CtcPrefixScorer.step = step
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+        code = main(["decode", str(corpus), str(Path(out) / "out"), "--config", str(config)])
     if code != 0:
         raise SystemExit(f"decode exited with {code}")
+
+
+def record(corpus: Path, config: Path, layer: str) -> list[tuple]:
+    """One decode's calls of ``layer``, in call order: (scorer, pgs, blank,
+    eos, states, candidates) for ``ctc_step``, (weights, state, labels,
+    rows) for ``decoder_step``.  Each call holds its scorer or weights, so
+    no two of them share an ``id``."""
+    from fusionkit import ctc, decoder
+
+    calls = []
+    if layer == "ctc_step":
+        step = ctc.CtcPrefixScorer.step
+
+        def recording(self, states, candidates):
+            calls.append((self, self.pgs, self.blank_id, self.eos_id, states, candidates))
+            return step(self, states, candidates)
+
+        ctc.CtcPrefixScorer.step = recording
+        try:
+            decode(corpus, config)
+        finally:
+            ctc.CtcPrefixScorer.step = step
+    else:
+        step = decoder.decoder_step
+
+        def recording(weights, state, labels, rows=None):
+            calls.append((weights, state, labels, rows))
+            return step(weights, state, labels, rows)
+
+        # the callers hold the function under its own name
+        holders = [m for n, m in list(sys.modules.items())
+                   if n.startswith("fusionkit") and getattr(m, "decoder_step", None) is step]
+        for module in holders:
+            module.decoder_step = recording
+        try:
+            decode(corpus, config)
+        finally:
+            for module in holders:
+                module.decoder_step = step
     if not calls:
-        raise SystemExit("the decode made no CtcPrefixScorer.step call (not a joint CTC config?)")
+        raise SystemExit(f"the decode made no {layer} call (not a config that runs it?)")
     return calls
 
 
-def replay(module, calls: list[tuple]) -> float:
-    """Seconds for one decode's calls through ``module``'s scorer."""
+def replay_ctc(module, calls: list[tuple]) -> float:
+    """Seconds for one decode's step calls through ``module``'s scorer."""
     scorers = {}
-    for key, pgs, blank, eos, _, _ in calls:
-        if key not in scorers:
-            scorers[key] = module.CtcPrefixScorer(pgs, blank, eos)
+    for recorded, pgs, blank, eos, _, _ in calls:
+        if id(recorded) not in scorers:
+            scorers[id(recorded)] = module.CtcPrefixScorer(pgs, blank, eos)
     gc.collect()
     t0 = time.perf_counter()
-    for key, _, _, _, states, candidates in calls:
-        scorers[key].step(states, candidates)
+    for recorded, _, _, _, states, candidates in calls:
+        scorers[id(recorded)].step(states, candidates)
+    return time.perf_counter() - t0
+
+
+def replay_decoder(module, calls: list[tuple]) -> float:
+    """Seconds for one decode's ``decoder_step`` calls through ``module``."""
+    weights = {}
+    args = []
+    for w, state, labels, rows in calls:
+        if id(w) not in weights:
+            weights[id(w)] = module.DecoderWeights(w.hp, w.tensors)
+        state = module.IncrementalState(state.position, state.self_k, state.self_v,
+                                        state.cross_k, state.cross_v)
+        args.append((weights[id(w)], state, labels, rows))
+    gc.collect()
+    t0 = time.perf_counter()
+    for w, state, labels, rows in args:
+        module.decoder_step(w, state, labels, rows)
     return time.perf_counter() - t0
 
 
@@ -85,20 +136,24 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("corpus", type=Path)
     parser.add_argument("config", type=Path)
-    parser.add_argument("other_src", type=Path, help="a src directory holding fusionkit/ctc.py")
+    parser.add_argument("other_src", type=Path, help="a src directory holding fusionkit/")
+    parser.add_argument("--layer", choices=sorted(MODULES), default="ctc_step")
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args(argv)
     sys.path.insert(0, str(SRC))
-    calls = record(args.corpus, args.config)
+    calls = record(args.corpus, args.config, args.layer)
+    module = MODULES[args.layer]
+    replay = replay_ctc if args.layer == "ctc_step" else replay_decoder
     sides = {
-        "this": (SRC / "fusionkit" / "ctc.py", load_ctc(SRC, "replay_this_ctc")),
-        "other": (args.other_src / "fusionkit" / "ctc.py", load_ctc(args.other_src, "replay_other_ctc")),
+        "this": (SRC / "fusionkit" / f"{module}.py", load_module(SRC, module, f"replay_this_{module}")),
+        "other": (args.other_src / "fusionkit" / f"{module}.py",
+                  load_module(args.other_src, module, f"replay_other_{module}")),
     }
     times = {side: [] for side in sides}
     for i in range(args.repeats):
         for side in sorted(sides, reverse=i % 2 == 1):  # alternate which side runs first
             times[side].append(replay(sides[side][1], calls))
-    print(f"{len(calls)} step calls per decode, {args.repeats} replays per side")
+    print(f"{len(calls)} {args.layer} calls per decode, {args.repeats} replays per side")
     for side, (path, _) in sides.items():
         ms = [1000.0 * t for t in times[side]]
         print(f"{side}\t{path}\tmin {min(ms):.2f} ms\tmedian {statistics.median(ms):.2f} ms")
