@@ -293,12 +293,13 @@ def _layer_norm(x: np.ndarray, norm: tuple[np.ndarray, np.ndarray]) -> np.ndarra
     return centered / np.sqrt(var + LN_EPS) * gamma + beta
 
 
-# Relative margin around the fast cube copysign(|x|**3, x).  Where x < 0,
-# numpy's own x**3 runs a slow per-lane path and differs from the fast cube
-# by at most 1 ulp: over 10^7 negative inputs from each of a normal, a
-# log-uniform (1e-100 to 1e100) and a uniform [-8, 0) draw, 0 ulp 94.7% of
-# the time and 1 ulp otherwise (numpy 2.4.6, AVX-512).  A normal cube
-# scaled by 1 -/+ 2**-52 lies at least 1 ulp below/above it.
+# Relative margin around the fast cube copysign(|x|**3, x).  Where x >= 0
+# the fast cube is numpy's x**3 itself.  Where x < 0, numpy's x**3 runs a
+# slow per-lane path and differs from the fast cube by at most 1 ulp: over
+# 10^7 negative inputs from each of a normal, a log-uniform (1e-100 to
+# 1e100) and a uniform [-8, 0) draw, 0 ulp 94.7% of the time and 1 ulp
+# otherwise (numpy 2.4.6, AVX-512).  A normal cube scaled by 1 -/+ 2**-52
+# lies at least 1 ulp below/above it.
 _CUBE_MARGIN = 2.0**-52
 
 
@@ -312,7 +313,9 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     (A subnormal cube may get less margin, but it moves no argument: there
     0.044715 x**3 is below half an ulp of x.)
     """
-    cube = np.copysign(np.abs(x) ** 3, x)
+    cube = np.abs(x)  # in place from here on, so no more arrays live at once than in the expression
+    np.power(cube, 3, out=cube)
+    np.copysign(cube, x, out=cube)
     hi = cube * (1.0 + _CUBE_MARGIN)
     lo = np.multiply(cube, 1.0 - _CUBE_MARGIN, out=cube)
     for end in (lo, hi):
@@ -325,7 +328,7 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     arg *= math.sqrt(2.0 / math.pi)
     np.tanh(arg, out=arg)
     arg += 1.0
-    out = 0.5 * x
+    out = np.multiply(x, 0.5, out=lo)
     out *= arg
     return out
 
