@@ -313,7 +313,7 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     (A subnormal cube may get less margin, but it moves no argument: there
     0.044715 x**3 is below half an ulp of x.)
     """
-    cube = np.abs(x)  # in place from here on, so no more arrays live at once than in the expression
+    cube = np.abs(x)  # in place below: no more arrays live at once than in the expression
     np.power(cube, 3, out=cube)
     np.copysign(cube, x, out=cube)
     hi = cube * (1.0 + _CUBE_MARGIN)
