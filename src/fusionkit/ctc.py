@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, Posteriorgram, logsumexp_rows
+from fusionkit.core import NEG_INF, Posteriorgram, Vocabulary, check_width, logsumexp_rows
 
 _EPS = float(np.finfo(np.float64).eps)
 _BLOCK_SIZE = 12288  # a quarter of the float64 terms per block of CtcPrefixScorer's folds
@@ -96,7 +96,7 @@ def kept_labels(pg: Posteriorgram) -> np.ndarray:
     return np.flatnonzero(np.max(pg.log_probs, axis=0) > NEG_INF)
 
 
-def log_add_bounds(peak: np.ndarray, n, log_n=None) -> tuple[np.ndarray, np.ndarray]:
+def log_add_bounds(peak: np.ndarray, n, log_n) -> tuple[np.ndarray, np.ndarray]:
     """Bounds on the log-add fold of n terms whose largest is ``peak``, as
     ``np.logaddexp.reduce`` computes it along the terms' axis.
 
@@ -109,11 +109,9 @@ def log_add_bounds(peak: np.ndarray, n, log_n=None) -> tuple[np.ndarray, np.ndar
     exp(a_k - F) <= 1.  eps is at least four times the sum of those errors.
     Columns whose terms are all -inf are -inf in both bounds.
 
-    ``n`` may be an integer array that broadcasts against ``peak``, with
-    ``log_n`` its ``math.log`` values (``np.log`` may round differently).
+    ``log_n`` is ``math.log(n)``, elementwise for an integer array ``n``
+    that broadcasts against ``peak`` (``np.log`` may round differently).
     """
-    if log_n is None:
-        log_n = math.log(n)
     magnitude = np.where(peak > NEG_INF, np.abs(peak), 0.0) + log_n + 4.0
     return peak, peak + (log_n + 4.0 * (n + 1) * _EPS * magnitude)
 
@@ -147,18 +145,12 @@ class PrefixStates:
 @dataclass(frozen=True)
 class PrefixStep:
     """What one batched :meth:`CtcPrefixScorer.step` hands to ``exact`` and
-    ``advance``.
-
-    ``xs`` holds the plain candidates' posteriors as (T, U, C') columns,
-    and ``plain[c]`` is candidate c's column there (-1 for EOS).
-    ``folded`` keeps the (B, C) exact scores computed so far, NaN
-    elsewhere, so that ``advance`` reuses the survivors' folds.
+    ``advance``: the parent states, and in ``folded`` the (B, C) absolute
+    exact scores computed so far, NaN elsewhere, so that ``advance`` reuses
+    the survivors' folds.
     """
 
     states: PrefixStates
-    candidates: np.ndarray
-    xs: np.ndarray
-    plain: np.ndarray
     folded: np.ndarray
 
     def phi(self, rows, labels, frames: slice = slice(None)) -> np.ndarray:
@@ -170,34 +162,59 @@ class PrefixStep:
 
 
 class CtcPrefixScorer:
-    """Incremental prefix probabilities of the CTC output distribution, for
-    the posteriorgrams of a lockstep at once.
+    """Joint-decoding CTC scorer, a ``scorers.LabelScorer``: incremental
+    prefix probabilities of the CTC output distribution, for the
+    posteriorgrams of a lockstep at once, each row against its own.
 
-    For a prefix g and candidate c the step score is the log probability
-    that the collapsed output begins with g.c; the EOS candidate scores the
-    probability that the output equals g exactly.  For a prefix of length
-    S < T that probability folds n = T - S terms phi[t] + x[t+1] by log-add,
-    one per frame at which c may start.
+    For a prefix g and label c the step score is the log probability that
+    the collapsed output begins with g.c, less that of g (-inf whenever the
+    first is); EOS scores the probability that the output equals g exactly.
+    For a prefix of length S < T that probability folds n = T - S terms
+    phi[t] + x[t+1] by log-add, one per frame at which c may start.
 
-    The posteriorgrams' columns are gathered into (T, U, ...) arrays, time
-    first, those shorter than the longest padded with -inf frames:
-    ``logaddexp(x, -inf)`` and ``max(x, -inf)`` return x, so a row's scores
-    are those of its own posteriorgram, each with its own n.
+    The candidates, fixed at construction, are every plain label that some
+    posteriorgram emits, then EOS; any other label scores -inf, as does one
+    that a row's posteriorgram never emits.  ``counts`` holds each
+    utterance's own number of candidates.  Their columns are gathered once
+    into (T, U, C) arrays, time first, those shorter than the longest
+    padded with -inf frames: ``logaddexp(x, -inf)`` and ``max(x, -inf)``
+    return x, so a row's scores are those of its own posteriorgram, each
+    with its own n.  A posteriorgram whose width is not the vocabulary's
+    raises ValidationError.
     """
 
-    def __init__(self, pgs: Posteriorgram | Sequence[Posteriorgram], blank_id: int, eos_id: int):
+    def __init__(self, pgs: Posteriorgram | Sequence[Posteriorgram], vocab: Vocabulary, name: str = "ctc"):
         pgs = [pgs] if isinstance(pgs, Posteriorgram) else list(pgs)
-        if not pgs or len({pg.num_labels for pg in pgs}) != 1:
-            raise ValueError("prefix scoring needs posteriorgrams of one width")
-        self.pgs = pgs
-        self.blank_id = blank_id
-        self.eos_id = eos_id
+        if not pgs:
+            raise ValueError("prefix scoring needs at least one posteriorgram")
+        for pg in pgs:
+            check_width(pg, vocab)
+        self.pgs, self.vocab, self.name = pgs, vocab, name
         self.lengths = np.array([pg.num_frames for pg in pgs])
         self.num_frames = T = int(self.lengths.max())
-        self._blank = self._padded(np.array([blank_id]))[:, :, 0]
         self._ends = self.lengths.tolist()
         self._logs = np.array([NEG_INF] + [math.log(n) for n in range(1, T + 1)])
-        self._columns: tuple | None = None
+        support = np.zeros((len(pgs), vocab.size), dtype=bool)
+        for u, pg in enumerate(pgs):
+            support[u, kept_labels(pg)] = True
+        support[:, [vocab.blank_id, vocab.bos_id, vocab.eos_id]] = False
+        self.candidates = np.append(np.flatnonzero(support.any(axis=0)), vocab.eos_id)
+        self.counts = np.count_nonzero(support, axis=1) + 1
+        # a candidate's column, -1 for any other label and at index -1
+        self._column = np.full(vocab.size + 1, -1)
+        self._column[self.candidates] = np.arange(self.candidates.size)
+        self._blank = self._padded(np.array([vocab.blank_id]))[:, :, 0]
+        # per posteriorgram and candidate: the peak m_col (0 where it never
+        # emits the label, as for EOS), whether it emits it, and
+        # exp(x - m_col), 1 for EOS, whose bounds are replaced
+        self._xs = self._padded(self.candidates)
+        self._xs[:, :, -1] = NEG_INF
+        peak = self._xs.max(axis=0)
+        self._emits = peak > NEG_INF
+        self._m_col = np.where(self._emits, peak, 0.0)
+        self._scaled = np.subtract(self._xs, self._m_col)
+        np.exp(self._scaled, out=self._scaled)
+        self._scaled[:, :, -1] = 1.0
 
     def _padded(self, labels: np.ndarray) -> np.ndarray:
         """Columns ``labels`` of every posteriorgram as one (T, U, L) array."""
@@ -206,69 +223,55 @@ class CtcPrefixScorer:
             out[: pg.num_frames, u] = pg.log_probs[:, labels]
         return out
 
-    def initial_state(self) -> PrefixStates:
+    def start(self, count: int) -> PrefixStates:
         """The empty prefix of every posteriorgram, one row each."""
         U = self.lengths.size
+        if count != U:
+            raise ValueError(f"the CTC scorer holds {U} posteriorgrams, not {count}")
         log_nb, log_b = np.full((self.num_frames, U), NEG_INF), np.cumsum(self._blank, axis=0)
         log_sum = np.logaddexp(log_nb, log_b)
         return PrefixStates(0, np.arange(U), np.full(U, -1), log_nb, log_b, log_sum, np.zeros(U))
 
-    def _columns_of(self, cands: np.ndarray) -> tuple:
-        """Each candidate's column among the plain ones (-1 for EOS), EOS's
-        columns, the plain ones' (T, U, C') posteriors, and per
-        posteriorgram and candidate the peak m_col (0 where it never emits
-        the label, and for EOS) and whether it emits the label; the
-        (T, U, C) exp(x - m_col), 1 in EOS's columns and 0 in the others
-        past a posteriorgram's last frame; then a plain label's candidate
-        column, -1 for any other label and at index -1.  Kept while the
-        candidates stay the same."""
-        if self._columns is None or not np.array_equal(self._columns[0], cands):
-            plain = cands != self.eos_id
-            xs = self._padded(cands[plain])
-            peak, shape = xs.max(axis=0), (len(self.pgs), cands.size)
-            m_col, emits = np.zeros(shape), np.zeros(shape, dtype=bool)
-            emits[:, plain] = peak > NEG_INF
-            m_col[:, plain] = np.where(emits[:, plain], peak, 0.0)
-            scaled = np.zeros((self.num_frames, len(self.pgs), cands.size))
-            scaled[:, :, plain] = xs
-            np.exp(np.subtract(scaled, m_col, out=scaled), out=scaled)
-            column = np.full(self.pgs[0].num_labels + 1, -1)
-            column[cands[plain]] = np.flatnonzero(plain)
-            pos = np.where(plain, np.cumsum(plain) - 1, -1)
-            self._columns = (cands, pos, np.flatnonzero(~plain), xs, m_col, emits, scaled, column)
-        return self._columns[1:]
+    def step(self, states: PrefixStates) -> tuple[np.ndarray, np.ndarray, PrefixStep]:
+        """Bound every label's extension of every state's prefix at once.
 
-    def step(
-        self, states: PrefixStates, candidates: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, PrefixStep]:
-        """Bound every candidate extension of every state's prefix at once.
+        Returns (B, V) lower and upper bounds on the scores that
+        :meth:`exact` gives, -inf outside the candidates, and the artifacts
+        it and :meth:`advance` work from."""
+        step = PrefixStep(states, folded=np.full((len(states), self.candidates.size), np.nan))
+        bounds = list(self._bounds(step))
+        # each (B, C) bound goes as soon as its (B, V) copy is filled
+        for i, bound in enumerate(bounds):
+            np.subtract(bound, states.log_prefix_prob[:, None], out=bound, where=bound > NEG_INF)
+            bounds[i] = np.full((len(states), self.vocab.size), NEG_INF)
+            bounds[i][:, self.candidates] = bound
+        return bounds[0], bounds[1], step
 
-        Returns (B, C) lower and upper bounds on the absolute log prefix
-        probabilities that :meth:`exact` folds, and the artifacts it and
-        :meth:`advance` work from.  A pair's terms phi[t] + x[t+1] sum to
-        exp(m_row + m_col) G, m_row the row's peak over its own frames,
-        m_col the column's over its posteriorgram and G the dot product of
-        exp(phi - m_row) and exp(x - m_col).  Each utterance's G is one
-        stacked (R_u, 1, K) @ (K, C) product of its rows and its scaled
-        columns, zero in the columns it never emits (and one in EOS's,
-        whose bounds are replaced): a (1, K) @ (K, C) BLAS call per row,
-        the one a scorer of its own makes.  (A 2-D (R_u, K) product has
-        OpenBLAS touch its gemm buffers, about 0.5 MB of resident memory.)
-        One pass over the (B, C) pairs then turns G into the bounds
-        (:meth:`_dot_bounds`).  A repeated label's phi is log_blank: those
-        pairs, at most one per row, get one multiply and sum in frame order
-        together, each row's frames past its end zero.  A G of exactly 0 on
-        a row with no finite phi or in a column the utterance never emits
-        is -inf in both bounds; a live pair whose G may have underflowed
-        takes the bounds of its largest term (:func:`log_add_bounds`).  EOS
-        is exact."""
-        cands = np.asarray(candidates, dtype=np.int64)
-        if np.any(cands == self.blank_id):
-            raise ValueError("blank cannot be a prefix-scorer candidate")
+    def _bounds(self, step: PrefixStep) -> tuple[np.ndarray, np.ndarray]:
+        """(B, C) lower and upper bounds on the absolute log prefix
+        probabilities that :meth:`_fold` folds.
+
+        A pair's terms phi[t] + x[t+1] sum to exp(m_row + m_col) G, m_row
+        the row's peak over its own frames, m_col the column's over its
+        posteriorgram and G the dot product of exp(phi - m_row) and
+        exp(x - m_col).  Each utterance's G is one stacked (R_u, 1, K) @ (K, C)
+        product of its rows and its scaled columns, zero in the columns it
+        never emits (and one in EOS's, whose bounds are replaced): a (1, K)
+        @ (K, C) BLAS call per row, the one a scorer of its own with these
+        candidates makes (BLAS blocks the product by C, so a bound's last
+        bit may depend on C).  (A 2-D (R_u, K) product has OpenBLAS touch
+        its gemm buffers, about 0.5 MB of resident memory.)  One pass over
+        the (B, C) pairs then turns G into the bounds (:meth:`_dot_bounds`).
+        A repeated label's phi is log_blank: those pairs, at most one per
+        row, get one multiply and sum in frame order together, each row's
+        frames past its end zero.  A G of exactly 0 on a row with no finite
+        phi or in a column the utterance never emits is -inf in both bounds;
+        a live pair whose G may have underflowed takes the bounds of its
+        largest term (:func:`log_add_bounds`).  EOS is exact."""
+        states = step.states
         S, utt, ends = states.length, states.utt, self.lengths[states.utt]
-        B, C = len(states), cands.size
-        plain, eos, xs, m_col, emits, scaled, column = self._columns_of(cands)
-        step = PrefixStep(states, cands, xs, plain, folded=np.full((B, C), np.nan))
+        B, C = len(states), self.candidates.size
+        emits, scaled = self._emits, self._scaled
 
         g, m_row = np.zeros((B, C)), np.full(B, _NO_PEAK)
         order = np.argsort(utt, kind="stable")
@@ -283,14 +286,14 @@ class CtcPrefixScorer:
                 m_row[r] = m = a.max(axis=1, initial=_NO_PEAK)
                 np.exp(np.subtract(a, m[:, None], out=a), out=a)
                 g[r] = (a[:, None, :] @ scaled[S:end, u])[:, 0]
-        rep = column[states.last]  # the empty prefix has no last label to repeat
+        rep = self._column[states.last]  # the empty prefix has no last label to repeat
         r = c = np.zeros(0, dtype=np.int64)
         low = g <= _UNDERFLOW  # EOS's too, but only on a row with no finite phi
         if low.any():
             r, c = np.nonzero(low)
             live = (m_row[r] > _NO_PEAK) & emits[utt[r], c] & (rep[r] != c)
             r, c = r[live], c[live]
-        lower, upper = self._dot_bounds(g, m_row[:, None], m_col[utt], np.maximum(ends - S, 1)[:, None])
+        lower, upper = self._dot_bounds(g, m_row[:, None], self._m_col[utt], np.maximum(ends - S, 1)[:, None])
 
         k = np.flatnonzero((rep >= 0) & (ends > S))
         if k.size:
@@ -304,13 +307,13 @@ class CtcPrefixScorer:
             if np.any(g <= _UNDERFLOW):
                 live = (g <= _UNDERFLOW) & (m > _NO_PEAK) & emits[u, j]
                 r, c = np.append(r, k[live]), np.append(c, j[live])
-            lower[k, j], upper[k, j] = self._dot_bounds(g, m, m_col[u, j], end - S)
+            lower[k, j], upper[k, j] = self._dot_bounds(g, m, self._m_col[u, j], end - S)
         if r.size:
             n = self.lengths[utt[r]] - S
             peak = self._reduce_terms(step, r, c, np.max)
             lower[r, c], upper[r, c] = log_add_bounds(peak, n, self._logs[n])
-        lower[:, eos] = upper[:, eos] = states.log_sum[ends - 1, np.arange(B)][:, None]
-        return lower, upper, step
+        lower[:, -1] = upper[:, -1] = states.log_sum[ends - 1, np.arange(B)]
+        return lower, upper
 
     def _dot_bounds(self, g, m_row, m_col, n) -> tuple[np.ndarray, np.ndarray]:
         """Bounds m_row + m_col + log G -+ delta on folds of n terms, made in
@@ -335,36 +338,35 @@ class CtcPrefixScorer:
         of plain pairs whose posteriorgram runs past the prefix."""
         S = step.states.length
         ends = self.lengths[step.states.utt[rows]]
-        labels = step.candidates[cols]
+        labels = self.candidates[cols]
         out = np.empty(rows.size)
         start = max(S, 1)
         # blocks of pairs keep the (T', k) terms near four times _BLOCK_SIZE
         pairs_per_block = max(1, 4 * _BLOCK_SIZE // max(1, self.num_frames - start + 1))
         for p0 in range(0, rows.size, pairs_per_block):
             block = slice(p0, p0 + pairs_per_block)
-            r, lab, x = rows[block], labels[block], step.plain[cols[block]]
+            r, lab, x = rows[block], labels[block], cols[block]
             u = step.states.utt[r]
             end = int(ends[block].max())
             terms = step.phi(r, lab, slice(start - 1, end - 1))
-            terms += step.xs[start:end, u, x]
+            terms += self._xs[start:end, u, x]
             if S == 0:
-                terms = np.concatenate([step.xs[:1, u, x], terms])
+                terms = np.concatenate([self._xs[:1, u, x], terms])
             out[block] = reduce(terms, axis=0)
         return out
 
-    def exact(self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        """Exact log prefix probabilities of the (state row, candidate
-        column) pairs, aligned with them.
+    def _fold(self, step: PrefixStep, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Exact absolute log prefix probabilities of the (state row,
+        candidate column) pairs, aligned with them and kept in
+        ``step.folded``.
 
-        Each pair's terms are rebuilt from the step's columns and folded
-        frame by frame in order: bit for bit the sequential log-add of a
-        per-state recursion, whichever pairs are asked for together.
+        Each pair's terms are rebuilt from the candidates' columns and
+        folded frame by frame in order: bit for bit the sequential log-add
+        of a per-state recursion, whichever pairs are asked for together.
         """
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
         ends = self.lengths[step.states.utt[rows]]
         out = np.full(rows.size, NEG_INF)
-        eos = step.candidates[cols] == self.eos_id
+        eos = cols == self.candidates.size - 1
         out[eos] = step.states.log_sum[ends[eos] - 1, rows[eos]]
         plain = np.flatnonzero(~eos & (ends > step.states.length))
         # a reduction over axis 0 folds the frames in order, from -inf
@@ -372,17 +374,28 @@ class CtcPrefixScorer:
         step.folded[rows, cols] = out
         return out
 
-    def advance(self, step: PrefixStep, rows: Sequence[int], cols: Sequence[int]) -> PrefixStates:
-        """Successor states for the (state row, candidate column) pairs that
-        survived pruning, a row each, aligned with them.
+    def exact(self, step: PrefixStep, rows: Sequence[int], labels: Sequence[int]) -> np.ndarray:
+        """Exact scores of the (state row, label) pairs, aligned with them:
+        the log prefix probability less the parent's, -inf for a label
+        that is no candidate."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = self._column[labels]
+        known = np.flatnonzero(cols >= 0)
+        out = np.full(rows.size, NEG_INF)
+        out[known] = self._fold(step, rows[known], cols[known])
+        return np.subtract(out, step.states.log_prefix_prob[rows], out=out, where=out > NEG_INF)
+
+    def advance(self, step: PrefixStep, rows: Sequence[int], labels: Sequence[int]) -> PrefixStates:
+        """Successor states for the (state row, label) pairs that survived
+        pruning, a row each, aligned with them; every label a candidate.
 
         One (T, k) recursion over the k pairs gives their forward
-        variables and, on the way, their log-sums.  An EOS column keeps its
+        variables and, on the way, their log-sums.  An EOS pair keeps its
         parent's, since EOS ends the hypothesis.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        labels = step.candidates[cols]
+        labels = np.asarray(labels, dtype=np.int64)
+        cols = self._column[labels]
         parent = step.states
         S = parent.length
         utt = parent.utt[rows]
@@ -396,9 +409,9 @@ class CtcPrefixScorer:
         sums = np.full((T + 1, 2, rows.size), NEG_INF)
         emit = np.empty((T, 2, rows.size))
         emit[:, 0] = emit[:, 1] = self._blank[:, utt]
-        # an EOS column keeps the dummy blank emission; its parent's replace it
-        eos = labels == self.eos_id
-        emit[:, 0, ~eos] = step.xs[:, utt[~eos], step.plain[cols[~eos]]]
+        # an EOS pair keeps the dummy blank emission; its parent's replace it
+        eos = labels == self.vocab.eos_id
+        emit[:, 0, ~eos] = self._xs[:, utt[~eos], cols[~eos]]
         if S == 0:
             fwd[0, 1] = emit[0, 0]
         # past every row's last frame the variables stay -inf
@@ -411,7 +424,7 @@ class CtcPrefixScorer:
         scores = step.folded[rows, cols]
         again = np.isnan(scores)
         if np.any(again):
-            scores[again] = self.exact(step, rows[again], cols[again])
+            scores[again] = self._fold(step, rows[again], cols[again])
         log_nb, log_b, log_sum = fwd[:, 1].copy(), fwd[:, 2].copy(), sums[1:, 1].copy()
         last = labels.copy()
         if np.any(eos):

@@ -1,5 +1,6 @@
-"""Label-synchronous scorers: the batched scorer protocol and its CTC
-prefix, n-gram/table and toy-decoder kinds.
+"""Label-synchronous scorers: the batched scorer protocol and its
+n-gram/table and toy-decoder kinds; the CTC prefix kind is
+``ctc.CtcPrefixScorer``.
 """
 
 from __future__ import annotations
@@ -8,8 +9,8 @@ from typing import Any, Protocol, Sequence
 
 import numpy as np
 
-from fusionkit.core import NEG_INF, Posteriorgram, Vocabulary, check_width
-from fusionkit.ctc import CtcPrefixScorer, kept_labels
+from fusionkit.core import NEG_INF, Vocabulary
+from fusionkit.ctc import CtcPrefixScorer
 from fusionkit.decoder import DecoderWeights, InterfaceConfig, decoder_init, decoder_step
 from fusionkit.lm import NGramModel, TableLM
 
@@ -53,61 +54,8 @@ class _ExactScorer:
         return artifacts[0][rows, labels]
 
 
-class CtcPrefixLabelScorer:
-    """Joint-decoding CTC scorer: prefix-probability deltas per candidate.
-
-    Given the posteriorgrams of a lockstep, it scores each utterance's rows
-    against its own.  The candidates are every plain label that some
-    posteriorgram can emit, plus EOS; a label an utterance's posteriorgram
-    never emits scores -inf there, and ``counts`` holds each utterance's
-    own number of candidates.  A posteriorgram whose width is not the
-    vocabulary's raises ValidationError.
-    """
-
-    def __init__(self, pg: Posteriorgram | Sequence[Posteriorgram], vocab: Vocabulary, name: str = "ctc"):
-        pgs = [pg] if isinstance(pg, Posteriorgram) else list(pg)
-        for one in pgs:
-            check_width(one, vocab)
-        self.name = name
-        self.vocab = vocab
-        self._scorer = CtcPrefixScorer(pgs, vocab.blank_id, vocab.eos_id)
-        support = np.zeros((len(pgs), vocab.size), dtype=bool)
-        for u, one in enumerate(pgs):
-            support[u, kept_labels(one)] = True
-        support[:, [vocab.blank_id, vocab.bos_id, vocab.eos_id]] = False
-        self.candidates = np.append(np.flatnonzero(support.any(axis=0)), vocab.eos_id)
-        self.counts = np.count_nonzero(support, axis=1) + 1
-        self._column = np.full(vocab.size, -1)
-        self._column[self.candidates] = np.arange(self.candidates.size)
-
-    def start(self, count):
-        states = self._scorer.initial_state()
-        if len(states) != count:
-            raise ValueError(f"the CTC scorer holds {len(states)} posteriorgrams, not {count}")
-        return states
-
-    def step(self, states):
-        bounds = list(self._scorer.step(states, self.candidates))
-        parent = states.log_prefix_prob[:, None]
-        for i in range(2):
-            bounds[i] -= parent
-            out = np.full((len(states), self.vocab.size), NEG_INF)
-            out[:, self.candidates] = bounds[i]
-            bounds[i] = out
-        return bounds[0], bounds[1], bounds[2]
-
-    def exact(self, artifacts, rows, labels):
-        # a label outside the CTC support has prefix probability zero
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = self._column[labels]
-        known = cols >= 0
-        parent = artifacts.states.log_prefix_prob[rows[known]]
-        out = np.full(rows.size, NEG_INF)
-        out[known] = self._scorer.exact(artifacts, rows[known], cols[known]) - parent
-        return out
-
-    def advance(self, artifacts, rows, labels):
-        return self._scorer.advance(artifacts, rows, self._column[labels])
+# ctc.CtcPrefixScorer under the name the benchmark's trace target, labelsync_beam and imports use
+CtcPrefixLabelScorer = CtcPrefixScorer
 
 
 class ContextLMScorer(_ExactScorer):

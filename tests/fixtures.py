@@ -1,5 +1,6 @@
 """Test fixtures built from the library: a word-level LM vocabulary for
-delayed fusion, a uniform table LM, the adversarial oscillation scenario
+delayed fusion, a uniform table LM, a CTC prefix scorer over posteriorgrams
+of blank and plain labels only, the adversarial oscillation scenario
 (a benign posteriorgram paired with a table LM that loops), which exercises
 joint decoding's length cap and its CTC weight, and the byte edits of the
 fuzz tests.
@@ -15,8 +16,35 @@ from typing import Sequence
 import numpy as np
 
 from fusionkit.core import NEG_INF, WORD_MARKER, Posteriorgram, Vocabulary
+from fusionkit.ctc import CtcPrefixScorer
 from fusionkit.lm import TableLM, retokenize, support_ids
 from fusionkit.synth import WORD_LIST, SynthConfig, _utterance_rows
+
+
+def prefix_scorer(pgs: Posteriorgram | Sequence[Posteriorgram]) -> CtcPrefixScorer:
+    """A CTC prefix scorer over posteriorgrams whose v columns are blank (0)
+    and plain labels 1..v-1: each gains zero-probability BOS and EOS
+    columns, v and v + 1, and the scorer a vocabulary to match."""
+    pgs = [pgs] if isinstance(pgs, Posteriorgram) else list(pgs)
+    v = pgs[0].num_labels
+    vocab = Vocabulary.from_tokens(["<blank>"] + [f"l{i}" for i in range(1, v)] + ["<s>", "</s>"])
+    wide = [
+        Posteriorgram(np.hstack([pg.log_probs, np.full((pg.num_frames, 2), NEG_INF)]), pg.frame_duration_ms)
+        for pg in pgs
+    ]
+    return CtcPrefixScorer(wide, vocab)
+
+
+def scorer_beside(sc: CtcPrefixScorer, u: int) -> CtcPrefixScorer:
+    """A CTC prefix scorer over posteriorgram ``u`` of ``sc`` and a
+    one-frame posteriorgram that emits blank and each plain candidate of
+    ``sc`` alike, so that it has the candidates of ``sc``.  Two scorers'
+    bounds agree bit for bit only when their candidates do: BLAS blocks
+    a (K, C) product by C."""
+    lp = np.full((1, sc.vocab.size), NEG_INF)
+    emitted = np.append(sc.vocab.blank_id, sc.candidates[:-1])
+    lp[0, emitted] = -math.log(emitted.size)
+    return CtcPrefixScorer([sc.pgs[u], Posteriorgram(lp)], sc.vocab)
 
 
 def fuzzed(data: bytes, edit: str, where: float, flip: int, insert: bytes) -> bytes:

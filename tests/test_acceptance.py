@@ -26,7 +26,6 @@ from fusionkit.core import (
     write_vocabulary,
 )
 from fusionkit.ctc import (
-    CtcPrefixScorer,
     collapse,
     greedy_decode,
     topk_prune,
@@ -63,7 +62,7 @@ from fusionkit.synth import (
     sample_sentences,
 )
 
-from fixtures import build_lm_vocab, gen_oscillation_scenario, uniform_table_lm
+from fixtures import build_lm_vocab, gen_oscillation_scenario, prefix_scorer, uniform_table_lm
 from oracle import ctc_forward_logprob, exhaustive_decode
 
 SEEDS = list(range(20))
@@ -145,22 +144,22 @@ class TestCriterion1CtcBruteForce:
 class TestCriterion2PrefixScoreConsistency:
     def test_eos_equals_forward_and_monotone(self):
         rng = np.random.default_rng(101)
-        eos = 99
         for _ in range(200):
             t = int(rng.integers(1, 7))
             v = int(rng.integers(2, 5))
             pg = random_small_pg(rng, t, v)
-            scorer = CtcPrefixScorer(pg, blank_id=0, eos_id=eos)
-            state = scorer.initial_state()
+            scorer = prefix_scorer(pg)
+            state = scorer.start(1)
             prefix = []
             prev_prob = 0.0
             for _ in range(int(rng.integers(1, t + 2))):
                 cands = list(range(1, v))
-                _, _, step = scorer.step(state, cands)
-                scores = scorer.exact(step, [0] * len(cands), range(len(cands)))
+                _, _, step = scorer.step(state)
+                # the scorer gives each extension less its parent's probability
+                parent = state.log_prefix_prob[0]
+                scores = scorer.exact(step, [0] * len(cands), cands) + parent
                 assert np.all(scores <= prev_prob + 1e-9)
-                _, _, eos_step = scorer.step(state, [eos])
-                eos_score = scorer.exact(eos_step, [0], [0])
+                eos_score = scorer.exact(step, [0], [scorer.vocab.eos_id]) + parent
                 want = ctc_forward_logprob(pg, prefix, 0)
                 if want == NEG_INF:
                     assert eos_score[0] == NEG_INF
@@ -171,7 +170,7 @@ class TestCriterion2PrefixScoreConsistency:
                     break
                 prev_prob = float(scores[pick])
                 prefix.append(cands[pick])
-                state = scorer.advance(step, [0], [pick])
+                state = scorer.advance(step, [0], [cands[pick]])
         report(2, "prefix-EOS == forward (1e-9), extensions monotone on 200 instances")
 
 

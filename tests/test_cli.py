@@ -178,6 +178,15 @@ class TestSynthAndDecode:
         assert code == 1
         assert "uttZZ" in err
 
+    @pytest.mark.parametrize("missing", ["vocab.txt", "refs.txt"])
+    def test_missing_corpus_file_fails_cleanly(self, corpus, tmp_path, capsys, missing):
+        broken = tmp_path / "broken"
+        shutil.copytree(corpus, broken)
+        (broken / missing).unlink()
+        code, stdout, err = run(["decode", str(broken), str(tmp_path / "o")], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and f"missing corpus file: {broken / missing}" in err
+
     @pytest.mark.parametrize("bad_line", ["", "utt0000 no tab"])
     def test_malformed_refs_line_names_file_and_line(self, corpus, tmp_path, capsys, bad_line):
         broken = tmp_path / "broken"
@@ -565,6 +574,24 @@ class TestSynthAndDecode:
         assert "decoding utt0002 failed: search broke" in err
         assert "utt0000" not in err
 
+    def test_failed_lockstep_names_it_when_no_utterance_fails_alone(
+        self, corpus, tmp_path, capsys, monkeypatch
+    ):
+        from fusionkit import cli
+
+        search = cli.timesync_ctc_beam
+
+        def failing(pgs, *args, **kwargs):
+            if len(pgs) > 1:
+                raise ValueError("lockstep broke")
+            return search(pgs, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "timesync_ctc_beam", failing)
+        code, _, err = run(["decode", str(corpus), str(tmp_path / "o"), "--strategy", "timesync"], capsys)
+        assert code == 1
+        assert err.count("error:") == 1 and "failed: lockstep broke" in err
+        assert all(f"utt{i:04d}" in err for i in range(4))
+
     def test_joint_corpus_run_matches_one_utterance_runs(self, lm_file, tmp_path, capsys):
         # one lockstep over the corpus gives each utterance the n-best file,
         # hyps.txt line and counters of a run that decodes it alone
@@ -717,6 +744,17 @@ class TestSynthAndDecode:
         assert code == 1
         assert err.count("error:") == 1 and "utt0001" in err and str(bad) in err
         assert not list(out.glob("*.nbest"))
+
+    def test_zero_frame_duration_fails_cleanly(self, corpus, tmp_path, capsys):
+        broken = tmp_path / "broken"
+        shutil.copytree(corpus, broken)
+        bad = broken / "utt0001.fkpg"
+        data = bytearray(bad.read_bytes())
+        data[16:20] = bytes(4)  # the header's frame duration in microseconds
+        bad.write_bytes(bytes(data))
+        code, stdout, err = run(["decode", str(broken), str(tmp_path / "o")], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and str(bad) in err and "frame_duration_ms must be positive" in err
 
     def test_unknown_config_key_rejected(self, corpus, tmp_path, capsys):
         cfg_path = tmp_path / "bad.json"
@@ -889,6 +927,14 @@ class TestWerCommand:
         code, stdout, err = run(["wer"] + [str(f) for f in files], capsys)
         assert code == 1 and stdout == ""
         assert err.count("error:") == 1 and str(gone) in err
+
+    def test_missing_hypotheses_fail_cleanly(self, tmp_path, capsys):
+        refs, hyps = tmp_path / "refs.txt", tmp_path / "hyps.txt"
+        refs.write_text("a\tone two\nb\tfive\nc\tsix\n")
+        hyps.write_text("b\tfive\n")
+        code, stdout, err = run(["wer", str(refs), str(hyps)], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and "hypotheses missing for ids: ['a', 'c']" in err
 
     @pytest.mark.parametrize(
         "refs, hyps, bad, line",

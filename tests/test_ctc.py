@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionkit import ctc
-from fusionkit.core import NEG_INF, Posteriorgram, logsumexp, logsumexp_rows
+from fusionkit.core import NEG_INF, Posteriorgram, Vocabulary, logsumexp, logsumexp_rows
 from fusionkit.ctc import (
     CtcPrefixScorer,
     PrefixStates,
@@ -20,6 +20,7 @@ from fusionkit.ctc import (
     topk_prune,
 )
 
+from fixtures import prefix_scorer, scorer_beside
 from oracle import compressed_log_probs, ctc_forward_logprob
 
 BLANK = 0
@@ -147,23 +148,34 @@ def rows_of(states, rows):
 
 
 def step_one(sc, state, cands):
-    """One state through the batched protocol: its exact score row and,
-    aligned with it, the successor state per candidate."""
-    _, _, step = sc.step(state, cands)
-    rows, cols = [0] * len(cands), list(range(len(cands)))
-    return sc.exact(step, rows, cols), sc.advance(step, rows, cols)
+    """One state through the batched protocol: its exact absolute log
+    prefix probabilities of ``cands`` and, aligned with them, the successor
+    state per candidate."""
+    _, _, step = sc.step(state)
+    rows = [0] * len(cands)
+    return sc.exact(step, rows, cands) + state.log_prefix_prob[0], sc.advance(step, rows, cands)
 
 
-def exact_matrix(sc, step, shape, rng=None):
-    """Every (row, column) pair of a step folded exactly, asked for in one
-    call, in a random order when ``rng`` is given."""
+def exact_matrix(sc, step, labels, rng=None):
+    """The (B, len(labels)) exact scores of a step, every (row, label) pair
+    folded in one call, in a random order when ``rng`` is given."""
+    shape = (len(step.states), len(labels))
     order = np.arange(shape[0] * shape[1])
     if rng is not None:
         order = rng.permutation(order)
     rows, cols = np.divmod(order, shape[1])
     out = np.empty(order.size)
-    out[order] = sc.exact(step, rows, cols)
+    out[order] = sc.exact(step, rows, np.asarray(labels)[cols])
     return out.reshape(shape)
+
+
+def less(scores, parent):
+    """``scores`` as the scorer gives them: less their parent's log prefix
+    probability where finite, -inf elsewhere."""
+    out = np.full(len(scores), NEG_INF)
+    finite = np.asarray(scores) > NEG_INF
+    out[finite] = np.asarray(scores)[finite] - parent
+    return out
 
 
 def assert_bounded(state):
@@ -221,30 +233,28 @@ class TestLogAddBounds:
         terms = base - rng.uniform(0.0, spread, size=(n, k))
         terms[rng.uniform(size=(n, k)) < dropped] = NEG_INF
         fold = np.logaddexp.reduce(terms, axis=0)
-        lower, upper = log_add_bounds(terms.max(axis=0), n)
+        lower, upper = log_add_bounds(terms.max(axis=0), n, math.log(n))
         assert np.array_equal(lower, terms.max(axis=0))
         assert np.all(lower <= fold) and np.all(fold <= upper)
         assert np.array_equal(np.isneginf(upper), np.isneginf(fold))
 
 
 class TestPrefixScorer:
-    EOS = 99
-
     def scorer(self, pg):
-        return CtcPrefixScorer(pg, blank_id=BLANK, eos_id=self.EOS)
+        return prefix_scorer(pg)
 
     def test_empty_prefix_candidate(self):
         # collapsed outputs starting with "a": (a,a),(a,blank),(blank,a),(a,b)
         pg = make_pg(np.full((2, 3), 1 / 3))
         sc = self.scorer(pg)
-        scores, _ = step_one(sc, sc.initial_state(), [1])
+        scores, _ = step_one(sc, sc.start(1), [1])
         assert scores[0] == pytest.approx(math.log(4 / 9), abs=1e-12)
 
     def test_eos_equals_forward(self):
         pg = make_pg(np.full((2, 3), 1 / 3))
         sc = self.scorer(pg)
-        _, states = step_one(sc, sc.initial_state(), [1])
-        scores, _ = step_one(sc, states, [self.EOS])
+        _, states = step_one(sc, sc.start(1), [1])
+        scores, _ = step_one(sc, states, [sc.vocab.eos_id])
         assert scores[0] == pytest.approx(math.log(3 / 9), abs=1e-12)
         assert scores[0] == pytest.approx(ctc_forward_logprob(pg, [1], BLANK), abs=1e-12)
 
@@ -255,10 +265,10 @@ class TestPrefixScorer:
             v = int(rng.integers(2, 5))
             pg = random_pg(rng, t, v)
             sc = self.scorer(pg)
-            state = sc.initial_state()
+            state = sc.start(1)
             parent = 0.0
             for _ in range(3):
-                cands = list(range(1, v)) + [self.EOS]
+                cands = list(range(1, v)) + [sc.vocab.eos_id]
                 scores, states = step_one(sc, state, cands)
                 total = logsumexp(scores)
                 assert total == pytest.approx(parent, abs=1e-9)
@@ -268,11 +278,22 @@ class TestPrefixScorer:
                 parent = scores[pick]
                 state = rows_of(states, [pick])
 
-    def test_blank_candidate_rejected(self):
-        pg = make_pg(np.full((2, 3), 1 / 3))
-        sc = self.scorer(pg)
-        with pytest.raises(ValueError):
-            sc.step(sc.initial_state(), [BLANK])
+    def test_candidates_hold_no_blank_or_bos_and_end_in_eos(self):
+        # blank and BOS are never candidates, even where a frame gives them
+        # mass, and EOS is the last
+        vocab = Vocabulary.from_tokens(["<blank>", "a", "<s>", "b", "</s>"])
+        sc = CtcPrefixScorer(make_pg(np.full((2, 5), 1 / 5)), vocab)
+        assert sc.candidates.tolist() == [1, 3, vocab.eos_id] and sc.counts.tolist() == [3]
+        lower, upper, _ = sc.step(sc.start(1))
+        assert np.all(lower[:, [BLANK, vocab.bos_id]] == NEG_INF)
+        assert np.all(upper[:, [BLANK, vocab.bos_id]] == NEG_INF)
+
+    def test_no_posteriorgram_or_wrong_row_count_rejected(self):
+        sc = self.scorer([make_pg(np.full((2, 3), 1 / 3))] * 2)
+        with pytest.raises(ValueError, match="at least one posteriorgram"):
+            CtcPrefixScorer([], sc.vocab)
+        with pytest.raises(ValueError, match="holds 2 posteriorgrams, not 1"):
+            sc.start(1)
 
     def test_matches_brute_force_prefix(self):
         rng = np.random.default_rng(11)
@@ -281,7 +302,7 @@ class TestPrefixScorer:
             v = int(rng.integers(2, 5))
             pg = random_pg(rng, t, v)
             sc = self.scorer(pg)
-            state = sc.initial_state()
+            state = sc.start(1)
             prefix = []
             for _ in range(min(t, 3)):
                 cands = list(range(1, v))
@@ -302,7 +323,7 @@ class TestPrefixScorer:
         rng = np.random.default_rng(21)
         pg = random_pg(rng, 5, 4)
         sc = self.scorer(pg)
-        state = sc.initial_state()
+        state = sc.start(1)
         assert_bounded(state)
         for _ in range(3):
             scores, states = step_one(sc, state, [1, 2, 3])
@@ -316,7 +337,7 @@ class TestPrefixScorer:
         rng = np.random.default_rng(5)
         pg = random_pg(rng, 5, 4)
         sc = self.scorer(pg)
-        state = sc.initial_state()
+        state = sc.start(1)
         prev = 0.0
         for _ in range(4):
             scores, states = step_one(sc, state, [1, 2, 3])
@@ -328,7 +349,7 @@ class TestPrefixScorer:
     def test_initial_state_and_mixed_lengths_rejected(self):
         pg = make_pg(np.full((2, 3), 1 / 3))
         sc = self.scorer(pg)
-        state = sc.initial_state()
+        state = sc.start(1)
         assert (state.length, state.last.tolist(), state.log_prefix_prob.tolist()) == (0, [-1], [0.0])
         scores, states = step_one(sc, state, [1, 2])
         assert scores[0] == pytest.approx(math.log(4 / 9), abs=1e-12)
@@ -345,22 +366,23 @@ class TestPrefixScorer:
             pg = random_pg(rng, t, v)
             lp = pg.log_probs
             sc = self.scorer(pg)
-            cands = list(range(1, v)) + [self.EOS]
-            init = sc.initial_state()
+            eos = sc.vocab.eos_id
+            cands = list(range(1, v)) + [eos]
+            init = sc.start(1)
             states = init
             refs = [((), init.log_nonblank[:, 0], init.log_blank[:, 0], init.log_prefix_prob[0])]
             for _ in range(t + 2):
-                lower, _, step = sc.step(states, cands)
-                assert lower.shape == (len(states), len(cands))
-                scores = exact_matrix(sc, step, lower.shape, rng)
-                want = [reference_prefix_step(lp, r, cands, BLANK, self.EOS) for r in refs]
+                lower, _, step = sc.step(states)
+                assert lower.shape == (len(states), sc.vocab.size)
+                scores = exact_matrix(sc, step, cands, rng)
+                want = [reference_prefix_step(lp, r, cands, BLANK, eos) for r in refs]
                 for row, (want_scores, _) in enumerate(want):
-                    assert np.array_equal(scores[row], want_scores)
-                # survivors: random (row, plain column) pairs, repeats allowed
+                    assert np.array_equal(scores[row], less(want_scores, refs[row][3]))
+                # survivors: random (row, plain label) pairs, repeats allowed
                 k = int(rng.integers(1, 5))
                 rows = rng.integers(0, len(states), size=k).tolist()
                 cols = rng.integers(0, len(cands) - 1, size=k).tolist()
-                states = sc.advance(step, rows, cols)
+                states = sc.advance(step, rows, [cands[c] for c in cols])
                 refs = [want[r][1][c] for r, c in zip(rows, cols)]
                 assert states.length == len(refs[0][0])
                 for b, (prefix, log_nb, log_b, log_prefix) in enumerate(refs):
@@ -370,8 +392,8 @@ class TestPrefixScorer:
                     assert states.log_prefix_prob[b] == log_prefix
             assert states.length > t
             first = rows_of(states, [0])
-            _, _, step = sc.step(first, [self.EOS])
-            kept = sc.advance(step, [0], [0])
+            _, _, step = sc.step(first)
+            kept = sc.advance(step, [0], [eos])
             assert np.array_equal(kept.log_nonblank, first.log_nonblank)
             assert np.array_equal(kept.log_blank, first.log_blank)
             assert kept.log_prefix_prob == first.log_prefix_prob and kept.last == first.last
@@ -385,19 +407,19 @@ class TestPrefixScorer:
         rng = np.random.default_rng(seed)
         v = 5
         pgs = [random_pg(rng, 3, v), topk_prune(random_pg(rng, 6, v), 3, BLANK), random_pg(rng, 9, v)]
-        sc = CtcPrefixScorer(pgs, BLANK, self.EOS)
-        cands = list(range(1, v)) + [self.EOS]
-        states = sc.initial_state()
+        sc = prefix_scorer(pgs)
+        cands = np.array(list(range(1, v)) + [sc.vocab.eos_id])
+        states = sc.start(len(pgs))
         kept = 0
         for _ in range(11):
             want = np.logaddexp(states.log_nonblank, states.log_blank)
             assert states.log_sum.tobytes() == want.tobytes()
-            _, _, step = sc.step(states, cands)
+            _, _, step = sc.step(states)
             k = min(2 * len(states), 12)
             rows = rng.integers(0, len(states), size=k)
             cols = rng.integers(0, len(cands), size=k)
             kept += np.count_nonzero(cols == len(cands) - 1)
-            states = sc.advance(step, rows, cols)
+            states = sc.advance(step, rows, cands[cols])
         assert states.length > max(pg.num_frames for pg in pgs) and kept > 0
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -442,12 +464,13 @@ class TestPrefixScorer:
         if keep is not None:  # pruned labels are -inf in every frame
             pg = topk_prune(pg, min(keep, v), BLANK)
         sc = self.scorer(pg)
-        cands = list(range(1, v)) + [self.EOS]
-        states = sc.initial_state()
+        cands = np.array(list(range(1, v)) + [sc.vocab.eos_id])
+        states = sc.start(1)
         repeats = 0  # finite pairs that repeat their row's last label
         for _ in range(t + 2):
-            lower, upper, step = sc.step(states, cands)
-            exact = exact_matrix(sc, step, lower.shape)
+            lower, upper, step = sc.step(states)
+            lower, upper = lower[:, cands], upper[:, cands]
+            exact = exact_matrix(sc, step, cands)
             repeats += np.count_nonzero((states.last[:, None] == cands[:-1]) & (exact[:, :-1] > NEG_INF))
             assert not np.any(np.isnan(lower) | np.isnan(upper) | np.isnan(exact))
             assert np.all(lower <= exact) and np.all(exact <= upper)
@@ -459,11 +482,11 @@ class TestPrefixScorer:
             rows, cols = np.nonzero(exact[:, :-1] > NEG_INF)
             if rows.size == 0:
                 break
-            repeated = states.last[rows] == np.array(cands)[cols]
+            repeated = states.last[rows] == cands[cols]
             order = np.concatenate(
                 [rng.permutation(np.flatnonzero(repeated)), rng.permutation(np.flatnonzero(~repeated))]
             )[:width]
-            states = sc.advance(step, rows[order], cols[order])
+            states = sc.advance(step, rows[order], cands[cols[order]])
         return repeats
 
     @settings(max_examples=150, deadline=None)
@@ -495,14 +518,15 @@ class TestPrefixScorer:
                 lp[frame, rng.integers(v)] = -0.0
             pg = Posteriorgram(lp)
             pgs.append(pg if keep is None else topk_prune(pg, min(keep, v), BLANK))
-        sc = CtcPrefixScorer(pgs, BLANK, self.EOS)
-        cands = list(range(1, v)) + [self.EOS]
+        sc = prefix_scorer(pgs)
+        cands = list(range(1, v)) + [sc.vocab.eos_id]
         labels = np.array(cands[:-1])
         peaks = [pg.log_probs[:, labels].max(axis=0) for pg in pgs]  # m_col
-        states = sc.initial_state()
+        states = sc.start(len(pgs))
         for _ in range(max(lengths) + 2):
-            lower, upper, step = sc.step(states, cands)
-            exact = exact_matrix(sc, step, lower.shape)
+            lower, upper, step = sc.step(states)
+            lower, upper = lower[:, cands], upper[:, cands]
+            exact = exact_matrix(sc, step, cands)
             assert np.all(lower <= exact) and np.all(exact <= upper)
             assert np.array_equal(np.isneginf(lower), np.isneginf(exact))
             assert np.array_equal(np.isneginf(upper), np.isneginf(exact))
@@ -516,7 +540,7 @@ class TestPrefixScorer:
                 phi = log_sum[S - 1 : end - 1, b] if S else np.append(0.0, log_sum[: end - 1, b])
                 repeated = states.last[b] == labels
                 m_row = np.where(repeated, states.log_blank[S - 1 : end - 1, b].max() if S else 0.0, phi.max())
-                row = exact[b, :-1]
+                row = exact[b, :-1] + states.log_prefix_prob[b]  # absolute
                 sure = row > NEG_INF
                 # m_row + m_col + log G = row, and G > 2**-900 with a margin
                 sure[sure] = row[sure] - m_row[sure] - peaks[u][sure] > -600.0
@@ -530,7 +554,7 @@ class TestPrefixScorer:
             order = np.concatenate(
                 [rng.permutation(np.flatnonzero(repeated)), rng.permutation(np.flatnonzero(~repeated))]
             )[:width]
-            states = sc.advance(step, rows[order], cols[order])
+            states = sc.advance(step, rows[order], labels[cols[order]])
 
     def test_underflowing_sum_takes_peak_bound(self):
         # the label's mass and the prefix's sit 3000 nats apart in every
@@ -540,11 +564,11 @@ class TestPrefixScorer:
         lp[[0, 1, 2], [1, BLANK, 2]] = 0.0
         sc = self.scorer(Posteriorgram(lp))
         with mock.patch.object(ctc, "log_add_bounds", wraps=ctc.log_add_bounds) as spy:
-            lower, upper, step = sc.step(sc.initial_state(), [2])
+            lower, upper, step = sc.step(sc.start(1))
         assert spy.called
-        exact = sc.exact(step, [0], [0])
+        exact = sc.exact(step, [0], [2])  # the empty prefix's probability is 1: no delta
         peak = max(lp[0, 2], lp[0, BLANK] + lp[1, 2], lp[0, BLANK] + lp[1, BLANK] + lp[2, 2])
-        assert lower[0, 0] == peak <= exact[0] <= upper[0, 0] < peak + 2.0
+        assert lower[0, 2] == peak <= exact[0] <= upper[0, 2] < peak + 2.0
 
 
 def late_pg(t, v, label, other):
@@ -560,8 +584,6 @@ def late_pg(t, v, label, other):
 
 
 class TestLockstepBounds:
-    EOS = 99
-
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=120, deadline=None)
     @given(
@@ -578,7 +600,8 @@ class TestLockstepBounds:
         # together, EOS exact, every pair whose G does not underflow within
         # the 1e-6 of test_log_sum_exp_bounds_tight (a peak taken over the
         # late_pg's padded frames breaks that), and each utterance's rows
-        # bit for bit those of a scorer over its posteriorgram alone
+        # bit for bit those of a scorer over its posteriorgram beside a
+        # one-frame one (scorer_beside), with the same candidates
         rng = np.random.default_rng(seed)
         U = len(lengths) + 1
         v = 2 * U + 2
@@ -592,15 +615,16 @@ class TestLockstepBounds:
             pgs.append(pg if keep is None else topk_prune(pg, keep + 1, BLANK))
         late_label = v - 2
         pgs.insert(int(rng.integers(U)), late_pg(late, v, late_label, v - 1))
-        sc = CtcPrefixScorer(pgs, BLANK, self.EOS)
-        alone = [CtcPrefixScorer(pg, BLANK, self.EOS) for pg in pgs]
-        cands = np.array(list(range(1, v)) + [self.EOS])
+        sc = prefix_scorer(pgs)
+        alone = [scorer_beside(sc, u) for u in range(len(pgs))]
+        cands = np.array(list(range(1, v)) + [sc.vocab.eos_id])
         m_col = [pg.log_probs[:, cands[:-1]].max(axis=0) for pg in pgs]
-        states = sc.initial_state()
+        states = sc.start(len(pgs))
         for _ in range(max(lengths) + 1):
             S = states.length
-            lower, upper, step = sc.step(states, cands)
-            exact = exact_matrix(sc, step, lower.shape)
+            lower_v, upper_v, step = sc.step(states)
+            lower, upper = lower_v[:, cands], upper_v[:, cands]
+            exact = exact_matrix(sc, step, cands)
             assert np.all(lower <= exact) and np.all(exact <= upper)
             assert np.array_equal(np.isneginf(lower), np.isneginf(exact))
             assert np.array_equal(np.isneginf(upper), np.isneginf(exact))
@@ -610,8 +634,8 @@ class TestLockstepBounds:
                 end = pg.num_frames
                 own = [a[:end, mine] for a in (states.log_nonblank, states.log_blank, states.log_sum)]
                 one = PrefixStates(S, 0 * mine, states.last[mine], *own, states.log_prefix_prob[mine])
-                lo1, hi1, _ = alone[u].step(one, cands)
-                assert lo1.tobytes() == lower[mine].tobytes() and hi1.tobytes() == upper[mine].tobytes()
+                lo1, hi1, _ = alone[u].step(one)
+                assert lo1.tobytes() == lower_v[mine].tobytes() and hi1.tobytes() == upper_v[mine].tobytes()
                 for b in mine.tolist() if end > S else []:
                     # m_row + m_col + log G is the exact score, m_row the
                     # peak over the row's own frames; G > 2**-900 with a margin
@@ -619,7 +643,7 @@ class TestLockstepBounds:
                     phi = np.append(0.0, phi) if S == 0 else phi  # the leading term 0
                     blank = states.log_blank[S - 1 : end - 1, b].max() if S else 0.0
                     m_row = np.where(states.last[b] == cands[:-1], blank, phi.max())
-                    row = exact[b, :-1]
+                    row = exact[b, :-1] + states.log_prefix_prob[b]  # absolute
                     sure = row > NEG_INF
                     sure[sure] = row[sure] - m_row[sure] - m_col[u][sure] > -600.0
                     gap = upper[b, :-1][sure] - lower[b, :-1][sure]
@@ -631,7 +655,7 @@ class TestLockstepBounds:
             first = np.flatnonzero((S == 0) & (cands[cols] == late_label))
             order = np.concatenate([first, rng.permutation(np.setdiff1d(np.arange(rows.size), first))])
             order = rng.permutation(order[: max(width, first.size)])
-            states = sc.advance(step, rows[order], cols[order])
+            states = sc.advance(step, rows[order], cands[cols[order]])
 
 
 class TestMergeIndices:

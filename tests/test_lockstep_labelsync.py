@@ -29,6 +29,8 @@ from fusionkit.search import (
     labelsync_beam,
 )
 
+from fixtures import scorer_beside
+
 WIDE = Vocabulary.from_tokens(["<blank>", "<s>", "</s>"] + list("defghij"))
 PLAIN = [i for i in range(WIDE.size) if not WIDE.is_special(i)]
 
@@ -267,6 +269,24 @@ class TestLockstepEqualsReference:
         build = scorers_for(rng, ["ctc", "lm", "dec"], seed % 5)
         check_against_reference(pgs, build, weights, beam, factor)
 
+    def test_finished_hypotheses_tied_at_the_cut(self):
+        # under this table LM, (d, EOS) and (e, EOS) tie at step 2 and stay
+        # in the beam of 6; at step 3 five pairs beat them, so the two
+        # finished hypotheses tie at the cut, where their labels settle it
+        d, e, f = PLAIN[:3]
+
+        def dist(probs):
+            out = np.full(WIDE.size, NEG_INF)
+            out[list(probs)] = np.log(list(probs.values()))
+            return out
+
+        entries = (((WIDE.bos_id,), dist({f: 0.8, d: 0.1, e: 0.1})), ((f,), dist({f: 0.6, d: 0.4})))
+        table = TableLM(WIDE, entries, dist({d: 0.25, e: 0.25, WIDE.eos_id: 0.5}))
+        rng = np.random.default_rng(3)
+        pgs = [random_pg(rng, 4), random_pg(rng, 3)]
+        build = lambda pgs: [ContextLMScorer(table, "table")]
+        check_against_reference(pgs, build, ScorerWeights({"table": 1.0}), 6, 1.0)
+
     def test_one_utterance_call_equals_a_lockstep_of_one(self):
         # an utterance decoded alone is its row of a lockstep with another
         rng = np.random.default_rng(3)
@@ -310,34 +330,34 @@ class TestLockstepEqualsReference:
 class TestChunkPrefixScorer:
     def test_rows_equal_single_posteriorgram_scorers(self):
         # every row of a chunk scorer, bounds, folds and successors, is bit
-        # for bit that of a scorer over its own posteriorgram alone
+        # for bit that of a scorer over its own posteriorgram beside a
+        # one-frame one (scorer_beside), with the same candidates
         rng = np.random.default_rng(11)
         pgs = [random_pg(rng, t, keep=k) for t, k in [(5, None), (1, None), (3, 3), (6, None)]]
         # a certain frame stored as -0.0, which a fold turns into 0.0
         certain = np.full((1, WIDE.size), NEG_INF)
         certain[0, PLAIN[0]] = -0.0
         pgs.append(Posteriorgram(certain))
-        eos = WIDE.eos_id
-        cands = PLAIN + [eos]
-        chunk = CtcPrefixScorer(pgs, WIDE.blank_id, eos)
-        alone = [CtcPrefixScorer(pg, WIDE.blank_id, eos) for pg in pgs]
-        states = chunk.initial_state()
-        rows_alone = [(sc, sc.initial_state()) for sc in alone]  # row b's own scorer
+        cands = np.array(PLAIN + [WIDE.eos_id])
+        chunk = CtcPrefixScorer(pgs, WIDE)
+        alone = [scorer_beside(chunk, u) for u in range(len(pgs))]
+        states = chunk.start(len(pgs))
+        rows_alone = [(sc, sc.start(2)) for sc in alone]  # row b's own scorer, its row 0
         for _ in range(7):
-            lower, upper, step = chunk.step(states, cands)
-            rows, cols = np.divmod(np.arange(lower.size), len(cands))
-            exact = chunk.exact(step, rows, cols).reshape(lower.shape)
+            lower, upper, step = chunk.step(states)
+            rows, cols = np.divmod(np.arange(len(states) * cands.size), cands.size)
+            exact = chunk.exact(step, rows, cands[cols]).reshape(len(states), cands.size)
             steps_alone = []
             for b, (sc, state) in enumerate(rows_alone):
-                lo1, hi1, step1 = sc.step(state, cands)
+                lo1, hi1, step1 = sc.step(state)
                 assert lower[b].tobytes() == lo1[0].tobytes()
                 assert upper[b].tobytes() == hi1[0].tobytes()
-                exact1 = sc.exact(step1, [0] * len(cands), range(len(cands)))
+                exact1 = sc.exact(step1, [0] * cands.size, cands)
                 assert exact[b].tobytes() == exact1.tobytes()
                 steps_alone.append(step1)
             # one plain survivor per row that has one: its best
             plain = exact[:, :-1]
-            best = plain.argmax(axis=1)
+            best = cands[plain.argmax(axis=1)]
             alive = np.flatnonzero(plain.max(axis=1) > NEG_INF)
             if not alive.size:
                 break

@@ -117,6 +117,11 @@ class TestTimesyncBeam:
         for a, b in zip(plain, fused):
             assert a.combined == pytest.approx(b.combined, abs=0)
 
+    def test_beam_below_one_rejected(self):
+        pg = random_am_pg(np.random.default_rng(2), 3)
+        with pytest.raises(ValueError, match="beam"):
+            timesync_ctc_beam([pg], VOCAB, 0, frame_lm(VOCAB, None, 0.0, False))
+
     def test_uniform_pg_tie_breaks_to_lowest_ids(self):
         cols = [0, 3, 4, 5]
         lp = np.full((2, VOCAB.size), NEG_INF)
@@ -440,6 +445,21 @@ class TestLabelsyncBeam:
     def test_no_scorers_rejected(self):
         with pytest.raises(ValueError):
             labelsync_beam([], ScorerWeights({"x": 1.0}), beam=2, vocab=VOCAB, max_lens=[3])
+
+    def test_bad_arguments_rejected(self):
+        lm = self.make_table_lm()
+        weights = ScorerWeights({"lm": 1.0})
+        one = [ContextLMScorer(lm, "lm")]
+        for scorers, beam, max_lens, message in [
+            (one, 0, [3], "beam"),
+            (one, 2, [3, 0], "max_len"),
+            (one + [ContextLMScorer(lm, "lm")], 2, [3], "unique"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                labelsync_beam(scorers, weights, beam, VOCAB, max_lens)
+        weights.weights["lm"] = 0.0  # ScorerWeights checks its weights when built only
+        with pytest.raises(ValueError, match="zero weight"):
+            labelsync_beam(one, weights, 2, VOCAB, [3])
 
     def test_max_len_cap_terminates(self):
         # an LM that never wants to stop

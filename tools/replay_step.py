@@ -7,7 +7,7 @@ Decodes CORPUS once with ``fusionkit decode --config CONFIG`` and records
 every call of the layer with its inputs:
 
 - ``ctc_step`` (the default): ``CtcPrefixScorer.step``, with the scorer's
-  posteriorgrams, blank and EOS ids, the states and the candidates;
+  constructor inputs (posteriorgrams, vocabulary and name) and the states;
 - ``decoder_step``: ``decoder.decoder_step``, with the weights, the state,
   the labels and the rows.
 
@@ -15,9 +15,13 @@ It then replays the recorded calls, one decode's worth at a time,
 alternately through this checkout's ``src/fusionkit/ctc.py`` (or
 ``decoder.py``) and through ``OTHER_SRC``'s, which is loaded beside it in
 the same process (both import this checkout's ``fusionkit.core``).  A CTC
-replay builds fresh scorers before its clock starts, so the per-scorer
-column caches are rebuilt inside ``step`` as in a decode; a decoder replay
-hands each side the weights and states as its own classes.  Prints the min
+replay builds fresh scorers before its clock starts, and a scorer builds
+its candidates' columns once, at construction, so the clock times ``step``
+alone.  It needs an ``OTHER_SRC`` with the same scorer API:
+``CtcPrefixScorer(posteriorgrams, vocabulary, name)`` and ``step(states)``;
+against sources whose scorer takes blank and EOS ids and a candidate list
+per step, compare whole decodes instead.  A decoder replay hands each side
+the weights and states as its own classes.  Prints the min
 and median milliseconds per decode of each side.  Standard library and
 numpy only.
 """
@@ -61,9 +65,9 @@ def decode(corpus: Path, config: Path) -> None:
 
 
 def record(corpus: Path, config: Path, layer: str) -> list[tuple]:
-    """One decode's calls of ``layer``, in call order: (scorer, pgs, blank,
-    eos, states, candidates) for ``ctc_step``, (weights, state, labels,
-    rows) for ``decoder_step``.  Each call holds its scorer or weights, so
+    """One decode's calls of ``layer``, in call order: (scorer, pgs, vocab,
+    name, states) for ``ctc_step``, (weights, state, labels, rows) for
+    ``decoder_step``.  Each call holds its scorer or weights, so
     no two of them share an ``id``."""
     from fusionkit import ctc, decoder
 
@@ -71,9 +75,9 @@ def record(corpus: Path, config: Path, layer: str) -> list[tuple]:
     if layer == "ctc_step":
         step = ctc.CtcPrefixScorer.step
 
-        def recording(self, states, candidates):
-            calls.append((self, self.pgs, self.blank_id, self.eos_id, states, candidates))
-            return step(self, states, candidates)
+        def recording(self, states):
+            calls.append((self, self.pgs, self.vocab, self.name, states))
+            return step(self, states)
 
         ctc.CtcPrefixScorer.step = recording
         try:
@@ -105,13 +109,13 @@ def record(corpus: Path, config: Path, layer: str) -> list[tuple]:
 def replay_ctc(module, calls: list[tuple]) -> float:
     """Seconds for one decode's step calls through ``module``'s scorer."""
     scorers = {}
-    for recorded, pgs, blank, eos, _, _ in calls:
+    for recorded, pgs, vocab, name, _ in calls:
         if id(recorded) not in scorers:
-            scorers[id(recorded)] = module.CtcPrefixScorer(pgs, blank, eos)
+            scorers[id(recorded)] = module.CtcPrefixScorer(pgs, vocab, name)
     gc.collect()
     t0 = time.perf_counter()
-    for recorded, _, _, _, states, candidates in calls:
-        scorers[id(recorded)].step(states, candidates)
+    for recorded, _, _, _, states in calls:
+        scorers[id(recorded)].step(states)
     return time.perf_counter() - t0
 
 
