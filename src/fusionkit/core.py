@@ -12,7 +12,8 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -332,14 +333,18 @@ def read_encoder_output(path: str | Path) -> EncoderOutput:
     return EncoderOutput(frames=_read_matrix(path, ENCODER_OUTPUT_MAGIC, "", log_domain=False)[1])
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScorerWeights:
-    """Log-linear combination weights and length normalisation for beam search."""
+    """Log-linear combination weights and length normalisation for beam search.
 
-    weights: dict[str, float]
+    ``weights`` is a read-only copy of the mapping given, checked once here.
+    """
+
+    weights: Mapping[str, float]
     length_norm: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "weights", MappingProxyType(dict(self.weights)))
         for name, w in self.weights.items():
             if not math.isfinite(w):
                 raise ValidationError(f"weight of scorer {name!r} must be finite, not {w!r}")

@@ -67,102 +67,65 @@ class InterfaceConfig:
         object.__setattr__(self, "prompt", tuple(self.prompt))
 
 
-@dataclass(frozen=True)
-class _Layer:
-    """One layer's tensors, looked up once per ``DecoderWeights``."""
+# Each layer's tensors in file and seeding order: name suffix, and shape in
+# ``Hyperparams`` fields.
+_LAYER_TENSORS = (
+    ("attn_norm.gamma", ("dim",)),
+    ("attn_norm.beta", ("dim",)),
+    *((f"self_attn.{m}", ("dim", "dim")) for m in ("wq", "wk", "wv", "wo")),
+    ("cross_norm.gamma", ("dim",)),
+    ("cross_norm.beta", ("dim",)),
+    *((f"cross_attn.{m}", ("dim", "dim")) for m in ("wq", "wk", "wv", "wo")),
+    ("ffn_norm.gamma", ("dim",)),
+    ("ffn_norm.beta", ("dim",)),
+    ("ffn.w1", ("dim", "ffn_dim")),
+    ("ffn.b1", ("ffn_dim",)),
+    ("ffn.w2", ("ffn_dim", "dim")),
+    ("ffn.b2", ("dim",)),
+)
 
-    attn_norm: tuple[np.ndarray, np.ndarray]
-    wq: np.ndarray
-    wk: np.ndarray
-    wv: np.ndarray
-    wo: np.ndarray
-    cross_norm: tuple[np.ndarray, np.ndarray]
-    cross_wq: np.ndarray
-    cross_wk: np.ndarray
-    cross_wv: np.ndarray
-    cross_wo: np.ndarray
-    ffn_norm: tuple[np.ndarray, np.ndarray]
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
+
+def _layout(hp: Hyperparams) -> dict[str, tuple[int, ...]]:
+    """Every tensor's name and shape, in file and seeding order."""
+    table = [
+        ("embed", ("vocab_size", "dim")),
+        ("final_norm.gamma", ("dim",)),
+        ("final_norm.beta", ("dim",)),
+        ("out_proj", ("dim", "vocab_size")),
+    ]
+    table += [(f"layer{i}.{s}", axes) for i in range(hp.layers) for s, axes in _LAYER_TENSORS]
+    return {name: tuple(getattr(hp, a) for a in axes) for name, axes in table}
 
 
 class DecoderWeights:
     """Named parameter tensors plus hyperparameters.
 
-    ``layers``, ``final_norm`` and ``rope_freqs`` are resolved once here so
+    ``layers[i]`` maps each of layer i's name suffixes to its tensor, so
     the per-step code never formats a tensor name.
     """
 
     def __init__(self, hp: Hyperparams, tensors: dict[str, np.ndarray]):
         self.hp = hp
         self.tensors = {k: np.asarray(v, dtype=np.float64) for k, v in tensors.items()}
-        for name in _tensor_names(hp):
+        for name, shape in _layout(hp).items():
             if name not in self.tensors:
                 raise ValueError(f"missing tensor {name!r}")
-            if self.tensors[name].shape != _tensor_shape(hp, name):
-                raise ValueError(
-                    f"tensor {name!r} has shape {self.tensors[name].shape}, "
-                    f"expected {_tensor_shape(hp, name)}"
-                )
-        t = self.tensors
+            if self.tensors[name].shape != shape:
+                raise ValueError(f"tensor {name!r} has shape {self.tensors[name].shape}, expected {shape}")
         self.layers = [
-            _Layer(
-                attn_norm=(t[f"layer{i}.attn_norm.gamma"], t[f"layer{i}.attn_norm.beta"]),
-                **{m: t[f"layer{i}.self_attn.{m}"] for m in ("wq", "wk", "wv", "wo")},
-                cross_norm=(t[f"layer{i}.cross_norm.gamma"], t[f"layer{i}.cross_norm.beta"]),
-                **{f"cross_{m}": t[f"layer{i}.cross_attn.{m}"] for m in ("wq", "wk", "wv", "wo")},
-                ffn_norm=(t[f"layer{i}.ffn_norm.gamma"], t[f"layer{i}.ffn_norm.beta"]),
-                **{m: t[f"layer{i}.ffn.{m}"] for m in ("w1", "b1", "w2", "b2")},
-            )
-            for i in range(hp.layers)
+            {s: self.tensors[f"layer{i}.{s}"] for s, _ in _LAYER_TENSORS} for i in range(hp.layers)
         ]
-        self.final_norm = (t["final_norm.gamma"], t["final_norm.beta"])
         self.rope_freqs = ROPE_BASE ** (-np.arange(hp.head_dim // 2) * 2.0 / hp.head_dim)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
 
-def _tensor_names(hp: Hyperparams) -> list[str]:
-    names = ["embed", "final_norm.gamma", "final_norm.beta", "out_proj"]
-    for i in range(hp.layers):
-        p = f"layer{i}"
-        names += [f"{p}.attn_norm.gamma", f"{p}.attn_norm.beta"]
-        names += [f"{p}.self_attn.{m}" for m in ("wq", "wk", "wv", "wo")]
-        names += [f"{p}.cross_norm.gamma", f"{p}.cross_norm.beta"]
-        names += [f"{p}.cross_attn.{m}" for m in ("wq", "wk", "wv", "wo")]
-        names += [f"{p}.ffn_norm.gamma", f"{p}.ffn_norm.beta"]
-        names += [f"{p}.ffn.w1", f"{p}.ffn.b1", f"{p}.ffn.w2", f"{p}.ffn.b2"]
-    return names
-
-
-def _tensor_shape(hp: Hyperparams, name: str) -> tuple[int, ...]:
-    d, f, v = hp.dim, hp.ffn_dim, hp.vocab_size
-    if name == "embed":
-        return (v, d)
-    if name == "out_proj":
-        return (d, v)
-    if name.endswith((".gamma", ".beta")):
-        return (d,)
-    if ".ffn.w1" in name:
-        return (d, f)
-    if ".ffn.b1" in name:
-        return (f,)
-    if ".ffn.w2" in name:
-        return (f, d)
-    if ".ffn.b2" in name:
-        return (d,)
-    return (d, d)
-
-
 def seeded_weights(hp: Hyperparams, seed: int) -> DecoderWeights:
     """Random float32-valued weights; scale 1/sqrt(dim) keeps outputs tame."""
     rng = np.random.default_rng(seed)
     tensors = {}
-    for name in _tensor_names(hp):
-        shape = _tensor_shape(hp, name)
+    for name, shape in _layout(hp).items():
         if name.endswith(".gamma"):
             t = np.ones(shape)
         elif name.endswith(".beta") or ".ffn.b" in name:
@@ -180,7 +143,7 @@ def save_weights(weights: DecoderWeights, path: str | Path) -> None:
         dtype=np.float32,
     )
     tensors = {META_TENSOR: meta}
-    tensors.update((name, weights.tensors[name]) for name in _tensor_names(hp))
+    tensors.update((name, weights.tensors[name]) for name in _layout(hp))
     write_tensor_container(tensors, path)
 
 
@@ -202,6 +165,8 @@ def read_tensor_container(path: str | Path) -> dict[str, np.ndarray]:
             pos += 2
             name = data[pos : pos + nlen].decode("utf-8")
             pos += nlen
+            if name in out:
+                raise FormatError(f"{path}: tensor {name!r} appears twice")
             (rank,) = struct.unpack_from("<B", data, pos)
             pos += 1
             dims = struct.unpack_from(f"<{rank}I", data, pos)
@@ -284,9 +249,8 @@ def build_attention_mask(config: InterfaceConfig, prefix_len: int, text_len: int
     return np.tril(np.ones((s, s), dtype=bool))
 
 
-def _layer_norm(x: np.ndarray, norm: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     # the ufunc sequence of np.mean and np.var, without their Python wrappers
-    gamma, beta = norm
     n = x.shape[-1]
     centered = x - np.add.reduce(x, -1, keepdims=True) / n
     var = np.add.reduce(np.square(centered), -1, keepdims=True) / n
@@ -399,10 +363,10 @@ def _audio_frames(weights: DecoderWeights, config: InterfaceConfig, audio) -> np
         raise ValidationError("audio must be a T x D matrix")
     if frames.shape[0] > 0 and frames.shape[1] != weights.hp.dim:
         raise ValidationError(f"audio dim {frames.shape[1]} does not match decoder dim {weights.hp.dim}")
-    return frames.reshape(frames.shape[0], weights.hp.dim) if frames.size else frames.reshape(0, weights.hp.dim)
+    return frames if frames.size else frames.reshape(0, weights.hp.dim)
 
 
-def _layer(layer: _Layer, x, rotary, heads, mask, memory, cross, take=None):
+def _layer(layer: dict[str, np.ndarray], x, rotary, heads, mask, memory, cross, take=None):
     """One pre-norm layer over the query rows ``x``.
 
     Self-attention sees the (keys, values) already in the stream,
@@ -415,10 +379,11 @@ def _layer(layer: _Layer, x, rotary, heads, mask, memory, cross, take=None):
     without ``take``) is row b's history; it is gathered straight into the
     joined (B, m + 1, d) arrays.
     """
-    normed = _layer_norm(x, layer.attn_norm)
-    q = _rope(normed @ layer.wq, rotary, heads)
+    normed = _layer_norm(x, layer["attn_norm.gamma"], layer["attn_norm.beta"])
+    q = _rope(normed @ layer["self_attn.wq"], rotary, heads)
     joined = []
-    for cache, rows in zip(memory, (_rope(normed @ layer.wk, rotary, heads), normed @ layer.wv)):
+    keys = _rope(normed @ layer["self_attn.wk"], rotary, heads)
+    for cache, rows in zip(memory, (keys, normed @ layer["self_attn.wv"])):
         if x.ndim == 2:
             joined.append(np.concatenate([cache, rows]))
         else:
@@ -428,14 +393,15 @@ def _layer(layer: _Layer, x, rotary, heads, mask, memory, cross, take=None):
             stacked[:, m:] = rows
             joined.append(stacked)
     out, w_self = _attend(q, *joined, mask, heads)
-    x = x + out @ layer.wo
+    x = x + out @ layer["self_attn.wo"]
     w_cross = None
     if cross is not None:
-        q = _layer_norm(x, layer.cross_norm) @ layer.cross_wq
-        out, w_cross = _attend(q, *cross, None, heads)
-        x = x + out @ layer.cross_wo
-    hidden = _gelu(_layer_norm(x, layer.ffn_norm) @ layer.w1 + layer.b1)
-    return x + (hidden @ layer.w2 + layer.b2), tuple(joined), (w_self, w_cross)
+        q = _layer_norm(x, layer["cross_norm.gamma"], layer["cross_norm.beta"])
+        out, w_cross = _attend(q @ layer["cross_attn.wq"], *cross, None, heads)
+        x = x + out @ layer["cross_attn.wo"]
+    normed = _layer_norm(x, layer["ffn_norm.gamma"], layer["ffn_norm.beta"])
+    hidden = _gelu(normed @ layer["ffn.w1"] + layer["ffn.b1"])
+    return x + (hidden @ layer["ffn.w2"] + layer["ffn.b2"]), tuple(joined), (w_self, w_cross)
 
 
 @dataclass
@@ -489,16 +455,16 @@ def _audio_memory(
     if a == 0:
         return state
     if config.kind == "aed":
-        state.cross_k = [frames @ layer.cross_wk for layer in weights.layers]
-        state.cross_v = [frames @ layer.cross_wv for layer in weights.layers]
+        state.cross_k = [frames @ layer["cross_attn.wk"] for layer in weights.layers]
+        state.cross_v = [frames @ layer["cross_attn.wv"] for layer in weights.layers]
         return state
     rotary = _rotary(weights, np.arange(a, dtype=np.float64))
     state.position = a
     if config.kind == "merged":
         for i, layer in enumerate(weights.layers):
-            normed = _layer_norm(frames, layer.attn_norm)
-            state.self_k[i] = _rope(normed @ layer.wk, rotary, hp.heads)
-            state.self_v[i] = normed @ layer.wv
+            normed = _layer_norm(frames, layer["attn_norm.gamma"], layer["attn_norm.beta"])
+            state.self_k[i] = _rope(normed @ layer["self_attn.wk"], rotary, hp.heads)
+            state.self_v[i] = normed @ layer["self_attn.wv"]
         return state
     mask = build_attention_mask(config, a, 0)
     x = frames
@@ -547,7 +513,8 @@ def decoder_forward(
                 attn.update((f"{name}.head{h}", w[h]) for h in range(w.shape[0]))
 
     x = x[-len(labels) :]
-    rows = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])
+    x = _layer_norm(x, weights["final_norm.gamma"], weights["final_norm.beta"])
+    rows = _log_softmax(x @ weights["out_proj"])
     if collect_attention:
         return rows, attn
     return rows
@@ -602,7 +569,8 @@ def decoder_step(
         x, (k, v), _ = _layer(layer, x, rotary, hp.heads, None, memory, cross, take)
         self_k.append(k)
         self_v.append(v)
-    out = _log_softmax(_layer_norm(x, weights.final_norm) @ weights["out_proj"])[:, 0]
+    x = _layer_norm(x, weights["final_norm.gamma"], weights["final_norm.beta"])
+    out = _log_softmax(x @ weights["out_proj"])[:, 0]
     return out, IncrementalState(state.position + 1, self_k, self_v, cross_k, cross_v)
 
 

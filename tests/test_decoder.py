@@ -549,6 +549,7 @@ class TestWeightsIO:
             ("truncated-table", "truncated tensor table"),
             ("trailing-bytes", "1 trailing bytes"),
             ("dim-not-divisible", "model dim must divide evenly into heads"),
+            ("duplicate-tensor", "tensor 'embed' appears twice"),
         ],
     )
     def test_malformed_file_raises_format_error(self, tmp_path, case, message):
@@ -588,6 +589,8 @@ class TestWeightsIO:
                 "too-many-axes": struct.pack("<H4sB65If", 4, b"deep", 65, *[1] * 65, 0.0),
                 # no elements, but the other axes' product overflows numpy's sizes
                 "empty-oversized": struct.pack("<H4sB3I", 4, b"huge", 3, 2**31, 2**31, 0),
+                # a second, all-zero embed after the first
+                "duplicate-tensor": struct.pack("<H5sB2I32f", 5, b"embed", 2, 4, 8, *[0.0] * 32),
             }
             if case in appended:
                 data = bytearray(path.read_bytes())

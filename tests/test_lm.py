@@ -571,6 +571,22 @@ class TestNGramSerialization:
         with pytest.raises(FormatError, match=f"missing keys.*{key}"):
             load_table_lm(path)
 
+    @pytest.mark.parametrize(
+        "entry",
+        [{"dist": [0.0] * VOCAB.size}, ["context", "dist"], {"context": [], "dist": ["x"] * VOCAB.size}],
+    )
+    def test_table_lm_malformed_entry_rejected(self, tmp_path, entry):
+        import json
+
+        path = tmp_path / "t.json"
+        save_table_lm(uniform_table_lm(VOCAB), path)
+        doc = json.loads(path.read_text())
+        doc["entries"] = [entry]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match="malformed table LM") as info:
+            load_table_lm(path)
+        assert str(path) in str(info.value)
+
 
 class TestVocabularyFlags:
     @pytest.mark.parametrize("flag", ["blank", "bos", "eos"])
