@@ -323,3 +323,18 @@ class TestHypothesisAndWeights:
     def test_weights_need_one_nonzero(self):
         with pytest.raises(ValidationError):
             ScorerWeights({"am": 0.0, "lm": 0.0})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_weights_must_be_finite(self, bad):
+        with pytest.raises(ValidationError, match="must be finite"):
+            ScorerWeights({"am": 1.0, "lm": bad})
+
+    def test_weights_cannot_change_after_they_are_checked(self):
+        given = {"ctc": 1.0}
+        weights = ScorerWeights(given)
+        given["ctc"] = math.nan  # the caller's dict is copied
+        assert weights.weights == {"ctc": 1.0}
+        with pytest.raises(TypeError):
+            weights.weights["ctc"] = math.nan
+        with pytest.raises(AttributeError):
+            weights.weights = {"ctc": math.nan}
