@@ -257,42 +257,44 @@ def _layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarra
     return centered / np.sqrt(var + LN_EPS) * gamma + beta
 
 
-# Relative margin around the fast cube copysign(|x|**3, x).  Where x >= 0
-# the fast cube is numpy's x**3 itself.  Where x < 0, numpy's x**3 runs a
-# slow per-lane path and differs from the fast cube by at most 1 ulp: over
-# 10^7 negative inputs from each of a normal, a log-uniform (1e-100 to
-# 1e100) and a uniform [-8, 0) draw, 0 ulp 94.7% of the time and 1 ulp
-# otherwise (numpy 2.4.6, AVX-512).  A normal cube scaled by 1 -/+ 2**-52
-# lies at least 1 ulp below/above it.
-_CUBE_MARGIN = 2.0**-52
+# Where x >= 0 the fast cube copysign(|x|**3, x) is numpy's x**3 itself.
+# Where x < 0, numpy's x**3 runs a slow per-lane path and differs from the
+# fast cube by at most 1 ulp: over 10^7 negative inputs from each of a
+# normal, a log-uniform (1e-100 to 1e100) and a uniform [-8, 0) draw, 0 ulp
+# 94.7% of the time and 1 ulp otherwise (numpy 2.4.6, AVX-512).  So a
+# negative finite cube is stepped one ulp each way by its int64 bit pattern,
+# which grows with the magnitude of a negative float.  -0.0 and -inf stay
+# unstepped: each has a NaN among its neighbours by bits.
 
 
 def _gelu(x: np.ndarray) -> np.ndarray:
     """0.5 x (1 + tanh(sqrt(2/pi) (x + 0.044715 x**3))), bit for bit, with
     numpy's slow negative-base x**3 run only where its rounding matters.
 
-    The tanh argument is built at both ends of the fast cube's margin.  Its
-    multiply and add round monotonically, so where the two ends agree they
-    equal the argument built from x**3; elsewhere it is rebuilt from x**3.
-    (A subnormal cube may get less margin, but it moves no argument: there
-    0.044715 x**3 is below half an ulp of x.)
+    The tanh argument is built from the fast cube and, where the cube is
+    negative and finite, from its neighbours one ulp below and above.  Its
+    multiply and add round monotonically, so where the two neighbours agree
+    they equal the argument built from x**3; elsewhere it is rebuilt from
+    x**3.  (A subnormal cube moves no argument: there 0.044715 x**3 is
+    below half an ulp of x.)
     """
-    cube = np.abs(x)  # in place below: no more arrays live at once than in the expression
-    np.power(cube, 3, out=cube)
-    np.copysign(cube, x, out=cube)
-    hi = cube * (1.0 + _CUBE_MARGIN)
-    lo = np.multiply(cube, 1.0 - _CUBE_MARGIN, out=cube)
-    for end in (lo, hi):
+    arg = np.abs(x)  # in place below: no more arrays live at once than in the expression
+    np.power(arg, 3, out=arg)
+    np.copysign(arg, x, out=arg)
+    flat, cube = x.reshape(-1), arg.reshape(-1)
+    at = ((cube < 0.0) & (cube > NEG_INF)).nonzero()[0]
+    bits, xs = cube[at].view(np.int64), flat[at]
+    lo, hi = (bits + 1).view(np.float64), (bits - 1).view(np.float64)
+    for end, base in ((lo, xs), (hi, xs), (arg, x)):
         end *= 0.044715
-        end += x
-    refine = lo != hi
-    arg = hi
-    xs = x[refine]
-    arg[refine] = xs + 0.044715 * xs**3
+        end += base
+    at = at[lo != hi]
+    xs = flat[at]
+    cube[at] = xs + 0.044715 * xs**3
     arg *= math.sqrt(2.0 / math.pi)
     np.tanh(arg, out=arg)
     arg += 1.0
-    out = np.multiply(x, 0.5, out=lo)
+    out = np.multiply(x, 0.5)
     out *= arg
     return out
 

@@ -68,8 +68,8 @@ class NGramModel:
     _support: np.ndarray = field(init=False, compare=False, repr=False)
     _unigram: np.ndarray = field(init=False, compare=False, repr=False)  # log10, by support column
     # per context length k >= 1: context -> (start, stop) into flat support
-    # columns and log10 values, as memoryviews, which iterate to Python
-    # numbers; entries off the support are never read
+    # columns and log10 values, as arrays; entries off the support are
+    # never read
     _levels: tuple = field(init=False, compare=False, repr=False)
     _discounts: list = field(init=False, compare=False, repr=False)  # of j backoff steps, by j
     # the row store: one row per backoff state held, and the store row of
@@ -94,7 +94,7 @@ class NGramModel:
             # a context's entries, before and after those off the support are dropped
             ends = np.concatenate([[0], np.fromiter(map(len, dists), np.intp).cumsum()])
             bounds = np.concatenate([[0], on.cumsum()])[ends].tolist()
-            levels.append((dict(zip(table, zip(bounds, bounds[1:]))), memoryview(cols[on]), memoryview(vals[on])))
+            levels.append((dict(zip(table, zip(bounds, bounds[1:]))), cols[on], vals[on]))
         _, unigram_cols, unigram_vals = levels.pop(0)
         unigram = np.full(len(support), np.nan)  # load_ngram rejects a gap in the support
         unigram[unigram_cols] = unigram_vals
@@ -172,8 +172,8 @@ class NGramModel:
 
     def _block(self, states: list[tuple]) -> np.ndarray:
         """Support columns of the rows of distinct backoff states: the
-        unigram under the state's full discount, then each matching level,
-        lowest first, so the longest match wins, then a row-wise
+        unigram under the state's full discount, then each matching level's
+        span, lowest first, so the longest match wins, then a row-wise
         log-sum-exp.  Discounts are summed by repeated += from 0.0, as a
         walk from the longest context down adds them."""
         discounts = self._discounts
@@ -181,18 +181,15 @@ class NGramModel:
         while len(discounts) <= top:
             discounts.append(discounts[-1] + math.log10(self.backoff_factor))
         block = np.array([discounts[n] for n, _ in states])[:, None] + self._unigram
-        entries = {}  # flat block index -> log10 value; a higher level's replaces a lower one's
-        for i, (n, spans) in enumerate(states):
-            at = i * block.shape[1]
+        for row, (n, spans) in zip(block, states):
             for k, start, stop in spans:
                 _, cols, vals = self._levels[k - 1]
-                base = discounts[n - k]
-                entries.update(zip(map(at.__add__, cols[start:stop]), map(base.__add__, vals[start:stop])))
-        np.put(block, list(entries), list(entries.values()))
+                row[cols[start:stop]] = vals[start:stop] + discounts[n - k]
         # C-ordered: the row sums of another layout round differently from
         # the 1-D logsumexp
-        raw = block * LN10
-        return raw - logsumexp_rows(raw)[:, None]
+        block *= LN10
+        block -= logsumexp_rows(block)[:, None]
+        return block
 
     @property
     def context_size(self) -> int:

@@ -596,11 +596,15 @@ def timesync_ctc_beam(
     whenever it outgrows them (``_TRIE_SLACK``).
     ``frame_lm.child(state, label)`` gives a new prefix's LM state and
     ``frame_lm.rows(states)`` its (V,) LM deltas, for new beam survivors
-    only; ``frame_lm.finals(states)`` gives their residuals at finalization.
+    only; a prefix carries its LM score plus those deltas, the LM scores of
+    its extensions, from its birth on.  ``frame_lm.finals(states)`` gives
+    the residuals at finalization.
 
-    Each utterance keeps its ``beam`` best by (score, length, labels).  The
-    order of the survivors affects no result, so label tuples are built only
-    for entries tied in (score, length) at the beam cut and for the output.
+    Each utterance keeps its ``beam`` best by (score, length, labels).  Of
+    its extensions, only the ``beam`` best and those tied with the last of
+    them are ranked with its stay entries.  The order of the survivors
+    affects no result, so label tuples are built only for entries tied in
+    (score, length) at the beam cut and for the output.
     Each prefix sees the float operations of the per-utterance search in
     ``tests/test_timesync.py``, so neither results nor counters depend on
     which utterances share a lockstep.  ``stats``, one per posteriorgram,
@@ -648,7 +652,9 @@ def timesync_ctc_beam(
     # the root's blank has -inf in every frame's extension row
     last = np.full(num, vocab.blank_id)
     states = [frame_lm.root()] * num  # each live prefix's LM state
-    lm_rows = frame_lm.rows(states)
+    # each live prefix's LM score plus its (V,) LM deltas: the LM scores of
+    # its extensions
+    lm_sum = frame_lm.rows(states) + lm[:, None]
     evaluations = np.zeros(num, dtype=np.int64)
     peak_live = np.zeros(num, dtype=np.int64)
     results: list[NBestList | None] = [None] * num
@@ -696,26 +702,24 @@ def timesync_ctc_beam(
 
             # the block turns, in place, into the fused scores of the new
             # prefixes, -inf for those the LM gives probability zero (live
-            # prefixes have finite LM scores); per utterance, shortlist
-            # anything that could still make the beam
-            fused = lm_rows + lm[:, None]
+            # prefixes have finite LM scores); without an LM it would only
+            # add zeros.  Per utterance, shortlist its beam best extensions
+            # and their ties: one below them has beam better ones and cannot
+            # survive
             if lm_weight > 0.0:
-                fused *= lm_weight
-                ext += fused
-            else:  # a -inf LM delta turns NaN or +inf here: masked
+                ext += lm_sum * lm_weight
+            elif not isinstance(frame_lm, _NoLM):
+                # a -inf LM sum turns NaN or +inf here: masked
                 with np.errstate(invalid="ignore"):
-                    fused *= lm_weight
-                    ext += fused
-                ext[lm_rows == NEG_INF] = NEG_INF
-            del fused
-            want = beam + np.bincount(utt[ranked], minlength=running)
-            kth = _cut_threshold(ext, utt, slot, live, want)
+                    ext += lm_sum * lm_weight
+                ext[lm_sum == NEG_INF] = NEG_INF
+            kth = _cut_threshold(ext, utt, slot, live, np.full(running, beam))
             e_row, e_label = np.divmod((ext >= kth[utt][:, None]).ravel().nonzero()[0], vocab.size)
             del ext
             # the shortlisted extensions' CTC and LM scores, as in the block
             e_am = np.where(e_label == last[e_row], log_b[e_row], am[e_row])
             e_am += frame[utt[e_row], e_label]
-            e_lm = lm[e_row] + lm_rows[e_row, e_label]
+            e_lm = lm_sum[e_row, e_label]
 
             # candidates: the ranked stay entries, then the shortlisted
             # extensions, sorted by (utterance, key, length)
@@ -735,7 +739,7 @@ def timesync_ctc_beam(
             kept = rank < beam
             keep, slot = order[kept], rank[kept]
 
-            # survivors; trie nodes, LM states and LM rows for the new
+            # survivors; trie nodes, LM states and LM sums for the new
             # prefixes, whose gathered entries are their parents'
             new = (keep >= ranked.size).nonzero()[0]
             src = src[keep]
@@ -744,7 +748,7 @@ def timesync_ctc_beam(
             log_nb = np.concatenate([stay_nb[ranked], e_am])[keep]
             lm = np.concatenate([lm[ranked], e_lm])[keep]
             last = np.concatenate([last[ranked], e_label])[keep]
-            up, node, lm_rows = up[src], node[src], lm_rows[src]
+            up, node, lm_sum = up[src], node[src], lm_sum[src]
             states = [states[k] for k in src.tolist()]
             up[new] = node[new]
             for j, parent, label in zip(new.tolist(), up[new].tolist(), last[new].tolist()):
@@ -756,7 +760,7 @@ def timesync_ctc_beam(
                 node[j] = n
                 states[j] = frame_lm.child(states[j], label)
             if new.size:
-                lm_rows[new] = frame_lm.rows([states[j] for j in new.tolist()])
+                lm_sum[new] = frame_lm.rows([states[j] for j in new.tolist()]) + lm[new, None]
             if len(trie_label) > compact_at:
                 # the nodes of prefixes gone from every beam are forgotten:
                 # no live prefix can extend into them
@@ -794,7 +798,7 @@ def timesync_ctc_beam(
             results[by_length[u]] = NBestList(entries[u - still])
         utt, slot, node, up, depth = utt[:end], slot[:end], node[:end], up[:end], depth[:end]
         log_b, log_nb, lm, last = log_b[:end], log_nb[:end], lm[:end], last[:end]
-        lm_rows, states = lm_rows[:end], states[:end]
+        lm_sum, states = lm_sum[:end], states[:end]
         running = still
 
     if stats is not None:

@@ -581,6 +581,29 @@ class TestLockstep:
         )
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lm_weight", [0.5, -0.4])
+    def test_label_tie_break_at_the_cut_with_lm(self, lm_weight):
+        # uniform frames and an LM whose deltas are all equal: a prefix's
+        # extensions tie in key and length, so an utterance's beam-th and
+        # (beam+1)-th extensions tie at the shortlist cut
+        lp = np.full((1, WIDE.size), NEG_INF)
+        plain = [i for i in range(WIDE.size) if i not in (WIDE.bos_id, WIDE.eos_id)]
+        lp[0, plain] = -math.log(len(plain))
+        pgs = [Posteriorgram(np.repeat(lp, frames, axis=0)) for frames in (1, 5, 3, 9, 2)]
+        support = [i for i in range(WIDE.size) if i not in (WIDE.blank_id, WIDE.bos_id)]
+        dist = np.full(WIDE.size, NEG_INF)
+        dist[support] = -math.log(len(support))
+        lm = TableLM(WIDE, (), dist)
+        fusion = frame_lm(WIDE, lm, lm_weight, False)
+        assert_lockstep_matches(
+            pgs,
+            WIDE,
+            lambda pgs, beam, stats: timesync_ctc_beam(pgs, WIDE, beam, fusion, stats),
+            lambda pg, beam, stats: reference_timesync_ctc_beam(pg, WIDE, beam, lm, lm_weight, stats),
+            beams=(1, 2, 3, 5, 8),
+        )
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_utterance_losing_every_prefix(self):
         # frames with mass on EOS only extend and keep nothing: those
         # utterances run out of live prefixes while the others go on
