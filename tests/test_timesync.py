@@ -488,6 +488,15 @@ def assert_lockstep_matches(pgs, vocab, search, reference, beams):
                 assert getattr(stats, name) == getattr(want_stats, name), name
 
 
+def uniform_wide_corpus():
+    """Posteriorgrams of 1 to 9 frames, each frame uniform over blank and
+    every plain label of ``WIDE``."""
+    lp = np.full((1, WIDE.size), NEG_INF)
+    plain = [i for i in range(WIDE.size) if i not in (WIDE.bos_id, WIDE.eos_id)]
+    lp[0, plain] = -math.log(len(plain))
+    return [Posteriorgram(np.repeat(lp, frames, axis=0)) for frames in (1, 5, 3, 9, 2)]
+
+
 class TestLockstep:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=30, deadline=None)
@@ -563,10 +572,7 @@ class TestLockstep:
         # uniform frames over blank and every label: the extensions of a
         # prefix tie in score and length, so the beam cut falls inside a
         # tie that only the labels settle
-        lp = np.full((1, WIDE.size), NEG_INF)
-        plain = [i for i in range(WIDE.size) if i not in (WIDE.bos_id, WIDE.eos_id)]
-        lp[0, plain] = -math.log(len(plain))
-        pgs = [Posteriorgram(np.repeat(lp, frames, axis=0)) for frames in (1, 5, 3, 9, 2)]
+        pgs = uniform_wide_corpus()
         no_lm = frame_lm(WIDE, None, 0.0, False)
         for beam in (2, 3, 5):
             nbest = timesync_ctc_beam(pgs, WIDE, beam, no_lm)[0]
@@ -586,10 +592,7 @@ class TestLockstep:
         # uniform frames and an LM whose deltas are all equal: a prefix's
         # extensions tie in key and length, so an utterance's beam-th and
         # (beam+1)-th extensions tie at the shortlist cut
-        lp = np.full((1, WIDE.size), NEG_INF)
-        plain = [i for i in range(WIDE.size) if i not in (WIDE.bos_id, WIDE.eos_id)]
-        lp[0, plain] = -math.log(len(plain))
-        pgs = [Posteriorgram(np.repeat(lp, frames, axis=0)) for frames in (1, 5, 3, 9, 2)]
+        pgs = uniform_wide_corpus()
         support = [i for i in range(WIDE.size) if i not in (WIDE.blank_id, WIDE.bos_id)]
         dist = np.full(WIDE.size, NEG_INF)
         dist[support] = -math.log(len(support))
