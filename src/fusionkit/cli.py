@@ -651,75 +651,83 @@ def cmd_export_attn(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("decode", "wer", "ppl", "lm-train", "synth", "bench", "export-attn")
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  When ``command`` names a subcommand, only that
+    subcommand's arguments are built; otherwise all of them are."""
     parser = argparse.ArgumentParser(
         prog="fusionkit", description="ASR decoding and score-fusion experiments"
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decode", help="decode a corpus directory")
-    p.add_argument("corpus")
-    p.add_argument("out")
-    p.add_argument("--config", default=None)
-    for key, kind in DECODE_FLAGS.items():
-        p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
-    p.set_defaults(func=cmd_decode)
+    def add(name, help, func):
+        if command in COMMANDS and command != name:
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("wer", help="pooled word error rate over keyed files")
-    p.add_argument("refs")
-    p.add_argument("hyps")
-    p.add_argument("--normalization", default="lowercase")
-    p.set_defaults(func=cmd_wer)
+    if p := add("decode", "decode a corpus directory", cmd_decode):
+        p.add_argument("corpus")
+        p.add_argument("out")
+        p.add_argument("--config", default=None)
+        for key, kind in DECODE_FLAGS.items():
+            p.add_argument("--" + key.replace("_", "-"), type=kind, default=None)
 
-    p = sub.add_parser("ppl", help="perplexity of a language model on text")
-    p.add_argument("model")
-    p.add_argument("text")
-    p.add_argument("--normalization", default="lowercase")
-    p.set_defaults(func=cmd_ppl)
+    if p := add("wer", "pooled word error rate over keyed files", cmd_wer):
+        p.add_argument("refs")
+        p.add_argument("hyps")
+        p.add_argument("--normalization", default="lowercase")
 
-    p = sub.add_parser("lm-train", help="train a backoff n-gram model")
-    p.add_argument("text")
-    p.add_argument("vocab")
-    p.add_argument("out")
-    p.add_argument("--order", type=int, default=3)
-    p.add_argument("--backoff", type=float, default=0.4)
-    p.add_argument("--normalization", default="lowercase")
-    p.set_defaults(func=cmd_lm_train)
+    if p := add("ppl", "perplexity of a language model on text", cmd_ppl):
+        p.add_argument("model")
+        p.add_argument("text")
+        p.add_argument("--normalization", default="lowercase")
 
-    p = sub.add_parser("synth", help="generate a synthetic corpus directory")
-    p.add_argument("out")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--utts", type=int, default=20)
-    p.add_argument("--noise", type=float, default=0.0)
-    p.add_argument("--min-words", dest="min_words", type=int, default=2)
-    p.add_argument("--max-words", dest="max_words", type=int, default=4)
-    p.set_defaults(func=cmd_synth)
+    if p := add("lm-train", "train a backoff n-gram model", cmd_lm_train):
+        p.add_argument("text")
+        p.add_argument("vocab")
+        p.add_argument("out")
+        p.add_argument("--order", type=int, default=3)
+        p.add_argument("--backoff", type=float, default=0.4)
+        p.add_argument("--normalization", default="lowercase")
 
-    p = sub.add_parser("bench", help="sweep pruning/compression/beam grids")
-    p.add_argument("corpus")
-    p.add_argument("--config", default=None)
-    p.add_argument("--top-k", dest="top_k", default="none")
-    p.add_argument("--compress-threshold", dest="compress_threshold", default="none")
-    p.add_argument("--beam", default="8")
-    p.set_defaults(func=cmd_bench)
+    if p := add("synth", "generate a synthetic corpus directory", cmd_synth):
+        p.add_argument("out")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--utts", type=int, default=20)
+        p.add_argument("--noise", type=float, default=0.0)
+        p.add_argument("--min-words", dest="min_words", type=int, default=2)
+        p.add_argument("--max-words", dest="max_words", type=int, default=4)
 
-    p = sub.add_parser("export-attn", help="write per-head attention matrices")
-    p.add_argument("vocab")
-    p.add_argument("text")
-    p.add_argument("out")
-    p.add_argument("--weights", default=None)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--interface", default="prefix")
-    p.add_argument("--prefix-attention", dest="prefix_attention", default="causal")
-    p.add_argument("--prompt", default="")
-    p.add_argument("--audio", default=None)
-    p.set_defaults(func=cmd_export_attn)
+    if p := add("bench", "sweep pruning/compression/beam grids", cmd_bench):
+        p.add_argument("corpus")
+        p.add_argument("--config", default=None)
+        p.add_argument("--top-k", dest="top_k", default="none")
+        p.add_argument("--compress-threshold", dest="compress_threshold", default="none")
+        p.add_argument("--beam", default="8")
+
+    if p := add("export-attn", "write per-head attention matrices", cmd_export_attn):
+        p.add_argument("vocab")
+        p.add_argument("text")
+        p.add_argument("out")
+        p.add_argument("--weights", default=None)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--interface", default="prefix")
+        p.add_argument("--prefix-attention", dest="prefix_attention", default="causal")
+        p.add_argument("--prompt", default="")
+        p.add_argument("--audio", default=None)
 
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extra:  # the full parser words the error: its usage line names every command
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (CliError, FormatError, ValidationError, OSError) as exc:

@@ -53,9 +53,7 @@ def compress_posteriors(pg: Posteriorgram, threshold: float) -> Posteriorgram:
     opens = (best[1:] != best[:-1]) | ~sure[1:] | ~sure[:-1]  # a frame starting a group
     if opens.all():
         return pg
-    group = np.cumsum(np.append(0, opens))
-    pooled = np.full((group[-1] + 1, pg.num_labels), NEG_INF)
-    np.maximum.at(pooled, group, lp)
+    pooled = np.maximum.reduceat(lp, np.flatnonzero(np.append(True, opens)), axis=0)
     norms = logsumexp_rows(pooled)
     return Posteriorgram(pooled - norms[:, None], pg.frame_duration_ms)
 
@@ -141,6 +139,13 @@ class PrefixStates:
     def __len__(self) -> int:
         return self.utt.size
 
+    def phi(self, rows, labels, frames: slice = slice(None)) -> np.ndarray:
+        """Log probability that ``rows`` cover frames 1..t+1 such that
+        ``labels`` may start at frame t+2: a repeated label needs a blank
+        in between.  Time runs along axis 0; rows and labels broadcast."""
+        same = self.last[rows] == labels
+        return np.where(same, self.log_blank[frames, rows], self.log_sum[frames, rows])
+
 
 @dataclass(frozen=True)
 class PrefixStep:
@@ -152,13 +157,6 @@ class PrefixStep:
 
     states: PrefixStates
     folded: np.ndarray
-
-    def phi(self, rows, labels, frames: slice = slice(None)) -> np.ndarray:
-        """Log probability that parent ``rows`` cover frames 1..t+1 such that
-        ``labels`` may start at frame t+2: a repeated label needs a blank
-        in between.  Time runs along axis 0; rows and labels broadcast."""
-        same = self.states.last[rows] == labels
-        return np.where(same, self.states.log_blank[frames, rows], self.states.log_sum[frames, rows])
 
 
 class CtcPrefixScorer:
@@ -238,16 +236,17 @@ class CtcPrefixScorer:
         Returns (B, V) lower and upper bounds on the scores that
         :meth:`exact` gives, -inf outside the candidates, and the artifacts
         it and :meth:`advance` work from."""
-        step = PrefixStep(states, folded=np.full((len(states), self.candidates.size), np.nan))
-        bounds = list(self._bounds(step))
-        # each (B, C) bound goes as soon as its (B, V) copy is filled
+        bounds = list(self._bounds(states))
+        # each (B, C) bound goes as soon as its (B, V) copy is filled; the
+        # last one's array then holds the step's folds, none made yet
         for i, bound in enumerate(bounds):
             np.subtract(bound, states.log_prefix_prob[:, None], out=bound, where=bound > NEG_INF)
             bounds[i] = np.full((len(states), self.vocab.size), NEG_INF)
             bounds[i][:, self.candidates] = bound
-        return bounds[0], bounds[1], step
+        bound.fill(np.nan)
+        return bounds[0], bounds[1], PrefixStep(states, folded=bound)
 
-    def _bounds(self, step: PrefixStep) -> tuple[np.ndarray, np.ndarray]:
+    def _bounds(self, states: PrefixStates) -> tuple[np.ndarray, np.ndarray]:
         """(B, C) lower and upper bounds on the absolute log prefix
         probabilities that :meth:`_fold` folds.
 
@@ -268,7 +267,6 @@ class CtcPrefixScorer:
         phi or in a column the utterance never emits is -inf in both bounds;
         a live pair whose G may have underflowed takes the bounds of its
         largest term (:func:`log_add_bounds`).  EOS is exact."""
-        states = step.states
         S, utt, ends = states.length, states.utt, self.lengths[states.utt]
         B, C = len(states), self.candidates.size
         emits, scaled = self._emits, self._scaled
@@ -287,10 +285,10 @@ class CtcPrefixScorer:
                 np.exp(np.subtract(a, m[:, None], out=a), out=a)
                 g[r] = (a[:, None, :] @ scaled[S:end, u])[:, 0]
         rep = self._column[states.last]  # the empty prefix has no last label to repeat
-        r = c = np.zeros(0, dtype=np.int64)
-        low = g <= _UNDERFLOW  # EOS's too, but only on a row with no finite phi
-        if low.any():
-            r, c = np.nonzero(low)
+        # EOS's too, but only on a row with no finite phi; no (B, C) mask
+        # outlives this line, as the bounds' arrays come next
+        r, c = np.nonzero(g <= _UNDERFLOW)
+        if r.size:
             live = (m_row[r] > _NO_PEAK) & emits[utt[r], c] & (rep[r] != c)
             r, c = r[live], c[live]
         lower, upper = self._dot_bounds(g, m_row[:, None], self._m_col[utt], np.maximum(ends - S, 1)[:, None])
@@ -310,7 +308,7 @@ class CtcPrefixScorer:
             lower[k, j], upper[k, j] = self._dot_bounds(g, m, self._m_col[u, j], end - S)
         if r.size:
             n = self.lengths[utt[r]] - S
-            peak = self._reduce_terms(step, r, c, np.max)
+            peak = self._reduce_terms(states, r, c, np.max)
             lower[r, c], upper[r, c] = log_add_bounds(peak, n, self._logs[n])
         lower[:, -1] = upper[:, -1] = states.log_sum[ends - 1, np.arange(B)]
         return lower, upper
@@ -333,11 +331,11 @@ class CtcPrefixScorer:
         delta *= 64.0 * (n + 1024) * _EPS
         return center - delta, np.add(center, delta, out=center)
 
-    def _reduce_terms(self, step: PrefixStep, rows, cols, reduce) -> np.ndarray:
+    def _reduce_terms(self, states: PrefixStates, rows, cols, reduce) -> np.ndarray:
         """``reduce`` over the frames, in order, of the terms phi[t] + x[t+1]
         of plain pairs whose posteriorgram runs past the prefix."""
-        S = step.states.length
-        ends = self.lengths[step.states.utt[rows]]
+        S = states.length
+        ends = self.lengths[states.utt[rows]]
         labels = self.candidates[cols]
         out = np.empty(rows.size)
         start = max(S, 1)
@@ -346,9 +344,9 @@ class CtcPrefixScorer:
         for p0 in range(0, rows.size, pairs_per_block):
             block = slice(p0, p0 + pairs_per_block)
             r, lab, x = rows[block], labels[block], cols[block]
-            u = step.states.utt[r]
+            u = states.utt[r]
             end = int(ends[block].max())
-            terms = step.phi(r, lab, slice(start - 1, end - 1))
+            terms = states.phi(r, lab, slice(start - 1, end - 1))
             terms += self._xs[start:end, u, x]
             if S == 0:
                 terms = np.concatenate([self._xs[:1, u, x], terms])
@@ -370,7 +368,7 @@ class CtcPrefixScorer:
         out[eos] = step.states.log_sum[ends[eos] - 1, rows[eos]]
         plain = np.flatnonzero(~eos & (ends > step.states.length))
         # a reduction over axis 0 folds the frames in order, from -inf
-        out[plain] = self._reduce_terms(step, rows[plain], cols[plain], np.logaddexp.reduce)
+        out[plain] = self._reduce_terms(step.states, rows[plain], cols[plain], np.logaddexp.reduce)
         step.folded[rows, cols] = out
         return out
 
@@ -405,7 +403,7 @@ class CtcPrefixScorer:
         # and r_b[t] before the one add of the (label, blank) emissions.
         # np.logaddexp is symmetric bit for bit, so sums[t, 1] is log_sum[t-1]
         fwd = np.full((T, 3, rows.size), NEG_INF)
-        fwd[:, 0] = step.phi(rows, labels)
+        fwd[:, 0] = parent.phi(rows, labels)
         sums = np.full((T + 1, 2, rows.size), NEG_INF)
         emit = np.empty((T, 2, rows.size))
         emit[:, 0] = emit[:, 1] = self._blank[:, utt]

@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -101,7 +102,9 @@ class DecoderWeights:
     """Named parameter tensors plus hyperparameters.
 
     ``layers[i]`` maps each of layer i's name suffixes to its tensor, so
-    the per-step code never formats a tensor name.
+    the per-step code never formats a tensor name.  It also holds
+    ``self_attn.wqkv``, the (d, 3d) stack ``[wq | wk | wv]``, whose column
+    blocks are the ``wq``, ``wk`` and ``wv`` tensors, held once.
     """
 
     def __init__(self, hp: Hyperparams, tensors: dict[str, np.ndarray]):
@@ -115,10 +118,38 @@ class DecoderWeights:
         self.layers = [
             {s: self.tensors[f"layer{i}.{s}"] for s, _ in _LAYER_TENSORS} for i in range(hp.layers)
         ]
+        for i, layer in enumerate(self.layers):
+            names = [f"self_attn.{m}" for m in ("wq", "wk", "wv")]
+            layer["self_attn.wqkv"] = np.concatenate([layer[name] for name in names], axis=1)
+            for name, block in zip(names, np.split(layer["self_attn.wqkv"], 3, axis=1)):
+                layer[name] = self.tensors[f"layer{i}.{name}"] = block
         self.rope_freqs = ROPE_BASE ** (-np.arange(hp.head_dim // 2) * 2.0 / hp.head_dim)
+        # a step's [q | k] row: each element's rotary pair within its head,
+        # the partner it swaps with, and the sign of its sin term
+        width = np.arange(2 * hp.dim)
+        self._step_pair = width // 2 % (hp.head_dim // 2)
+        self._step_partner = width ^ 1
+        self._step_sign = np.tile([-1.0, 1.0], hp.dim)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
+
+    def step_rotary(self, position: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Position ``position``'s rotary tables over a step's ``[q | k]``
+        row, for ``_step_rope``: C repeats each pair's cos, S is its
+        (-sin, +sin), and each element's partner in its pair."""
+        angles = float(position) * self.rope_freqs  # _rotary's product
+        pair = self._step_pair
+        return np.cos(angles)[pair], np.sin(angles)[pair] * self._step_sign, self._step_partner
+
+    @cached_property
+    def layer0_qkv(self) -> np.ndarray:
+        """Layer 0's step projection ``[q | k | v]`` of every label's
+        embedding, before rotation: (V, 1, 3d), made on first use by the
+        per-row products a step makes.  It depends on the label alone."""
+        layer = self.layers[0]
+        normed = _layer_norm(self["embed"][:, None, :], layer["attn_norm.gamma"], layer["attn_norm.beta"])
+        return normed @ layer["self_attn.wqkv"]
 
 
 def seeded_weights(hp: Hyperparams, seed: int) -> DecoderWeights:
@@ -332,8 +363,8 @@ def _attend(
     """Multi-head scaled dot-product attention; returns output and weights.
 
     Leading batch axes pass through.  Each per-head (n, hd) @ (hd, L) slice
-    has the same strides with or without them, so it meets the same BLAS
-    routine and rounds the same.
+    meets the same BLAS routine with or without them, and rounds the same:
+    a step's time-major keys/values only give it a larger leading dimension.
     """
     hd = q.shape[-1] // heads
     qh = _split_heads(q, heads)
@@ -342,16 +373,17 @@ def _attend(
     scores = qh @ kh.swapaxes(-1, -2) / math.sqrt(hd)
     if mask is not None:
         scores = np.where(mask, scores, NEG_INF)
-    scores -= scores.max(axis=-1, keepdims=True)
+    # the ufunc reductions of ndarray.max and .sum, without their Python wrappers
+    scores -= np.maximum.reduce(scores, -1, keepdims=True)
     weights = np.exp(scores)
-    weights /= weights.sum(axis=-1, keepdims=True)
+    weights /= np.add.reduce(weights, -1, keepdims=True)
     out = weights @ vh
     return out.swapaxes(-2, -3).reshape(q.shape), weights
 
 
 def _log_softmax(x: np.ndarray) -> np.ndarray:
-    shifted = x - x.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    shifted = x - np.maximum.reduce(x, -1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), -1, keepdims=True))
 
 
 def _audio_frames(weights: DecoderWeights, config: InterfaceConfig, audio) -> np.ndarray:
@@ -368,7 +400,20 @@ def _audio_frames(weights: DecoderWeights, config: InterfaceConfig, audio) -> np
     return frames if frames.size else frames.reshape(0, weights.hp.dim)
 
 
-def _layer(layer: dict[str, np.ndarray], x, rotary, heads, mask, memory, cross, take=None):
+def _step_rope(qk: np.ndarray, rotary: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """``_rope`` of a step's (B, 1, 2d) ``[q | k]`` rows, bit for bit, in one
+    pass: rot = x C + swap(x) S with ``DecoderWeights.step_rotary``'s tables.
+
+    Per pair (a, b), even a c + b (-s) is a c - b s, as x (-s) = -(x s) and
+    p + (-q) = p - q exactly; odd b c + a s is a s + b c.
+    """
+    c, s, partner = rotary
+    rot = qk * c
+    rot += qk[..., partner] * s
+    return rot
+
+
+def _layer(layer: dict[str, np.ndarray], x, rotary, heads, mask, memory, cross, take=None, qkv=None):
     """One pre-norm layer over the query rows ``x``.
 
     Self-attention sees the (keys, values) already in the stream,
@@ -376,25 +421,38 @@ def _layer(layer: dict[str, np.ndarray], x, rotary, heads, mask, memory, cross, 
     (keys, values), adds cross-attention when given.  Returns the new rows,
     the joined (keys, values) and the (self, cross) attention weights.
 
-    The forward pass gives (n, d) rows and (m, d) memory.  A step gives
-    (B, 1, d) rows and (B', m, d) memory, of which row ``take[b]`` (row b
-    without ``take``) is row b's history; it is gathered straight into the
-    joined (B, m + 1, d) arrays.
+    The forward pass gives (n, d) rows, ``_rotary`` tables and (m, d)
+    memory.  A step gives (B, 1, d) rows, ``DecoderWeights.step_rotary``'s
+    tables and time-major (m, B', d) memory, of which column ``take[b]``
+    (column b without ``take``) is row b's history; it is gathered straight
+    into the joined (m + 1, B, d) arrays, and one ``[q | k | v]`` product
+    and one rotation serve the rows' query, key and value; a step's ``qkv``,
+    when given, is that product already made.
     """
-    normed = _layer_norm(x, layer["attn_norm.gamma"], layer["attn_norm.beta"])
-    q = _rope(normed @ layer["self_attn.wq"], rotary, heads)
-    joined = []
-    keys = _rope(normed @ layer["self_attn.wk"], rotary, heads)
-    for cache, rows in zip(memory, (keys, normed @ layer["self_attn.wv"])):
-        if x.ndim == 2:
-            joined.append(np.concatenate([cache, rows]))
-        else:
-            m = cache.shape[1]
-            stacked = np.empty((rows.shape[0], m + 1, rows.shape[-1]))
-            stacked[:, :m] = cache if take is None else cache[take]
-            stacked[:, m:] = rows
-            joined.append(stacked)
-    out, w_self = _attend(q, *joined, mask, heads)
+    if x.ndim == 2:
+        normed = _layer_norm(x, layer["attn_norm.gamma"], layer["attn_norm.beta"])
+        q = _rope(normed @ layer["self_attn.wq"], rotary, heads)
+        keys = _rope(normed @ layer["self_attn.wk"], rotary, heads)
+        values = normed @ layer["self_attn.wv"]
+        joined = tuple(np.concatenate([cache, rows]) for cache, rows in zip(memory, (keys, values)))
+        out, w_self = _attend(q, *joined, mask, heads)
+    else:
+        d = x.shape[-1]
+        if qkv is None:
+            qkv = _layer_norm(x, layer["attn_norm.gamma"], layer["attn_norm.beta"]) @ layer["self_attn.wqkv"]
+        qk = _step_rope(qkv[..., : 2 * d], rotary)
+        joined = []
+        for cache, rows in zip(memory, (qk[..., d:], qkv[..., 2 * d :])):
+            m = cache.shape[0]
+            new = np.empty((m + 1, x.shape[0], d))
+            if take is None:
+                new[:m] = cache
+            else:  # a leading slice is contiguous, so take writes it unbuffered
+                np.take(cache, take, axis=1, out=new[:m], mode="clip")
+            new[m] = rows[:, 0]
+            joined.append(new)
+        joined = tuple(joined)
+        out, w_self = _attend(qk[..., :d], *(a.transpose(1, 0, 2) for a in joined), None, heads)
     x = x + out @ layer["self_attn.wo"]
     w_cross = None
     if cross is not None:
@@ -403,17 +461,19 @@ def _layer(layer: dict[str, np.ndarray], x, rotary, heads, mask, memory, cross, 
         x = x + out @ layer["cross_attn.wo"]
     normed = _layer_norm(x, layer["ffn_norm.gamma"], layer["ffn_norm.beta"])
     hidden = _gelu(normed @ layer["ffn.w1"] + layer["ffn.b1"])
-    return x + (hidden @ layer["ffn.w2"] + layer["ffn.b2"]), tuple(joined), (w_self, w_cross)
+    return x + (hidden @ layer["ffn.w2"] + layer["ffn.b2"]), joined, (w_self, w_cross)
 
 
 @dataclass
 class IncrementalState:
     """Per-layer key/value histories of B hypotheses at one stream position.
 
-    ``self_k[i]`` and ``self_v[i]`` are (B, L, d) stacks, one row per
-    hypothesis; ``cross_k[i]``/``cross_v[i]`` hold the aed audio keys/values
-    as (B, A, d).  A step builds new arrays instead of writing into the old
-    ones, so a state stays valid after it was stepped from.
+    ``self_k[i]`` and ``self_v[i]`` are time-major (L, B, d) stacks, one
+    column per hypothesis, so that a step gathers its survivors' histories
+    in one ``take`` along axis 1; ``cross_k[i]``/``cross_v[i]`` hold the
+    aed audio keys/values batch-first, as (B, A, d).  A step builds new
+    arrays instead of writing into the old ones, so a state stays valid
+    after it was stepped from.
     """
 
     position: int
@@ -423,19 +483,18 @@ class IncrementalState:
     cross_v: list[np.ndarray] = field(default_factory=list)
 
     def __len__(self) -> int:
-        return self.self_k[0].shape[0]
+        return self.self_k[0].shape[1]
 
     def take(self, rows) -> "IncrementalState":
         """The states of ``rows``, in that order."""
         rows = np.asarray(rows, dtype=np.int64)
-        return self.map(lambda a: a[rows])
-
-    def map(self, fn) -> "IncrementalState":
-        """This state with ``fn`` applied to each key/value array."""
-        k, v, ck, cv = (
-            [fn(a) for a in arrays] for arrays in (self.self_k, self.self_v, self.cross_k, self.cross_v)
+        return IncrementalState(
+            self.position,
+            [a.take(rows, axis=1) for a in self.self_k],
+            [a.take(rows, axis=1) for a in self.self_v],
+            [a[rows] for a in self.cross_k],
+            [a[rows] for a in self.cross_v],
         )
-        return IncrementalState(self.position, k, v, ck, cv)
 
 
 def _audio_memory(
@@ -529,7 +588,13 @@ def decoder_init(
 ) -> IncrementalState:
     """Prime a one-row incremental state with the audio prefix and the prompt."""
     state = _audio_memory(weights, config, _audio_frames(weights, config, audio))
-    state = state.map(lambda a: a[None])
+    state = IncrementalState(
+        state.position,
+        [a[:, None] for a in state.self_k],
+        [a[:, None] for a in state.self_v],
+        [a[None] for a in state.cross_k],
+        [a[None] for a in state.cross_v],
+    )
     for tok in config.prompt:
         _, state = decoder_step(weights, state, [tok])
     return state
@@ -549,7 +614,8 @@ def decoder_step(
     run over the last axis only: numpy then runs each (1, d) @ (d, e)
     product of the stack as its own BLAS call, the one a single row gets,
     so row b is bit-identical to stepping its state alone.  A 2-D
-    (B, d) @ (d, e) product would round differently.
+    (B, d) @ (d, e) product would round differently.  ``rows`` must lie in
+    [0, len(state)).
     """
     hp = weights.hp
     count = len(state) if rows is None else len(rows)
@@ -557,9 +623,15 @@ def decoder_step(
         raise ValueError("decoder_step needs one label per state, and at least one state")
     if state.self_k[0].shape[2] != hp.dim:
         raise ValueError("incremental state does not match these weights")
-    take = None if rows is None else np.asarray(rows, dtype=np.int64)
-    rotary = _rotary(weights, np.array([float(state.position)]))
-    x = weights["embed"][np.asarray(labels)][:, None, :]
+    take = None
+    if rows is not None:
+        take = np.asarray(rows, dtype=np.int64)
+        if take.min() < 0 or take.max() >= len(state):
+            raise ValueError(f"decoder_step rows must lie in [0, {len(state)})")
+    rotary = weights.step_rotary(state.position)
+    labels = np.asarray(labels)
+    x = weights["embed"][labels][:, None, :]
+    qkv = weights.layer0_qkv[labels]
     self_k: list[np.ndarray] = []
     self_v: list[np.ndarray] = []
     cross_k, cross_v = state.cross_k, state.cross_v
@@ -568,7 +640,8 @@ def decoder_step(
     for i, layer in enumerate(weights.layers):
         cross = (cross_k[i], cross_v[i]) if cross_k else None
         memory = (state.self_k[i], state.self_v[i])
-        x, (k, v), _ = _layer(layer, x, rotary, hp.heads, None, memory, cross, take)
+        x, (k, v), _ = _layer(layer, x, rotary, hp.heads, None, memory, cross, take, qkv)
+        qkv = None
         self_k.append(k)
         self_v.append(v)
     x = _layer_norm(x, weights["final_norm.gamma"], weights["final_norm.beta"])

@@ -88,10 +88,11 @@ class DecoderLabelScorer(_ExactScorer):
     Blank and BOS entries are masked to -inf without renormalizing, so step
     scores equal the decoder's own log-softmax outputs.  A state is the
     (B, V) matrix of masked next-label log-distributions and the decoder's
-    incremental state, whose (B, L, d) keys/values ``advance`` gathers by
-    survivor row inside one ``decoder_step``.  Every tensor keeps a
-    singleton row axis, so each survivor's row is bit-identical to stepping
-    that survivor alone.
+    incremental state, whose time-major (L, B, d) keys/values ``advance``
+    gathers by survivor column inside one ``decoder_step``.  Every tensor
+    keeps a singleton row axis, so each survivor's row is bit-identical to
+    stepping that survivor alone.  The BOS row and state are built once per
+    scorer; each ``start`` gets arrays of its own from them.
     """
 
     def __init__(
@@ -111,10 +112,13 @@ class DecoderLabelScorer(_ExactScorer):
         self.audio = audio
         self._mask = np.zeros(vocab.size)
         self._mask[[vocab.blank_id, vocab.bos_id]] = NEG_INF
+        self._root = None
 
     def start(self, count):
-        state = decoder_init(self.weights, self.config, self.audio)
-        rows, state = decoder_step(self.weights, state, [self.vocab.bos_id])
+        if self._root is None:  # one BOS step per scorer, whatever the locksteps
+            state = decoder_init(self.weights, self.config, self.audio)
+            self._root = decoder_step(self.weights, state, [self.vocab.bos_id])
+        rows, state = self._root
         root = np.zeros(count, dtype=np.int64)
         return rows[root] + self._mask, state.take(root)
 

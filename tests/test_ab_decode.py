@@ -29,7 +29,12 @@ def test_head_against_head(tiny_tsync, capsys):
     head, *sides = capsys.readouterr().out.splitlines()
     assert head.startswith("tsync-short\tseed 1000\t") and head.endswith(": 0 calls differ")
     assert [line.split("\t")[0] for line in sides] == ["this", "other"]
-    assert sum(int(line.rsplit("won ", 1)[1].split("/")[0]) for line in sides) == 2
+    assert sum(int(line.split("\twon ", 1)[1].split("/")[0]) for line in sides) == 2
+    # each side's traced peak of one more decode, after the timed rounds
+    peaks = [line.rsplit("\t", 1)[1] for line in sides]
+    assert all(p.startswith("traced peak ") and p.endswith(" MB") for p in peaks)
+    assert all(float(p.split()[2]) > 0 for p in peaks)
+    assert not ab_decode.tracemalloc.is_tracing()
     # the package this process imported is in place again
     import fusionkit as after
 

@@ -1295,3 +1295,70 @@ class TestFuzzedRefs:
                 else:
                     assert code == 1 and stdout.getvalue() == ""
                     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# texts of the parser that built all seven subcommands for every call
+TOP_USAGE = "usage: fusionkit [-h] {decode,wer,ppl,lm-train,synth,bench,export-attn} ...\n"
+PARSER_TEXTS = {
+    "--help": (0, TOP_USAGE + """
+ASR decoding and score-fusion experiments
+
+positional arguments:
+  {decode,wer,ppl,lm-train,synth,bench,export-attn}
+    decode              decode a corpus directory
+    wer                 pooled word error rate over keyed files
+    ppl                 perplexity of a language model on text
+    lm-train            train a backoff n-gram model
+    synth               generate a synthetic corpus directory
+    bench               sweep pruning/compression/beam grids
+    export-attn         write per-head attention matrices
+
+options:
+  -h, --help            show this help message and exit
+""", ""),
+    "decode --help": (0, """usage: fusionkit decode [-h] [--config CONFIG] [--strategy STRATEGY]
+                        [--beam BEAM] [--top-k TOP_K]
+                        [--compress-threshold COMPRESS_THRESHOLD]
+                        [--lm-path LM_PATH] [--lm-weight LM_WEIGHT]
+                        corpus out
+
+positional arguments:
+  corpus
+  out
+
+options:
+  -h, --help            show this help message and exit
+  --config CONFIG
+  --strategy STRATEGY
+  --beam BEAM
+  --top-k TOP_K
+  --compress-threshold COMPRESS_THRESHOLD
+  --lm-path LM_PATH
+  --lm-weight LM_WEIGHT
+""", ""),
+    "decode c o --bogus 1": (2, "", TOP_USAGE + "fusionkit: error: unrecognized arguments: --bogus 1\n"),
+    "": (2, "", TOP_USAGE + "fusionkit: error: the following arguments are required: command\n"),
+    "nope": (2, "", TOP_USAGE + "fusionkit: error: argument command: invalid choice: 'nope' "
+             "(choose from 'decode', 'wer', 'ppl', 'lm-train', 'synth', 'bench', 'export-attn')\n"),
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", sorted(PARSER_TEXTS))
+    def test_texts_unchanged(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        assert (info.value.code, *capsys.readouterr()) == PARSER_TEXTS[argv]
+
+    def test_named_command_builds_only_its_own_arguments(self):
+        from fusionkit.cli import COMMANDS, build_parser
+
+        def subcommands(parser):
+            (action,) = [a for a in parser._actions if a.dest == "command"]
+            return list(action.choices)
+
+        assert subcommands(build_parser()) == list(COMMANDS)
+        assert subcommands(build_parser("nope")) == list(COMMANDS)
+        for name in COMMANDS:
+            assert subcommands(build_parser(name)) == [name]

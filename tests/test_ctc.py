@@ -422,6 +422,23 @@ class TestPrefixScorer:
             states = sc.advance(step, rows, cands[cols])
         assert states.length > max(pg.num_frames for pg in pgs) and kept > 0
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_advance_folds_what_exact_did_not(self, seed):
+        # a step's folds start empty: advance straight after step gives
+        # the states it gives after exact scored the same pairs
+        rng = np.random.default_rng(seed)
+        v = 5
+        sc = prefix_scorer([random_pg(rng, 5, v), random_pg(rng, 8, v)])
+        plain = np.arange(1, v)
+        states = sc.start(2)
+        for _ in range(6):
+            (_, _, step), (_, _, scored) = sc.step(states), sc.step(states)
+            rows, labels = rng.integers(0, len(states), size=4), rng.choice(plain, size=4)
+            sc.exact(scored, rows, labels)
+            states, want = sc.advance(step, rows, labels), sc.advance(scored, rows, labels)
+            for name in ("last", "log_nonblank", "log_blank", "log_sum", "log_prefix_prob"):
+                assert getattr(states, name).tobytes() == getattr(want, name).tobytes()
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @settings(max_examples=150, deadline=None)
     @given(

@@ -13,6 +13,10 @@ from hypothesis import strategies as st
 from fusionkit.core import EncoderOutput, FormatError, logsumexp
 from fusionkit.decoder import (
     _gelu,
+    _layer_norm,
+    _rope,
+    _rotary,
+    _step_rope,
     Hyperparams,
     InterfaceConfig,
     build_attention_mask,
@@ -268,8 +272,8 @@ class TestIncremental:
             np.testing.assert_array_equal(old, new)
         for child in (child_a, child_b):
             assert child.position == position + 1
-            assert child.self_k[0].shape[1] == parent.self_k[0].shape[1] + 1
-        assert not np.array_equal(child_a.self_k[0][0, -1], child_b.self_k[0][0, -1])
+            assert child.self_k[0].shape[0] == parent.self_k[0].shape[0] + 1  # (L, B, d)
+        assert not np.array_equal(child_a.self_k[0][-1, 0], child_b.self_k[0][-1, 0])
 
 
 def stepped_alone(w, cfg, states, labels):
@@ -356,6 +360,17 @@ class TestBatchedStep:
             q[b] @ cache[b].reshape(length, heads, hd).transpose(1, 2, 0) for b in range(batch)
         ]
         assert np.array_equal(q @ keys, np.stack(per_row))
+        # the same keys held time-major, (L, B, d), as a step holds them
+        time_major = np.ascontiguousarray(cache.transpose(1, 0, 2)).transpose(1, 0, 2)
+        keys = time_major.reshape(batch, length, heads, hd).transpose(0, 2, 3, 1)
+        assert np.array_equal(q @ keys, np.stack(per_row))
+
+    def test_rows_out_of_range_rejected(self):
+        w = toy_weights()
+        _, one = decoder_step(w, decoder_init(w, InterfaceConfig("prefix"), None), [BOS])
+        for rows in ([1], [-1], [0, 3]):
+            with pytest.raises(ValueError, match="rows must lie in"):
+                decoder_step(w, one, [2] * len(rows), rows)
 
     # SHA-256 of the step rows, frozen from the one-state-per-call decoder_step
     # that came before the batched one
@@ -385,6 +400,56 @@ class TestBatchedStep:
             rows, state = decoder_step(w, state, [label])
             digest.update(np.ascontiguousarray(rows[0], dtype="<f8").tobytes())
         assert digest.hexdigest() == self.ROW_DIGESTS[case]
+
+
+class TestStepPieces:
+    """A step's one [q | k | v] product and one rotation pass, bit for bit
+    against the separate products and ``_rope`` passes they replace."""
+
+    @pytest.mark.parametrize("batch", [1, 16, 88])
+    def test_fused_projection_blocks_equal_separate_products(self, batch):
+        rng = np.random.default_rng(batch)
+        w = toy_weights()
+        for i, layer in enumerate(w.layers):
+            fused = layer["self_attn.wqkv"]
+            step_rows = rng.normal(size=(batch, 1, HP.dim))
+            stream_rows = rng.normal(size=(batch + 2, HP.dim))
+            for j, m in enumerate(("wq", "wk", "wv")):
+                block = layer[f"self_attn.{m}"]
+                assert block is w[f"layer{i}.self_attn.{m}"] and np.shares_memory(block, fused)
+                alone = np.ascontiguousarray(block)  # the tensor as a matrix of its own
+                got = (step_rows @ fused)[..., j * HP.dim : (j + 1) * HP.dim]
+                assert np.array_equal(got, step_rows @ alone)
+                # the forward pass multiplies by the block, a view into the stack
+                assert np.array_equal(stream_rows @ block, stream_rows @ alone)
+
+    @pytest.mark.parametrize("batch", [1, 16, 88])
+    def test_layer0_rows_equal_norm_and_product(self, batch):
+        rng = np.random.default_rng(batch)
+        w = seeded_weights(Hyperparams(layers=2, dim=32, heads=2, vocab_size=120, ffn_dim=64), batch)
+        layer = w.layers[0]
+        labels = rng.integers(0, 120, batch)
+        got = w.layer0_qkv[labels]
+        x = w["embed"][labels][:, None, :]
+        want = _layer_norm(x, layer["attn_norm.gamma"], layer["attn_norm.beta"]) @ layer["self_attn.wqkv"]
+        assert w.layer0_qkv.shape == (120, 1, 3 * 32) and got.shape == (batch, 1, 3 * 32)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        alone = _layer_norm(x[:1], layer["attn_norm.gamma"], layer["attn_norm.beta"]) @ layer["self_attn.wqkv"]
+        np.testing.assert_array_equal(got[:1].view(np.int64), alone.view(np.int64))
+
+    @pytest.mark.parametrize("batch", [1, 16, 88])
+    def test_rotary_tables_equal_rope(self, batch):
+        rng = np.random.default_rng(batch)
+        w = toy_weights()
+        d = HP.dim
+        qk = rng.normal(size=(batch, 1, 2 * d)) * rng.choice([1e-3, 1.0, 1e3], size=(batch, 1, 1))
+        qk.reshape(-1)[rng.integers(0, qk.size, 16)] = rng.choice([0.0, -0.0], 16)
+        for position in range(65):
+            rotary = _rotary(w, np.array([float(position)]))
+            want = np.concatenate([_rope(part, rotary, HP.heads) for part in (qk[..., :d], qk[..., d:])], -1)
+            got = _step_rope(qk, w.step_rotary(position))
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestGoldenFixture:

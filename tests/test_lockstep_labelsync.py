@@ -313,6 +313,31 @@ class TestLockstepEqualsReference:
         (alone,) = labelsync_beam([dec], weights, 2, WIDE, [3])
         assert len(alone) > 0
 
+    @pytest.mark.parametrize("kind,with_audio", [("prefix", False), ("aed", True)])
+    def test_decoder_start_steps_bos_once_per_scorer(self, kind, with_audio, monkeypatch):
+        # every lockstep's start gets arrays of its own, bit-equal, from one BOS step
+        import fusionkit.scorers as scorers
+
+        hp = Hyperparams(layers=2, dim=16, heads=2, vocab_size=WIDE.size, ffn_dim=32)
+        audio = np.random.default_rng(4).standard_normal((3, hp.dim)) if with_audio else None
+        dec = DecoderLabelScorer(seeded_weights(hp, 0), InterfaceConfig(kind), WIDE, audio, "dec")
+        steps = []
+        step = scorers.decoder_step
+        monkeypatch.setattr(scorers, "decoder_step", lambda *args: steps.append(args) or step(*args))
+        starts = [dec.start(3), dec.start(3)]
+        assert len(steps) == 1
+
+        def arrays(start):
+            rows, state = start
+            return [rows, *state.self_k, *state.self_v, *state.cross_k, *state.cross_v]
+
+        first, second = (arrays(start) for start in starts)
+        assert len(first) == (8 if with_audio else 4) + 1
+        for a, b in zip(first, second):
+            assert a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+        for a in first:
+            assert not any(np.shares_memory(a, b) for b in second)
+
     @pytest.mark.parametrize("extra", [-3, 3])
     def test_posteriorgram_width_must_match_vocabulary(self, extra):
         # a CTC scorer reads column i as label i: a posteriorgram narrower

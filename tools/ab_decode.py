@@ -15,10 +15,12 @@ After one warm-up decode per side, each round runs one whole in-process
 with the workload's config, the side that goes first alternating.  Every
 call's n-best files and ``hyps.txt`` are checked against the outputs pinned
 in ``perfbench/reference/`` for the workload and seed, or, for a seed
-without a pinned reference, against this side's first call.  Prints, per
-side, the min and median wall and CPU milliseconds per decode and the rounds
-it won on wall time; exits 1 if any call's outputs differ.  Standard library
-and numpy only.
+without a pinned reference, against this side's first call.  After the
+timed rounds, each side runs one more decode under ``tracemalloc``, untimed.
+Prints, per side, the min and median wall and CPU milliseconds per decode,
+the rounds it won on wall time and that decode's traced peak (the most
+memory allocated during it and held at once, numpy's arrays included);
+exits 1 if any call's outputs differ.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import statistics
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,6 +111,17 @@ def timed_decode(modules: dict, work: Path, corpus_dir: Path, out_dir: Path) -> 
     return wall, cpu
 
 
+def traced_peak(modules: dict, work: Path, corpus_dir: Path, out_dir: Path) -> int:
+    """Bytes of the traced peak of one decode of ``corpus_dir`` through
+    ``modules``."""
+    tracemalloc.start()
+    try:
+        timed_decode(modules, work, corpus_dir, out_dir)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("other", type=Path, help="a checkout holding src/fusionkit/")
@@ -145,6 +159,7 @@ def main(argv: list[str] | None = None) -> int:
                     mismatches += 1
                     print(f"round {i}: {side} differs on {', '.join(failed)}", file=sys.stderr)
             won[min(sides, key=lambda side: times[side][-1][0])] += 1
+        peaks = {side: traced_peak(trees[side], work, corpus_dir, work / "out") for side in sides}
     against = "the pinned reference" if reference is not None else "the first call (no pinned reference)"
     print(f"{args.workload}\tseed {args.seed}\t{len(utt_ids)} utterances\t{args.rounds} rounds"
           f"\toutputs checked against {against}: {mismatches} calls differ")
@@ -153,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
         cpu = [1e3 * c for _, c in times[side]]
         print(f"{side}\t{checkout}\twall min {min(wall):.2f} ms\tmedian {statistics.median(wall):.2f} ms"
               f"\tcpu min {min(cpu):.2f} ms\tmedian {statistics.median(cpu):.2f} ms"
-              f"\twon {won[side]}/{args.rounds}")
+              f"\twon {won[side]}/{args.rounds}\ttraced peak {peaks[side] / 2**20:.3f} MB")
     return 1 if mismatches else 0
 
 

@@ -21,7 +21,9 @@ alone.  It needs an ``OTHER_SRC`` with the same scorer API:
 ``CtcPrefixScorer(posteriorgrams, vocabulary, name)`` and ``step(states)``;
 against sources whose scorer takes blank and EOS ids and a candidate list
 per step, compare whole decodes instead.  A decoder replay hands each side
-the weights and states as its own classes.  Prints the min
+the weights and states as its own classes, so it needs an ``OTHER_SRC``
+whose states hold keys/values time-major, (L, B, d), as this one's do;
+against older sources, compare whole decodes instead.  Prints the min
 and median milliseconds per decode of each side.  Standard library and
 numpy only.
 """
