@@ -451,7 +451,6 @@ def _layer(layer: dict[str, np.ndarray], x, rotary, heads, mask, memory, cross, 
                 np.take(cache, take, axis=1, out=new[:m], mode="clip")
             new[m] = rows[:, 0]
             joined.append(new)
-        joined = tuple(joined)
         out, w_self = _attend(qk[..., :d], *(a.transpose(1, 0, 2) for a in joined), None, heads)
     x = x + out @ layer["self_attn.wo"]
     w_cross = None
