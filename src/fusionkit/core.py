@@ -350,12 +350,3 @@ class ScorerWeights:
                 raise ValidationError(f"weight of scorer {name!r} must be finite, not {w!r}")
         if not any(w != 0.0 for w in self.weights.values()):
             raise ValidationError("at least one scorer weight must be nonzero")
-
-    def combine(self, components: dict[str, float]) -> float:
-        # zero-weight scorers are inert even when their component is -inf
-        total = 0.0
-        for name, v in components.items():
-            w = self.weights.get(name, 0.0)
-            if w != 0.0:
-                total += w * v
-        return total

@@ -6,7 +6,11 @@ the audio block), and ``merged`` (queries from text only, keys/values over
 audio plus text).  With a zero-length audio prefix all three collapse to the
 same causal decoder.
 
-A single rotary position stream runs across audio, prompt, and text.
+A single rotary position stream runs across audio, prompt, and text.  One
+layer function serves the full forward pass and the incremental step: rows
+are batch-first, (B, n, d), the forward pass one row of n positions and a
+step B hypotheses of one position each, and the keys/values already in the
+stream are time-major, (m, B, d).
 Weights are float32-valued (stored widened to float64) so file round-trips
 are exact.  There is no training here; weights are seeded or loaded.
 """
@@ -102,9 +106,10 @@ class DecoderWeights:
     """Named parameter tensors plus hyperparameters.
 
     ``layers[i]`` maps each of layer i's name suffixes to its tensor, so
-    the per-step code never formats a tensor name.  It also holds
-    ``self_attn.wqkv``, the (d, 3d) stack ``[wq | wk | wv]``, whose column
-    blocks are the ``wq``, ``wk`` and ``wv`` tensors, held once.
+    the layer code never formats a tensor name.  It also holds
+    ``self_attn.wqkv``, the (d, 3d) stack ``[wq | wk | wv]`` that the layer
+    multiplies by; its column blocks are the ``wq``, ``wk`` and ``wv``
+    tensors, held once.
     """
 
     def __init__(self, hp: Hyperparams, tensors: dict[str, np.ndarray]):
@@ -124,23 +129,25 @@ class DecoderWeights:
             for name, block in zip(names, np.split(layer["self_attn.wqkv"], 3, axis=1)):
                 layer[name] = self.tensors[f"layer{i}.{name}"] = block
         self.rope_freqs = ROPE_BASE ** (-np.arange(hp.head_dim // 2) * 2.0 / hp.head_dim)
-        # a step's [q | k] row: each element's rotary pair within its head,
+        # over a [q | k] row: each element's rotary pair within its head,
         # the partner it swaps with, and the sign of its sin term
         width = np.arange(2 * hp.dim)
-        self._step_pair = width // 2 % (hp.head_dim // 2)
-        self._step_partner = width ^ 1
-        self._step_sign = np.tile([-1.0, 1.0], hp.dim)
+        self._pair = width // 2 % (hp.head_dim // 2)
+        self._partner = width ^ 1
+        self._sign = np.tile([-1.0, 1.0], hp.dim)
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.tensors[name]
 
-    def step_rotary(self, position: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Position ``position``'s rotary tables over a step's ``[q | k]``
-        row, for ``_step_rope``: C repeats each pair's cos, S is its
-        (-sin, +sin), and each element's partner in its pair."""
-        angles = float(position) * self.rope_freqs  # _rotary's product
-        pair = self._step_pair
-        return np.cos(angles)[pair], np.sin(angles)[pair] * self._step_sign, self._step_partner
+    def rotary(self, positions) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The rotary tables of n stream positions over a ``[q | k]`` row,
+        for ``_rope``: the (n, 2d) C repeats each pair's cos, S is its
+        (-sin, +sin), and each element's partner in its pair.  The forward
+        pass gives one position per row; a step's one position is a row
+        its whole batch shares."""
+        angles = np.multiply.outer(np.asarray(positions, dtype=np.float64), self.rope_freqs)
+        cos, sin = np.cos(angles).take(self._pair, 1), np.sin(angles).take(self._pair, 1)
+        return cos, sin * self._sign, self._partner
 
     @cached_property
     def layer0_qkv(self) -> np.ndarray:
@@ -245,9 +252,11 @@ def load_weights(path: str | Path) -> DecoderWeights:
     ok = meta.shape == (6,) and np.all((meta >= 1) & (meta == np.round(meta)))
     if not ok or meta[0] > len(tensors):  # every layer has tensors of its own
         raise FormatError(f"{path}: {META_TENSOR} needs six positive integers, layers <= tensors")
-    layers, dim, heads, _, vocab, ffn = (int(x) for x in meta)
+    layers, dim, heads, head_dim, vocab, ffn = (int(x) for x in meta)
     try:
         hp = Hyperparams(layers=layers, dim=dim, heads=heads, vocab_size=vocab, ffn_dim=ffn)
+        if head_dim != hp.head_dim:
+            raise ValueError(f"{META_TENSOR} head dim {head_dim} is not dim {dim} // heads {heads}")
         return DecoderWeights(hp, tensors)
     except ValueError as exc:
         raise FormatError(f"{path}: {exc}") from exc
@@ -330,28 +339,6 @@ def _gelu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _rotary(weights: DecoderWeights, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """cos and sin tables of shape (n, 1, head_dim / 2) for n stream positions."""
-    angles = positions[:, None] * weights.rope_freqs[None, :]
-    return np.cos(angles)[:, None, :], np.sin(angles)[:, None, :]
-
-
-def _rope(x: np.ndarray, rotary: tuple[np.ndarray, np.ndarray], heads: int) -> np.ndarray:
-    """Rotary position embedding over the head dimension, shared by q and k.
-
-    ``x`` is (n, d) with one table row per position, or (B, 1, d) with one
-    table row shared by the batch.
-    """
-    cos, sin = rotary
-    xh = x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads)
-    even = xh[..., 0::2]
-    odd = xh[..., 1::2]
-    rot = np.empty_like(xh)
-    rot[..., 0::2] = even * cos - odd * sin
-    rot[..., 1::2] = even * sin + odd * cos
-    return rot.reshape(x.shape)
-
-
 def _split_heads(x: np.ndarray, heads: int) -> np.ndarray:
     """(..., n, d) -> (..., heads, n, d / heads), a view."""
     return x.reshape(*x.shape[:-1], heads, x.shape[-1] // heads).swapaxes(-2, -3)
@@ -400,11 +387,12 @@ def _audio_frames(weights: DecoderWeights, config: InterfaceConfig, audio) -> np
     return frames if frames.size else frames.reshape(0, weights.hp.dim)
 
 
-def _step_rope(qk: np.ndarray, rotary: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
-    """``_rope`` of a step's (B, 1, 2d) ``[q | k]`` rows, bit for bit, in one
-    pass: rot = x C + swap(x) S with ``DecoderWeights.step_rotary``'s tables.
+def _rope(qk: np.ndarray, rotary: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Rotary position embedding of ``[q | k]`` rows in one pass,
+    rot = x C + swap(x) S with ``DecoderWeights.rotary``'s tables.
 
-    Per pair (a, b), even a c + b (-s) is a c - b s, as x (-s) = -(x s) and
+    Per pair (a, b) this is the textbook (a c - b s, a s + b c) bit for
+    bit: even a c + b (-s) is a c - b s, as x (-s) = -(x s) and
     p + (-q) = p - q exactly; odd b c + a s is a s + b c.
     """
     c, s, partner = rotary
@@ -414,44 +402,32 @@ def _step_rope(qk: np.ndarray, rotary: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _layer(layer: dict[str, np.ndarray], x, rotary, heads, mask, memory, cross, take=None, qkv=None):
-    """One pre-norm layer over the query rows ``x``.
+    """One pre-norm layer over the batch-first (B, n, d) rows ``x``.
 
-    Self-attention sees the (keys, values) already in the stream,
-    ``memory``, followed by the rows' own; ``cross``, the audio's aed
-    (keys, values), adds cross-attention when given.  Returns the new rows,
-    the joined (keys, values) and the (self, cross) attention weights.
-
-    The forward pass gives (n, d) rows, ``_rotary`` tables and (m, d)
-    memory.  A step gives (B, 1, d) rows, ``DecoderWeights.step_rotary``'s
-    tables and time-major (m, B', d) memory, of which column ``take[b]``
-    (column b without ``take``) is row b's history; it is gathered straight
-    into the joined (m + 1, B, d) arrays, and one ``[q | k | v]`` product
-    and one rotation serve the rows' query, key and value; a step's ``qkv``,
-    when given, is that product already made.
+    Self-attention sees ``memory``, the time-major (m, B', d) (keys, values)
+    already in the stream, of which column ``take[b]`` (column b without
+    ``take``) is row b's history, followed by the rows' own; ``cross``, the
+    audio's aed (keys, values) as (B, A, d), adds cross-attention when
+    given.  One ``[q | k | v]`` product and one rotation serve the rows'
+    query, key and value; ``qkv``, when given, is that product already
+    made.  Returns the new rows, the joined time-major (m + n, B, d)
+    (keys, values) and the (self, cross) attention weights.
     """
-    if x.ndim == 2:
-        normed = _layer_norm(x, layer["attn_norm.gamma"], layer["attn_norm.beta"])
-        q = _rope(normed @ layer["self_attn.wq"], rotary, heads)
-        keys = _rope(normed @ layer["self_attn.wk"], rotary, heads)
-        values = normed @ layer["self_attn.wv"]
-        joined = tuple(np.concatenate([cache, rows]) for cache, rows in zip(memory, (keys, values)))
-        out, w_self = _attend(q, *joined, mask, heads)
-    else:
-        d = x.shape[-1]
-        if qkv is None:
-            qkv = _layer_norm(x, layer["attn_norm.gamma"], layer["attn_norm.beta"]) @ layer["self_attn.wqkv"]
-        qk = _step_rope(qkv[..., : 2 * d], rotary)
-        joined = []
-        for cache, rows in zip(memory, (qk[..., d:], qkv[..., 2 * d :])):
-            m = cache.shape[0]
-            new = np.empty((m + 1, x.shape[0], d))
-            if take is None:
-                new[:m] = cache
-            else:  # a leading slice is contiguous, so take writes it unbuffered
-                np.take(cache, take, axis=1, out=new[:m], mode="clip")
-            new[m] = rows[:, 0]
-            joined.append(new)
-        out, w_self = _attend(qk[..., :d], *(a.transpose(1, 0, 2) for a in joined), None, heads)
+    d = x.shape[-1]
+    if qkv is None:
+        qkv = _layer_norm(x, layer["attn_norm.gamma"], layer["attn_norm.beta"]) @ layer["self_attn.wqkv"]
+    qk = _rope(qkv[..., : 2 * d], rotary)
+    joined = []
+    for cache, rows in zip(memory, (qk[..., d:], qkv[..., 2 * d :])):
+        m = cache.shape[0]
+        new = np.empty((m + rows.shape[1], len(rows), d))
+        if take is None:
+            new[:m] = cache
+        else:  # a leading slice is contiguous, so take writes it unbuffered
+            np.take(cache, take, axis=1, out=new[:m], mode="clip")
+        new[m:] = rows.swapaxes(0, 1)
+        joined.append(new)
+    out, w_self = _attend(qk[..., :d], *(a.transpose(1, 0, 2) for a in joined), mask, heads)
     x = x + out @ layer["self_attn.wo"]
     w_cross = None
     if cross is not None:
@@ -470,9 +446,9 @@ class IncrementalState:
     ``self_k[i]`` and ``self_v[i]`` are time-major (L, B, d) stacks, one
     column per hypothesis, so that a step gathers its survivors' histories
     in one ``take`` along axis 1; ``cross_k[i]``/``cross_v[i]`` hold the
-    aed audio keys/values batch-first, as (B, A, d).  A step builds new
-    arrays instead of writing into the old ones, so a state stays valid
-    after it was stepped from.
+    aed audio keys/values batch-first, as (B, A, d).  ``decoder_init``'s
+    state has one row, B = 1.  A step builds new arrays instead of writing
+    into the old ones, so a state stays valid after it was stepped from.
     """
 
     position: int
@@ -499,39 +475,36 @@ class IncrementalState:
 def _audio_memory(
     weights: DecoderWeights, config: InterfaceConfig, frames: np.ndarray
 ) -> IncrementalState:
-    """The state after the audio frames, before the prompt, with (m, d)
-    arrays and no batch axis.
+    """The one-row state after the audio frames, before the prompt:
+    time-major (m, 1, d) keys/values and (1, A, d) cross keys/values.
 
     ``prefix`` runs the audio block through the layers under the block
     mask, so that bidirectional prefix attention sees the whole block, and
-    keeps each layer's keys/values.  ``merged`` keeps each layer's key/value
-    projections of the frames themselves.  ``aed`` keeps each layer's cross
-    keys/values and leaves the self-attention stream empty.
+    keeps each layer's keys/values.  ``merged`` keeps the key/value blocks
+    of each layer's ``[q | k | v]`` product of the frames themselves.
+    ``aed`` keeps each layer's cross keys/values and leaves the
+    self-attention stream empty.
     """
-    hp = weights.hp
-    a = frames.shape[0]
-    empty = np.zeros((0, hp.dim))
+    hp, (a, d) = weights.hp, frames.shape
+    empty = np.zeros((0, 1, d))
     state = IncrementalState(0, [empty] * hp.layers, [empty] * hp.layers)
+    x = frames[None]
     if a == 0:
         return state
     if config.kind == "aed":
-        state.cross_k = [frames @ layer["cross_attn.wk"] for layer in weights.layers]
-        state.cross_v = [frames @ layer["cross_attn.wv"] for layer in weights.layers]
+        state.cross_k = [x @ layer["cross_attn.wk"] for layer in weights.layers]
+        state.cross_v = [x @ layer["cross_attn.wv"] for layer in weights.layers]
         return state
-    rotary = _rotary(weights, np.arange(a, dtype=np.float64))
+    rotary, mask = weights.rotary(np.arange(a)), build_attention_mask(config, a, 0)
     state.position = a
-    if config.kind == "merged":
-        for i, layer in enumerate(weights.layers):
-            normed = _layer_norm(frames, layer["attn_norm.gamma"], layer["attn_norm.beta"])
-            state.self_k[i] = _rope(normed @ layer["self_attn.wk"], rotary, hp.heads)
-            state.self_v[i] = normed @ layer["self_attn.wv"]
-        return state
-    mask = build_attention_mask(config, a, 0)
-    x = frames
     for i, layer in enumerate(weights.layers):
-        x, (state.self_k[i], state.self_v[i]), _ = _layer(
-            layer, x, rotary, hp.heads, mask, (empty, empty), None
-        )
+        if config.kind == "merged":
+            qkv = _layer_norm(x, layer["attn_norm.gamma"], layer["attn_norm.beta"]) @ layer["self_attn.wqkv"]
+            state.self_k[i] = _rope(qkv[..., : 2 * d], rotary)[0, :, None, d:]
+            state.self_v[i] = qkv[0, :, None, 2 * d :]
+        else:
+            memory = (state.self_k[i], state.self_v[i])
+            x, (state.self_k[i], state.self_v[i]), _ = _layer(layer, x, rotary, hp.heads, mask, memory, None)
     return state
 
 
@@ -553,14 +526,14 @@ def decoder_forward(
     frames = _audio_frames(weights, config, audio)
     a = frames.shape[0]
     text_ids = list(config.prompt) + labels
-    x = weights["embed"][text_ids]
+    x = weights["embed"][text_ids][None]
     if config.kind == "prefix":
         # audio and text run as one stream under one square mask, which the
         # attention maps keep
-        x, frames = np.vstack([frames, x]), frames[:0]
+        x, frames = np.concatenate([frames[None], x], axis=1), frames[:0]
     memory = _audio_memory(weights, config, frames)
     start = memory.position
-    rotary = _rotary(weights, np.arange(start, start + len(x), dtype=np.float64))
+    rotary = weights.rotary(np.arange(start, start + x.shape[1]))
     mask = build_attention_mask(config, 0 if config.kind == "aed" else a, len(text_ids))
     attn: dict[str, np.ndarray] = {}
     for i, layer in enumerate(weights.layers):
@@ -570,9 +543,9 @@ def decoder_forward(
         )
         for name, w in zip((f"layer{i}", f"layer{i}.cross"), maps):
             if w is not None:
-                attn.update((f"{name}.head{h}", w[h]) for h in range(w.shape[0]))
+                attn.update((f"{name}.head{h}", w[0, h]) for h in range(w.shape[1]))
 
-    x = x[-len(labels) :]
+    x = x[0, -len(labels) :]
     x = _layer_norm(x, weights["final_norm.gamma"], weights["final_norm.beta"])
     rows = _log_softmax(x @ weights["out_proj"])
     if collect_attention:
@@ -587,13 +560,6 @@ def decoder_init(
 ) -> IncrementalState:
     """Prime a one-row incremental state with the audio prefix and the prompt."""
     state = _audio_memory(weights, config, _audio_frames(weights, config, audio))
-    state = IncrementalState(
-        state.position,
-        [a[:, None] for a in state.self_k],
-        [a[:, None] for a in state.self_v],
-        [a[None] for a in state.cross_k],
-        [a[None] for a in state.cross_v],
-    )
     for tok in config.prompt:
         _, state = decoder_step(weights, state, [tok])
     return state
@@ -627,7 +593,7 @@ def decoder_step(
         take = np.asarray(rows, dtype=np.int64)
         if take.min() < 0 or take.max() >= len(state):
             raise ValueError(f"decoder_step rows must lie in [0, {len(state)})")
-    rotary = weights.step_rotary(state.position)
+    rotary = weights.rotary([state.position])
     labels = np.asarray(labels)
     x = weights["embed"][labels][:, None, :]
     qkv = weights.layer0_qkv[labels]

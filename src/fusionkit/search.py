@@ -106,16 +106,6 @@ class NBestList:
     def best(self) -> NBestEntry:
         return self.entries[0]
 
-    @property
-    def finished(self) -> list[NBestEntry]:
-        return [e for e in self.entries if e.finished]
-
-    @property
-    def best_finished(self) -> NBestEntry | None:
-        for e in self.entries:
-            if e.finished:
-                return e
-        return None
 
 
 def _rank_key(entry: NBestEntry):
@@ -256,10 +246,10 @@ def labelsync_beam(
         np.maximum(peak_live, live + np.bincount(f_utt, minlength=num), out=peak_live)
         evaluations += live * len(active) * counts
 
-        # bound: one step call per scorer covers every live row.  The float
-        # operations of ScorerWeights.combine, in its order, are monotone
-        # in each component, so combining the lower (upper) bounds bounds
-        # the combined score; a negative weight swaps them.
+        # bound: one step call per scorer covers every live row.  The
+        # refine step's weighted sum, in scorer order, is monotone in each
+        # component, so combining the lower (upper) bounds bounds the
+        # combined score; a negative weight swaps them.
         # Bounds are only compared, so -0.0 and 0.0 may differ there and the
         # sums start from the first term, in place.
         artifacts = []

@@ -208,9 +208,10 @@ class TestCriterion3SaturatedBeamEqualsExhaustive:
             nbest = labelsync_beam(
                 scorer_fn(), weights, beam=10**4, vocab=vocab, max_lens=[max_len]
             )[0]
-            assert nbest.best_finished.output_labels(vocab.eos_id) == oracle.best.output_labels(vocab.eos_id)
-            assert abs(nbest.best_finished.combined - oracle.best.combined) < 1e-9
-            for e in nbest.finished:
+            finished = [e for e in nbest if e.finished]
+            assert finished[0].output_labels(vocab.eos_id) == oracle.best.output_labels(vocab.eos_id)
+            assert abs(finished[0].combined - oracle.best.combined) < 1e-9
+            for e in finished:
                 assert abs(e.combined - oracle_scores[e.output_labels(vocab.eos_id)]) < 1e-9
             # time-synchronous search (max_len = t covers every feasible output)
             ts = timesync_ctc_beam(
@@ -290,7 +291,7 @@ class TestCriterion4PruningIdentitiesAndSavings:
                 max_lens=[pg.num_frames],
                 stats=[stats],
             )[0]
-            best = nb.best_finished or nb.best
+            best = next((e for e in nb if e.finished), nb.best)
             return best, stats
 
         pairs_full, pairs_pruned = [], []
@@ -372,7 +373,7 @@ class TestCriterion6FusionImprovesWer:
                 nbj = labelsync_beam(
                     scorers, w, beam=JOINT_BEAM, vocab=AM_VOCAB, max_lens=[pg.num_frames]
                 )[0]
-                best = nbj.best_finished or nbj.best
+                best = next((e for e in nbj if e.finished), nbj.best)
                 pg_j.append((refw, words(AM_VOCAB.text(best.output_labels(AM_VOCAB.eos_id)))))
             greedy_w.append(corpus_wer(pg_g).wer)
             tsync_w.append(corpus_wer(pg_t).wer)

@@ -15,8 +15,6 @@ from fusionkit.decoder import (
     _gelu,
     _layer_norm,
     _rope,
-    _rotary,
-    _step_rope,
     Hyperparams,
     InterfaceConfig,
     build_attention_mask,
@@ -30,7 +28,7 @@ from fusionkit.decoder import (
     seeded_weights,
     write_tensor_container,
 )
-from oracle import gelu_reference
+from oracle import decoder_forward_reference, gelu_reference, rope_reference
 
 HP = Hyperparams(layers=2, dim=32, heads=2, vocab_size=8, ffn_dim=64)
 BOS, EOS = 6, 7
@@ -66,11 +64,11 @@ GELU_SPECIALS = st.one_of(
 
 @st.composite
 def gelu_inputs(draw):
-    """A contiguous (B, 1, ffn) or (n, ffn) array, as the decoder's FFN
-    feeds ``_gelu``: normal draws at a drawn scale, with special values at
-    drawn positions."""
+    """A contiguous (B, 1, ffn) or (1, n, ffn) array, as the decoder's FFN
+    feeds ``_gelu`` in a step or the forward pass: normal draws at a drawn
+    scale, with special values at drawn positions."""
     batch, width = draw(st.integers(1, 48)), draw(st.integers(1, 96))
-    shape = draw(st.sampled_from([(batch, 1, width), (batch, width)]))
+    shape = draw(st.sampled_from([(batch, 1, width), (1, batch, width)]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x = rng.standard_normal(shape) * draw(st.sampled_from([0.3, 1.0, 3.0, 30.0]))
     flat = x.reshape(-1)
@@ -199,6 +197,26 @@ class TestDecoderForward:
         )
         inline = decoder_forward(w, InterfaceConfig("prefix"), audio, [1, 2, BOS, 3])
         np.testing.assert_allclose(with_prompt, inline[2:], atol=1e-12)
+
+    # (dim, heads, layers), none of them the pinned digests' (32, 2, 2)
+    @pytest.mark.parametrize("dim,heads,layers", [(24, 2, 3), (48, 3, 1)])
+    @pytest.mark.parametrize(
+        "kind,attention", [("prefix", "causal"), ("prefix", "bidirectional"), ("merged", "causal"), ("aed", "causal")]
+    )
+    def test_equals_slow_reference(self, dim, heads, layers, kind, attention):
+        """The shared layer body against an independent forward pass, on
+        this machine's floats but with no pinned bits."""
+        hp = Hyperparams(layers=layers, dim=dim, heads=heads, vocab_size=8, ffn_dim=2 * dim)
+        w = seeded_weights(hp, dim + layers)
+        frames = np.random.default_rng(dim).normal(size=(4, dim))
+        cfg = InterfaceConfig(kind, attention, prompt=(1, 3))
+        labels = [BOS, 2, 3, 4, 5]
+        rows, maps = decoder_forward(w, cfg, EncoderOutput(frames), labels, collect_attention=True)
+        want_rows, want_maps = decoder_forward_reference(w, cfg, frames, labels)
+        np.testing.assert_allclose(rows, want_rows, rtol=0, atol=1e-9)
+        assert list(maps) == list(want_maps)
+        for name, mat in maps.items():
+            np.testing.assert_allclose(mat, want_maps[name], rtol=0, atol=1e-9)
 
 
 class TestIncremental:
@@ -365,6 +383,18 @@ class TestBatchedStep:
         keys = time_major.reshape(batch, length, heads, hd).transpose(0, 2, 3, 1)
         assert np.array_equal(q @ keys, np.stack(per_row))
 
+    def test_one_row_stream_uses_the_2d_blas_call(self):
+        """The assumption the batch-first forward pass rests on, checked on
+        this numpy/BLAS: a (1, n, d) @ (d, e) product rounds exactly as the
+        (n, d) @ (d, e) one."""
+        rng = np.random.default_rng(0)
+        for d in (16, 24, 32, 48, 64):
+            for e in (8, 11, 32, 64, 96, 179, 192):
+                m = rng.normal(size=(d, e))
+                x = rng.normal(size=(200, d))
+                for n in range(1, 201):
+                    assert np.array_equal((x[None, :n] @ m)[0], x[:n] @ m), (d, e, n)
+
     def test_rows_out_of_range_rejected(self):
         w = toy_weights()
         _, one = decoder_step(w, decoder_init(w, InterfaceConfig("prefix"), None), [BOS])
@@ -403,8 +433,8 @@ class TestBatchedStep:
 
 
 class TestStepPieces:
-    """A step's one [q | k | v] product and one rotation pass, bit for bit
-    against the separate products and ``_rope`` passes they replace."""
+    """The layer's one [q | k | v] product and one rotation pass, bit for
+    bit against the separate products and textbook rotations they replace."""
 
     @pytest.mark.parametrize("batch", [1, 16, 88])
     def test_fused_projection_blocks_equal_separate_products(self, batch):
@@ -418,10 +448,10 @@ class TestStepPieces:
                 block = layer[f"self_attn.{m}"]
                 assert block is w[f"layer{i}.self_attn.{m}"] and np.shares_memory(block, fused)
                 alone = np.ascontiguousarray(block)  # the tensor as a matrix of its own
-                got = (step_rows @ fused)[..., j * HP.dim : (j + 1) * HP.dim]
-                assert np.array_equal(got, step_rows @ alone)
-                # the forward pass multiplies by the block, a view into the stack
-                assert np.array_equal(stream_rows @ block, stream_rows @ alone)
+                columns = slice(j * HP.dim, (j + 1) * HP.dim)
+                assert np.array_equal((step_rows @ fused)[..., columns], step_rows @ alone)
+                # the forward pass's (1, n, d) product, against an (n, d) one
+                assert np.array_equal((stream_rows[None] @ fused)[0, :, columns], stream_rows @ alone)
 
     @pytest.mark.parametrize("batch", [1, 16, 88])
     def test_layer0_rows_equal_norm_and_product(self, batch):
@@ -442,12 +472,25 @@ class TestStepPieces:
         rng = np.random.default_rng(batch)
         w = toy_weights()
         d = HP.dim
-        qk = rng.normal(size=(batch, 1, 2 * d)) * rng.choice([1e-3, 1.0, 1e3], size=(batch, 1, 1))
-        qk.reshape(-1)[rng.integers(0, qk.size, 16)] = rng.choice([0.0, -0.0], 16)
+
+        def mixed(shape):  # scales 1e-3 to 1e3, with some +-0
+            x = rng.normal(size=shape) * rng.choice([1e-3, 1.0, 1e3], size=(*shape[:-1], 1))
+            x.reshape(-1)[rng.integers(0, x.size, 16)] = rng.choice([0.0, -0.0], 16)
+            return x
+
+        # a step: one position shared by a (B, 1, 2d) batch
+        qk = mixed((batch, 1, 2 * d))
         for position in range(65):
-            rotary = _rotary(w, np.array([float(position)]))
-            want = np.concatenate([_rope(part, rotary, HP.heads) for part in (qk[..., :d], qk[..., d:])], -1)
-            got = _step_rope(qk, w.step_rotary(position))
+            want = rope_reference(qk, [position], HP.head_dim)
+            got = _rope(qk, w.rotary([position]))
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+        # the forward pass: one position per row of a (1, n, 2d) stream
+        stream = mixed((1, 65, 2 * d))
+        for start in (0, batch):
+            positions = np.arange(start, start + 65)
+            want = rope_reference(stream, positions, HP.head_dim)
+            got = _rope(stream, w.rotary(positions))
             assert got.shape == want.shape
             np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -614,6 +657,7 @@ class TestWeightsIO:
             ("truncated-table", "truncated tensor table"),
             ("trailing-bytes", "1 trailing bytes"),
             ("dim-not-divisible", "model dim must divide evenly into heads"),
+            ("head-dim-mismatch", "head dim 7 is not dim 8 // heads 2"),
             ("duplicate-tensor", "tensor 'embed' appears twice"),
         ],
     )
@@ -641,6 +685,8 @@ class TestWeightsIO:
                 tensors["meta.hyperparams"][0] = 1e6
             elif case == "dim-not-divisible":
                 tensors["meta.hyperparams"][2] = 3  # heads
+            elif case == "head-dim-mismatch":
+                tensors["meta.hyperparams"][3] = 7  # head dim, not 8 // 2
             write_tensor_container(tensors, path)
             edits = {  # of the file's bytes
                 "truncated-header": lambda data: data[:11],
