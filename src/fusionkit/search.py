@@ -107,7 +107,6 @@ class NBestList:
         return self.entries[0]
 
 
-
 def _rank_key(entry: NBestEntry):
     return (-entry.combined, len(entry.labels), entry.labels)
 

@@ -2,8 +2,8 @@
 forward probability summed over every alignment, posteriorgram compression
 grouped frame by frame, the toy decoder's GELU as one numpy expression, its
 rotary embedding as the textbook pair rotation, its forward pass with
-per-head loops and explicit masks, and the label-synchronous beam's oracle, exhaustive search over the scorer
-protocol of ``fusionkit.scorers``.
+per-head loops and explicit masks, and the label-synchronous beam's oracle,
+exhaustive search over the scorer protocol of ``fusionkit.scorers``.
 """
 
 from __future__ import annotations
