@@ -99,7 +99,7 @@ def load_lm(path: str | Path) -> NGramModel | TableLM:
             head = f.read(len(NGRAM_MAGIC))
     except OSError as exc:
         raise CliError(f"cannot read LM file {path}: {exc.strerror}") from exc
-    if head == NGRAM_MAGIC.encode():
+    if head == NGRAM_MAGIC:
         return load_ngram(path)
     return load_table_lm(path)
 

@@ -2,21 +2,21 @@
 
 Models are immutable after training or loading, but an n-gram model fills
 its row store as it is queried, so one model must not be queried from two
-threads at once.  The n-gram keeps its tables in log10 (as serialized) and
-converts to natural log at query time so that save/load round-trips are
-byte-identical.
+threads at once.  The n-gram keeps its entries in log10, in the arrays that
+FKLM stores, and converts to natural log at query time so that save/load
+round-trips are byte-identical.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
+import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from fusionkit.core import (
     logsumexp,
     logsumexp_rows,
     read_json,
-    read_text,
     vocabulary_flags,
     vocabulary_from_flags,
     vocabulary_from_lines,
@@ -37,7 +36,11 @@ from fusionkit.core import (
 )
 
 LN10 = math.log(10.0)
-NGRAM_MAGIC = "FKLM v1"
+NGRAM_MAGIC = b"FKLM"
+NGRAM_VERSION = 2
+# past the magic: version, order, levels, backoff, vocabulary bytes; per level: n, m
+_NGRAM_HEADER = struct.Struct("<IIIdI")
+_LEVEL_HEADER = struct.Struct("<II")
 UNK_TOKEN = "<unk>"
 ROW_CACHE_ROWS = 1 << 14  # bound of the contexts an n-gram model's row store holds
 LOGPROB_ROWS = 1 << 10  # rows a sequence's log probability asks for at once
@@ -49,14 +52,24 @@ def support_ids(vocab: Vocabulary) -> list[int]:
     return [i for i in range(vocab.size) if i not in (vocab.blank_id, vocab.bos_id)]
 
 
-@dataclass(frozen=True)
+class NGramLevel(NamedTuple):
+    """The length-k contexts' entries as FKLM stores them: (n, k) contexts, rising,
+    their entry counts, the tokens, rising within a context, and log10 probs."""
+
+    contexts: np.ndarray
+    counts: np.ndarray
+    tokens: np.ndarray
+    values: np.ndarray
+
+
+@dataclass(frozen=True, eq=False)
 class NGramModel:
     """Maximum-likelihood n-gram with stupid backoff and an add-one unigram floor.
 
-    ``tables[k]`` maps a length-k context tuple to {token: log10 ML prob};
-    levels above the deepest that holds an entry are dropped, so ``order``
-    may exceed ``len(tables)``.
-    The unigram table (k=0 context) is already add-one smoothed over the
+    ``levels[k]`` holds the entries of the length-k contexts; levels above
+    the deepest that holds an entry are absent, so ``order`` may exceed
+    ``len(levels)``.
+    The unigram level (k=0 context) is already add-one smoothed over the
     support, so no query can ever score -inf.  Conditional distributions are
     renormalized over the support after backoff mixing.
     """
@@ -64,37 +77,33 @@ class NGramModel:
     vocab: Vocabulary
     order: int
     backoff_factor: float
-    tables: tuple[dict[tuple[int, ...], dict[int, float]], ...]
-    _support: np.ndarray = field(init=False, compare=False, repr=False)
-    _unigram: np.ndarray = field(init=False, compare=False, repr=False)  # log10, by support column
+    levels: tuple[NGramLevel, ...]
+    _support: np.ndarray = field(init=False, repr=False)
+    _unigram: np.ndarray = field(init=False, repr=False)  # log10, by support column
     # per context length k >= 1: context -> (start, stop) into flat support
     # columns and log10 values, as arrays; entries off the support are
     # never read
-    _levels: tuple = field(init=False, compare=False, repr=False)
-    _discounts: list = field(init=False, compare=False, repr=False)  # of j backoff steps, by j
+    _levels: tuple = field(init=False, repr=False)
+    _discounts: list = field(init=False, repr=False)  # of j backoff steps, by j
     # the row store: one row per backoff state held, and the store row of
     # each held truncated context and backoff state (see _state)
-    _store: np.ndarray = field(init=False, compare=False, repr=False)
-    _row_of: dict = field(init=False, compare=False, repr=False)
-    _row_of_state: dict = field(init=False, compare=False, repr=False)
+    _store: np.ndarray = field(init=False, repr=False)
+    _row_of: dict = field(init=False, repr=False)
+    _row_of_state: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         support = np.array(support_ids(self.vocab))
         column = np.full(self.vocab.size, -1)
         column[support] = np.arange(len(support))
-        # levels above the deepest that holds an entry are absent, as if empty
-        deepest = max((k for k, table in enumerate(self.tables) if table), default=0)
-        object.__setattr__(self, "tables", tuple(self.tables[: deepest + 1]))
         levels = []
-        for table in self.tables:
-            dists = table.values()
-            cols = column[np.fromiter(itertools.chain.from_iterable(dists), np.intp)]
-            vals = np.fromiter(itertools.chain.from_iterable(d.values() for d in dists), float)
+        for contexts, counts, tokens, values in self.levels:
+            cols = column[tokens]
             on = cols >= 0
             # a context's entries, before and after those off the support are dropped
-            ends = np.concatenate([[0], np.fromiter(map(len, dists), np.intp).cumsum()])
+            ends = np.concatenate([[0], np.cumsum(counts)])
             bounds = np.concatenate([[0], on.cumsum()])[ends].tolist()
-            levels.append((dict(zip(table, zip(bounds, bounds[1:]))), cols[on], vals[on]))
+            index = dict(zip(map(tuple, contexts.tolist()), zip(bounds, bounds[1:])))
+            levels.append((index, cols[on], values[on]))
         _, unigram_cols, unigram_vals = levels.pop(0)
         unigram = np.full(len(support), np.nan)  # load_ngram rejects a gap in the support
         unigram[unigram_cols] = unigram_vals
@@ -217,30 +226,29 @@ def train_ngram(
         raise ValidationError(f"order must be >= 1 and at most {MAX_ORDER}, not {order}")
     if not 0.0 < backoff_factor < math.inf:
         raise ValidationError(f"backoff factor must be finite and > 0, not {backoff_factor!r}")
-    support = support_ids(vocab)
     plain = {i for i in range(vocab.size) if not vocab.is_special(i)}
-    unigrams: Counter[int] = Counter()
-    events: Counter[tuple[int, ...]] = Counter()  # n-grams of orders 2..order
+    events = [Counter() for _ in range(order)]  # by context length k: n-grams of order k + 1
     pad = [vocab.bos_id] * (order - 1)
     for seq in corpus:
         if not plain.issuperset(seq):
             tok = next(t for t in seq if t not in plain)
             raise ValidationError(f"corpus token id {tok} invalid for training")
-        unigrams.update(seq)
+        events[0].update(zip(seq))
         padded = pad + seq + [vocab.eos_id]
-        for k in range(2, order + 1):
-            events.update(zip(*(padded[order - k + j :] for j in range(k))))
-
-    tables: list[dict[tuple[int, ...], dict[int, float]]] = [{} for _ in range(order)]
-    denom = sum(map(len, corpus)) + len(support)
-    tables[0][()] = {tok: math.log10((unigrams[tok] + 1) / denom) for tok in support}
-    for gram, cnt in events.items():  # counts first, then log10 ML probabilities
-        tables[len(gram) - 1].setdefault(gram[:-1], {})[gram[-1]] = cnt
-    for table in tables[1:]:
-        for ctx, bucket in table.items():
-            total = sum(bucket.values())
-            table[ctx] = {tok: math.log10(cnt / total) for tok, cnt in bucket.items()}
-    return NGramModel(vocab, order, backoff_factor, tuple(tables))
+        for k in range(1, order):
+            events[k].update(zip(*(padded[order - 1 - k + j :] for j in range(k + 1))))
+    # the add-one floor: the counts sum to N + |support|
+    events[0] = Counter({(tok,): events[0][tok,] + 1 for tok in support_ids(vocab)})
+    levels = []
+    for k, counter in enumerate(events):
+        grams, counts = zip(*sorted(counter.items()))  # by context, then token
+        grams = np.array(grams, np.int32)
+        starts = np.flatnonzero(np.concatenate([[True], np.any(grams[1:, :k] != grams[:-1, :k], axis=1)]))
+        sizes = np.diff(starts, append=len(grams))
+        totals = np.repeat(np.add.reduceat(counts, starts), sizes).tolist()
+        values = [math.log10(cnt / total) for cnt, total in zip(counts, totals)]
+        levels.append(NGramLevel(grams[starts, :k], sizes.astype(np.int32), grams[:, k], np.array(values)))
+    return NGramModel(vocab, order, backoff_factor, tuple(levels))
 
 
 @dataclass(frozen=True)
@@ -373,77 +381,86 @@ def _token_index(vocab: Vocabulary) -> tuple[bool, dict[str, int], list[int], in
 
 
 def save_ngram(model: NGramModel, path: str | Path) -> None:
-    """Versioned text format: header, embedded vocab, one entry per line.
-
-    Entries are ``<order>\\t<context tokens>\\t<token>\\t<log10 prob>`` with
-    space-joined context tokens, so token strings must not contain spaces.
-    """
-    for tok in model.vocab.tokens:
-        if " " in tok:
-            raise FormatError(f"token {tok!r} contains a space; not serializable")
-    lines = [NGRAM_MAGIC, f"order\t{model.order}", f"backoff\t{model.backoff_factor!r}"]
-    lines.append("[vocab]")
-    lines.extend(vocabulary_lines(model.vocab))
-    lines.append("[ngrams]")
-    toks = model.vocab.tokens
-    for k, table in enumerate(model.tables):
-        for ctx in sorted(table):
-            for tok in sorted(table[ctx]):
-                ctx_str = " ".join(toks[i] for i in ctx)
-                lines.append(f"{k + 1}\t{ctx_str}\t{toks[tok]}\t{table[ctx][tok]!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    """FKLM v2: the header, the vocabulary lines and each level's arrays,
+    little-endian (README "File formats")."""
+    vocab = "\n".join(vocabulary_lines(model.vocab)).encode("utf-8")
+    parts = [NGRAM_MAGIC, _NGRAM_HEADER.pack(NGRAM_VERSION, model.order, len(model.levels),
+                                             model.backoff_factor, len(vocab)), vocab]
+    for contexts, counts, tokens, values in model.levels:
+        ids = np.concatenate([contexts.ravel(), counts, tokens]).astype("<i4")
+        parts += [_LEVEL_HEADER.pack(len(counts), len(tokens)), ids.tobytes(), values.astype("<f8").tobytes()]
+    Path(path).write_bytes(b"".join(parts))
 
 
 def load_ngram(path: str | Path) -> NGramModel:
-    lines = read_text(path).splitlines()
-    if not lines or lines[0] != NGRAM_MAGIC:
-        raise FormatError(f"{path}: not a {NGRAM_MAGIC} file")
-    vocab_at, ngrams_at = (lines.index(s) if s in lines else len(lines) for s in ("[vocab]", "[ngrams]"))
-    order = backoff = None
-    for line in lines[1:vocab_at]:
-        key, tab, val = line.partition("\t")
-        if not tab:
-            raise FormatError(f"{path}: header line {line!r} is not '<key>\\t<value>'")
-        try:
-            if key == "order":
-                order = int(val)
-            elif key == "backoff":
-                backoff = float(val)
-        except ValueError as exc:
-            raise FormatError(f"{path}: bad {key} value {val!r}") from exc
-    if order is None or backoff is None:
-        raise FormatError(f"{path}: missing order or backoff header")
+    """Inverse of :func:`save_ngram`.  FormatError names the file; each
+    count is checked against the bytes left before its arrays are read."""
+    data = Path(path).read_bytes()
+    if data.startswith(NGRAM_MAGIC + b" v1"):
+        raise FormatError(f"{path}: an FKLM v1 (text) file, no longer read; re-run lm-train to write FKLM v2")
+    if data[:4] != NGRAM_MAGIC:
+        raise FormatError(f"{path}: bad magic {data[:4]!r}, expected {NGRAM_MAGIC!r}")
+    pos = 4 + _NGRAM_HEADER.size
+    if len(data) < pos:
+        raise FormatError(f"{path}: truncated header")
+    version, order, depth, backoff, size = _NGRAM_HEADER.unpack_from(data, 4)
+    if version != NGRAM_VERSION:
+        raise FormatError(f"{path}: unsupported FKLM version {version}")
     if order < 1 or not 0.0 < backoff < math.inf:
         raise FormatError(f"{path}: order must be >= 1 and backoff positive, got {order}, {backoff}")
-    vocab = vocabulary_from_lines(lines[vocab_at + 1 : ngrams_at], f"{path} [vocab]")
-    tok_id = {t: i for i, t in enumerate(vocab.tokens)}
-    # levels up to the deepest that holds an entry: the order header alone
-    # allocates nothing
-    tables: list[dict[tuple[int, ...], dict[int, float]]] = [{}]
-    # save_ngram writes the entries sorted by (order, context): a group's
-    # context is parsed once, at its first line
-    group = None
-    for lineno, line in enumerate(lines[ngrams_at + 1 :], ngrams_at + 2):
-        try:
-            k_str, ctx_str, tok, val = line.split("\t")
-            if (k_str, ctx_str) != group:
-                ctx = tuple(tok_id[t] for t in ctx_str.split(" ") if t)
-                if not 1 <= int(k_str) <= order or len(ctx) != int(k_str) - 1:
-                    raise ValueError(f"order {k_str} entry with a {len(ctx)}-token context")
-                tables += [{} for _ in range(len(tables), len(ctx) + 1)]
-                dist = tables[len(ctx)].setdefault(ctx, {})
-                group = (k_str, ctx_str)
-            value = float(val)
-            if not math.isfinite(value):
-                raise ValueError(f"log10 value {val!r} is not finite")
-            dist[tok_id[tok]] = value
-        except (ValueError, KeyError) as exc:
-            raise FormatError(f"{path}: bad n-gram entry on line {lineno}: {exc}") from exc
-    unigram = tables[0].get((), {})
-    missing = [vocab.tokens[i] for i in support_ids(vocab) if i not in unigram]
+    if not 1 <= depth <= order:
+        raise FormatError(f"{path}: {depth} levels for an order-{order} model")
+    if len(data) < pos + size:
+        raise FormatError(f"{path}: truncated vocabulary")
+    try:
+        lines = data[pos : pos + size].decode("utf-8").split("\n")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: vocabulary is not UTF-8 ({exc})") from exc
+    vocab = vocabulary_from_lines(lines, f"{path} vocabulary")
+    pos += size
+    levels = []
+    for k in range(depth):
+        if len(data) < pos + _LEVEL_HEADER.size:
+            raise FormatError(f"{path}: level {k} truncated")
+        n, m = _LEVEL_HEADER.unpack_from(data, pos)
+        pos += _LEVEL_HEADER.size
+        if 4 * n * (k + 1) + 12 * m > len(data) - pos:
+            raise FormatError(f"{path}: level {k} holds {n} contexts and {m} entries, "
+                              f"more than its {len(data) - pos} bytes hold")
+        ids = np.frombuffer(data, "<i4", n * (k + 1) + m, pos)
+        values = np.frombuffer(data, "<f8", m, pos + ids.nbytes)
+        pos += ids.nbytes + values.nbytes
+        level = NGramLevel(ids[: n * k].reshape(n, k), ids[n * k : n * (k + 1)], ids[n * (k + 1) :], values)
+        _check_level(level, vocab.size, f"{path}: level {k}")
+        levels.append(level)
+    if pos != len(data):
+        raise FormatError(f"{path}: {len(data) - pos} trailing bytes")
+    have = np.zeros(vocab.size, bool)
+    have[levels[0].tokens] = True
+    missing = [vocab.tokens[i] for i in support_ids(vocab) if not have[i]]
     if missing:
         raise FormatError(f"{path}: no unigram entry for {len(missing)} token(s): {missing[:5]}")
-    return NGramModel(vocab, order, backoff, tuple(tables))
+    return NGramModel(vocab, order, backoff, tuple(levels))
+
+
+def _check_level(level: NGramLevel, size: int, where: str) -> None:
+    """Raise FormatError, prefixed ``where``, unless ``level`` is an FKLM level over ``size`` tokens."""
+    contexts, counts, tokens, values = level
+    if not (((contexts >= 0) & (contexts < size)).all() and ((tokens >= 0) & (tokens < size)).all()):
+        raise FormatError(f"{where} holds a token id out of range")
+    # the log10 of a probability a float64 holds, so that no sum of them overflows
+    if not ((values >= -324.0) & (values <= 0.0)).all():
+        raise FormatError(f"{where} holds a log10 probability that is not finite or not in [-324, 0]")
+    if (counts < 0).any() or counts.sum() != len(tokens):
+        raise FormatError(f"{where} entry counts do not sum to its {len(tokens)} entries")
+    # each context's first step from the one before must be up
+    steps = np.diff(contexts, axis=0)
+    first = np.cumsum(steps != 0, axis=1) == 1
+    if not (np.where(first, steps, 0).sum(axis=1) > 0).all():
+        raise FormatError(f"{where} contexts are not strictly increasing")
+    # (context index, token) keys rise where the tokens rise within a context
+    if not (np.diff(np.repeat(np.arange(len(counts)) * size, counts) + tokens) > 0).all():
+        raise FormatError(f"{where} tokens are not strictly increasing within a context")
 
 
 def save_table_lm(model: TableLM, path: str | Path) -> None:

@@ -2,14 +2,15 @@
 delayed fusion, a uniform table LM, a CTC prefix scorer over posteriorgrams
 of blank and plain labels only, the adversarial oscillation scenario
 (a benign posteriorgram paired with a table LM that loops), which exercises
-joint decoding's length cap and its CTC weight, and the byte edits of the
-fuzz tests.
+joint decoding's length cap and its CTC weight, the byte edits of the
+fuzz tests, and the places of an FKLM v2 file's fields.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -60,6 +61,46 @@ def fuzzed(data: bytes, edit: str, where: float, flip: int, insert: bytes) -> by
     else:
         out[at:at] = insert
     return bytes(out)
+
+
+# FKLM v2 header fields: byte offset and struct format, after the 4-byte magic
+FKLM_HEADER = {"version": (4, "<I"), "order": (8, "<I"), "levels": (12, "<I"),
+               "backoff": (16, "<d"), "vocab_bytes": (24, "<I")}
+FKLM_VOCAB_AT = 28
+
+
+def fklm_header_edited(data: bytes, field: str, value) -> bytes:
+    """FKLM v2 ``data`` with one header field set to ``value``."""
+    offset, fmt = FKLM_HEADER[field]
+    out = bytearray(data)
+    struct.pack_into(fmt, out, offset, value)
+    return bytes(out)
+
+
+def fklm_vocab_edited(data: bytes, edit) -> bytes:
+    """FKLM v2 ``data`` with its vocabulary text replaced by ``edit(text)``
+    and its length field set to match."""
+    (size,) = struct.unpack_from("<I", data, FKLM_VOCAB_AT - 4)
+    raw = edit(data[FKLM_VOCAB_AT : FKLM_VOCAB_AT + size].decode("utf-8")).encode("utf-8")
+    return data[: FKLM_VOCAB_AT - 4] + struct.pack("<I", len(raw)) + raw + data[FKLM_VOCAB_AT + size :]
+
+
+def fklm_level_offsets(data: bytes) -> list[dict[str, int]]:
+    """Per level k of FKLM v2 ``data``: the byte offsets of its record
+    (the context and entry counts), contexts, per-context counts, tokens and
+    values, and its n and m."""
+    (depth,) = struct.unpack_from("<I", data, FKLM_HEADER["levels"][0])
+    (size,) = struct.unpack_from("<I", data, FKLM_VOCAB_AT - 4)
+    pos = FKLM_VOCAB_AT + size
+    out = []
+    for k in range(depth):
+        n, m = struct.unpack_from("<II", data, pos)
+        at = {"record": pos, "contexts": pos + 8, "counts": pos + 8 + 4 * n * k}
+        at["tokens"] = at["counts"] + 4 * n
+        at["values"] = at["tokens"] + 4 * m
+        out.append(dict(at, n=n, m=m))
+        pos = at["values"] + 8 * m
+    return out
 
 
 def build_lm_vocab(word_list: Sequence[str] = WORD_LIST) -> Vocabulary:

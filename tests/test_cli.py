@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from fusionkit.cli import main
 from fusionkit.decoder import read_tensor_container
 
-from fixtures import fuzzed
+from fixtures import fklm_vocab_edited, fuzzed
 
 
 def run(argv, capsys):
@@ -1004,15 +1004,14 @@ class TestPplCommand:
         assert stdout == f"token_ppl\t{token_ppl:.4f}\nword_ppl\t{math.exp(-total / 100):.4f}\n"
 
     def test_lm_missing_special_flag_fails_cleanly(self, lm_file, tmp_path, capsys):
-        lines = lm_file.read_text().splitlines()
-        vocab_at = lines.index("[vocab]") + 1
-        blank_at = next(
-            i for i in range(vocab_at, len(lines)) if lines[i].split("\t")[1] == "blank"
-        )
-        tok = lines[blank_at].split("\t")[0]
-        lines[blank_at] = f"{tok}\t"
+        def drop_blank(text):
+            lines = text.split("\n")
+            blank_at = next(i for i, line in enumerate(lines) if line.split("\t")[1] == "blank")
+            lines[blank_at] = lines[blank_at].split("\t")[0] + "\t"
+            return "\n".join(lines)
+
         model = tmp_path / "noblank.fklm"
-        model.write_text("\n".join(lines) + "\n")
+        model.write_bytes(fklm_vocab_edited(lm_file.read_bytes(), drop_blank))
         text = tmp_path / "t.txt"
         text.write_text("the and\n")
         code, stdout, err = run(["ppl", str(model), str(text)], capsys)
@@ -1030,7 +1029,8 @@ class TestPplCommand:
 
         model = tmp_path / "bad.lm"
         if case == "fklm-header-without-tab":
-            model.write_text(lm_file.read_text().replace("order\t", "order ", 1))
+            # a vocabulary line of the header, which FKLM v2 keeps as text
+            model.write_bytes(fklm_vocab_edited(lm_file.read_bytes(), lambda t: t.replace("\t", " ", 1)))
         else:
             vocab = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b"])
             save_table_lm(uniform_table_lm(vocab), model)
@@ -1045,6 +1045,44 @@ class TestPplCommand:
         code, stdout, err = run(["ppl", str(model), str(text)], capsys)
         assert code == 1 and stdout == ""
         assert err.count("error:") == 1 and str(model) in err
+
+
+    @pytest.mark.parametrize("command", ["ppl", "decode"])
+    def test_text_fklm_asks_for_lm_train(self, corpus, tmp_path, capsys, command):
+        # the FKLM v1 text format, which lm-train wrote before FKLM v2
+        model = tmp_path / "old.fklm"
+        model.write_text("FKLM v1\norder\t2\nbackoff\t0.4\n[vocab]\n<blank>\tblank\n[ngrams]\n")
+        text = tmp_path / "t.txt"
+        text.write_text("the and\n")
+        out = tmp_path / "out"
+        argv = {"ppl": ["ppl", str(model), str(text)],
+                "decode": ["decode", str(corpus), str(out), "--strategy", "timesync", "--lm-path", str(model),
+                           "--lm-weight", "0.3"]}
+        code, stdout, err = run(argv[command], capsys)
+        assert code == 1 and stdout == ""
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert str(model) in err and "re-run lm-train" in err
+        assert not out.exists()
+
+    def test_lm_train_bytes_do_not_depend_on_the_process(self, corpus, tmp_path):
+        # two interpreters with other string hashes write the same FKLM bytes
+        import os
+        import subprocess
+        import sys
+
+        text = tmp_path / "train.txt"
+        refs = (corpus / "refs.txt").read_text().splitlines()
+        text.write_text("\n".join(line.split("\t", 1)[1] for line in refs) + "\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        written = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"lm{seed}.fklm"
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            subprocess.run([sys.executable, "-m", "fusionkit.cli", "lm-train", str(text),
+                            str(corpus / "vocab.txt"), str(out), "--order", "3"],
+                           env=env, check=True, capture_output=True)
+            written.append(out.read_bytes())
+        assert written[0] == written[1] and written[0].startswith(b"FKLM\x02\0\0\0")
 
 
 class TestCorpusToolsFailCleanly:
@@ -1295,6 +1333,79 @@ class TestFuzzedRefs:
                 else:
                     assert code == 1 and stdout.getvalue() == ""
                     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestFuzzedNGramFile:
+    """A byte-edited FKLM file, or one whose bytes begin with another
+    codec's file, read by ``ppl``, a timesync ``decode`` that fuses it and a
+    joint ``decode`` that scores with it: each runs, or ends in exit 1 with
+    one ``error:`` line and writes no n-best file or ``hyps.txt``."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory, corpus, lm_file):
+        from fusionkit.core import read_vocabulary
+        from fusionkit.decoder import Hyperparams, save_weights, seeded_weights
+        from fusionkit.lm import save_table_lm
+
+        from fixtures import uniform_table_lm
+
+        root = tmp_path_factory.mktemp("fuzz_lm")
+        one = root / "corpus"  # the first utterance only, for speed
+        one.mkdir()
+        line = (corpus / "refs.txt").read_text().splitlines()[0]
+        (one / "refs.txt").write_text(line + "\n")
+        for name in ("vocab.txt", line.split("\t", 1)[0] + ".fkpg"):
+            shutil.copy(corpus / name, one / name)
+        vocab = read_vocabulary(corpus / "vocab.txt")
+        save_table_lm(uniform_table_lm(vocab), root / "table.json")
+        hp = Hyperparams(vocab_size=vocab.size, dim=8, heads=2, layers=1, ffn_dim=16)
+        save_weights(seeded_weights(hp, 0), root / "weights.fkwt")
+        (root / "text.txt").write_text(line.split("\t", 1)[1] + "\n")
+        others = {name: (root / name).read_bytes() for name in ("table.json", "weights.fkwt")}
+        others["fkpg"] = (one / (line.split("\t", 1)[0] + ".fkpg")).read_bytes()
+        return one, root / "text.txt", lm_file.read_bytes(), others
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edit=st.sampled_from(["truncate", "flip", "insert", "swap"]),
+        where=st.floats(0, 1),
+        flip=st.integers(1, 255),
+        insert=st.binary(min_size=1, max_size=12),
+        other=st.sampled_from(["table.json", "weights.fkwt", "fkpg"]),
+    )
+    def test_commands_exit_cleanly(self, inputs, edit, where, flip, insert, other):
+        one, text, base, others = inputs
+        if edit == "swap":
+            data = others[other] + base[int(where * len(base)) :]
+        else:
+            data = fuzzed(base, edit, where, flip, insert)
+        with tempfile.TemporaryDirectory() as tmp:
+            model = Path(tmp) / "lm.fklm"
+            model.write_bytes(data)
+            config = Path(tmp) / "joint.json"
+            config.write_text(json.dumps({"strategy": "joint", "beam": 2, "scorers": [
+                {"name": "ctc", "kind": "ctc_prefix", "weight": 1.0},
+                {"name": "lm", "kind": "ngram", "weight": 0.5, "path": str(model)}]}))
+            out = Path(tmp) / "out"
+            for argv in (
+                ["ppl", str(model), str(text)],
+                ["decode", str(one), str(out), "--strategy", "timesync", "--beam", "2",
+                 "--lm-path", str(model), "--lm-weight", "0.3"],
+                ["decode", str(one), str(out), "--config", str(config)],
+            ):
+                shutil.rmtree(out, ignore_errors=True)
+                stdout, stderr = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                    code = main(argv)
+                err = stderr.getvalue()
+                if code == 0:
+                    assert err == ""
+                    continue
+                assert code == 1 and stdout.getvalue() == ""
+                assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+                if argv[0] == "decode":
+                    assert not list(out.glob("*.nbest")) and not (out / "hyps.txt").exists()
 
 
 # texts of the parser that built all seven subcommands for every call

@@ -1,6 +1,8 @@
 import math
 import re
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from fusionkit.core import NEG_INF, WORD_MARKER, FormatError, ValidationError, V
 from fusionkit.lm import (
     LN10,
     MAX_ORDER,
+    NGramLevel,
     NGramModel,
     TableLM,
     lm_logprob,
@@ -26,7 +29,14 @@ from fusionkit.lm import (
     train_ngram,
 )
 
-from fixtures import fuzzed, uniform_table_lm
+from fixtures import (
+    FKLM_VOCAB_AT,
+    fklm_header_edited,
+    fklm_level_offsets,
+    fklm_vocab_edited,
+    fuzzed,
+    uniform_table_lm,
+)
 
 VOCAB = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a", "b"])
 A, B = 3, 4
@@ -45,6 +55,40 @@ def _fklm_bytes(model):
 
 
 FUZZ_BASE = _fklm_bytes(train_ngram(VOCAB, [[A, A, B], [B, A], [A]], order=3))
+
+
+def levels_from_tables(tables):
+    """NGramModel levels from ``tables[k]``, which maps a length-k context
+    to {token: log10 prob}: contexts and tokens sorted."""
+    levels = []
+    for k, table in enumerate(tables):
+        ctxs = sorted(table)
+        entries = [(tok, table[ctx][tok]) for ctx in ctxs for tok in sorted(table[ctx])]
+        levels.append(NGramLevel(
+            np.array(ctxs, np.int32).reshape(len(ctxs), k),
+            np.array([len(table[ctx]) for ctx in ctxs], np.int32),
+            np.array([tok for tok, _ in entries], np.int32),
+            np.array([val for _, val in entries], float),
+        ))
+    return tuple(levels)
+
+
+def tables_of(model):
+    """``model``'s levels as ``tables[k]``: length-k context -> {token: log10 prob}."""
+    tables = []
+    for contexts, counts, tokens, values in model.levels:
+        ends = np.cumsum(counts).tolist()
+        spans = zip([0] + ends[:-1], ends)
+        tables.append({tuple(ctx): dict(zip(tokens[a:b].tolist(), values[a:b].tolist()))
+                       for ctx, (a, b) in zip(contexts.tolist(), spans)})
+    return tables
+
+
+def assert_same_levels(got, want):
+    assert len(got.levels) == len(want.levels)
+    for a, b in zip(got.levels, want.levels):
+        for x, y in zip(a, b):
+            assert x.shape == y.shape and x.tobytes() == y.astype(x.dtype).tobytes()
 
 
 class TestTrainUnigram:
@@ -104,7 +148,7 @@ def reference_train_ngram(vocab, corpus, order, backoff_factor=0.4):
         for ctx, bucket in ctx_counts[k - 1].items():
             total = sum(bucket.values())
             tables[k - 1][ctx] = {tok: math.log10(cnt / total) for tok, cnt in bucket.items()}
-    return NGramModel(vocab, order, backoff_factor, tuple(tables))
+    return NGramModel(vocab, order, backoff_factor, levels_from_tables(tables))
 
 
 class TestTrainEqualsReference:
@@ -119,7 +163,8 @@ class TestTrainEqualsReference:
     def test_save_bytes_equal(self, order, corpus, backoff):
         got = train_ngram(self.VOCAB20, corpus, order=order, backoff_factor=backoff)
         want = reference_train_ngram(self.VOCAB20, corpus, order, backoff)
-        assert got == want
+        assert (got.vocab, got.order, got.backoff_factor) == (want.vocab, want.order, want.backoff_factor)
+        assert_same_levels(got, want)
         assert _fklm_bytes(got) == _fklm_bytes(want)
 
     @pytest.mark.parametrize("order", [0, -1, MAX_ORDER + 1, 400])
@@ -250,21 +295,22 @@ class TestLogprobEqualsPerTokenLoop:
                 assert lm_logprob(model, seq) == reference_lm_logprob(model, seq)
 
 
-def raw_log10(model, context, token):
+def raw_log10(tables, backoff_factor, context, token):
     """Slow reference: one token's stupid-backoff walk, longest context first."""
     discount = 0.0
     for k in range(len(context), 0, -1):
-        dist = model.tables[k].get(context[-k:]) if k < len(model.tables) else None
+        dist = tables[k].get(context[-k:]) if k < len(tables) else None
         if dist is not None and token in dist:
             return discount + dist[token]
-        discount += math.log10(model.backoff_factor)
-    return discount + model.tables[0][()][token]
+        discount += math.log10(backoff_factor)
+    return discount + tables[0][()][token]
 
 
 def reference_conditionals(model, context):
     ctx = tuple(context)[max(0, len(context) - (model.order - 1)) :]
     ids = support_ids(model.vocab)
-    raw = np.array([raw_log10(model, ctx, i) * LN10 for i in ids])
+    tables = tables_of(model)
+    raw = np.array([raw_log10(tables, model.backoff_factor, ctx, i) * LN10 for i in ids])
     out = np.full(model.vocab.size, NEG_INF)
     out[ids] = raw - logsumexp(raw)
     return out
@@ -330,7 +376,7 @@ VOCAB_SPLIT = Vocabulary.from_tokens(["a", "b", "<blank>", "c", "</s>", "d", "<s
 
 @st.composite
 def direct_models(draw):
-    """An n-gram model straight from ``tables``: levels that need not nest
+    """An n-gram model straight from level tables: levels that need not nest
     (a context whose suffix is held by no lower level), entries on blank or
     BOS, which no row reads, empty distributions, and an order that may lie
     above the deepest level."""
@@ -349,7 +395,7 @@ def direct_models(draw):
         for k in range(1, deepest + 1)
     ]
     order = draw(st.integers(1, deepest + 3))
-    return NGramModel(vocab, order, draw(st.sampled_from([0.3, 1.0, 2.5])), tuple([unigram] + levels))
+    return NGramModel(vocab, order, draw(st.sampled_from([0.3, 1.0, 2.5])), levels_from_tables([unigram] + levels))
 
 
 class TestRowStore:
@@ -465,42 +511,39 @@ class TestNGramSerialization:
         assert lm_logprob(model2, [A, B]) == lm_logprob(model, [A, B])
 
     def test_corrupt_entry_rejected(self, tmp_path):
-        from fusionkit.core import FormatError
-
-        model = train_ngram(VOCAB, aab_corpus(), order=2)
         path = tmp_path / "model.fklm"
-        save_ngram(model, path)
-        lines = path.read_text().splitlines()
-        lines[-1] = "not a valid entry"
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"bad n-gram entry on line {len(lines)}:"):
+        save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
+        data = bytearray(path.read_bytes())
+        level = fklm_level_offsets(data)[1]
+        struct.pack_into("<i", data, level["tokens"] + 4 * (level["m"] - 1), VOCAB.size)
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="level 1 holds a token id out of range") as info:
             load_ngram(path)
+        assert str(path) in str(info.value)
 
     def test_order_above_its_entries(self, tmp_path):
         # levels with no entries match nothing and are not built, however
         # many the header names
         path = tmp_path / "model.fklm"
         save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
-        saved = path.read_text()
+        saved = path.read_bytes()
         for order in (9, 100_000):
-            path.write_text(saved.replace("order\t2\n", f"order\t{order}\n", 1))
+            path.write_bytes(fklm_header_edited(saved, "order", order))
             model = load_ngram(path)
             assert model.order == order
-            assert len(model.tables) == 2
+            assert len(model.levels) == 2
             contexts = [(), (A,), (VOCAB.bos_id, A), (B, A, A, B, A, A, B, A, B, A)]
             want = np.array([reference_conditionals(model, c) for c in contexts])
             assert model.rows(contexts).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_value_rejected(self, tmp_path, value):
-        model = train_ngram(VOCAB, aab_corpus(), order=2)
         path = tmp_path / "model.fklm"
-        save_ngram(model, path)
-        lines = path.read_text().splitlines()
-        at = next(i for i, line in enumerate(lines) if line.startswith("2\t"))
-        lines[at] = lines[at].rsplit("\t", 1)[0] + "\t" + value
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(FormatError, match=f"on line {at + 1}: .*not finite"):
+        save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
+        data = bytearray(path.read_bytes())
+        struct.pack_into("<d", data, fklm_level_offsets(data)[1]["values"], float(value))
+        path.write_bytes(data)
+        with pytest.raises(FormatError, match="level 1 holds a log10 probability that is not finite"):
             load_ngram(path)
 
     @settings(max_examples=300, deadline=None)
@@ -508,49 +551,104 @@ class TestNGramSerialization:
         edit=st.sampled_from(["truncate", "flip", "insert"]),
         where=st.floats(0, 1),
         flip=st.integers(1, 255),
-        insert=st.sampled_from(["\t", "\n", "nan", "inf", "\t1\t", "[ngrams]\n"]),
+        insert=st.sampled_from([b"\0", b"\t", b"\n", b"\xff" * 4, struct.pack("<d", math.nan),
+                                struct.pack("<ii", -1, 1), b"FKLM"]),
     )
     def test_fuzzed_file_raises_only_format_errors(self, edit, where, flip, insert):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "fuzzed.fklm"
-            path.write_bytes(fuzzed(FUZZ_BASE, edit, where, flip, insert.encode()))
+            path.write_bytes(fuzzed(FUZZ_BASE, edit, where, flip, insert))
             try:
                 model = load_ngram(path)
             except (FormatError, ValidationError):
                 return
             model.rows([(), (model.vocab.bos_id,), (3, 4)])
 
-
+    # byte edits of the bigram model of aab_corpus(), whose level 1 holds
+    # the contexts (<s>,), (a,), (b,) with tokens [a], [a, b], [</s>]
     @pytest.mark.parametrize(
-        "old,new,message",
+        "edit, message",
         [
-            ("order\t2\n", "order 2\n", "header line 'order 2'"),
-            ("order\t2\n", "order\ttwo\n", "bad order value"),
-            ("order\t2\n", "order\t0\n", "order must be >= 1"),
-            ("order\t2\n", "", "missing order or backoff header"),
-            ("backoff\t0.4\n", "backoff\t0.0\n", "backoff positive"),
-            ("\n1\t\ta\t", "\n0\t\ta\t", "bad n-gram entry"),
-            ("\n1\t\ta\t", "\n2\t\ta\t", "bad n-gram entry"),
-            ("\n1\t\ta\t", "\n1\tb\ta\t", "bad n-gram entry"),
+            (lambda d, lv: b"FKLX" + d[4:], "bad magic"),
+            (lambda d, lv: d[:20], "truncated header"),
+            (lambda d, lv: fklm_header_edited(d, "version", 3), "unsupported FKLM version 3"),
+            (lambda d, lv: fklm_header_edited(d, "order", 0), "order must be >= 1"),
+            (lambda d, lv: fklm_header_edited(d, "backoff", 0.0), "backoff positive"),
+            (lambda d, lv: fklm_header_edited(d, "backoff", math.inf), "backoff positive"),
+            (lambda d, lv: fklm_header_edited(d, "levels", 3), "3 levels for an order-2 model"),
+            (lambda d, lv: fklm_header_edited(d, "levels", 0), "0 levels for an order-2 model"),
+            (lambda d, lv: fklm_header_edited(d, "vocab_bytes", len(d)), "truncated vocabulary"),
+            (lambda d, lv: _put(d, FKLM_VOCAB_AT, "<B", 0xFF), "vocabulary is not UTF-8"),
+            (lambda d, lv: fklm_vocab_edited(d, lambda t: t.replace("\t", " ", 1)), "line 1: missing tab"),
+            (lambda d, lv: d[: lv[1]["record"] + 4], "level 1 truncated"),
+            (lambda d, lv: d[: lv[1]["values"]], "level 1 holds 3 contexts and 4 entries, more than"),
+            (lambda d, lv: d + b"\0", "1 trailing bytes"),
+            (lambda d, lv: _put(d, lv[1]["contexts"], "<i", -1), "level 1 holds a token id out of range"),
+            (lambda d, lv: _put(d, lv[1]["counts"], "<i", 2), "level 1 entry counts do not sum to its 4"),
+            (lambda d, lv: _put(d, lv[1]["counts"], "<ii", 0, 3), "level 1 tokens are not strictly"),
+            (lambda d, lv: _put(d, lv[1]["contexts"], "<i", B), "level 1 contexts are not strictly"),
+            (lambda d, lv: _put(d, lv[1]["tokens"] + 8, "<i", A), "level 1 tokens are not strictly"),
+            (lambda d, lv: _put(d, lv[1]["values"], "<d", 0.25), "not in \\[-324, 0\\]"),
+            (lambda d, lv: _put(d, lv[1]["values"], "<d", -1e300), "not in \\[-324, 0\\]"),
         ],
+        ids=["magic", "header", "version", "order", "backoff-zero", "backoff-inf", "levels-above-order",
+             "no-levels", "vocabulary-length", "vocabulary-not-utf8", "vocabulary-line-without-tab",
+             "level-record", "level-arrays",
+             "trailing-bytes", "context-id", "count-sum", "count-split", "contexts-order", "tokens-order",
+             "positive-log10", "huge-log10"],
     )
-    def test_malformed_header_or_entry_rejected(self, tmp_path, old, new, message):
+    def test_malformed_header_or_entry_rejected(self, tmp_path, edit, message):
         path = tmp_path / "model.fklm"
         save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
-        text = path.read_text()
-        assert old in text
-        path.write_text(text.replace(old, new, 1))
+        data = path.read_bytes()
+        path.write_bytes(edit(data, fklm_level_offsets(data)))
         with pytest.raises(FormatError, match=message) as info:
             load_ngram(path)
         assert str(path) in str(info.value)
 
-    def test_unigram_gap_rejected(self, tmp_path):
+    def test_counts_checked_before_arrays_are_read(self, tmp_path):
+        # a count that claims 2^32 - 1 contexts allocates nothing
         path = tmp_path / "model.fklm"
         save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
-        lines = [line for line in path.read_text().splitlines() if not line.startswith("1\t\tb\t")]
-        path.write_text("\n".join(lines) + "\n")
+        data = path.read_bytes()
+        path.write_bytes(_put(data, fklm_level_offsets(data)[1]["record"], "<II", 2**32 - 1, 2**32 - 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="more than its"):
+                load_ngram(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_text_file_asks_for_lm_train(self, tmp_path):
+        path = tmp_path / "old.fklm"
+        path.write_text("FKLM v1\norder\t2\nbackoff\t0.4\n[vocab]\n<blank>\tblank\n[ngrams]\n")
+        with pytest.raises(FormatError, match=r"FKLM v1 \(text\) file, no longer read; re-run lm-train") as info:
+            load_ngram(path)
+        assert str(path) in str(info.value)
+
+    def test_unigram_gap_rejected(self, tmp_path):
+        model = train_ngram(VOCAB, aab_corpus(), order=2)
+        contexts, _, tokens, values = model.levels[0]
+        gap = NGramLevel(contexts, np.array([2], np.int32), tokens[tokens != B], values[tokens != B])
+        path = tmp_path / "model.fklm"
+        save_ngram(NGramModel(VOCAB, 2, 0.4, (gap,) + model.levels[1:]), path)
         with pytest.raises(FormatError, match="no unigram entry"):
             load_ngram(path)
+
+    def test_save_load_save_identical_with_any_tokens(self, tmp_path):
+        # contexts are stored as ids, so tokens may hold spaces
+        vocab = Vocabulary.from_tokens(["<blank>", "<s>", "</s>", "a b", " ", "\u00e4"])
+        model = train_ngram(vocab, [[3, 4, 5], [5, 3]], order=3)
+        path = tmp_path / "model.fklm"
+        save_ngram(model, path)
+        first = path.read_bytes()
+        loaded = load_ngram(path)
+        save_ngram(loaded, path)
+        assert path.read_bytes() == first
+        assert loaded.vocab == vocab
+        assert_same_levels(loaded, model)
 
     @pytest.mark.parametrize("doc", ["{\"format\": \"fusionkit", "[1, 2]", "\xff"])
     def test_table_lm_not_json_rejected(self, tmp_path, doc):
@@ -588,15 +686,22 @@ class TestNGramSerialization:
         assert str(path) in str(info.value)
 
 
+def _put(data, offset, fmt, *values):
+    """``data`` with ``values`` packed at ``offset``."""
+    out = bytearray(data)
+    struct.pack_into(fmt, out, offset, *values)
+    return bytes(out)
+
+
 class TestVocabularyFlags:
     @pytest.mark.parametrize("flag", ["blank", "bos", "eos"])
     def test_ngram_missing_flag_is_format_error(self, tmp_path, flag):
         path = tmp_path / "m.fklm"
         save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
-        text = path.read_text().replace(f"\t{flag}\n", "\t\n", 1)
-        path.write_text(text)
-        with pytest.raises(FormatError, match=f"missing: {flag}"):
+        path.write_bytes(fklm_vocab_edited(path.read_bytes(), lambda t: t.replace(f"\t{flag}\n", "\t\n", 1)))
+        with pytest.raises(FormatError, match=f"missing: {flag}") as info:
             load_ngram(path)
+        assert str(path) in str(info.value)
 
     @pytest.mark.parametrize("flag", ["blank", "bos", "eos"])
     def test_table_lm_missing_flag_is_format_error(self, tmp_path, flag):
@@ -614,9 +719,10 @@ class TestVocabularyFlags:
     def test_unknown_flag_is_format_error(self, tmp_path):
         path = tmp_path / "m.fklm"
         save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
-        path.write_text(path.read_text().replace("\tblank\n", "\tblank,bogus\n", 1))
+        path.write_bytes(fklm_vocab_edited(path.read_bytes(), lambda t: t.replace("\tblank\n", "\tblank,bogus\n", 1)))
         with pytest.raises(FormatError, match="bogus"):
             load_ngram(path)
+
 
 class TestRetokenize:
     def test_longest_match(self):

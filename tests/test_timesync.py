@@ -9,6 +9,7 @@ and the four counters of each utterance.
 """
 
 import math
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any
@@ -20,12 +21,13 @@ from hypothesis import strategies as st
 
 from fusionkit.core import NEG_INF, Posteriorgram, ValidationError, Vocabulary
 from fusionkit.ctc import topk_prune
-from fusionkit.lm import NGramModel, TableLM, retokenize, train_ngram
+from fusionkit.lm import NGramModel, TableLM, load_ngram, retokenize, save_ngram, train_ngram
 from fusionkit.search import (
     DecodeStats,
     NBestEntry,
     NBestList,
     frame_lm,
+    rescore_nbest,
     timesync_ctc_beam,
     _WordLM,
 )
@@ -724,3 +726,40 @@ class TestWordLMChild:
                 want += float(lm.conditionals(want_after)[tok])
                 want_after = want_after + (tok,)
             assert (delta, after) == (want, want_after)
+
+
+class TestDelayedFusionEqualsRescoring:
+    """Acceptance criterion 5 as a property: each hypothesis that delayed
+    fusion finishes scores its CTC score plus the weighted log probability
+    of its words under a cross-vocabulary LM, as n-best rescoring of that
+    CTC score computes it."""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["dirichlet", "peaked", "holes", "uniform"]),
+        frames=st.integers(1, 7),
+        order=st.integers(1, 3),
+        backoff=st.sampled_from([0.4, 1.0, 2.5]),
+        lm_weight=st.sampled_from([0.0, 0.3, 0.8, 2.0, -0.4]),
+        beam=st.sampled_from([1, 3, 8]),
+    )
+    def test_finished_scores_equal_rescored(self, seed, kind, frames, order, backoff, lm_weight, beam):
+        rng = np.random.default_rng(seed)
+        am_vocab, lm_vocab = cross_vocab()
+        pg = random_pg(rng, frames, am_vocab, kind)
+        words = ["ab", "ca", "a", "b", "c", "bc", "cab"]
+        sentences = [rng.choice(words, size=rng.integers(1, 5)).tolist() for _ in range(5)]
+        lm = train_ngram(lm_vocab, [retokenize(lm_vocab, s) for s in sentences], order, backoff)
+        with tempfile.TemporaryDirectory() as tmp:  # the LM a decode reads from its file
+            save_ngram(lm, f"{tmp}/lm.fklm")
+            lm = load_ngram(f"{tmp}/lm.fklm")
+        nbest = timesync_ctc_beam([pg], am_vocab, beam, frame_lm(am_vocab, lm, lm_weight, True))[0]
+        am_only = NBestList(NBestEntry(e.labels, {"ctc": e.components["ctc"]}, e.components["ctc"], e.finished)
+                            for e in nbest)
+        rescored = {e.labels: e.combined for e in rescore_nbest(am_only, am_vocab, lm, lm_weight)}
+        assert len(nbest) > 0 and len(rescored) == len(nbest)
+        for e in nbest:
+            assert e.finished
+            assert abs(e.combined - rescored[e.labels]) <= 1e-9 * max(1.0, abs(e.combined))

@@ -2,25 +2,29 @@
 
     python3 tools/ab_decode.py OTHER_CHECKOUT --workload W [--seed S] [--rounds N]
 
-Builds the benchmark's workload W at seed S once, with
-``perfbench/corpus.py`` of the checkout holding this script, and loads the
-``fusionkit`` package of both checkouts, "this" one and OTHER_CHECKOUT's.
-Each side's package is imported while its ``fusionkit`` modules are the
-ones in ``sys.modules``; module globals bind at import, so each side keeps
-its own code.  A side's modules are swapped back into ``sys.modules`` for
-its calls, so that imports made inside a call find them too.
+Loads the ``fusionkit`` package of both checkouts, "this" one and
+OTHER_CHECKOUT's.  Each side's package is imported while its ``fusionkit``
+modules are the ones in ``sys.modules``; module globals bind at import, so
+each side keeps its own code.  A side's modules are swapped back into
+``sys.modules`` for its calls, so that imports made inside a call find them
+too.  Each side then builds the benchmark's workload W at seed S with its
+own package, in a work dir of its own: corpus, warm-up corpus, LM and
+config, through ``perfbench/corpus.py`` of the checkout holding this
+script.  So each side reads the files its own package writes, an LM format
+that the other does not read included.
 
 After one warm-up decode per side, each round runs one whole in-process
-``fusionkit decode`` of the corpus per side, ``cli.main(["decode", ...])``
-with the workload's config, the side that goes first alternating.  Every
-call's n-best files and ``hyps.txt`` are checked against the outputs pinned
-in ``perfbench/reference/`` for the workload and seed, or, for a seed
-without a pinned reference, against this side's first call.  After the
-timed rounds, each side runs one more decode under ``tracemalloc``, untimed.
-Prints, per side, the min and median wall and CPU milliseconds per decode,
-the rounds it won on wall time and that decode's traced peak (the most
-memory allocated during it and held at once, numpy's arrays included);
-exits 1 if any call's outputs differ.  Standard library and numpy only.
+``fusionkit decode`` of the side's corpus per side,
+``cli.main(["decode", ...])`` with the workload's config, the side that goes
+first alternating.  Every call's n-best files and ``hyps.txt`` are checked
+against the outputs pinned in ``perfbench/reference/`` for the workload and
+seed, or, for a seed without a pinned reference, against the first call's.
+After the timed rounds, each side runs three more decodes under
+``tracemalloc``, untimed.  Prints, per side, the min and median wall and CPU
+milliseconds per decode, the rounds it won on wall time, and the min and
+spread (max - min) of those decodes' traced peaks (the most memory
+allocated during a decode and held at once, numpy's arrays included); exits
+1 if any call's outputs differ.  Standard library and numpy only.
 """
 
 from __future__ import annotations
@@ -39,6 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+TRACED_DECODES = 3  # per side; one traced peak moves by about 10 KB between runs of one tree
 
 
 def _perfbench():
@@ -135,22 +140,21 @@ def main(argv: list[str] | None = None) -> int:
     trees = {side: load_tree(checkout) for side, checkout in sides.items()}
     reference = perfbench_run.load_reference(args.workload, args.seed)
     with tempfile.TemporaryDirectory() as tmp:
-        work = Path(tmp)
-        with installed(trees["this"]):
-            corpus.build(args.workload, args.seed, work)
-        corpus_dir = work / "corpus"
-        utt_ids = [line.split("\t", 1)[0]
-                   for line in (corpus_dir / "refs.txt").read_text(encoding="utf-8").splitlines()]
+        work = {side: Path(tmp) / side for side in sides}
         for side, tree in trees.items():
-            timed_decode(tree, work, work / "warmup", work / f"warmup_{side}")
+            with installed(tree):
+                corpus.build(args.workload, args.seed, work[side])
+            timed_decode(tree, work[side], work[side] / "warmup", work[side] / "warmup_out")
+        utt_ids = [line.split("\t", 1)[0] for line in
+                   (work["this"] / "corpus" / "refs.txt").read_text(encoding="utf-8").splitlines()]
         expected = reference
         times = {side: [] for side in sides}
         won = dict.fromkeys(sides, 0)
         mismatches = 0
         for i in range(args.rounds):
             for side in sorted(sides, reverse=i % 2 == 1):  # alternate which side goes first
-                out_dir = work / "out"
-                times[side].append(timed_decode(trees[side], work, corpus_dir, out_dir))
+                out_dir = work[side] / "out"
+                times[side].append(timed_decode(trees[side], work[side], work[side] / "corpus", out_dir))
                 outputs = perfbench_run.read_outputs(out_dir, utt_ids)
                 if expected is None:
                     expected = outputs
@@ -159,7 +163,8 @@ def main(argv: list[str] | None = None) -> int:
                     mismatches += 1
                     print(f"round {i}: {side} differs on {', '.join(failed)}", file=sys.stderr)
             won[min(sides, key=lambda side: times[side][-1][0])] += 1
-        peaks = {side: traced_peak(trees[side], work, corpus_dir, work / "out") for side in sides}
+        peaks = {side: [traced_peak(trees[side], work[side], work[side] / "corpus", work[side] / "out")
+                        for _ in range(TRACED_DECODES)] for side in sides}
     against = "the pinned reference" if reference is not None else "the first call (no pinned reference)"
     print(f"{args.workload}\tseed {args.seed}\t{len(utt_ids)} utterances\t{args.rounds} rounds"
           f"\toutputs checked against {against}: {mismatches} calls differ")
@@ -168,7 +173,8 @@ def main(argv: list[str] | None = None) -> int:
         cpu = [1e3 * c for _, c in times[side]]
         print(f"{side}\t{checkout}\twall min {min(wall):.2f} ms\tmedian {statistics.median(wall):.2f} ms"
               f"\tcpu min {min(cpu):.2f} ms\tmedian {statistics.median(cpu):.2f} ms"
-              f"\twon {won[side]}/{args.rounds}\ttraced peak {peaks[side] / 2**20:.3f} MB")
+              f"\twon {won[side]}/{args.rounds}\ttraced peak {min(peaks[side]) / 2**20:.3f} MB"
+              f" (spread {(max(peaks[side]) - min(peaks[side])) / 2**10:.1f} KB of {TRACED_DECODES})")
     return 1 if mismatches else 0
 
 
