@@ -169,7 +169,7 @@ class NGramModel:
     def _state(self, ctx: tuple[int, ...]) -> tuple:
         """A truncated context's backoff state, all that its row depends on:
         its length and, lowest first, each level whose suffix of the context
-        it holds with that suffix's entry span.  The tables need not nest, so
+        it holds with that suffix's entry span.  The levels need not nest, so
         a shorter suffix may be missing where a longer one is held."""
         n = len(ctx)
         spans = []

@@ -43,7 +43,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
-TRACED_DECODES = 3  # per side; one traced peak moves by about 10 KB between runs of one tree
+TRACED_DECODES = 3  # per side: one decode's traced peak moves between decodes of one tree
 
 
 def _perfbench():
