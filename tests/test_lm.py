@@ -597,7 +597,7 @@ class TestNGramSerialization:
              "trailing-bytes", "context-id", "count-sum", "count-split", "contexts-order", "tokens-order",
              "positive-log10", "huge-log10"],
     )
-    def test_malformed_header_or_entry_rejected(self, tmp_path, edit, message):
+    def test_malformed_fklm_rejected(self, tmp_path, edit, message):
         path = tmp_path / "model.fklm"
         save_ngram(train_ngram(VOCAB, aab_corpus(), order=2), path)
         data = path.read_bytes()
@@ -621,12 +621,45 @@ class TestNGramSerialization:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    # the text that FKLM v1 held for the bigram of aab_corpus()
+    V1_TEXT = (
+        "FKLM v1\norder\t2\nbackoff\t0.4\n[vocab]\n<blank>\tblank\n<s>\tbos\n</s>\teos\na\t\nb\t\n"
+        "[ngrams]\n1\t\t</s>\t-0.7781512503836436\n1\t\ta\t-0.3010299956639812\n"
+        "1\t\tb\t-0.4771212547196625\n2\t<s>\ta\t0.0\n2\ta\ta\t-0.3010299956639812\n"
+        "2\ta\tb\t-0.3010299956639812\n2\tb\t</s>\t0.0\n"
+    )
+
     def test_text_file_asks_for_lm_train(self, tmp_path):
         path = tmp_path / "old.fklm"
-        path.write_text("FKLM v1\norder\t2\nbackoff\t0.4\n[vocab]\n<blank>\tblank\n[ngrams]\n")
+        path.write_text(self.V1_TEXT)
         with pytest.raises(FormatError, match=r"FKLM v1 \(text\) file, no longer read; re-run lm-train") as info:
             load_ngram(path)
         assert str(path) in str(info.value)
+
+    # the header and entry edits that the FKLM v1 text reader rejected, each
+    # with its message: no reader parses v1 text any more, so each such file
+    # fails with the one v1 message instead (the FKLM v2 counterparts are
+    # the cases of test_malformed_fklm_rejected)
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("order\t2\n", "order 2\n", "header line 'order 2'"),
+            ("order\t2\n", "order\ttwo\n", "bad order value"),
+            ("order\t2\n", "order\t0\n", "order must be >= 1"),
+            ("order\t2\n", "", "missing order or backoff header"),
+            ("backoff\t0.4\n", "backoff\t0.0\n", "backoff positive"),
+            ("\n1\t\ta\t", "\n0\t\ta\t", "bad n-gram entry"),
+            ("\n1\t\ta\t", "\n2\t\ta\t", "bad n-gram entry"),
+            ("\n1\t\ta\t", "\n1\tb\ta\t", "bad n-gram entry"),
+        ],
+    )
+    def test_malformed_header_or_entry_rejected(self, tmp_path, old, new, message):
+        path = tmp_path / "model.fklm"
+        assert old in self.V1_TEXT
+        path.write_text(self.V1_TEXT.replace(old, new, 1))
+        with pytest.raises(FormatError, match="re-run lm-train") as info:
+            load_ngram(path)
+        assert str(path) in str(info.value) and message not in str(info.value)
 
     def test_unigram_gap_rejected(self, tmp_path):
         model = train_ngram(VOCAB, aab_corpus(), order=2)
